@@ -60,7 +60,6 @@ type sent_pkt = {
          for no-record receivers (window > 1 only) *)
   mutable sp_retries : int;
   mutable sp_busy_attempts : int;
-  mutable sp_waiting_busy : bool;  (* window 1 only: parked between BUSY retries *)
   mutable sp_timer : Engine.event_id option;
   mutable sp_finished : bool;
   mutable sp_sent_at : int;
@@ -75,9 +74,8 @@ type pending_send = {
   ps_tid : int;
   ps_body : Wire.body;
   ps_done : send_outcome -> unit;
-  ps_retries : int;  (* preserved when a parked send is requeued *)
   ps_busy : int;
-  ps_ready_at : int;  (* earliest launch time (BUSY backoff); 0 = immediately *)
+  mutable ps_ready_at : int;  (* earliest launch time (BUSY backoff); 0 = immediately *)
 }
 
 (* Replay record for one consumed incoming sequence number: the message's
@@ -305,6 +303,12 @@ let seq_prev t s = (s - 1 + sspace t) mod sspace t
    always finds its record and is never mistaken for slot reuse. At window 1
    this is exactly one record -- the seed's single last-consumed pair. *)
 let max_consumed t = max 1 (sspace t - 1)
+
+(* Does a BUSY or an unadvertised ERROR consume the refused message's
+   sequence number? At window > 1 the receiver consumes it to keep its
+   window gap-free, and the retry launches in a fresh slot; at window 1 it
+   does not, and the retry reuses the slot (the seed's alternating bit). *)
+let rejection_consumes t = win t > 1
 
 (* Is congestion control live on this transport? Window-1 runs always
    behave exactly like the seed's alternating bit, AIMD knob or not. *)
@@ -682,30 +686,53 @@ let queue_push_front queue x =
   Queue.transfer queue tmp;
   Queue.transfer tmp queue
 
-(* First pending send whose BUSY backoff has matured, preserving queue
-   order otherwise (a ready DATA may overtake a backing-off REQUEST). *)
-let pop_ready q now =
-  let skipped = Queue.create () in
-  let found = ref None in
-  while !found = None && not (Queue.is_empty q) do
-    let p = Queue.pop q in
-    if p.ps_ready_at <= now then found := Some p else Queue.push p skipped
-  done;
-  Queue.transfer q skipped;
-  Queue.transfer skipped q;
-  !found
+let queue_filter q keep =
+  let kept = Queue.create () in
+  Queue.iter (fun p -> if keep p then Queue.push p kept) q;
+  Queue.clear q;
+  Queue.transfer kept q
 
-let next_ready_at q = Queue.fold (fun acc p -> min acc p.ps_ready_at) max_int q
+(* Granted DATA goes ahead of every queued request (FIFO among DATA): the
+   next window slot must go to the exchange the server is already waiting
+   on, not to a new REQUEST it would BUSY-bounce. *)
+let data_first q =
+  let puts = Queue.create () and rest = Queue.create () in
+  Queue.iter (fun p -> Queue.push p (if p.ps_kind = K_put_data then puts else rest)) q;
+  Queue.clear q;
+  Queue.transfer puts q;
+  Queue.transfer rest q
 
-(* The item [pop_ready] would return, without removing it. *)
-let peek_ready q now =
-  Queue.fold
-    (fun acc p ->
-      match acc with Some _ -> acc | None -> if p.ps_ready_at <= now then Some p else None)
-    None q
+(* Window 1: the queued DATA is what will free the busy handler, so it
+   goes first and a request backing off behind it retries right after. *)
+let retry_behind_data q =
+  Queue.iter (fun p -> p.ps_ready_at <- 0) q;
+  data_first q
 
-let remove_outstanding conn sp =
-  conn.outstanding <- List.filter (fun p -> p != sp) conn.outstanding
+(* The pending send to launch next: the first whose BUSY backoff has
+   matured. Where a rejection leaves the refused slot unconsumed (window
+   1), a backing-off head keeps that slot for its retry and holds back
+   everything queued behind it except granted DATA, which the busy
+   handler may be waiting for. *)
+let launchable t q now =
+  match Queue.peek_opt q with
+  | None -> None
+  | Some head as first when head.ps_ready_at <= now -> first
+  | Some _ when not (rejection_consumes t) ->
+    Queue.fold
+      (fun acc p ->
+        match acc with Some _ -> acc | None -> if p.ps_kind = K_put_data then Some p else None)
+      None q
+  | Some _ ->
+    Queue.fold
+      (fun acc p ->
+        match acc with Some _ -> acc | None -> if p.ps_ready_at <= now then Some p else None)
+      None q
+
+(* When the earliest BUSY backoff in the queue matures. Sends that never
+   bounced do not count: held back behind a backing-off head, they would
+   make the wake timer re-arm every microsecond. *)
+let next_ready_at q =
+  Queue.fold (fun acc p -> if p.ps_ready_at > 0 then min acc p.ps_ready_at else acc) max_int q
 
 let cancel_sp_timer t sp =
   match sp.sp_timer with
@@ -713,6 +740,11 @@ let cancel_sp_timer t sp =
     Engine.cancel t.engine id;
     sp.sp_timer <- None
   | None -> ()
+
+let retire_sent t conn sp =
+  sp.sp_finished <- true;
+  cancel_sp_timer t sp;
+  conn.outstanding <- List.filter (fun p -> p != sp) conn.outstanding
 
 let rec transmit_sent t conn sp =
   let attempt = sp.sp_retries + sp.sp_busy_attempts in
@@ -776,26 +808,28 @@ and arm_retrans t conn sp =
                 most once per RTO) whether we retry or give up *)
              cwnd_on_loss t conn;
              if sp.sp_retries >= t.cost.Cost.max_retrans then
-               finish_sent t conn sp Out_timeout
+               release_sent t conn sp (fun () -> sp.sp_done Out_timeout)
              else begin
                sp.sp_retries <- sp.sp_retries + 1;
                transmit_sent t conn sp
              end
            end))
 
-(* Remove a slot WITHOUT advancing the window base: timeouts and
-   unadvertised rejections mean the peer never consumed the sequence
-   number, so it is reused for the next message once the window empties
-   (the seed's unflipped bit, generalised). *)
-and finish_sent t conn sp outcome =
+(* Remove a slot WITHOUT advancing the window base, then run [k]: a
+   timeout, or a rejection the peer did not consume ([rejection_consumes]),
+   means the sequence number is reused for the next message once the
+   window empties (the seed's unflipped bit, generalised). *)
+and release_sent t conn sp k =
   if not sp.sp_finished then begin
-    sp.sp_finished <- true;
-    cancel_sp_timer t sp;
-    remove_outstanding conn sp;
+    retire_sent t conn sp;
     if conn.outstanding = [] then conn.send_next <- conn.send_base;
-    sp.sp_done outcome;
+    k ();
     start_next t conn
   end
+
+(* The peer refused [sp] with a BUSY or an unadvertised ERROR. *)
+and reject_sent t conn sp k =
+  if rejection_consumes t then resolve_consumed t conn sp k else release_sent t conn sp k
 
 (* A cumulative acknowledgement: the peer consumed every slot up to and
    including [a]. A slot held by an unresolved CANCEL stops the walk — a
@@ -856,9 +890,7 @@ and apply_cum_ack t conn a =
 and resolve_consumed t conn sp k =
   if not sp.sp_finished then begin
     apply_cum_ack t conn (seq_prev t sp.sp_seq);
-    sp.sp_finished <- true;
-    cancel_sp_timer t sp;
-    remove_outstanding conn sp;
+    retire_sent t conn sp;
     if conn.send_base = sp.sp_seq then begin
       conn.send_base <- seq_next t sp.sp_seq;
       if conn.outstanding = [] then conn.send_next <- conn.send_base
@@ -882,120 +914,69 @@ and resolve_consumed t conn sp k =
 and start_next t conn =
   let continue = ref true in
   while !continue do
-    let extent = dist t conn.send_base conn.send_next in
-    if Queue.is_empty conn.sendq then continue := false
-    else begin
-      let now = Engine.now t.engine in
-      match peek_ready conn.sendq now with
-      | None ->
-        (* every queued send is backing off after a BUSY; wake when the
-           nearest matures *)
-        if conn.wake_timer = None then begin
-          let at = next_ready_at conn.sendq in
-          conn.wake_timer <-
-            Some
-              (defer t ~delay:(max 1 (at - now)) (fun () ->
-                   conn.wake_timer <- None;
-                   start_next t conn))
-        end;
-        continue := false
-      (* The DATA of an accepted exchange answers an explicit server
-         grant: the handler over there is already parked waiting for it,
-         so gating it on a collapsed cwnd can deadlock the window (the
-         in-flight REQUESTs it sits behind are BUSY-bounced by that very
-         handler). It bypasses the congestion window; the peer's receive
-         window still caps it. *)
-      | Some peeked
-        when extent >= (if peeked.ps_kind = K_put_data then win t else eff_win t conn)
-        -> continue := false
-      | Some _ ->
-        let pending =
-          match pop_ready conn.sendq now with Some p -> p | None -> assert false
-        in
-        let sp =
-          {
-            sp_kind = pending.ps_kind;
-            sp_tid = pending.ps_tid;
-            sp_body = pending.ps_body;
-            sp_seq = conn.send_next;
-            sp_run = win t > 1 && conn.outstanding = [];
-            sp_retries = pending.ps_retries;
-            sp_busy_attempts = pending.ps_busy;
-            sp_waiting_busy = false;
-            sp_timer = None;
-            sp_finished = false;
-            sp_sent_at = 0;
-            sp_done = pending.ps_done;
-          }
-        in
-        conn.send_next <- seq_next t conn.send_next;
-        conn.outstanding <- conn.outstanding @ [ sp ];
-        Stats.sample t.stats "net.window_occupancy" (List.length conn.outstanding);
-        transmit_sent t conn sp
-    end
+    let now = Engine.now t.engine in
+    match launchable t conn.sendq now with
+    | None ->
+      (* backing off after a BUSY; wake when the nearest backoff matures *)
+      if conn.wake_timer = None && not (Queue.is_empty conn.sendq) then
+        conn.wake_timer <-
+          Some
+            (defer t ~delay:(max 1 (next_ready_at conn.sendq - now)) (fun () ->
+                 conn.wake_timer <- None;
+                 start_next t conn));
+      continue := false
+    (* The DATA of an accepted exchange answers an explicit server
+       grant: the handler over there is already parked waiting for it,
+       so gating it on a collapsed cwnd can deadlock the window (the
+       in-flight REQUESTs it sits behind are BUSY-bounced by that very
+       handler). It bypasses the congestion window; the peer's receive
+       window still caps it. *)
+    | Some pending
+      when dist t conn.send_base conn.send_next
+           >= if pending.ps_kind = K_put_data then win t else eff_win t conn ->
+      continue := false
+    | Some pending ->
+      if Queue.peek conn.sendq == pending then ignore (Queue.pop conn.sendq)
+      else queue_filter conn.sendq (fun p -> p != pending);
+      let sp =
+        {
+          sp_kind = pending.ps_kind;
+          sp_tid = pending.ps_tid;
+          sp_body = pending.ps_body;
+          sp_seq = conn.send_next;
+          sp_run = win t > 1 && conn.outstanding = [];
+          (* a requeued request starts its retransmission budget over: its
+             BUSY is proof of liveness, so retransmissions swallowed by a
+             pipelined hold before the nack must not keep eating the
+             crash-detection budget across retry cycles *)
+          sp_retries = 0;
+          sp_busy_attempts = pending.ps_busy;
+          sp_timer = None;
+          sp_finished = false;
+          sp_sent_at = 0;
+          sp_done = pending.ps_done;
+        }
+      in
+      conn.send_next <- seq_next t conn.send_next;
+      conn.outstanding <- conn.outstanding @ [ sp ];
+      Stats.sample t.stats "net.window_occupancy" (List.length conn.outstanding);
+      transmit_sent t conn sp
   done
-
-(* Window 1 only. The DATA of an in-progress exchange must not starve
-   behind a REQUEST that is bouncing off the very handler the exchange is
-   blocking: park the busy-waiting request back at the head of the queue
-   (BUSY did not consume its slot, so the slot is reused) and let the
-   pending Put_data go first. *)
-and park_busy_sent t conn sp =
-  cancel_sp_timer t sp;
-  sp.sp_finished <- true;
-  remove_outstanding conn sp;
-  if conn.outstanding = [] then conn.send_next <- conn.send_base;
-  queue_push_front conn.sendq
-    {
-      ps_kind = sp.sp_kind;
-      ps_tid = sp.sp_tid;
-      ps_body = sp.sp_body;
-      ps_done = sp.sp_done;
-      ps_retries = sp.sp_retries;
-      ps_busy = sp.sp_busy_attempts;
-      ps_ready_at = 0;
-    };
-  (* keep any pending DATA ahead of requeued requests *)
-  let puts = Queue.create () and rest = Queue.create () in
-  Queue.iter
-    (fun p -> Queue.push p (if p.ps_kind = K_put_data then puts else rest))
-    conn.sendq;
-  Queue.clear conn.sendq;
-  Queue.transfer puts conn.sendq;
-  Queue.transfer rest conn.sendq
 
 let send_reliable t ~peer ~kind ~tid body ~on_done =
   let conn = conn_for t peer in
   touch t conn;
   if tracing t then event t (Event.Enqueue { tid; peer; pkt = pkt_of_body body });
-  let pending =
-    { ps_kind = kind; ps_tid = tid; ps_body = body; ps_done = on_done; ps_retries = 0;
-      ps_busy = 0; ps_ready_at = 0 }
-  in
-  (match kind with
-   | K_put_data ->
-     (match
-        List.find_opt
-          (fun sp -> sp.sp_waiting_busy && sp.sp_kind = K_request && not sp.sp_finished)
-          conn.outstanding
-      with
-      | Some sp ->
-        park_busy_sent t conn sp;
-        queue_push_front conn.sendq pending
-      | None when win t > 1 ->
-        (* keep granted DATA ahead of unsent requests (FIFO among DATA):
-           the next window slot must go to the exchange the server is
-           already waiting on, not to a new REQUEST it would BUSY-bounce *)
-        Queue.push pending conn.sendq;
-        let puts = Queue.create () and rest = Queue.create () in
-        Queue.iter
-          (fun p -> Queue.push p (if p.ps_kind = K_put_data then puts else rest))
-          conn.sendq;
-        Queue.clear conn.sendq;
-        Queue.transfer puts conn.sendq;
-        Queue.transfer rest conn.sendq
-      | None -> Queue.push pending conn.sendq)
-   | _ -> Queue.push pending conn.sendq);
+  Queue.push
+    { ps_kind = kind; ps_tid = tid; ps_body = body; ps_done = on_done; ps_busy = 0;
+      ps_ready_at = 0 }
+    conn.sendq;
+  (* Granted DATA always goes ahead of unsent requests when windowed; at
+     window 1 only while the head backs off after a BUSY. *)
+  (if kind = K_put_data then
+     if win t > 1 then data_first conn.sendq
+     else if (Queue.peek conn.sendq).ps_ready_at > Engine.now t.engine then
+       retry_behind_data conn.sendq);
   start_next t conn
 
 (* ---- creation ----------------------------------------------------------- *)
@@ -1331,49 +1312,20 @@ let cancel t ~tid ~on_done =
      | Rq_delivered -> send_remote_cancel t req on_done
      | Rq_sent ->
        let conn = conn_for t req.or_dst in
-       (* Still queued behind other traffic (or backing off after a
-          windowed BUSY)? Then the server will never see it again: kill it
-          locally. *)
-       let in_queue =
-         Queue.fold
-           (fun found p -> found || (p.ps_tid = tid && p.ps_kind = K_request))
-           false conn.sendq
-       in
-       if in_queue then begin
-         let keep = Queue.create () in
-         Queue.iter
-           (fun p -> if not (p.ps_tid = tid && p.ps_kind = K_request) then Queue.push p keep)
-           conn.sendq;
-         Queue.clear conn.sendq;
-         Queue.transfer keep conn.sendq;
+       (* Still queued behind other traffic, or backing off after a BUSY?
+          Then the server will never see it again: kill it locally, and
+          let whatever the backing-off request held back go. *)
+       let ours p = p.ps_tid = tid && p.ps_kind = K_request in
+       if Queue.fold (fun found p -> found || ours p) false conn.sendq then begin
+         queue_filter conn.sendq (fun p -> not (ours p));
          req.or_state <- Rq_done;
          Hashtbl.remove t.out_reqs tid;
+         start_next t conn;
          on_done true
        end
-       else begin
-         match
-           List.find_opt
-             (fun sp ->
-               sp.sp_tid = tid && sp.sp_kind = K_request && sp.sp_waiting_busy
-               && not sp.sp_finished)
-             conn.outstanding
-         with
-         | Some sp ->
-           (* Bouncing off a busy handler (window 1): the server never took
-              delivery — BUSY does not consume the slot — so a local abort
-              is safe and the slot stays unconsumed. *)
-           sp.sp_finished <- true;
-           cancel_sp_timer t sp;
-           remove_outstanding conn sp;
-           if conn.outstanding = [] then conn.send_next <- conn.send_base;
-           req.or_state <- Rq_done;
-           Hashtbl.remove t.out_reqs tid;
-           start_next t conn;
-           on_done true
-         | None ->
-           (* Await the acknowledgement; the outcome callback resolves us. *)
-           req.or_cancel_pending <- Some on_done
-       end)
+       else
+         (* Await the acknowledgement; the outcome callback resolves us. *)
+         req.or_cancel_pending <- Some on_done)
 
 (* ---- incoming packet processing ------------------------------------------ *)
 
@@ -1496,168 +1448,162 @@ let flush_run_stale t conn ~key pkt =
 
 (* ---- responses to our own reliable sends --------------------------------- *)
 
+(* The unfinished message in flight for [tid] (of [kind], if given). *)
+let find_sent ?kind conn tid =
+  List.find_opt
+    (fun sp ->
+      sp.sp_tid = tid && (not sp.sp_finished)
+      && match kind with Some k -> sp.sp_kind = k | None -> true)
+    conn.outstanding
+
+(* A BUSY requeues the refused request at the head of the send queue,
+   where it backs off, holding back the requests queued behind it -- or,
+   at window 1 with granted DATA queued, retries right behind the DATA. *)
 let handle_busy t conn tid =
-  match
-    List.find_opt
-      (fun sp -> sp.sp_tid = tid && sp.sp_kind = K_request && not sp.sp_finished)
-      conn.outstanding
-  with
+  match find_sent ~kind:K_request conn tid with
   | None -> ()
   | Some sp ->
     sp.sp_busy_attempts <- sp.sp_busy_attempts + 1;
     Stats.incr t.stats "req.busy_received";
-    if win t = 1 then begin
-      (* Legacy alternating-bit semantics: BUSY did not consume the slot;
-         retry the same sequence number after the adaptive delay. *)
-      cancel_sp_timer t sp;
-      sp.sp_waiting_busy <- true;
-      let queued_put_data =
-        Queue.fold (fun found p -> found || p.ps_kind = K_put_data) false conn.sendq
-      in
-      if queued_put_data then begin
-        (* A pending DATA transfer is what will free the busy handler; let
-           it overtake the parked request. *)
-        park_busy_sent t conn sp;
-        start_next t conn
-      end
-      else begin
-        let delay = busy_delay t sp in
-        sp.sp_timer <-
-          Some
-            (defer t ~delay (fun () ->
-                 sp.sp_timer <- None;
-                 if not sp.sp_finished then begin
-                   sp.sp_waiting_busy <- false;
-                   transmit_sent t conn sp
-                 end))
-      end
-    end
-    else begin
-      (* Windowed: the server consumed the slot to keep its receive window
-         coherent. Free the slot and requeue the request (head of queue,
-         backoff preserved) for a fresh one. *)
-      let delay = busy_delay t sp in
-      resolve_consumed t conn sp (fun () ->
-          queue_push_front conn.sendq
-            {
-              ps_kind = sp.sp_kind;
-              ps_tid = sp.sp_tid;
-              ps_body = sp.sp_body;
-              ps_done = sp.sp_done;
-              (* BUSY is proof of liveness: retransmissions swallowed by a
-                 pipelined hold before this nack must not keep eating the
-                 crash-detection budget across retry cycles *)
-              ps_retries = 0;
-              ps_busy = sp.sp_busy_attempts;
-              ps_ready_at = Engine.now t.engine + delay;
-            })
-    end
+    let behind_data =
+      win t = 1
+      && Queue.fold (fun found p -> found || p.ps_kind = K_put_data) false conn.sendq
+    in
+    let ready_at = if behind_data then 0 else Engine.now t.engine + busy_delay t sp in
+    reject_sent t conn sp (fun () ->
+        queue_push_front conn.sendq
+          {
+            ps_kind = sp.sp_kind;
+            ps_tid = sp.sp_tid;
+            ps_body = sp.sp_body;
+            ps_done = sp.sp_done;
+            ps_busy = sp.sp_busy_attempts;
+            ps_ready_at = ready_at;
+          };
+        if behind_data then retry_behind_data conn.sendq)
 
 let handle_error t conn tid code =
-  match
-    List.find_opt (fun sp -> sp.sp_tid = tid && not sp.sp_finished) conn.outstanding
-  with
-  | None -> ()
+  match find_sent conn tid with
   | Some sp ->
-    if win t = 1 && code = Wire.Err_unadvertised then
-      (* the peer rejected without consuming the slot *)
-      finish_sent t conn sp (Out_error code)
-    else resolve_consumed t conn sp (fun () -> sp.sp_done (Out_error code))
+    let k () = sp.sp_done (Out_error code) in
+    if code = Wire.Err_unadvertised then reject_sent t conn sp k
+    else resolve_consumed t conn sp k
+  | None ->
+    (* An acked request the server held in its input buffer is withdrawn
+       when the handler unadvertises before taking it (see
+       [flush_buffered]); without this it would wait for the probes to
+       report its healthy server CRASHED. *)
+    (match code, Hashtbl.find_opt t.out_reqs tid with
+     | Wire.Err_unadvertised, Some req
+       when req.or_state = Rq_delivered && req.or_dst = conn.peer ->
+       complete_out_req t req Comp_unadvertised
+     | _ -> ())
 
 let handle_cancel_reply t conn tid ok =
-  match
-    List.find_opt
-      (fun sp -> sp.sp_tid = tid && sp.sp_kind = K_cancel && not sp.sp_finished)
-      conn.outstanding
-  with
+  match find_sent ~kind:K_cancel conn tid with
   | None -> ()
   | Some sp -> resolve_consumed t conn sp (fun () -> sp.sp_done (Out_cancel_reply ok))
 
 (* ---- consumed-body handlers ---------------------------------------------- *)
 
-let handle_accept_body t conn cr src (a : Wire.body) =
-  match a with
+let handle_accept t conn cr src ~tid ~arg ~put_transferred ~need_put_data data =
+  match Hashtbl.find_opt t.out_reqs tid with
+  | Some req when req.or_state <> Rq_done ->
+    if src <> req.or_dst then
+      (* Rule 6 of §3.3.2: only the addressed server may accept. *)
+      respond_consumed t conn cr (Wire.Error { tid; code = Wire.Err_cancelled })
+    else begin
+      let get_data = truncate_bytes data req.or_get_size in
+      let copy_us = Cost.data_copy_us t.cost ~bytes:(Bytes.length get_data) in
+      Stats.add_time t.stats (Cost.label Cost.Protocol) copy_us;
+      if need_put_data then begin
+        (* The put data was wasted on a busy transmission and must be
+           re-sent; the data exchange -- and hence the requester's
+           completion -- is only over once the server acknowledges it. *)
+        let payload = truncate_bytes req.or_put put_transferred in
+        Stats.incr t.stats "req.data_resend";
+        send_reliable t ~peer:src ~kind:K_put_data ~tid
+          (Wire.Put_data { tid; data = payload })
+          ~on_done:(fun outcome ->
+            match outcome with
+            | Out_acked ->
+              complete_out_req t req (Comp_accepted { arg; put_transferred; get_data })
+            | Out_error _ | Out_timeout -> complete_out_req t req Comp_crashed
+            | Out_cancel_reply _ -> ())
+      end
+      else if copy_us = 0 then
+        complete_out_req t req (Comp_accepted { arg; put_transferred; get_data })
+      else
+        ignore
+          (defer t ~delay:copy_us (fun () ->
+               complete_out_req t req (Comp_accepted { arg; put_transferred; get_data })))
+    end
+  | Some _ | None ->
+    (match (callbacks t).classify_unknown_tid tid with
+     | `Completed ->
+       respond_consumed t conn cr (Wire.Error { tid; code = Wire.Err_cancelled })
+     | `Stale -> respond_consumed t conn cr (Wire.Error { tid; code = Wire.Err_crashed }))
+
+let handle_put_data t conn ~tid data =
+  match Hashtbl.find_opt t.srv_txns (conn.peer, tid) with
+  | Some ({ st_state = Srv_accepting ctx; _ } as txn) when ctx.ac_need_data ->
+    (match ctx.ac_data_timer with
+     | Some id ->
+       Engine.cancel t.engine id;
+       ctx.ac_data_timer <- None
+     | None -> ());
+    ctx.ac_received <- truncate_bytes data ctx.ac_put_transferred;
+    ctx.ac_need_data <- false;
+    let copy_us = Cost.data_copy_us t.cost ~bytes:(Bytes.length ctx.ac_received) in
+    Stats.add_time t.stats (Cost.label Cost.Protocol) copy_us;
+    ignore (defer t ~delay:copy_us (fun () -> accept_check_done t txn ctx))
+  | Some _ | None -> ()
+
+let handle_cancel_request t conn cr ~tid =
+  let key = (conn.peer, tid) in
+  let ok =
+    match Hashtbl.find_opt t.srv_txns key with
+    | Some ({ st_state = Srv_delivered; _ } as txn) ->
+      txn.st_state <- Srv_cancelled;
+      srv_gc t txn;
+      true
+    | Some ({ st_state = Srv_buffered; _ } as txn) ->
+      txn.st_state <- Srv_cancelled;
+      srv_gc t txn;
+      (match t.buffered with
+       | Some br when br.br_src = conn.peer && br.br_tid = tid -> t.buffered <- None
+       | Some _ | None -> ());
+      true
+    | Some { st_state = Srv_cancelled; _ } -> true
+    | Some { st_state = Srv_accepting _ | Srv_completed; _ } -> false
+    | None -> true
+  in
+  if ok then Stats.incr t.stats "cancel.granted" else Stats.incr t.stats "cancel.refused";
+  respond_consumed t conn cr (Wire.Cancel_reply { tid; ok })
+
+(* Consume an in-order ACCEPT, DATA or CANCEL and owe its ack. An ACCEPT's
+   ack is held long enough for the kernel->client copy and the client's
+   next request to piggyback it. *)
+let consume_in_order t conn ~resync pkt =
+  let cr = consume t conn ~key:(message_key pkt.Wire.body) ~resync pkt.Wire.seq in
+  let extra_grace =
+    match pkt.Wire.body with
+    | Wire.Accept { data; _ } ->
+      Cost.data_copy_us t.cost ~bytes:(Bytes.length data)
+      + t.cost.Cost.request_trap_us + t.cost.Cost.context_switch_us
+    | _ -> 0
+  in
+  owe_ack ~extra_grace t conn pkt.Wire.seq;
+  cr
+
+(* Act on a body consumed by [consume_in_order]. *)
+let handle_consumed t conn cr pkt =
+  match pkt.Wire.body with
   | Wire.Accept { tid; arg; put_transferred; need_put_data; data } ->
-    (match Hashtbl.find_opt t.out_reqs tid with
-     | Some req when req.or_state <> Rq_done ->
-       if src <> req.or_dst then
-         (* Rule 6 of §3.3.2: only the addressed server may accept. *)
-         respond_consumed t conn cr (Wire.Error { tid; code = Wire.Err_cancelled })
-       else begin
-         let get_data = truncate_bytes data req.or_get_size in
-         let copy_us = Cost.data_copy_us t.cost ~bytes:(Bytes.length get_data) in
-         Stats.add_time t.stats (Cost.label Cost.Protocol) copy_us;
-         if need_put_data then begin
-           (* The put data was wasted on a busy transmission and must be
-              re-sent; the data exchange -- and hence the requester's
-              completion -- is only over once the server acknowledges it. *)
-           let payload = truncate_bytes req.or_put put_transferred in
-           Stats.incr t.stats "req.data_resend";
-           send_reliable t ~peer:src ~kind:K_put_data ~tid
-             (Wire.Put_data { tid; data = payload })
-             ~on_done:(fun outcome ->
-               match outcome with
-               | Out_acked ->
-                 complete_out_req t req (Comp_accepted { arg; put_transferred; get_data })
-               | Out_error _ | Out_timeout -> complete_out_req t req Comp_crashed
-               | Out_cancel_reply _ -> ())
-         end
-         else if copy_us = 0 then
-           complete_out_req t req (Comp_accepted { arg; put_transferred; get_data })
-         else
-           ignore
-             (defer t ~delay:copy_us (fun () ->
-                  complete_out_req t req (Comp_accepted { arg; put_transferred; get_data })))
-       end
-     | Some _ | None ->
-       (match (callbacks t).classify_unknown_tid tid with
-        | `Completed ->
-          respond_consumed t conn cr (Wire.Error { tid; code = Wire.Err_cancelled })
-        | `Stale -> respond_consumed t conn cr (Wire.Error { tid; code = Wire.Err_crashed })))
-  | _ -> assert false
-
-let handle_put_data t conn (d : Wire.body) =
-  match d with
-  | Wire.Put_data { tid; data } ->
-    (match Hashtbl.find_opt t.srv_txns (conn.peer, tid) with
-     | Some ({ st_state = Srv_accepting ctx; _ } as txn) when ctx.ac_need_data ->
-       (match ctx.ac_data_timer with
-        | Some id ->
-          Engine.cancel t.engine id;
-          ctx.ac_data_timer <- None
-        | None -> ());
-       ctx.ac_received <- truncate_bytes data ctx.ac_put_transferred;
-       ctx.ac_need_data <- false;
-       let copy_us = Cost.data_copy_us t.cost ~bytes:(Bytes.length ctx.ac_received) in
-       Stats.add_time t.stats (Cost.label Cost.Protocol) copy_us;
-       ignore (defer t ~delay:copy_us (fun () -> accept_check_done t txn ctx))
-     | Some _ | None -> ())
-  | _ -> assert false
-
-let handle_cancel_request t conn cr (c : Wire.body) =
-  match c with
-  | Wire.Cancel_request { tid } ->
-    let key = (conn.peer, tid) in
-    let ok =
-      match Hashtbl.find_opt t.srv_txns key with
-      | Some ({ st_state = Srv_delivered; _ } as txn) ->
-        txn.st_state <- Srv_cancelled;
-        srv_gc t txn;
-        true
-      | Some ({ st_state = Srv_buffered; _ } as txn) ->
-        txn.st_state <- Srv_cancelled;
-        srv_gc t txn;
-        (match t.buffered with
-         | Some br when br.br_src = conn.peer && br.br_tid = tid -> t.buffered <- None
-         | Some _ | None -> ());
-        true
-      | Some { st_state = Srv_cancelled; _ } -> true
-      | Some { st_state = Srv_accepting _ | Srv_completed; _ } -> false
-      | None -> true
-    in
-    if ok then Stats.incr t.stats "cancel.granted" else Stats.incr t.stats "cancel.refused";
-    respond_consumed t conn cr (Wire.Cancel_reply { tid; ok })
-  | _ -> assert false
+    handle_accept t conn cr pkt.Wire.src ~tid ~arg ~put_transferred ~need_put_data data
+  | Wire.Put_data { tid; data } -> handle_put_data t conn ~tid data
+  | Wire.Cancel_request { tid } -> handle_cancel_request t conn cr ~tid
+  | _ -> ()
 
 let handle_probe t conn tid =
   let alive =
@@ -1733,16 +1679,16 @@ let offer_request t conn src (r : Wire.body) seq ~resync =
       + t.cost.Cost.accept_trap_us + t.cost.Cost.context_switch_us
       + t.cost.Cost.handler_client_us
     in
+    (* A consumed rejection is stored and replayed on duplicates. *)
+    let reject body =
+      if rejection_consumes t then
+        respond_consumed t conn (consume t conn ~key:(Some (1, tid)) ~resync seq) body
+      else emit t ~dst:(`Peer conn.peer) body
+    in
     (match cb.deliver_request ~src ~tid ~pattern ~arg ~put_size ~get_size with
      | `Unadvertised ->
        Stats.incr t.stats "req.unadvertised";
-       if win t > 1 then begin
-         (* consume the slot so the window stays gap-free; the stored ERROR
-            is replayed on duplicates *)
-         let cr = consume t conn ~key:(Some (1, tid)) ~resync seq in
-         respond_consumed t conn cr (Wire.Error { tid; code = Wire.Err_unadvertised })
-       end
-       else emit t ~dst:(`Peer conn.peer) (Wire.Error { tid; code = Wire.Err_unadvertised });
+       reject (Wire.Error { tid; code = Wire.Err_unadvertised });
        `Done
      | `Deliver ->
        ignore (consume t conn ~key:(Some (1, tid)) ~resync seq);
@@ -1773,19 +1719,10 @@ let offer_request t conn src (r : Wire.body) seq ~resync =
          Stats.incr t.stats "req.busy_deferred";
          `Held
        end
-       else if win t > 1 then begin
-         Stats.incr t.stats "req.busy_nacked";
-         if tracing t then event t (Event.Busy_nack { tid; peer = conn.peer });
-         (* windowed BUSY consumes the slot; the requester retries under a
-            fresh sequence number *)
-         let cr = consume t conn ~key:(Some (1, tid)) ~resync seq in
-         respond_consumed t conn cr (Wire.Busy { tid });
-         `Done
-       end
        else begin
          Stats.incr t.stats "req.busy_nacked";
          if tracing t then event t (Event.Busy_nack { tid; peer = conn.peer });
-         emit t ~dst:(`Peer conn.peer) (Wire.Busy { tid });
+         reject (Wire.Busy { tid });
          `Done
        end)
   | _ -> assert false
@@ -1798,7 +1735,6 @@ let rec drain_recv t conn =
      record existed (first contact with the input buffer full); it is the
      synchronisation point, so offer it as soon as the buffer drains. *)
   | base, pkt :: rest when base = None || base = Some pkt.Wire.seq ->
-    let key = message_key pkt.Wire.body in
     (match pkt.Wire.body with
      | Wire.Request _ ->
        (match offer_request t conn pkt.Wire.src pkt.Wire.body pkt.Wire.seq ~resync:false with
@@ -1806,30 +1742,9 @@ let rec drain_recv t conn =
           conn.recv_buf <- rest;
           drain_recv t conn
         | `Held -> ())
-     | Wire.Accept { data; _ } ->
-       conn.recv_buf <- rest;
-       let cr = consume t conn ~key ~resync:false pkt.Wire.seq in
-       let extra_grace =
-         Cost.data_copy_us t.cost ~bytes:(Bytes.length data)
-         + t.cost.Cost.request_trap_us + t.cost.Cost.context_switch_us
-       in
-       owe_ack ~extra_grace t conn pkt.Wire.seq;
-       handle_accept_body t conn cr pkt.Wire.src pkt.Wire.body;
-       drain_recv t conn
-     | Wire.Put_data _ ->
-       conn.recv_buf <- rest;
-       ignore (consume t conn ~key ~resync:false pkt.Wire.seq);
-       owe_ack t conn pkt.Wire.seq;
-       handle_put_data t conn pkt.Wire.body;
-       drain_recv t conn
-     | Wire.Cancel_request _ ->
-       conn.recv_buf <- rest;
-       let cr = consume t conn ~key ~resync:false pkt.Wire.seq in
-       owe_ack t conn pkt.Wire.seq;
-       handle_cancel_request t conn cr pkt.Wire.body;
-       drain_recv t conn
      | _ ->
        conn.recv_buf <- rest;
+       handle_consumed t conn (consume_in_order t conn ~resync:false pkt) pkt;
        drain_recv t conn)
   | _ -> ()
 
@@ -1947,21 +1862,12 @@ let process_packet t ?ctx ~bytes pkt =
      register the owed acknowledgement BEFORE processing the piggybacked
      ack: acking our in-flight message may immediately transmit the next
      queued one, which should carry the ack we now owe (§5.2.3). *)
-  let consumed_cr = ref None in
-  (match pkt.Wire.body, cls with
-   | Wire.Accept { data; _ }, Some (In_order | Resync) ->
-     consumed_cr := Some (consume t conn ~key ~resync pkt.Wire.seq);
-     (* Hold the ack long enough for the kernel->client copy and the
-        client's next request to piggyback it. *)
-     let extra_grace =
-       Cost.data_copy_us t.cost ~bytes:(Bytes.length data)
-       + t.cost.Cost.request_trap_us + t.cost.Cost.context_switch_us
-     in
-     owe_ack ~extra_grace t conn pkt.Wire.seq
-   | (Wire.Put_data _ | Wire.Cancel_request _), Some (In_order | Resync) ->
-     consumed_cr := Some (consume t conn ~key ~resync pkt.Wire.seq);
-     owe_ack t conn pkt.Wire.seq
-   | _ -> ());
+  let consumed_cr =
+    match pkt.Wire.body, cls with
+    | (Wire.Accept _ | Wire.Put_data _ | Wire.Cancel_request _), Some (In_order | Resync) ->
+      Some (consume_in_order t conn ~resync pkt)
+    | _ -> None
+  in
   (* A BUSY must be interpreted before the cumulative ack riding the same
      packet: at window >1 the busy'd slot was consumed by the peer, and the
      plain ack walk must not mistake it for a success. *)
@@ -1981,7 +1887,6 @@ let process_packet t ?ctx ~bytes pkt =
     Stats.incr t.stats "pkt.no_sync_dropped";
     Trace.record t.trace ~now:(Engine.now t.engine) ~actor:(actor t)
       "no record for peer %d; awaiting run start" conn.peer
-  | Wire.Request _, Some Out_of_order -> stash t conn pkt
   | Wire.Request _, Some (In_order | Resync) ->
     (match conn.recv_buf with
      | held :: _ when held.Wire.seq = pkt.Wire.seq && message_key held.Wire.body = key ->
@@ -1994,7 +1899,7 @@ let process_packet t ?ctx ~bytes pkt =
        (match offer_request t conn src pkt.Wire.body pkt.Wire.seq ~resync with
         | `Done -> drain_recv t conn
         | `Held -> stash t conn pkt))
-  | Wire.Put_data _, Some Out_of_order ->
+  | Wire.Put_data { tid; data }, Some Out_of_order ->
     (* The slot must fill in order, but the BODY is transaction-addressed
        and idempotent -- and the accepting handler may be blocked waiting
        for exactly this data while earlier slots wait for that handler
@@ -2002,17 +1907,11 @@ let process_packet t ?ctx ~bytes pkt =
        breaks the circular wait; the stashed copy still fills the gap for
        window bookkeeping and is replayed harmlessly. *)
     stash t conn pkt;
-    handle_put_data t conn pkt.Wire.body
-  | (Wire.Accept _ | Wire.Cancel_request _), Some Out_of_order ->
+    handle_put_data t conn ~tid data
+  | (Wire.Request _ | Wire.Accept _ | Wire.Cancel_request _), Some Out_of_order ->
     stash t conn pkt
-  | Wire.Accept _, Some (In_order | Resync) ->
-    handle_accept_body t conn (Option.get !consumed_cr) src pkt.Wire.body;
-    drain_recv t conn
-  | Wire.Put_data _, Some (In_order | Resync) ->
-    handle_put_data t conn pkt.Wire.body;
-    drain_recv t conn
-  | Wire.Cancel_request _, Some (In_order | Resync) ->
-    handle_cancel_request t conn (Option.get !consumed_cr) pkt.Wire.body;
+  | (Wire.Accept _ | Wire.Put_data _ | Wire.Cancel_request _), Some (In_order | Resync) ->
+    handle_consumed t conn (Option.get consumed_cr) pkt;
     drain_recv t conn
   | Wire.Ack, _ -> ()
   | Wire.Busy _, _ -> () (* handled above, before the cumulative ack *)

@@ -57,31 +57,9 @@ let seq_mask = 0xFF
 
 (* --- encoding helpers ------------------------------------------------- *)
 
-let put_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xFF))
-
-let put_u16 buf v =
-  put_u8 buf (v lsr 8);
-  put_u8 buf v
-
-let put_u32 buf v =
-  put_u16 buf (v lsr 16);
-  put_u16 buf v
-
-let put_i32 buf v =
-  (* two's-complement 32-bit *)
-  put_u32 buf (v land 0xFFFFFFFF)
-
-let put_u48 buf v =
-  put_u16 buf (v lsr 32);
-  put_u32 buf v
-
-let put_data_field buf data =
-  put_u32 buf (Bytes.length data);
-  Buffer.add_bytes buf data
-
-(* Offset writers for the zero-copy encode path: each takes a position
-   and returns the next one, so [encode_into] fills a caller-supplied
-   (typically pooled) buffer without any intermediate [Buffer]. *)
+(* Offset writers: each takes a position and returns the next one, so
+   [encode_into] fills a caller-supplied (typically pooled) buffer without
+   any intermediate [Buffer]. *)
 
 let w8 b p v =
   Bytes.set b p (Char.chr (v land 0xFF));
@@ -193,11 +171,11 @@ let flags t ~retry ~need_put_data =
   lor (if seq_ext t <> 0 then 0x40 else 0)
   lor if t.run then 0x80 else 0
 
-(* Exact wire size of a packet, kept in lockstep with the encoders below:
+(* Exact wire size of a packet, kept in lockstep with the encoder below:
    4 header bytes (kind, flags, src), up to two optional extension
    bytes, then the body. Used to acquire exactly-sized pooled buffers so
-   a frame's [Bytes.length] still means what it meant under the Buffer
-   encoder. *)
+   a frame's [Bytes.length] still means what it meant under the seed's
+   Buffer encoder. *)
 let body_size = function
   | Request { data; _ } -> 6 + 6 + 4 + 4 + 4 + 4 + Bytes.length data
   | Accept { data; _ } -> 6 + 4 + 4 + 4 + Bytes.length data
@@ -270,56 +248,6 @@ let encode t =
   let written = encode_into t buf ~off:0 in
   assert (written = size);
   buf
-
-(* The seed's Buffer-based allocator, retained verbatim as the reference
-   implementation: the property suite in test/test_scale.ml checks that
-   [encode]/[encode_into] reproduce its output byte-for-byte on random
-   packets of every kind. *)
-let encode_buffer t =
-  let buf = Buffer.create 64 in
-  let retry = match t.body with Request { retry; _ } -> retry | _ -> false in
-  let need_put_data =
-    match t.body with Accept { need_put_data; _ } -> need_put_data | _ -> false
-  in
-  put_u8 buf (kind_of_body t.body);
-  put_u8 buf (flags t ~retry ~need_put_data);
-  put_u16 buf t.src;
-  if seq_ext t <> 0 then put_u8 buf (seq_ext t);
-  if seq_ext2 t <> 0 then put_u8 buf (seq_ext2 t);
-  (match t.body with
-   | Request { tid; pattern; arg; put_size; get_size; data; retry = _ } ->
-     put_u48 buf tid;
-     put_u48 buf (Pattern.to_int pattern);
-     put_i32 buf arg;
-     put_u32 buf put_size;
-     put_u32 buf get_size;
-     put_data_field buf data
-   | Accept { tid; arg; put_transferred; need_put_data = _; data } ->
-     put_u48 buf tid;
-     put_i32 buf arg;
-     put_u32 buf put_transferred;
-     put_data_field buf data
-   | Put_data { tid; data } ->
-     put_u48 buf tid;
-     put_data_field buf data
-   | Ack -> ()
-   | Busy { tid } -> put_u48 buf tid
-   | Error { tid; code } ->
-     put_u48 buf tid;
-     put_u8 buf (err_to_int code)
-   | Cancel_request { tid } -> put_u48 buf tid
-   | Cancel_reply { tid; ok } ->
-     put_u48 buf tid;
-     put_u8 buf (if ok then 1 else 0)
-   | Probe { tid } -> put_u48 buf tid
-   | Probe_reply { tid; alive } ->
-     put_u48 buf tid;
-     put_u8 buf (if alive then 1 else 0)
-   | Discover { tid; pattern } ->
-     put_u48 buf tid;
-     put_u48 buf (Pattern.to_int pattern)
-   | Discover_reply { tid } -> put_u48 buf tid);
-  Buffer.to_bytes buf
 
 (* --- decode ----------------------------------------------------------- *)
 

@@ -88,11 +88,6 @@ val encode_into : t -> bytes -> off:int -> int
 
 val encode : t -> bytes
 
-(** The seed's [Buffer]-based encoder, kept as the reference allocator:
-    byte-for-byte equal to {!encode} on every packet (property-tested in
-    test/test_scale.ml), but allocating. Not used on any hot path. *)
-val encode_buffer : t -> bytes
-
 val decode : bytes -> (t, string) result
 
 (** [decode_sub bytes ~off ~len] decodes the packet occupying exactly

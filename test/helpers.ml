@@ -136,6 +136,122 @@ module Ref_bus = struct
     end
 end
 
+(* The seed's Buffer-based wire encoder, kept as a differential oracle for
+   the zero-copy [Wire.encode_into]: test_wire.ml and test_scale.ml
+   require byte-identical frames on random packets of every kind. It
+   spells out the header layout itself (kind codes, flag bits, the seq/ack
+   extension bytes) rather than reuse the library's. *)
+module Ref_wire = struct
+  module Wire = Soda_proto.Wire
+
+  let put_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xFF))
+
+  let put_u16 buf v =
+    put_u8 buf (v lsr 8);
+    put_u8 buf v
+
+  let put_u32 buf v =
+    put_u16 buf (v lsr 16);
+    put_u16 buf v
+
+  let put_i32 buf v = put_u32 buf (v land 0xFFFFFFFF)
+
+  let put_u48 buf v =
+    put_u16 buf (v lsr 32);
+    put_u32 buf v
+
+  let put_data_field buf data =
+    put_u32 buf (Bytes.length data);
+    Buffer.add_bytes buf data
+
+  let kind_of_body : Wire.body -> int = function
+    | Request _ -> 1
+    | Accept _ -> 2
+    | Put_data _ -> 3
+    | Ack -> 4
+    | Busy _ -> 5
+    | Error _ -> 6
+    | Cancel_request _ -> 7
+    | Cancel_reply _ -> 8
+    | Probe _ -> 9
+    | Probe_reply _ -> 10
+    | Discover _ -> 11
+    | Discover_reply _ -> 12
+
+  let err_to_int : Wire.err_code -> int = function
+    | Err_unadvertised -> 0
+    | Err_crashed -> 1
+    | Err_cancelled -> 2
+
+  (* seq/ack bit 0 in the flags, bits 1-3 in a first extension byte,
+     bits 4-7 in a second one flagged by bit 6 of the first *)
+  let seq_ext2 (t : Wire.t) =
+    let seq_hi = (t.seq land 0xFF) lsr 4 in
+    let ack_hi = match t.ack with None -> 0 | Some a -> (a land 0xFF) lsr 4 in
+    seq_hi lor (ack_hi lsl 4)
+
+  let seq_ext (t : Wire.t) =
+    let seq_mid = (t.seq land 0x0F) lsr 1 in
+    let ack_mid = match t.ack with None -> 0 | Some a -> (a land 0x0F) lsr 1 in
+    seq_mid lor (ack_mid lsl 3) lor if seq_ext2 t <> 0 then 0x40 else 0
+
+  let flags (t : Wire.t) ~retry ~need_put_data =
+    (if t.reliable then 0x01 else 0)
+    lor (if t.seq land 1 <> 0 then 0x02 else 0)
+    lor (match t.ack with None -> 0 | Some _ -> 0x04)
+    lor (match t.ack with Some a when a land 1 <> 0 -> 0x08 | _ -> 0)
+    lor (if retry then 0x10 else 0)
+    lor (if need_put_data then 0x20 else 0)
+    lor (if seq_ext t <> 0 then 0x40 else 0)
+    lor if t.run then 0x80 else 0
+
+  let encode (t : Wire.t) =
+    let buf = Buffer.create 64 in
+    let retry = match t.body with Request { retry; _ } -> retry | _ -> false in
+    let need_put_data =
+      match t.body with Accept { need_put_data; _ } -> need_put_data | _ -> false
+    in
+    put_u8 buf (kind_of_body t.body);
+    put_u8 buf (flags t ~retry ~need_put_data);
+    put_u16 buf t.src;
+    if seq_ext t <> 0 then put_u8 buf (seq_ext t);
+    if seq_ext2 t <> 0 then put_u8 buf (seq_ext2 t);
+    (match t.body with
+     | Request { tid; pattern; arg; put_size; get_size; data; retry = _ } ->
+       put_u48 buf tid;
+       put_u48 buf (Pattern.to_int pattern);
+       put_i32 buf arg;
+       put_u32 buf put_size;
+       put_u32 buf get_size;
+       put_data_field buf data
+     | Accept { tid; arg; put_transferred; need_put_data = _; data } ->
+       put_u48 buf tid;
+       put_i32 buf arg;
+       put_u32 buf put_transferred;
+       put_data_field buf data
+     | Put_data { tid; data } ->
+       put_u48 buf tid;
+       put_data_field buf data
+     | Ack -> ()
+     | Busy { tid } -> put_u48 buf tid
+     | Error { tid; code } ->
+       put_u48 buf tid;
+       put_u8 buf (err_to_int code)
+     | Cancel_request { tid } -> put_u48 buf tid
+     | Cancel_reply { tid; ok } ->
+       put_u48 buf tid;
+       put_u8 buf (if ok then 1 else 0)
+     | Probe { tid } -> put_u48 buf tid
+     | Probe_reply { tid; alive } ->
+       put_u48 buf tid;
+       put_u8 buf (if alive then 1 else 0)
+     | Discover { tid; pattern } ->
+       put_u48 buf tid;
+       put_u48 buf (Pattern.to_int pattern)
+     | Discover_reply { tid } -> put_u48 buf tid);
+    Buffer.to_bytes buf
+end
+
 (* A server that advertises [pattern] and accepts every arriving request in
    its handler, echoing [reply] back on GET/EXCHANGE. *)
 let echo_server ?(reply = "") kernel pattern =

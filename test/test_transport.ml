@@ -150,6 +150,50 @@ let test_pipelined_buffering () =
   let stats = Kernel.stats (List.nth kernels 0) in
   Alcotest.(check bool) "input buffer used" true (Stats.counter stats "req.buffered" > 0)
 
+(* A REQUEST held in the pipelined input buffer has already been acked.
+   When the handler unadvertises before taking it, the server answers
+   with ERROR(unadvertised); the requester must complete it UNADVERTISED
+   at once, not wait for its probes to report a healthy server CRASHED. *)
+let test_withdrawn_buffered_request ~window () =
+  let cost = { Cost.default with Cost.window; maxrequests = max 3 (window + 1) } in
+  let net, kernels = make_net ~seed:5 ~cost 2 in
+  ignore
+    (Sodal.attach (List.nth kernels 0)
+       {
+         Sodal.default_spec with
+         init = (fun env ~parent:_ -> Sodal.advertise env patt);
+         on_request =
+           (fun env _ ->
+             Sodal.compute env 20_000;
+             Sodal.unadvertise env patt;
+             ignore (Sodal.accept_current_signal env ~arg:0));
+       });
+  let outcomes = ref [] in
+  ignore
+    (Sodal.attach (List.nth kernels 1)
+       {
+         Sodal.default_spec with
+         task =
+           (fun env ->
+             let sv = Sodal.server ~mid:0 ~pattern:patt in
+             for i = 1 to 2 do
+               let tid = Sodal.signal env sv ~arg:i in
+               Sodal.on_completion_of env tid (fun c ->
+                   outcomes := (i, c.Sodal.status, Network.now net) :: !outcomes)
+             done;
+             while List.length !outcomes < 2 do
+               Sodal.idle env
+             done);
+       });
+  run ~horizon:5.0 net;
+  match List.sort compare !outcomes with
+  | [ (1, first, _); (2, second, at) ] ->
+    Alcotest.(check bool) "first accepted" true (first = Sodal.Comp_ok);
+    Alcotest.(check bool) "second UNADVERTISED, not CRASHED" true
+      (second = Sodal.Comp_unadvertised);
+    Alcotest.(check bool) "settled without waiting for probes" true (at < 100_000)
+  | _ -> Alcotest.fail "both requests must complete"
+
 (* ---- cancel ---------------------------------------------------------------------- *)
 
 let test_cancel_before_accept () =
@@ -192,6 +236,54 @@ let test_cancel_before_accept () =
   run ~horizon:600.0 net;
   Alcotest.(check bool) "cancel succeeded" true !cancel_ok;
   Alcotest.(check bool) "no completion after successful cancel" false !completion_seen
+
+(* Window 1, non-pipelined: a CANCEL of a request backing off after a
+   BUSY kills it locally -- the server never took delivery -- and the
+   connection stays usable. *)
+let test_cancel_during_busy_backoff () =
+  let cost = { Cost.non_pipelined with Cost.window = 1 } in
+  let net, kernels = make_net ~seed:11 ~cost 2 in
+  let seen = ref [] in
+  ignore
+    (Sodal.attach (List.nth kernels 0)
+       {
+         Sodal.default_spec with
+         init = (fun env ~parent:_ -> Sodal.advertise env patt);
+         on_request =
+           (fun env info ->
+             seen := info.Sodal.arg :: !seen;
+             Sodal.compute env 50_000;
+             ignore (Sodal.accept_current_signal env ~arg:0));
+       });
+  let cancel_ok = ref false and cancelled_completed = ref false and last = ref None in
+  ignore
+    (Sodal.attach (List.nth kernels 1)
+       {
+         Sodal.default_spec with
+         task =
+           (fun env ->
+             let sv = Sodal.server ~mid:0 ~pattern:patt in
+             let first = Sodal.signal env sv ~arg:1 in
+             Sodal.swallow_completion env first;
+             (* the handler is busy with arg 1: arg 2 bounces BUSY *)
+             Sodal.compute env 10_000;
+             let second = Sodal.signal env sv ~arg:2 in
+             Sodal.on_completion_of env second (fun _ -> cancelled_completed := true);
+             (* cancel as soon as the BUSY arrives, inside the backoff *)
+             let stats = Kernel.stats (List.nth kernels 1) in
+             while Stats.counter stats "req.busy_received" = 0 do
+               Sodal.compute env 100
+             done;
+             cancel_ok := Sodal.cancel env second;
+             let c = Sodal.b_signal env sv ~arg:3 in
+             last := Some c.Sodal.status);
+       });
+  run ~horizon:5.0 net;
+  Alcotest.(check bool) "cancel succeeded" true !cancel_ok;
+  Alcotest.(check bool) "no completion after successful cancel" false !cancelled_completed;
+  Alcotest.(check (list int)) "the handler never saw the cancelled request" [ 1; 3 ]
+    (List.rev !seen);
+  Alcotest.(check bool) "next request completes OK" true (!last = Some Sodal.Comp_ok)
 
 let test_cancel_after_completion_fails () =
   let net, kernels = make_net 2 in
@@ -395,10 +487,15 @@ let suites =
       [
         Alcotest.test_case "busy nacks (non-pipelined)" `Quick test_busy_nacks_non_pipelined;
         Alcotest.test_case "input buffer (pipelined)" `Quick test_pipelined_buffering;
+        Alcotest.test_case "withdrawn buffered request (W=1)" `Quick
+          (test_withdrawn_buffered_request ~window:1);
+        Alcotest.test_case "withdrawn buffered request (W=4)" `Quick
+          (test_withdrawn_buffered_request ~window:4);
       ] );
     ( "transport.cancel",
       [
         Alcotest.test_case "cancel before accept" `Quick test_cancel_before_accept;
+        Alcotest.test_case "cancel during BUSY backoff" `Quick test_cancel_during_busy_backoff;
         Alcotest.test_case "cancel after completion" `Quick test_cancel_after_completion_fails;
       ] );
     ( "transport.crash",

@@ -8,28 +8,23 @@ module Pattern = Soda_base.Pattern
 module Network = Soda_core.Network
 module Kernel = Soda_core.Kernel
 module Sodal = Soda_runtime.Sodal
-module Trace = Soda_sim.Trace
 module Bus = Soda_net.Bus
 module Stats = Soda_sim.Stats
+module Event = Soda_obs.Event
+module Recorder = Soda_obs.Recorder
 
 let patt = Pattern.well_known 0o222
 
-let print_trace ?(keep = fun _ -> true) net =
+(* The figure's annotations: every Delta-t record and kernel state change. *)
+let print_marks net =
   List.iter
     (fun e ->
-      if keep e.Trace.message then
-        Printf.printf "    %8.1f ms  %-8s %s\n" (float_of_int e.Trace.time_us /. 1000.0)
-          e.Trace.actor e.Trace.message)
-    (Trace.entries (Network.trace net))
-
-let interesting message =
-  let has needle =
-    let n = String.length needle and m = String.length message in
-    let rec scan i = i + n <= m && (String.sub message i n = needle || scan (i + 1)) in
-    n = 0 || scan 0
-  in
-  has "delta-t" || has "taking any" || has "duplicate" || has "quarantine" || has "crash"
-  || has "reset"
+      match e.Event.kind with
+      | Event.Mark _ ->
+        Printf.printf "    %8.1f ms  node %d  %s\n" (float_of_int e.Event.time_us /. 1000.0)
+          e.Event.mid (Event.message e.Event.kind)
+      | _ -> ())
+    (Recorder.events (Network.recorder net))
 
 (* Scenario 1: first contact creates a connection record; the bit sequence
    is then enforced ("client 2 will insist on correct SN"). *)
@@ -57,7 +52,7 @@ let scenario_first_contact () =
              Sodal.serve env);
        });
   ignore (Network.run ~until:2_000_000 net);
-  print_trace ~keep:interesting net
+  print_marks net
 
 (* Scenario 2: a lost ACK forces a retransmission; the receiver detects the
    duplicate SN and replays its response instead of redelivering. *)
@@ -129,7 +124,7 @@ let scenario_record_expiry () =
              Sodal.serve env);
        });
   ignore (Network.run ~until:2_000_000_000 net);
-  print_trace ~keep:interesting net
+  print_marks net
 
 (* Scenario 4: crash, quarantine of 2 MPL + delta-t, rejoin ("OK for client
    1 to send after crash"). *)
@@ -184,7 +179,7 @@ let scenario_crash_quarantine () =
        "    before crash: %s; during quarantine: %s (required: CRASHED);\n    after rejoining: %s (machine back, no client yet)\n"
        (name first) (name second) (name third)
    | _ -> ());
-  print_trace ~keep:interesting net
+  print_marks net
 
 let run () =
   scenario_first_contact ();

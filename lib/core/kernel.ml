@@ -1,6 +1,5 @@
 module Engine = Soda_sim.Engine
 module Stats = Soda_sim.Stats
-module Trace = Soda_sim.Trace
 module Bus = Soda_net.Bus
 module Nic = Soda_net.Nic
 module Pattern = Soda_base.Pattern
@@ -26,8 +25,7 @@ type pending_request = { pr_get_buffer : bytes }
 
 type t = {
   engine : Engine.t;
-  trace : Trace.t;
-  actor_name : string;
+  recorder : Recorder.t;
   cost : Cost.t;
   mid : int;
   transport : Transport.t;
@@ -58,21 +56,21 @@ let mid t = t.mid
 let engine t = t.engine
 let cost t = t.cost
 let stats t = Transport.stats t.transport
-let recorder t = Trace.recorder t.trace
+let recorder t = t.recorder
 let client_alive t = t.client <> None
 
 let outstanding t = Hashtbl.length t.pending
 
-let actor t = t.actor_name
-
-let trace t fmt = Trace.record t.trace ~now:(Engine.now t.engine) ~actor:(actor t) fmt
-
 (* Typed observability events: guarded so a disabled trace costs one branch. *)
-let tracing t = Recorder.tracing t.trace
+let tracing t = Recorder.tracing t.recorder
 
 let emit_event t ?ctx kind =
-  Recorder.emit t.trace ?ctx ~time_us:(Engine.now t.engine) ~mid:t.mid
-    ~actor:t.actor_name kind
+  Recorder.emit t.recorder ?ctx ~time_us:(Engine.now t.engine) ~mid:t.mid kind
+
+(* A kernel state change: [peer] is -1 when no other node is involved,
+   [n] a detail (0 when unused). *)
+let mark t ~peer ~n mark =
+  if tracing t then emit_event t (Event.Mark { peer; tid = Event.no_tid; mark; n })
 
 (* ---- causal identity ------------------------------------------------------ *)
 
@@ -81,14 +79,14 @@ let causal_parent t = t.causal_parent
 
 (* Root span for a client-visible operation (None unless the network was
    created with causal tracing on). *)
-let mint_causal_root t = Recorder.mint_root (Trace.recorder t.trace)
+let mint_causal_root t = Recorder.mint_root t.recorder
 
 (* Context for a trap: child of the ambient operation if one is set,
    otherwise a fresh root. Minting is two counter bumps — it never
    schedules engine work, so timing is unchanged by causal tracing. *)
 let mint_trap_ctx t =
   match t.causal_parent with
-  | Some parent -> Recorder.mint_child (Trace.recorder t.trace) parent
+  | Some parent -> Recorder.mint_child t.recorder parent
   | None -> mint_causal_root t
 
 (* Causal identity of a handler event, resolved through the transport's
@@ -259,10 +257,10 @@ let start_loaded_client t ~parent =
        let client = program ~parent ~image:image_bytes in
        t.client <- Some client;
        t.hs_open <- true;
-       trace t "booted client (image %d bytes) for parent %d" (Bytes.length image_bytes) parent;
+       mark t ~peer:parent ~n:(Bytes.length image_bytes) Event.Client_booted;
        invoke_client_handler t (Types.Booting { parent })
      | None ->
-       trace t "boot signal accepted but no boot program registered";
+       mark t ~peer:parent ~n:0 Event.No_boot_program;
        t.client <- None)
   | No_client | Running _ -> ()
 
@@ -270,7 +268,7 @@ let start_loaded_client t ~parent =
 let handle_reserved t ~src ~tid ~pattern ~arg ~put_size ~get_size =
   let nothing = Bytes.empty in
   if Pattern.equal pattern t.kill_pattern then begin
-    trace t "KILL pattern signalled by %d" src;
+    mark t ~peer:src ~n:0 Event.Kill_signalled;
     internal_accept t ~src ~tid ~arg:0 ~get_capacity:0 ~data_out:nothing ~k:(fun _ ->
         ());
     (* Give the accept a moment to reach the wire before state is torn
@@ -296,15 +294,15 @@ let handle_reserved t ~src ~tid ~pattern ~arg ~put_size ~get_size =
              | Some p, 1 ->
                (* add boot pattern: encoded as a kind byte in the low bits *)
                t.boot_kinds <- (Pattern.to_int p land 0xFF) :: t.boot_kinds;
-               trace t "SYSTEM: added boot kind %d" (Pattern.to_int p land 0xFF)
+               mark t ~peer:src ~n:(Pattern.to_int p land 0xFF) Event.Boot_kind_added
              | Some p, 2 ->
                t.boot_kinds <-
                  List.filter (fun k -> k <> Pattern.to_int p land 0xFF) t.boot_kinds;
-               trace t "SYSTEM: removed boot kind %d" (Pattern.to_int p land 0xFF)
+               mark t ~peer:src ~n:(Pattern.to_int p land 0xFF) Event.Boot_kind_removed
              | Some p, 3 ->
                t.kill_pattern <- p;
-               trace t "SYSTEM: kill pattern replaced"
-             | _ -> trace t "SYSTEM: malformed request ignored")
+               mark t ~peer:src ~n:0 Event.Kill_pattern_replaced
+             | _ -> mark t ~peer:src ~n:0 Event.System_malformed)
           | Transport.Acc_cancelled | Transport.Acc_crashed -> ())
     end
   end
@@ -317,7 +315,7 @@ let handle_reserved t ~src ~tid ~pattern ~arg ~put_size ~get_size =
     if get_size >= 6 then begin
       let lp = Pattern.Mint.fresh_reserved t.mint in
       t.boot <- Loading { parent = src; load_pattern = lp; image = Buffer.create 256 };
-      trace t "boot: parent %d granted load pattern %a" src Pattern.pp lp;
+      mark t ~peer:src ~n:(Pattern.to_int lp) Event.Load_granted;
       internal_accept t ~src ~tid ~arg:0 ~get_capacity:0
         ~data_out:(encode_load_pattern lp) ~k:(fun _ -> ())
     end
@@ -347,7 +345,7 @@ let handle_reserved t ~src ~tid ~pattern ~arg ~put_size ~get_size =
        | Running _ ->
          if put_size = 0 && get_size = 0 then begin
            (* Second SIGNAL on the load pattern kills the child (§3.5.2). *)
-           trace t "LOAD pattern kill signalled by %d" src;
+           mark t ~peer:src ~n:1 Event.Kill_signalled;
            internal_accept t ~src ~tid ~arg:0 ~get_capacity:0 ~data_out:nothing
              ~k:(fun _ -> ());
            ignore
@@ -449,14 +447,13 @@ let classify_unknown_tid t tid =
 
 (* ---- construction ------------------------------------------------------------ *)
 
-let create ~engine ~bus ~trace:tr ~cost ~mid ~boot_kinds =
-  let transport = Transport.create ~engine ~bus ~mid ~cost ~trace:tr in
+let create ~engine ~bus ~recorder ~cost ~mid ~boot_kinds =
+  let transport = Transport.create ~engine ~bus ~mid ~cost ~recorder in
   let nic = Transport.attach_nic transport in
   let t =
     {
       engine;
-      trace = tr;
-      actor_name = Printf.sprintf "kern-%d" mid;
+      recorder;
       cost;
       mid;
       transport;
@@ -615,11 +612,11 @@ let endhandler t =
   dispatch_completions t
 
 let die t =
-  trace t "client executed DIE";
+  mark t ~peer:(-1) ~n:0 Event.Client_died;
   kill_client t ~readvertise_boot:true ~drain:true
 
 let crash t =
-  trace t "hardware crash: going silent";
+  mark t ~peer:(-1) ~n:0 Event.Hardware_crash;
   t.crashed <- true;
   Nic.disable t.nic;
   kill_client t ~readvertise_boot:true ~drain:false;
@@ -628,13 +625,13 @@ let crash t =
     (Engine.schedule ~tag:"kernel" t.engine ~delay:quarantine (fun () ->
          t.crashed <- false;
          Nic.enable t.nic;
-         trace t "quarantine over (2*MPL + delta-t); rejoining network"))
+         mark t ~peer:(-1) ~n:0 Event.Quarantine_over))
 
 (* Unlike [crash], [destroy] is permanent: the bus station is released so a
    replacement incarnation (a fresh [create] under the same mid) can attach.
    [Network.crash_node] / [reboot_node] drive this. *)
 let destroy t =
-  trace t "hardware crash: node torn down";
+  mark t ~peer:(-1) ~n:1 Event.Hardware_crash;
   t.crashed <- true;
   Nic.disable t.nic;
   kill_client t ~readvertise_boot:true ~drain:false;
@@ -651,4 +648,4 @@ let quarantine t =
     (Engine.schedule ~tag:"kernel" t.engine ~delay:quarantine_us (fun () ->
          t.crashed <- false;
          Nic.enable t.nic;
-         trace t "reboot quarantine over (2*MPL + delta-t); rejoining network"))
+         mark t ~peer:(-1) ~n:1 Event.Quarantine_over))

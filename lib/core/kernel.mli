@@ -27,7 +27,7 @@ type client = {
 val create :
   engine:Soda_sim.Engine.t ->
   bus:Soda_net.Bus.t ->
-  trace:Soda_sim.Trace.t ->
+  recorder:Soda_obs.Recorder.t ->
   cost:Soda_base.Cost_model.t ->
   mid:int ->
   boot_kinds:int list ->

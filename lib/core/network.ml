@@ -1,5 +1,4 @@
 module Engine = Soda_sim.Engine
-module Trace = Soda_sim.Trace
 module Bus = Soda_net.Bus
 module Cost = Soda_base.Cost_model
 module Recorder = Soda_obs.Recorder
@@ -8,7 +7,7 @@ module Event = Soda_obs.Event
 type t = {
   engine : Engine.t;
   bus : Bus.t;
-  trace : Trace.t;
+  recorder : Recorder.t;
   cost : Cost.t;
   nodes : (int, Kernel.t) Hashtbl.t;
   node_boot_kinds : (int, int list) Hashtbl.t;  (* survives crash_node for reboots *)
@@ -17,13 +16,13 @@ type t = {
 let create ?(seed = 42) ?(cost = Cost.default) ?bus_config ?(trace = false)
     ?(causal = false) () =
   let engine = Engine.create ~seed () in
-  let tr = Trace.create ~enabled:trace () in
-  Recorder.set_causal (Trace.recorder tr) causal;
-  let bus = Bus.create ?config:bus_config ~obs:(Trace.recorder tr) engine in
+  let recorder = Recorder.create ~tracing:trace () in
+  Recorder.set_causal recorder causal;
+  let bus = Bus.create ?config:bus_config ~obs:recorder engine in
   {
     engine;
     bus;
-    trace = tr;
+    recorder;
     cost;
     nodes = Hashtbl.create 8;
     node_boot_kinds = Hashtbl.create 8;
@@ -31,20 +30,19 @@ let create ?(seed = 42) ?(cost = Cost.default) ?bus_config ?(trace = false)
 
 let engine t = t.engine
 let bus t = t.bus
-let trace t = t.trace
-let recorder t = Trace.recorder t.trace
+let recorder t = t.recorder
 let cost t = t.cost
 
 let emit_fault t kind =
   let r = recorder t in
   if Recorder.tracing r then
-    Recorder.emit r ~time_us:(Engine.now t.engine) ~mid:(-1) ~actor:"fault" kind
+    Recorder.emit r ~time_us:(Engine.now t.engine) ~mid:(-1) kind
 
 let add_node ?(boot_kinds = [ 0 ]) t ~mid =
   if Hashtbl.mem t.nodes mid then
     invalid_arg (Printf.sprintf "Network.add_node: mid %d exists" mid);
   let kernel =
-    Kernel.create ~engine:t.engine ~bus:t.bus ~trace:t.trace ~cost:t.cost ~mid ~boot_kinds
+    Kernel.create ~engine:t.engine ~bus:t.bus ~recorder:t.recorder ~cost:t.cost ~mid ~boot_kinds
   in
   Hashtbl.replace t.nodes mid kernel;
   Hashtbl.replace t.node_boot_kinds mid boot_kinds;
@@ -79,7 +77,7 @@ let reboot_node ?(quarantine = true) t ~mid =
      empty, so TIDs minted by the previous incarnation classify as stale
      and late ACCEPTs are answered CRASHED (§5.4). *)
   let kernel =
-    Kernel.create ~engine:t.engine ~bus:t.bus ~trace:t.trace ~cost:t.cost ~mid ~boot_kinds
+    Kernel.create ~engine:t.engine ~bus:t.bus ~recorder:t.recorder ~cost:t.cost ~mid ~boot_kinds
   in
   Hashtbl.replace t.nodes mid kernel;
   if quarantine then Kernel.quarantine kernel;

@@ -27,10 +27,8 @@ val create :
 
 val engine : t -> Soda_sim.Engine.t
 val bus : t -> Soda_net.Bus.t
-val trace : t -> Soda_sim.Trace.t
 
-(** The structured-event recorder shared by every node and the bus (the
-    same value as [trace t]; see {!Soda_sim.Trace.recorder}). *)
+(** The structured-event recorder shared by every node and the bus. *)
 val recorder : t -> Soda_obs.Recorder.t
 
 val cost : t -> Soda_base.Cost_model.t

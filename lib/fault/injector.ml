@@ -7,7 +7,7 @@ module Event = Soda_obs.Event
 let emit net kind =
   let r = Network.recorder net in
   if Recorder.tracing r then
-    Recorder.emit r ~time_us:(Network.now net) ~mid:(-1) ~actor:"fault" kind
+    Recorder.emit r ~time_us:(Network.now net) ~mid:(-1) kind
 
 let node_exists net ~mid = List.mem_assoc mid (Network.nodes net)
 

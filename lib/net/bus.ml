@@ -120,7 +120,7 @@ let tracing t =
 let emit_event t kind =
   match t.obs with
   | Some r when Recorder.tracing r ->
-    Recorder.emit r ~time_us:(Engine.now t.engine) ~mid:(-1) ~actor:"bus" kind
+    Recorder.emit r ~time_us:(Engine.now t.engine) ~mid:(-1) kind
   | Some _ | None -> ()
 
 let check_rate name rate =

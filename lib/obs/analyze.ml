@@ -258,13 +258,17 @@ let kind_of_fields fields =
       { op = str_f fields "op"; origin = int_f fields "origin";
         oseq = int_f fields "oseq"; ok = bool_f fields "ok";
         elapsed_us = int_f fields "elapsed" }
-  | "note" -> Note (str_f fields "text")
+  | "mark" ->
+    let name = str_f fields "mark" in
+    (match List.find_opt (fun m -> mark_name m = name) marks with
+     | Some mark ->
+       Mark { peer = int_f fields "peer"; tid = int_f fields "tid"; mark; n = int_f fields "n" }
+     | None -> raise (Parse_error (Printf.sprintf "unknown mark %S" name)))
   | s -> raise (Parse_error (Printf.sprintf "unknown event kind %S" s))
 
 let event_of_line line =
   let fields = parse_line line in
   let kind = kind_of_fields fields in
-  let actor = match kind with Event.Note _ -> str_f fields "actor" | _ -> "" in
   let ctx =
     match List.assoc_opt "tr" fields with
     | Some (J_int trace) ->
@@ -279,7 +283,7 @@ let event_of_line line =
         }
     | _ -> None
   in
-  { Event.time_us = int_f fields "t"; mid = int_f fields "mid"; actor; kind; ctx }
+  { Event.time_us = int_f fields "t"; mid = int_f fields "mid"; kind; ctx }
 
 let events_of_string s =
   let lines = String.split_on_char '\n' s in

@@ -31,6 +31,59 @@ let pkt_name = function
 let no_tid = -1
 let broadcast_peer = -1
 
+type mark =
+  | Record_created
+  | Record_expired
+  | Take_any_sn
+  | No_sync_drop
+  | Duplicate_replayed
+  | Stale_dropped
+  | Probe_silent
+  | Probe_lost
+  | Data_wait_expired
+  | Transport_reset
+  | Client_booted
+  | No_boot_program
+  | Kill_signalled
+  | Boot_kind_added
+  | Boot_kind_removed
+  | Kill_pattern_replaced
+  | System_malformed
+  | Load_granted
+  | Client_died
+  | Hardware_crash
+  | Quarantine_over
+
+let marks =
+  [ Record_created; Record_expired; Take_any_sn; No_sync_drop; Duplicate_replayed;
+    Stale_dropped; Probe_silent; Probe_lost; Data_wait_expired; Transport_reset;
+    Client_booted; No_boot_program; Kill_signalled; Boot_kind_added; Boot_kind_removed;
+    Kill_pattern_replaced; System_malformed; Load_granted; Client_died; Hardware_crash;
+    Quarantine_over ]
+
+let mark_name = function
+  | Record_created -> "record-created"
+  | Record_expired -> "record-expired"
+  | Take_any_sn -> "take-any-sn"
+  | No_sync_drop -> "no-sync-drop"
+  | Duplicate_replayed -> "duplicate-replayed"
+  | Stale_dropped -> "stale-dropped"
+  | Probe_silent -> "probe-silent"
+  | Probe_lost -> "probe-lost"
+  | Data_wait_expired -> "data-wait-expired"
+  | Transport_reset -> "transport-reset"
+  | Client_booted -> "client-booted"
+  | No_boot_program -> "no-boot-program"
+  | Kill_signalled -> "kill-signalled"
+  | Boot_kind_added -> "boot-kind-added"
+  | Boot_kind_removed -> "boot-kind-removed"
+  | Kill_pattern_replaced -> "kill-pattern-replaced"
+  | System_malformed -> "system-malformed"
+  | Load_granted -> "load-granted"
+  | Client_died -> "client-died"
+  | Hardware_crash -> "hardware-crash"
+  | Quarantine_over -> "quarantine-over"
+
 type kind =
   | Trap of { tid : int; dst : int; pattern : int; put_size : int; get_size : int }
       (** REQUEST trap on the requester: the span's birth. *)
@@ -92,12 +145,13 @@ type kind =
           ([pending] quadruplets remain buffered). *)
   | Scd_op of { op : string; origin : int; oseq : int; ok : bool; elapsed_us : int }
       (** An SCD client operation (write/snapshot/incr/cread) finished. *)
-  | Note of string  (** Free-form text from the legacy [Trace.record] shim. *)
+  | Mark of { peer : int; tid : int; mark : mark; n : int }
+      (** A Delta-t or kernel state change (docs/OBSERVABILITY.md lists
+          what [peer], [tid] and [n] mean for each mark). *)
 
 type t = {
   time_us : int;
   mid : int;
-  actor : string;
   kind : kind;
   ctx : Causal.ctx option;
       (** Causal identity, present only when the recorder mints contexts
@@ -136,14 +190,13 @@ let kind_label = function
   | Scd_broadcast _ -> "scd-broadcast"
   | Scd_deliver _ -> "scd-deliver"
   | Scd_op _ -> "scd-op"
-  | Note _ -> "note"
+  | Mark _ -> "mark"
 
 let peer_name p = if p = broadcast_peer then "*" else string_of_int p
 
 let mids_string mids = String.concat "," (List.map string_of_int mids)
 
-(* Human rendering, used by the timeline exporter and the [Trace.entries]
-   compatibility view. *)
+(* Human rendering, used by the timeline and Chrome exporters. *)
 let message = function
   | Trap { tid; dst; pattern; put_size; get_size } ->
     Printf.sprintf "trap REQUEST #%d to %s pattern=%06o put=%dB get=%dB" tid
@@ -211,16 +264,20 @@ let message = function
     Printf.sprintf "scd %s op#%d.%d %s in %d us" op origin oseq
       (if ok then "ok" else "FAILED")
       elapsed_us
-  | Note text -> text
+  | Mark { peer; tid; mark; n } ->
+    mark_name mark
+    ^ (if peer < 0 then "" else Printf.sprintf " peer %d" peer)
+    ^ (if tid = no_tid then "" else Printf.sprintf " #%d" tid)
+    ^ if n = 0 then "" else Printf.sprintf " n=%d" n
 
 (* tid carried by an event, if any (for span grouping). *)
 let tid = function
   | Trap { tid; _ } | Enqueue { tid; _ } | Tx { tid; _ } | Rx { tid; _ }
   | Acked { tid; _ } | Busy_nack { tid; _ } | Retransmit { tid; _ } | Probe { tid; _ }
-  | Deliver { tid; _ } | Complete { tid; _ } | Window_buffer { tid; _ } ->
+  | Deliver { tid; _ } | Complete { tid; _ } | Window_buffer { tid; _ } | Mark { tid; _ } ->
     if tid = no_tid then None else Some tid
   | Window_advance _ | Cwnd_change _ | Rtt_sample _ -> None
-  | Handler_invoke | Endhandler | Bus_frame _ | Bus_drop _ | Note _ | Fault_partition _
+  | Handler_invoke | Endhandler | Bus_frame _ | Bus_drop _ | Fault_partition _
   | Fault_heal | Fault_crash _ | Fault_reboot _ | Fault_duplicate _ | Fault_jitter _
   | Fault_loss_burst _ | Store_phase _ | Store_retry _ | Store_complete _
   | Scd_broadcast _ | Scd_deliver _ | Scd_op _ ->

@@ -3,7 +3,7 @@
     One constructor per protocol-visible moment of a request's life (trap,
     enqueue, tx, rx, ack, busy-nack, retransmit, probe, deliver,
     handler-invoke, endhandler, complete), plus bus-level frame events and
-    a [Note] carrying legacy free-form trace text. Every packet-shaped
+    [Mark]s for Delta-t and kernel state changes. Every packet-shaped
     event records the transaction id, peer, packet kind, byte count and
     sequence bit, so phase breakdowns are derived from data instead of
     grepped out of format strings. *)
@@ -29,6 +29,37 @@ val no_tid : int
 
 (** Sentinel destination for broadcast. *)
 val broadcast_peer : int
+
+(** Delta-t record lifecycle and kernel state changes: the annotations
+    of the paper's "Typical Delta-t Situations" timelines. *)
+type mark =
+  | Record_created
+  | Record_expired
+  | Take_any_sn
+  | No_sync_drop
+  | Duplicate_replayed
+  | Stale_dropped
+  | Probe_silent
+  | Probe_lost
+  | Data_wait_expired
+  | Transport_reset
+  | Client_booted
+  | No_boot_program
+  | Kill_signalled
+  | Boot_kind_added
+  | Boot_kind_removed
+  | Kill_pattern_replaced
+  | System_malformed
+  | Load_granted
+  | Client_died
+  | Hardware_crash
+  | Quarantine_over
+
+(** Every mark, in declaration order. *)
+val marks : mark list
+
+(** Kebab-case name ("record-created", ...), as exported. *)
+val mark_name : mark -> string
 
 type kind =
   | Trap of { tid : int; dst : int; pattern : int; put_size : int; get_size : int }
@@ -88,12 +119,13 @@ type kind =
           ([pending] quadruplets remain buffered). *)
   | Scd_op of { op : string; origin : int; oseq : int; ok : bool; elapsed_us : int }
       (** An SCD client operation (write/snapshot/incr/cread) finished. *)
-  | Note of string
+  | Mark of { peer : int; tid : int; mark : mark; n : int }
+      (** [peer] is [-1] and [tid] is {!no_tid} when they do not apply;
+          [n] is a count or detail, [0] when unused. *)
 
 type t = {
   time_us : int;
   mid : int;
-  actor : string;
   kind : kind;
   ctx : Causal.ctx option;
       (** Causal identity, present only when the recorder mints contexts
@@ -108,8 +140,7 @@ val peer_name : int -> string
 (** Comma-joined mid list ("0,1,2"), used when rendering partition groups. *)
 val mids_string : int list -> string
 
-(** Human one-line rendering, used by the timeline exporter and the legacy
-    [Trace.entries] view. *)
+(** Human one-line rendering, used by the timeline and Chrome exporters. *)
 val message : kind -> string
 
 (** Transaction id carried by the event, if any. *)

@@ -1,7 +1,6 @@
 (* Exporters for the recorded event stream.
 
-   - [pp_timeline]: the human-readable "%8d us  actor  message" rendering
-     the old string trace printed;
+   - [pp_timeline]: the human-readable "%8d us  mid  message" rendering;
    - JSONL: one JSON object per event, for machine diffing (golden tests)
      and ad-hoc jq analysis;
    - Chrome trace_event JSON: loads in about://tracing or Perfetto with
@@ -11,7 +10,8 @@
 let pp_timeline ppf events =
   List.iter
     (fun e ->
-      Format.fprintf ppf "%8d us  %-12s %s@." e.Event.time_us e.Event.actor
+      Format.fprintf ppf "%8d us  %-4s %s@." e.Event.time_us
+        (if e.Event.mid < 0 then "-" else string_of_int e.Event.mid)
         (Event.message e.Event.kind))
     events
 
@@ -129,7 +129,9 @@ let event_fields (e : Event.t) : json_field list =
     | Scd_op { op; origin; oseq; ok; elapsed_us } ->
       [ ("op", `Str op); ("origin", `Int origin); ("oseq", `Int oseq); ("ok", `Bool ok);
         ("elapsed", `Int elapsed_us) ]
-    | Note text -> [ ("actor", `Str e.actor); ("text", `Str text) ]
+    | Mark { peer; tid; mark; n } ->
+      [ ("peer", `Int peer); ("tid", `Int tid); ("mark", `Str (mark_name mark));
+        ("n", `Int n) ]
   in
   (* Causal identity trails the event's own fields; absent when the
      recorder minted no contexts, so pre-causal traces (and the golden
@@ -301,7 +303,7 @@ let chrome_to_buffer b events =
             ("s", `Str "t") ]
       | Tx _ | Rx _ | Acked _ | Busy_nack _ | Retransmit _ | Probe _ | Deliver _
       | Enqueue _ | Bus_drop _ | Window_advance _ | Window_buffer _ | Cwnd_change _
-      | Rtt_sample _ ->
+      | Rtt_sample _ | Mark _ ->
         emit
           [ ("name", `Str (message e.kind)); ("cat", `Str (kind_label e.kind));
             ("ph", `Str "i"); ("pid", `Int e.mid); ("tid", `Int track_packets);
@@ -313,12 +315,7 @@ let chrome_to_buffer b events =
         emit
           [ ("name", `Str (message e.kind)); ("cat", `Str "fault"); ("ph", `Str "i");
             ("pid", `Int bus_pid); ("tid", `Int 0); ("ts", `Int e.time_us);
-            ("s", `Str "g") ]
-      | Note _ ->
-        emit
-          [ ("name", `Str (message e.kind)); ("cat", `Str "note"); ("ph", `Str "i");
-            ("pid", `Int (max e.mid 0)); ("tid", `Int track_client);
-            ("ts", `Int e.time_us); ("s", `Str "t") ])
+            ("s", `Str "g") ])
     events;
   Buffer.add_string b "\n]}\n"
 

@@ -1,7 +1,7 @@
 (** Exporters for recorded event streams.
 
-    Three formats: the human-readable timeline (the old [Trace.pp]
-    rendering), JSONL (one object per event; used by the golden trace
+    Three formats: the human-readable timeline (one line per event,
+    labelled by mid), JSONL (one object per event; used by the golden trace
     test), and Chrome [trace_event] JSON that loads in about://tracing or
     Perfetto with one process lane per node plus a bus-medium lane. *)
 

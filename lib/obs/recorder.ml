@@ -44,9 +44,9 @@ let mint_child t parent =
 
 let metrics t = t.metrics
 
-let emit t ?ctx ~time_us ~mid ~actor kind =
+let emit t ?ctx ~time_us ~mid kind =
   if t.tracing then begin
-    t.events <- { Event.time_us; mid; actor; kind; ctx } :: t.events;
+    t.events <- { Event.time_us; mid; kind; ctx } :: t.events;
     t.n_events <- t.n_events + 1
   end
 

@@ -27,8 +27,7 @@ val mint_root : t -> Causal.ctx option
 (** Fresh span under [parent] (same trace id). *)
 val mint_child : t -> Causal.ctx -> Causal.ctx option
 
-val emit :
-  t -> ?ctx:Causal.ctx -> time_us:int -> mid:int -> actor:string -> Event.kind -> unit
+val emit : t -> ?ctx:Causal.ctx -> time_us:int -> mid:int -> Event.kind -> unit
 
 (** Events in chronological order (same-instant events keep emission
     order). *)

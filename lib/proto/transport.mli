@@ -92,7 +92,7 @@ val create :
   bus:Soda_net.Bus.t ->
   mid:int ->
   cost:Soda_base.Cost_model.t ->
-  trace:Soda_sim.Trace.t ->
+  recorder:Soda_obs.Recorder.t ->
   t
 
 (** Must be called exactly once before any traffic. *)

@@ -582,7 +582,7 @@ module Transport = Soda_proto.Transport
 module Wire = Soda_proto.Wire
 module Nic = Soda_net.Nic
 module Engine = Soda_sim.Engine
-module Trace = Soda_sim.Trace
+module Recorder = Soda_obs.Recorder
 
 (* A scripted peer controls exactly which transmission of a REQUEST gets
    acknowledged. [ack_first = false] swallows the first copy and acks
@@ -591,10 +591,10 @@ module Trace = Soda_sim.Trace
    stay empty. The [ack_first = true] control run must sample. *)
 let run_karn ~ack_first =
   let engine = Engine.create ~seed:17 () in
-  let trace = Trace.create ~enabled:false () in
+  let recorder = Recorder.create () in
   let bus = Bus.create engine in
   let cost = { Cost.default with Cost.window = 4; maxrequests = 5 } in
-  let sender = Transport.create ~engine ~bus ~mid:0 ~cost ~trace in
+  let sender = Transport.create ~engine ~bus ~mid:0 ~cost ~recorder in
   Transport.set_callbacks sender
     {
       Transport.deliver_request =

@@ -66,11 +66,11 @@ let test_histogram_negative_clamps () =
 let test_recorder_enable_disable () =
   let r = Recorder.create () in
   Alcotest.(check bool) "off by default" false (Recorder.tracing r);
-  Recorder.emit r ~time_us:1 ~mid:0 ~actor:"x" (Event.Note "dropped");
+  Recorder.emit r ~time_us:1 ~mid:0 Event.Endhandler;
   Alcotest.(check int) "disabled emits nothing" 0 (Recorder.length r);
   Recorder.set_tracing r true;
-  Recorder.emit r ~time_us:2 ~mid:0 ~actor:"x" (Event.Note "kept");
-  Recorder.emit r ~time_us:3 ~mid:1 ~actor:"y" Event.Handler_invoke;
+  Recorder.emit r ~time_us:2 ~mid:0 Event.Endhandler;
+  Recorder.emit r ~time_us:3 ~mid:1 Event.Handler_invoke;
   Alcotest.(check int) "enabled records" 2 (Recorder.length r);
   (match Recorder.events r with
    | [ a; b ] ->
@@ -82,7 +82,7 @@ let test_recorder_enable_disable () =
 
 (* ---- spans ---------------------------------------------------------------- *)
 
-let ev time_us mid kind = { Event.time_us; mid; actor = "t"; kind; ctx = None }
+let ev time_us mid kind = { Event.time_us; mid; kind; ctx = None }
 
 let test_span_derivation () =
   (* Synthetic lifecycle: trap, first transmission, BUSY bounce, retry,

@@ -2,7 +2,6 @@ module Heap = Soda_sim.Heap
 module Rng = Soda_sim.Rng
 module Engine = Soda_sim.Engine
 module Stats = Soda_sim.Stats
-module Trace = Soda_sim.Trace
 
 (* ---- heap ---------------------------------------------------------------- *)
 
@@ -237,56 +236,6 @@ let test_stats_registry_backing () =
   | Some h -> Alcotest.(check int) "histogram shared" 1 (Soda_obs.Metrics.Histogram.count h)
   | None -> Alcotest.fail "expected histogram"
 
-(* ---- trace --------------------------------------------------------------------- *)
-
-let test_trace () =
-  let tr = Trace.create ~enabled:true () in
-  Trace.record tr ~now:5 ~actor:"a" "hello %d" 1;
-  Trace.record tr ~now:9 ~actor:"b" "world";
-  Alcotest.(check int) "two entries" 2 (List.length (Trace.entries tr));
-  Alcotest.(check int) "find" 1 (List.length (Trace.find tr ~substring:"hello"));
-  Trace.set_enabled tr false;
-  Trace.record tr ~now:10 ~actor:"c" "dropped";
-  Alcotest.(check int) "disabled drops" 2 (List.length (Trace.entries tr));
-  Trace.clear tr;
-  Alcotest.(check int) "clear" 0 (List.length (Trace.entries tr))
-
-let test_trace_disabled_is_free () =
-  (* A disabled trace records nothing: format arguments are consumed
-     without rendering and the recorder stays empty. *)
-  let tr = Trace.create () in
-  Alcotest.(check bool) "disabled by default" false (Trace.enabled tr);
-  let side_effects = ref 0 in
-  let effectful () =
-    incr side_effects;
-    "text"
-  in
-  (* the format ARGUMENTS are still evaluated (OCaml is strict) but no
-     entry must be produced *)
-  Trace.record tr ~now:1 ~actor:"a" "value %s" (effectful ());
-  Alcotest.(check int) "no entries" 0 (List.length (Trace.entries tr));
-  Alcotest.(check int) "recorder empty" 0
-    (Soda_obs.Recorder.length (Trace.recorder tr));
-  Trace.set_enabled tr true;
-  Trace.record tr ~now:2 ~actor:"a" "kept %d" 5;
-  Alcotest.(check int) "re-enabled records" 1 (List.length (Trace.entries tr))
-
-let test_trace_typed_events_render () =
-  (* Typed events emitted through the recorder appear in the legacy
-     [entries] view with a human rendering. *)
-  let tr = Trace.create ~enabled:true () in
-  Soda_obs.Recorder.emit (Trace.recorder tr) ~time_us:4 ~mid:2 ~actor:"soda-2"
-    (Soda_obs.Event.Tx
-       { tid = 3; peer = 1; pkt = Soda_obs.Event.P_request; bytes = 24; seq = 1;
-         retry = false });
-  match Trace.entries tr with
-  | [ e ] ->
-    Alcotest.(check int) "time" 4 e.Trace.time_us;
-    Alcotest.(check string) "actor" "soda-2" e.Trace.actor;
-    Alcotest.(check bool) "message mentions the packet kind" true
-      (List.length (Trace.find tr ~substring:"REQ") = 1)
-  | _ -> Alcotest.fail "expected one entry"
-
 let test_engine_counters () =
   let e = Engine.create () in
   let cancelled_id = Engine.schedule e ~delay:5 (fun () -> ()) in
@@ -363,12 +312,5 @@ let suites =
         Alcotest.test_case "times and samples" `Quick test_stats_times_and_samples;
         Alcotest.test_case "percentile edge cases" `Quick test_stats_percentile_edges;
         Alcotest.test_case "metrics registry backing" `Quick test_stats_registry_backing;
-      ] );
-    ( "sim.trace",
-      [
-        Alcotest.test_case "record/find/clear" `Quick test_trace;
-        Alcotest.test_case "disabled trace records nothing" `Quick
-          test_trace_disabled_is_free;
-        Alcotest.test_case "typed events render" `Quick test_trace_typed_events_render;
       ] );
   ]

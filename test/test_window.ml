@@ -335,7 +335,6 @@ module Transport = Soda_proto.Transport
 module Wire = Soda_proto.Wire
 module Bus = Soda_net.Bus
 module Nic = Soda_net.Nic
-module Trace = Soda_sim.Trace
 module Engine = Soda_sim.Engine
 
 (* A scripted fake peer replays the receive-side scenario the full stack
@@ -347,10 +346,10 @@ module Engine = Soda_sim.Engine
    falsely acked) nor be delivered in its place when the base advances. *)
 let test_slot_reuse_stale_stash () =
   let engine = Engine.create ~seed:11 () in
-  let trace = Trace.create ~enabled:false () in
+  let recorder = Recorder.create () in
   let bus = Bus.create engine in
   let cost = { Cost.default with Cost.window = 4 } in
-  let recv = Transport.create ~engine ~bus ~mid:0 ~cost ~trace in
+  let recv = Transport.create ~engine ~bus ~mid:0 ~cost ~recorder in
   let delivered = ref [] in
   Transport.set_callbacks recv
     {
@@ -402,11 +401,11 @@ let test_slot_reuse_stale_stash () =
    LOCAL window; the bus refuses stations that disagree. *)
 let test_window_mismatch_guard () =
   let engine = Engine.create ~seed:12 () in
-  let trace = Trace.create ~enabled:false () in
+  let recorder = Recorder.create () in
   let bus = Bus.create engine in
   let mk mid window =
     ignore
-      (Transport.create ~engine ~bus ~mid ~cost:{ Cost.default with Cost.window } ~trace)
+      (Transport.create ~engine ~bus ~mid ~cost:{ Cost.default with Cost.window } ~recorder)
   in
   mk 0 4;
   mk 1 4;

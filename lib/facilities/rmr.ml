@@ -88,7 +88,7 @@ let test_and_set env server ~addr value =
    desynchronise) instead of hammering the memory server in lockstep.
    With [?timeserver] the wait is a §6.16 alarm-backed sleep — the
    client stays responsive to its handler — otherwise local compute. *)
-let lock ?timeserver ?(base_us = 1_000) ?(cap_us = 64_000) env server ~addr =
+let lock ?timeserver env server ~addr =
   let rng = Rng.split (Engine.rng (Kernel.engine (Sodal.kernel env))) in
   let metrics = Recorder.metrics (Kernel.recorder (Sodal.kernel env)) in
   let rec go k =
@@ -96,8 +96,7 @@ let lock ?timeserver ?(base_us = 1_000) ?(cap_us = 64_000) env server ~addr =
     match test_and_set env server ~addr 1 with
     | Ok 0 -> Ok ()
     | Ok _ ->
-      let d = min cap_us (base_us lsl min k 20) in
-      let d = d + Rng.int rng (max d 1) in
+      let d = Rng.backoff rng ~base_us:1_000 ~cap_us:64_000 k in
       (match timeserver with
        | Some ts -> Timeserver.sleep env ts ~delay_us:d
        | None -> Sodal.compute env d);

@@ -34,17 +34,16 @@ val test_and_set :
 
 (** [lock env server ~addr] retries {!test_and_set} until the word at
     [addr] was 0 and is now 1; [unlock] clears it. Retries back off
-    exponentially from [base_us] to [cap_us], each wait doubled by a
-    random jitter drawn from a split of the engine RNG, so contenders
-    desynchronise instead of colliding in lockstep. With [?timeserver]
+    exponentially from 1 ms to 64 ms ({!Soda_sim.Rng.backoff}), each
+    wait doubled by a random jitter drawn from a split of the engine RNG,
+    so contenders desynchronise instead of colliding in lockstep. With
+    [?timeserver]
     (a §6.16 timeserver signature) the wait is an alarm-backed
     {!Timeserver.sleep}; otherwise it is local compute. Every
     TEST-AND-SET round increments the ["rmr.lock.attempts"] counter of
     the kernel's metrics registry. *)
 val lock :
   ?timeserver:Types.server_signature ->
-  ?base_us:int ->
-  ?cap_us:int ->
   Sodal.env ->
   Types.server_signature ->
   addr:int ->

@@ -96,8 +96,6 @@ type error = Unreachable  (** every member failed over [attempts] tries *)
     over round-robin on crash. *)
 val handle :
   ?attempts:int ->
-  ?backoff_base_us:int ->
-  ?backoff_cap_us:int ->
   Sodal.env ->
   cluster:string ->
   mids:int list ->

@@ -61,3 +61,9 @@ let chance rng p =
   if p <= 0.0 then false
   else if p >= 1.0 then true
   else float rng 1.0 < p
+
+(* The shift is clamped so large attempt counts cannot overflow; at every
+   cap in use it saturates long before the clamp binds. *)
+let backoff rng ~base_us ~cap_us k =
+  let d = min cap_us (base_us lsl min k 20) in
+  d + int rng (max d 1)

@@ -29,3 +29,8 @@ val bool : t -> bool
 
 (** [chance rng p] is true with probability [p] (clamped to [\[0, 1\]]). *)
 val chance : t -> float -> bool
+
+(** [backoff rng ~base_us ~cap_us k] is the wait before retry [k] (from
+    0) of a capped exponential backoff with jitter: [d = min cap_us
+    (base_us * 2^k)], plus a uniform draw from [\[0, d)]. *)
+val backoff : t -> base_us:int -> cap_us:int -> int -> int

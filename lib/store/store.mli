@@ -75,26 +75,13 @@ type error = No_quorum  (** no majority answered within the retry budget *)
 
 (** [handle env ~cluster ~mids] addresses the replicas directly through
     their stable patterns (no switchboard involved). *)
-val handle :
-  ?max_value:int ->
-  ?attempts:int ->
-  ?backoff_base_us:int ->
-  ?backoff_cap_us:int ->
-  Sodal.env ->
-  cluster:string ->
-  mids:int list ->
-  t
+val handle : Sodal.env -> cluster:string -> mids:int list -> t
 
 (** [connect env ~cluster ~n ()] resolves all [n] replicas through the
     switchboard ({!replica_name} bindings). The handle re-resolves a
     replica's binding between rounds when it answers UNADVERTISED — the
     signature a reboot with [~register:true] replaces. *)
 val connect :
-  ?max_value:int ->
-  ?attempts:int ->
-  ?backoff_base_us:int ->
-  ?backoff_cap_us:int ->
-  ?resolve_attempts:int ->
   Sodal.env ->
   cluster:string ->
   n:int ->

@@ -103,8 +103,10 @@ let t2s () =
 
 (* ---- TRACE: Chrome trace_event exports of the T1 workloads ------------------------ *)
 
-(* Bench artifacts (Chrome traces, ...) land in _bench_out/ instead of
-   littering the working directory; the directory is gitignored. *)
+(* Bench artifacts (Chrome traces, BENCH_pr*.json records) land in
+   _bench_out/ instead of the working directory; the directory is
+   gitignored, so a run never rewrites the committed BENCH_pr*.json
+   snapshots. *)
 let bench_out file =
   let dir = "_bench_out" in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
@@ -287,7 +289,7 @@ let a6 () =
 (* ---- WINDOW: sliding-window sweep + regression gate --------------------------------- *)
 
 (* Sweep the transport window W over the chunked STREAM workload and the
-   steady-state SIGNAL stream, write the machine-readable BENCH_pr5.json,
+   steady-state SIGNAL stream, write _bench_out/BENCH_pr5.json,
    and enforce the two PR-5 regression gates:
      - the W=1 SIGNAL figure must not regress the seed's T2S wall-clock
        per SIGNAL (the window machinery must leave stop-and-wait alone);
@@ -366,7 +368,8 @@ let window_section () =
   (* machine-readable record of the sweep + the gate verdicts *)
   let w1_ok = signal1 <= seed_t2s_ms *. t2s_tolerance in
   let w8_ok = goodput8 >= 2.0 *. goodput1 in
-  let oc = open_out "BENCH_pr5.json" in
+  let path = bench_out "BENCH_pr5.json" in
+  let oc = open_out path in
   Printf.fprintf oc "{\n  \"seed_t2s_ms\": %.2f,\n  \"window_sweep\": [\n" seed_t2s_ms;
   List.iteri
     (fun i (w, stream_ms, goodput, signal_ms, pkts) ->
@@ -380,7 +383,7 @@ let window_section () =
     "  ],\n  \"gates\": { \"w1_t2s_no_regression\": %b, \"w8_stream_2x\": %b }\n}\n"
     w1_ok w8_ok;
   close_out oc;
-  Printf.printf "\n    wrote BENCH_pr5.json\n";
+  Printf.printf "\n    wrote %s\n" path;
   if not w1_ok then
     Printf.printf
       "    GATE FAILED: W=1 SIGNAL %.2f ms/op exceeds seed T2S %.2f ms (+%.0f%% cap)\n"
@@ -498,7 +501,8 @@ let incast_section () =
   in
   let goodput_ok = adaptive16 >= 2.0 *. static16 in
   let rtx_ok = adaptive16_rtx <= 0.15 in
-  let oc = open_out "BENCH_pr10.json" in
+  let path = bench_out "BENCH_pr10.json" in
+  let oc = open_out path in
   Printf.fprintf oc "{\n  \"ops_per_client\": 32,\n  \"incast\": [\n";
   List.iteri
     (fun i (clients, sg, sr, ag, ar) ->
@@ -514,7 +518,7 @@ let incast_section () =
      \"adaptive16_retrans_le_15pct\": %b }\n}\n"
     goodput_ok rtx_ok;
   close_out oc;
-  Printf.printf "\n    wrote BENCH_pr10.json\n";
+  Printf.printf "\n    wrote %s\n" path;
   if not goodput_ok then
     Printf.printf
       "    GATE FAILED: adaptive 16-client goodput %.1f ops/s < 2x static %.1f ops/s\n"
@@ -594,7 +598,7 @@ let store_section () =
    frame count is compared against the algorithm's analytic O(n^2) cost —
    every member echoes each application message once to each of its n-1
    peers, so a healthy run spends exactly n(n-1) FORWARD frames per
-   scd-broadcast. Writes a machine-readable BENCH_pr8.json.
+   scd-broadcast. Writes a machine-readable _bench_out/BENCH_pr8.json.
 
    Regression gate (CI runs this section on every push): at n=64 the
    measured frames-per-broadcast must stay within 1.2x of n(n-1). A
@@ -671,7 +675,8 @@ let scd_section () =
   in
   let _, _, _, _, fpb64, _, _, _ = find 64 in
   let gate_ok = fpb64 <= tolerance *. float_of_int (bound 64) in
-  let oc = open_out "BENCH_pr8.json" in
+  let path = bench_out "BENCH_pr8.json" in
+  let oc = open_out path in
   Printf.fprintf oc "{\n  \"analytic_frames_per_broadcast\": \"n*(n-1)\",\n";
   Printf.fprintf oc "  \"tolerance\": %.2f,\n  \"scd\": [\n" tolerance;
   List.iteri
@@ -685,7 +690,7 @@ let scd_section () =
     rows;
   Printf.fprintf oc "  ],\n  \"gates\": { \"n64_quadratic_cost\": %b }\n}\n" gate_ok;
   close_out oc;
-  Printf.printf "\n    wrote BENCH_pr8.json\n";
+  Printf.printf "\n    wrote %s\n" path;
   if not gate_ok then begin
     Printf.printf
       "    GATE FAILED: n=64 frames/broadcast %.1f exceeds %.1fx analytic bound %d\n"
@@ -703,7 +708,7 @@ let scd_section () =
    rate and heap depth scale with N. Reports the engine's always-on
    profiling counters (wall-clock events/sec, heap high-water, callbacks
    by source tag) plus the opt-in GC allocation deltas, and writes the
-   machine-readable BENCH_pr6.json. *)
+   machine-readable _bench_out/BENCH_pr6.json. *)
 
 let profile_ring ~nodes ~ops =
   let module Pattern = Soda_base.Pattern in
@@ -774,7 +779,8 @@ let profile_section () =
               (Engine.tag_counts engine))))
     rows;
   (* machine-readable record, uploaded by CI next to BENCH_pr5.json *)
-  let oc = open_out "BENCH_pr6.json" in
+  let path = bench_out "BENCH_pr6.json" in
+  let oc = open_out path in
   Printf.fprintf oc "{\n  \"signal_ring_ops_per_node\": %d,\n  \"profile\": [\n" ops;
   List.iteri
     (fun i (nodes, engine, virtual_us) ->
@@ -796,7 +802,7 @@ let profile_section () =
     rows;
   Printf.fprintf oc "  ]\n}\n";
   close_out oc;
-  Printf.printf "\n    wrote BENCH_pr6.json\n";
+  Printf.printf "\n    wrote %s\n" path;
   let ok =
     List.for_all (fun (_, engine, _) -> Engine.events_per_sec engine > 0.0) rows
   in
@@ -813,7 +819,8 @@ let profile_section () =
    count scales with N so big runs stay long enough to measure
    (N=4096 -> 1,048,576 root requests). Node counts come from
    SODA_SCALE_NODES (comma-separated; default "8,64" for CI — the
-   512/4096 points run in the nightly). Results land in BENCH_pr7.json.
+   512/4096 points run in the nightly). Results land in
+   _bench_out/BENCH_pr7.json.
 
    Regression gates: events/sec must be measurable at every N, and when
    both 8 and 64 run, N=64 throughput must hold >= 65% of N=8 (the seed's
@@ -892,7 +899,8 @@ let scale_section () =
         if n = nodes then Some (Engine.events_per_sec (Network.engine r.O.net)) else None)
       rows
   in
-  let oc = open_out "BENCH_pr7.json" in
+  let path = bench_out "BENCH_pr7.json" in
+  let oc = open_out path in
   Printf.fprintf oc "{\n  \"baseline_pr6_n64_events_per_sec\": %.0f,\n" baseline_pr6_n64;
   (match ev_s 64 with
    | Some v -> Printf.fprintf oc "  \"n64_speedup_vs_pr6\": %.2f,\n" (v /. baseline_pr6_n64)
@@ -923,7 +931,7 @@ let scale_section () =
     rows;
   Printf.fprintf oc "  ]\n}\n";
   close_out oc;
-  Printf.printf "\n    wrote BENCH_pr7.json\n";
+  Printf.printf "\n    wrote %s\n" path;
   let ok_measured =
     List.for_all
       (fun (_, _, r) -> Engine.events_per_sec (Network.engine r.O.net) > 0.0)

@@ -145,11 +145,6 @@ let counter_names t = names t.counters
 let gauge_names t = names t.gauges
 let histogram_names t = names t.histograms
 
-let reset t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.gauges;
-  Hashtbl.reset t.histograms
-
 let pp ppf t =
   List.iter
     (fun name -> Format.fprintf ppf "counter %s: %d@." name (counter t name))

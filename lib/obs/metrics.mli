@@ -18,8 +18,8 @@ val counter : t -> string -> int
 
 (** [counter_cell t name] is the counter's backing cell (created at zero
     on first use): hot paths bump the ref directly instead of paying a
-    string hash + table probe per increment. Cells obtained before a
-    {!reset} are detached by it — re-fetch afterwards. *)
+    string hash + table probe per increment. The registry never drops a
+    cell, so one fetched at setup stays attached. *)
 val counter_cell : t -> string -> int ref
 
 (** Gauges (set to the latest value). *)
@@ -33,7 +33,7 @@ val observe : t -> string -> int -> unit
 val histogram : t -> string -> histogram option
 
 (** The histogram's backing cell (created empty on first use); same
-    hot-path/reset contract as {!counter_cell}. *)
+    hot-path contract as {!counter_cell}. *)
 val histogram_cell : t -> string -> histogram
 
 module Histogram : sig
@@ -55,6 +55,4 @@ end
 val counter_names : t -> string list
 val gauge_names : t -> string list
 val histogram_names : t -> string list
-
-val reset : t -> unit
 val pp : Format.formatter -> t -> unit

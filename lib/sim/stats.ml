@@ -59,10 +59,6 @@ let max_us t name =
 let percentile_us t name p =
   match histogram t name with Some h -> Metrics.Histogram.percentile h p | None -> 0
 
-let reset t =
-  Metrics.reset t.metrics;
-  Hashtbl.reset t.times
-
 let counter_names t = Metrics.counter_names t.metrics
 
 let pp ppf t =

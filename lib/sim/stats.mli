@@ -22,9 +22,8 @@ val add : t -> string -> int -> unit
 val counter : t -> string -> int
 
 (** Backing cells for hot paths: fetch once, bump the ref/histogram
-    directly, skipping the per-call string hash + table probe. Cells
-    obtained before a {!reset} are detached by it — re-fetch afterwards.
-    (Nothing in the simulator resets stats mid-run.) *)
+    directly, skipping the per-call string hash + table probe. A cell
+    stays attached for the life of its [Stats.t]. *)
 
 val counter_cell : t -> string -> int ref
 val time_ref : t -> string -> int ref
@@ -48,9 +47,6 @@ val max_us : t -> string -> int
 (** Nearest-rank percentile; [p] is clamped to [0, 100], [p <= 0] returns
     the minimum sample, [p >= 100] the maximum, empty series 0. *)
 val percentile_us : t -> string -> float -> int
-
-(** [reset t] clears everything. *)
-val reset : t -> unit
 
 (** All counter names currently present, sorted. *)
 val counter_names : t -> string list

@@ -198,9 +198,7 @@ let test_stats_times_and_samples () =
   Alcotest.(check (float 0.001)) "mean" 20.0 (Stats.mean_us s "lat");
   Alcotest.(check int) "max" 30 (Stats.max_us s "lat");
   Alcotest.(check int) "p50" 20 (Stats.percentile_us s "lat" 50.0);
-  Alcotest.(check int) "p100" 30 (Stats.percentile_us s "lat" 100.0);
-  Stats.reset s;
-  Alcotest.(check int) "reset clears" 0 (Stats.count s "lat")
+  Alcotest.(check int) "p100" 30 (Stats.percentile_us s "lat" 100.0)
 
 let test_stats_percentile_edges () =
   let s = Stats.create () in

@@ -1,8 +1,8 @@
-(* Codec for SCD-broadcast FORWARD frames. These bytes travel as the
-   opaque put-payload of ordinary REQUEST packets (via Multicast), so the
-   layout is private to lib/scd; it still gets the same defensive
-   decoding as Wire so a corrupted or truncated frame is rejected, never
-   misread. *)
+(* Codec for SCD-broadcast FORWARD frames. These bytes travel, one or
+   more frames per transfer, as the opaque put-payload of ordinary
+   REQUEST packets, so the layout is private to lib/scd; it still gets
+   the same defensive decoding as Wire so a corrupted or truncated frame
+   is rejected, never misread. *)
 
 type payload =
   | Write of { reg : int; value : int; date : int; writer : int }
@@ -63,40 +63,48 @@ let encode fwd =
   | Sync -> ());
   b
 
+(* A batch is frames back to back with no count field: each entry's
+   length follows from its tag. A bad entry anywhere rejects the whole
+   buffer, so a receiver never acts on part of a corrupted transfer. *)
 let decode b =
   let len = Bytes.length b in
-  if len < header_size then Error "scd frame: truncated header"
-  else begin
-    let tag = Char.code (Bytes.get b 0) in
-    let sd = Bytes.get_uint16_be b 1 in
-    let sn = Int32.to_int (Bytes.get_int32_be b 3) in
-    let f = Bytes.get_uint16_be b 7 in
-    let snf = Int32.to_int (Bytes.get_int32_be b 9) in
-    let with_payload need k =
-      if len <> header_size + need then Error "scd frame: bad payload length"
-      else Ok { sd; sn; f; snf; payload = k () }
-    in
-    match tag with
-    | 0 ->
-      with_payload 16 (fun () ->
-          Write
-            {
-              reg = Bytes.get_uint16_be b 13;
-              value = Int64.to_int (Bytes.get_int64_be b 15);
-              date = Int32.to_int (Bytes.get_int32_be b 23);
-              writer = Bytes.get_uint16_be b 27;
-            })
-    | 1 ->
-      with_payload 16 (fun () ->
-          Incr
-            {
-              delta = Int64.to_int (Bytes.get_int64_be b 13);
-              origin = Int32.to_int (Bytes.get_int32_be b 21);
-              oseq = Int32.to_int (Bytes.get_int32_be b 25);
-            })
-    | 2 -> with_payload 0 (fun () -> Sync)
-    | n -> Error (Printf.sprintf "scd frame: unknown tag %d" n)
-  end
+  let rec entries o acc =
+    if o = len then Ok (List.rev acc)
+    else if len - o < header_size then Error "scd frame: truncated header"
+    else begin
+      let tag = Char.code (Bytes.get b o) in
+      let sd = Bytes.get_uint16_be b (o + 1) in
+      let sn = Int32.to_int (Bytes.get_int32_be b (o + 3)) in
+      let f = Bytes.get_uint16_be b (o + 7) in
+      let snf = Int32.to_int (Bytes.get_int32_be b (o + 9)) in
+      let p = o + header_size in
+      let with_payload need k =
+        if len - p < need then Error "scd frame: truncated payload"
+        else entries (p + need) ({ sd; sn; f; snf; payload = k () } :: acc)
+      in
+      match tag with
+      | 0 ->
+        with_payload 16 (fun () ->
+            Write
+              {
+                reg = Bytes.get_uint16_be b p;
+                value = Int64.to_int (Bytes.get_int64_be b (p + 2));
+                date = Int32.to_int (Bytes.get_int32_be b (p + 10));
+                writer = Bytes.get_uint16_be b (p + 14);
+              })
+      | 1 ->
+        with_payload 16 (fun () ->
+            Incr
+              {
+                delta = Int64.to_int (Bytes.get_int64_be b p);
+                origin = Int32.to_int (Bytes.get_int32_be b (p + 8));
+                oseq = Int32.to_int (Bytes.get_int32_be b (p + 12));
+              })
+      | 2 -> with_payload 0 (fun () -> Sync)
+      | n -> Error (Printf.sprintf "scd frame: unknown tag %d" n)
+    end
+  in
+  if len = 0 then Error "scd frame: empty batch" else entries 0 []
 
 let payload_label = function Write _ -> "write" | Incr _ -> "incr" | Sync -> "sync"
 

@@ -29,7 +29,12 @@ type forward = { sd : int; sn : int; f : int; snf : int; payload : payload }
 
 val encoded_size : forward -> int
 val encode : forward -> bytes
-val decode : bytes -> (forward, string) result
+
+(** [decode b] reads a batch: the plain concatenation of one or more
+    [encode]d frames, as one transfer carries them (a one-entry batch is
+    byte-identical to [encode]). Entries come back in order. An empty
+    buffer, a truncated entry or an unknown tag rejects the whole buffer. *)
+val decode : bytes -> (forward list, string) result
 val payload_label : payload -> string
 val pp : Format.formatter -> forward -> unit
 val equal : forward -> forward -> bool

@@ -104,12 +104,13 @@ let decode_int_result b = Int64.to_int (Bytes.get_int64_be b 0)
 
 (* ---- member ------------------------------------------------------------- *)
 
-(* One outgoing FORWARD frame; [of_attempts] counts launches, so a frame
-   is dropped after [retry_cap] crash verdicts. *)
+(* One outgoing FORWARD frame; [of_attempts] counts the transfers that
+   carried it, so a frame is dropped after [retry_cap] crash verdicts. *)
 type out_frame = { of_frame : bytes; mutable of_attempts : int }
 
 (* The per-peer send channel: a FIFO of FORWARD frames with at most one
-   transfer in flight and a backoff deadline after a failed attempt. *)
+   transfer (a prefix of the FIFO) in flight and a backoff deadline after
+   a failed attempt. *)
 type channel = {
   ch_mid : int;
   ch_q : out_frame Queue.t;
@@ -150,12 +151,11 @@ type pending = {
 }
 
 type member = {
-  cluster : string;
+  member_pat : Pattern.t;
+  cluster_pat : Pattern.t;
   index : int;
   n : int;
   regs : int;
-  mids : int array;
-  peer_mids : int list;  (* everyone but us: the FORWARD multicast group *)
   mutable clock : int;  (* sn of the next FORWARD this member sends *)
   buffer : (int * int, quad) Hashtbl.t;
   delivered : (int * int, unit) Hashtbl.t;
@@ -179,7 +179,6 @@ type member = {
   mutable delivery_log : (int * int) list list;  (* newest first *)
   mutable nbroadcasts : int;
   mutable bcast_sns : int list;  (* sn of every broadcast we initiated *)
-  mutable boots : int;
 }
 
 let member ~cluster ~index ~mids ~regs =
@@ -188,12 +187,11 @@ let member ~cluster ~index ~mids ~regs =
   if index < 0 || index >= n then invalid_arg "Scd.member: index out of range";
   if regs < 1 then invalid_arg "Scd.member: need at least one register";
   {
-    cluster;
+    member_pat = member_pattern ~cluster ~index;
+    cluster_pat = cluster_pattern ~cluster;
     index;
     n;
     regs;
-    mids = Array.of_list mids;
-    peer_mids = List.filteri (fun i _ -> i <> index) mids;
     clock = 0;
     buffer = Hashtbl.create 32;
     delivered = Hashtbl.create 64;
@@ -217,7 +215,6 @@ let member ~cluster ~index ~mids ~regs =
     delivery_log = [];
     nbroadcasts = 0;
     bcast_sns = [];
-    boots = 0;
   }
 
 let deliveries m = List.rev m.delivery_log
@@ -225,8 +222,6 @@ let registers m = Array.init m.regs (fun r -> (m.reg_v.(r), m.reg_ts.(r)))
 let counter_value m = m.counter
 let broadcasts_made m = m.nbroadcasts
 let broadcast_sns m = List.rev m.bcast_sns
-let buffered m = Hashtbl.length m.buffer
-let inbox_depth m = Queue.length m.inbox + Queue.length m.op_inbox
 let retry_depth m = Array.fold_left (fun acc ch -> acc + Queue.length ch.ch_q) 0 m.chans
 
 let majority m = (m.n / 2) + 1
@@ -236,10 +231,13 @@ let majority m = (m.n / 2) + 1
 (* The delivery condition reasons about per-sender clocks, so the FORWARD
    stream from one member to one peer must stay FIFO. Every send therefore
    goes through the peer's channel: [echo] only enqueues, and [pump]
-   launches at most one non-blocking REQUEST per peer, advancing the queue
-   from the completion interrupt — a crashed or partitioned peer is
-   retried with jittered backoff (dropped after [retry_cap] verdicts) and
-   never stalls the other peers or the member task.
+   launches at most one non-blocking REQUEST per peer, whose put carries
+   the longest FIFO prefix of the queue that fits the kernel's buffer
+   ([max_data_bytes]); the completion interrupt pops that prefix. A
+   crashed or partitioned peer is retried with jittered backoff, a
+   possibly longer prefix each time (a frame is dropped after
+   [retry_cap] verdicts), and never stalls the other peers or the member
+   task.
 
    [pump] also enforces a global in-flight cap that shrinks with the
    cluster size: all n members echo every message concurrently, and past
@@ -250,20 +248,16 @@ let majority m = (m.n / 2) + 1
 let retry_cap = 25
 let retry_spacing_us = 200_000
 
-(* Aggregate launch pacing: the 1 Mbit/s bus carries roughly 400 full
-   FORWARD transactions per second, and all n members send concurrently,
-   so each member spaces its launches n * 4 ms apart (cluster-wide ~250
-   frames/s, ~70% line utilisation) to keep the bus queue — and with it
+(* Aggregate launch pacing: the 1 Mbit/s bus carries roughly 400
+   single-frame FORWARD transactions per second, and all n members send
+   concurrently, so each member spaces its launches n * 4 ms apart
+   (cluster-wide ~250 transfers/s) to keep the bus queue — and with it
    every transfer's sojourn — under the retransmission crash budget. *)
 let launch_gap_us m = m.n * 4_000
 
 let echo m (fwd : Scd_wire.forward) =
-  if m.chans <> [||] then begin
-    let frame = Scd_wire.encode fwd in
-    Array.iter
-      (fun ch -> Queue.add { of_frame = frame; of_attempts = 0 } ch.ch_q)
-      m.chans
-  end
+  let frame = Scd_wire.encode fwd in
+  Array.iter (fun ch -> Queue.add { of_frame = frame; of_attempts = 0 } ch.ch_q) m.chans
 
 let pump env m rng =
   let len = Array.length m.chans in
@@ -272,10 +266,10 @@ let pump env m rng =
        bus_capacity_pkts/n keeps the aggregate in-flight FORWARDs within
        what the medium absorbs — the same cap the transport's AIMD layer
        models (Cost_model.fair_share_window), not a parallel mechanism. *)
-    let cap = Cost.fair_share_window (Kernel.cost (Sodal.kernel env)) ~stations:m.n in
+    let cost = Kernel.cost (Sodal.kernel env) in
+    let cap = Cost.fair_share_window cost ~stations:m.n in
     let in_flight = ref 0 in
     Array.iter (fun ch -> if ch.ch_in_flight then incr in_flight) m.chans;
-    let pat = cluster_pattern ~cluster:m.cluster in
     let slots_full = ref false in
     let i = ref 0 in
     while (not !slots_full) && !in_flight < cap && !i < len do
@@ -288,31 +282,46 @@ let pump env m rng =
         let now = Sodal.now env in
         now >= ch.ch_ready_at && now >= m.next_launch_at
       then begin
-        let f = Queue.peek ch.ch_q in
-        match Sodal.put env (Sodal.server ~mid:ch.ch_mid ~pattern:pat) ~arg:0 f.of_frame with
+        (* the longest FIFO prefix that fits one put, newest first *)
+        let frames, _ =
+          Queue.fold
+            (fun (fs, room) f ->
+              let room = room - Bytes.length f.of_frame in
+              if room >= 0 then (f :: fs, room) else (fs, -1))
+            ([], cost.Cost.max_data_bytes) ch.ch_q
+        in
+        let batch = Bytes.concat Bytes.empty (List.rev_map (fun f -> f.of_frame) frames) in
+        match Sodal.put env (Sodal.server ~mid:ch.ch_mid ~pattern:m.cluster_pat) ~arg:0 batch with
         | exception Sodal.Too_many_requests -> slots_full := true
         | tid ->
           ch.ch_in_flight <- true;
           incr in_flight;
           m.next_launch_at <- Sodal.now env + launch_gap_us m;
-          f.of_attempts <- f.of_attempts + 1;
-          Metrics.incr (metrics env) "scd.forwards";
-          if f.of_attempts > 1 then Metrics.incr (metrics env) "scd.retry_frames";
+          (* the counters count FORWARD messages, not transfers *)
+          let retried =
+            List.fold_left
+              (fun k f ->
+                f.of_attempts <- f.of_attempts + 1;
+                if f.of_attempts > 1 then k + 1 else k)
+              0 frames
+          in
+          Metrics.add (metrics env) "scd.forwards" (List.length frames);
+          if retried > 0 then Metrics.add (metrics env) "scd.retry_frames" retried;
           Sodal.on_completion_of env tid (fun c ->
               ch.ch_in_flight <- false;
               match c.Sodal.status with
               | Sodal.Comp_ok | Sodal.Comp_rejected ->
-                ignore (Queue.pop ch.ch_q);
-                ch.ch_ready_at <- 0
+                List.iter (fun _ -> ignore (Queue.pop ch.ch_q)) frames
               | Sodal.Comp_crashed | Sodal.Comp_unadvertised ->
-                if f.of_attempts >= retry_cap then begin
+                (* frames behind the head may have had fewer attempts *)
+                while
+                  (not (Queue.is_empty ch.ch_q)) && (Queue.peek ch.ch_q).of_attempts >= retry_cap
+                do
                   ignore (Queue.pop ch.ch_q);
                   Metrics.incr (metrics env) "scd.retry_dropped"
-                end
-                else
-                  ch.ch_ready_at <-
-                    Sodal.now env + retry_spacing_us
-                    + Rng.int rng (retry_spacing_us / 2))
+                done;
+                ch.ch_ready_at <-
+                  Sodal.now env + retry_spacing_us + Rng.int rng (retry_spacing_us / 2))
       end
     done;
     m.pump_cursor <- (m.pump_cursor + 1) mod len
@@ -425,10 +434,10 @@ let deliver_set env m quads =
   List.iter
     (fun q ->
       Hashtbl.remove m.buffer (q.q_sd, q.q_sn);
-      Hashtbl.replace m.delivered (q.q_sd, q.q_sn) ())
+      Hashtbl.replace m.delivered (q.q_sd, q.q_sn) ();
+      apply m q)
     quads;
   m.delivery_log <- ids :: m.delivery_log;
-  List.iter (fun q -> apply m q) quads;
   let ms = metrics env in
   Metrics.incr ms "scd.deliveries";
   Metrics.observe ms "scd.set_size" (List.length ids);
@@ -468,26 +477,18 @@ let rec try_deliver env m =
     done;
     !c >= maj
   in
+  let rec ready cands rest =
+    match List.partition (fun q -> List.exists (fun q' -> not (prec q q')) rest) cands with
+    | [], cands -> cands
+    | blocked, cands -> ready cands (blocked @ rest)
+  in
   let all = Hashtbl.fold (fun _ q acc -> q :: acc) m.buffer [] in
   let cands, rest = List.partition (fun q -> known q >= maj) all in
-  let cands = ref cands in
-  let rest = ref rest in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    let blocked, ready =
-      List.partition (fun q -> List.exists (fun q' -> not (prec q q')) !rest) !cands
-    in
-    if blocked <> [] then begin
-      cands := ready;
-      rest := blocked @ !rest;
-      progress := true
-    end
-  done;
-  if !cands <> [] then begin
-    deliver_set env m !cands;
+  match ready cands rest with
+  | [] -> ()
+  | set ->
+    deliver_set env m set;
     try_deliver env m
-  end
 
 (* ---- proxied operations ------------------------------------------------- *)
 
@@ -535,9 +536,11 @@ let valid_op m kind a = kind >= op_write && kind <= op_cread
                         && (kind <> op_write || (a >= 0 && a < m.regs))
 
 let handle_request m env info =
-  if Pattern.equal info.Sodal.pattern (cluster_pattern ~cluster:m.cluster) then
-    (* peer FORWARD: accept in the handler (bounded) so a peer's blocking
-       multicast never waits on our task; the task drains the inbox *)
+  if Pattern.equal info.Sodal.pattern m.cluster_pat then
+    (* peer FORWARDs: accept in the handler (bounded) so a peer's transfer
+       never waits on our task; the task drains the inbox. A transfer is
+       a prefix of the peer's FIFO channel, so in-order entries keep the
+       channel FIFO. *)
     if info.Sodal.put_size > 0 && info.Sodal.get_size = 0 then begin
       let into = Bytes.create info.Sodal.put_size in
       let status, got = Sodal.accept_current_put env ~arg:0 ~into in
@@ -545,7 +548,7 @@ let handle_request m env info =
       | Types.Accept_success -> (
         let frame = if got = Bytes.length into then into else Bytes.sub into 0 got in
         match Scd_wire.decode frame with
-        | Ok fwd -> Queue.add fwd m.inbox
+        | Ok fwds -> List.iter (fun fwd -> Queue.add fwd m.inbox) fwds
         | Error _ -> Metrics.incr (metrics env) "scd.bad_frame")
       | Types.Accept_cancelled | Types.Accept_crashed -> ()
     end
@@ -588,6 +591,10 @@ let handle_request m env info =
 
 let member_task m env =
   let rng = Rng.split (Engine.rng (Kernel.engine (Sodal.kernel env))) in
+  (* Delivery depends only on the buffered clock vectors, which only
+     [process_forward] and [start_op] change; a new incarnation may find
+     a buffer its predecessor's crash left undelivered. *)
+  try_deliver env m;
   while true do
     let worked = ref false in
     while not (Queue.is_empty m.inbox) do
@@ -598,7 +605,7 @@ let member_task m env =
       worked := true;
       start_op env m (Queue.pop m.op_inbox)
     done;
-    try_deliver env m;
+    if !worked then try_deliver env m;
     pump env m rng;
     (* Re-check the inboxes before sleeping: [pump] awaits inside
        [Sodal.put]'s trap, during which the handler may have accepted new
@@ -610,13 +617,10 @@ let member_task m env =
   done
 
 let member_spec m =
-  let member_pat = member_pattern ~cluster:m.cluster ~index:m.index in
-  let cluster_pat = cluster_pattern ~cluster:m.cluster in
   {
     Sodal.default_spec with
     init =
       (fun env ~parent:_ ->
-        m.boots <- m.boots + 1;
         (* completions registered by the previous incarnation died with
            its env: clear the in-flight marks so the heads are re-sent
            (duplicate FORWARDs are idempotent at the receiver) *)
@@ -625,8 +629,8 @@ let member_spec m =
             ch.ch_in_flight <- false;
             ch.ch_ready_at <- 0)
           m.chans;
-        Sodal.advertise env member_pat;
-        Sodal.advertise env cluster_pat);
+        Sodal.advertise env m.member_pat;
+        Sodal.advertise env m.cluster_pat);
     on_request = (fun env info -> handle_request m env info);
     task = (fun env -> member_task m env);
   }

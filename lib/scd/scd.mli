@@ -16,11 +16,12 @@
     which buffered messages must go into the same delivered set. FORWARD
     frames are {!Soda_proto.Scd_wire} payloads sent peer-to-peer over
     per-peer FIFO channels: each member keeps one outgoing queue per
-    peer with at most one frame in flight, so a peer always sees a
-    member's clock stamps in order, and a pump paces launches across all
-    channels (bounded cluster-wide in-flight count plus an aggregate
-    launch-rate gap) so the quadratic frame storm never drives the shared
-    bus's queueing delay past the retransmission crash budget. See
+    peer with at most one transfer in flight, carrying the longest queue
+    prefix that fits one put, so a peer sees a member's clock stamps in
+    order, and a pump paces launches across all channels (bounded
+    cluster-wide in-flight count plus an aggregate launch-rate gap) so
+    the quadratic FORWARD storm never drives the shared bus's queueing
+    delay past the retransmission crash budget. See
     [docs/BROADCAST.md].
 
     Members expose the two derived objects to clients over a two-phase
@@ -76,13 +77,7 @@ val broadcasts_made : member -> int
     validity checker. *)
 val broadcast_sns : member -> int list
 
-(** Messages currently buffered (received, not yet delivered). *)
-val buffered : member -> int
-
-(** Frames accepted by the handler but not yet drained by the task. *)
-val inbox_depth : member -> int
-
-(** FORWARD frames waiting in the per-peer retry queues. *)
+(** FORWARD frames waiting in the per-peer send queues. *)
 val retry_depth : member -> int
 
 (** {1 Clients} *)

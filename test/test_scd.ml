@@ -34,6 +34,7 @@ let seed_base = env_int "SODA_SCD_SEED" 0
 
 (* ---- wire codec -------------------------------------------------------- *)
 
+(* One encoded frame is also a one-entry batch: it decodes to itself. *)
 let test_wire_roundtrip () =
   let frames =
     [
@@ -51,12 +52,34 @@ let test_wire_roundtrip () =
         "encoded_size" (Bytes.length wire)
         (Scd_wire.encoded_size fwd);
       match Scd_wire.decode wire with
-      | Ok fwd' ->
+      | Ok [ fwd' ] ->
         Alcotest.(check bool)
           (Format.asprintf "%a" Scd_wire.pp fwd)
           true (Scd_wire.equal fwd fwd')
+      | Ok l -> Alcotest.failf "decoded %d entries" (List.length l)
       | Error e -> Alcotest.failf "decode failed: %s" e)
     frames
+
+let gen_forward =
+  let open QCheck.Gen in
+  let u16 = int_bound 0xFFFF and i32 = int_range (-0x8000_0000) 0x7FFF_FFFF in
+  let payload =
+    oneof
+      [
+        map
+          (fun (reg, value, date, writer) -> Scd_wire.Write { reg; value; date; writer })
+          (quad u16 int i32 u16);
+        map
+          (fun (delta, origin, oseq) -> Scd_wire.Incr { delta; origin; oseq })
+          (triple int i32 i32);
+        return Scd_wire.Sync;
+      ]
+  in
+  map
+    (fun ((sd, sn), (f, snf), payload) -> { Scd_wire.sd; sn; f; snf; payload })
+    (triple (pair u16 i32) (pair u16 i32) payload)
+
+let batch fwds = Bytes.concat Bytes.empty (List.map Scd_wire.encode fwds)
 
 let test_wire_rejects_garbage () =
   let reject label b =
@@ -74,7 +97,29 @@ let test_wire_rejects_garbage () =
       { Scd_wire.sd = 1; sn = 2; f = 3; snf = 4;
         payload = Scd_wire.Incr { delta = 9; origin = 1; oseq = 2 } }
   in
-  reject "truncated payload" (Bytes.sub good 0 (Bytes.length good - 1))
+  reject "truncated payload" (Bytes.sub good 0 (Bytes.length good - 1));
+  (* a batch is rejected whole, never decoded up to the bad entry *)
+  let sync = { Scd_wire.sd = 0; sn = 1; f = 0; snf = 1; payload = Scd_wire.Sync } in
+  let incr = { sync with payload = Scd_wire.Incr { delta = 1; origin = 2; oseq = 3 } } in
+  let b = batch [ sync; sync; incr ] in
+  reject "batch with a truncated tail" (Bytes.sub b 0 (Bytes.length b - 1));
+  reject "batch with a truncated last header" (Bytes.sub b 0 (Bytes.length b - 20));
+  let b = Bytes.copy b in
+  Bytes.set b (Scd_wire.encoded_size sync) '\x07';
+  reject "batch with an unknown tag in the middle" b
+
+(* A transfer's put data is the encoded frames back to back; decoding
+   gives them back in order. *)
+let prop_wire_batch_roundtrip =
+  QCheck.Test.make ~name:"wire: batches of 1..k frames round-trip in order" ~count:300
+    (QCheck.make
+       ~print:(fun fwds ->
+         String.concat "; " (List.map (Format.asprintf "%a" Scd_wire.pp) fwds))
+       QCheck.Gen.(list_size (int_range 1 40) gen_forward))
+    (fun fwds ->
+      match Scd_wire.decode (batch fwds) with
+      | Ok fwds' -> List.equal Scd_wire.equal fwds fwds'
+      | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e)
 
 (* ---- healthy cluster ---------------------------------------------------- *)
 
@@ -267,6 +312,54 @@ let test_partition_heals_and_converges () =
   | Ok () -> ()
   | Error m -> Alcotest.fail m
 
+(* Member 2 is cut off while one client (proxied by member 0) runs its
+   script, so members 0 and 1 queue a FORWARD for it per message. Each
+   retry carries the longest prefix of the channel that fits one put, so
+   after the heal the backlog arrives in fewer transfers than FORWARD
+   messages: in-order prefixes of FIFO channels, which keep delivery and
+   objects safe. *)
+let test_backlog_batched_after_heal () =
+  let plan =
+    [
+      { Fault_plan.at_us = 0; action = Fault_plan.Partition ([ 2 ], [ 0; 1; 3 ]) };
+      { Fault_plan.at_us = 1_500_000; action = Fault_plan.Heal };
+    ]
+  in
+  let r =
+    Harness.run ~n:3 ~clients:1 ~ops:6 ~regs:2 ~think_us:0 ~seed:(seed_base + 70) ~plan ()
+  in
+  assert_safe r;
+  (match Harness.check_convergence r with Ok () -> () | Error m -> Alcotest.fail m);
+  let metrics = Soda_obs.Recorder.metrics (Network.recorder r.net) in
+  let broadcasts = Metrics.counter metrics "scd.broadcasts" in
+  let transfers =
+    Stats.counter (Kernel.stats (Network.node r.net ~mid:2)) "req.delivered"
+  in
+  Alcotest.(check int) "nothing dropped" 0 (Metrics.counter metrics "scd.retry_dropped");
+  Alcotest.(check bool)
+    (Printf.sprintf "%d transfers carry the %d FORWARDs to member 2" transfers
+       (2 * broadcasts))
+    true
+    (transfers > 0 && transfers < 2 * broadcasts)
+
+(* Member 2 is down for good: every FORWARD queued for it is dropped
+   after [retry_cap] crash verdicts, and a dropped batch counts each of
+   its entries, so the drops total the FORWARDs addressed to it. *)
+let test_dropped_batch_counts_entries () =
+  let plan = [ { Fault_plan.at_us = 0; action = Fault_plan.Crash 2 } ] in
+  let r =
+    Harness.run ~n:3 ~clients:1 ~ops:6 ~regs:2 ~think_us:0 ~seed:(seed_base + 71) ~plan ()
+  in
+  assert_safe r;
+  let metrics = Soda_obs.Recorder.metrics (Network.recorder r.net) in
+  let broadcasts = Metrics.counter metrics "scd.broadcasts" in
+  Alcotest.(check bool) "some broadcasts happened" true (broadcasts > 0);
+  Alcotest.(check int) "every FORWARD to member 2 dropped once" (2 * broadcasts)
+    (Metrics.counter metrics "scd.retry_dropped");
+  Array.iteri
+    (fun i m -> if i < 2 then Alcotest.(check int) "queues drained" 0 (Scd.retry_depth m))
+    r.members
+
 let test_duplication_is_idempotent () =
   let plan =
     [
@@ -422,6 +515,7 @@ let suites =
       [
         Alcotest.test_case "wire: round-trips every payload" `Quick test_wire_roundtrip;
         Alcotest.test_case "wire: rejects garbage" `Quick test_wire_rejects_garbage;
+        QCheck_alcotest.to_alcotest prop_wire_batch_roundtrip;
         Alcotest.test_case "objects on a healthy cluster" `Quick test_objects_basic;
         Alcotest.test_case "quadratic message cost" `Quick test_quadratic_message_cost;
         Alcotest.test_case "delivery properties on a healthy run" `Quick
@@ -432,6 +526,10 @@ let suites =
         Alcotest.test_case "survives a minority crash" `Quick test_survives_minority_crash;
         Alcotest.test_case "partition heals and converges" `Quick
           test_partition_heals_and_converges;
+        Alcotest.test_case "backlog reaches a healed member in batches" `Quick
+          test_backlog_batched_after_heal;
+        Alcotest.test_case "a dropped batch counts each entry" `Quick
+          test_dropped_batch_counts_entries;
         Alcotest.test_case "frame duplication is idempotent" `Quick
           test_duplication_is_idempotent;
         Alcotest.test_case "loss burst keeps safety" `Quick test_loss_burst_safety;

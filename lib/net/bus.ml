@@ -189,6 +189,8 @@ let transmission_time_us t ~payload_bytes =
   let bits = bytes * 8 in
   (bits * 1_000_000 + t.config.bandwidth_bps - 1) / t.config.bandwidth_bps
 
+let backlog_us t = max 0 (t.busy_until - Engine.now t.engine)
+
 let attach t ~mid ~rx =
   if Hashtbl.mem t.stations mid then
     invalid_arg (Printf.sprintf "Bus.attach: mid %d already attached" mid);

@@ -96,6 +96,11 @@ val clear_delay_jitter : t -> unit
     for a frame of that size (including overhead and CRC trailer). *)
 val transmission_time_us : t -> payload_bytes:int -> int
 
+(** [backlog_us t] is how long from now until the medium finishes every
+    frame already queued on it: a frame sent now starts no earlier. Zero
+    when the medium is idle. *)
+val backlog_us : t -> int
+
 (** [attach t ~mid ~rx] registers a station. [rx] receives every frame
     whose destination matches [mid] (or broadcast), after loss and
     corruption have been applied; CRC checking is the receiver's job.

@@ -97,6 +97,16 @@ type consumed_rec = {
 (* An empty replay slot: kind 0 matches no sequenced message. *)
 let no_rec = { cr_kind = 0; cr_tid = Event.no_tid; cr_response = None }
 
+(* A REQUEST held at the head of a receive window while the node's input
+   buffer is full, and how many of its retransmissions we have swallowed
+   while holding it. *)
+type hold = { h_pkt : Wire.t; mutable h_retries : int }
+
+(* No hold: its packet is no packet that ever arrives. *)
+let no_hold =
+  { h_pkt = { Wire.src = -1; reliable = false; seq = 0; ack = None; run = false; body = Wire.Ack };
+    h_retries = 0 }
+
 type conn = {
   peer : int;
   (* sender half: [send_base] is the oldest unacknowledged slot, [send_next]
@@ -124,11 +134,9 @@ type conn = {
          pushed forward on every touch WITHOUT rescheduling [expiry_timer]
          (a cancel + heap push per received packet) — the timer re-arms
          itself for the remainder when it fires early *)
-  (* bounding the pipelined hold: the head-of-window REQUEST currently
-     deferred on a full input buffer, and how many of its retransmissions
-     we have swallowed while holding it *)
-  mutable held_pkt : Wire.t option;
-  mutable held_retries : int;
+  mutable hold : hold;
+      (* the head-of-window REQUEST deferred on a full input buffer; not
+         [no_hold] exactly while the connection is queued in [t.holders] *)
   (* congestion control (windowed transports with aimd on): effective
      send window = min(cwnd, window); Jacobson estimator state in float
      microseconds, srtt = 0.0 until the first Karn-clean sample *)
@@ -138,6 +146,10 @@ type conn = {
   mutable cwnd_cut_at : int;
       (* last multiplicative decrease; a burst of timer expiries within
          one RTO counts as a single loss event *)
+  mutable rto_shift : int;
+      (* Karn backoff kept across REQUESTs (RFC 6298 §5.5-5.7): the highest
+         retry count a REQUEST timer expiry has reached since the last
+         clean RTT sample, capped at max_retrans *)
 }
 
 (* ---- requester-side transaction records -------------------------------- *)
@@ -223,6 +235,10 @@ type t = {
   seen_discovers : (int * int, unit) Hashtbl.t;
   srv_txns : (int * int, srv_txn) Hashtbl.t;
   mutable buffered : buffered_request option;  (* pipelined input buffer *)
+  holders : conn Queue.t;
+      (* connections with a REQUEST held at the head of their receive
+         window, in the order each head was first held: freed input-buffer
+         capacity goes to the longest holder *)
   mutable epoch : int;  (* bumped on reset; stale deferred events are dropped *)
   (* Causal identity per live transaction: the requester registers the
      minted context at trap time, the server adopts a child span at
@@ -377,12 +393,12 @@ let conn_for t peer =
         ack_timer = None;
         expiry_timer = None;
         expiry_deadline = 0;
-        held_pkt = None;
-        held_retries = 0;
+        hold = no_hold;
         cwnd = Cost.cwnd_init t.cost;
         srtt_us = 0.0;
         rttvar_us = 0.0;
         cwnd_cut_at = 0;
+        rto_shift = 0;
       }
     in
     Hashtbl.replace t.conns peer c;
@@ -573,6 +589,7 @@ let rtt_sample_sp t conn sp =
       in
       conn.srtt_us <- srtt;
       conn.rttvar_us <- rttvar;
+      conn.rto_shift <- 0;
       Stats.sample t.stats "net.rtt_us" sample;
       if tracing t then
         event t
@@ -610,11 +627,17 @@ let cwnd_on_loss t conn =
     end
   end
 
+(* A REQUEST's backoff exponent starts from the connection's persisted
+   shift: the REQUESTs a busy server holds are all retransmitted, so
+   Karn's rule discards every sample and [srtt] never forms; without the
+   shift each new REQUEST would start from the unbacked-off RTO again. *)
+let backoff_exp t conn sp =
+  if aimd_on t && sp.sp_kind = K_request then max sp.sp_retries conn.rto_shift
+  else sp.sp_retries
+
 let retrans_delay t conn sp =
-  let base =
-    float_of_int t.cost.Cost.retrans_interval_us
-    *. (t.cost.Cost.retrans_backoff ** float_of_int sp.sp_retries)
-  in
+  let backoff = t.cost.Cost.retrans_backoff ** float_of_int (backoff_exp t conn sp) in
+  let base = float_of_int t.cost.Cost.retrans_interval_us *. backoff in
   (* Adaptive floor: once the estimator has a sample, never fire before
      srtt + 4 rttvar (with the same per-retry backoff). Under incast the
      static schedule undershoots the queueing delay and every client
@@ -626,7 +649,7 @@ let retrans_delay t conn sp =
       Float.max base
         (float_of_int
            (Cost.rto_us t.cost ~srtt_us:conn.srtt_us ~rttvar_us:conn.rttvar_us)
-         *. (t.cost.Cost.retrans_backoff ** float_of_int sp.sp_retries))
+         *. backoff)
     else base
   in
   (* A 2000-byte frame holds the 1 Mbit medium for ~16 ms, and the expected
@@ -804,9 +827,13 @@ let rec transmit_sent t conn sp =
              owe_ack t conn (Option.get conn.ack_owed)))
   end
 
+(* The timer covers the frame's wait for the medium too: a frame queued
+   behind the bus backlog has not been sent yet, so that wait is not
+   evidence of loss (the paper's adaptor timed out only frames that had
+   gone out on the Megalink). *)
 and arm_retrans t conn sp =
   cancel_sp_timer t sp;
-  let delay = retrans_delay t conn sp in
+  let delay = retrans_delay t conn sp + Bus.backlog_us t.bus in
   sp.sp_timer <-
     Some
       (defer t ~delay (fun () ->
@@ -815,6 +842,9 @@ and arm_retrans t conn sp =
              (* the timer expiring IS the loss signal: halve cwnd (at
                 most once per RTO) whether we retry or give up *)
              cwnd_on_loss t conn;
+             if aimd_on t && sp.sp_kind = K_request then
+               conn.rto_shift <-
+                 min t.cost.Cost.max_retrans (max conn.rto_shift (sp.sp_retries + 1));
              if sp.sp_retries >= t.cost.Cost.max_retrans then
                release_sent t conn sp (fun () -> sp.sp_done Out_timeout)
              else begin
@@ -1023,6 +1053,7 @@ let create ~engine ~bus ~mid ~cost ~recorder =
       seen_discovers = Hashtbl.create 4;
       srv_txns = Hashtbl.create 16;
       buffered = None;
+      holders = Queue.create ();
       epoch = 0;
       tid_causal = Hashtbl.create 16;
       hot;
@@ -1753,6 +1784,12 @@ let offer_request t conn pkt ~resync =
        end)
   | _ -> assert false
 
+(* [pkt], at the head of [conn]'s receive window, was just held: queue
+   the connection for the input buffer unless it already waits there. *)
+let note_held t conn pkt =
+  if conn.hold == no_hold then Queue.push conn t.holders;
+  if conn.hold.h_pkt != pkt then conn.hold <- { h_pkt = pkt; h_retries = 0 }
+
 (* Process parked packets that have become in-order (the gap filled, or a
    deferred REQUEST's handler freed). Stops at the first hold. *)
 let rec drain_recv t conn =
@@ -1767,7 +1804,7 @@ let rec drain_recv t conn =
         | `Done ->
           conn.recv_buf <- rest;
           drain_recv t conn
-        | `Held -> ())
+        | `Held -> note_held t conn pkt)
      | _ ->
        conn.recv_buf <- rest;
        handle_consumed t conn (consume_in_order t conn ~resync:false pkt) pkt;
@@ -1786,15 +1823,10 @@ let held_retry_limit t = max 1 (t.cost.Cost.max_retrans - 2)
 
 let count_held_retry t conn held =
   match conn.recv_buf with
-  | still :: rest when still == held ->
-    (match conn.held_pkt with
-     | Some p when p == held -> conn.held_retries <- conn.held_retries + 1
-     | Some _ | None ->
-       conn.held_pkt <- Some held;
-       conn.held_retries <- 1);
-    if conn.held_retries >= held_retry_limit t then begin
-      conn.held_pkt <- None;
-      conn.held_retries <- 0;
+  | still :: rest when still == held && conn.hold.h_pkt == held ->
+    let h = conn.hold in
+    h.h_retries <- h.h_retries + 1;
+    if h.h_retries >= held_retry_limit t then begin
       match held.Wire.body with
       | Wire.Request { tid; _ } ->
         conn.recv_buf <- rest;
@@ -1805,10 +1837,33 @@ let count_held_retry t conn held =
         drain_recv t conn
       | _ -> ()
     end
-  | _ ->
-    (* the hold cleared: the deferred packet was delivered *)
-    conn.held_pkt <- None;
-    conn.held_retries <- 0
+  | _ -> () (* the hold cleared: the deferred packet was delivered *)
+
+(* Is the head of [conn]'s receive window in order? After [drain_recv]
+   that means a REQUEST it left held. *)
+let head_held conn =
+  match conn.recv_base, conn.recv_buf with
+  | None, _ :: _ -> true
+  | Some base, pkt :: _ -> base = pkt.Wire.seq
+  | _, [] -> false
+
+(* Offer freed input-buffer capacity to the held connections, longest
+   holder first. A hold means the whole node's input buffer is occupied
+   ([`Busy] does not depend on the pattern), so the first head still held
+   after its drain ends the walk: everyone behind it would be held too. A
+   connection that made progress but holds a newer REQUEST goes to the
+   back; one that holds nothing any more leaves. *)
+let rec drain_holders t =
+  if not (Queue.is_empty t.holders) then begin
+    let conn = Queue.peek t.holders in
+    let before = conn.recv_buf in
+    drain_recv t conn;
+    if not (head_held conn && conn.recv_buf == before) then begin
+      ignore (Queue.pop t.holders);
+      if head_held conn then Queue.push conn t.holders else conn.hold <- no_hold;
+      drain_holders t
+    end
+  end
 
 let flush_buffered t =
   (match t.buffered with
@@ -1842,7 +1897,7 @@ let flush_buffered t =
           (Wire.Error { tid = br.br_tid; code = Wire.Err_unadvertised })));
   (* The freed handler (and possibly the freed input buffer) may unblock a
      REQUEST deferred at the head of a receive window. *)
-  if win t > 1 then Hashtbl.iter (fun _ conn -> drain_recv t conn) t.conns
+  drain_holders t
 
 let process_packet t ?ctx ~bytes pkt =
   let src = pkt.Wire.src in
@@ -1920,7 +1975,9 @@ let process_packet t ?ctx ~bytes pkt =
      | _ ->
        (match offer_request t conn pkt ~resync with
         | `Done -> drain_recv t conn
-        | `Held -> stash t conn pkt))
+        | `Held ->
+          stash t conn pkt;
+          note_held t conn pkt))
   | Wire.Put_data { tid; data }, Some Out_of_order ->
     (* The slot must fill in order, but the BODY is transaction-addressed
        and idempotent -- and the accepting handler may be blocked waiting
@@ -1988,6 +2045,7 @@ let reset t =
   Hashtbl.reset t.seen_discovers;
   Hashtbl.reset t.srv_txns;
   Hashtbl.reset t.tid_causal;
+  Queue.clear t.holders;
   t.buffered <- None;
   mark t ~peer:(-1) ~tid:Event.no_tid ~n:0 Event.Transport_reset
 

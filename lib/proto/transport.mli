@@ -131,7 +131,8 @@ val accept :
 val cancel : t -> tid:int -> on_done:(bool -> unit) -> unit
 
 (** The kernel's handler became available: re-offer a pipelined buffered
-    request, if any. *)
+    request, if any, then offer the freed input buffer to the REQUESTs
+    held at the heads of receive windows, longest-held first. *)
 val flush_buffered : t -> unit
 
 (** Crash or DIE: drop every connection record, transaction and timer.

@@ -51,7 +51,6 @@ type t = {
   aimd_incr : float;
   rtt_alpha : float;
   rtt_beta : float;
-  bus_capacity_pkts : int;
 }
 
 let default =
@@ -89,7 +88,6 @@ let default =
     aimd_incr = 1.0;
     rtt_alpha = 0.125;
     rtt_beta = 0.25;
-    bus_capacity_pkts = 128;
   }
 
 let non_pipelined = { default with pipelined = false }
@@ -152,12 +150,6 @@ let rto_us t ~srtt_us ~rttvar_us =
   if srtt_us <= 0.0 then t.retrans_interval_us
   else
     max t.retrans_interval_us (int_of_float (srtt_us +. (4.0 *. rttvar_us)))
-
-(* Fair share of the bus for one of [stations] concurrent senders:
-   bounds aggregate in-flight packets by the bus capacity. This is the
-   cap the SCD pump uses to avoid congestion collapse at large n. *)
-let fair_share_window t ~stations =
-  max 1 (min (client_window t) (t.bus_capacity_pkts / max 1 stations))
 
 let r_us t =
   let rec sum i interval acc =

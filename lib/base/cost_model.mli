@@ -77,9 +77,6 @@ type t = {
   aimd_incr : float;  (** additive increase per clean cumulative ack *)
   rtt_alpha : float;  (** smoothed-RTT gain (RFC 6298: 1/8) *)
   rtt_beta : float;  (** RTT-variance gain (RFC 6298: 1/4) *)
-  bus_capacity_pkts : int;
-      (** aggregate in-flight packets one bus can absorb before
-          queueing collapses; feeds [fair_share_window] *)
 }
 
 val default : t
@@ -126,11 +123,6 @@ val rtt_update : t -> srtt_us:float -> rttvar_us:float -> sample_us:int -> float
     earlier than the fixed schedule). With no sample yet, exactly
     [retrans_interval_us]. *)
 val rto_us : t -> srtt_us:float -> rttvar_us:float -> int
-
-(** [fair_share_window t ~stations] caps one of [stations] concurrent
-    senders' in-flight packets so the aggregate stays within
-    [bus_capacity_pkts]; never below 1, never above [client_window]. *)
-val fair_share_window : t -> stations:int -> int
 
 (** Total span of retransmissions, R (for Delta-t intervals). *)
 val r_us : t -> int

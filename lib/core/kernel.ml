@@ -303,7 +303,7 @@ let handle_reserved t ~src ~tid ~pattern ~arg ~put_size ~get_size =
                t.kill_pattern <- p;
                mark t ~peer:src ~n:0 Event.Kill_pattern_replaced
              | _ -> mark t ~peer:src ~n:0 Event.System_malformed)
-          | Transport.Acc_cancelled | Transport.Acc_crashed -> ())
+          | Transport.Acc_cancelled | Transport.Acc_crashed _ -> ())
     end
   end
   else if
@@ -333,7 +333,7 @@ let handle_reserved t ~src ~tid ~pattern ~arg ~put_size ~get_size =
              ~k:(fun outcome ->
                match outcome with
                | Transport.Acc_success data -> Buffer.add_bytes image data
-               | Transport.Acc_cancelled | Transport.Acc_crashed -> ())
+               | Transport.Acc_cancelled | Transport.Acc_crashed _ -> ())
          else begin
            (* SIGNAL: start the new client executing in its handler. *)
            internal_accept t ~src ~tid ~arg:0 ~get_capacity:0 ~data_out:nothing
@@ -570,13 +570,15 @@ let accept t ~requester ~arg ~get_buffer ~put ~on_done =
   Transport.accept t.transport ~requester_mid:requester.Types.rq_mid
     ~requester_tid:requester.Types.rq_tid ~arg ~get_capacity:(Bytes.length get_buffer)
     ~data_out ~on_done:(fun outcome ->
-      match outcome with
-      | Transport.Acc_success data ->
+      let land_data status data =
         let len = min (Bytes.length data) (Bytes.length get_buffer) in
         Bytes.blit data 0 get_buffer 0 len;
-        on_done (Types.Accept_success, len)
+        on_done (status, len)
+      in
+      match outcome with
+      | Transport.Acc_success data -> land_data Types.Accept_success data
       | Transport.Acc_cancelled -> on_done (Types.Accept_cancelled, 0)
-      | Transport.Acc_crashed -> on_done (Types.Accept_crashed, 0))
+      | Transport.Acc_crashed data -> land_data Types.Accept_crashed data)
 
 let cancel t ~requester ~on_done =
   if requester.Types.rq_mid <> t.mid then on_done false

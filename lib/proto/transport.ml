@@ -18,7 +18,7 @@ type completion =
   | Comp_crashed
   | Comp_discovered of int list
 
-type accept_outcome = Acc_success of bytes | Acc_cancelled | Acc_crashed
+type accept_outcome = Acc_success of bytes | Acc_cancelled | Acc_crashed of bytes
 
 type delivery_decision = [ `Deliver | `Busy | `Unadvertised ]
 
@@ -179,10 +179,17 @@ type discover_req = {
 
 (* ---- server-side transaction records ----------------------------------- *)
 
+(* Where an ACCEPT's reliable send stands. An accept that returns get
+   data completes only once its ACCEPT is acked ([Awaiting_ack]); a
+   dataless one may complete while its ACCEPT is still [Unacked]. The
+   record starts to expire only once the send is [Resolved]: acked,
+   refused with an ERROR or timed out. *)
+type accept_send = Awaiting_ack | Unacked | Resolved
+
 type accept_ctx = {
   ac_put_transferred : int;
   mutable ac_need_data : bool;
-  mutable ac_awaiting_ack : bool;
+  mutable ac_send : accept_send;
   mutable ac_received : bytes;
   mutable ac_done : bool;
   mutable ac_data_timer : Engine.event_id option;
@@ -1232,13 +1239,23 @@ let srv_gc t txn =
            Hashtbl.remove t.srv_txns (txn.st_src, txn.st_tid);
            forget_causal t ~tid:txn.st_tid))
 
+(* A completed record lives on until its ACCEPT's send is [Resolved],
+   and expires one record lifetime after that: while a dataless ACCEPT
+   still waits in the send queue or is being retransmitted, a probe from
+   its requester must hear "alive". *)
+let accept_finish t txn ctx outcome =
+  ctx.ac_done <- true;
+  txn.st_state <- Srv_completed;
+  if ctx.ac_send = Resolved then srv_gc t txn;
+  ctx.ac_on_done outcome
+
+let accept_resolved t txn ctx =
+  ctx.ac_send <- Resolved;
+  if ctx.ac_done then srv_gc t txn
+
 let accept_check_done t txn ctx =
-  if (not ctx.ac_done) && (not ctx.ac_need_data) && not ctx.ac_awaiting_ack then begin
-    ctx.ac_done <- true;
-    txn.st_state <- Srv_completed;
-    srv_gc t txn;
-    ctx.ac_on_done (Acc_success ctx.ac_received)
-  end
+  if (not ctx.ac_done) && (not ctx.ac_need_data) && ctx.ac_send <> Awaiting_ack then
+    accept_finish t txn ctx (Acc_success ctx.ac_received)
 
 let accept_queued t txn =
   match Hashtbl.find_opt t.conns txn.st_src with
@@ -1264,10 +1281,7 @@ let await_put_data t txn ctx ~acked =
            then begin
              Stats.incr t.stats "accept.data_timeouts";
              mark t ~peer:txn.st_src ~tid:txn.st_tid ~n:0 Event.Data_wait_expired;
-             ctx.ac_done <- true;
-             txn.st_state <- Srv_completed;
-             srv_gc t txn;
-             ctx.ac_on_done Acc_crashed
+             accept_finish t txn ctx (Acc_crashed Bytes.empty)
            end))
 
 let truncate_bytes data len =
@@ -1289,6 +1303,8 @@ let accept t ~requester_mid ~requester_tid ~arg ~get_capacity ~data_out ~on_done
       | Some data -> truncate_bytes data put_transferred
       | None -> Bytes.empty
     in
+    (* the record outlives the accept by a lifetime; it needs no data *)
+    txn.st_put_data <- None;
     (* The input-buffer -> client copy of the requester's put data happens
        as part of the ACCEPT command; the outbound copy is charged at
        transmit time. *)
@@ -1298,7 +1314,7 @@ let accept t ~requester_mid ~requester_tid ~arg ~get_capacity ~data_out ~on_done
       {
         ac_put_transferred = put_transferred;
         ac_need_data = need_data;
-        ac_awaiting_ack = Bytes.length data_out > 0;
+        ac_send = (if Bytes.length data_out > 0 then Awaiting_ack else Unacked);
         ac_received = received;
         ac_done = false;
         ac_data_timer = None;
@@ -1317,23 +1333,15 @@ let accept t ~requester_mid ~requester_tid ~arg ~get_capacity ~data_out ~on_done
              ~on_done:(fun outcome ->
                match outcome with
                | Out_acked ->
-                 ctx.ac_awaiting_ack <- false;
+                 accept_resolved t txn ctx;
                  if ctx.ac_need_data then await_put_data t txn ctx ~acked:true;
                  accept_check_done t txn ctx
                | Out_error Wire.Err_cancelled ->
-                 if not ctx.ac_done then begin
-                   ctx.ac_done <- true;
-                   txn.st_state <- Srv_completed;
-                   srv_gc t txn;
-                   ctx.ac_on_done Acc_cancelled
-                 end
+                 accept_resolved t txn ctx;
+                 if not ctx.ac_done then accept_finish t txn ctx Acc_cancelled
                | Out_error _ | Out_timeout ->
-                 if not ctx.ac_done then begin
-                   ctx.ac_done <- true;
-                   txn.st_state <- Srv_completed;
-                   srv_gc t txn;
-                   ctx.ac_on_done Acc_crashed
-                 end
+                 accept_resolved t txn ctx;
+                 if not ctx.ac_done then accept_finish t txn ctx (Acc_crashed ctx.ac_received)
                | Out_cancel_reply _ -> ());
            accept_check_done t txn ctx))
   | None ->
@@ -1349,9 +1357,9 @@ let accept t ~requester_mid ~requester_tid ~arg ~get_capacity ~data_out ~on_done
       ~on_done:(fun outcome ->
         match outcome with
         | Out_acked -> on_done Acc_cancelled
-        | Out_error Wire.Err_crashed -> on_done Acc_crashed
+        | Out_error Wire.Err_crashed -> on_done (Acc_crashed Bytes.empty)
         | Out_error _ -> on_done Acc_cancelled
-        | Out_timeout -> on_done Acc_crashed
+        | Out_timeout -> on_done (Acc_crashed Bytes.empty)
         | Out_cancel_reply _ -> ())
 
 (* ---- cancel -------------------------------------------------------------- *)
@@ -1678,6 +1686,7 @@ let handle_probe_reply t tid alive =
     req.or_probe_outstanding <- false;
     req.or_probe_misses <- 0;
     if not alive then begin
+      Stats.incr t.stats "probe.lost";
       mark t ~peer:req.or_dst ~tid ~n:0 Event.Probe_lost;
       complete_out_req t req Comp_crashed
     end

@@ -58,7 +58,9 @@ type completion =
 type accept_outcome =
   | Acc_success of bytes  (** the put-direction data received *)
   | Acc_cancelled
-  | Acc_crashed
+  | Acc_crashed of bytes
+      (** the requester vanished; the put-direction data that had
+          arrived before it did (empty if none) *)
 
 type delivery_decision =
   [ `Deliver  (** handler open and idle; kernel will invoke it *)

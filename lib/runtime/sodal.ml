@@ -97,6 +97,25 @@ let wake_idlers env =
 
 let idle env = await env (fun resume -> env.idle_waiters <- resume :: env.idle_waiters)
 
+(* Whichever of the timer and the wake-up comes first resumes; a wake-up
+   cancels the timer, and a fired timer leaves a spent waiter behind. *)
+let idle_for env us =
+  await env (fun resume ->
+      let woken = ref false in
+      let timer =
+        Engine.schedule ~tag:"client" env.engine ~delay:us (fun () ->
+            woken := true;
+            resume ())
+      in
+      env.idle_waiters <-
+        (fun () ->
+          if not !woken then begin
+            woken := true;
+            Engine.cancel env.engine timer;
+            resume ()
+          end)
+        :: env.idle_waiters)
+
 let compute env us =
   if us > 0 then await env (fun resume -> ignore (Engine.schedule ~tag:"client" env.engine ~delay:us resume))
 

@@ -133,7 +133,11 @@ val on_completion_of : env -> Types.tid -> (completion_info -> unit) -> unit
 
 val accept_signal : env -> Types.requester_signature -> arg:int -> Types.accept_status
 
-(** Complete a PUT: requester data lands in [into]; returns bytes taken. *)
+(** Complete a PUT: requester data lands in [into]; returns bytes taken.
+    With [Accept_crashed] the requester vanished before the ACCEPT was
+    known delivered; put data that had already arrived still lands, so
+    the count can be non-zero (the same holds for the other ACCEPTs that
+    take put data). *)
 val accept_put :
   env -> Types.requester_signature -> arg:int -> into:bytes -> Types.accept_status * int
 
@@ -175,6 +179,10 @@ val close_handler : env -> unit
 (** [idle env] suspends the task until some handler activity occurs
     (the SODAL [idle()] of §4.1.1). *)
 val idle : env -> unit
+
+(** [idle_for env us] is [idle] bounded by a timer: it also returns once
+    [us] microseconds have passed without handler activity. *)
+val idle_for : env -> int -> unit
 
 (** [compute env us] models [us] microseconds of client computation. *)
 val compute : env -> int -> unit

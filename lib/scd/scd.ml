@@ -109,22 +109,26 @@ let decode_int_result b = Int64.to_int (Bytes.get_int64_be b 0)
 type out_frame = { of_frame : bytes; mutable of_attempts : int }
 
 (* The per-peer send channel: a FIFO of FORWARD frames with at most one
-   transfer (a prefix of the FIFO) in flight and a backoff deadline after
-   a failed attempt. *)
+   transfer (a prefix of the FIFO) in flight, in either direction. After
+   a failed transfer the channel is [ch_retrying] until one gets through,
+   and waits out a backoff deadline before each retry. *)
 type channel = {
   ch_mid : int;
   ch_q : out_frame Queue.t;
   mutable ch_in_flight : bool;
+  mutable ch_retrying : bool;
   mutable ch_ready_at : int;
 }
 
 (* A buffered quadruplet: one application message plus the clock vector
-   built from peer FORWARDs ([infinity_clock] = not heard yet). *)
+   built from peer FORWARDs ([infinity_clock] = not heard yet) and the
+   number of its entries already heard. *)
 type quad = {
   q_sd : int;
   q_sn : int;
   q_payload : Scd_wire.payload;
   q_cl : int array;
+  mutable q_known : int;
 }
 
 (* A client operation this member proxies: created at submit (ticket
@@ -172,10 +176,13 @@ type member = {
   (* work queues filled by the handler, drained by the task *)
   inbox : Scd_wire.forward Queue.t;
   op_inbox : int Queue.t;
+  mutable candidates : int;  (* buffered quads with a majority of known clocks *)
   (* per-peer outgoing FORWARD channels (see the echo path below) *)
   chans : channel array;
   mutable pump_cursor : int;
-  mutable next_launch_at : int;
+  mutable slot_busy : bool;  (* our one transfer in flight to a healthy peer *)
+  mutable reply : bytes;  (* that transfer's get buffer: the peer's backlog for us *)
+  mutable rng : Rng.t;  (* retry jitter; split from the engine at each boot *)
   mutable delivery_log : (int * int) list list;  (* newest first *)
   mutable nbroadcasts : int;
   mutable bcast_sns : int list;  (* sn of every broadcast we initiated *)
@@ -194,6 +201,7 @@ let member ~cluster ~index ~mids ~regs =
     regs;
     clock = 0;
     buffer = Hashtbl.create 32;
+    candidates = 0;
     delivered = Hashtbl.create 64;
     reg_v = Array.make regs 0;
     reg_ts = Array.make regs (0, -1, -1);
@@ -209,9 +217,11 @@ let member ~cluster ~index ~mids ~regs =
         (List.filteri (fun i _ -> i <> index) mids
         |> List.map (fun mid ->
                { ch_mid = mid; ch_q = Queue.create (); ch_in_flight = false;
-                 ch_ready_at = 0 }));
+                 ch_retrying = false; ch_ready_at = 0 }));
     pump_cursor = 0;
-    next_launch_at = 0;
+    slot_busy = false;
+    reply = Bytes.empty;
+    rng = Rng.create ~seed:index;
     delivery_log = [];
     nbroadcasts = 0;
     bcast_sns = [];
@@ -230,111 +240,183 @@ let majority m = (m.n / 2) + 1
 
 (* The delivery condition reasons about per-sender clocks, so the FORWARD
    stream from one member to one peer must stay FIFO. Every send therefore
-   goes through the peer's channel: [echo] only enqueues, and [pump]
-   launches at most one non-blocking REQUEST per peer, whose put carries
-   the longest FIFO prefix of the queue that fits the kernel's buffer
-   ([max_data_bytes]); the completion interrupt pops that prefix. A
-   crashed or partitioned peer is retried with jittered backoff, a
-   possibly longer prefix each time (a frame is dropped after
-   [retry_cap] verdicts), and never stalls the other peers or the member
-   task.
+   goes through the peer's channel: [echo] only enqueues, and a transfer
+   carries the longest FIFO prefix of the queue that fits the kernel's
+   buffer ([max_data_bytes]). A channel has at most one transfer in flight
+   and pops its prefix only once the transfer is known delivered.
 
-   [pump] also enforces a global in-flight cap that shrinks with the
-   cluster size: all n members echo every message concurrently, and past
-   roughly 128 in-flight transfers cluster-wide the shared bus's queueing
-   delay exceeds the transport's retransmission budget, so healthy peers
-   start drawing spurious crash verdicts (congestion collapse). *)
+   Transfers are clocked by completions, not timers. A member keeps one
+   transfer in flight to a healthy peer (the slot): [pump] launches the
+   next channel with a backlog, round robin, in the wake-up of the
+   previous transfer's completion, so a batch is whatever queued
+   meanwhile and the bus carries at most one such transfer per member.
+   Each launch is an EXCHANGE: it puts our prefix and gets back whatever
+   the peer's idle channel to us holds (the peer's handler claims it
+   for the reply), so one transfer can drain both directions.
+
+   A crash verdict backs the channel off 200-300 ms (the transport does
+   not retry after a verdict) and drops a FORWARD after [retry_cap]
+   verdicts. A channel that is retrying launches outside the slot, so a
+   crashed or partitioned peer never stalls the others. *)
 
 let retry_cap = 25
 let retry_spacing_us = 200_000
-
-(* Aggregate launch pacing: the 1 Mbit/s bus carries roughly 400
-   single-frame FORWARD transactions per second, and all n members send
-   concurrently, so each member spaces its launches n * 4 ms apart
-   (cluster-wide ~250 transfers/s) to keep the bus queue — and with it
-   every transfer's sojourn — under the retransmission crash budget. *)
-let launch_gap_us m = m.n * 4_000
 
 let echo m (fwd : Scd_wire.forward) =
   let frame = Scd_wire.encode fwd in
   Array.iter (fun ch -> Queue.add { of_frame = frame; of_attempts = 0 } ch.ch_q) m.chans
 
-let pump env m rng =
-  let len = Array.length m.chans in
-  if len > 0 then begin
-    (* Cluster fair share of the bus: n members each launching at most
-       bus_capacity_pkts/n keeps the aggregate in-flight FORWARDs within
-       what the medium absorbs — the same cap the transport's AIMD layer
-       models (Cost_model.fair_share_window), not a parallel mechanism. *)
-    let cost = Kernel.cost (Sodal.kernel env) in
-    let cap = Cost.fair_share_window cost ~stations:m.n in
-    let in_flight = ref 0 in
-    Array.iter (fun ch -> if ch.ch_in_flight then incr in_flight) m.chans;
-    let slots_full = ref false in
-    let i = ref 0 in
-    while (not !slots_full) && !in_flight < cap && !i < len do
-      let ch = m.chans.((m.pump_cursor + !i) mod len) in
-      incr i;
-      if
-        (not ch.ch_in_flight)
-        && (not (Queue.is_empty ch.ch_q))
-        &&
-        let now = Sodal.now env in
-        now >= ch.ch_ready_at && now >= m.next_launch_at
-      then begin
-        (* the longest FIFO prefix that fits one put, newest first *)
-        let frames, _ =
-          Queue.fold
-            (fun (fs, room) f ->
-              let room = room - Bytes.length f.of_frame in
-              if room >= 0 then (f :: fs, room) else (fs, -1))
-            ([], cost.Cost.max_data_bytes) ch.ch_q
-        in
-        let batch = Bytes.concat Bytes.empty (List.rev_map (fun f -> f.of_frame) frames) in
-        match Sodal.put env (Sodal.server ~mid:ch.ch_mid ~pattern:m.cluster_pat) ~arg:0 batch with
-        | exception Sodal.Too_many_requests -> slots_full := true
-        | tid ->
-          ch.ch_in_flight <- true;
-          incr in_flight;
-          m.next_launch_at <- Sodal.now env + launch_gap_us m;
-          (* the counters count FORWARD messages, not transfers *)
-          let retried =
-            List.fold_left
-              (fun k f ->
-                f.of_attempts <- f.of_attempts + 1;
-                if f.of_attempts > 1 then k + 1 else k)
-              0 frames
-          in
-          Metrics.add (metrics env) "scd.forwards" (List.length frames);
-          if retried > 0 then Metrics.add (metrics env) "scd.retry_frames" retried;
-          Sodal.on_completion_of env tid (fun c ->
-              ch.ch_in_flight <- false;
-              match c.Sodal.status with
-              | Sodal.Comp_ok | Sodal.Comp_rejected ->
-                List.iter (fun _ -> ignore (Queue.pop ch.ch_q)) frames
-              | Sodal.Comp_crashed | Sodal.Comp_unadvertised ->
-                (* frames behind the head may have had fewer attempts *)
-                while
-                  (not (Queue.is_empty ch.ch_q)) && (Queue.peek ch.ch_q).of_attempts >= retry_cap
-                do
-                  ignore (Queue.pop ch.ch_q);
-                  Metrics.incr (metrics env) "scd.retry_dropped"
-                done;
-                ch.ch_ready_at <-
-                  Sodal.now env + retry_spacing_us + Rng.int rng (retry_spacing_us / 2))
-      end
+(* Take the longest FIFO prefix of [ch]'s queue that fits [room] bytes
+   into one transfer: the channel is in flight from here until [settle].
+   Returns the prefix length and its frames, concatenated. *)
+let claim ch ~room =
+  let k = ref 0 and size = ref 0 in
+  (try
+     Queue.iter
+       (fun f ->
+         let s = !size + Bytes.length f.of_frame in
+         if s > room then raise_notrace Exit;
+         incr k;
+         size := s)
+       ch.ch_q
+   with Exit -> ());
+  let batch = Bytes.create !size in
+  let i = ref 0 and off = ref 0 in
+  (try
+     Queue.iter
+       (fun f ->
+         if !i = !k then raise_notrace Exit;
+         Bytes.blit f.of_frame 0 batch !off (Bytes.length f.of_frame);
+         off := !off + Bytes.length f.of_frame;
+         incr i)
+       ch.ch_q
+   with Exit -> ());
+  ch.ch_in_flight <- true;
+  (!k, batch)
+
+(* The claimed prefix went out: the counters count FORWARD messages, not
+   transfers. *)
+let count_sent env ch k =
+  let i = ref 0 and retried = ref 0 in
+  (try
+     Queue.iter
+       (fun f ->
+         if !i = k then raise_notrace Exit;
+         f.of_attempts <- f.of_attempts + 1;
+         if f.of_attempts > 1 then incr retried;
+         incr i)
+       ch.ch_q
+   with Exit -> ());
+  Metrics.add (metrics env) "scd.forwards" k;
+  if !retried > 0 then Metrics.add (metrics env) "scd.retry_frames" !retried
+
+(* The one end of a transfer, in either direction: a delivered prefix is
+   popped; a failed one stays queued (frames behind the head may have had
+   fewer attempts) and the channel backs off. *)
+let settle env m ch k ~delivered =
+  ch.ch_in_flight <- false;
+  if delivered then begin
+    for _ = 1 to k do
+      ignore (Queue.pop ch.ch_q)
     done;
-    m.pump_cursor <- (m.pump_cursor + 1) mod len
+    ch.ch_retrying <- false
+  end
+  else begin
+    while (not (Queue.is_empty ch.ch_q)) && (Queue.peek ch.ch_q).of_attempts >= retry_cap do
+      ignore (Queue.pop ch.ch_q);
+      Metrics.incr (metrics env) "scd.retry_dropped"
+    done;
+    ch.ch_retrying <- true;
+    ch.ch_ready_at <- Sodal.now env + retry_spacing_us + Rng.int m.rng (retry_spacing_us / 2)
   end
 
-(* A queued frame not yet in flight waits on a timer (retry backoff or
-   the launch pacer), not on handler activity, so the task must poll. *)
-let sends_parked m =
-  Array.exists
-    (fun ch -> (not ch.ch_in_flight) && not (Queue.is_empty ch.ch_q))
-    m.chans
+let take_batch env m batch =
+  match Scd_wire.decode batch with
+  | Ok fwds -> List.iter (fun fwd -> Queue.add fwd m.inbox) fwds
+  | Error _ -> Metrics.incr (metrics env) "scd.bad_frame"
+
+let launchable m ~now ch =
+  (not ch.ch_in_flight)
+  && (not (Queue.is_empty ch.ch_q))
+  && if ch.ch_retrying then now >= ch.ch_ready_at else not m.slot_busy
+
+(* Launch [ch]'s prefix; false when the kernel has no request slot left
+   (a completion will free one and wake the task). *)
+let launch env m ch =
+  let room = (Kernel.cost (Sodal.kernel env)).Cost.max_data_bytes in
+  let k, batch = claim ch ~room in
+  let healthy = not ch.ch_retrying in
+  if healthy then begin
+    m.slot_busy <- true;
+    if Bytes.length m.reply <> room then m.reply <- Bytes.create room
+  end;
+  (* the slot's transfers share one reply buffer; a retry gets its own *)
+  let into = if healthy then m.reply else Bytes.create room in
+  let server = Sodal.server ~mid:ch.ch_mid ~pattern:m.cluster_pat in
+  match Sodal.exchange env server ~arg:0 batch ~into with
+  | exception Sodal.Too_many_requests ->
+    ch.ch_in_flight <- false;
+    if healthy then m.slot_busy <- false;
+    false
+  | tid ->
+    count_sent env ch k;
+    Sodal.on_completion_of env tid (fun c ->
+        if healthy then m.slot_busy <- false;
+        match c.Sodal.status with
+        | Sodal.Comp_ok | Sodal.Comp_rejected ->
+          settle env m ch k ~delivered:true;
+          if c.Sodal.get_transferred > 0 then
+            take_batch env m (Bytes.sub into 0 c.Sodal.get_transferred)
+        | Sodal.Comp_crashed | Sodal.Comp_unadvertised -> settle env m ch k ~delivered:false);
+    true
+
+let rec pump env m =
+  let len = Array.length m.chans in
+  let now = Sodal.now env in
+  let rec next i =
+    if i = len then None
+    else
+      let j = (m.pump_cursor + i) mod len in
+      if launchable m ~now m.chans.(j) then begin
+        m.pump_cursor <- (j + 1) mod len;
+        Some m.chans.(j)
+      end
+      else next (i + 1)
+  in
+  match next 0 with
+  | Some ch -> if launch env m ch then pump env m
+  | None -> ()
+
+(* Sleep until handler activity: a completion frees the slot and wakes
+   us, and so do arriving FORWARDs and operations. Only a channel waiting
+   out a retry backoff needs a timer. *)
+let sleep env m =
+  let now = Sodal.now env in
+  let wake =
+    Array.fold_left
+      (fun t ch ->
+        if ch.ch_retrying && (not ch.ch_in_flight) && not (Queue.is_empty ch.ch_q) then
+          min t ch.ch_ready_at
+        else t)
+      max_int m.chans
+  in
+  if wake = max_int || wake <= now then Sodal.idle env else Sodal.idle_for env (wake - now)
 
 (* ---- the SCD algorithm -------------------------------------------------- *)
+
+(* Entries only ever go from unknown to known (then only lower), so
+   [q_known] counts each entry once and [m.candidates] counts the quads
+   that reached a majority. *)
+let set_clock m q x v =
+  if q.q_cl.(x) = infinity_clock then begin
+    q.q_known <- q.q_known + 1;
+    if q.q_known = majority m then m.candidates <- m.candidates + 1
+  end;
+  q.q_cl.(x) <- min q.q_cl.(x) v
+
+let fresh_quad m ~sd ~sn payload =
+  { q_sd = sd; q_sn = sn; q_payload = payload; q_cl = Array.make m.n infinity_clock;
+    q_known = 0 }
 
 (* First sight of a message: buffer it with a fresh clock vector and echo
    our own FORWARD. Repeat sights only lower the forwarder's clock entry
@@ -348,17 +430,14 @@ let process_forward env m (fwd : Scd_wire.forward) =
     if Hashtbl.mem m.delivered key then Metrics.incr (metrics env) "scd.stale_forward"
     else
       match Hashtbl.find_opt m.buffer key with
-      | Some q -> q.q_cl.(fwd.f) <- min q.q_cl.(fwd.f) fwd.snf
+      | Some q -> set_clock m q fwd.f fwd.snf
       | None ->
-        let q =
-          { q_sd = fwd.sd; q_sn = fwd.sn; q_payload = fwd.payload;
-            q_cl = Array.make m.n infinity_clock }
-        in
-        q.q_cl.(fwd.f) <- fwd.snf;
+        let q = fresh_quad m ~sd:fwd.sd ~sn:fwd.sn fwd.payload in
+        set_clock m q fwd.f fwd.snf;
         Hashtbl.replace m.buffer key q;
         let snf = m.clock in
         m.clock <- m.clock + 1;
-        q.q_cl.(m.index) <- min q.q_cl.(m.index) snf;
+        set_clock m q m.index snf;
         echo m { fwd with f = m.index; snf }
   end
 
@@ -431,6 +510,7 @@ let deliver_set env m quads =
     List.sort (fun a b -> compare (a.q_sd, a.q_sn) (b.q_sd, b.q_sn)) quads
   in
   let ids = List.map (fun q -> (q.q_sd, q.q_sn)) quads in
+  m.candidates <- m.candidates - List.length quads;
   List.iter
     (fun q ->
       Hashtbl.remove m.buffer (q.q_sd, q.q_sn);
@@ -464,31 +544,31 @@ let deliver_set env m quads =
    majority is a candidate; a candidate q must wait while some buffered
    non-candidate q' is not provably after it (it might still have to join
    q's set or precede it). [q < q'] iff a majority of clock entries are
-   strictly smaller; unknown entries (infinity on both sides) never count. *)
+   strictly smaller; unknown entries (infinity on both sides) never count.
+   With no candidate at all nothing can be delivered. *)
 let rec try_deliver env m =
-  let maj = majority m in
-  let known q =
-    Array.fold_left (fun acc v -> if v <> infinity_clock then acc + 1 else acc) 0 q.q_cl
-  in
-  let prec q q' =
-    let c = ref 0 in
-    for x = 0 to m.n - 1 do
-      if q.q_cl.(x) < q'.q_cl.(x) then incr c
-    done;
-    !c >= maj
-  in
-  let rec ready cands rest =
-    match List.partition (fun q -> List.exists (fun q' -> not (prec q q')) rest) cands with
-    | [], cands -> cands
-    | blocked, cands -> ready cands (blocked @ rest)
-  in
-  let all = Hashtbl.fold (fun _ q acc -> q :: acc) m.buffer [] in
-  let cands, rest = List.partition (fun q -> known q >= maj) all in
-  match ready cands rest with
-  | [] -> ()
-  | set ->
-    deliver_set env m set;
-    try_deliver env m
+  if m.candidates > 0 then begin
+    let maj = majority m in
+    let prec q q' =
+      let c = ref 0 in
+      for x = 0 to m.n - 1 do
+        if q.q_cl.(x) < q'.q_cl.(x) then incr c
+      done;
+      !c >= maj
+    in
+    let rec ready cands rest =
+      match List.partition (fun q -> List.exists (fun q' -> not (prec q q')) rest) cands with
+      | [], cands -> cands
+      | blocked, cands -> ready cands (blocked @ rest)
+    in
+    let all = Hashtbl.fold (fun _ q acc -> q :: acc) m.buffer [] in
+    let cands, rest = List.partition (fun q -> q.q_known >= maj) all in
+    match ready cands rest with
+    | [] -> ()
+    | set ->
+      deliver_set env m set;
+      try_deliver env m
+  end
 
 (* ---- proxied operations ------------------------------------------------- *)
 
@@ -514,11 +594,8 @@ let start_op env m ticket =
       let sn = m.clock in
       m.clock <- m.clock + 1;
       let key = (m.index, sn) in
-      let q =
-        { q_sd = m.index; q_sn = sn; q_payload = payload;
-          q_cl = Array.make m.n infinity_clock }
-      in
-      q.q_cl.(m.index) <- sn;
+      let q = fresh_quad m ~sd:m.index ~sn payload in
+      set_clock m q m.index sn;
       Hashtbl.replace m.buffer key q;
       p.p_msg <- Some key;
       Hashtbl.replace m.by_msg key p;
@@ -540,17 +617,37 @@ let handle_request m env info =
     (* peer FORWARDs: accept in the handler (bounded) so a peer's transfer
        never waits on our task; the task drains the inbox. A transfer is
        a prefix of the peer's FIFO channel, so in-order entries keep the
-       channel FIFO. *)
-    if info.Sodal.put_size > 0 && info.Sodal.get_size = 0 then begin
+       channel FIFO. The reply carries our idle channel's backlog for
+       that peer, popped only once our kernel knows it arrived. *)
+    if info.Sodal.put_size > 0 then begin
       let into = Bytes.create info.Sodal.put_size in
-      let status, got = Sodal.accept_current_put env ~arg:0 ~into in
-      match status with
-      | Types.Accept_success -> (
-        let frame = if got = Bytes.length into then into else Bytes.sub into 0 got in
-        match Scd_wire.decode frame with
-        | Ok fwds -> List.iter (fun fwd -> Queue.add fwd m.inbox) fwds
-        | Error _ -> Metrics.incr (metrics env) "scd.bad_frame")
-      | Types.Accept_cancelled | Types.Accept_crashed -> ()
+      let back =
+        if info.Sodal.get_size = 0 then None
+        else
+          Array.find_opt
+            (fun ch ->
+              ch.ch_mid = info.Sodal.asker.Types.rq_mid
+              && (not ch.ch_in_flight)
+              && not (Queue.is_empty ch.ch_q))
+            m.chans
+      in
+      let k, data =
+        match back with
+        | Some ch ->
+          let k, data = claim ch ~room:info.Sodal.get_size in
+          count_sent env ch k;
+          (k, data)
+        | None -> (0, Bytes.empty)
+      in
+      let status, got = Sodal.accept_current_exchange env ~arg:0 ~into ~data in
+      Option.iter
+        (fun ch -> settle env m ch k ~delivered:(status = Types.Accept_success))
+        back;
+      (* Put data that arrived is kept even when the accept then fails:
+         the peer may have had our reply and popped its prefix, and if it
+         did not, its retry only repeats FORWARDs we already hold. *)
+      if got > 0 then
+        take_batch env m (if got = Bytes.length into then into else Bytes.sub into 0 got)
     end
     else Sodal.reject env
   else if info.Sodal.put_size = op_request_size && info.Sodal.get_size = 0 then begin
@@ -590,7 +687,6 @@ let handle_request m env info =
   else Sodal.reject env
 
 let member_task m env =
-  let rng = Rng.split (Engine.rng (Kernel.engine (Sodal.kernel env))) in
   (* Delivery depends only on the buffered clock vectors, which only
      [process_forward] and [start_op] change; a new incarnation may find
      a buffer its predecessor's crash left undelivered. *)
@@ -606,14 +702,12 @@ let member_task m env =
       start_op env m (Queue.pop m.op_inbox)
     done;
     if !worked then try_deliver env m;
-    pump env m rng;
+    pump env m;
     (* Re-check the inboxes before sleeping: [pump] awaits inside
-       [Sodal.put]'s trap, during which the handler may have accepted new
-       frames — their wake fired while we were blocked, not idle, so
-       sleeping on the stale [worked] flag would strand them (a lost
-       wakeup). *)
-    if (not !worked) && Queue.is_empty m.inbox && Queue.is_empty m.op_inbox then
-      if sends_parked m then Sodal.compute env 50_000 else Sodal.idle env
+       [Sodal.exchange]'s trap, during which the handler may have
+       accepted new frames — their wake fired while we were blocked, not
+       idle, so sleeping on them would strand them (a lost wakeup). *)
+    if Queue.is_empty m.inbox && Queue.is_empty m.op_inbox then sleep env m
   done
 
 let member_spec m =
@@ -621,12 +715,15 @@ let member_spec m =
     Sodal.default_spec with
     init =
       (fun env ~parent:_ ->
+        m.rng <- Rng.split (Engine.rng (Kernel.engine (Sodal.kernel env)));
         (* completions registered by the previous incarnation died with
            its env: clear the in-flight marks so the heads are re-sent
            (duplicate FORWARDs are idempotent at the receiver) *)
+        m.slot_busy <- false;
         Array.iter
           (fun ch ->
             ch.ch_in_flight <- false;
+            ch.ch_retrying <- false;
             ch.ch_ready_at <- 0)
           m.chans;
         Sodal.advertise env m.member_pat;

@@ -17,12 +17,12 @@
     frames are {!Soda_proto.Scd_wire} payloads sent peer-to-peer over
     per-peer FIFO channels: each member keeps one outgoing queue per
     peer with at most one transfer in flight, carrying the longest queue
-    prefix that fits one put, so a peer sees a member's clock stamps in
-    order, and a pump paces launches across all channels (bounded
-    cluster-wide in-flight count plus an aggregate launch-rate gap) so
-    the quadratic FORWARD storm never drives the shared bus's queueing
-    delay past the retransmission crash budget. See
-    [docs/BROADCAST.md].
+    prefix that fits one buffer, so a peer sees a member's clock stamps
+    in order. A member keeps one transfer in flight to a healthy peer and
+    launches the next on the previous one's completion, so the quadratic
+    FORWARD storm keeps at most n transfers to healthy peers in flight.
+    Each transfer is an EXCHANGE whose reply carries the peer's backlog
+    for us. See [docs/BROADCAST.md].
 
     Members expose the two derived objects to clients over a two-phase
     ticket protocol: a PUT of the encoded operation is accepted

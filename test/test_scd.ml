@@ -23,6 +23,8 @@ module Harness = Soda_scd.Harness
 module Stats = Soda_sim.Stats
 module Bus = Soda_net.Bus
 module Metrics = Soda_obs.Metrics
+module Event = Soda_obs.Event
+module Recorder = Soda_obs.Recorder
 
 let env_int name default =
   match Sys.getenv_opt name with
@@ -124,9 +126,9 @@ let prop_wire_batch_roundtrip =
 (* ---- healthy cluster ---------------------------------------------------- *)
 
 (* n members on mids 0..n-1, one scripted client on mid n. *)
-let with_cluster ?(n = 3) ?(regs = 2) ~seed script =
+let with_cluster ?(n = 3) ?(regs = 2) ?trace ~seed script =
   let cost = { Cost.default with maxrequests = n + 2 } in
-  let net, kernels = make_net ~seed ~cost (n + 1) in
+  let net, kernels = make_net ~seed ~cost ?trace (n + 1) in
   let mids = List.init n Fun.id in
   let members = Array.init n (fun index -> Scd.member ~cluster:"t" ~index ~mids ~regs) in
   List.iteri
@@ -385,6 +387,154 @@ let test_loss_burst_safety () =
   assert_safe ~liveness:false
     (Harness.run ~n:3 ~clients:2 ~ops:6 ~regs:2 ~seed:(seed_base + 69) ~plan ())
 
+(* ---- the pump ------------------------------------------------------------- *)
+
+(* A two-member cluster whose member 1 is scripted, so the test sees the
+   exact FORWARDs member 0 sends it. The script first puts five messages
+   of its own at member 0 while the cluster pattern is unadvertised:
+   member 0 echoes each into its channel back, and its transfer of them
+   comes back UNADVERTISED, so the channel backs off holding all five.
+   Then the script advertises and sends one EXCHANGE carrying two more
+   messages. Member 0's handler answers it with the five queued echoes
+   (both backlogs in one transfer), and its next transfer carries only
+   the two new echoes: the reply's prefix was popped, and member 0's
+   clock stamps reach the peer in order. *)
+let test_exchange_drains_both_directions () =
+  let cost = { Cost.default with maxrequests = 4 } in
+  let net, kernels = make_net ~seed:72 ~cost 2 in
+  let mids = [ 0; 1 ] in
+  let m0 = Scd.member ~cluster:"x" ~index:0 ~mids ~regs:1 in
+  ignore (Sodal.attach (List.nth kernels 0) (Scd.member_spec m0));
+  let cluster_pat = Scd.cluster_pattern ~cluster:"x" in
+  let fwd sn = { Scd_wire.sd = 1; sn; f = 1; snf = sn; payload = Scd_wire.Sync } in
+  let batch_of sns = Bytes.concat Bytes.empty (List.map (fun sn -> Scd_wire.encode (fwd sn)) sns) in
+  let decode b =
+    match Scd_wire.decode b with
+    | Ok fwds -> List.map (fun (f : Scd_wire.forward) -> (f.sd, f.sn, f.f, f.snf)) fwds
+    | Error e -> Alcotest.failf "member 0 sent garbage: %s" e
+  in
+  let reply = ref [] and puts = ref [] and unadvertised = ref false in
+  ignore
+    (Sodal.attach (List.nth kernels 1)
+       {
+         Sodal.default_spec with
+         on_request =
+           (fun env info ->
+             let into = Bytes.create info.Sodal.put_size in
+             let _, got = Sodal.accept_current_exchange env ~arg:0 ~into ~data:Bytes.empty in
+             puts := !puts @ [ decode (Bytes.sub into 0 got) ]);
+         task =
+           (fun env ->
+             Sodal.compute env 20_000;
+             let sv = Sodal.server ~mid:0 ~pattern:cluster_pat in
+             ignore (Sodal.b_put env sv ~arg:0 (batch_of [ 0; 1; 2; 3; 4 ]));
+             Sodal.compute env 100_000;
+             unadvertised := !puts = [];
+             Sodal.advertise env cluster_pat;
+             let into = Bytes.create cost.Cost.max_data_bytes in
+             let c = Sodal.b_exchange env sv ~arg:0 (batch_of [ 5; 6 ]) ~into in
+             reply := decode (Bytes.sub into 0 c.Sodal.get_transferred);
+             Sodal.serve env);
+       });
+  run ~horizon:2.0 net;
+  let echoes sns = List.map (fun sn -> (1, sn, 0, sn)) sns in
+  Alcotest.(check bool) "member 0's first transfer found nothing advertised" true !unadvertised;
+  let flat l = List.map (fun (a, b, c, d) -> ((a, b), (c, d))) l in
+  Alcotest.(check (list (pair (pair int int) (pair int int))))
+    "the EXCHANGE's reply carried member 0's backlog, in order" (flat (echoes [ 0; 1; 2; 3; 4 ]))
+    (flat !reply);
+  Alcotest.(check (list (list (pair (pair int int) (pair int int)))))
+    "then one transfer with the two new echoes" [ flat (echoes [ 5; 6 ]) ] (List.map flat !puts);
+  Alcotest.(check int) "member 0's channel is empty" 0 (Scd.retry_depth m0)
+
+(* Member 3 of four is cut off for the whole run. Each member's first
+   transfer to it holds the member's healthy slot until its crash verdict
+   (about 0.8 s here); from then on the channel retries every 200-300 ms,
+   and each retry again waits out a verdict. A retrying channel does not
+   hold the slot, so meanwhile the other channels keep delivering and
+   every later operation completes in tens of milliseconds. *)
+let test_partition_does_not_stall_other_channels () =
+  let plan = [ { Fault_plan.at_us = 0; action = Fault_plan.Partition ([ 3 ], [ 0; 1; 2; 4 ]) } ] in
+  let r = Harness.run ~n:4 ~clients:1 ~ops:40 ~regs:2 ~think_us:0 ~seed:(seed_base + 73) ~plan () in
+  assert_safe r;
+  let metrics = Recorder.metrics (Network.recorder r.net) in
+  let late = List.filter (fun (o : Harness.op) -> o.start_us >= 1_000_000) r.history in
+  Alcotest.(check bool) "ops ran past the first verdicts" true (List.length late >= 20);
+  Alcotest.(check bool) "the cut-off channels kept retrying" true
+    (Metrics.counter metrics "scd.retry_frames" >= 6);
+  List.iter
+    (fun (o : Harness.op) ->
+      let took = o.end_us - o.start_us in
+      Alcotest.(check bool)
+        (Printf.sprintf "op %d at %d us took %d us (under 100 ms)" o.index o.start_us took)
+        true (took < 100_000))
+    late
+
+(* With no faults, a member's transfers are clocked by their own
+   completions: while its channels hold a backlog, each launch follows
+   the previous transfer's completion by exactly the completion
+   interrupt's context switch plus the REQUEST trap, with no pacing gap
+   or polling tick in between. One snapshot on four members: its proxy
+   echoes the message to its three peers back to back. *)
+let test_launches_follow_completions () =
+  let net, _ =
+    with_cluster ~n:4 ~trace:true ~seed:74 (fun env h -> ignore (Scd.snapshot env h))
+  in
+  let cost = Network.cost net in
+  let cluster_pat = Pattern.to_int (Scd.cluster_pattern ~cluster:"t") in
+  let tids = Hashtbl.create 8 in
+  let launches = ref [] and completions = ref [] in
+  List.iter
+    (fun (e : Event.t) ->
+      if e.mid = 0 then
+        match e.kind with
+        | Event.Trap { tid; pattern; _ } when pattern = cluster_pat ->
+          Hashtbl.replace tids tid ();
+          launches := e.time_us :: !launches
+        | Event.Complete { tid; _ } when Hashtbl.mem tids tid ->
+          completions := e.time_us :: !completions
+        | _ -> ())
+    (Recorder.events (Network.recorder net));
+  let launches = List.rev !launches and completions = List.rev !completions in
+  Alcotest.(check int) "one transfer per peer" 3 (List.length launches);
+  let gap = cost.Cost.context_switch_us + cost.Cost.request_trap_us in
+  List.iteri
+    (fun i at ->
+      if i > 0 then
+        Alcotest.(check int)
+          (Printf.sprintf "launch %d at the previous completion + %d us" i gap)
+          (List.nth completions (i - 1) + gap)
+          at)
+    launches
+
+(* Pinned scd.prop cases: member 0 is cut off from every other node at
+   [at_us] and the cut heals at [heal_us]; every client must finish, and
+   the history must be safe and converge. *)
+let pinned_cut ~seed ~ops ~regs ~think_us ~at_us ~heal_us () =
+  let plan =
+    [
+      { Fault_plan.at_us; action = Fault_plan.Partition ([ 0 ], [ 1; 2; 3; 4; 5 ]) };
+      { Fault_plan.at_us = heal_us; action = Fault_plan.Heal };
+    ]
+  in
+  let r = Harness.run ~n:3 ~clients:2 ~ops ~regs ~think_us ~seed ~plan () in
+  assert_safe r;
+  match Harness.check_convergence r with Ok () -> () | Error m -> Alcotest.fail m
+
+(* A server record whose ACCEPT's reliable send timed out must still
+   expire; if it lived on, probes kept answering "alive" and the
+   requester waited for an ACCEPT that never came, so a client hung. *)
+let test_pinned_partition_heal_68403 =
+  pinned_cut ~seed:68403 ~ops:7 ~regs:2 ~think_us:0 ~at_us:173_344 ~heal_us:551_667
+
+(* The cut falls just as a transfer whose reply carried a backlog
+   completes: the requester had the ACCEPT and popped its prefix, then
+   the peer's ACCEPT timed out. The peer must keep the put data that had
+   arrived; dropping it lost FORWARDs on a healthy channel, and members
+   0 and 2 delivered two messages in crossed order. *)
+let test_pinned_partition_heal_82049 =
+  pinned_cut ~seed:82049 ~ops:8 ~regs:3 ~think_us:25_000 ~at_us:281_028 ~heal_us:584_269
+
 (* ---- properties under random fault plans -------------------------------- *)
 
 (* Four adversary modes. [Crashes] (minority, no reboot) and [Cut]
@@ -533,6 +683,16 @@ let suites =
         Alcotest.test_case "frame duplication is idempotent" `Quick
           test_duplication_is_idempotent;
         Alcotest.test_case "loss burst keeps safety" `Quick test_loss_burst_safety;
+        Alcotest.test_case "pump: one EXCHANGE drains both directions in order" `Quick
+          test_exchange_drains_both_directions;
+        Alcotest.test_case "pump: a cut-off peer does not stall the other channels" `Quick
+          test_partition_does_not_stall_other_channels;
+        Alcotest.test_case "pump: launches follow completions" `Quick
+          test_launches_follow_completions;
+        Alcotest.test_case "pinned: partition {0} then heal, seed 68403" `Quick
+          test_pinned_partition_heal_68403;
+        Alcotest.test_case "pinned: partition {0} then heal, seed 82049" `Quick
+          test_pinned_partition_heal_82049;
       ] );
     ( "scd.prop",
       [

@@ -559,11 +559,76 @@ let test_data_wait_accept_queued () =
   Alcotest.(check bool) "our REQUEST kept bouncing" true (!busies >= 5);
   Alcotest.(check int) "the ACCEPT never left the send queue" 0 !accepts_seen;
   match !outcome with
-  | Some (Transport.Acc_crashed, at) ->
+  | Some (Transport.Acc_crashed _, at) ->
     Alcotest.(check int) "CRASHED one record lifetime after the ACCEPT" lifetime
       (at - !accepted_at)
   | Some _ -> Alcotest.fail "the accept completed, but not CRASHED"
   | None -> Alcotest.fail "the handler still waits for the put data"
+
+(* Window 1, non-pipelined: the same BUSY cycle keeps a dataless ACCEPT
+   in the send queue behind our REQUEST. The accept is complete on our
+   side at once, but the record that answers the requester's probes must
+   outlive the ACCEPT: its expiry starts when the ACCEPT's reliable send
+   resolves, not when the ACCEPT is queued. A probe one record lifetime
+   after the ACCEPT must therefore hear "alive"; a "not alive" reply
+   would complete a healthy requester's request CRASHED. *)
+let test_record_outlives_queued_accept () =
+  let engine = Engine.create ~seed:19 () in
+  let recorder = Recorder.create () in
+  let bus = Bus.create engine in
+  let cost = Cost.non_pipelined in
+  let lifetime = Cost.record_expiry_us cost in
+  let node = Transport.create ~engine ~bus ~mid:0 ~cost ~recorder in
+  let peer = ref None in
+  let send ~delay frame =
+    ignore
+      (Engine.schedule engine ~delay (fun () -> Nic.send (Option.get !peer) ~dst:0 frame))
+  in
+  let pkt ~reliable body = { Wire.src = 1; reliable; seq = 0; ack = None; run = false; body } in
+  let outcome = ref None in
+  Transport.set_callbacks node
+    {
+      Transport.deliver_request =
+        (fun ~src ~tid ~pattern:_ ~arg:_ ~put_size:_ ~get_size:_ ->
+          ignore
+            (Engine.schedule engine ~delay:1_000 (fun () ->
+                 Transport.accept node ~requester_mid:src ~requester_tid:tid ~arg:0
+                   ~get_capacity:0 ~data_out:Bytes.empty ~on_done:(fun o ->
+                     outcome := Some o);
+                 (* probe once the record would have expired had its
+                    lifetime started with the ACCEPT *)
+                 send ~delay:(lifetime + 20_000)
+                   (Wire.encode (pkt ~reliable:false (Wire.Probe { tid })))));
+          `Deliver);
+      complete_request = (fun ~tid:_ _ -> ());
+      advertised = (fun _ -> true);
+      classify_unknown_tid = (fun _ -> `Stale);
+    };
+  ignore (Transport.attach_nic node);
+  let accepts_seen = ref 0 and replies = ref [] in
+  peer :=
+    Some
+      (Nic.attach bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ payload ->
+           match Wire.decode payload with
+           | Ok { Wire.body = Wire.Request { tid; _ }; _ } ->
+             send ~delay:500 (Wire.encode (pkt ~reliable:false (Wire.Busy { tid })))
+           | Ok { Wire.body = Wire.Accept _; _ } -> incr accepts_seen
+           | Ok { Wire.body = Wire.Probe_reply { tid; alive }; _ } ->
+             replies := (tid, alive) :: !replies
+           | Ok _ | Error _ -> ()));
+  Transport.submit_request node ~dst:1 ~tid:500 ~pattern:patt ~arg:0
+    ~put_data:(Bytes.make 64 'x') ~get_size:0;
+  send ~delay:3_000
+    (Wire.encode
+       (pkt ~reliable:true
+          (Wire.Request
+             { tid = 700; pattern = patt; arg = 0; put_size = 0; get_size = 0;
+               data = Bytes.empty; retry = false })));
+  ignore (Engine.run ~until:(2 * lifetime) engine);
+  Alcotest.(check bool) "the accept completed on our side" true
+    (match !outcome with Some (Transport.Acc_success _) -> true | _ -> false);
+  Alcotest.(check int) "the ACCEPT never left the send queue" 0 !accepts_seen;
+  Alcotest.(check (list (pair int bool))) "the probe hears alive" [ (700, true) ] !replies
 
 (* Receive-side classification derives its sequence arithmetic from the
    LOCAL window; the bus refuses stations that disagree. *)
@@ -656,6 +721,8 @@ let suites =
         Alcotest.test_case "W=64 replay after the numbers wrap" `Quick test_replay_after_wrap;
         Alcotest.test_case "W=1 data wait with the ACCEPT queued behind a BUSY cycle" `Quick
           test_data_wait_accept_queued;
+        Alcotest.test_case "W=1 record outlives its queued dataless ACCEPT" `Quick
+          test_record_outlives_queued_accept;
         Alcotest.test_case "bus refuses mismatched windows" `Quick
           test_window_mismatch_guard;
         Alcotest.test_case "long-busy hold converts to BUSY" `Quick

@@ -94,8 +94,10 @@ let client_spec ~n ~use_nameserver ~script ~record ~done_count =
 let run ?(n = 3) ?(clients = 2) ?(ops = 8) ?(keys = 2) ?(seed = 1) ?(loss = 0.0)
     ?(think_us = 250_000) ?plan ?(use_nameserver = false) ?trace
     ?(horizon_us = 600_000_000) () =
-  (* dead replicas can pin fan-out slots for a whole Delta-t verdict;
-     give clients headroom beyond the default MAXREQUESTS = 3 *)
+  (* a handle keeps at most one request in flight per replica (n in
+     all, one of them perhaps pinned on a dead replica until its Delta-t
+     verdict); the default MAXREQUESTS = 3 is too few for n = 5, and n + 2
+     leaves room for switchboard lookups while laggards are out *)
   let cost = { Cost.default with maxrequests = n + 2 } in
   (* Tracing implies causal: a traced store run should reconstruct each
      client op's cross-node tree without a second switch to remember. *)

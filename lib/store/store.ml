@@ -89,11 +89,42 @@ let merge r ~key tag value =
 
 let poke_replica = merge
 
+(* A query or propagate the handler has queued for the task to ACCEPT. *)
+type pending = { asker : Types.requester_signature; key : int; put_size : int }
+
+(* Serve one queued request: a propagate is a PUT of a tagged value, a
+   query is a GET of the current tag-value for the key. *)
+let serve_pending r env p =
+  if p.put_size > 0 then begin
+    let into = Bytes.create p.put_size in
+    let status, got = Sodal.accept_put env p.asker ~arg:0 ~into in
+    match status with
+    | Types.Accept_success ->
+      (match decode_propagate into ~len:got with
+       | Some (tag, value) -> merge r ~key:p.key tag value
+       | None -> ())
+    | Types.Accept_cancelled | Types.Accept_crashed -> ()
+  end
+  else
+    ignore
+      (Sodal.accept_get env p.asker ~arg:0
+         ~data:(encode_query_reply (Hashtbl.find_opt r.table p.key)))
+
+(* The task ACCEPTs queued requests in arrival order. The handler only
+   queues, so it is free again after its context switch instead of
+   staying busy through a transfer while the kernel BUSY-NACKs the
+   requests that arrive meanwhile. *)
+let drain r queue env =
+  while true do
+    if Queue.is_empty queue then Sodal.idle env else serve_pending r env (Queue.pop queue)
+  done
+
 (* The switchboard-registration task of the [~register:true] variant: a
    fresh unique entry point per incarnation, bound under the stable name
    — register on first boot, rebind to reclaim the name from a dead
-   incarnation's binding. *)
-let register_task r env =
+   incarnation's binding — then the same drain loop. Requests that
+   arrive while it binds wait in the queue. *)
+let register_task r queue env =
   let unique = Sodal.getuniqueid env in
   Sodal.advertise env unique;
   let sb = Sodal.discover env Nameserver.switchboard_pattern in
@@ -114,10 +145,12 @@ let register_task r env =
     | Error _ -> ()
   in
   bind 1;
-  Sodal.serve env
+  drain r queue env
 
 let replica_spec ?(register = false) r =
   let pattern = replica_pattern ~cluster:r.cluster ~index:r.index in
+  (* per incarnation: a reboot's requests died with the old kernel *)
+  let queue = Queue.create () in
   {
     Sodal.default_spec with
     init =
@@ -126,26 +159,12 @@ let replica_spec ?(register = false) r =
         Sodal.advertise env pattern);
     on_request =
       (fun env info ->
-        let key = info.Sodal.arg in
-        if key < 0 then Sodal.reject env
-        else if info.Sodal.put_size > 0 && info.Sodal.get_size = 0 then begin
-          (* propagate: PUT of a tagged value *)
-          let into = Bytes.create info.Sodal.put_size in
-          let status, got = Sodal.accept_current_put env ~arg:0 ~into in
-          match status with
-          | Types.Accept_success ->
-            (match decode_propagate into ~len:got with
-             | Some (tag, value) -> merge r ~key tag value
-             | None -> ())
-          | Types.Accept_cancelled | Types.Accept_crashed -> ()
-        end
-        else if info.Sodal.get_size > 0 && info.Sodal.put_size = 0 then
-          (* query: GET of the current tag-value for the key *)
-          ignore
-            (Sodal.accept_current_get env ~arg:0
-               ~data:(encode_query_reply (Hashtbl.find_opt r.table key)))
+        let key = info.Sodal.arg and put_size = info.Sodal.put_size in
+        let get_size = info.Sodal.get_size in
+        if key >= 0 && (put_size > 0) <> (get_size > 0) then
+          Queue.push { asker = info.Sodal.asker; key; put_size } queue
         else Sodal.reject env);
-    task = (if register then register_task r else Sodal.serve);
+    task = (if register then register_task r queue else drain r queue);
   }
 
 (* ---- client ------------------------------------------------------------ *)
@@ -159,6 +178,9 @@ type t = {
      answers UNADVERTISED (its incarnation — and unique pattern — changed). *)
   resolve : (int -> Types.server_signature option) option;
   rng : Rng.t;
+  (* [in_flight.(i)]: this handle's last request to replica [i] has not
+     completed yet (it may belong to an earlier round or operation). *)
+  in_flight : bool array;
 }
 
 (* Client retry policy: values up to [max_value] bytes, [attempts] quorum
@@ -211,6 +233,7 @@ let make_handle env ~cluster ~replicas ~resolve =
     replicas;
     resolve;
     rng = Rng.split (Engine.rng (Kernel.engine (Sodal.kernel env)));
+    in_flight = Array.make n false;
   }
 
 let handle env ~cluster ~mids =
@@ -258,30 +281,52 @@ let rec submit env f =
     Sodal.idle env;
     submit env f
 
-(* One quorum round: launch [launch i] at every replica, collect decoded
-   acks as completions arrive, return as soon as a majority has answered
-   (or everyone has answered without reaching one). Laggards — typically
-   requests still retransmitting into a crashed or partitioned replica —
-   keep their callbacks and resolve harmlessly later: that is the RPC
-   facility's skip-after-verdict failover discipline, not a timeout. *)
+let free h =
+  Array.fold_left (fun k busy -> if busy then k else k + 1) 0 h.in_flight
+
+(* One quorum round: launch [launch i] at every replica with no request
+   of this handle in flight, collect decoded acks as completions arrive,
+   and return as soon as a majority has answered (or every launched
+   request has resolved without reaching one). Laggards — requests still
+   queued at a slow replica or retransmitting into a crashed one — keep
+   their callbacks and resolve harmlessly later: that is the RPC
+   facility's skip-after-verdict failover discipline, not a timeout.
+   Any majority serves an ABD round, so the next round skips replicas a
+   laggard still occupies: a handle has at most [n] requests
+   outstanding, and a dead replica holds one of them, not one per round.
+   With fewer than [q] replicas free the round idles until [q] are. *)
 let round env h ~launch ~decode =
-  let acks = ref [] in
-  let failed = ref 0 in
-  let unadvertised = ref [] in
-  for i = 0 to h.n - 1 do
-    let tid = submit env (fun () -> launch i) in
-    Sodal.on_completion_of env tid (fun c ->
-        match decode i c with
-        | Some v -> acks := (i, v) :: !acks
-        | None ->
-          if c.Sodal.status = Sodal.Comp_unadvertised then
-            unadvertised := i :: !unadvertised;
-          incr failed)
-  done;
-  while List.length !acks < h.q && List.length !acks + !failed < h.n do
+  let m = metrics env in
+  while free h < h.q do
     Sodal.idle env
   done;
-  (List.rev !acks, !unadvertised)
+  let acks = ref [] in
+  let acked = ref 0 in
+  let failed = ref 0 in
+  let launched = ref 0 in
+  let unadvertised = ref [] in
+  for i = 0 to h.n - 1 do
+    if h.in_flight.(i) then Metrics.incr m "store.skipped"
+    else begin
+      let tid = submit env (fun () -> launch i) in
+      h.in_flight.(i) <- true;
+      incr launched;
+      Sodal.on_completion_of env tid (fun c ->
+          h.in_flight.(i) <- false;
+          match decode i c with
+          | Some v ->
+            acks := (i, v) :: !acks;
+            incr acked
+          | None ->
+            if c.Sodal.status = Sodal.Comp_unadvertised then
+              unadvertised := i :: !unadvertised;
+            incr failed)
+    end
+  done;
+  while !acked < h.q && !acked + !failed < !launched do
+    Sodal.idle env
+  done;
+  (List.rev !acks, !acked, !unadvertised)
 
 (* Retry wrapper: capped exponential backoff with jitter from the
    handle's split RNG, re-resolving switchboard bindings for replicas
@@ -290,14 +335,13 @@ let phase env h ~op ~name ~key ~launch ~decode =
   let m = metrics env in
   let rec attempt k =
     let t0 = Sodal.now env in
-    let acks, unadvertised = round env h ~launch ~decode in
+    let acks, acked, unadvertised = round env h ~launch ~decode in
     Metrics.incr m "store.rounds";
-    Metrics.observe m "store.round.acks" (List.length acks);
+    Metrics.observe m "store.round.acks" acked;
     emit env
       (Event.Store_phase
-         { op; phase = name; key; acks = List.length acks; quorum = h.q;
-           elapsed_us = Sodal.now env - t0 });
-    if List.length acks >= h.q then Ok acks
+         { op; phase = name; key; acks = acked; quorum = h.q; elapsed_us = Sodal.now env - t0 });
+    if acked >= h.q then Ok acks
     else if k >= attempts then begin
       Metrics.incr m "store.no_quorum";
       Error No_quorum
@@ -323,9 +367,13 @@ let phase env h ~op ~name ~key ~launch ~decode =
 
 (* Phase 1: GET the per-replica (tag, value) for [key] from a majority. *)
 let query_phase env h ~op ~key =
-  let buffers = Array.init h.n (fun _ -> Bytes.create (11 + max_value)) in
+  (* filled at launch: a skipped replica needs no buffer *)
+  let buffers = Array.make h.n Bytes.empty in
   phase env h ~op ~name:"query" ~key
-    ~launch:(fun i -> Sodal.get env h.replicas.(i) ~arg:key ~into:buffers.(i))
+    ~launch:(fun i ->
+      let into = Bytes.create (11 + max_value) in
+      buffers.(i) <- into;
+      Sodal.get env h.replicas.(i) ~arg:key ~into)
     ~decode:(fun i c ->
       match c.Sodal.status with
       | Sodal.Comp_ok -> decode_query_reply buffers.(i) ~len:c.Sodal.get_transferred
@@ -347,9 +395,11 @@ let max_of_acks acks =
       if Tag.compare tag best_tag > 0 then (tag, v) else (best_tag, best_v))
     (Tag.zero, None) acks
 
-let finish env ~op ~key ~t0 ~rounds result =
+(* [metric] is the op's latency histogram, named once per call site
+   rather than formatted per operation. *)
+let finish env ~op ~metric ~key ~t0 ~rounds result =
   let elapsed = Sodal.now env - t0 in
-  Metrics.observe (metrics env) (Printf.sprintf "store.%s.us" op) elapsed;
+  Metrics.observe (metrics env) metric elapsed;
   emit env
     (Event.Store_complete
        { op; key; ok = Result.is_ok result; rounds; elapsed_us = elapsed });
@@ -357,14 +407,14 @@ let finish env ~op ~key ~t0 ~rounds result =
 
 let read env h ~key =
   with_op_ctx env @@ fun () ->
-  let t0 = Sodal.now env in
+  let finish = finish env ~op:"read" ~metric:"store.read.us" ~key ~t0:(Sodal.now env) in
   match query_phase env h ~op:"read" ~key with
-  | Error No_quorum -> finish env ~op:"read" ~key ~t0 ~rounds:1 (Error No_quorum)
+  | Error No_quorum -> finish ~rounds:1 (Error No_quorum)
   | Ok acks ->
     let tag, value = max_of_acks acks in
     if Tag.compare tag Tag.zero = 0 then
       (* a majority never saw a write: no completed write exists *)
-      finish env ~op:"read" ~key ~t0 ~rounds:1 (Ok None)
+      finish ~rounds:1 (Ok None)
     else begin
       let at_max =
         List.length (List.filter (fun (_, (t, _)) -> Tag.compare t tag = 0) acks)
@@ -372,40 +422,40 @@ let read env h ~key =
       let v = match value with Some v -> v | None -> Bytes.empty in
       if at_max >= h.q then
         (* the query round itself proved the tag is on a majority *)
-        finish env ~op:"read" ~key ~t0 ~rounds:1 (Ok (Some v))
+        finish ~rounds:1 (Ok (Some v))
       else
         match propagate_phase env h ~op:"read" ~key tag v with
-        | Ok _ -> finish env ~op:"read" ~key ~t0 ~rounds:2 (Ok (Some v))
-        | Error No_quorum -> finish env ~op:"read" ~key ~t0 ~rounds:2 (Error No_quorum)
+        | Ok _ -> finish ~rounds:2 (Ok (Some v))
+        | Error No_quorum -> finish ~rounds:2 (Error No_quorum)
     end
 
 let write env h ~key value =
   with_op_ctx env @@ fun () ->
-  let t0 = Sodal.now env in
+  let finish = finish env ~op:"write" ~metric:"store.write.us" ~key ~t0:(Sodal.now env) in
   match query_phase env h ~op:"write" ~key with
-  | Error No_quorum -> finish env ~op:"write" ~key ~t0 ~rounds:1 (Error No_quorum)
+  | Error No_quorum -> finish ~rounds:1 (Error No_quorum)
   | Ok acks ->
     let max_tag, _ = max_of_acks acks in
     let tag = Tag.next max_tag ~wid:(Sodal.my_mid env) in
     (match propagate_phase env h ~op:"write" ~key tag value with
-     | Ok _ -> finish env ~op:"write" ~key ~t0 ~rounds:2 (Ok ())
-     | Error No_quorum -> finish env ~op:"write" ~key ~t0 ~rounds:2 (Error No_quorum))
+     | Ok _ -> finish ~rounds:2 (Ok ())
+     | Error No_quorum -> finish ~rounds:2 (Error No_quorum))
 
 let cas env h ~key ~expect value =
   with_op_ctx env @@ fun () ->
-  let t0 = Sodal.now env in
+  let finish = finish env ~op:"cas" ~metric:"store.cas.us" ~key ~t0:(Sodal.now env) in
   match query_phase env h ~op:"cas" ~key with
-  | Error No_quorum -> finish env ~op:"cas" ~key ~t0 ~rounds:1 (Error No_quorum)
+  | Error No_quorum -> finish ~rounds:1 (Error No_quorum)
   | Ok acks ->
     let max_tag, current = max_of_acks acks in
     let current =
       if Tag.compare max_tag Tag.zero = 0 then None
       else Some (match current with Some v -> v | None -> Bytes.empty)
     in
-    if current <> expect then finish env ~op:"cas" ~key ~t0 ~rounds:1 (Ok false)
+    if current <> expect then finish ~rounds:1 (Ok false)
     else begin
       let tag = Tag.next max_tag ~wid:(Sodal.my_mid env) in
       match propagate_phase env h ~op:"cas" ~key tag value with
-      | Ok _ -> finish env ~op:"cas" ~key ~t0 ~rounds:2 (Ok true)
-      | Error No_quorum -> finish env ~op:"cas" ~key ~t0 ~rounds:2 (Error No_quorum)
+      | Ok _ -> finish ~rounds:2 (Ok true)
+      | Error No_quorum -> finish ~rounds:2 (Error No_quorum)
     end

@@ -13,16 +13,23 @@
       tagged value; the replica keeps the pair iff the tag exceeds the
       one it holds (so retries and reordered deliveries are idempotent).
 
+    A replica's handler only queues each query or propagate on a FIFO;
+    its task ACCEPTs them in order, so the handler is free for the next
+    REQUEST and the kernel does not BUSY-NACK the queue's requests.
+
     [read] queries a majority for the maximum tag, then propagates that
     tag-value back to a majority before returning (skipped when the
     query round itself proved the tag is already on a majority).
     [write] queries a majority for the maximum tag, then propagates
-    [(max.seq + 1, my mid)] with the new value to a majority. Crashed or
-    partitioned replicas are skipped on the Delta-t crash verdict
-    (bounded retransmissions), exactly like the RPC facility's failover:
-    a round completes as soon as any majority answers. Rounds that fail
-    to assemble a majority are retried with capped exponential backoff
-    and then surface {!No_quorum}.
+    [(max.seq + 1, my mid)] with the new value to a majority. A round
+    launches to every replica that holds no earlier request from this
+    handle and completes as soon as any majority answers; replicas
+    still holding one — a slow replica, or a crashed or partitioned one
+    awaiting its Delta-t crash verdict — are skipped, so a handle has at
+    most one request in flight per replica. Skipped replicas lag, so
+    reads write back more often. Rounds that fail to assemble a majority
+    are retried with capped exponential backoff and then surface
+    {!No_quorum}.
 
     Tolerates [f < n/2] replica crashes. Rebooted replicas must come
     back with their table intact (stable storage) — re-attach the same

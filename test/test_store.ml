@@ -21,6 +21,9 @@ module Nameserver = Soda_facilities.Nameserver
 module Tag = Soda_store.Tag
 module Store = Soda_store.Store
 module Harness = Soda_store.Harness
+module Stats = Soda_sim.Stats
+module Metrics = Soda_obs.Metrics
+module Recorder = Soda_obs.Recorder
 
 let env_int name default =
   match Sys.getenv_opt name with
@@ -48,27 +51,30 @@ let test_tag_order_and_wire () =
 
 (* ---- protocol on a healthy cluster ------------------------------------- *)
 
-(* n replicas on mids 0..n-1, one scripted client on mid n. *)
-let with_cluster ?(n = 3) ~seed script =
+(* n replicas on mids 0..n-1, [clients] scripted clients on mids n and
+   up, each starting 1 ms after the one before. Returns the replica
+   kernels and tables. *)
+let with_cluster ?(n = 3) ?(clients = 1) ~seed script =
   let cost = { Cost.default with maxrequests = n + 2 } in
-  let net, kernels = make_net ~seed ~cost (n + 1) in
+  let net, kernels = make_net ~seed ~cost (n + clients) in
   let replicas = Array.init n (fun index -> Store.replica ~cluster:"t" ~index) in
   List.iteri
     (fun mid kernel ->
-      if mid < n then ignore (Sodal.attach kernel (Store.replica_spec replicas.(mid))))
+      if mid < n then ignore (Sodal.attach kernel (Store.replica_spec replicas.(mid)))
+      else
+        ignore
+          (Sodal.attach kernel
+             {
+               Sodal.default_spec with
+               task =
+                 (fun env ->
+                   Sodal.compute env (20_000 + ((mid - n) * 1_000));
+                   let h = Store.handle env ~cluster:"t" ~mids:(List.init n Fun.id) in
+                   script env h);
+             }))
     kernels;
-  ignore
-    (Sodal.attach (List.nth kernels n)
-       {
-         Sodal.default_spec with
-         task =
-           (fun env ->
-             Sodal.compute env 20_000;
-             let h = Store.handle env ~cluster:"t" ~mids:(List.init n Fun.id) in
-             script env h);
-       });
   run net;
-  replicas
+  (List.filteri (fun mid _ -> mid < n) kernels, replicas)
 
 let test_read_write_basic () =
   let observed = ref [] in
@@ -88,7 +94,7 @@ let test_read_write_basic () =
   | _ -> Alcotest.fail "client script did not run"
 
 let test_write_reaches_majority () =
-  let replicas =
+  let _, replicas =
     with_cluster ~seed:32 (fun env h ->
         Alcotest.(check bool) "write ok" true
           (Store.write env h ~key:1 (Bytes.of_string "x") = Ok ()))
@@ -192,6 +198,62 @@ let test_survives_minority_crash () =
   match Lin.check_history r.history with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "%s\n%a" msg (fun ppf -> Harness.pp_history ppf) r.history
+
+(* The bench STORE "one replica down" shape: replica 2 is dead from the
+   start. Rounds skip it while this handle's request to it retransmits
+   towards its crash verdict, so no op waits on the verdict: every op
+   completes within a healthy round trip or two, not the ~430 ms read /
+   ~850 ms write p50 of rounds that waited on the dead replica. *)
+let test_replica_down_stays_fast () =
+  let plan = [ { Fault_plan.at_us = 0; action = Fault_plan.Crash 2 } ] in
+  let r =
+    Harness.run ~n:3 ~clients:2 ~ops:30 ~keys:4 ~seed:77 ~think_us:30_000 ~plan ()
+  in
+  Alcotest.(check int) "all clients finished" r.clients_total r.clients_done;
+  Alcotest.(check int) "every op recorded" 60 (List.length r.history);
+  List.iter
+    (fun (op : Harness.op) ->
+      if op.outcome = `No_quorum then
+        Alcotest.failf "op failed with a majority up:\n%s"
+          (Format.asprintf "%a" Harness.pp_history r.history))
+    r.history;
+  (match Lin.check_history r.history with
+   | Ok () -> ()
+   | Error msg -> Alcotest.failf "%s\n%a" msg (fun ppf -> Harness.pp_history ppf) r.history);
+  let slowest =
+    List.fold_left (fun acc (op : Harness.op) -> max acc (op.end_us - op.start_us)) 0 r.history
+  in
+  if slowest >= 100_000 then Alcotest.failf "slowest op took %d us (bound 100 ms)" slowest;
+  let m = Recorder.metrics (Network.recorder r.net) in
+  Alcotest.(check bool) "rounds skipped the dead replica" true
+    (Metrics.counter m "store.skipped" > 0)
+
+(* Eight clients write to three replicas at once, with no think time.
+   Each replica's handler only queues the request and its task ACCEPTs
+   the queue in order, so the kernel never has to NACK one as BUSY (with
+   the ACCEPT in the handler, this run drew about 1,000 NACKs). Starts
+   are 1 ms apart, so every op still overlaps the others: the handler
+   costs a context switch per request, and eight REQUESTs landing in the
+   same instant would still overflow the one-request pipeline buffer. *)
+let test_concurrent_writers_no_busy () =
+  let failed = ref 0 and done_count = ref 0 in
+  let kernels, _ =
+    with_cluster ~clients:8 ~seed:78 (fun env h ->
+        for i = 1 to 10 do
+          let v = Bytes.of_string (Printf.sprintf "c%d#%d" (Sodal.my_mid env) i) in
+          if Store.write env h ~key:(i mod 2) v <> Ok () then incr failed
+        done;
+        incr done_count)
+  in
+  Alcotest.(check int) "all writers finished" 8 !done_count;
+  Alcotest.(check int) "every write ok" 0 !failed;
+  List.iteri
+    (fun mid kernel ->
+      Alcotest.(check int)
+        (Printf.sprintf "replica %d BUSY NACKs" mid)
+        0
+        (Stats.counter (Kernel.stats kernel) "req.busy_nacked"))
+    kernels
 
 (* ---- switchboard registration and rebind ------------------------------- *)
 
@@ -424,6 +486,9 @@ let suites =
         Alcotest.test_case "cas" `Quick test_cas;
         Alcotest.test_case "reader writes back partial writes" `Quick test_read_write_back;
         Alcotest.test_case "survives a minority crash" `Quick test_survives_minority_crash;
+        Alcotest.test_case "one replica down stays fast" `Quick test_replica_down_stays_fast;
+        Alcotest.test_case "concurrent writers draw no BUSY" `Quick
+          test_concurrent_writers_no_busy;
         Alcotest.test_case "nameserver rebind reclaims a name" `Quick test_nameserver_rebind;
         Alcotest.test_case "replica rebinds across a reboot" `Quick
           test_store_rebind_across_reboot;

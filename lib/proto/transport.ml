@@ -262,6 +262,12 @@ type t = {
 and hot_cells = {
   c_sent_total : int ref;
   c_recv_total : int ref;
+  c_standalone_acks : int ref;
+  c_duplicates : int ref;
+  mutable h_ack_wait : Soda_obs.Metrics.histogram option;
+      (* a data-bearing ACCEPT's latest emission to its ack; resolved at
+         the first sample, since a histogram is some 15 KB and most nodes
+         of a large network never accept with data *)
   sent_by_kind : int ref array;
   recv_by_kind : int ref array;
   t_transmission : int ref;
@@ -543,20 +549,43 @@ let respond_consumed t conn cr body =
 
 (* ---- owed acknowledgements --------------------------------------------- *)
 
-let owe_ack ?(extra_grace = 0) t conn seq =
+(* How long the ack of a consumed [body] waits for a packet to carry it.
+   A REQUEST's waits for a promptly issued ACCEPT, including both its data
+   copies (§5.2.3). An ACCEPT with data blocks its accepter until acked
+   ([Awaiting_ack]), so its ack waits only for the requester's turnaround:
+   the kernel->client copy, then the client's next request, which
+   piggybacks it; a pipelined GET stream stays at two packets per op. That
+   hold ends 1 us after the turnaround: a request trapped at its very end
+   is an event scheduled after this timer, and must still win the ack. A
+   dataless ACCEPT, DATA and CANCEL keep the grace window on top. *)
+let ack_hold t body =
+  let c = t.cost in
+  match body with
+  | Wire.Request { put_size; get_size; _ } ->
+    c.Cost.ack_grace_us + Cost.data_copy_us c ~bytes:put_size
+    + Cost.data_copy_us c ~bytes:get_size + c.Cost.accept_trap_us
+    + c.Cost.context_switch_us + c.Cost.handler_client_us
+  | Wire.Accept { data; _ } ->
+    let turnaround = c.Cost.request_trap_us + c.Cost.context_switch_us in
+    let bytes = Bytes.length data in
+    if bytes > 0 then Cost.data_copy_us c ~bytes + turnaround + 1
+    else c.Cost.ack_grace_us + turnaround
+  | _ -> c.Cost.ack_grace_us
+
+let owe_ack t conn ~hold seq =
   conn.ack_owed <- Some seq;
   if conn.ack_timer = None then
     conn.ack_timer <-
       Some
-        (defer t ~delay:(t.cost.Cost.ack_grace_us + extra_grace) (fun () ->
+        (defer t ~delay:hold (fun () ->
              conn.ack_timer <- None;
              if conn.ack_owed <> None then begin
-               Stats.incr t.stats "pkt.standalone_acks";
+               Stdlib.incr t.hot.c_standalone_acks;
                emit t ~dst:(`Peer conn.peer) Wire.Ack
              end))
 
 let replay_response t conn cr =
-  Stats.incr t.stats "pkt.duplicates";
+  Stdlib.incr t.hot.c_duplicates;
   mark t ~peer:conn.peer ~tid:Event.no_tid ~n:0 Event.Duplicate_replayed;
   if conn.ack_owed <> None then begin
     (* Our ack is still within its grace window; quell the retransmission
@@ -581,6 +610,22 @@ let cwnd_note t conn ~reason =
       (Event.Cwnd_change
          { peer = conn.peer; cwnd = int_of_float conn.cwnd;
            in_flight = conn.in_flight; reason })
+
+(* The accepter of a data-bearing ACCEPT stays blocked until it is acked:
+   record how long the ack took from the ACCEPT's latest emission. *)
+let ack_wait_sample t sp =
+  match sp.sp_body with
+  | Wire.Accept { data; _ } when Bytes.length data > 0 && sp.sp_sent_at > 0 ->
+    let h =
+      match t.hot.h_ack_wait with
+      | Some h -> h
+      | None ->
+        let h = Stats.histogram_cell t.stats "accept.ack_wait_us" in
+        t.hot.h_ack_wait <- Some h;
+        h
+    in
+    Soda_obs.Metrics.Histogram.observe h (Engine.now t.engine - sp.sp_sent_at)
+  | _ -> ()
 
 (* Fold one acked packet into the RTT estimator. Karn's rule: a packet
    that was ever retransmitted (or re-emitted after a BUSY) has an
@@ -831,7 +876,7 @@ let rec transmit_sent t conn sp =
            end
            else if conn.ack_owed <> None then
              (* the emission was cancelled; release the held ack *)
-             owe_ack t conn (Option.get conn.ack_owed)))
+             owe_ack t conn ~hold:t.cost.Cost.ack_grace_us (Option.get conn.ack_owed)))
   end
 
 (* The timer covers the frame's wait for the medium too: a frame queued
@@ -912,6 +957,7 @@ and apply_cum_ack t conn a =
           if tracing t then
             event t
               (Event.Acked { tid = sp.sp_tid; peer = conn.peer; pkt = pkt_of_body sp.sp_body });
+          ack_wait_sample t sp;
           sp.sp_done Out_acked)
         (List.rev !acked);
       start_next t conn
@@ -1030,6 +1076,9 @@ let create ~engine ~bus ~mid ~cost ~recorder =
     {
       c_sent_total = Stats.counter_cell stats "pkt.sent.total";
       c_recv_total = Stats.counter_cell stats "pkt.recv.total";
+      c_standalone_acks = Stats.counter_cell stats "pkt.standalone_acks";
+      c_duplicates = Stats.counter_cell stats "pkt.duplicates";
+      h_ack_wait = None;
       sent_by_kind =
         Array.map (fun k -> Stats.counter_cell stats ("pkt.sent." ^ k)) kind_names;
       recv_by_kind =
@@ -1646,19 +1695,10 @@ let handle_cancel_request t conn cr ~tid =
   if ok then Stats.incr t.stats "cancel.granted" else Stats.incr t.stats "cancel.refused";
   respond_consumed t conn cr (Wire.Cancel_reply { tid; ok })
 
-(* Consume an in-order ACCEPT, DATA or CANCEL and owe its ack. An ACCEPT's
-   ack is held long enough for the kernel->client copy and the client's
-   next request to piggyback it. *)
+(* Consume an in-order ACCEPT, DATA or CANCEL and owe its ack. *)
 let consume_in_order t conn ~resync pkt =
   let cr = consume t conn ~resync pkt in
-  let extra_grace =
-    match pkt.Wire.body with
-    | Wire.Accept { data; _ } ->
-      Cost.data_copy_us t.cost ~bytes:(Bytes.length data)
-      + t.cost.Cost.request_trap_us + t.cost.Cost.context_switch_us
-    | _ -> 0
-  in
-  owe_ack ~extra_grace t conn pkt.Wire.seq;
+  owe_ack t conn ~hold:(ack_hold t pkt.Wire.body) pkt.Wire.seq;
   cr
 
 (* Act on a body consumed by [consume_in_order]. *)
@@ -1737,14 +1777,6 @@ let offer_request t conn pkt ~resync =
       in
       Hashtbl.replace t.srv_txns (src, tid) txn
     in
-    (* Hold the ack long enough for a promptly-issued ACCEPT -- including
-       both its input and output data copies -- to piggyback it (§5.2.3). *)
-    let accept_grace =
-      Cost.data_copy_us t.cost ~bytes:put_size
-      + Cost.data_copy_us t.cost ~bytes:get_size
-      + t.cost.Cost.accept_trap_us + t.cost.Cost.context_switch_us
-      + t.cost.Cost.handler_client_us
-    in
     (* A consumed rejection is stored and replayed on duplicates. *)
     let reject body =
       if rejection_consumes t then
@@ -1758,7 +1790,7 @@ let offer_request t conn pkt ~resync =
        `Done
      | `Deliver ->
        ignore (consume t conn ~resync pkt);
-       owe_ack ~extra_grace:accept_grace t conn seq;
+       owe_ack t conn ~hold:(ack_hold t pkt.Wire.body) seq;
        register Srv_delivered;
        Stats.incr t.stats "req.delivered";
        if tracing t then
@@ -1770,7 +1802,7 @@ let offer_request t conn pkt ~resync =
      | `Busy ->
        if t.cost.Cost.pipelined && t.buffered = None then begin
          ignore (consume t conn ~resync pkt);
-         owe_ack ~extra_grace:accept_grace t conn seq;
+         owe_ack t conn ~hold:(ack_hold t pkt.Wire.body) seq;
          register Srv_buffered;
          t.buffered <-
            Some

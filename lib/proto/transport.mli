@@ -34,8 +34,10 @@
       for a bounded number of swallowed retransmissions — then BUSY-nacked
       so a long-busy handler reads as BUSY (retried indefinitely), never
       as a crashed peer;
-    - {b acknowledgement piggybacking}: an owed ACK waits [ack_grace_us]
-      for an outgoing packet (typically the ACCEPT) to carry it;
+    - {b acknowledgement piggybacking}: an owed ACK waits for an outgoing
+      packet (typically the ACCEPT) to carry it, for [ack_grace_us] plus
+      the expected turnaround; an ACCEPT that carries data blocks its
+      accepter, so its ack waits only the requester's turnaround;
     - {b probes} (§3.6.2): every delivered-but-unaccepted outbound request
       is probed periodically; missing replies or a rebooted server complete
       it as CRASHED;

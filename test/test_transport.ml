@@ -401,6 +401,138 @@ let test_stale_accept_after_requester_death () =
   run ~horizon:600.0 net;
   Alcotest.(check bool) "stale accept crashed" true (!accept_status = Types.Accept_crashed)
 
+(* ---- acknowledgement holds (§5.2.3) ----------------------------------------------- *)
+
+(* An ACCEPT that carries data blocks its accepter until it is acked, so
+   the requester holds that ack only for its own turnaround (the
+   kernel->client copy, then the trap and context switch of a next
+   request that would carry it) and 1 us, with no grace window on top.
+   Here the requester issues nothing more, so the ack leaves alone,
+   exactly that hold after the ACCEPT is consumed. With the 2 ms grace
+   window on top instead of the 1 us, the ack left 1,999 us later, the
+   server's ack wait was 7,458 us and its [accept_get] returned at
+   12,469 us. *)
+let test_get_accept_ack_hold () =
+  let words = 10 in
+  let bytes = words * Cost.default.Cost.word_bytes in
+  let net, kernels = make_net ~trace:true 2 in
+  let asker = ref None in
+  let accept_return = ref None in
+  ignore
+    (Sodal.attach (List.nth kernels 0)
+       {
+         Sodal.default_spec with
+         init = (fun env ~parent:_ -> Sodal.advertise env patt);
+         on_request = (fun _ info -> asker := Some info.Sodal.asker);
+         task =
+           (fun env ->
+             while !asker = None do
+               Sodal.idle env
+             done;
+             let st =
+               Sodal.accept_get env (Option.get !asker) ~arg:0 ~data:(Bytes.make bytes 'g')
+             in
+             accept_return := Some (st, Sodal.now env));
+       });
+  let got = ref 0 in
+  ignore
+    (Sodal.attach (List.nth kernels 1)
+       {
+         Sodal.default_spec with
+         task =
+           (fun env ->
+             let c =
+               Sodal.b_get env (Sodal.server ~mid:0 ~pattern:patt) ~arg:0
+                 ~into:(Bytes.create bytes)
+             in
+             got := c.Sodal.get_transferred);
+       });
+  run ~horizon:10.0 net;
+  Alcotest.(check int) "all data arrived" bytes !got;
+  let events = Recorder.events (Network.recorder net) in
+  let at mid ev =
+    List.filter_map
+      (fun e -> if e.Event.mid = mid && ev e.Event.kind then Some e.Event.time_us else None)
+      events
+  in
+  let consumed =
+    match at 1 (function Event.Rx { pkt = Event.P_accept; _ } -> true | _ -> false) with
+    | [ t ] -> t
+    | l -> Alcotest.failf "expected one ACCEPT at the requester, saw %d" (List.length l)
+  in
+  let acked =
+    match at 1 (function Event.Tx { pkt = Event.P_ack; _ } -> true | _ -> false) with
+    | [ t ] -> t
+    | l -> Alcotest.failf "expected one standalone ACK, saw %d" (List.length l)
+  in
+  let c = Cost.default in
+  Alcotest.(check int) "ack held for copy + trap + context switch (1,100 us) + 1 us"
+    (Cost.data_copy_us c ~bytes + c.Cost.request_trap_us + c.Cost.context_switch_us + 1)
+    (acked - consumed);
+  (match !accept_return with
+   | Some (st, ret) ->
+     Alcotest.(check bool) "accept_get succeeded" true (st = Types.Accept_success);
+     Alcotest.(check int) "accept_get returns 1,999 us before the grace-window time"
+       (12_469 - 1_999) ret
+   | None -> Alcotest.fail "accept_get never returned");
+  match Stats.histogram (Kernel.stats (List.nth kernels 0)) "accept.ack_wait_us" with
+  | Some h ->
+    let module H = Soda_obs.Metrics.Histogram in
+    Alcotest.(check int) "one data-bearing ACCEPT acked" 1 (H.count h);
+    Alcotest.(check int) "its ack came 1,999 us sooner too" (7_458 - 1_999) (H.max_value h)
+  | None -> Alcotest.fail "no accept.ack_wait_us histogram"
+
+(* Refinement 2 of the paper's pipelined GET: with requests kept in
+   flight back to back, every ACCEPT's ack rides the client's next
+   REQUEST, so a GET costs two packets and no ack goes alone, whatever
+   the size of the returned data. *)
+let test_get_stream_two_packets ~words () =
+  let bytes = words * Cost.default.Cost.word_bytes in
+  let n = 40 and outstanding = 3 in
+  let net, kernels = make_net 2 in
+  ignore
+    (Sodal.attach (List.nth kernels 0)
+       {
+         Sodal.default_spec with
+         init = (fun env ~parent:_ -> Sodal.advertise env patt);
+         on_request =
+           (fun env _ ->
+             ignore (Sodal.accept_current_get env ~arg:0 ~data:(Bytes.make bytes 'g')));
+       });
+  let both name =
+    List.fold_left (fun acc k -> acc + Stats.counter (Kernel.stats k) name) 0 kernels
+  in
+  (* packets sent and standalone acks, read at the last completion: the
+     last ACCEPT's ack has no next REQUEST to ride *)
+  let last = ref (0, 0) in
+  let completed = ref 0 in
+  ignore
+    (Sodal.attach (List.nth kernels 1)
+       {
+         Sodal.default_spec with
+         on_completion =
+           (fun _ c ->
+             if c.Sodal.status = Sodal.Comp_ok then incr completed;
+             if !completed = n then
+               last := (both "pkt.sent.total", both "pkt.standalone_acks"));
+         task =
+           (fun env ->
+             let sv = Sodal.server ~mid:0 ~pattern:patt in
+             let issued = ref 0 in
+             while !completed < n do
+               while !issued < n && !issued - !completed < outstanding do
+                 ignore (Sodal.get env sv ~arg:0 ~into:(Bytes.create bytes));
+                 incr issued
+               done;
+               Sodal.idle env
+             done);
+       });
+  run ~horizon:60.0 net;
+  Alcotest.(check int) "all GETs completed" n !completed;
+  let sent, alone = !last in
+  Alcotest.(check int) "2 packets per GET" (2 * n) sent;
+  Alcotest.(check int) "no standalone ack" 0 alone
+
 (* ---- delta-t record lifecycle ------------------------------------------------------- *)
 
 let test_deltat_record_expiry () =
@@ -515,6 +647,17 @@ let suites =
         Alcotest.test_case "silent node" `Quick test_request_to_silent_node_crashes;
         Alcotest.test_case "probe detects crash" `Quick test_probe_detects_server_crash;
         Alcotest.test_case "stale accept" `Quick test_stale_accept_after_requester_death;
+      ] );
+    ( "transport.ack",
+      [
+        Alcotest.test_case "GET accept acked after the turnaround" `Quick
+          test_get_accept_ack_hold;
+        Alcotest.test_case "GET stream of 0 words: 2 packets per op" `Quick
+          (test_get_stream_two_packets ~words:0);
+        Alcotest.test_case "GET stream of 1 word: 2 packets per op" `Quick
+          (test_get_stream_two_packets ~words:1);
+        Alcotest.test_case "GET stream of 100 words: 2 packets per op" `Quick
+          (test_get_stream_two_packets ~words:100);
       ] );
     ( "transport.deltat",
       [ Alcotest.test_case "record expiry + take-any" `Quick test_deltat_record_expiry ] );

@@ -605,8 +605,8 @@ let store_section () =
       Printf.printf
         "\n  n=%d replicas (quorum %d), %d clients x %d ops, think<=30 ms\n" n
         ((n / 2) + 1) clients ops;
-      Printf.printf "    %-18s %6s  %-17s %-17s %8s %9s %8s\n" "configuration" "ok"
-        "read p50/p95/p99" "write p50/p95/p99" "pkts/op" "rounds/op" "retries";
+      Printf.printf "    %-18s %6s  %-17s %-17s %8s %9s %8s %9s\n" "configuration" "ok"
+        "read p50/p95/p99" "write p50/p95/p99" "pkts/op" "rounds/op" "retries" "hedged/op";
       List.iter
         (fun (label, loss, plan) ->
           let run ops =
@@ -631,11 +631,12 @@ let store_section () =
             | None -> "-"
           in
           let per_op c = float_of_int c /. float_of_int (max total 1) in
-          Printf.printf "    %-18s %3d/%2d  %-17s %-17s %8.1f %9.2f %8d\n" label ok total
-            (pct "store.read.us") (pct "store.write.us")
+          Printf.printf "    %-18s %3d/%2d  %-17s %-17s %8.1f %9.2f %8d %9.2f\n" label ok
+            total (pct "store.read.us") (pct "store.write.us")
             (per_op (frames r.Harness.net - frames base.Harness.net))
             (per_op (Metrics.counter m "store.rounds"))
-            (Metrics.counter m "store.retries"))
+            (Metrics.counter m "store.retries")
+            (per_op (Metrics.counter m "store.hedged")))
         [
           ("healthy", 0.0, None);
           ("2% loss", 0.02, None);

@@ -156,6 +156,18 @@ let pkt_of_name = function
 
 let pkt_f fields = pkt_of_name (str_f fields "pkt")
 
+(* Inverse of a [name] function over the constructors listed in [all]. *)
+let named_f what name all fields key =
+  let s = str_f fields key in
+  match List.find_opt (fun x -> name x = s) all with
+  | Some x -> x
+  | None -> raise (Parse_error (Printf.sprintf "unknown %s %S" what s))
+
+let store_op_f fields = named_f "store op" Event.store_op_name Event.store_ops fields "op"
+
+let store_phase_f fields =
+  named_f "store phase" Event.store_phase_name Event.store_phases fields "phase"
+
 let mids_of_string s =
   if s = "" then []
   else List.map int_of_string (String.split_on_char ',' s)
@@ -236,16 +248,16 @@ let kind_of_fields fields =
       { rate_pct = int_f fields "rate_pct"; duration_us = int_f fields "duration" }
   | "store-phase" ->
     Store_phase
-      { op = str_f fields "op"; phase = str_f fields "phase"; key = int_f fields "key";
+      { op = store_op_f fields; phase = store_phase_f fields; key = int_f fields "key";
         acks = int_f fields "acks"; quorum = int_f fields "quorum";
         elapsed_us = int_f fields "elapsed" }
   | "store-retry" ->
     Store_retry
-      { op = str_f fields "op"; phase = str_f fields "phase"; key = int_f fields "key";
+      { op = store_op_f fields; phase = store_phase_f fields; key = int_f fields "key";
         attempt = int_f fields "attempt" }
   | "store-complete" ->
     Store_complete
-      { op = str_f fields "op"; key = int_f fields "key"; ok = bool_f fields "ok";
+      { op = store_op_f fields; key = int_f fields "key"; ok = bool_f fields "ok";
         rounds = int_f fields "rounds"; elapsed_us = int_f fields "elapsed" }
   | "scd-broadcast" ->
     Scd_broadcast
@@ -259,11 +271,8 @@ let kind_of_fields fields =
         oseq = int_f fields "oseq"; ok = bool_f fields "ok";
         elapsed_us = int_f fields "elapsed" }
   | "mark" ->
-    let name = str_f fields "mark" in
-    (match List.find_opt (fun m -> mark_name m = name) marks with
-     | Some mark ->
-       Mark { peer = int_f fields "peer"; tid = int_f fields "tid"; mark; n = int_f fields "n" }
-     | None -> raise (Parse_error (Printf.sprintf "unknown mark %S" name)))
+    let mark = named_f "mark" mark_name marks fields "mark" in
+    Mark { peer = int_f fields "peer"; tid = int_f fields "tid"; mark; n = int_f fields "n" }
   | s -> raise (Parse_error (Printf.sprintf "unknown event kind %S" s))
 
 let event_of_line line =
@@ -410,9 +419,11 @@ let label_of_kind mid kind =
   let open Event in
   match kind with
   | Store_complete { op; key; ok; _ } ->
-    (4, Printf.sprintf "store %s key=%d%s" op key (if ok then "" else " NO-QUORUM"))
+    (4,
+     Printf.sprintf "store %s key=%d%s" (store_op_name op) key
+       (if ok then "" else " NO-QUORUM"))
   | Store_phase { op; key; _ } | Store_retry { op; key; _ } ->
-    (3, Printf.sprintf "store %s key=%d" op key)
+    (3, Printf.sprintf "store %s key=%d" (store_op_name op) key)
   | Scd_op { op; origin; oseq; ok; _ } ->
     (4, Printf.sprintf "scd %s op#%d.%d%s" op origin oseq (if ok then "" else " FAILED"))
   | Trap { tid; dst; _ } -> (3, Printf.sprintf "req#%d %d->%s" tid mid (peer_name dst))

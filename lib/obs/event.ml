@@ -84,6 +84,18 @@ let mark_name = function
   | Hardware_crash -> "hardware-crash"
   | Quarantine_over -> "quarantine-over"
 
+type store_op = Op_read | Op_write | Op_cas
+
+let store_ops = [ Op_read; Op_write; Op_cas ]
+
+let store_op_name = function Op_read -> "read" | Op_write -> "write" | Op_cas -> "cas"
+
+type store_phase = Query | Propagate
+
+let store_phases = [ Query; Propagate ]
+
+let store_phase_name = function Query -> "query" | Propagate -> "propagate"
+
 type kind =
   | Trap of { tid : int; dst : int; pattern : int; put_size : int; get_size : int }
       (** REQUEST trap on the requester: the span's birth. *)
@@ -132,11 +144,13 @@ type kind =
   | Fault_loss_burst of { rate_pct : int; duration_us : int }
       (** Temporary elevated loss rate. *)
   | Store_phase of
-      { op : string; phase : string; key : int; acks : int; quorum : int; elapsed_us : int }
+      { op : store_op; phase : store_phase; key : int; acks : int; quorum : int;
+        elapsed_us : int }
       (** One quorum round of a replicated-store operation. *)
-  | Store_retry of { op : string; phase : string; key : int; attempt : int }
+  | Store_retry of { op : store_op; phase : store_phase; key : int; attempt : int }
       (** A quorum round failed to assemble a majority and is retried. *)
-  | Store_complete of { op : string; key : int; ok : bool; rounds : int; elapsed_us : int }
+  | Store_complete of
+      { op : store_op; key : int; ok : bool; rounds : int; elapsed_us : int }
       (** A store operation finished ([ok = false]: no quorum reachable). *)
   | Scd_broadcast of { sd : int; sn : int; payload : string }
       (** An SCD member started a broadcast (first FORWARD of a message). *)
@@ -248,12 +262,13 @@ let message = function
   | Fault_loss_burst { rate_pct; duration_us } ->
     Printf.sprintf "fault: loss burst %d%% for %d us" rate_pct duration_us
   | Store_phase { op; phase; key; acks; quorum; elapsed_us } ->
-    Printf.sprintf "store %s key=%d %s %d/%d acks in %d us" op key phase acks quorum
-      elapsed_us
+    Printf.sprintf "store %s key=%d %s %d/%d acks in %d us" (store_op_name op) key
+      (store_phase_name phase) acks quorum elapsed_us
   | Store_retry { op; phase; key; attempt } ->
-    Printf.sprintf "store %s key=%d %s retry (attempt %d)" op key phase attempt
+    Printf.sprintf "store %s key=%d %s retry (attempt %d)" (store_op_name op) key
+      (store_phase_name phase) attempt
   | Store_complete { op; key; ok; rounds; elapsed_us } ->
-    Printf.sprintf "store %s key=%d %s after %d round(s) in %d us" op key
+    Printf.sprintf "store %s key=%d %s after %d round(s) in %d us" (store_op_name op) key
       (if ok then "ok" else "NO QUORUM")
       rounds elapsed_us
   | Scd_broadcast { sd; sn; payload } ->

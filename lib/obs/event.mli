@@ -61,6 +61,24 @@ val marks : mark list
 (** Kebab-case name ("record-created", ...), as exported. *)
 val mark_name : mark -> string
 
+(** A replicated-store client operation. *)
+type store_op = Op_read | Op_write | Op_cas
+
+(** Every store operation, in declaration order. *)
+val store_ops : store_op list
+
+(** ["read"], ["write"] or ["cas"], as exported. *)
+val store_op_name : store_op -> string
+
+(** The two quorum rounds of an ABD operation: a query GETs each
+    answering replica's tag and value, a propagate PUTs a tagged value. *)
+type store_phase = Query | Propagate
+
+val store_phases : store_phase list
+
+(** ["query"] or ["propagate"], as exported. *)
+val store_phase_name : store_phase -> string
+
 type kind =
   | Trap of { tid : int; dst : int; pattern : int; put_size : int; get_size : int }
   | Enqueue of { tid : int; peer : int; pkt : pkt }
@@ -105,12 +123,14 @@ type kind =
   | Fault_loss_burst of { rate_pct : int; duration_us : int }
       (** Temporary elevated loss rate. *)
   | Store_phase of
-      { op : string; phase : string; key : int; acks : int; quorum : int; elapsed_us : int }
-      (** One quorum round of a replicated-store operation: [phase] is
-          ["query"] or ["propagate"], [acks] of [quorum] needed answered. *)
-  | Store_retry of { op : string; phase : string; key : int; attempt : int }
+      { op : store_op; phase : store_phase; key : int; acks : int; quorum : int;
+        elapsed_us : int }
+      (** One quorum round of a replicated-store operation: [acks] of
+          [quorum] needed answered. *)
+  | Store_retry of { op : store_op; phase : store_phase; key : int; attempt : int }
       (** A quorum round failed to assemble a majority and is retried. *)
-  | Store_complete of { op : string; key : int; ok : bool; rounds : int; elapsed_us : int }
+  | Store_complete of
+      { op : store_op; key : int; ok : bool; rounds : int; elapsed_us : int }
       (** A store operation finished ([ok = false]: no quorum reachable). *)
   | Scd_broadcast of { sd : int; sn : int; payload : string }
       (** An SCD member started a broadcast (first FORWARD of a message). *)

@@ -115,13 +115,14 @@ let event_fields (e : Event.t) : json_field list =
     | Fault_loss_burst { rate_pct; duration_us } ->
       [ ("rate_pct", `Int rate_pct); ("duration", `Int duration_us) ]
     | Store_phase { op; phase; key; acks; quorum; elapsed_us } ->
-      [ ("op", `Str op); ("phase", `Str phase); ("key", `Int key); ("acks", `Int acks);
-        ("quorum", `Int quorum); ("elapsed", `Int elapsed_us) ]
+      [ ("op", `Str (store_op_name op)); ("phase", `Str (store_phase_name phase));
+        ("key", `Int key); ("acks", `Int acks); ("quorum", `Int quorum);
+        ("elapsed", `Int elapsed_us) ]
     | Store_retry { op; phase; key; attempt } ->
-      [ ("op", `Str op); ("phase", `Str phase); ("key", `Int key);
-        ("attempt", `Int attempt) ]
+      [ ("op", `Str (store_op_name op)); ("phase", `Str (store_phase_name phase));
+        ("key", `Int key); ("attempt", `Int attempt) ]
     | Store_complete { op; key; ok; rounds; elapsed_us } ->
-      [ ("op", `Str op); ("key", `Int key); ("ok", `Bool ok); ("rounds", `Int rounds);
+      [ ("op", `Str (store_op_name op)); ("key", `Int key); ("ok", `Bool ok); ("rounds", `Int rounds);
         ("elapsed", `Int elapsed_us) ]
     | Scd_broadcast { sd; sn; payload } ->
       [ ("sd", `Int sd); ("sn", `Int sn); ("payload", `Str payload) ]

@@ -181,6 +181,17 @@ type t = {
   (* [in_flight.(i)]: this handle's last request to replica [i] has not
      completed yet (it may belong to an earlier round or operation). *)
   in_flight : bool array;
+  (* The answer order: the replicas that acked this handle's last round,
+     in the order they acked, then the rest in their earlier order
+     (initially [0..n-1]). Rounds launch in this order. *)
+  order : int array;
+  (* counter cells, resolved once per handle *)
+  rounds : int ref;
+  retries : int ref;
+  skipped : int ref;
+  no_quorum : int ref;
+  hedged : int ref;
+  round_acks : Metrics.histogram;
 }
 
 (* Client retry policy: values up to [max_value] bytes, [attempts] quorum
@@ -226,6 +237,7 @@ let metrics env = Recorder.metrics (recorder env)
 let make_handle env ~cluster ~replicas ~resolve =
   let n = Array.length replicas in
   if n = 0 then invalid_arg "Store.handle: no replicas";
+  let m = metrics env in
   {
     cluster;
     n;
@@ -234,6 +246,13 @@ let make_handle env ~cluster ~replicas ~resolve =
     resolve;
     rng = Rng.split (Engine.rng (Kernel.engine (Sodal.kernel env)));
     in_flight = Array.make n false;
+    order = Array.init n Fun.id;
+    rounds = Metrics.counter_cell m "store.rounds";
+    retries = Metrics.counter_cell m "store.retries";
+    skipped = Metrics.counter_cell m "store.skipped";
+    no_quorum = Metrics.counter_cell m "store.no_quorum";
+    hedged = Metrics.counter_cell m "store.hedged";
+    round_acks = Metrics.histogram_cell m "store.round.acks";
   }
 
 let handle env ~cluster ~mids =
@@ -284,29 +303,64 @@ let rec submit env f =
 let free h =
   Array.fold_left (fun k busy -> if busy then k else k + 1) 0 h.in_flight
 
-(* One quorum round: launch [launch i] at every replica with no request
-   of this handle in flight, collect decoded acks as completions arrive,
-   and return as soon as a majority has answered (or every launched
-   request has resolved without reaching one). Laggards — requests still
-   queued at a slow replica or retransmitting into a crashed one — keep
+(* Move the replicas in [acks] (newest first) to the front of the answer
+   order, first answerer first; the rest keep their relative order. *)
+let reorder h acks =
+  let answered i = List.exists (fun (j, _) -> j = i) acks in
+  let back = ref (h.n - 1) in
+  for k = h.n - 1 downto 0 do
+    let i = h.order.(k) in
+    if not (answered i) then begin
+      h.order.(!back) <- i;
+      decr back
+    end
+  done;
+  List.iter
+    (fun (i, _) ->
+      h.order.(!back) <- i;
+      decr back)
+    acks
+
+(* One quorum round. Replicas are tried in the answer order, skipping
+   any that still hold a request of this handle (a laggard: queued at a
+   slow replica, or retransmitting into a crashed one towards its crash
+   verdict), so a handle has at most [n] requests outstanding and a dead
+   replica holds one of them, not one per round. A propagate launches to
+   every free replica: its extra acks keep replicas current, so reads
+   write back less often. A query launches to exactly [q], since any
+   majority serves an ABD round and each extra query costs frames and a
+   replica turn the answers we do use would queue behind; a query that
+   resolves without an ack is replaced at once by the next free replica.
+   When [q - 1] acks are in at [t1], [t1 - t0] after the round started,
+   and the last one has not come within as long again, the round hedges
+   once with one more replica: a silent replica first in the order would
+   otherwise hold the round until its crash verdict.
+   The round returns as soon as [q] acks are in, or when every launched
+   request has resolved and no free replica is left to try. Laggards keep
    their callbacks and resolve harmlessly later: that is the RPC
    facility's skip-after-verdict failover discipline, not a timeout.
-   Any majority serves an ABD round, so the next round skips replicas a
-   laggard still occupies: a handle has at most [n] requests
-   outstanding, and a dead replica holds one of them, not one per round.
    With fewer than [q] replicas free the round idles until [q] are. *)
-let round env h ~launch ~decode =
-  let m = metrics env in
+let round env h ~phase ~launch ~decode =
   while free h < h.q do
     Sodal.idle env
   done;
+  let t0 = Sodal.now env in
   let acks = ref [] in
   let acked = ref 0 in
   let failed = ref 0 in
   let launched = ref 0 in
   let unadvertised = ref [] in
-  for i = 0 to h.n - 1 do
-    if h.in_flight.(i) then Metrics.incr m "store.skipped"
+  let t1 = ref (-1) in
+  let cursor = ref 0 in
+  let rec launch_next () =
+    !cursor < h.n
+    &&
+    let i = h.order.(!cursor) in
+    incr cursor;
+    if h.in_flight.(i) then begin
+      incr h.skipped;
+      launch_next ()
+    end
     else begin
       let tid = submit env (fun () -> launch i) in
       h.in_flight.(i) <- true;
@@ -316,39 +370,61 @@ let round env h ~launch ~decode =
           match decode i c with
           | Some v ->
             acks := (i, v) :: !acks;
-            incr acked
+            incr acked;
+            if !acked = h.q - 1 then t1 := Sodal.now env
           | None ->
             if c.Sodal.status = Sodal.Comp_unadvertised then
               unadvertised := i :: !unadvertised;
-            incr failed)
+            incr failed);
+      true
     end
-  done;
+  in
+  (* how many launched requests that have not failed the round keeps
+     out, each of which may still ack; the hedge raises a query's [q]
+     to [q + 1] *)
+  let want = ref (match phase with Event.Query -> h.q | Event.Propagate -> h.n) in
+  let top_up () =
+    while !launched - !failed < !want && launch_next () do
+      ()
+    done
+  in
+  top_up ();
   while !acked < h.q && !acked + !failed < !launched do
-    Sodal.idle env
+    (if phase = Event.Query && !want = h.q && !t1 >= 0 then begin
+       let now = Sodal.now env in
+       let deadline = !t1 + (!t1 - t0) in
+       if now < deadline then Sodal.idle_for env (deadline - now)
+       else begin
+         incr want;
+         if launch_next () then incr h.hedged
+       end
+     end
+     else Sodal.idle env);
+    top_up ()
   done;
+  reorder h !acks;
   (List.rev !acks, !acked, !unadvertised)
 
 (* Retry wrapper: capped exponential backoff with jitter from the
    handle's split RNG, re-resolving switchboard bindings for replicas
    that answered UNADVERTISED (their incarnation changed). *)
-let phase env h ~op ~name ~key ~launch ~decode =
-  let m = metrics env in
+let phase env h ~op ~phase ~key ~launch ~decode =
   let rec attempt k =
     let t0 = Sodal.now env in
-    let acks, acked, unadvertised = round env h ~launch ~decode in
-    Metrics.incr m "store.rounds";
-    Metrics.observe m "store.round.acks" acked;
+    let acks, acked, unadvertised = round env h ~phase ~launch ~decode in
+    incr h.rounds;
+    Metrics.Histogram.observe h.round_acks acked;
     emit env
       (Event.Store_phase
-         { op; phase = name; key; acks = acked; quorum = h.q; elapsed_us = Sodal.now env - t0 });
+         { op; phase; key; acks = acked; quorum = h.q; elapsed_us = Sodal.now env - t0 });
     if acked >= h.q then Ok acks
     else if k >= attempts then begin
-      Metrics.incr m "store.no_quorum";
+      incr h.no_quorum;
       Error No_quorum
     end
     else begin
-      Metrics.incr m "store.retries";
-      emit env (Event.Store_retry { op; phase = name; key; attempt = k });
+      incr h.retries;
+      emit env (Event.Store_retry { op; phase; key; attempt = k });
       (match h.resolve with
        | Some resolve ->
          List.iter
@@ -367,9 +443,9 @@ let phase env h ~op ~name ~key ~launch ~decode =
 
 (* Phase 1: GET the per-replica (tag, value) for [key] from a majority. *)
 let query_phase env h ~op ~key =
-  (* filled at launch: a skipped replica needs no buffer *)
+  (* filled at launch: a replica not asked needs no buffer *)
   let buffers = Array.make h.n Bytes.empty in
-  phase env h ~op ~name:"query" ~key
+  phase env h ~op ~phase:Event.Query ~key
     ~launch:(fun i ->
       let into = Bytes.create (11 + max_value) in
       buffers.(i) <- into;
@@ -382,7 +458,7 @@ let query_phase env h ~op ~key =
 (* Phase 2: PUT the tagged value to a majority. *)
 let propagate_phase env h ~op ~key tag value =
   let payload = encode_propagate tag value in
-  phase env h ~op ~name:"propagate" ~key
+  phase env h ~op ~phase:Event.Propagate ~key
     ~launch:(fun i -> Sodal.put env h.replicas.(i) ~arg:key payload)
     ~decode:(fun _ c ->
       match c.Sodal.status with
@@ -407,8 +483,10 @@ let finish env ~op ~metric ~key ~t0 ~rounds result =
 
 let read env h ~key =
   with_op_ctx env @@ fun () ->
-  let finish = finish env ~op:"read" ~metric:"store.read.us" ~key ~t0:(Sodal.now env) in
-  match query_phase env h ~op:"read" ~key with
+  let finish =
+    finish env ~op:Event.Op_read ~metric:"store.read.us" ~key ~t0:(Sodal.now env)
+  in
+  match query_phase env h ~op:Event.Op_read ~key with
   | Error No_quorum -> finish ~rounds:1 (Error No_quorum)
   | Ok acks ->
     let tag, value = max_of_acks acks in
@@ -424,27 +502,41 @@ let read env h ~key =
         (* the query round itself proved the tag is on a majority *)
         finish ~rounds:1 (Ok (Some v))
       else
-        match propagate_phase env h ~op:"read" ~key tag v with
+        match propagate_phase env h ~op:Event.Op_read ~key tag v with
         | Ok _ -> finish ~rounds:2 (Ok (Some v))
         | Error No_quorum -> finish ~rounds:2 (Error No_quorum)
     end
 
+(* A longer value would overflow every later query reply's buffer and
+   leave the key unreadable, so it is refused before any round. *)
+let check_value fn value =
+  if Bytes.length value > max_value then
+    invalid_arg
+      (Printf.sprintf "Store.%s: %d-byte value exceeds max_value (%d bytes)" fn
+         (Bytes.length value) max_value)
+
 let write env h ~key value =
+  check_value "write" value;
   with_op_ctx env @@ fun () ->
-  let finish = finish env ~op:"write" ~metric:"store.write.us" ~key ~t0:(Sodal.now env) in
-  match query_phase env h ~op:"write" ~key with
+  let finish =
+    finish env ~op:Event.Op_write ~metric:"store.write.us" ~key ~t0:(Sodal.now env)
+  in
+  match query_phase env h ~op:Event.Op_write ~key with
   | Error No_quorum -> finish ~rounds:1 (Error No_quorum)
   | Ok acks ->
     let max_tag, _ = max_of_acks acks in
     let tag = Tag.next max_tag ~wid:(Sodal.my_mid env) in
-    (match propagate_phase env h ~op:"write" ~key tag value with
+    (match propagate_phase env h ~op:Event.Op_write ~key tag value with
      | Ok _ -> finish ~rounds:2 (Ok ())
      | Error No_quorum -> finish ~rounds:2 (Error No_quorum))
 
 let cas env h ~key ~expect value =
+  check_value "cas" value;
   with_op_ctx env @@ fun () ->
-  let finish = finish env ~op:"cas" ~metric:"store.cas.us" ~key ~t0:(Sodal.now env) in
-  match query_phase env h ~op:"cas" ~key with
+  let finish =
+    finish env ~op:Event.Op_cas ~metric:"store.cas.us" ~key ~t0:(Sodal.now env)
+  in
+  match query_phase env h ~op:Event.Op_cas ~key with
   | Error No_quorum -> finish ~rounds:1 (Error No_quorum)
   | Ok acks ->
     let max_tag, current = max_of_acks acks in
@@ -455,7 +547,7 @@ let cas env h ~key ~expect value =
     if current <> expect then finish ~rounds:1 (Ok false)
     else begin
       let tag = Tag.next max_tag ~wid:(Sodal.my_mid env) in
-      match propagate_phase env h ~op:"cas" ~key tag value with
+      match propagate_phase env h ~op:Event.Op_cas ~key tag value with
       | Ok _ -> finish ~rounds:2 (Ok true)
       | Error No_quorum -> finish ~rounds:2 (Error No_quorum)
     end

@@ -21,15 +21,23 @@
     tag-value back to a majority before returning (skipped when the
     query round itself proved the tag is already on a majority).
     [write] queries a majority for the maximum tag, then propagates
-    [(max.seq + 1, my mid)] with the new value to a majority. A round
-    launches to every replica that holds no earlier request from this
-    handle and completes as soon as any majority answers; replicas
+    [(max.seq + 1, my mid)] with the new value to a majority.
+
+    A round completes as soon as any majority answers. It launches only
+    to replicas that hold no earlier request from this handle; replicas
     still holding one — a slow replica, or a crashed or partitioned one
     awaiting its Delta-t crash verdict — are skipped, so a handle has at
-    most one request in flight per replica. Skipped replicas lag, so
-    reads write back more often. Rounds that fail to assemble a majority
-    are retried with capped exponential backoff and then surface
-    {!No_quorum}.
+    most one request in flight per replica. Rounds try replicas in the
+    handle's answer order: those that acked its previous round, in the
+    order they acked, then the rest. A query round asks exactly a
+    majority, replacing any that fails without an ack by the next free
+    replica; when all but one of its acks are in and the last is later
+    than the time the others took, it asks one more (once per round), so
+    a silent replica does not hold it until the crash verdict. A
+    propagate round asks every free replica, which keeps replicas
+    current so reads write back less often. Rounds that fail to assemble
+    a majority are retried with capped exponential backoff and then
+    surface {!No_quorum}.
 
     Tolerates [f < n/2] replica crashes. Rebooted replicas must come
     back with their table intact (stable storage) — re-attach the same
@@ -97,15 +105,22 @@ val connect :
 
 val quorum : t -> int
 
+(** The longest value [write] and [cas] accept, in bytes (512): a query
+    reply must fit its fixed-size buffer. *)
+val max_value : int
+
 (** [read env t ~key] — linearizable read; [None] if never written. *)
 val read : Sodal.env -> t -> key:int -> (bytes option, error) result
 
-(** [write env t ~key value] — linearizable write. *)
+(** [write env t ~key value] — linearizable write.
+    @raise Invalid_argument if [value] is longer than {!max_value} bytes,
+    before any round is sent. *)
 val write : Sodal.env -> t -> key:int -> bytes -> (unit, error) result
 
 (** [cas env t ~key ~expect value] — read-modify-write round: writes
     [value] and returns [true] iff the read phase observed [expect].
     Atomic only in the absence of concurrent writers to [key] (a quorum
-    round is not consensus); see docs/STORE.md. *)
+    round is not consensus); see docs/STORE.md.
+    @raise Invalid_argument as {!write} does. *)
 val cas :
   Sodal.env -> t -> key:int -> expect:bytes option -> bytes -> (bool, error) result

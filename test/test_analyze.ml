@@ -84,11 +84,11 @@ let all_kinds_events =
     ev 24 (-1) (Fault_loss_burst { rate_pct = 40; duration_us = 200_000 });
     ev 25 6
       (Store_phase
-         { op = "write"; phase = "propagate"; key = 2; acks = 2; quorum = 3;
+         { op = Op_write; phase = Propagate; key = 2; acks = 2; quorum = 3;
            elapsed_us = 5_000 });
-    ev 26 6 (Store_retry { op = "write"; phase = "query"; key = 2; attempt = 1 });
+    ev 26 6 (Store_retry { op = Op_cas; phase = Query; key = 2; attempt = 1 });
     ev 27 6
-      (Store_complete { op = "write"; key = 2; ok = false; rounds = 4; elapsed_us = 99 });
+      (Store_complete { op = Op_read; key = 2; ok = false; rounds = 4; elapsed_us = 99 });
     ev 28 3 (Scd_broadcast { sd = 3; sn = 9; payload = "w r1=4" });
     ev 29 3 (Scd_deliver { size = 2; pending = 5 });
     ev 30 3 (Scd_op { op = "snapshot"; origin = 3; oseq = 1; ok = true; elapsed_us = 812 });
@@ -159,7 +159,14 @@ let test_parse_errors () =
   bad "{\"t\":1,\"mid\":0,\"ev\":\"no-such-kind\"}";
   bad "{\"t\":1,\"mid\":0";
   bad "not json at all";
-  bad "{\"t\":1,\"mid\":0,\"ev\":\"trap\"}" (* missing trap fields *)
+  bad "{\"t\":1,\"mid\":0,\"ev\":\"trap\"}" (* missing trap fields *);
+  (* a store op or phase outside the typed variants *)
+  bad
+    "{\"t\":1,\"mid\":0,\"ev\":\"store-retry\",\"op\":\"scan\",\"phase\":\"query\",\
+     \"key\":1,\"attempt\":1}";
+  bad
+    "{\"t\":1,\"mid\":0,\"ev\":\"store-retry\",\"op\":\"read\",\"phase\":\"vote\",\
+     \"key\":1,\"attempt\":1}"
 
 (* ---- qcheck: analyzer totals match the in-memory histograms --------------- *)
 

@@ -199,34 +199,96 @@ let test_survives_minority_crash () =
   | Ok () -> ()
   | Error msg -> Alcotest.failf "%s\n%a" msg (fun ppf -> Harness.pp_history ppf) r.history
 
-(* The bench STORE "one replica down" shape: replica 2 is dead from the
-   start. Rounds skip it while this handle's request to it retransmits
-   towards its crash verdict, so no op waits on the verdict: every op
-   completes within a healthy round trip or two, not the ~430 ms read /
-   ~850 ms write p50 of rounds that waited on the dead replica. *)
+(* The bench STORE "one replica down" shape, with the dead replica at
+   each index in turn. Rounds skip it while this handle's request to it
+   retransmits towards its crash verdict, so no op waits on the verdict:
+   every op completes within a healthy round trip or two, not the
+   ~430 ms read / ~850 ms write p50 of rounds that waited on the dead
+   replica. A query asks only a majority, first replicas 0 and 1: with
+   either of them dead the round hedges to replica 2 once the live one
+   has answered, instead of waiting about 480 ms for the verdict. *)
 let test_replica_down_stays_fast () =
-  let plan = [ { Fault_plan.at_us = 0; action = Fault_plan.Crash 2 } ] in
-  let r =
-    Harness.run ~n:3 ~clients:2 ~ops:30 ~keys:4 ~seed:77 ~think_us:30_000 ~plan ()
-  in
-  Alcotest.(check int) "all clients finished" r.clients_total r.clients_done;
-  Alcotest.(check int) "every op recorded" 60 (List.length r.history);
   List.iter
-    (fun (op : Harness.op) ->
-      if op.outcome = `No_quorum then
-        Alcotest.failf "op failed with a majority up:\n%s"
-          (Format.asprintf "%a" Harness.pp_history r.history))
-    r.history;
-  (match Lin.check_history r.history with
-   | Ok () -> ()
-   | Error msg -> Alcotest.failf "%s\n%a" msg (fun ppf -> Harness.pp_history ppf) r.history);
-  let slowest =
-    List.fold_left (fun acc (op : Harness.op) -> max acc (op.end_us - op.start_us)) 0 r.history
+    (fun dead ->
+      let plan = [ { Fault_plan.at_us = 0; action = Fault_plan.Crash dead } ] in
+      let r =
+        Harness.run ~n:3 ~clients:2 ~ops:30 ~keys:4 ~seed:77 ~think_us:30_000 ~plan ()
+      in
+      Alcotest.(check int) "all clients finished" r.clients_total r.clients_done;
+      Alcotest.(check int) "every op recorded" 60 (List.length r.history);
+      List.iter
+        (fun (op : Harness.op) ->
+          if op.outcome = `No_quorum then
+            Alcotest.failf "replica %d down: op failed with a majority up:\n%s" dead
+              (Format.asprintf "%a" Harness.pp_history r.history))
+        r.history;
+      (match Lin.check_history r.history with
+       | Ok () -> ()
+       | Error msg ->
+         Alcotest.failf "replica %d down: %s\n%a" dead msg
+           (fun ppf -> Harness.pp_history ppf)
+           r.history);
+      let slowest =
+        List.fold_left
+          (fun acc (op : Harness.op) -> max acc (op.end_us - op.start_us))
+          0 r.history
+      in
+      if slowest >= 100_000 then
+        Alcotest.failf "replica %d down: slowest op took %d us (bound 100 ms)" dead slowest;
+      let m = Recorder.metrics (Network.recorder r.net) in
+      Alcotest.(check bool)
+        (Printf.sprintf "replica %d down: rounds skipped it" dead)
+        true
+        (Metrics.counter m "store.skipped" > 0);
+      if dead < 2 then
+        Alcotest.(check bool)
+          (Printf.sprintf "replica %d down: a query round hedged" dead)
+          true
+          (Metrics.counter m "store.hedged" > 0))
+    [ 0; 1; 2 ]
+
+(* A read of an unwritten key is one query round, and a query asks only
+   a majority: 3 REQUESTs reach the 5 replicas, not 5. *)
+let test_query_asks_majority () =
+  let result = ref None in
+  let kernels, _ =
+    with_cluster ~n:5 ~seed:37 (fun env h -> result := Some (Store.read env h ~key:3))
   in
-  if slowest >= 100_000 then Alcotest.failf "slowest op took %d us (bound 100 ms)" slowest;
-  let m = Recorder.metrics (Network.recorder r.net) in
-  Alcotest.(check bool) "rounds skipped the dead replica" true
-    (Metrics.counter m "store.skipped" > 0)
+  Alcotest.(check bool) "read of an unwritten key" true (!result = Some (Ok None));
+  let delivered =
+    List.fold_left
+      (fun acc kernel -> acc + Stats.counter (Kernel.stats kernel) "req.delivered")
+      0 kernels
+  in
+  Alcotest.(check int) "query REQUESTs delivered" 3 delivered
+
+(* A value longer than [max_value] would overflow every later query
+   reply's buffer, so [write] and [cas] refuse it before any round and
+   the key stays readable. *)
+let test_oversized_value_refused () =
+  Alcotest.(check int) "max_value" 512 Store.max_value;
+  let longest = Bytes.make Store.max_value 'v' in
+  let observed = ref [] in
+  ignore
+    (with_cluster ~seed:38 (fun env h ->
+         let refused f =
+           match f () with _ -> false | exception Invalid_argument _ -> true
+         in
+         Alcotest.(check bool) "512-byte write ok" true
+           (Store.write env h ~key:5 longest = Ok ());
+         observed := [ Store.read env h ~key:5 ];
+         Alcotest.(check bool) "513-byte write raises" true
+           (refused (fun () ->
+                Store.write env h ~key:5 (Bytes.make (Store.max_value + 1) 'w')));
+         Alcotest.(check bool) "513-byte cas raises" true
+           (refused (fun () ->
+                Store.cas env h ~key:5 ~expect:(Some longest)
+                  (Bytes.make (Store.max_value + 1) 'c')));
+         observed := Store.read env h ~key:5 :: !observed));
+  Alcotest.(check int) "both reads ran" 2 (List.length !observed);
+  List.iter
+    (fun r -> Alcotest.(check bool) "reads the 512-byte value" true (r = Ok (Some longest)))
+    !observed
 
 (* Eight clients write to three replicas at once, with no think time.
    Each replica's handler only queues the request and its task ACCEPTs
@@ -489,6 +551,9 @@ let suites =
         Alcotest.test_case "one replica down stays fast" `Quick test_replica_down_stays_fast;
         Alcotest.test_case "concurrent writers draw no BUSY" `Quick
           test_concurrent_writers_no_busy;
+        Alcotest.test_case "a query asks only a majority" `Quick test_query_asks_majority;
+        Alcotest.test_case "an oversized value is refused" `Quick
+          test_oversized_value_refused;
         Alcotest.test_case "nameserver rebind reclaims a name" `Quick test_nameserver_rebind;
         Alcotest.test_case "replica rebinds across a reboot" `Quick
           test_store_rebind_across_reboot;

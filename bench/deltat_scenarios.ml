@@ -163,9 +163,8 @@ let scenario_crash_quarantine () =
              statuses := c3.Sodal.status :: !statuses;
              Sodal.serve env);
        });
-  ignore
-    (Soda_sim.Engine.schedule (Network.engine net) ~delay:1_000_000 (fun () ->
-         Kernel.crash k0));
+  Soda_sim.Engine.schedule (Network.engine net) ~delay:1_000_000 (fun () ->
+      Kernel.crash k0);
   ignore (Network.run ~until:5_000_000_000 net);
   let name = function
     | Sodal.Comp_ok -> "completed"

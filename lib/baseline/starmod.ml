@@ -67,7 +67,8 @@ type outbound = { ob_packet : packet; ob_dst : int; ob_on_delivered : unit -> un
 type peer_state = {
   mutable send_seq : int;
   mutable recv_seq : int;  (* next expected; -1 = any *)
-  mutable inflight : (outbound * Engine.event_id) option;
+  mutable inflight : outbound option;
+  retransmit : Engine.timer;  (* armed while [inflight] awaits its ack *)
   queue : outbound Queue.t;
 }
 
@@ -86,17 +87,28 @@ type node = {
 
 let stats node = node.stats
 
-let peer node mid =
+let retransmit_us = 25_000
+
+let rec peer node mid =
   match Hashtbl.find_opt node.peers mid with
   | Some p -> p
   | None ->
-    let p = { send_seq = 0; recv_seq = -1; inflight = None; queue = Queue.create () } in
+    let p =
+      { send_seq = 0; recv_seq = -1; inflight = None;
+        retransmit = Engine.timer node.engine (fun () -> retransmit node mid);
+        queue = Queue.create () }
+    in
     Hashtbl.replace node.peers mid p;
     p
 
-let retransmit_us = 25_000
+and retransmit node dst =
+  match (peer node dst).inflight with
+  | Some ob ->
+    Stats.incr node.stats "starmod.pkt.retransmitted";
+    transmit node dst ob
+  | None -> ()
 
-let rec pump node dst =
+and pump node dst =
   let p = peer node dst in
   match p.inflight with
   | Some _ -> ()
@@ -112,15 +124,10 @@ and transmit node dst ob =
   Stats.incr node.stats "starmod.pkt.sent";
   let nic = Option.get node.nic in
   (* kernel protocol work, then the wire *)
-  ignore
-    (Engine.schedule node.engine ~delay:node.cost.packet_us (fun () ->
-         Nic.send nic ~dst (encode packet)));
-  let timer =
-    Engine.schedule node.engine ~delay:retransmit_us (fun () ->
-        Stats.incr node.stats "starmod.pkt.retransmitted";
-        transmit node dst ob)
-  in
-  p.inflight <- Some (ob, timer)
+  Engine.schedule node.engine ~delay:node.cost.packet_us (fun () ->
+      Nic.send nic ~dst (encode packet));
+  Engine.arm node.engine p.retransmit ~delay:retransmit_us;
+  p.inflight <- Some ob
 
 let send_packet node ~dst ~kind ~call_id ~port payload ~on_delivered =
   let ob =
@@ -134,61 +141,58 @@ let send_packet node ~dst ~kind ~call_id ~port payload ~on_delivered =
 let send_ack node ~dst ~seq =
   Stats.incr node.stats "starmod.pkt.sent";
   let nic = Option.get node.nic in
-  ignore
-    (Engine.schedule node.engine ~delay:node.cost.packet_us (fun () ->
-         Nic.send nic ~dst
-           (encode { kind = Ack; seq; call_id = 0; port = 0; payload = Bytes.empty })))
+  Engine.schedule node.engine ~delay:node.cost.packet_us (fun () ->
+      Nic.send nic ~dst
+        (encode { kind = Ack; seq; call_id = 0; port = 0; payload = Bytes.empty }))
 
 let deliver node ~src packet =
   (* kernel buffering + port demultiplex + wake the owning process *)
   let c = node.cost in
   let delay = c.buffer_copy_us + c.dispatch_us + c.schedule_us in
-  ignore
-    (Engine.schedule node.engine ~delay (fun () ->
-         match packet.kind with
-         | Msg ->
-           (match Hashtbl.find_opt node.ports packet.port with
-            | Some handler ->
-              (match handler packet.payload with
-               | Some reply ->
-                 send_packet node ~dst:src ~kind:Reply ~call_id:packet.call_id
-                   ~port:packet.port reply ~on_delivered:(fun () -> ())
-                 |> ignore
-               | None -> ())
+  Engine.schedule node.engine ~delay (fun () ->
+      match packet.kind with
+      | Msg ->
+        (match Hashtbl.find_opt node.ports packet.port with
+         | Some handler ->
+           (match handler packet.payload with
+            | Some reply ->
+              send_packet node ~dst:src ~kind:Reply ~call_id:packet.call_id
+                ~port:packet.port reply ~on_delivered:(fun () -> ())
+              |> ignore
             | None -> ())
-         | Reply ->
-           (match Hashtbl.find_opt node.calls packet.call_id with
-            | Some on_reply ->
-              Hashtbl.remove node.calls packet.call_id;
-              on_reply packet.payload
-            | None -> ())
-         | Ack -> ()))
+         | None -> ())
+      | Reply ->
+        (match Hashtbl.find_opt node.calls packet.call_id with
+         | Some on_reply ->
+           Hashtbl.remove node.calls packet.call_id;
+           on_reply packet.payload
+         | None -> ())
+      | Ack -> ())
 
 let on_rx node ~src payload =
   match decode payload with
   | None -> Stats.incr node.stats "starmod.pkt.bad"
   | Some packet ->
     Stats.incr node.stats "starmod.pkt.recv";
-    ignore
-      (Engine.schedule node.engine ~delay:node.cost.packet_us (fun () ->
-           match packet.kind with
-           | Ack ->
-             let p = peer node src in
-             (match p.inflight with
-              | Some (ob, timer) when packet.seq = p.send_seq ->
-                Engine.cancel node.engine timer;
-                p.inflight <- None;
-                p.send_seq <- (p.send_seq + 1) land 0xFF;
-                ob.ob_on_delivered ();
-                pump node src
-              | Some _ | None -> ())
-           | Msg | Reply ->
-             let p = peer node src in
-             send_ack node ~dst:src ~seq:packet.seq;
-             if p.recv_seq = -1 || packet.seq = p.recv_seq then begin
-               p.recv_seq <- (packet.seq + 1) land 0xFF;
-               deliver node ~src packet
-             end))
+    Engine.schedule node.engine ~delay:node.cost.packet_us (fun () ->
+        match packet.kind with
+        | Ack ->
+          let p = peer node src in
+          (match p.inflight with
+           | Some ob when packet.seq = p.send_seq ->
+             Engine.disarm node.engine p.retransmit;
+             p.inflight <- None;
+             p.send_seq <- (p.send_seq + 1) land 0xFF;
+             ob.ob_on_delivered ();
+             pump node src
+           | Some _ | None -> ())
+        | Msg | Reply ->
+          let p = peer node src in
+          send_ack node ~dst:src ~seq:packet.seq;
+          if p.recv_seq = -1 || packet.seq = p.recv_seq then begin
+            p.recv_seq <- (packet.seq + 1) land 0xFF;
+            deliver node ~src packet
+          end)
 
 let create_node ~engine ~bus ~mid ?(cost = default_cost) () =
   let node =
@@ -217,15 +221,13 @@ let sync_call node ~dst ~port payload ~on_reply =
   Stats.incr node.stats "starmod.sync_calls";
   (* user->kernel trap + kernel buffering, then queue for the net process *)
   let delay = node.cost.trap_us + node.cost.buffer_copy_us in
-  ignore
-    (Engine.schedule node.engine ~delay (fun () ->
-         send_packet node ~dst ~kind:Msg ~call_id ~port payload ~on_delivered:(fun () -> ())))
+  Engine.schedule node.engine ~delay (fun () ->
+      send_packet node ~dst ~kind:Msg ~call_id ~port payload ~on_delivered:(fun () -> ()))
 
 let async_send node ~dst ~port payload ~on_done =
   let call_id = node.next_call in
   node.next_call <- node.next_call + 1;
   Stats.incr node.stats "starmod.async_sends";
   let delay = node.cost.trap_us + node.cost.buffer_copy_us in
-  ignore
-    (Engine.schedule node.engine ~delay (fun () ->
-         send_packet node ~dst ~kind:Msg ~call_id ~port payload ~on_delivered:on_done))
+  Engine.schedule node.engine ~delay (fun () ->
+      send_packet node ~dst ~kind:Msg ~call_id ~port payload ~on_delivered:on_done)

@@ -56,6 +56,7 @@ let mid t = t.mid
 let engine t = t.engine
 let cost t = t.cost
 let stats t = Transport.stats t.transport
+let transport t = t.transport
 let recorder t = t.recorder
 let client_alive t = t.client <> None
 
@@ -157,12 +158,11 @@ let invoke_client_handler t event =
     if tracing t then emit_event t ?ctx:(handler_event_ctx t event) Event.Handler_invoke;
     Stats.add_time (stats t) (Cost.label Cost.Context_switch) t.cost.Cost.context_switch_us;
     let epoch_client = client in
-    ignore
-      (Engine.schedule ~tag:"kernel" t.engine ~delay:t.cost.Cost.context_switch_us (fun () ->
-           (* The client may have died between scheduling and delivery. *)
-           match t.client with
-           | Some c when c == epoch_client -> c.invoke_handler event
-           | Some _ | None -> ()))
+    Engine.schedule ~tag:"kernel" t.engine ~delay:t.cost.Cost.context_switch_us (fun () ->
+        (* The client may have died between scheduling and delivery. *)
+        match t.client with
+        | Some c when c == epoch_client -> c.invoke_handler event
+        | Some _ | None -> ())
 
 let rec dispatch_completions t =
   if t.client <> None && t.hs_open && (not t.hs_busy) && not (Queue.is_empty t.completions)
@@ -204,10 +204,9 @@ let internal_accept t ~src ~tid ~arg ~get_capacity ~data_out ~k =
   (* Kernel-internal accepts run off the event loop, never the client
      handler; reserved-pattern routines "cannot be impeded by the client
      handler state" (§3.4.3). *)
-  ignore
-    (Engine.schedule ~tag:"kernel" t.engine ~delay:t.cost.Cost.packet_protocol_us (fun () ->
-         Transport.accept t.transport ~requester_mid:src ~requester_tid:tid ~arg
-           ~get_capacity ~data_out ~on_done:k))
+  Engine.schedule ~tag:"kernel" t.engine ~delay:t.cost.Cost.packet_protocol_us (fun () ->
+      Transport.accept t.transport ~requester_mid:src ~requester_tid:tid ~arg
+        ~get_capacity ~data_out ~on_done:k)
 
 (* Terminate the client. Client-visible state (handler, advertisements,
    pending completions) vanishes at once; when [drain] is set — DIE and the
@@ -236,10 +235,9 @@ let kill_client t ~readvertise_boot ~drain =
   if drain then begin
     let drain_us = (2 * t.cost.Cost.ack_grace_us) + t.cost.Cost.retrans_interval_us in
     let generation = t.boot in
-    ignore
-      (Engine.schedule ~tag:"kernel" t.engine ~delay:drain_us (fun () ->
-           (* Skip the reset if a new client booted during the drain. *)
-           if t.boot == generation || t.boot = No_client then reset ()))
+    Engine.schedule ~tag:"kernel" t.engine ~delay:drain_us (fun () ->
+        (* Skip the reset if a new client booted during the drain. *)
+        if t.boot == generation || t.boot = No_client then reset ())
   end
   else reset ();
   if readvertise_boot then t.boot <- No_client
@@ -273,9 +271,8 @@ let handle_reserved t ~src ~tid ~pattern ~arg ~put_size ~get_size =
         ());
     (* Give the accept a moment to reach the wire before state is torn
        down; the requester sees completion, then we die. *)
-    ignore
-      (Engine.schedule ~tag:"kernel" t.engine ~delay:(2 * t.cost.Cost.ack_grace_us) (fun () ->
-           kill_client t ~readvertise_boot:true ~drain:true))
+    Engine.schedule ~tag:"kernel" t.engine ~delay:(2 * t.cost.Cost.ack_grace_us) (fun () ->
+        kill_client t ~readvertise_boot:true ~drain:true)
   end
   else if Pattern.equal pattern Pattern.system_pattern then begin
     if src <> 0 then
@@ -338,9 +335,8 @@ let handle_reserved t ~src ~tid ~pattern ~arg ~put_size ~get_size =
            (* SIGNAL: start the new client executing in its handler. *)
            internal_accept t ~src ~tid ~arg:0 ~get_capacity:0 ~data_out:nothing
              ~k:(fun _ -> ());
-           ignore
-             (Engine.schedule ~tag:"kernel" t.engine ~delay:t.cost.Cost.context_switch_us (fun () ->
-                  start_loaded_client t ~parent:src))
+           Engine.schedule ~tag:"kernel" t.engine ~delay:t.cost.Cost.context_switch_us (fun () ->
+               start_loaded_client t ~parent:src)
          end
        | Running _ ->
          if put_size = 0 && get_size = 0 then begin
@@ -348,9 +344,8 @@ let handle_reserved t ~src ~tid ~pattern ~arg ~put_size ~get_size =
            mark t ~peer:src ~n:1 Event.Kill_signalled;
            internal_accept t ~src ~tid ~arg:0 ~get_capacity:0 ~data_out:nothing
              ~k:(fun _ -> ());
-           ignore
-             (Engine.schedule ~tag:"kernel" t.engine ~delay:(2 * t.cost.Cost.ack_grace_us) (fun () ->
-                  kill_client t ~readvertise_boot:true ~drain:true))
+           Engine.schedule ~tag:"kernel" t.engine ~delay:(2 * t.cost.Cost.ack_grace_us) (fun () ->
+               kill_client t ~readvertise_boot:true ~drain:true)
          end
          else
            internal_accept t ~src ~tid ~arg:(-1) ~get_capacity:0 ~data_out:nothing
@@ -371,9 +366,8 @@ let deliver_request t ~src ~tid ~pattern ~arg ~put_size ~get_size =
   then begin
     if reserved_pattern_active t pattern then begin
       (* Reserved patterns bypass the client handler entirely. *)
-      ignore
-        (Engine.schedule ~tag:"kernel" t.engine ~delay:0 (fun () ->
-             handle_reserved t ~src ~tid ~pattern ~arg ~put_size ~get_size));
+      Engine.schedule ~tag:"kernel" t.engine ~delay:0 (fun () ->
+          handle_reserved t ~src ~tid ~pattern ~arg ~put_size ~get_size);
       `Deliver
     end
     else `Unadvertised
@@ -565,7 +559,7 @@ let accept t ~requester ~arg ~get_buffer ~put ~on_done =
      what produces the paper's BUSY-NACK traces, §5.2.3). The cost is part
      of the accept trap overhead charged by the runtime. *)
   let on_done outcome =
-    ignore (Engine.schedule ~tag:"kernel" t.engine ~delay:100 (fun () -> on_done outcome))
+    Engine.schedule ~tag:"kernel" t.engine ~delay:100 (fun () -> on_done outcome)
   in
   Transport.accept t.transport ~requester_mid:requester.Types.rq_mid
     ~requester_tid:requester.Types.rq_tid ~arg ~get_capacity:(Bytes.length get_buffer)
@@ -623,11 +617,10 @@ let crash t =
   Nic.disable t.nic;
   kill_client t ~readvertise_boot:true ~drain:false;
   let quarantine = Cost.crash_quarantine_us t.cost in
-  ignore
-    (Engine.schedule ~tag:"kernel" t.engine ~delay:quarantine (fun () ->
-         t.crashed <- false;
-         Nic.enable t.nic;
-         mark t ~peer:(-1) ~n:0 Event.Quarantine_over))
+  Engine.schedule ~tag:"kernel" t.engine ~delay:quarantine (fun () ->
+      t.crashed <- false;
+      Nic.enable t.nic;
+      mark t ~peer:(-1) ~n:0 Event.Quarantine_over)
 
 (* Unlike [crash], [destroy] is permanent: the bus station is released so a
    replacement incarnation (a fresh [create] under the same mid) can attach.
@@ -646,8 +639,7 @@ let quarantine t =
   t.crashed <- true;
   Nic.disable t.nic;
   let quarantine_us = Cost.crash_quarantine_us t.cost in
-  ignore
-    (Engine.schedule ~tag:"kernel" t.engine ~delay:quarantine_us (fun () ->
-         t.crashed <- false;
-         Nic.enable t.nic;
-         mark t ~peer:(-1) ~n:1 Event.Quarantine_over))
+  Engine.schedule ~tag:"kernel" t.engine ~delay:quarantine_us (fun () ->
+      t.crashed <- false;
+      Nic.enable t.nic;
+      mark t ~peer:(-1) ~n:1 Event.Quarantine_over)

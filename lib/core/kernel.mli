@@ -38,6 +38,9 @@ val engine : t -> Soda_sim.Engine.t
 val cost : t -> Soda_base.Cost_model.t
 val stats : t -> Soda_sim.Stats.t
 
+(** The node's transport, for introspection by the test suites. *)
+val transport : t -> Soda_proto.Transport.t
+
 (** The network-shared structured-event recorder, for client-level
     facilities that emit typed events (e.g. the replicated store). *)
 val recorder : t -> Soda_obs.Recorder.t

@@ -182,14 +182,12 @@ let run cfg =
     if !offered < cfg.requests then begin
       arrival src;
       if !offered < cfg.requests then
-        ignore
-          (Engine.schedule ~tag:"client" engine ~delay:(next_delay rngs.(src)) (arrive src))
+        Engine.schedule ~tag:"client" engine ~delay:(next_delay rngs.(src)) (arrive src)
     end
   in
   for i = 0 to cfg.nodes - 1 do
-    ignore
-      (Engine.schedule ~tag:"client" engine ~delay:(start_us + next_delay rngs.(i))
-         (arrive i))
+    Engine.schedule ~tag:"client" engine ~delay:(start_us + next_delay rngs.(i))
+      (arrive i)
   done;
   if cfg.profile_gc then Engine.set_profile_gc engine true;
   (* Horizon: generous multiple of the expected arrival span plus drain

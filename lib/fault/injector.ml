@@ -36,9 +36,8 @@ let apply ?(quarantine = true) ?on_reboot net action =
     emit net
       (Event.Fault_loss_burst
          { rate_pct = int_of_float ((rate *. 100.0) +. 0.5); duration_us });
-    ignore
-      (Engine.schedule ~tag:"fault" (Network.engine net) ~delay:duration_us (fun () ->
-           Bus.set_loss_rate bus saved))
+    Engine.schedule ~tag:"fault" (Network.engine net) ~delay:duration_us (fun () ->
+        Bus.set_loss_rate bus saved)
 
 let install ?quarantine ?on_reboot net plan =
   let engine = Network.engine net in
@@ -46,7 +45,6 @@ let install ?quarantine ?on_reboot net plan =
   List.iter
     (fun { Fault_plan.at_us; action } ->
       let delay = max 0 (at_us - now) in
-      ignore
-        (Engine.schedule ~tag:"fault" engine ~delay (fun () ->
-             apply ?quarantine ?on_reboot net action)))
+      Engine.schedule ~tag:"fault" engine ~delay (fun () ->
+          apply ?quarantine ?on_reboot net action))
     plan

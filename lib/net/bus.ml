@@ -309,20 +309,18 @@ let send_frame t ?ctx ~src ~dst ~release wire =
   let arrival = start + tx + t.config.propagation_us + jitter_us - now in
   let dup = t.duplicate_pending > 0 in
   let release_now = release && not dup in
-  ignore
-    (Engine.schedule ~tag:"bus" t.engine ~delay:arrival (fun () ->
-         deliver t frame;
-         if release_now then Pool.release t.pool wire));
+  Engine.schedule ~tag:"bus" t.engine ~delay:arrival (fun () ->
+      deliver t frame;
+      if release_now then Pool.release t.pool wire);
   if dup then begin
     t.duplicate_pending <- t.duplicate_pending - 1;
     Stats.incr t.stats "bus.frames_duplicated";
     (* The copy trails the original by one transmission time plus a small
        random slack: late enough to look like a stale retransmission. *)
     let slack = 1 + Rng.int t.fault_rng (max 1 t.config.propagation_us * 4) in
-    ignore
-      (Engine.schedule ~tag:"bus" t.engine ~delay:(arrival + tx + slack) (fun () ->
-           deliver t frame;
-           if release then Pool.release t.pool wire))
+    Engine.schedule ~tag:"bus" t.engine ~delay:(arrival + tx + slack) (fun () ->
+        deliver t frame;
+        if release then Pool.release t.pool wire)
   end
 
 let send t ?ctx ~src ~dst payload =

@@ -1,6 +1,7 @@
 module Engine = Soda_sim.Engine
 module Rng = Soda_sim.Rng
 module Stats = Soda_sim.Stats
+module Ring = Soda_sim.Ring
 module Recorder = Soda_obs.Recorder
 module Event = Soda_obs.Event
 module Causal = Soda_obs.Causal
@@ -59,7 +60,11 @@ type sent_pkt = {
          for no-record receivers (window > 1 only) *)
   mutable sp_retries : int;
   mutable sp_busy_attempts : int;
-  mutable sp_timer : Engine.event_id option;
+  mutable sp_due : int;  (* retransmission deadline, while [sp_rt_id >= 0] *)
+  mutable sp_rt_id : int;
+      (* the deadline's reserved event id; -1 = no deadline. The
+         connection's one retransmission timer is armed at the earliest
+         (deadline, id) among its unfinished sends *)
   mutable sp_finished : bool;
   mutable sp_sent_at : int;
       (* virtual time of the most recent actual emission; 0 = never sent.
@@ -71,7 +76,7 @@ type sent_pkt = {
 (* An empty send-window slot: finished, so no in-flight lookup matches it. *)
 let no_sent =
   { sp_kind = K_request; sp_tid = Event.no_tid; sp_body = Wire.Ack; sp_seq = 0;
-    sp_run = false; sp_retries = 0; sp_busy_attempts = 0; sp_timer = None;
+    sp_run = false; sp_retries = 0; sp_busy_attempts = 0; sp_due = 0; sp_rt_id = -1;
     sp_finished = true; sp_sent_at = 0; sp_done = ignore }
 
 type pending_send = {
@@ -102,10 +107,11 @@ let no_rec = { cr_kind = 0; cr_tid = Event.no_tid; cr_response = None }
    while holding it. *)
 type hold = { h_pkt : Wire.t; mutable h_retries : int }
 
-(* No hold: its packet is no packet that ever arrives. *)
-let no_hold =
-  { h_pkt = { Wire.src = -1; reliable = false; seq = 0; ack = None; run = false; body = Wire.Ack };
-    h_retries = 0 }
+(* No packet that ever arrives. *)
+let no_pkt = { Wire.src = -1; reliable = false; seq = 0; ack = None; run = false; body = Wire.Ack }
+
+(* No hold: its packet is [no_pkt]. *)
+let no_hold = { h_pkt = no_pkt; h_retries = 0 }
 
 type conn = {
   peer : int;
@@ -116,7 +122,14 @@ type conn = {
   outstanding : sent_pkt array;  (* per sequence number: its unfinished send, or [no_sent] *)
   mutable in_flight : int;  (* unfinished sends in [outstanding] *)
   sendq : pending_send Queue.t;
-  mutable wake_timer : Engine.event_id option;  (* queued-send backoff wake-up *)
+  mutable rt_sp : sent_pkt;  (* the send [retrans_tm] is armed for; [no_sent] = disarmed *)
+  (* Timers, reused for the connection's life. All but [expiry_tm] are
+     created on first use: until then they are the transport's
+     never-armed [unset_tm]. *)
+  mutable retrans_tm : Engine.timer;
+  mutable ack_tm : Engine.timer;  (* owed ack *)
+  mutable wake_tm : Engine.timer;  (* queued-send backoff wake-up *)
+  mutable expiry_tm : Engine.timer;
   mutable deferred_ack : int option;
       (* a cumulative ack held back by an unresolved CANCEL slot *)
   (* receiver half *)
@@ -127,13 +140,11 @@ type conn = {
          gap at [recv_base], plus (pipelined kernels) an in-order REQUEST
          deferred while the input buffer is full *)
   mutable ack_owed : int option;  (* cumulative ack to send, piggybacked or timed *)
-  mutable ack_timer : Engine.event_id option;
-  mutable expiry_timer : Engine.event_id option;
   mutable expiry_deadline : int;
       (* virtual time before which the delta-t record must not expire;
-         pushed forward on every touch WITHOUT rescheduling [expiry_timer]
-         (a cancel + heap push per received packet) — the timer re-arms
-         itself for the remainder when it fires early *)
+         pushed forward on every touch WITHOUT re-arming [expiry_tm] (a
+         heap push per received packet) — the timer re-arms itself for
+         the remainder when it fires early *)
   mutable hold : hold;
       (* the head-of-window REQUEST deferred on a full input buffer; not
          [no_hold] exactly while the connection is queued in [t.holders] *)
@@ -163,7 +174,7 @@ type out_req = {
   or_get_size : int;
   or_submit_us : int;  (* trap time, for the completion-latency histogram *)
   mutable or_state : req_state;
-  mutable or_probe_timer : Engine.event_id option;
+  mutable or_probe_id : int;  (* id of the live probe-line entry; -1 = none *)
   mutable or_probe_misses : int;
   mutable or_probe_outstanding : bool;
   mutable or_cancel_pending : (bool -> unit) option;
@@ -174,7 +185,6 @@ type discover_req = {
   dr_tid : int;
   dr_max : int;
   mutable dr_mids : int list;  (* reverse order *)
-  mutable dr_timer : Engine.event_id option;
 }
 
 (* ---- server-side transaction records ----------------------------------- *)
@@ -192,7 +202,7 @@ type accept_ctx = {
   mutable ac_send : accept_send;
   mutable ac_received : bytes;
   mutable ac_done : bool;
-  mutable ac_data_timer : Engine.event_id option;
+  mutable ac_data_id : int;  (* id of the live put-data-wait entry; -1 = none *)
   ac_on_done : accept_outcome -> unit;
 }
 
@@ -210,8 +220,28 @@ type srv_txn = {
   st_get_size : int;
   mutable st_put_data : bytes option;
   mutable st_state : srv_state;
-  mutable st_gc : Engine.event_id option;
+  mutable st_gc_id : int;  (* id of the live record-GC entry; -1 = none *)
 }
+
+(* Fillers for the empty slots of the delay lines below. *)
+let no_req =
+  { or_tid = Event.no_tid; or_dst = -1; or_put = Bytes.empty; or_get_size = 0;
+    or_submit_us = 0; or_state = Rq_done; or_probe_id = -1; or_probe_misses = 0;
+    or_probe_outstanding = false; or_cancel_pending = None }
+
+let no_txn =
+  { st_src = -1; st_tid = Event.no_tid; st_put_size = 0; st_get_size = 0; st_put_data = None;
+    st_state = Srv_completed; st_gc_id = -1 }
+
+let no_ctx =
+  { ac_put_transferred = 0; ac_need_data = false; ac_send = Resolved; ac_received = Bytes.empty;
+    ac_done = true; ac_data_id = -1; ac_on_done = ignore }
+
+(* A fixed delay. Its entries wait in a FIFO behind one timer armed at the
+   first live entry: the delay is constant and the clock never runs back,
+   so the FIFO is in due order. Each entry takes its event id where a
+   one-shot would have been scheduled, so it runs in exactly that place. *)
+type ('a, 'b) line = { ring : ('a, 'b) Ring.t; delay : int; mutable tm : Engine.timer }
 
 type buffered_request = {
   br_src : int;
@@ -247,6 +277,20 @@ type t = {
          window, in the order each head was first held: freed input-buffer
          capacity goes to the longest holder *)
   mutable epoch : int;  (* bumped on reset; stale deferred events are dropped *)
+  mutable live_from : int;
+      (* the first event id taken since the last reset: an older entry of
+         the frame or put-data lines belongs to the previous incarnation
+         and is dropped when it comes due *)
+  unset_tm : Engine.timer;  (* never armed: a connection timer not yet created *)
+  (* the fixed delays: a frame's packet CPU on the way out ([n] = peer,
+     -1 = broadcast) and on the way in ([n] = frame length), the probe
+     interval, and one record lifetime for a server record's GC and for a
+     put-data wait ([n] = 1 once the ACCEPT is acked) *)
+  tx_line : (bytes, Causal.ctx option) line;
+  rx_line : (Wire.t, Causal.ctx option) line;
+  probe_line : (out_req, unit) line;
+  gc_line : (srv_txn, unit) line;
+  data_line : (srv_txn, accept_ctx) line;
   (* Causal identity per live transaction: the requester registers the
      minted context at trap time, the server adopts a child span at
      first sight of a context-carrying packet. Keyed by tid (globally
@@ -315,18 +359,65 @@ let causal_ctx t ~tid = Hashtbl.find_opt t.tid_causal tid
 
 let forget_causal t ~tid = Hashtbl.remove t.tid_causal tid
 
-(* Schedule an engine event that is dropped if the node resets meanwhile. *)
+(* Schedule a variable-delay one-shot that is dropped if the node resets
+   meanwhile. Fixed delays go through a [line]. *)
 let defer t ~delay fn =
   let epoch = t.epoch in
   Engine.schedule ~tag:"proto" t.engine ~delay (fun () -> if t.epoch = epoch then fn ())
 
-(* Charge kernel CPU for one packet event and attribute it (§5.5 breakdown). *)
-let packet_cpu_us t =
+(* ---- delay lines ---------------------------------------------------------- *)
+
+let new_line ~delay ~fill_a ~fill_b unset =
+  { ring = Ring.create ~fill_a ~fill_b; delay; tm = unset }
+
+(* Append an entry due one delay from now; returns its event id. The
+   line's timer, which runs [fire t], is made at the first push: many
+   nodes never use some of their lines. *)
+let line_push t line fire ~n a b =
+  let id = Engine.reserve t.engine in
+  let due = Engine.now t.engine + line.delay in
+  Ring.push line.ring ~due ~id ~n a b;
+  if line.tm == t.unset_tm then line.tm <- Engine.timer ~tag:"proto" t.engine (fun () -> fire t);
+  if not (Engine.armed line.tm) then Engine.arm_at t.engine line.tm ~time:due ~id;
+  id
+
+(* Drop stale entries off the head, then arm the timer at the first live
+   one ([live id a b]), or disarm it when none is left. *)
+let rec line_settle t line live =
+  let r = line.ring in
+  if Ring.is_empty r then Engine.disarm t.engine line.tm
+  else if live (Ring.head_id r) (Ring.head_a r) (Ring.head_b r) then
+    Engine.arm_at t.engine line.tm ~time:(Ring.head_due r) ~id:(Ring.head_id r)
+  else begin
+    Ring.drop r;
+    line_settle t line live
+  end
+
+(* The head just fired: drop it and arm for the next live entry, before
+   its action runs (which may push more). *)
+let line_next t line live =
+  Ring.drop line.ring;
+  line_settle t line live
+
+(* The entry [id] (-1: none) just went stale. If it is the head the timer
+   moves on; otherwise it is skipped when it reaches the head. *)
+let line_cancel t line live id =
+  if (not (Ring.is_empty line.ring)) && Ring.head_id line.ring = id then
+    line_settle t line live
+
+let line_reset t line =
+  Ring.clear line.ring;
+  Engine.disarm t.engine line.tm
+
+let always _ _ _ = true
+
+(* Charge kernel CPU for one packet event and attribute it (§5.5
+   breakdown); the packet waits it out in the tx or rx line. *)
+let charge_packet_cpu t =
   let h = t.hot in
   h.t_protocol := !(h.t_protocol) + t.cost.Cost.packet_protocol_us;
   h.t_conn_timer := !(h.t_conn_timer) + t.cost.Cost.conn_timer_us;
-  h.t_retrans_timer := !(h.t_retrans_timer) + t.cost.Cost.retrans_timer_us;
-  h.packet_cpu
+  h.t_retrans_timer := !(h.t_retrans_timer) + t.cost.Cost.retrans_timer_us
 
 (* ---- window geometry ---------------------------------------------------- *)
 
@@ -366,18 +457,15 @@ let conn_active conn =
    deadline lives in [expiry_deadline]; the armed event fires at some
    stale deadline, notices it moved, and re-arms for the remainder — the
    record still expires at exactly last-touch + record_expiry_us. *)
-let rec arm_expiry t conn =
+let arm_expiry t conn =
   let delay = Cost.record_expiry_us t.cost in
   conn.expiry_deadline <- Engine.now t.engine + delay;
-  if conn.expiry_timer = None then
-    conn.expiry_timer <- Some (defer t ~delay (fun () -> expiry_fired t conn))
+  if not (Engine.armed conn.expiry_tm) then Engine.arm t.engine conn.expiry_tm ~delay
 
-and expiry_fired t conn =
-  conn.expiry_timer <- None;
+let expiry_fired t conn =
   let now = Engine.now t.engine in
   if now < conn.expiry_deadline then
-    conn.expiry_timer <-
-      Some (defer t ~delay:(conn.expiry_deadline - now) (fun () -> expiry_fired t conn))
+    Engine.arm t.engine conn.expiry_tm ~delay:(conn.expiry_deadline - now)
   else if conn_active conn then arm_expiry t conn
   else begin
     mark t ~peer:conn.peer ~tid:Event.no_tid ~n:0 Event.Record_expired;
@@ -397,14 +485,16 @@ let conn_for t peer =
         outstanding = Array.make (sspace t) no_sent;
         in_flight = 0;
         sendq = Queue.create ();
-        wake_timer = None;
+        rt_sp = no_sent;
+        retrans_tm = t.unset_tm;
+        ack_tm = t.unset_tm;
+        wake_tm = t.unset_tm;
+        expiry_tm = t.unset_tm;
         deferred_ack = None;
         recv_base = None;
         consumed = Array.make (sspace t) no_rec;
         recv_buf = [];
         ack_owed = None;
-        ack_timer = None;
-        expiry_timer = None;
         expiry_deadline = 0;
         hold = no_hold;
         cwnd = Cost.cwnd_init t.cost;
@@ -414,6 +504,7 @@ let conn_for t peer =
         rto_shift = 0;
       }
     in
+    c.expiry_tm <- Engine.timer ~tag:"proto" t.engine (fun () -> expiry_fired t c);
     Hashtbl.replace t.conns peer c;
     mark t ~peer ~tid:Event.no_tid ~n:0 Event.Record_created;
     Stats.incr t.stats "deltat.records_created";
@@ -477,10 +568,21 @@ let tid_of_body body =
   | Wire.Discover_reply { tid } -> tid
   | Wire.Ack -> Event.no_tid
 
+(* A frame has waited out its packet CPU: hand it to the NIC. *)
+let tx_fired t =
+  let r = t.tx_line.ring in
+  let live = Ring.head_id r >= t.live_from in
+  let peer = Ring.head_n r and wire = Ring.head_a r and ctx = Ring.head_b r in
+  line_next t t.tx_line always;
+  match t.nic with
+  | Some nic when live ->
+    if peer < 0 then Nic.broadcast_wire nic ?ctx wire else Nic.send_wire nic ?ctx ~dst:peer wire
+  | Some _ | None -> ()
+
 (* Emit a packet to [dst], picking up any owed acknowledgement (piggyback,
    §5.2.3). The kernel CPU cost is charged before the NIC transmits. *)
 let emit t ~dst ?(reliable = false) ?(seq = 0) ?(run = false) ?force_ack body =
-  let nic = match t.nic with Some n -> n | None -> failwith "Transport: no NIC" in
+  if Option.is_none t.nic then failwith "Transport: no NIC";
   let ack =
     match force_ack with
     | Some _ as a -> a
@@ -491,18 +593,14 @@ let emit t ~dst ?(reliable = false) ?(seq = 0) ?(run = false) ?force_ack body =
          let owed = conn.ack_owed in
          if owed <> None then begin
            conn.ack_owed <- None;
-           (match conn.ack_timer with
-            | Some id ->
-              Engine.cancel t.engine id;
-              conn.ack_timer <- None
-            | None -> ())
+           Engine.disarm t.engine conn.ack_tm
          end;
          owed
        | `Broadcast -> None)
   in
   let pkt = { Wire.src = t.mid; reliable; seq; ack; run; body } in
   let size = Wire.encoded_size pkt in
-  let cpu = packet_cpu_us t in
+  charge_packet_cpu t;
   let tx = Bus.transmission_time_us t.bus ~payload_bytes:size in
   t.hot.t_transmission := !(t.hot.t_transmission) + tx;
   Stdlib.incr t.hot.c_sent_total;
@@ -520,9 +618,9 @@ let emit t ~dst ?(reliable = false) ?(seq = 0) ?(run = false) ?force_ack body =
          });
   (* Encode straight into a pooled frame buffer (payload + CRC trailer) and
      seal it in place; ownership passes to the bus at send_wire time, which
-     releases the buffer after the frame's last delivery. If the deferred
-     send is squashed by a kernel reset the buffer is simply GC-reclaimed
-     (the pool is a cache, not an accounting authority). *)
+     releases the buffer after the frame's last delivery. If the frame is
+     dropped from the outgoing line by a kernel reset the buffer is simply
+     GC-reclaimed (the pool is a cache, not an accounting authority). *)
   let wire = Pool.acquire (Bus.pool t.bus) (size + 2) in
   let written = Wire.encode_into pkt wire ~off:0 in
   assert (written = size);
@@ -530,11 +628,8 @@ let emit t ~dst ?(reliable = false) ?(seq = 0) ?(run = false) ?force_ack body =
   (* The sending span's causal identity rides the frame out of band;
      wire bytes are already encoded above and unaffected. *)
   let ctx = Hashtbl.find_opt t.tid_causal (tid_of_body body) in
-  ignore
-    (defer t ~delay:cpu (fun () ->
-         match dst with
-         | `Peer peer -> Nic.send_wire nic ?ctx ~dst:peer wire
-         | `Broadcast -> Nic.broadcast_wire nic ?ctx wire))
+  let peer = match dst with `Peer peer -> peer | `Broadcast -> -1 in
+  ignore (line_push t t.tx_line tx_fired ~n:peer wire ctx)
 
 (* The cumulative acknowledgement we can assert right now: the last
    in-order consumed sequence number. *)
@@ -572,17 +667,17 @@ let ack_hold t body =
     else c.Cost.ack_grace_us + turnaround
   | _ -> c.Cost.ack_grace_us
 
+let ack_fired t conn =
+  if conn.ack_owed <> None then begin
+    Stdlib.incr t.hot.c_standalone_acks;
+    emit t ~dst:(`Peer conn.peer) Wire.Ack
+  end
+
 let owe_ack t conn ~hold seq =
   conn.ack_owed <- Some seq;
-  if conn.ack_timer = None then
-    conn.ack_timer <-
-      Some
-        (defer t ~delay:hold (fun () ->
-             conn.ack_timer <- None;
-             if conn.ack_owed <> None then begin
-               Stdlib.incr t.hot.c_standalone_acks;
-               emit t ~dst:(`Peer conn.peer) Wire.Ack
-             end))
+  if conn.ack_tm == t.unset_tm then
+    conn.ack_tm <- Engine.timer ~tag:"proto" t.engine (fun () -> ack_fired t conn);
+  if not (Engine.armed conn.ack_tm) then Engine.arm t.engine conn.ack_tm ~delay:hold
 
 let replay_response t conn cr =
   Stdlib.incr t.hot.c_duplicates;
@@ -812,18 +907,37 @@ let launchable t q now =
 let next_ready_at q =
   Queue.fold (fun acc p -> if p.ps_ready_at > 0 then min acc p.ps_ready_at else acc) max_int q
 
-let cancel_sp_timer t sp =
-  match sp.sp_timer with
-  | Some id ->
-    Engine.cancel t.engine id;
-    sp.sp_timer <- None
-  | None -> ()
+(* ---- the retransmission timer ------------------------------------------- *)
+
+(* One timer per connection (RFC 6298 §5), armed at the earliest
+   (deadline, id) among the unfinished sends ([conn.rt_sp]). Each
+   deadline reserves its id where a per-send timer would have been
+   scheduled, so expiries run in the same places as with one timer per
+   send. *)
+let rt_before a b = a.sp_due < b.sp_due || (a.sp_due = b.sp_due && a.sp_rt_id < b.sp_rt_id)
+
+let retrans_rearm t conn =
+  let best = ref no_sent in
+  for off = 0 to dist t conn.send_base conn.send_next - 1 do
+    let sp = conn.outstanding.((conn.send_base + off) mod sspace t) in
+    if sp.sp_rt_id >= 0 && (!best == no_sent || rt_before sp !best) then best := sp
+  done;
+  let sp = !best in
+  conn.rt_sp <- sp;
+  if sp == no_sent then Engine.disarm t.engine conn.retrans_tm
+  else Engine.arm_at t.engine conn.retrans_tm ~time:sp.sp_due ~id:sp.sp_rt_id
+
+let clear_deadline t conn sp =
+  if sp.sp_rt_id >= 0 then begin
+    sp.sp_rt_id <- -1;
+    if sp == conn.rt_sp then retrans_rearm t conn
+  end
 
 (* Finish [sp] and free its slot; [==] keeps a re-entrant second retire
    of the same send from dropping [in_flight] twice. *)
 let retire_sent t conn sp =
   sp.sp_finished <- true;
-  cancel_sp_timer t sp;
+  clear_deadline t conn sp;
   if conn.outstanding.(sp.sp_seq) == sp then begin
     conn.outstanding.(sp.sp_seq) <- no_sent;
     conn.in_flight <- conn.in_flight - 1
@@ -861,22 +975,16 @@ let rec transmit_sent t conn sp =
   else begin
     (* The imminent emission will carry any owed ack; hold the standalone
        ack back while the output buffer is being filled. *)
-    (match conn.ack_timer with
-     | Some id when conn.ack_owed <> None ->
-       Engine.cancel t.engine id;
-       conn.ack_timer <- None
-     | Some _ | None -> ());
-    ignore
-      (defer t ~delay:copy_us (fun () ->
-           if not sp.sp_finished then begin
-             sp.sp_sent_at <- Engine.now t.engine;
-             emit t ~dst:(`Peer conn.peer) ~reliable:true ~seq:sp.sp_seq ~run:sp.sp_run
-               body;
-             arm_retrans t conn sp
-           end
-           else if conn.ack_owed <> None then
-             (* the emission was cancelled; release the held ack *)
-             owe_ack t conn ~hold:t.cost.Cost.ack_grace_us (Option.get conn.ack_owed)))
+    if conn.ack_owed <> None then Engine.disarm t.engine conn.ack_tm;
+    defer t ~delay:copy_us (fun () ->
+        if not sp.sp_finished then begin
+          sp.sp_sent_at <- Engine.now t.engine;
+          emit t ~dst:(`Peer conn.peer) ~reliable:true ~seq:sp.sp_seq ~run:sp.sp_run body;
+          arm_retrans t conn sp
+        end
+        else if conn.ack_owed <> None then
+          (* the emission was cancelled; release the held ack *)
+          owe_ack t conn ~hold:t.cost.Cost.ack_grace_us (Option.get conn.ack_owed))
   end
 
 (* The timer covers the frame's wait for the medium too: a frame queued
@@ -884,26 +992,37 @@ let rec transmit_sent t conn sp =
    evidence of loss (the paper's adaptor timed out only frames that had
    gone out on the Megalink). *)
 and arm_retrans t conn sp =
-  cancel_sp_timer t sp;
   let delay = retrans_delay t conn sp + Bus.backlog_us t.bus in
-  sp.sp_timer <-
-    Some
-      (defer t ~delay (fun () ->
-           sp.sp_timer <- None;
-           if not sp.sp_finished then begin
-             (* the timer expiring IS the loss signal: halve cwnd (at
-                most once per RTO) whether we retry or give up *)
-             cwnd_on_loss t conn;
-             if aimd_on t && sp.sp_kind = K_request then
-               conn.rto_shift <-
-                 min t.cost.Cost.max_retrans (max conn.rto_shift (sp.sp_retries + 1));
-             if sp.sp_retries >= t.cost.Cost.max_retrans then
-               release_sent t conn sp (fun () -> sp.sp_done Out_timeout)
-             else begin
-               sp.sp_retries <- sp.sp_retries + 1;
-               transmit_sent t conn sp
-             end
-           end))
+  let was_first = sp == conn.rt_sp in
+  sp.sp_due <- Engine.now t.engine + delay;
+  sp.sp_rt_id <- Engine.reserve t.engine;
+  if conn.retrans_tm == t.unset_tm then
+    conn.retrans_tm <- Engine.timer ~tag:"proto" t.engine (fun () -> retrans_fired t conn);
+  if was_first then retrans_rearm t conn
+  else if conn.rt_sp == no_sent || rt_before sp conn.rt_sp then begin
+    conn.rt_sp <- sp;
+    Engine.arm_at t.engine conn.retrans_tm ~time:sp.sp_due ~id:sp.sp_rt_id
+  end
+
+(* The earliest deadline expired: the timer moves on to the next one
+   before the expiry is acted on. *)
+and retrans_fired t conn =
+  let sp = conn.rt_sp in
+  sp.sp_rt_id <- -1;
+  retrans_rearm t conn;
+  if not sp.sp_finished then begin
+    (* the timer expiring IS the loss signal: halve cwnd (at most once
+       per RTO) whether we retry or give up *)
+    cwnd_on_loss t conn;
+    if aimd_on t && sp.sp_kind = K_request then
+      conn.rto_shift <- min t.cost.Cost.max_retrans (max conn.rto_shift (sp.sp_retries + 1));
+    if sp.sp_retries >= t.cost.Cost.max_retrans then
+      release_sent t conn sp (fun () -> sp.sp_done Out_timeout)
+    else begin
+      sp.sp_retries <- sp.sp_retries + 1;
+      transmit_sent t conn sp
+    end
+  end
 
 (* Remove a slot WITHOUT advancing the window base, then run [k]: a
    timeout, or a rejection the peer did not consume ([rejection_consumes]),
@@ -999,12 +1118,11 @@ and start_next t conn =
     match launchable t conn.sendq now with
     | None ->
       (* backing off after a BUSY; wake when the nearest backoff matures *)
-      if conn.wake_timer = None && not (Queue.is_empty conn.sendq) then
-        conn.wake_timer <-
-          Some
-            (defer t ~delay:(max 1 (next_ready_at conn.sendq - now)) (fun () ->
-                 conn.wake_timer <- None;
-                 start_next t conn));
+      if (not (Engine.armed conn.wake_tm)) && not (Queue.is_empty conn.sendq) then begin
+        if conn.wake_tm == t.unset_tm then
+          conn.wake_tm <- Engine.timer ~tag:"proto" t.engine (fun () -> start_next t conn);
+        Engine.arm t.engine conn.wake_tm ~delay:(max 1 (next_ready_at conn.sendq - now))
+      end;
       continue := false
     (* The DATA of an accepted exchange answers an explicit server
        grant: the handler over there is already parked waiting for it,
@@ -1032,7 +1150,8 @@ and start_next t conn =
              crash-detection budget across retry cycles *)
           sp_retries = 0;
           sp_busy_attempts = pending.ps_busy;
-          sp_timer = None;
+          sp_due = 0;
+          sp_rt_id = -1;
           sp_finished = false;
           sp_sent_at = 0;
           sp_done = pending.ps_done;
@@ -1064,69 +1183,14 @@ let send_reliable t ~peer ~kind ~tid body ~on_done =
        retry_behind_data conn.sendq);
   start_next t conn
 
-(* ---- creation ----------------------------------------------------------- *)
-
-let create ~engine ~bus ~mid ~cost ~recorder =
-  (* One medium, one window: receive-side classification derives its
-     sequence arithmetic from the LOCAL window, which is only sound if
-     every station agrees. *)
-  Bus.claim_seq_window bus ~window:(Cost.transport_window cost);
-  let stats = Stats.create () in
-  let hot =
-    {
-      c_sent_total = Stats.counter_cell stats "pkt.sent.total";
-      c_recv_total = Stats.counter_cell stats "pkt.recv.total";
-      c_standalone_acks = Stats.counter_cell stats "pkt.standalone_acks";
-      c_duplicates = Stats.counter_cell stats "pkt.duplicates";
-      h_ack_wait = None;
-      sent_by_kind =
-        Array.map (fun k -> Stats.counter_cell stats ("pkt.sent." ^ k)) kind_names;
-      recv_by_kind =
-        Array.map (fun k -> Stats.counter_cell stats ("pkt.recv." ^ k)) kind_names;
-      t_transmission = Stats.time_ref stats (Cost.label Cost.Transmission);
-      t_protocol = Stats.time_ref stats (Cost.label Cost.Protocol);
-      t_conn_timer = Stats.time_ref stats (Cost.label Cost.Conn_timer);
-      t_retrans_timer = Stats.time_ref stats (Cost.label Cost.Retrans_timer);
-      packet_cpu =
-        cost.Cost.packet_protocol_us + cost.Cost.conn_timer_us
-        + cost.Cost.retrans_timer_us;
-    }
-  in
-  let t =
-    {
-      engine;
-      bus;
-      mid;
-      cost;
-      recorder;
-      stats;
-      rng = Rng.split (Engine.rng engine);
-      nic = None;
-      cb = None;
-      conns = Hashtbl.create 8;
-      out_reqs = Hashtbl.create 16;
-      discovers = Hashtbl.create 4;
-      seen_discovers = Hashtbl.create 4;
-      srv_txns = Hashtbl.create 16;
-      buffered = None;
-      holders = Queue.create ();
-      epoch = 0;
-      tid_causal = Hashtbl.create 16;
-      hot;
-    }
-  in
-  t
-
-let set_callbacks t cb = t.cb <- Some cb
-
 (* ---- probes (§3.6.2) ---------------------------------------------------- *)
 
+let probe_live id req () = req.or_probe_id = id
+
 let stop_probing t req =
-  match req.or_probe_timer with
-  | Some id ->
-    Engine.cancel t.engine id;
-    req.or_probe_timer <- None
-  | None -> ()
+  let id = req.or_probe_id in
+  req.or_probe_id <- -1;
+  line_cancel t t.probe_line probe_live id
 
 let complete_out_req t req completion =
   if req.or_state <> Rq_done then begin
@@ -1156,32 +1220,31 @@ let complete_out_req t req completion =
     forget_causal t ~tid:req.or_tid
   end
 
-let rec arm_probe t req =
-  req.or_probe_timer <-
-    Some
-      (defer t ~delay:t.cost.Cost.probe_interval_us (fun () ->
-           req.or_probe_timer <- None;
-           if req.or_state = Rq_delivered then begin
-             if req.or_probe_outstanding then begin
-               req.or_probe_misses <- req.or_probe_misses + 1;
-               Stats.incr t.stats "probe.misses"
-             end;
-             if req.or_probe_misses >= t.cost.Cost.probe_miss_limit then begin
-               mark t ~peer:req.or_dst ~tid:req.or_tid ~n:req.or_probe_misses
-                 Event.Probe_silent;
-               complete_out_req t req Comp_crashed
-             end
-             else begin
-               req.or_probe_outstanding <- true;
-               Stats.incr t.stats "probe.sent";
-               if tracing t then
-                 event t
-                   (Event.Probe
-                      { tid = req.or_tid; peer = req.or_dst; misses = req.or_probe_misses });
-               emit t ~dst:(`Peer req.or_dst) (Wire.Probe { tid = req.or_tid });
-               arm_probe t req
-             end
-           end))
+let rec arm_probe t req = req.or_probe_id <- line_push t t.probe_line probe_fired ~n:0 req ()
+
+and probe_fired t =
+  let req = Ring.head_a t.probe_line.ring in
+  line_next t t.probe_line probe_live;
+  req.or_probe_id <- -1;
+  if req.or_state = Rq_delivered then begin
+    if req.or_probe_outstanding then begin
+      req.or_probe_misses <- req.or_probe_misses + 1;
+      Stats.incr t.stats "probe.misses"
+    end;
+    if req.or_probe_misses >= t.cost.Cost.probe_miss_limit then begin
+      mark t ~peer:req.or_dst ~tid:req.or_tid ~n:req.or_probe_misses Event.Probe_silent;
+      complete_out_req t req Comp_crashed
+    end
+    else begin
+      req.or_probe_outstanding <- true;
+      Stats.incr t.stats "probe.sent";
+      if tracing t then
+        event t
+          (Event.Probe { tid = req.or_tid; peer = req.or_dst; misses = req.or_probe_misses });
+      emit t ~dst:(`Peer req.or_dst) (Wire.Probe { tid = req.or_tid });
+      arm_probe t req
+    end
+  end
 
 let rec mark_delivered t req =
   if req.or_state = Rq_sent then begin
@@ -1238,7 +1301,7 @@ let submit_request t ~dst ~tid ~pattern ~arg ~put_data ~get_size =
       or_get_size = get_size;
       or_submit_us = Engine.now t.engine;
       or_state = Rq_sent;
-      or_probe_timer = None;
+      or_probe_id = -1;
       or_probe_misses = 0;
       or_probe_outstanding = false;
       or_cancel_pending = None;
@@ -1267,26 +1330,32 @@ let submit_request t ~dst ~tid ~pattern ~arg ~put_data ~get_size =
       | Out_cancel_reply _ -> ())
 
 let submit_discover t ~tid ~pattern ~max_mids =
-  let dr = { dr_tid = tid; dr_max = max_mids; dr_mids = []; dr_timer = None } in
+  let dr = { dr_tid = tid; dr_max = max_mids; dr_mids = [] } in
   Hashtbl.replace t.discovers tid dr;
   Stats.incr t.stats "discover.submitted";
   emit t ~dst:`Broadcast (Wire.Discover { tid; pattern });
-  dr.dr_timer <-
-    Some
-      (defer t ~delay:t.cost.Cost.discover_window_us (fun () ->
-           dr.dr_timer <- None;
-           Hashtbl.remove t.discovers tid;
-           (callbacks t).complete_request ~tid (Comp_discovered (List.rev dr.dr_mids))))
+  defer t ~delay:t.cost.Cost.discover_window_us (fun () ->
+      Hashtbl.remove t.discovers tid;
+      (callbacks t).complete_request ~tid (Comp_discovered (List.rev dr.dr_mids)))
 
 (* ---- server: transactions ----------------------------------------------- *)
 
+let gc_live id txn () = txn.st_gc_id = id
+
+let gc_fired t =
+  let txn = Ring.head_a t.gc_line.ring in
+  line_next t t.gc_line gc_live;
+  txn.st_gc_id <- -1;
+  Hashtbl.remove t.srv_txns (txn.st_src, txn.st_tid);
+  forget_causal t ~tid:txn.st_tid
+
+(* Forget a finished server record one lifetime from now, replacing any
+   GC already due. *)
 let srv_gc t txn =
-  (match txn.st_gc with Some id -> Engine.cancel t.engine id | None -> ());
-  txn.st_gc <-
-    Some
-      (defer t ~delay:(Cost.record_expiry_us t.cost) (fun () ->
-           Hashtbl.remove t.srv_txns (txn.st_src, txn.st_tid);
-           forget_causal t ~tid:txn.st_tid))
+  let id = txn.st_gc_id in
+  txn.st_gc_id <- -1;
+  line_cancel t t.gc_line gc_live id;
+  txn.st_gc_id <- line_push t t.gc_line gc_fired ~n:0 txn ()
 
 (* A completed record lives on until its ACCEPT's send is [Resolved],
    and expires one record lifetime after that: while a dataless ACCEPT
@@ -1313,6 +1382,25 @@ let accept_queued t txn =
       false conn.sendq
   | None -> false
 
+let data_live id _ ctx = ctx.ac_data_id = id
+
+let stop_data_wait t ctx =
+  let id = ctx.ac_data_id in
+  ctx.ac_data_id <- -1;
+  line_cancel t t.data_line data_live id
+
+let data_fired t =
+  let r = t.data_line.ring in
+  let live = Ring.head_id r >= t.live_from in
+  let txn = Ring.head_a r and ctx = Ring.head_b r and acked = Ring.head_n r = 1 in
+  line_next t t.data_line data_live;
+  ctx.ac_data_id <- -1;
+  if live && (not ctx.ac_done) && ctx.ac_need_data && (acked || accept_queued t txn) then begin
+    Stats.incr t.stats "accept.data_timeouts";
+    mark t ~peer:txn.st_src ~tid:txn.st_tid ~n:0 Event.Data_wait_expired;
+    accept_finish t txn ctx (Acc_crashed Bytes.empty)
+  end
+
 (* The put data was wasted on a busy transmission; a crashed requester
    will never resend it, so the wait (and the busy server) is bounded by
    one Delta-t lifetime, counted from the ACCEPT and again from its ack.
@@ -1321,17 +1409,8 @@ let accept_queued t txn =
    sent ACCEPT is bounded by its retransmissions, and at W>1 may sit
    behind a receive gap for longer than the lifetime. *)
 let await_put_data t txn ctx ~acked =
-  Option.iter (Engine.cancel t.engine) ctx.ac_data_timer;
-  ctx.ac_data_timer <-
-    Some
-      (defer t ~delay:(Cost.record_expiry_us t.cost) (fun () ->
-           ctx.ac_data_timer <- None;
-           if (not ctx.ac_done) && ctx.ac_need_data && (acked || accept_queued t txn)
-           then begin
-             Stats.incr t.stats "accept.data_timeouts";
-             mark t ~peer:txn.st_src ~tid:txn.st_tid ~n:0 Event.Data_wait_expired;
-             accept_finish t txn ctx (Acc_crashed Bytes.empty)
-           end))
+  stop_data_wait t ctx;
+  ctx.ac_data_id <- line_push t t.data_line data_fired ~n:(Bool.to_int acked) txn ctx
 
 let truncate_bytes data len =
   if Bytes.length data <= len then data else Bytes.sub data 0 len
@@ -1366,7 +1445,7 @@ let accept t ~requester_mid ~requester_tid ~arg ~get_capacity ~data_out ~on_done
         ac_send = (if Bytes.length data_out > 0 then Awaiting_ack else Unacked);
         ac_received = received;
         ac_done = false;
-        ac_data_timer = None;
+        ac_data_id = -1;
         ac_on_done = on_done;
       }
     in
@@ -1376,23 +1455,22 @@ let accept t ~requester_mid ~requester_tid ~arg ~get_capacity ~data_out ~on_done
       Wire.Accept
         { tid = requester_tid; arg; put_transferred; need_put_data = need_data; data = data_out }
     in
-    ignore
-      (defer t ~delay:copy_us (fun () ->
-           send_reliable t ~peer:requester_mid ~kind:K_accept ~tid:requester_tid body
-             ~on_done:(fun outcome ->
-               match outcome with
-               | Out_acked ->
-                 accept_resolved t txn ctx;
-                 if ctx.ac_need_data then await_put_data t txn ctx ~acked:true;
-                 accept_check_done t txn ctx
-               | Out_error Wire.Err_cancelled ->
-                 accept_resolved t txn ctx;
-                 if not ctx.ac_done then accept_finish t txn ctx Acc_cancelled
-               | Out_error _ | Out_timeout ->
-                 accept_resolved t txn ctx;
-                 if not ctx.ac_done then accept_finish t txn ctx (Acc_crashed ctx.ac_received)
-               | Out_cancel_reply _ -> ());
-           accept_check_done t txn ctx))
+    defer t ~delay:copy_us (fun () ->
+        send_reliable t ~peer:requester_mid ~kind:K_accept ~tid:requester_tid body
+          ~on_done:(fun outcome ->
+            match outcome with
+            | Out_acked ->
+              accept_resolved t txn ctx;
+              if ctx.ac_need_data then await_put_data t txn ctx ~acked:true;
+              accept_check_done t txn ctx
+            | Out_error Wire.Err_cancelled ->
+              accept_resolved t txn ctx;
+              if not ctx.ac_done then accept_finish t txn ctx Acc_cancelled
+            | Out_error _ | Out_timeout ->
+              accept_resolved t txn ctx;
+              if not ctx.ac_done then accept_finish t txn ctx (Acc_crashed ctx.ac_received)
+            | Out_cancel_reply _ -> ());
+        accept_check_done t txn ctx)
   | None ->
     (* Blind accept: either a guessed signature or a requester that crashed
        and lost our record. Send it; the requester's kernel will answer with
@@ -1648,9 +1726,8 @@ let handle_accept t conn cr src ~tid ~arg ~put_transferred ~need_put_data data =
       else if copy_us = 0 then
         complete_out_req t req (Comp_accepted { arg; put_transferred; get_data })
       else
-        ignore
-          (defer t ~delay:copy_us (fun () ->
-               complete_out_req t req (Comp_accepted { arg; put_transferred; get_data })))
+        defer t ~delay:copy_us (fun () ->
+            complete_out_req t req (Comp_accepted { arg; put_transferred; get_data }))
     end
   | Some _ | None ->
     (match (callbacks t).classify_unknown_tid tid with
@@ -1661,16 +1738,12 @@ let handle_accept t conn cr src ~tid ~arg ~put_transferred ~need_put_data data =
 let handle_put_data t conn ~tid data =
   match Hashtbl.find_opt t.srv_txns (conn.peer, tid) with
   | Some ({ st_state = Srv_accepting ctx; _ } as txn) when ctx.ac_need_data ->
-    (match ctx.ac_data_timer with
-     | Some id ->
-       Engine.cancel t.engine id;
-       ctx.ac_data_timer <- None
-     | None -> ());
+    stop_data_wait t ctx;
     ctx.ac_received <- truncate_bytes data ctx.ac_put_transferred;
     ctx.ac_need_data <- false;
     let copy_us = Cost.data_copy_us t.cost ~bytes:(Bytes.length ctx.ac_received) in
     Stats.add_time t.stats (Cost.label Cost.Protocol) copy_us;
-    ignore (defer t ~delay:copy_us (fun () -> accept_check_done t txn ctx))
+    defer t ~delay:copy_us (fun () -> accept_check_done t txn ctx)
   | Some _ | None -> ()
 
 let handle_cancel_request t conn cr ~tid =
@@ -1737,14 +1810,12 @@ let handle_discover t src tid pattern =
     Stats.incr t.stats "discover.duped"
   else begin
     Hashtbl.replace t.seen_discovers (src, tid) ();
-    ignore
-      (defer t ~delay:(Cost.record_expiry_us t.cost) (fun () ->
-           Hashtbl.remove t.seen_discovers (src, tid)));
+    defer t ~delay:(Cost.record_expiry_us t.cost) (fun () ->
+        Hashtbl.remove t.seen_discovers (src, tid));
     if (callbacks t).advertised pattern then begin
       let delay = t.cost.Cost.discover_stagger_us * (t.mid + 1) in
       Stats.incr t.stats "discover.matched";
-      ignore
-        (defer t ~delay (fun () -> emit t ~dst:(`Peer src) (Wire.Discover_reply { tid })))
+      defer t ~delay (fun () -> emit t ~dst:(`Peer src) (Wire.Discover_reply { tid }))
     end
   end
 
@@ -1772,7 +1843,7 @@ let offer_request t conn pkt ~resync =
           st_get_size = get_size;
           st_put_data = (if (not retry) && put_size > 0 then Some data else None);
           st_state;
-          st_gc = None;
+          st_gc_id = -1;
         }
       in
       Hashtbl.replace t.srv_txns (src, tid) txn
@@ -1940,7 +2011,7 @@ let flush_buffered t =
      REQUEST deferred at the head of a receive window. *)
   drain_holders t
 
-let process_packet t ?ctx ~bytes pkt =
+let process_packet t ~ctx ~bytes pkt =
   let src = pkt.Wire.src in
   Stdlib.incr t.hot.c_recv_total;
   Stdlib.incr t.hot.recv_by_kind.(body_index pkt.Wire.body);
@@ -2043,6 +2114,14 @@ let process_packet t ?ctx ~bytes pkt =
   | Wire.Discover_reply { tid }, _ -> handle_discover_reply t src tid
   | (Wire.Request _ | Wire.Accept _ | Wire.Put_data _ | Wire.Cancel_request _), None -> ()
 
+(* A frame has waited out its packet CPU: process it. *)
+let rx_fired t =
+  let r = t.rx_line.ring in
+  let live = Ring.head_id r >= t.live_from in
+  let bytes = Ring.head_n r and pkt = Ring.head_a r and ctx = Ring.head_b r in
+  line_next t t.rx_line always;
+  if live then process_packet t ~ctx ~bytes pkt
+
 let attach_nic t =
   (* Zero-copy receive: decode straight out of the frame buffer (which may
      be pooled and recycled after this callback returns) — the decoder
@@ -2053,11 +2132,75 @@ let attach_nic t =
         match Wire.decode_sub wire ~off:0 ~len with
         | Error _ -> Stats.incr t.stats "pkt.decode_errors"
         | Ok pkt ->
-          let cpu = packet_cpu_us t in
-          ignore (defer t ~delay:cpu (fun () -> process_packet t ?ctx ~bytes:len pkt)))
+          charge_packet_cpu t;
+          ignore (line_push t t.rx_line rx_fired ~n:len pkt ctx))
   in
   t.nic <- Some nic;
   nic
+
+(* ---- creation ----------------------------------------------------------- *)
+
+let create ~engine ~bus ~mid ~cost ~recorder =
+  (* One medium, one window: receive-side classification derives its
+     sequence arithmetic from the LOCAL window, which is only sound if
+     every station agrees. *)
+  Bus.claim_seq_window bus ~window:(Cost.transport_window cost);
+  let stats = Stats.create () in
+  let hot =
+    {
+      c_sent_total = Stats.counter_cell stats "pkt.sent.total";
+      c_recv_total = Stats.counter_cell stats "pkt.recv.total";
+      c_standalone_acks = Stats.counter_cell stats "pkt.standalone_acks";
+      c_duplicates = Stats.counter_cell stats "pkt.duplicates";
+      h_ack_wait = None;
+      sent_by_kind =
+        Array.map (fun k -> Stats.counter_cell stats ("pkt.sent." ^ k)) kind_names;
+      recv_by_kind =
+        Array.map (fun k -> Stats.counter_cell stats ("pkt.recv." ^ k)) kind_names;
+      t_transmission = Stats.time_ref stats (Cost.label Cost.Transmission);
+      t_protocol = Stats.time_ref stats (Cost.label Cost.Protocol);
+      t_conn_timer = Stats.time_ref stats (Cost.label Cost.Conn_timer);
+      t_retrans_timer = Stats.time_ref stats (Cost.label Cost.Retrans_timer);
+      packet_cpu =
+        cost.Cost.packet_protocol_us + cost.Cost.conn_timer_us
+        + cost.Cost.retrans_timer_us;
+    }
+  in
+  let unset = Engine.timer engine ignore in
+  let lifetime = Cost.record_expiry_us cost in
+  let t =
+    {
+      engine;
+      bus;
+      mid;
+      cost;
+      recorder;
+      stats;
+      rng = Rng.split (Engine.rng engine);
+      nic = None;
+      cb = None;
+      conns = Hashtbl.create 8;
+      out_reqs = Hashtbl.create 16;
+      discovers = Hashtbl.create 4;
+      seen_discovers = Hashtbl.create 4;
+      srv_txns = Hashtbl.create 16;
+      buffered = None;
+      holders = Queue.create ();
+      epoch = 0;
+      live_from = 0;
+      unset_tm = unset;
+      tx_line = new_line ~delay:hot.packet_cpu ~fill_a:Bytes.empty ~fill_b:None unset;
+      rx_line = new_line ~delay:hot.packet_cpu ~fill_a:no_pkt ~fill_b:None unset;
+      probe_line = new_line ~delay:cost.Cost.probe_interval_us ~fill_a:no_req ~fill_b:() unset;
+      gc_line = new_line ~delay:lifetime ~fill_a:no_txn ~fill_b:() unset;
+      data_line = new_line ~delay:lifetime ~fill_a:no_txn ~fill_b:no_ctx unset;
+      tid_causal = Hashtbl.create 16;
+      hot;
+    }
+  in
+  t
+
+let set_callbacks t cb = t.cb <- Some cb
 
 (* ---- reset ---------------------------------------------------------------- *)
 
@@ -2065,21 +2208,18 @@ let reset t =
   t.epoch <- t.epoch + 1;
   Hashtbl.iter
     (fun _ conn ->
-      Array.iter (cancel_sp_timer t) conn.outstanding;
-      (match conn.wake_timer with Some id -> Engine.cancel t.engine id | None -> ());
-      (match conn.ack_timer with Some id -> Engine.cancel t.engine id | None -> ());
-      (match conn.expiry_timer with Some id -> Engine.cancel t.engine id | None -> ()))
+      Engine.disarm t.engine conn.retrans_tm;
+      Engine.disarm t.engine conn.wake_tm;
+      Engine.disarm t.engine conn.ack_tm;
+      Engine.disarm t.engine conn.expiry_tm)
     t.conns;
-  Hashtbl.iter
-    (fun _ req ->
-      match req.or_probe_timer with Some id -> Engine.cancel t.engine id | None -> ())
-    t.out_reqs;
-  Hashtbl.iter
-    (fun _ dr -> match dr.dr_timer with Some id -> Engine.cancel t.engine id | None -> ())
-    t.discovers;
-  Hashtbl.iter
-    (fun _ txn -> match txn.st_gc with Some id -> Engine.cancel t.engine id | None -> ())
-    t.srv_txns;
+  (* Probes and record GC are withdrawn. Frames and put-data waits already
+     queued still come due, and count as fired events like a one-shot of
+     the old epoch, but are dropped then: no frame of this incarnation
+     reaches the bus after the reset. *)
+  line_reset t t.probe_line;
+  line_reset t t.gc_line;
+  t.live_from <- (Engine.counters t.engine).Engine.scheduled;
   Hashtbl.reset t.conns;
   Hashtbl.reset t.out_reqs;
   Hashtbl.reset t.discovers;
@@ -2107,6 +2247,11 @@ let cwnd t ~peer =
   match Hashtbl.find_opt t.conns peer with
   | Some conn -> Some conn.cwnd
   | None -> None
+
+let delay_lines t =
+  let n line = Ring.length line.ring in
+  [ ("tx", n t.tx_line); ("rx", n t.rx_line); ("probe", n t.probe_line); ("gc", n t.gc_line);
+    ("data", n t.data_line) ]
 
 let rtt_estimate_us t ~peer =
   match Hashtbl.find_opt t.conns peer with

@@ -164,6 +164,12 @@ val cwnd : t -> peer:int -> float option
     before the first Karn-clean sample (or without a record). *)
 val rtt_estimate_us : t -> peer:int -> (int * int) option
 
+(** Entries waiting in each fixed-delay line, stale ones included:
+    ["tx"] and ["rx"] (frames waiting out their packet CPU), ["probe"],
+    ["gc"] (server-record GC) and ["data"] (put-data waits). For the test
+    suites. *)
+val delay_lines : t -> (string * int) list
+
 (** Causal identity, per live transaction. The kernel registers the
     context minted at the REQUEST trap; the server side of the transport
     adopts a child span at first sight of a context-carrying packet for

@@ -87,7 +87,7 @@ let await env f =
    pool management, §5.2.1), then run [k] on the other side of the trap. *)
 let trap env us k =
   Stats.add_time (Kernel.stats env.kernel) (Cost.label Cost.Client_overhead) us;
-  await env (fun resume -> ignore (Engine.schedule ~tag:"client" env.engine ~delay:us resume));
+  await env (fun resume -> Engine.schedule ~tag:"client" env.engine ~delay:us resume);
   k ()
 
 let wake_idlers env =
@@ -98,26 +98,21 @@ let wake_idlers env =
 let idle env = await env (fun resume -> env.idle_waiters <- resume :: env.idle_waiters)
 
 (* Whichever of the timer and the wake-up comes first resumes; a wake-up
-   cancels the timer, and a fired timer leaves a spent waiter behind. *)
+   disarms the timer, and a fired timer leaves a spent waiter behind. *)
 let idle_for env us =
   await env (fun resume ->
-      let woken = ref false in
-      let timer =
-        Engine.schedule ~tag:"client" env.engine ~delay:us (fun () ->
-            woken := true;
-            resume ())
-      in
+      let timer = Engine.timer ~tag:"client" env.engine resume in
+      Engine.arm env.engine timer ~delay:us;
       env.idle_waiters <-
         (fun () ->
-          if not !woken then begin
-            woken := true;
-            Engine.cancel env.engine timer;
+          if Engine.armed timer then begin
+            Engine.disarm env.engine timer;
             resume ()
           end)
         :: env.idle_waiters)
 
 let compute env us =
-  if us > 0 then await env (fun resume -> ignore (Engine.schedule ~tag:"client" env.engine ~delay:us resume))
+  if us > 0 then await env (fun resume -> Engine.schedule ~tag:"client" env.engine ~delay:us resume)
 
 (* ---- handler machinery ------------------------------------------------ *)
 

@@ -1,6 +1,14 @@
-type event_id = int
-
 type counters = { scheduled : int; fired : int; cancelled : int; pending : int }
+
+(* A reusable timer: its callback is allocated once, and arming pushes the
+   record itself onto the timer heap. [tm_id] is the id of the armed shot
+   (-1 when disarmed); a popped shot whose id no longer matches was
+   disarmed or re-armed since, and is dropped. *)
+type timer = {
+  tm_fn : unit -> unit;
+  tm_tag : string option;
+  mutable tm_id : int;
+}
 
 type t = {
   mutable clock : int;
@@ -8,16 +16,18 @@ type t = {
   mutable live : int;
   mutable n_fired : int;
   mutable n_cancelled : int;
-  (* Callbacks ride the heap directly; the heap's tie-break sequence
-     number doubles as the event id, so a schedule allocates no per-event
-     record at all (the heap itself is structure-of-arrays). *)
+  (* One-shot callbacks ride the heap directly; the heap's tie-break
+     sequence number doubles as the event id, so a schedule allocates no
+     per-event record at all (the heap itself is structure-of-arrays).
+     Timer shots live in a second heap of timer records; ids come from the
+     same counter, so the two heaps interleave in one (time, id) order. *)
   queue : (unit -> unit) Heap.t;
-  cancelled : (int, unit) Hashtbl.t;
+  timers : timer Heap.t;
   root_rng : Rng.t;
   (* Hot-path profiling. The always-on part is integer bumps and one
-     hashtable hit per *tagged* schedule; wall-clock is read once per
-     [run] call, never inside the event loop, and never feeds back into
-     scheduling, so determinism is untouched. *)
+     hashtable hit per *tagged* schedule or arm; wall-clock is read once
+     per [run] call, never inside the event loop, and never feeds back
+     into scheduling, so determinism is untouched. *)
   mutable heap_highwater : int;
   tag_counts : (string, int ref) Hashtbl.t;
   mutable wall_s : float;  (* wall time accrued inside [run] *)
@@ -29,6 +39,10 @@ type t = {
 
 exception Stop
 
+let nothing () = ()
+
+let no_timer = { tm_fn = nothing; tm_tag = None; tm_id = -1 }
+
 let create ?(seed = 42) () =
   {
     clock = 0;
@@ -36,8 +50,8 @@ let create ?(seed = 42) () =
     live = 0;
     n_fired = 0;
     n_cancelled = 0;
-    queue = Heap.create ();
-    cancelled = Hashtbl.create 64;
+    queue = Heap.create ~filler:nothing;
+    timers = Heap.create ~filler:no_timer;
     root_rng = Rng.create ~seed;
     heap_highwater = 0;
     tag_counts = Hashtbl.create 8;
@@ -52,27 +66,56 @@ let now t = t.clock
 
 let rng t = t.root_rng
 
-let schedule ?tag t ~delay fn =
-  if delay < 0 then invalid_arg "Engine.schedule: negative delay";
+let tally t tag =
+  match tag with
+  | None -> ()
+  | Some tag ->
+    (* exception-based lookup: [find_opt] would allocate a [Some] per
+       tagged schedule *)
+    (match Hashtbl.find t.tag_counts tag with
+     | r -> incr r
+     | exception Not_found -> Hashtbl.replace t.tag_counts tag (ref 1))
+
+let note_depth t =
+  let depth = Heap.length t.queue + Heap.length t.timers in
+  if depth > t.heap_highwater then t.heap_highwater <- depth
+
+let reserve t =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  t.live <- t.live + 1;
-  (match tag with
-   | None -> ()
-   | Some tag ->
-     (* exception-based lookup: [find_opt] would allocate a [Some] per
-        tagged schedule *)
-     (match Hashtbl.find t.tag_counts tag with
-      | r -> incr r
-      | exception Not_found -> Hashtbl.replace t.tag_counts tag (ref 1)));
-  Heap.push t.queue ~key:(t.clock + delay) ~seq fn;
-  let depth = Heap.length t.queue in
-  if depth > t.heap_highwater then t.heap_highwater <- depth;
   seq
 
-let cancel t id =
-  if not (Hashtbl.mem t.cancelled id) then begin
-    Hashtbl.replace t.cancelled id ();
+let schedule ?tag t ~delay fn =
+  if delay < 0 then invalid_arg "Engine.schedule: negative delay";
+  let seq = reserve t in
+  t.live <- t.live + 1;
+  tally t tag;
+  Heap.push t.queue ~key:(t.clock + delay) ~seq fn;
+  note_depth t
+
+(* ---- reusable timers ---------------------------------------------------- *)
+
+let timer ?tag _t fn = { tm_fn = fn; tm_tag = tag; tm_id = -1 }
+
+let armed tm = tm.tm_id >= 0
+
+let arm_at t tm ~time ~id =
+  if time < t.clock then invalid_arg "Engine.arm_at: time in the past";
+  if tm.tm_id <> id then begin
+    if tm.tm_id < 0 then t.live <- t.live + 1;
+    tm.tm_id <- id;
+    tally t tm.tm_tag;
+    Heap.push t.timers ~key:time ~seq:id tm;
+    note_depth t
+  end
+
+let arm t tm ~delay =
+  if delay < 0 then invalid_arg "Engine.arm: negative delay";
+  arm_at t tm ~time:(t.clock + delay) ~id:(reserve t)
+
+let disarm t tm =
+  if tm.tm_id >= 0 then begin
+    tm.tm_id <- -1;
     t.live <- t.live - 1;
     t.n_cancelled <- t.n_cancelled + 1
   end
@@ -123,26 +166,47 @@ let export_metrics t m ~prefix =
 
 let stop _t = raise Stop
 
+(* Pop the lesser (time, id) of the two heap heads. A timer shot that is
+   no longer its timer's armed one is dropped the way a cancelled event
+   was: the clock does not move and nothing counts as fired. *)
 let step t ~until =
-  if Heap.is_empty t.queue then false
-  else begin
-    let time = Heap.min_key t.queue in
+  let q = t.queue and tq = t.timers in
+  let from_timers =
+    (not (Heap.is_empty tq))
+    && (Heap.is_empty q
+       ||
+       let k = Heap.min_key q and kt = Heap.min_key tq in
+       kt < k || (kt = k && Heap.min_seq tq < Heap.min_seq q))
+  in
+  if from_timers then begin
+    let time = Heap.min_key tq in
     if time > until then false
     else begin
-      let id = Heap.min_seq t.queue in
-      let fn = Heap.min_value t.queue in
-      Heap.drop_min t.queue;
-      if Hashtbl.mem t.cancelled id then begin
-        Hashtbl.remove t.cancelled id;
-        true
-      end
-      else begin
+      let id = Heap.min_seq tq in
+      let tm = Heap.min_value tq in
+      Heap.drop_min tq;
+      if tm.tm_id = id then begin
+        tm.tm_id <- -1;
         t.clock <- time;
         t.live <- t.live - 1;
         t.n_fired <- t.n_fired + 1;
-        fn ();
-        true
-      end
+        tm.tm_fn ()
+      end;
+      true
+    end
+  end
+  else if Heap.is_empty q then false
+  else begin
+    let time = Heap.min_key q in
+    if time > until then false
+    else begin
+      let fn = Heap.min_value q in
+      Heap.drop_min q;
+      t.clock <- time;
+      t.live <- t.live - 1;
+      t.n_fired <- t.n_fired + 1;
+      fn ();
+      true
     end
   end
 

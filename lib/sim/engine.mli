@@ -8,9 +8,6 @@
 
 type t
 
-(** Handle to a scheduled event; used to cancel pending timers. *)
-type event_id
-
 val create : ?seed:int -> unit -> t
 
 (** Current virtual time in microseconds. *)
@@ -23,17 +20,56 @@ val rng : t -> Rng.t
     Events scheduled for the same instant run in scheduling order.
     [tag] attributes the callback to a subsystem ("kernel", "bus", ...)
     in the per-tag profiling counters; untagged schedules cost nothing
-    extra. *)
-val schedule : ?tag:string -> t -> delay:int -> (unit -> unit) -> event_id
+    extra. A scheduled one-shot cannot be withdrawn: a callback that may
+    need to be called off is a {!timer}. *)
+val schedule : ?tag:string -> t -> delay:int -> (unit -> unit) -> unit
 
-(** [cancel t id] prevents a pending event from firing; cancelling an
-    already-fired or already-cancelled event is a no-op. *)
-val cancel : t -> event_id -> unit
+(** {2 Reusable timers}
 
-(** [pending t] is the number of live (not cancelled, not fired) events. *)
+    A timer is a callback allocated once and fired any number of times.
+    It has at most one armed shot; arming, re-arming and disarming it
+    allocate nothing. Every shot carries an event id from the same
+    counter as {!schedule}, and shots and one-shots run in one order:
+    by time, then by id. *)
+type timer
+
+(** [timer ?tag t f] is a disarmed timer that runs [f] when a shot fires.
+    [tag] is counted once per arm in {!tag_counts}. *)
+val timer : ?tag:string -> t -> (unit -> unit) -> timer
+
+(** [reserve t] takes the next event id without scheduling anything. A
+    caller that queues work of its own (a FIFO of fixed-delay entries
+    behind one timer) reserves the id where it would have scheduled, and
+    later arms the timer with it ({!arm_at}), so the entry runs exactly
+    where the one-shot would have. *)
+val reserve : t -> int
+
+(** [arm t tm ~delay] arms [tm] to fire at [now t + delay] ([delay >= 0])
+    with a fresh id, replacing any armed shot. *)
+val arm : t -> timer -> delay:int -> unit
+
+(** [arm_at t tm ~time ~id] arms [tm] to fire at [time] ([>= now t]) in
+    the place of the reserved [id], replacing any armed shot. Arming it
+    at the id it is already armed with changes nothing. *)
+val arm_at : t -> timer -> time:int -> id:int -> unit
+
+(** [disarm t tm] withdraws the armed shot, if any; it counts as
+    cancelled. Disarming a disarmed timer, or one whose shot has already
+    fired, changes nothing. *)
+val disarm : t -> timer -> unit
+
+(** [armed tm] is true while [tm] has a shot that has not fired. A timer
+    is disarmed when its callback runs, so the callback may re-arm it. *)
+val armed : timer -> bool
+
+(** [pending t] is the number of scheduled one-shots that have not fired
+    plus the number of armed timers. *)
 val pending : t -> int
 
-(** Lifetime scheduling counters (always on; plain integer increments). *)
+(** Lifetime scheduling counters (always on; plain integer increments).
+    [scheduled] counts event ids taken (schedules, fresh-id arms and
+    reservations), [fired] the callbacks run, [cancelled] the disarms of
+    armed timers. *)
 type counters = { scheduled : int; fired : int; cancelled : int; pending : int }
 
 val counters : t -> counters
@@ -44,8 +80,9 @@ val counters : t -> counters
     wall clock — [run] samples it once on entry and once on exit, and the
     result feeds no scheduling decision. *)
 
-(** Deepest the event heap has ever been (includes cancelled-but-not-yet
-    popped entries, i.e. real memory pressure). *)
+(** Most entries the one-shot and timer heaps have ever held together
+    (includes withdrawn timer shots not yet popped, i.e. real memory
+    pressure). *)
 val heap_highwater : t -> int
 
 (** Wall-clock seconds accrued inside [run]/[run_for] calls. *)
@@ -55,7 +92,7 @@ val wall_seconds : t -> float
     (0 before the first [run] returns). *)
 val events_per_sec : t -> float
 
-(** Scheduled-callback counts per source tag, sorted by tag. *)
+(** Schedules and timer arms per source tag, sorted by tag. *)
 val tag_counts : t -> (string * int) list
 
 (** Opt-in GC profiling: when enabled, each [run] call accumulates the

@@ -16,11 +16,12 @@ type 'a t = {
   mutable seqs : int array;
   mutable vals : 'a array;
   mutable size : int;
+  filler : 'a;  (* written into every vacated slot, so a popped value is not pinned *)
 }
 
 let initial_capacity = 64
 
-let create () = { keys = [||]; seqs = [||]; vals = [||]; size = 0 }
+let create ~filler = { keys = [||]; seqs = [||]; vals = [||]; size = 0; filler }
 
 let length heap = heap.size
 
@@ -30,15 +31,13 @@ let less heap i j =
   let ki = heap.keys.(i) and kj = heap.keys.(j) in
   ki < kj || (ki = kj && heap.seqs.(i) < heap.seqs.(j))
 
-(* The value array cannot be allocated before the first push (no witness
-   for ['a]); the first pushed value seeds it as filler. *)
-let grow heap value =
+let grow heap =
   let capacity = Array.length heap.vals in
   if heap.size = capacity then begin
     let next = if capacity = 0 then initial_capacity else capacity * 2 in
     let keys = Array.make next 0 in
     let seqs = Array.make next 0 in
-    let vals = Array.make next value in
+    let vals = Array.make next heap.filler in
     Array.blit heap.keys 0 keys 0 heap.size;
     Array.blit heap.seqs 0 seqs 0 heap.size;
     Array.blit heap.vals 0 vals 0 heap.size;
@@ -79,7 +78,7 @@ let rec sift_down heap i =
   end
 
 let push heap ~key ~seq value =
-  grow heap value;
+  grow heap;
   let i = heap.size in
   heap.keys.(i) <- key;
   heap.seqs.(i) <- seq;
@@ -103,13 +102,15 @@ let drop_min heap =
   if heap.size = 0 then invalid_arg "Heap.drop_min: empty heap";
   let last = heap.size - 1 in
   heap.size <- last;
+  heap.vals.(0) <- heap.vals.(last);
+  (* The vacated slot gets the filler: a copy of the moved value (or, when
+     the heap empties, the popped value itself) left there would keep a
+     callback that has run, and whatever its closure captures, reachable
+     until a later push overwrote the slot. *)
+  heap.vals.(last) <- heap.filler;
   if last > 0 then begin
     heap.keys.(0) <- heap.keys.(last);
     heap.seqs.(0) <- heap.seqs.(last);
-    heap.vals.(0) <- heap.vals.(last);
-    (* Drop the stale duplicate so the popped slot does not pin a dead
-       callback (and whatever its closure captures) past its pop. *)
-    heap.vals.(last) <- heap.vals.(0);
     sift_down heap 0
   end
 

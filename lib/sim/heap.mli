@@ -11,7 +11,10 @@
 
 type 'a t
 
-val create : unit -> 'a t
+(** [create ~filler] is an empty heap. [filler] occupies every slot that
+    holds no element, so a popped value is never kept reachable by the
+    heap. *)
+val create : filler:'a -> 'a t
 
 val length : 'a t -> int
 

@@ -25,6 +25,78 @@ let check_eventually net ~horizon flag msg =
   run ~horizon net;
   Alcotest.(check bool) msg true !flag
 
+(* A reference for Soda_sim.Engine's timers, kept deliberately naive: one
+   sorted list of (time, id, callback), a set of cancelled ids, and
+   timers that are a schedule plus a cancel. Ids are numbered exactly as
+   the engine numbers them (every schedule, fresh-id arm and reservation
+   takes the next), so both run the same program in the same order.
+   test_sim.ml drives both over random programs and requires identical
+   (time, label) firing logs and final clocks. *)
+module Ref_engine = struct
+  type t = {
+    mutable clock : int;
+    mutable next_id : int;
+    mutable events : (int * int * (unit -> unit)) list;  (* ascending (time, id) *)
+    cancelled : (int, unit) Hashtbl.t;
+  }
+
+  type timer = { fn : unit -> unit; mutable shot : int option }
+
+  let create () = { clock = 0; next_id = 0; events = []; cancelled = Hashtbl.create 16 }
+
+  let now t = t.clock
+
+  let reserve t =
+    let id = t.next_id in
+    t.next_id <- id + 1;
+    id
+
+  let schedule_at t ~time ~id fn =
+    let rec insert = function
+      | [] -> [ (time, id, fn) ]
+      | ((time', id', _) as e) :: rest ->
+        if time < time' || (time = time' && id < id') then (time, id, fn) :: e :: rest
+        else e :: insert rest
+    in
+    t.events <- insert t.events
+
+  let schedule t ~delay fn = schedule_at t ~time:(t.clock + delay) ~id:(reserve t) fn
+
+  let cancel t id = Hashtbl.replace t.cancelled id ()
+
+  let timer _t fn = { fn; shot = None }
+
+  let disarm t tm =
+    match tm.shot with
+    | Some id ->
+      cancel t id;
+      tm.shot <- None
+    | None -> ()
+
+  let arm_at t tm ~time ~id =
+    if tm.shot <> Some id then begin
+      disarm t tm;
+      tm.shot <- Some id;
+      schedule_at t ~time ~id (fun () ->
+          tm.shot <- None;
+          tm.fn ())
+    end
+
+  let arm t tm ~delay = arm_at t tm ~time:(t.clock + delay) ~id:(reserve t)
+
+  let rec run t =
+    match t.events with
+    | [] -> t.clock
+    | (time, id, fn) :: rest ->
+      t.events <- rest;
+      if Hashtbl.mem t.cancelled id then Hashtbl.remove t.cancelled id
+      else begin
+        t.clock <- time;
+        fn ()
+      end;
+      run t
+end
+
 (* The seed's list-based broadcast bus, kept verbatim as a differential
    oracle for the array/hashtable-backed Soda_net.Bus: same config record,
    same fault RNG draw order (jitter at send, loss/corruption per matching
@@ -126,13 +198,12 @@ module Ref_bus = struct
       | Some (min_us, max_us) -> min_us + Rng.int t.fault_rng (max_us - min_us + 1)
     in
     let arrival = start + tx + t.config.Bus.propagation_us + jitter_us - now in
-    ignore (Engine.schedule ~tag:"bus" t.engine ~delay:arrival (fun () -> deliver t frame));
+    Engine.schedule ~tag:"bus" t.engine ~delay:arrival (fun () -> deliver t frame);
     if t.duplicate_pending > 0 then begin
       t.duplicate_pending <- t.duplicate_pending - 1;
       let slack = 1 + Rng.int t.fault_rng (max 1 t.config.Bus.propagation_us * 4) in
-      ignore
-        (Engine.schedule ~tag:"bus" t.engine ~delay:(arrival + tx + slack) (fun () ->
-             deliver t frame))
+      Engine.schedule ~tag:"bus" t.engine ~delay:(arrival + tx + slack) (fun () ->
+          deliver t frame)
     end
 end
 

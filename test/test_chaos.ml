@@ -620,26 +620,23 @@ let run_karn ~ack_first =
                    { Wire.src = 1; reliable = false; seq = 0;
                      ack = Some pkt.Wire.seq; run = false; body = Wire.Ack }
                in
-               ignore
-                 (Engine.schedule engine ~delay:500 (fun () ->
-                      Nic.send (Option.get !peer) ~dst:0 ack))
+               Engine.schedule engine ~delay:500 (fun () ->
+                   Nic.send (Option.get !peer) ~dst:0 ack)
              end
            | _ -> ()))
   in
   peer := Some p;
   (* Submit at a nonzero virtual time: a packet emitted at t=0 would be
      indistinguishable from the estimator's never-sent sentinel. *)
-  ignore
-    (Engine.schedule engine ~delay:1000 (fun () ->
-         Transport.submit_request sender ~dst:1 ~tid:9001 ~pattern:patt ~arg:7
-           ~put_data:Bytes.empty ~get_size:0));
+  Engine.schedule engine ~delay:1000 (fun () ->
+      Transport.submit_request sender ~dst:1 ~tid:9001 ~pattern:patt ~arg:7
+        ~put_data:Bytes.empty ~get_size:0);
   (* The delta-t record (and the estimator riding on it) expires after
      ~150 ms of silence, so snapshot the estimate while the record is
      still live rather than after the full run. *)
   let estimate = ref None in
-  ignore
-    (Engine.schedule engine ~delay:50_000 (fun () ->
-         estimate := Transport.rtt_estimate_us sender ~peer:1));
+  Engine.schedule engine ~delay:50_000 (fun () ->
+      estimate := Transport.rtt_estimate_us sender ~peer:1);
   ignore (Engine.run ~until:5_000_000 engine);
   (!requests_seen, !estimate)
 

@@ -197,7 +197,7 @@ let test_partition_eats_inflight_frame () =
   (* The frame enters the medium first; the cut appears while it is in
      flight (delivery happens at ~117 us for a 6-byte payload). *)
   Nic.send n0 ~dst:1 (b "launch");
-  ignore (Engine.schedule e ~delay:1 (fun () -> Bus.set_partition bus ([ 0 ], [ 1 ])));
+  Engine.schedule e ~delay:1 (fun () -> Bus.set_partition bus ([ 0 ], [ 1 ]));
   ignore (Engine.run e);
   Alcotest.(check int) "in-flight frame eaten by the cut" 0 !got
 

@@ -111,7 +111,7 @@ let test_backoff_persists () =
            | Ok _ | Error _ -> ()));
   List.iteri
     (fun i (tid, _) ->
-      ignore (Engine.schedule engine ~delay:(i * 100_000) (fun () -> submit t ~tid)))
+      Engine.schedule engine ~delay:(i * 100_000) (fun () -> submit t ~tid))
     drops;
   ignore (Engine.run ~until:450_000 engine);
   let first_gap tid =
@@ -155,16 +155,14 @@ let test_holders_fifo () =
   List.iteri
     (fun i mid ->
       let nic = Nic.attach bus ~mid ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
-      ignore
-        (Engine.schedule engine ~delay:(i * 5_000) (fun () ->
-             Nic.send nic ~dst:0 (request ~src:mid ~tid:(100 + mid) ~seq:0))))
+      Engine.schedule engine ~delay:(i * 5_000) (fun () ->
+          Nic.send nic ~dst:0 (request ~src:mid ~tid:(100 + mid) ~seq:0)))
     arrival_order;
   List.iteri
     (fun i _ ->
-      ignore
-        (Engine.schedule engine ~delay:(100_000 + (i * 5_000)) (fun () ->
-             busy := false;
-             Transport.flush_buffered t)))
+      Engine.schedule engine ~delay:(100_000 + (i * 5_000)) (fun () ->
+          busy := false;
+          Transport.flush_buffered t))
     arrival_order;
   ignore (Engine.run ~until:200_000 engine);
   Alcotest.(check (list int)) "delivered in arrival order" arrival_order (List.rev !delivered)

@@ -220,7 +220,7 @@ let diff_run ~script_seed ~n_mids ~ops =
     mids;
   List.iter
     (fun (time, op) ->
-      ignore (Engine.schedule ea ~delay:time (fun () -> apply_real bus op)))
+      Engine.schedule ea ~delay:time (fun () -> apply_real bus op))
     schedule;
   ignore (Engine.run ea);
   let eb = Engine.create ~seed:engine_seed () in
@@ -233,7 +233,7 @@ let diff_run ~script_seed ~n_mids ~ops =
     mids;
   List.iter
     (fun (time, op) ->
-      ignore (Engine.schedule eb ~delay:time (fun () -> apply_ref rbus op)))
+      Engine.schedule eb ~delay:time (fun () -> apply_ref rbus op))
     schedule;
   ignore (Engine.run eb);
   (List.rev !log_a, List.rev !log_b)
@@ -260,7 +260,7 @@ let prop_heap_soa_accessors =
   QCheck.Test.make ~name:"heap SoA accessors agree with pop_min" ~count:200
     QCheck.(list (pair small_nat bool))
     (fun ops ->
-      let a = Heap.create () and b = Heap.create () in
+      let a = Heap.create ~filler:0 and b = Heap.create ~filler:0 in
       let seq = ref 0 in
       let ok = ref true in
       let drain_one () =

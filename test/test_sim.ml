@@ -2,11 +2,12 @@ module Heap = Soda_sim.Heap
 module Rng = Soda_sim.Rng
 module Engine = Soda_sim.Engine
 module Stats = Soda_sim.Stats
+module Ring = Soda_sim.Ring
 
 (* ---- heap ---------------------------------------------------------------- *)
 
 let test_heap_ordering () =
-  let h = Heap.create () in
+  let h = Heap.create ~filler:"" in
   Heap.push h ~key:5 ~seq:0 "e";
   Heap.push h ~key:1 ~seq:1 "a";
   Heap.push h ~key:3 ~seq:2 "c";
@@ -24,16 +25,37 @@ let test_heap_ordering () =
     (List.rev !order)
 
 let test_heap_empty () =
-  let h = Heap.create () in
+  let h = Heap.create ~filler:() in
   Alcotest.(check bool) "empty" true (Heap.is_empty h);
   Alcotest.(check (option int)) "peek none" None (Heap.peek_key h);
   Alcotest.(check bool) "pop none" true (Heap.pop_min h = None)
+
+(* A popped value must not stay reachable from the heap: not from the slot
+   the last element vacated when it moved to the root, nor from the root
+   slot of a heap that emptied. *)
+let[@inline never] push_capturing h ~key weak i =
+  let payload = Bytes.make 64 'x' in
+  Weak.set weak i (Some payload);
+  Heap.push h ~key ~seq:key (fun () -> ignore (Sys.opaque_identity payload))
+
+let test_heap_releases_popped () =
+  let h = Heap.create ~filler:(fun () -> ()) in
+  let weak = Weak.create 2 in
+  push_capturing h ~key:1 weak 0;
+  push_capturing h ~key:2 weak 1;
+  while not (Heap.is_empty h) do
+    (Heap.min_value h) ();
+    Heap.drop_min h
+  done;
+  Gc.full_major ();
+  Alcotest.(check bool) "first popped value released" false (Weak.check weak 0);
+  Alcotest.(check bool) "last popped value released" false (Weak.check weak 1)
 
 let prop_heap_sorted =
   QCheck.Test.make ~name:"heap pops keys in nondecreasing order" ~count:200
     QCheck.(list small_int)
     (fun keys ->
-      let h = Heap.create () in
+      let h = Heap.create ~filler:() in
       List.iteri (fun i k -> Heap.push h ~key:k ~seq:i ()) keys;
       let rec drain last =
         match Heap.pop_min h with
@@ -46,12 +68,71 @@ let prop_heap_preserves_multiset =
   QCheck.Test.make ~name:"heap returns exactly the pushed keys" ~count:200
     QCheck.(list small_int)
     (fun keys ->
-      let h = Heap.create () in
+      let h = Heap.create ~filler:() in
       List.iteri (fun i k -> Heap.push h ~key:k ~seq:i ()) keys;
       let rec drain acc =
         match Heap.pop_min h with None -> acc | Some (k, _, ()) -> drain (k :: acc)
       in
       List.sort compare (drain []) = List.sort compare keys)
+
+(* ---- ring ----------------------------------------------------------------- *)
+
+(* Interleaved pushes and drops (true = drop) come out in push order
+   across growth and wrap-around, as from a [Queue]. *)
+let prop_ring_fifo =
+  QCheck.Test.make ~name:"ring pops in push order" ~count:200
+    QCheck.(list bool)
+    (fun ops ->
+      let r = Ring.create ~fill_a:"" ~fill_b:0 and q = Queue.create () in
+      let next = ref 0 and ok = ref true in
+      let drop () =
+        match Queue.take_opt q with
+        | None -> ok := !ok && Ring.is_empty r
+        | Some i ->
+          ok :=
+            !ok && Ring.head_id r = i && Ring.head_due r = 2 * i && Ring.head_n r = -i
+            && Ring.head_a r = string_of_int i && Ring.head_b r = i;
+          Ring.drop r
+      in
+      List.iter
+        (fun pop ->
+          if pop then drop ()
+          else begin
+            let i = !next in
+            incr next;
+            Ring.push r ~due:(2 * i) ~id:i ~n:(-i) (string_of_int i) i;
+            Queue.push i q
+          end)
+        ops;
+      while not (Queue.is_empty q) do
+        drop ()
+      done;
+      !ok && Ring.length r = 0)
+
+let[@inline never] push_payload r weak =
+  let payload = Bytes.make 64 'x' in
+  Weak.set weak 0 (Some payload);
+  Ring.push r ~due:0 ~id:0 ~n:0 payload ()
+
+let test_ring_steady_state () =
+  let r = Ring.create ~fill_a:Bytes.empty ~fill_b:() in
+  let weak = Weak.create 1 in
+  push_payload r weak;
+  Ring.drop r;
+  Gc.full_major ();
+  Alcotest.(check bool) "dropped payload released" false (Weak.check weak 0);
+  let entry = Bytes.empty in
+  for i = 1 to 8 do Ring.push r ~due:i ~id:i ~n:0 entry () done;
+  Ring.clear r;
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Ring.push r ~due:i ~id:i ~n:0 entry ();
+    if i mod 3 = 0 then Ring.drop r;
+    if Ring.length r = 8 then Ring.clear r
+  done;
+  Ring.clear r;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "bounded pushes allocate nothing after warm-up" true (words < 8.0)
 
 (* ---- rng ------------------------------------------------------------------ *)
 
@@ -112,9 +193,9 @@ let test_rng_uniformity () =
 let test_engine_time_ordering () =
   let e = Engine.create () in
   let log = ref [] in
-  ignore (Engine.schedule e ~delay:30 (fun () -> log := (`C, Engine.now e) :: !log));
-  ignore (Engine.schedule e ~delay:10 (fun () -> log := (`A, Engine.now e) :: !log));
-  ignore (Engine.schedule e ~delay:20 (fun () -> log := (`B, Engine.now e) :: !log));
+  Engine.schedule e ~delay:30 (fun () -> log := (`C, Engine.now e) :: !log);
+  Engine.schedule e ~delay:10 (fun () -> log := (`A, Engine.now e) :: !log);
+  Engine.schedule e ~delay:20 (fun () -> log := (`B, Engine.now e) :: !log);
   ignore (Engine.run e);
   Alcotest.(check int) "final time" 30 (Engine.now e);
   match List.rev !log with
@@ -125,7 +206,7 @@ let test_engine_same_instant_fifo () =
   let e = Engine.create () in
   let log = ref [] in
   for i = 1 to 5 do
-    ignore (Engine.schedule e ~delay:7 (fun () -> log := i :: !log))
+    Engine.schedule e ~delay:7 (fun () -> log := i :: !log)
   done;
   ignore (Engine.run e);
   Alcotest.(check (list int)) "fifo at same instant" [ 1; 2; 3; 4; 5 ] (List.rev !log)
@@ -133,19 +214,36 @@ let test_engine_same_instant_fifo () =
 let test_engine_cancel () =
   let e = Engine.create () in
   let fired = ref false in
-  let id = Engine.schedule e ~delay:5 (fun () -> fired := true) in
-  Engine.cancel e id;
+  let tm = Engine.timer e (fun () -> fired := true) in
+  Engine.arm e tm ~delay:5;
+  Engine.disarm e tm;
   Alcotest.(check int) "pending drops" 0 (Engine.pending e);
   ignore (Engine.run e);
-  Alcotest.(check bool) "cancelled event never fires" false !fired
+  Alcotest.(check bool) "disarmed timer never fires" false !fired
+
+let test_engine_rearm () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let tm = Engine.timer e (fun () -> log := Engine.now e :: !log) in
+  Engine.arm e tm ~delay:5;
+  Engine.arm e tm ~delay:8;  (* replaces the shot at 5 *)
+  Alcotest.(check int) "one armed shot pending" 1 (Engine.pending e);
+  ignore (Engine.run e);
+  Alcotest.(check (list int)) "fires once, at the re-armed time" [ 8 ] !log;
+  Alcotest.(check int) "replaced shot moved no clock" 8 (Engine.now e);
+  let id = Engine.reserve e in
+  Engine.schedule e ~delay:0 (fun () -> log := -1 :: !log);
+  Engine.arm_at e tm ~time:8 ~id;
+  ignore (Engine.run e);
+  Alcotest.(check (list int)) "a reserved id runs before later ids at its instant"
+    [ -1; 8; 8 ] !log
 
 let test_engine_nested_schedule () =
   let e = Engine.create () in
   let times = ref [] in
-  ignore
-    (Engine.schedule e ~delay:10 (fun () ->
-         times := Engine.now e :: !times;
-         ignore (Engine.schedule e ~delay:15 (fun () -> times := Engine.now e :: !times))));
+  Engine.schedule e ~delay:10 (fun () ->
+      times := Engine.now e :: !times;
+      ignore (Engine.schedule e ~delay:15 (fun () -> times := Engine.now e :: !times)));
   ignore (Engine.run e);
   Alcotest.(check (list int)) "nested schedule relative to fire time" [ 10; 25 ]
     (List.rev !times)
@@ -155,9 +253,9 @@ let test_engine_until () =
   let count = ref 0 in
   let rec tick () =
     incr count;
-    ignore (Engine.schedule e ~delay:100 tick)
+    Engine.schedule e ~delay:100 tick
   in
-  ignore (Engine.schedule e ~delay:0 tick);
+  Engine.schedule e ~delay:0 tick;
   ignore (Engine.run ~until:1000 e);
   Alcotest.(check bool) "bounded run stops" true (!count >= 10 && !count <= 12);
   Alcotest.(check int) "clock advanced to horizon" 1000 (Engine.now e)
@@ -165,15 +263,15 @@ let test_engine_until () =
 let test_engine_stop () =
   let e = Engine.create () in
   let after = ref false in
-  ignore (Engine.schedule e ~delay:1 (fun () -> Engine.stop e));
-  ignore (Engine.schedule e ~delay:2 (fun () -> after := true));
+  Engine.schedule e ~delay:1 (fun () -> Engine.stop e);
+  Engine.schedule e ~delay:2 (fun () -> after := true);
   ignore (Engine.run e);
   Alcotest.(check bool) "stop aborts the run" false !after
 
 let test_engine_negative_delay () =
   let e = Engine.create () in
   Alcotest.check_raises "negative delay" (Invalid_argument "Engine.schedule: negative delay")
-    (fun () -> ignore (Engine.schedule e ~delay:(-1) (fun () -> ())))
+    (fun () -> Engine.schedule e ~delay:(-1) (fun () -> ()))
 
 (* ---- stats -------------------------------------------------------------------- *)
 
@@ -236,10 +334,11 @@ let test_stats_registry_backing () =
 
 let test_engine_counters () =
   let e = Engine.create () in
-  let cancelled_id = Engine.schedule e ~delay:5 (fun () -> ()) in
-  ignore (Engine.schedule e ~delay:1 (fun () -> ()));
-  Engine.cancel e cancelled_id;
-  Engine.cancel e cancelled_id;  (* double-cancel is a no-op *)
+  let cancelled = Engine.timer e (fun () -> ()) in
+  Engine.arm e cancelled ~delay:5;
+  Engine.schedule e ~delay:1 (fun () -> ());
+  Engine.disarm e cancelled;
+  Engine.disarm e cancelled;  (* double disarm is a no-op *)
   ignore (Engine.run e);
   let c = Engine.counters e in
   Alcotest.(check int) "scheduled" 2 c.Engine.scheduled;
@@ -251,13 +350,124 @@ let test_engine_counters () =
   Alcotest.(check int) "gauge scheduled" 2 (Soda_obs.Metrics.gauge m "eng.scheduled");
   Alcotest.(check int) "gauge clock" 1 (Soda_obs.Metrics.gauge m "eng.clock_us")
 
+let test_engine_disarm_fired () =
+  let e = Engine.create () in
+  let tm = Engine.timer e (fun () -> ()) in
+  Engine.arm e tm ~delay:3;
+  ignore (Engine.run e);
+  Engine.disarm e tm;
+  Engine.disarm e tm;
+  let c = Engine.counters e in
+  Alcotest.(check int) "fired" 1 c.Engine.fired;
+  Alcotest.(check int) "pending unchanged" 0 c.Engine.pending;
+  Alcotest.(check int) "cancelled unchanged" 0 c.Engine.cancelled;
+  Engine.arm e tm ~delay:2;
+  ignore (Engine.run e);
+  Alcotest.(check int) "re-armed after firing" 2 (Engine.counters e).Engine.fired;
+  Alcotest.(check int) "clock" 5 (Engine.now e)
+
+(* ---- engine vs. reference: random timer programs ------------------------ *)
+
+(* A program runs at time 0 and in every callback. [Shot] schedules a
+   one-shot running [body]; timer [k] runs [bodies.(k)] when it fires.
+   [Reserve] takes an id due [delay] from now into a slot, and
+   [Arm_reserved] arms a timer at a slot's (time, id) once. *)
+type op =
+  | Shot of int * op list
+  | Arm of int * int  (* timer, delay *)
+  | Disarm of int
+  | Reserve of int * int  (* slot, delay *)
+  | Arm_reserved of int * int  (* timer, slot *)
+
+let n_timers = 3
+let n_slots = 3
+
+module type ENG = sig
+  type t
+  type timer
+
+  val create : unit -> t
+  val now : t -> int
+  val schedule : t -> delay:int -> (unit -> unit) -> unit
+  val timer : t -> (unit -> unit) -> timer
+  val reserve : t -> int
+  val arm : t -> timer -> delay:int -> unit
+  val arm_at : t -> timer -> time:int -> id:int -> unit
+  val disarm : t -> timer -> unit
+  val run : t -> int
+end
+
+module Real : ENG = struct
+  include Engine
+
+  let create () = Engine.create ()
+  let schedule t ~delay fn = Engine.schedule t ~delay fn
+  let timer t fn = Engine.timer t fn
+  let run t = Engine.run t
+end
+
+(* Run a program; returns the (time, label) log of every callback and the
+   final clock. Fuel bounds timers that re-arm themselves. *)
+let exec (module E : ENG) (top, bodies) =
+  let e = E.create () in
+  let log = ref [] and fuel = ref 300 and labels = ref 0 in
+  let slots = Array.make n_slots None in
+  let timers = ref [||] in
+  let rec fire label body =
+    log := (E.now e, label) :: !log;
+    if !fuel > 0 then begin
+      decr fuel;
+      List.iter op body
+    end
+  and op = function
+    | Shot (delay, body) ->
+      incr labels;
+      let label = !labels in
+      E.schedule e ~delay (fun () -> fire label body)
+    | Arm (k, delay) -> E.arm e !timers.(k) ~delay
+    | Disarm k -> E.disarm e !timers.(k)
+    | Reserve (s, delay) -> slots.(s) <- Some (E.now e + delay, E.reserve e)
+    | Arm_reserved (k, s) ->
+      (match slots.(s) with
+       | Some (time, id) when time >= E.now e ->
+         slots.(s) <- None;
+         E.arm_at e !timers.(k) ~time ~id
+       | Some _ | None -> ())
+  in
+  timers := Array.init n_timers (fun k -> E.timer e (fun () -> fire (-1 - k) bodies.(k)));
+  List.iter op top;
+  let clock = E.run e in
+  (List.rev !log, clock)
+
+let gen_program =
+  let open QCheck.Gen in
+  let delay = int_range 0 12 in
+  let timer = int_range 0 (n_timers - 1) and slot = int_range 0 (n_slots - 1) in
+  let rec ops depth =
+    list_size (int_range 0 4)
+      (frequency
+         ([ (3, map2 (fun k d -> Arm (k, d)) timer delay);
+            (2, map (fun k -> Disarm k) timer);
+            (2, map2 (fun s d -> Reserve (s, d)) slot delay);
+            (3, map2 (fun k s -> Arm_reserved (k, s)) timer slot) ]
+          @ if depth = 0 then []
+            else [ (3, map2 (fun d body -> Shot (d, body)) delay (ops (depth - 1))) ]))
+  in
+  pair (ops 3) (array_repeat n_timers (ops 2))
+
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"timers match a schedule-plus-cancel reference" ~count:500
+    (QCheck.make gen_program)
+    (fun program ->
+      exec (module Real) program = exec (module Helpers.Ref_engine) program)
+
 let test_engine_profiling () =
   let e = Engine.create () in
   Engine.set_profile_gc e true;
-  ignore (Engine.schedule ~tag:"alpha" e ~delay:1 (fun () -> ()));
-  ignore (Engine.schedule ~tag:"alpha" e ~delay:2 (fun () -> ()));
-  ignore (Engine.schedule ~tag:"beta" e ~delay:3 (fun () -> ()));
-  ignore (Engine.schedule e ~delay:4 (fun () -> ()));  (* untagged: uncounted *)
+  Engine.schedule ~tag:"alpha" e ~delay:1 (fun () -> ());
+  Engine.schedule ~tag:"alpha" e ~delay:2 (fun () -> ());
+  Engine.schedule ~tag:"beta" e ~delay:3 (fun () -> ());
+  Engine.schedule e ~delay:4 (fun () -> ());  (* untagged: uncounted *)
   Alcotest.(check int) "heap high-water tracks pushes" 4 (Engine.heap_highwater e);
   ignore (Engine.run e);
   Alcotest.(check (list (pair string int)))
@@ -280,8 +490,14 @@ let suites =
       [
         Alcotest.test_case "ordering with ties" `Quick test_heap_ordering;
         Alcotest.test_case "empty heap" `Quick test_heap_empty;
+        Alcotest.test_case "popped values released" `Quick test_heap_releases_popped;
         QCheck_alcotest.to_alcotest prop_heap_sorted;
         QCheck_alcotest.to_alcotest prop_heap_preserves_multiset;
+      ] );
+    ( "sim.ring",
+      [
+        QCheck_alcotest.to_alcotest prop_ring_fifo;
+        Alcotest.test_case "release and steady state" `Quick test_ring_steady_state;
       ] );
     ( "sim.rng",
       [
@@ -302,6 +518,9 @@ let suites =
         Alcotest.test_case "stop" `Quick test_engine_stop;
         Alcotest.test_case "negative delay rejected" `Quick test_engine_negative_delay;
         Alcotest.test_case "lifetime counters" `Quick test_engine_counters;
+        Alcotest.test_case "re-arm and reserved ids" `Quick test_engine_rearm;
+        Alcotest.test_case "disarming a fired timer" `Quick test_engine_disarm_fired;
+        QCheck_alcotest.to_alcotest prop_engine_matches_reference;
         Alcotest.test_case "profiling counters" `Quick test_engine_profiling;
       ] );
     ( "sim.stats",

@@ -7,6 +7,7 @@ module Stats = Soda_sim.Stats
 module Bus = Soda_net.Bus
 module Event = Soda_obs.Event
 module Recorder = Soda_obs.Recorder
+module Transport = Soda_proto.Transport
 
 let patt = Pattern.well_known 0o711
 
@@ -359,6 +360,91 @@ let test_probe_detects_server_crash () =
   run ~horizon:600.0 net;
   Alcotest.(check bool) "probe reported CRASHED" true (!status = Sodal.Comp_crashed)
 
+(* A hardware crash while every fixed-delay line of the node holds
+   entries: frames waiting out their packet CPU on the way out and on the
+   way in, a probe of a request the node is waiting on, and the GC of a
+   record it served. None of the queued frames may reach the bus once the
+   node is down, and the node must work again after its quarantine. *)
+let test_crash_with_queued_lines () =
+  let net, kernels = make_net ~seed:5 ~trace:true 4 in
+  let k = Array.of_list kernels in
+  let victim = 1 and slow = Pattern.well_known 0o712 in
+  ignore (echo_server ~reply:"ok" k.(0) patt);
+  (* mid 3 takes requests for [slow] and never accepts: the victim's
+     request to it sits delivered, probed every interval *)
+  ignore
+    (Sodal.attach k.(3)
+       {
+         Sodal.default_spec with
+         init = (fun env ~parent:_ -> Sodal.advertise env slow);
+         on_request = (fun _ _ -> ());
+       });
+  (* the victim serves [patt] while its task waits on mid 3 *)
+  ignore
+    (Sodal.attach k.(victim)
+       {
+         Sodal.default_spec with
+         init = (fun env ~parent:_ -> Sodal.advertise env patt);
+         on_request =
+           (fun env _ ->
+             ignore
+               (Sodal.accept_current_exchange env ~arg:0 ~into:(Bytes.create 4)
+                  ~data:(bytes_of_string "ok")));
+         task = (fun env -> ignore (Sodal.b_signal env (Sodal.server ~mid:3 ~pattern:slow) ~arg:0));
+       });
+  let stop = ref false in
+  ignore
+    (Sodal.attach k.(2)
+       {
+         Sodal.default_spec with
+         task =
+           (fun env ->
+             let sv = Sodal.server ~mid:victim ~pattern:patt in
+             while not !stop do
+               ignore (Sodal.b_exchange env sv ~arg:0 (bytes_of_string "hi") ~into:(Bytes.create 4))
+             done);
+       });
+  let lines () = Transport.delay_lines (Kernel.transport k.(victim)) in
+  let all_queued () =
+    List.for_all (fun name -> List.assoc name (lines ()) > 0) [ "tx"; "rx"; "probe"; "gc" ]
+  in
+  let engine = Network.engine net in
+  while (not (all_queued ())) && Engine.now engine < 60_000_000 do
+    ignore (Network.run_for net ~duration:50)
+  done;
+  Alcotest.(check bool) "every line holds entries at the crash" true (all_queued ());
+  Kernel.crash k.(victim);
+  stop := true;
+  let crashed_at = Engine.now engine in
+  let quarantine = Cost.crash_quarantine_us (Kernel.cost k.(victim)) in
+  ignore (Network.run_for net ~duration:quarantine);
+  let frames_from_victim =
+    List.filter
+      (fun (e : Event.t) ->
+        match e.Event.kind with
+        | Event.Bus_frame { src; _ } -> src = victim && e.Event.time_us >= crashed_at
+        | _ -> false)
+      (Recorder.events (Network.recorder net))
+  in
+  Alcotest.(check int) "no frame of the old incarnation on the bus" 0
+    (List.length frames_from_victim);
+  let status = ref None in
+  ignore
+    (Sodal.attach k.(victim)
+       {
+         Sodal.default_spec with
+         task =
+           (fun env ->
+             let c =
+               Sodal.b_exchange env (Sodal.server ~mid:0 ~pattern:patt) ~arg:0
+                 (bytes_of_string "hi") ~into:(Bytes.create 4)
+             in
+             status := Some c.Sodal.status);
+       });
+  run ~horizon:(float_of_int (Engine.now engine) /. 1e6 +. 60.0) net;
+  Alcotest.(check bool) "the rebooted node completes a request" true
+    (!status = Some Sodal.Comp_ok)
+
 let test_stale_accept_after_requester_death () =
   (* Requester dies after its request is delivered; the server's eventual
      ACCEPT must fail CRASHED (§3.6.1). *)
@@ -646,6 +732,7 @@ let suites =
       [
         Alcotest.test_case "silent node" `Quick test_request_to_silent_node_crashes;
         Alcotest.test_case "probe detects crash" `Quick test_probe_detects_server_crash;
+        Alcotest.test_case "crash with queued delay lines" `Quick test_crash_with_queued_lines;
         Alcotest.test_case "stale accept" `Quick test_stale_accept_after_requester_death;
       ] );
     ( "transport.ack",

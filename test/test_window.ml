@@ -401,7 +401,7 @@ let test_slot_reuse_stale_stash () =
       }
   in
   let at us frame =
-    ignore (Engine.schedule engine ~delay:us (fun () -> Nic.send peer ~dst:0 frame))
+    Engine.schedule engine ~delay:us (fun () -> Nic.send peer ~dst:0 frame)
   in
   (* era A: slot 0 delivered; slots 2-3 arrive out of order and are
      stashed; slot 1 is "lost" and era A's sender gives up on all three *)
@@ -474,7 +474,7 @@ let test_replay_after_wrap () =
       }
   in
   let at us frame =
-    ignore (Engine.schedule engine ~delay:us (fun () -> Nic.send peer ~dst:0 frame))
+    Engine.schedule engine ~delay:us (fun () -> Nic.send peer ~dst:0 frame)
   in
   for i = 0 to n - 1 do
     at (i * 2_000) (req ~tid:(1000 + i) ~seq:(i mod space))
@@ -515,12 +515,11 @@ let test_data_wait_accept_queued () =
     {
       Transport.deliver_request =
         (fun ~src ~tid ~pattern:_ ~arg:_ ~put_size:_ ~get_size:_ ->
-          ignore
-            (Engine.schedule engine ~delay:1_000 (fun () ->
-                 accepted_at := Engine.now engine;
-                 Transport.accept node ~requester_mid:src ~requester_tid:tid ~arg:0
-                   ~get_capacity:64 ~data_out:Bytes.empty ~on_done:(fun o ->
-                     outcome := Some (o, Engine.now engine))));
+          Engine.schedule engine ~delay:1_000 (fun () ->
+              accepted_at := Engine.now engine;
+              Transport.accept node ~requester_mid:src ~requester_tid:tid ~arg:0
+                ~get_capacity:64 ~data_out:Bytes.empty ~on_done:(fun o ->
+                  outcome := Some (o, Engine.now engine)));
           `Deliver);
       complete_request = (fun ~tid:_ _ -> ());
       advertised = (fun _ -> true);
@@ -530,9 +529,8 @@ let test_data_wait_accept_queued () =
   let busies = ref 0 and accepts_seen = ref 0 in
   let peer = ref None in
   let send frame =
-    ignore
-      (Engine.schedule engine ~delay:500 (fun () ->
-           Nic.send (Option.get !peer) ~dst:0 frame))
+    Engine.schedule engine ~delay:500 (fun () ->
+        Nic.send (Option.get !peer) ~dst:0 frame)
   in
   let pkt ~reliable body = { Wire.src = 1; reliable; seq = 0; ack = None; run = false; body } in
   peer :=
@@ -546,14 +544,13 @@ let test_data_wait_accept_queued () =
            | Ok _ | Error _ -> ()));
   Transport.submit_request node ~dst:1 ~tid:500 ~pattern:patt ~arg:0
     ~put_data:(Bytes.make 64 'x') ~get_size:0;
-  ignore
-    (Engine.schedule engine ~delay:3_000 (fun () ->
-         send
-           (Wire.encode
-              (pkt ~reliable:true
-                 (Wire.Request
-                    { tid = 700; pattern = patt; arg = 0; put_size = 64; get_size = 0;
-                      data = Bytes.empty; retry = true })))));
+  Engine.schedule engine ~delay:3_000 (fun () ->
+      send
+        (Wire.encode
+           (pkt ~reliable:true
+              (Wire.Request
+                 { tid = 700; pattern = patt; arg = 0; put_size = 64; get_size = 0;
+                   data = Bytes.empty; retry = true }))));
   let lifetime = Cost.record_expiry_us cost in
   ignore (Engine.run ~until:(3 * lifetime) engine);
   Alcotest.(check bool) "our REQUEST kept bouncing" true (!busies >= 5);
@@ -581,8 +578,7 @@ let test_record_outlives_queued_accept () =
   let node = Transport.create ~engine ~bus ~mid:0 ~cost ~recorder in
   let peer = ref None in
   let send ~delay frame =
-    ignore
-      (Engine.schedule engine ~delay (fun () -> Nic.send (Option.get !peer) ~dst:0 frame))
+    Engine.schedule engine ~delay (fun () -> Nic.send (Option.get !peer) ~dst:0 frame)
   in
   let pkt ~reliable body = { Wire.src = 1; reliable; seq = 0; ack = None; run = false; body } in
   let outcome = ref None in
@@ -590,15 +586,14 @@ let test_record_outlives_queued_accept () =
     {
       Transport.deliver_request =
         (fun ~src ~tid ~pattern:_ ~arg:_ ~put_size:_ ~get_size:_ ->
-          ignore
-            (Engine.schedule engine ~delay:1_000 (fun () ->
-                 Transport.accept node ~requester_mid:src ~requester_tid:tid ~arg:0
-                   ~get_capacity:0 ~data_out:Bytes.empty ~on_done:(fun o ->
-                     outcome := Some o);
-                 (* probe once the record would have expired had its
-                    lifetime started with the ACCEPT *)
-                 send ~delay:(lifetime + 20_000)
-                   (Wire.encode (pkt ~reliable:false (Wire.Probe { tid })))));
+          Engine.schedule engine ~delay:1_000 (fun () ->
+              Transport.accept node ~requester_mid:src ~requester_tid:tid ~arg:0
+                ~get_capacity:0 ~data_out:Bytes.empty ~on_done:(fun o ->
+                  outcome := Some o);
+              (* probe once the record would have expired had its
+                 lifetime started with the ACCEPT *)
+              send ~delay:(lifetime + 20_000)
+                (Wire.encode (pkt ~reliable:false (Wire.Probe { tid }))));
           `Deliver);
       complete_request = (fun ~tid:_ _ -> ());
       advertised = (fun _ -> true);

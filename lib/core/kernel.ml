@@ -575,8 +575,13 @@ let accept t ~requester ~arg ~get_buffer ~put ~on_done =
       | Transport.Acc_crashed data -> land_data Types.Accept_crashed data)
 
 let cancel t ~requester ~on_done =
+  let tid = requester.Types.rq_tid in
   if requester.Types.rq_mid <> t.mid then on_done false
-  else Transport.cancel t.transport ~tid:requester.Types.rq_tid ~on_done
+  else
+    (* A cancelled request never completes: drop its get buffer now. *)
+    Transport.cancel t.transport ~tid ~on_done:(fun ok ->
+        if ok then Hashtbl.remove t.pending tid;
+        on_done ok)
 
 let advertise t pattern =
   if Pattern.is_reserved pattern then Error `Reserved_pattern

@@ -139,29 +139,14 @@ let seq_f fields =
   | Some (J_int v) -> v
   | _ -> raise (Parse_error "missing seq")
 
-let pkt_of_name = function
-  | "REQ" -> Event.P_request
-  | "ACCEPT" -> Event.P_accept
-  | "DATA" -> Event.P_put_data
-  | "ACK" -> Event.P_ack
-  | "BUSY" -> Event.P_busy
-  | "ERR" -> Event.P_error
-  | "CANCEL" -> Event.P_cancel
-  | "CANCEL_R" -> Event.P_cancel_reply
-  | "PROBE" -> Event.P_probe
-  | "PROBE_R" -> Event.P_probe_reply
-  | "DISCOVER" -> Event.P_discover
-  | "DISCOVER_R" -> Event.P_discover_reply
-  | s -> raise (Parse_error (Printf.sprintf "unknown packet kind %S" s))
-
-let pkt_f fields = pkt_of_name (str_f fields "pkt")
-
 (* Inverse of a [name] function over the constructors listed in [all]. *)
 let named_f what name all fields key =
   let s = str_f fields key in
   match List.find_opt (fun x -> name x = s) all with
   | Some x -> x
   | None -> raise (Parse_error (Printf.sprintf "unknown %s %S" what s))
+
+let pkt_f fields = named_f "packet kind" Event.pkt_name Event.pkts fields "pkt"
 
 let store_op_f fields = named_f "store op" Event.store_op_name Event.store_ops fields "op"
 

@@ -12,6 +12,10 @@ type pkt =
   | P_discover
   | P_discover_reply
 
+let pkts =
+  [ P_request; P_accept; P_put_data; P_ack; P_busy; P_error; P_cancel; P_cancel_reply; P_probe;
+    P_probe_reply; P_discover; P_discover_reply ]
+
 let pkt_name = function
   | P_request -> "REQ"
   | P_accept -> "ACCEPT"

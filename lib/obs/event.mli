@@ -22,6 +22,10 @@ type pkt =
   | P_discover
   | P_discover_reply
 
+(** Every packet kind, in declaration order: the order of the wire's
+    kind codes. *)
+val pkts : pkt list
+
 val pkt_name : pkt -> string
 
 (** Sentinel for events that carry no transaction id. *)

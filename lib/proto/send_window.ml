@@ -1,0 +1,603 @@
+module Engine = Soda_sim.Engine
+module Rng = Soda_sim.Rng
+module Stats = Soda_sim.Stats
+module Recorder = Soda_obs.Recorder
+module Event = Soda_obs.Event
+module Bus = Soda_net.Bus
+module Cost = Soda_base.Cost_model
+
+type kind = K_request | K_accept | K_put_data | K_cancel
+
+type outcome = Out_acked | Out_error of Wire.err_code | Out_cancel_reply of bool | Out_timeout
+
+type env = {
+  engine : Engine.t;
+  bus : Bus.t;
+  cost : Cost.t;
+  rng : Rng.t;
+  stats : Stats.t;
+  recorder : Recorder.t;
+  event : Event.kind -> unit;
+  transmit : int -> seq:int -> run:bool -> Wire.body -> unit;
+  hold_ack : int -> unit;
+  release_ack : int -> unit;
+  defer : delay:int -> (unit -> unit) -> unit;
+  unset : Engine.timer;
+}
+
+(* One reliable message, from [send] to its outcome. While launched it
+   holds the slot [seq]; a BUSY puts it back in the queue, and it takes a
+   fresh slot when launched again. *)
+type msg = {
+  kind : kind;
+  tid : int;
+  body : Wire.body;
+  on_done : outcome -> unit;
+  mutable seq : int;
+  mutable run : bool;
+      (* launched with nothing outstanding: this slot is the window base and
+         every earlier slot is acked, so the packet is flagged as a run start
+         for no-record receivers (window > 1 only) *)
+  mutable retries : int;  (* timer retransmissions of this launch *)
+  mutable busy : int;  (* BUSYs received *)
+  mutable ready_at : int;  (* earliest launch (BUSY backoff); 0 = at once *)
+  mutable launches : int;
+  mutable due : int;  (* retransmission deadline, while [rt_id >= 0] *)
+  mutable rt_id : int;
+      (* the deadline's reserved event id; -1 = no deadline. The window's
+         one retransmission timer is armed at the earliest (deadline, id)
+         among its launched messages *)
+  mutable sent_at : int;
+      (* virtual time of the most recent emission; 0 = never sent. Feeds
+         the RTT estimator only when the message was emitted exactly once
+         (Karn's rule: a retransmitted message's ack is ambiguous) *)
+}
+
+(* An empty slot. Its tid is no transaction's. *)
+let no_msg =
+  { kind = K_request; tid = Event.no_tid; body = Wire.Ack; on_done = ignore; seq = 0;
+    run = false; retries = 0; busy = 0; ready_at = 0; launches = 0; due = 0; rt_id = -1;
+    sent_at = 0 }
+
+type t = {
+  env : env;
+  peer : int;
+  (* [base] is the oldest unacknowledged slot, [next] the next slot to
+     assign; at most [Cost.transport_window] apart *)
+  mutable base : int;
+  mutable next : int;
+  slots : msg array;  (* per sequence number: its launched message, or [no_msg] *)
+  mutable in_flight : int;  (* launched messages in [slots] *)
+  queue : msg Queue.t;
+  mutable rt : msg;  (* the message [retrans_tm] is armed for; [no_msg] = disarmed *)
+  (* Made on first use; until then the never-armed [env.unset]. *)
+  mutable retrans_tm : Engine.timer;
+  mutable wake_tm : Engine.timer;  (* queued-send backoff wake-up *)
+  mutable parked_ack : int option;  (* a cumulative ack held back by an unresolved CANCEL slot *)
+  (* congestion control (windowed transports with aimd on): effective
+     send window = min(cwnd, window); Jacobson estimator state in float
+     microseconds, srtt = 0.0 until the first Karn-clean sample *)
+  mutable cwnd : float;
+  mutable srtt_us : float;
+  mutable rttvar_us : float;
+  mutable cwnd_cut_at : int;
+      (* last multiplicative decrease; a burst of timer expiries within
+         one RTO counts as a single loss event *)
+  mutable rto_shift : int;
+      (* Karn backoff kept across REQUESTs (RFC 6298 §5.5-5.7): the highest
+         retry count a REQUEST timer expiry has reached since the last
+         clean RTT sample, capped at max_retrans *)
+}
+
+(* At window 1 the sequence space collapses to {0,1} and every computation
+   below reduces to the seed's alternating-bit flip, bit for bit. *)
+let win w = Cost.transport_window w.env.cost
+let space w = Cost.seq_space w.env.cost
+let dist w base x = (x - base + space w) mod space w
+let tracing w = Recorder.tracing w.env.recorder
+
+let rejection_consumes cost = Cost.transport_window cost > 1
+
+(* Is congestion control live? Window-1 runs always behave exactly like
+   the seed's alternating bit, AIMD knob or not. *)
+let aimd_on w = w.env.cost.Cost.aimd && win w > 1
+
+let create env ~peer =
+  { env; peer; base = 0; next = 0; slots = Array.make (Cost.seq_space env.cost) no_msg;
+    in_flight = 0; queue = Queue.create (); rt = no_msg; retrans_tm = env.unset;
+    wake_tm = env.unset; parked_ack = None; cwnd = Cost.cwnd_init env.cost; srtt_us = 0.0;
+    rttvar_us = 0.0; cwnd_cut_at = 0; rto_shift = 0 }
+
+(* The bus pins one window per medium (Bus.claim_seq_window), so the
+   local cost-model window IS the peer's receive window. *)
+let effective w = if aimd_on w then max 1 (min (win w) (int_of_float w.cwnd)) else win w
+
+let cwnd w = w.cwnd
+
+let rtt_estimate_us w =
+  if w.srtt_us > 0.0 then Some (int_of_float w.srtt_us, int_of_float w.rttvar_us) else None
+
+let active w = w.in_flight > 0 || not (Queue.is_empty w.queue)
+
+let stop w =
+  Engine.disarm w.env.engine w.retrans_tm;
+  Engine.disarm w.env.engine w.wake_tm
+
+(* ---- congestion control (AIMD + Jacobson RTT, windowed only) ----------- *)
+
+let cwnd_note w ~reason =
+  Stats.sample w.env.stats "net.cwnd" (int_of_float w.cwnd);
+  if tracing w then
+    w.env.event
+      (Event.Cwnd_change
+         { peer = w.peer; cwnd = int_of_float w.cwnd; in_flight = w.in_flight; reason })
+
+(* The accepter of a data-bearing ACCEPT stays blocked until it is acked:
+   record how long the ack took from the ACCEPT's latest emission. *)
+let ack_wait_sample w m =
+  match m.body with
+  | Wire.Accept { data; _ } when Bytes.length data > 0 && m.sent_at > 0 ->
+    Stats.sample w.env.stats "accept.ack_wait_us" (Engine.now w.env.engine - m.sent_at)
+  | _ -> ()
+
+(* Karn's rule: a message that was ever retransmitted (or re-emitted
+   after a BUSY) has an ambiguous ack. *)
+let clean m = m.retries = 0 && m.busy = 0
+
+(* Fold one acked message into the RTT estimator. *)
+let rtt_sample w m =
+  if aimd_on w && clean m && m.sent_at > 0 then begin
+    let sample = Engine.now w.env.engine - m.sent_at in
+    if sample >= 0 then begin
+      let srtt, rttvar =
+        Cost.rtt_update w.env.cost ~srtt_us:w.srtt_us ~rttvar_us:w.rttvar_us ~sample_us:sample
+      in
+      w.srtt_us <- srtt;
+      w.rttvar_us <- rttvar;
+      w.rto_shift <- 0;
+      Stats.sample w.env.stats "net.rtt_us" sample;
+      if tracing w then
+        w.env.event
+          (Event.Rtt_sample
+             { peer = w.peer; sample_us = sample; srtt_us = int_of_float srtt;
+               rttvar_us = int_of_float rttvar })
+    end
+  end
+
+(* Additive increase: one cumulative ack covering only never-retransmitted
+   messages grows cwnd by the cost model's increment (capped at W). *)
+let cwnd_on_clean_ack w acked =
+  if aimd_on w && acked <> [] && List.for_all clean acked then begin
+    let before = int_of_float w.cwnd in
+    w.cwnd <- Cost.aimd_increase w.env.cost ~cwnd:w.cwnd;
+    if int_of_float w.cwnd <> before then cwnd_note w ~reason:"ack"
+  end
+
+(* Multiplicative decrease on retransmission-timer expiry. A burst of
+   expiries within one RTO is a single loss event (one halving), or a
+   full window's worth of simultaneous timeouts would collapse cwnd to
+   the floor in one step. *)
+let cwnd_on_loss w =
+  if aimd_on w then begin
+    let now = Engine.now w.env.engine in
+    let rto = Cost.rto_us w.env.cost ~srtt_us:w.srtt_us ~rttvar_us:w.rttvar_us in
+    if now - w.cwnd_cut_at >= rto then begin
+      w.cwnd_cut_at <- now;
+      let before = int_of_float w.cwnd in
+      w.cwnd <- Cost.aimd_decrease w.env.cost ~cwnd:w.cwnd;
+      if int_of_float w.cwnd <> before then cwnd_note w ~reason:"loss"
+    end
+  end
+
+(* A REQUEST's backoff exponent starts from the persisted shift: the
+   REQUESTs a busy server holds are all retransmitted, so Karn's rule
+   discards every sample and [srtt] never forms; without the shift each
+   new REQUEST would start from the unbacked-off RTO again. *)
+let backoff_exp w m =
+  if aimd_on w && m.kind = K_request then max m.retries w.rto_shift else m.retries
+
+let retrans_delay w m =
+  let c = w.env.cost in
+  let backoff = c.Cost.retrans_backoff ** float_of_int (backoff_exp w m) in
+  let base = float_of_int c.Cost.retrans_interval_us *. backoff in
+  (* Adaptive floor: once the estimator has a sample, never fire before
+     srtt + 4 rttvar (with the same per-retry backoff). Under incast the
+     static schedule undershoots the queueing delay and every client
+     retransmits spuriously; the estimator absorbs it. The static formula
+     below remains a lower bound, so an adaptive sender never fires
+     EARLIER than the fixed-schedule one did. *)
+  let base =
+    if aimd_on w && w.srtt_us > 0.0 then
+      Float.max base
+        (float_of_int (Cost.rto_us c ~srtt_us:w.srtt_us ~rttvar_us:w.rttvar_us) *. backoff)
+    else base
+  in
+  (* A 2000-byte frame holds the 1 Mbit medium for ~16 ms, and the expected
+     acknowledgement path includes the peer's data copies and (for a
+     REQUEST) the whole accept turn-around; the timeout must comfortably
+     exceed all of it or every large transfer retransmits spuriously. *)
+  let tx bytes = Bus.transmission_time_us w.env.bus ~payload_bytes:(bytes + 40) in
+  let copy bytes = Cost.data_copy_us c ~bytes in
+  let turnaround =
+    c.Cost.ack_grace_us + c.Cost.accept_trap_us + c.Cost.context_switch_us
+    + (4 * c.Cost.packet_protocol_us)
+  in
+  let extra =
+    match m.body with
+    | Wire.Request { data; get_size; _ } ->
+      let d = Bytes.length data in
+      (2 * tx d) + (2 * copy d) + tx get_size + copy get_size + turnaround
+    | Wire.Accept { data; put_transferred; _ } ->
+      (* the ack usually rides the next REQUEST, which carries a comparable
+         put payload: allow for its copy and transmission too *)
+      let d = Bytes.length data in
+      (2 * tx d) + (2 * copy d) + (2 * copy put_transferred) + tx put_transferred
+      + turnaround
+    | Wire.Put_data { data; _ } ->
+      let d = Bytes.length data in
+      (2 * tx d) + (2 * copy d) + turnaround
+    | _ -> 2 * tx 0
+  in
+  let jitter = Rng.float w.env.rng (base *. 0.25) in
+  int_of_float (base +. jitter) + extra
+
+let busy_delay w m =
+  let c = w.env.cost in
+  let base =
+    float_of_int c.Cost.busy_retry_us *. (c.Cost.busy_retry_backoff ** float_of_int (m.busy - 1))
+  in
+  let capped = min base (float_of_int c.Cost.busy_retry_max_us) in
+  let jitter = Rng.float w.env.rng (capped *. 0.1) in
+  int_of_float (capped +. jitter)
+
+let body_for_transmission m =
+  match m.body with
+  | Wire.Request r when m.retries + m.busy > 0 ->
+    (* Data rides only on the first transmission (§5.2.3). *)
+    Wire.Request { r with data = Bytes.empty; retry = true }
+  | body -> body
+
+(* ---- the send queue ------------------------------------------------------ *)
+
+let queue_push_front queue x =
+  let tmp = Queue.create () in
+  Queue.push x tmp;
+  Queue.transfer queue tmp;
+  Queue.transfer tmp queue
+
+let queue_filter q keep =
+  let kept = Queue.create () in
+  Queue.iter (fun m -> if keep m then Queue.push m kept) q;
+  Queue.clear q;
+  Queue.transfer kept q
+
+(* The first queued message that satisfies [p]. *)
+let first_queued q p =
+  Queue.fold (fun acc m -> match acc with Some _ -> acc | None -> if p m then Some m else None) None q
+
+let queued w ?tid kind =
+  first_queued w.queue (fun m -> m.kind = kind && match tid with Some t -> m.tid = t | None -> true)
+  <> None
+
+(* Granted DATA goes ahead of every queued request (FIFO among DATA): the
+   next window slot must go to the exchange the server is already waiting
+   on, not to a new REQUEST it would BUSY-bounce. *)
+let data_first q =
+  let puts = Queue.create () and rest = Queue.create () in
+  Queue.iter (fun m -> Queue.push m (if m.kind = K_put_data then puts else rest)) q;
+  Queue.clear q;
+  Queue.transfer puts q;
+  Queue.transfer rest q
+
+(* Window 1: the queued DATA is what will free the busy handler, so it
+   goes first and a request backing off behind it retries right after. *)
+let retry_behind_data q =
+  Queue.iter (fun m -> m.ready_at <- 0) q;
+  data_first q
+
+(* The message to launch next: the first whose BUSY backoff has matured.
+   Where a rejection leaves the refused slot unconsumed (window 1), a
+   backing-off head keeps that slot for its retry and holds back
+   everything queued behind it except granted DATA, which the busy
+   handler may be waiting for. *)
+let launchable w now =
+  match Queue.peek_opt w.queue with
+  | None -> None
+  | Some head as found when head.ready_at <= now -> found
+  | Some _ when not (rejection_consumes w.env.cost) ->
+    first_queued w.queue (fun m -> m.kind = K_put_data)
+  | Some _ -> first_queued w.queue (fun m -> m.ready_at <= now)
+
+(* When the earliest BUSY backoff in the queue matures. Sends that never
+   bounced do not count: held back behind a backing-off head, they would
+   make the wake timer re-arm every microsecond. *)
+let next_ready_at q =
+  Queue.fold (fun acc m -> if m.ready_at > 0 then min acc m.ready_at else acc) max_int q
+
+(* ---- the retransmission timer ------------------------------------------- *)
+
+(* One timer per window (RFC 6298 §5), armed at the earliest (deadline,
+   id) among the launched messages ([w.rt]). Each deadline reserves its
+   id where a per-message timer would have been scheduled, so expiries
+   run in the same places as with one timer per message. *)
+let rt_before a b = a.due < b.due || (a.due = b.due && a.rt_id < b.rt_id)
+
+let retrans_rearm w =
+  let best = ref no_msg in
+  for off = 0 to dist w w.base w.next - 1 do
+    let m = w.slots.((w.base + off) mod space w) in
+    if m.rt_id >= 0 && (!best == no_msg || rt_before m !best) then best := m
+  done;
+  let m = !best in
+  w.rt <- m;
+  if m == no_msg then Engine.disarm w.env.engine w.retrans_tm
+  else Engine.arm_at w.env.engine w.retrans_tm ~time:m.due ~id:m.rt_id
+
+(* Launched and not yet resolved: it holds its slot. *)
+let launched w m = w.slots.(m.seq) == m
+
+(* Free [m]'s slot, clearing its deadline; [launched] keeps a re-entrant
+   second retire from dropping [in_flight] twice. *)
+let retire w m =
+  if launched w m then begin
+    if m.rt_id >= 0 then begin
+      m.rt_id <- -1;
+      if m == w.rt then retrans_rearm w
+    end;
+    w.slots.(m.seq) <- no_msg;
+    w.in_flight <- w.in_flight - 1
+  end
+
+let rec transmit w m =
+  let env = w.env in
+  let attempt = m.retries + m.busy in
+  if attempt > 0 then begin
+    Stats.incr env.stats "pkt.retransmissions";
+    (* separate the timer-expiry retransmissions (the congestion signal
+       AIMD reacts to) from BUSY re-emissions (handler flow control) *)
+    if m.retries > 0 then Stats.incr env.stats "pkt.retransmissions.timer";
+    if tracing w then
+      env.event (Event.Retransmit { tid = m.tid; peer = w.peer; pkt = Wire.pkt m.body; attempt })
+  end;
+  let body = body_for_transmission m in
+  (* The kernel copies the client buffer into the output buffer as part of
+     sending (§5.2): data-bearing transmissions pay one copy here, in the
+     transmit critical path. *)
+  let bytes = Wire.data_bytes body in
+  let copy_us = if bytes > 0 then Cost.data_copy_us env.cost ~bytes else 0 in
+  if copy_us = 0 then emit w m body
+  else begin
+    Stats.add_time env.stats (Cost.label Cost.Protocol) copy_us;
+    (* The imminent emission will carry any owed ack; hold the standalone
+       ack back while the output buffer is being filled, and release it
+       if the emission is called off. *)
+    env.hold_ack w.peer;
+    let launch = m.launches in
+    env.defer ~delay:copy_us (fun () ->
+        if m.launches = launch && launched w m then emit w m body else env.release_ack w.peer)
+  end
+
+and emit w m body =
+  m.sent_at <- Engine.now w.env.engine;
+  w.env.transmit w.peer ~seq:m.seq ~run:m.run body;
+  arm_retrans w m
+
+(* The timer covers the frame's wait for the medium too: a frame queued
+   behind the bus backlog has not been sent yet, so that wait is not
+   evidence of loss (the paper's adaptor timed out only frames that had
+   gone out on the Megalink). *)
+and arm_retrans w m =
+  let env = w.env in
+  let delay = retrans_delay w m + Bus.backlog_us env.bus in
+  let was_first = m == w.rt in
+  m.due <- Engine.now env.engine + delay;
+  m.rt_id <- Engine.reserve env.engine;
+  if w.retrans_tm == env.unset then
+    w.retrans_tm <- Engine.timer ~tag:"proto" env.engine (fun () -> retrans_fired w);
+  if was_first then retrans_rearm w
+  else if w.rt == no_msg || rt_before m w.rt then begin
+    w.rt <- m;
+    Engine.arm_at env.engine w.retrans_tm ~time:m.due ~id:m.rt_id
+  end
+
+(* The earliest deadline expired: the timer moves on to the next one
+   before the expiry is acted on. *)
+and retrans_fired w =
+  let m = w.rt in
+  m.rt_id <- -1;
+  retrans_rearm w;
+  if launched w m then begin
+    (* the timer expiring IS the loss signal: halve cwnd (at most once
+       per RTO) whether we retry or give up *)
+    cwnd_on_loss w;
+    let max_retrans = w.env.cost.Cost.max_retrans in
+    if aimd_on w && m.kind = K_request then
+      w.rto_shift <- min max_retrans (max w.rto_shift (m.retries + 1));
+    if m.retries >= max_retrans then release w m (fun () -> m.on_done Out_timeout)
+    else begin
+      m.retries <- m.retries + 1;
+      transmit w m
+    end
+  end
+
+(* Free a slot WITHOUT advancing the window base, then run [k]: a
+   timeout, or a rejection the peer did not consume ([rejection_consumes]),
+   means the sequence number is reused for the next message once the
+   window empties (the seed's unflipped bit, generalised). *)
+and release w m k =
+  retire w m;
+  if w.in_flight = 0 then w.next <- w.base;
+  k ();
+  start_next w
+
+(* The peer refused [m] with a BUSY or an unadvertised ERROR. *)
+and reject w m k = if rejection_consumes w.env.cost then resolve w m k else release w m k
+
+(* A cumulative acknowledgement: the peer consumed every slot up to and
+   including [a]. A slot held by an unresolved CANCEL stops the walk — a
+   CANCEL is resolved by its Cancel_reply body, not the bare ack — and the
+   remainder is parked in [parked_ack]. *)
+and ack w a =
+  let extent = dist w w.base w.next in
+  let d = dist w w.base a in
+  if extent > 0 && d < extent then begin
+    let acked = ref [] in
+    let covered = ref 0 in
+    (try
+       for off = 0 to d do
+         let m = w.slots.((w.base + off) mod space w) in
+         if m == no_msg then incr covered (* slot vacated by a timed-out message *)
+         else if m.kind = K_cancel then begin
+           if off < d then w.parked_ack <- Some a;
+           raise Exit
+         end
+         else (acked := m :: !acked; incr covered)
+       done
+     with Exit -> ());
+    if !covered > 0 then begin
+      List.iter (retire w) !acked;
+      w.base <- (w.base + !covered) mod space w;
+      if w.in_flight = 0 then w.next <- w.base;
+      if win w > 1 && tracing w then
+        w.env.event (Event.Window_advance { peer = w.peer; base = w.base; in_flight = w.in_flight });
+      List.iter (rtt_sample w) !acked;
+      cwnd_on_clean_ack w !acked;
+      List.iter
+        (fun m ->
+          if tracing w then
+            w.env.event (Event.Acked { tid = m.tid; peer = w.peer; pkt = Wire.pkt m.body });
+          ack_wait_sample w m;
+          m.on_done Out_acked)
+        (List.rev !acked);
+      start_next w
+    end
+  end
+
+(* The peer consumed [m]'s slot (and, implicitly, everything before it)
+   but answered with a semantic response — ERROR, a windowed BUSY, or a
+   CANCEL reply — rather than a plain ack. Advance the window past it and
+   hand the outcome to [k]. *)
+and resolve w m k =
+  ack w ((m.seq - 1 + space w) mod space w);
+  retire w m;
+  if w.base = m.seq then begin
+    w.base <- (m.seq + 1) mod space w;
+    if w.in_flight = 0 then w.next <- w.base
+  end
+  else begin
+    (* an unresolved CANCEL ahead of us holds the base; fold our slot
+       into the parked ack so the base clears us when it resolves *)
+    match w.parked_ack with
+    | Some a when dist w w.base a >= dist w w.base m.seq -> ()
+    | Some _ | None -> w.parked_ack <- Some m.seq
+  end;
+  k ();
+  (match w.parked_ack with
+   | Some a ->
+     w.parked_ack <- None;
+     ack w a
+   | None -> ());
+  start_next w
+
+and start_next w =
+  let continue = ref true in
+  while !continue do
+    let now = Engine.now w.env.engine in
+    match launchable w now with
+    | None ->
+      (* backing off after a BUSY; wake when the nearest backoff matures *)
+      if (not (Engine.armed w.wake_tm)) && not (Queue.is_empty w.queue) then begin
+        if w.wake_tm == w.env.unset then
+          w.wake_tm <- Engine.timer ~tag:"proto" w.env.engine (fun () -> start_next w);
+        Engine.arm w.env.engine w.wake_tm ~delay:(max 1 (next_ready_at w.queue - now))
+      end;
+      continue := false
+    (* The DATA of an accepted exchange answers an explicit server
+       grant: the handler over there is already parked waiting for it,
+       so gating it on a collapsed cwnd can deadlock the window (the
+       in-flight REQUESTs it sits behind are BUSY-bounced by that very
+       handler). It bypasses the congestion window; the peer's receive
+       window still caps it. *)
+    | Some m when dist w w.base w.next >= if m.kind = K_put_data then win w else effective w ->
+      continue := false
+    | Some m ->
+      if Queue.peek w.queue == m then ignore (Queue.pop w.queue)
+      else queue_filter w.queue (fun p -> p != m);
+      m.seq <- w.next;
+      m.run <- win w > 1 && w.in_flight = 0;
+      (* a requeued request starts its retransmission budget over: its
+         BUSY is proof of liveness, so retransmissions swallowed by a
+         pipelined hold before the nack must not keep eating the
+         crash-detection budget across retry cycles. Its old deadline
+         was cleared when it left its slot. *)
+      m.retries <- 0;
+      m.launches <- m.launches + 1;
+      w.next <- (w.next + 1) mod space w;
+      (* launched messages never share a number: [next] rewinds only
+         when nothing is in flight *)
+      assert (w.slots.(m.seq) == no_msg);
+      w.slots.(m.seq) <- m;
+      w.in_flight <- w.in_flight + 1;
+      Stats.sample w.env.stats "net.window_occupancy" w.in_flight;
+      transmit w m
+  done
+
+let send w kind ~tid body on_done =
+  if tracing w then w.env.event (Event.Enqueue { tid; peer = w.peer; pkt = Wire.pkt body });
+  Queue.push { no_msg with kind; tid; body; on_done } w.queue;
+  (* Granted DATA always goes ahead of unsent requests when windowed; at
+     window 1 only while the head backs off after a BUSY. *)
+  (if kind = K_put_data then
+     if win w > 1 then data_first w.queue
+     else if (Queue.peek w.queue).ready_at > Engine.now w.env.engine then
+       retry_behind_data w.queue);
+  start_next w
+
+let drop_queued w ~tid kind =
+  queue_filter w.queue (fun m -> not (m.tid = tid && m.kind = kind));
+  start_next w
+
+(* ---- responses to launched messages --------------------------------------- *)
+
+(* The oldest launched message for [tid] (of [kind], if given): the slots
+   from the base on hold the messages in launch order. *)
+let find ?kind w tid =
+  let rec go off =
+    if off = dist w w.base w.next then None
+    else
+      let m = w.slots.((w.base + off) mod space w) in
+      if m.tid = tid && match kind with Some k -> m.kind = k | None -> true then Some m
+      else go (off + 1)
+  in
+  go 0
+
+(* A BUSY requeues the refused request at the head of the send queue,
+   where it backs off, holding back the requests queued behind it -- or,
+   at window 1 with granted DATA queued, retries right behind the DATA. *)
+let busy w ~tid requeue =
+  match find ~kind:K_request w tid with
+  | None -> ()
+  | Some m ->
+    m.busy <- m.busy + 1;
+    Stats.incr w.env.stats "req.busy_received";
+    let behind_data = win w = 1 && queued w K_put_data in
+    let ready_at = if behind_data then 0 else Engine.now w.env.engine + busy_delay w m in
+    reject w m (fun () ->
+        if requeue () then begin
+          m.ready_at <- ready_at;
+          queue_push_front w.queue m;
+          if behind_data then retry_behind_data w.queue
+        end)
+
+let error w ~tid code =
+  match find w tid with
+  | Some m ->
+    let k () = m.on_done (Out_error code) in
+    if code = Wire.Err_unadvertised then reject w m k else resolve w m k;
+    true
+  | None -> false
+
+let cancel_reply w ~tid ok =
+  match find ~kind:K_cancel w tid with
+  | None -> ()
+  | Some m -> resolve w m (fun () -> m.on_done (Out_cancel_reply ok))

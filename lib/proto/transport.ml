@@ -1,7 +1,8 @@
 module Engine = Soda_sim.Engine
 module Rng = Soda_sim.Rng
 module Stats = Soda_sim.Stats
-module Ring = Soda_sim.Ring
+module Delay_line = Soda_sim.Delay_line
+module Window = Send_window
 module Recorder = Soda_obs.Recorder
 module Event = Soda_obs.Event
 module Causal = Soda_obs.Causal
@@ -37,64 +38,13 @@ type callbacks = {
   classify_unknown_tid : int -> [ `Completed | `Stale ];
 }
 
-(* ---- outbound reliable machinery -------------------------------------- *)
-
-type send_outcome =
-  | Out_acked
-  | Out_error of Wire.err_code
-  | Out_cancel_reply of bool
-  | Out_timeout
-
-type send_kind = K_request | K_accept | K_put_data | K_cancel
-
-(* One launched reliable message occupying a send-window slot. The slot
-   ([sp_seq]) is fixed at launch; a retransmission reuses it. *)
-type sent_pkt = {
-  sp_kind : send_kind;
-  sp_tid : int;
-  sp_body : Wire.body;
-  sp_seq : int;
-  sp_run : bool;
-      (* launched with nothing outstanding: this slot is the window base and
-         every earlier slot is acked, so the packet is flagged as a run start
-         for no-record receivers (window > 1 only) *)
-  mutable sp_retries : int;
-  mutable sp_busy_attempts : int;
-  mutable sp_due : int;  (* retransmission deadline, while [sp_rt_id >= 0] *)
-  mutable sp_rt_id : int;
-      (* the deadline's reserved event id; -1 = no deadline. The
-         connection's one retransmission timer is armed at the earliest
-         (deadline, id) among its unfinished sends *)
-  mutable sp_finished : bool;
-  mutable sp_sent_at : int;
-      (* virtual time of the most recent actual emission; 0 = never sent.
-         Feeds the RTT estimator only when the packet was emitted exactly
-         once (Karn's rule: a retransmitted packet's ack is ambiguous) *)
-  sp_done : send_outcome -> unit;
-}
-
-(* An empty send-window slot: finished, so no in-flight lookup matches it. *)
-let no_sent =
-  { sp_kind = K_request; sp_tid = Event.no_tid; sp_body = Wire.Ack; sp_seq = 0;
-    sp_run = false; sp_retries = 0; sp_busy_attempts = 0; sp_due = 0; sp_rt_id = -1;
-    sp_finished = true; sp_sent_at = 0; sp_done = ignore }
-
-type pending_send = {
-  ps_kind : send_kind;
-  ps_tid : int;
-  ps_body : Wire.body;
-  ps_done : send_outcome -> unit;
-  ps_busy : int;
-  mutable ps_ready_at : int;  (* earliest launch time (BUSY backoff); 0 = immediately *)
-}
-
 (* Replay record for one consumed incoming sequence number: the message's
    identity (for duplicate disambiguation after the sender reuses a slot)
    and the response to replay when its duplicate arrives. At window 1 the
    only record ever read is the one just behind the base, the seed's
    single last-consumed/last-response pair. *)
 type consumed_rec = {
-  cr_kind : int;  (* [key_kind] of the consumed message *)
+  cr_kind : int;  (* [Wire.kind] of the consumed message *)
   cr_tid : int;
   mutable cr_response : Wire.body option;
 }
@@ -115,23 +65,11 @@ let no_hold = { h_pkt = no_pkt; h_retries = 0 }
 
 type conn = {
   peer : int;
-  (* sender half: [send_base] is the oldest unacknowledged slot, [send_next]
-     the next slot to assign; at most [Cost.transport_window] apart. *)
-  mutable send_base : int;
-  mutable send_next : int;
-  outstanding : sent_pkt array;  (* per sequence number: its unfinished send, or [no_sent] *)
-  mutable in_flight : int;  (* unfinished sends in [outstanding] *)
-  sendq : pending_send Queue.t;
-  mutable rt_sp : sent_pkt;  (* the send [retrans_tm] is armed for; [no_sent] = disarmed *)
-  (* Timers, reused for the connection's life. All but [expiry_tm] are
-     created on first use: until then they are the transport's
-     never-armed [unset_tm]. *)
-  mutable retrans_tm : Engine.timer;
+  tx : Window.t;  (* the sending half *)
+  (* Timers, reused for the connection's life. [ack_tm] is made on first
+     use: until then it is the transport's never-armed [unset_tm]. *)
   mutable ack_tm : Engine.timer;  (* owed ack *)
-  mutable wake_tm : Engine.timer;  (* queued-send backoff wake-up *)
   mutable expiry_tm : Engine.timer;
-  mutable deferred_ack : int option;
-      (* a cumulative ack held back by an unresolved CANCEL slot *)
   (* receiver half *)
   mutable recv_base : int option;  (* expected next incoming seq; None = take any *)
   consumed : consumed_rec array;  (* per sequence number: its last consume, or [no_rec] *)
@@ -148,19 +86,6 @@ type conn = {
   mutable hold : hold;
       (* the head-of-window REQUEST deferred on a full input buffer; not
          [no_hold] exactly while the connection is queued in [t.holders] *)
-  (* congestion control (windowed transports with aimd on): effective
-     send window = min(cwnd, window); Jacobson estimator state in float
-     microseconds, srtt = 0.0 until the first Karn-clean sample *)
-  mutable cwnd : float;
-  mutable srtt_us : float;
-  mutable rttvar_us : float;
-  mutable cwnd_cut_at : int;
-      (* last multiplicative decrease; a burst of timer expiries within
-         one RTO counts as a single loss event *)
-  mutable rto_shift : int;
-      (* Karn backoff kept across REQUESTs (RFC 6298 §5.5-5.7): the highest
-         retry count a REQUEST timer expiry has reached since the last
-         clean RTT sample, capped at max_retrans *)
 }
 
 (* ---- requester-side transaction records -------------------------------- *)
@@ -237,21 +162,6 @@ let no_ctx =
   { ac_put_transferred = 0; ac_need_data = false; ac_send = Resolved; ac_received = Bytes.empty;
     ac_done = true; ac_data_id = -1; ac_on_done = ignore }
 
-(* A fixed delay. Its entries wait in a FIFO behind one timer armed at the
-   first live entry: the delay is constant and the clock never runs back,
-   so the FIFO is in due order. Each entry takes its event id where a
-   one-shot would have been scheduled, so it runs in exactly that place. *)
-type ('a, 'b) line = { ring : ('a, 'b) Ring.t; delay : int; mutable tm : Engine.timer }
-
-type buffered_request = {
-  br_src : int;
-  br_tid : int;
-  br_pattern : Pattern.t;
-  br_arg : int;
-  br_put_size : int;
-  br_get_size : int;
-}
-
 type t = {
   engine : Engine.t;
   bus : Bus.t;
@@ -259,7 +169,6 @@ type t = {
   cost : Cost.t;
   recorder : Recorder.t;  (* the network's shared structured-event recorder *)
   stats : Stats.t;
-  rng : Rng.t;
   mutable nic : Nic.t option;
   mutable cb : callbacks option;
   conns : (int, conn) Hashtbl.t;
@@ -271,26 +180,26 @@ type t = {
      drops the replay instead of scheduling a second staggered reply. *)
   seen_discovers : (int * int, unit) Hashtbl.t;
   srv_txns : (int * int, srv_txn) Hashtbl.t;
-  mutable buffered : buffered_request option;  (* pipelined input buffer *)
+  mutable buffered : Wire.t option;  (* the pipelined input buffer: a REQUEST *)
   holders : conn Queue.t;
       (* connections with a REQUEST held at the head of their receive
          window, in the order each head was first held: freed input-buffer
          capacity goes to the longest holder *)
-  mutable epoch : int;  (* bumped on reset; stale deferred events are dropped *)
   mutable live_from : int;
-      (* the first event id taken since the last reset: an older entry of
-         the frame or put-data lines belongs to the previous incarnation
-         and is dropped when it comes due *)
+      (* the first event id taken since the last reset: an older deferred
+         action or entry of the frame or put-data lines belongs to the
+         previous incarnation and is dropped when it comes due *)
   unset_tm : Engine.timer;  (* never armed: a connection timer not yet created *)
+  window_env : Window.env;
   (* the fixed delays: a frame's packet CPU on the way out ([n] = peer,
      -1 = broadcast) and on the way in ([n] = frame length), the probe
      interval, and one record lifetime for a server record's GC and for a
      put-data wait ([n] = 1 once the ACCEPT is acked) *)
-  tx_line : (bytes, Causal.ctx option) line;
-  rx_line : (Wire.t, Causal.ctx option) line;
-  probe_line : (out_req, unit) line;
-  gc_line : (srv_txn, unit) line;
-  data_line : (srv_txn, accept_ctx) line;
+  tx_line : (bytes, Causal.ctx option) Delay_line.t;
+  rx_line : (Wire.t, Causal.ctx option) Delay_line.t;
+  probe_line : (out_req, unit) Delay_line.t;
+  gc_line : (srv_txn, unit) Delay_line.t;
+  data_line : (srv_txn, accept_ctx) Delay_line.t;
   (* Causal identity per live transaction: the requester registers the
      minted context at trap time, the server adopts a child span at
      first sight of a context-carrying packet. Keyed by tid (globally
@@ -302,16 +211,12 @@ type t = {
 (* Backing cells of the per-packet stats, fetched once at [create]: every
    packet bumps two counters and four time accumulators on each side, and
    the string-keyed lookups were a measurable slice of the packet cost at
-   scale. [sent_by_kind]/[recv_by_kind] are indexed by [body_index]. *)
+   scale. [sent_by_kind]/[recv_by_kind] are indexed by [Wire.kind] - 1. *)
 and hot_cells = {
   c_sent_total : int ref;
   c_recv_total : int ref;
   c_standalone_acks : int ref;
   c_duplicates : int ref;
-  mutable h_ack_wait : Soda_obs.Metrics.histogram option;
-      (* a data-bearing ACCEPT's latest emission to its ack; resolved at
-         the first sample, since a histogram is some 15 KB and most nodes
-         of a large network never accept with data *)
   sent_by_kind : int ref array;
   recv_by_kind : int ref array;
   t_transmission : int ref;
@@ -360,54 +265,10 @@ let causal_ctx t ~tid = Hashtbl.find_opt t.tid_causal tid
 let forget_causal t ~tid = Hashtbl.remove t.tid_causal tid
 
 (* Schedule a variable-delay one-shot that is dropped if the node resets
-   meanwhile. Fixed delays go through a [line]. *)
+   meanwhile. Fixed delays go through a [Delay_line]. *)
 let defer t ~delay fn =
-  let epoch = t.epoch in
-  Engine.schedule ~tag:"proto" t.engine ~delay (fun () -> if t.epoch = epoch then fn ())
-
-(* ---- delay lines ---------------------------------------------------------- *)
-
-let new_line ~delay ~fill_a ~fill_b unset =
-  { ring = Ring.create ~fill_a ~fill_b; delay; tm = unset }
-
-(* Append an entry due one delay from now; returns its event id. The
-   line's timer, which runs [fire t], is made at the first push: many
-   nodes never use some of their lines. *)
-let line_push t line fire ~n a b =
-  let id = Engine.reserve t.engine in
-  let due = Engine.now t.engine + line.delay in
-  Ring.push line.ring ~due ~id ~n a b;
-  if line.tm == t.unset_tm then line.tm <- Engine.timer ~tag:"proto" t.engine (fun () -> fire t);
-  if not (Engine.armed line.tm) then Engine.arm_at t.engine line.tm ~time:due ~id;
-  id
-
-(* Drop stale entries off the head, then arm the timer at the first live
-   one ([live id a b]), or disarm it when none is left. *)
-let rec line_settle t line live =
-  let r = line.ring in
-  if Ring.is_empty r then Engine.disarm t.engine line.tm
-  else if live (Ring.head_id r) (Ring.head_a r) (Ring.head_b r) then
-    Engine.arm_at t.engine line.tm ~time:(Ring.head_due r) ~id:(Ring.head_id r)
-  else begin
-    Ring.drop r;
-    line_settle t line live
-  end
-
-(* The head just fired: drop it and arm for the next live entry, before
-   its action runs (which may push more). *)
-let line_next t line live =
-  Ring.drop line.ring;
-  line_settle t line live
-
-(* The entry [id] (-1: none) just went stale. If it is the head the timer
-   moves on; otherwise it is skipped when it reaches the head. *)
-let line_cancel t line live id =
-  if (not (Ring.is_empty line.ring)) && Ring.head_id line.ring = id then
-    line_settle t line live
-
-let line_reset t line =
-  Ring.clear line.ring;
-  Engine.disarm t.engine line.tm
+  let live_from = t.live_from in
+  Engine.schedule ~tag:"proto" t.engine ~delay (fun () -> if t.live_from = live_from then fn ())
 
 let always _ _ _ = true
 
@@ -429,28 +290,9 @@ let dist t base x = (x - base + sspace t) mod sspace t
 let seq_next t s = (s + 1) mod sspace t
 let seq_prev t s = (s - 1 + sspace t) mod sspace t
 
-(* Does a BUSY or an unadvertised ERROR consume the refused message's
-   sequence number? At window > 1 the receiver consumes it to keep its
-   window gap-free, and the retry launches in a fresh slot; at window 1 it
-   does not, and the retry reuses the slot (the seed's alternating bit). *)
-let rejection_consumes t = win t > 1
-
-(* Is congestion control live on this transport? Window-1 runs always
-   behave exactly like the seed's alternating bit, AIMD knob or not. *)
-let aimd_on t = t.cost.Cost.aimd && win t > 1
-
-(* Effective send window: min(cwnd, peer receive window, cost-model cap).
-   The bus pins one window per medium (Bus.claim_seq_window), so the
-   local cost-model window IS the peer's receive window. *)
-let eff_win t conn =
-  if aimd_on t then max 1 (min (win t) (int_of_float conn.cwnd)) else win t
-
 (* ---- connection records ------------------------------------------------ *)
 
-let conn_active conn =
-  conn.in_flight > 0
-  || (not (Queue.is_empty conn.sendq))
-  || conn.ack_owed <> None || conn.recv_buf <> []
+let conn_active conn = Window.active conn.tx || conn.ack_owed <> None || conn.recv_buf <> []
 
 (* Lazy expiry: every packet touches the record, and cancelling plus
    re-scheduling the timer per touch cost a heap push/pop per packet. The
@@ -480,28 +322,15 @@ let conn_for t peer =
     let c =
       {
         peer;
-        send_base = 0;
-        send_next = 0;
-        outstanding = Array.make (sspace t) no_sent;
-        in_flight = 0;
-        sendq = Queue.create ();
-        rt_sp = no_sent;
-        retrans_tm = t.unset_tm;
+        tx = Window.create t.window_env ~peer;
         ack_tm = t.unset_tm;
-        wake_tm = t.unset_tm;
         expiry_tm = t.unset_tm;
-        deferred_ack = None;
         recv_base = None;
         consumed = Array.make (sspace t) no_rec;
         recv_buf = [];
         ack_owed = None;
         expiry_deadline = 0;
         hold = no_hold;
-        cwnd = Cost.cwnd_init t.cost;
-        srtt_us = 0.0;
-        rttvar_us = 0.0;
-        cwnd_cut_at = 0;
-        rto_shift = 0;
       }
     in
     c.expiry_tm <- Engine.timer ~tag:"proto" t.engine (fun () -> expiry_fired t c);
@@ -511,69 +340,14 @@ let conn_for t peer =
     arm_expiry t c;
     c
 
-let touch t conn = arm_expiry t conn
-
 (* ---- raw packet emission ----------------------------------------------- *)
-
-(* Per-kind counter names and the matching [body_index] order: the seed's
-   [Printf.sprintf "pkt.sent.%s" (kind_name body)] allocated a fresh
-   string per packet on both the send and receive hot paths; now the kind
-   indexes a cached cell array. *)
-let kind_names =
-  [| "REQ"; "ACCEPT"; "DATA"; "ACK"; "BUSY"; "ERR"; "CANCEL"; "CANCEL_R"; "PROBE";
-     "PROBE_R"; "DISCOVER"; "DISCOVER_R" |]
-
-let body_index body =
-  match body with
-  | Wire.Request _ -> 0
-  | Wire.Accept _ -> 1
-  | Wire.Put_data _ -> 2
-  | Wire.Ack -> 3
-  | Wire.Busy _ -> 4
-  | Wire.Error _ -> 5
-  | Wire.Cancel_request _ -> 6
-  | Wire.Cancel_reply _ -> 7
-  | Wire.Probe _ -> 8
-  | Wire.Probe_reply _ -> 9
-  | Wire.Discover _ -> 10
-  | Wire.Discover_reply _ -> 11
-
-let pkt_of_body body =
-  match body with
-  | Wire.Request _ -> Event.P_request
-  | Wire.Accept _ -> Event.P_accept
-  | Wire.Put_data _ -> Event.P_put_data
-  | Wire.Ack -> Event.P_ack
-  | Wire.Busy _ -> Event.P_busy
-  | Wire.Error _ -> Event.P_error
-  | Wire.Cancel_request _ -> Event.P_cancel
-  | Wire.Cancel_reply _ -> Event.P_cancel_reply
-  | Wire.Probe _ -> Event.P_probe
-  | Wire.Probe_reply _ -> Event.P_probe_reply
-  | Wire.Discover _ -> Event.P_discover
-  | Wire.Discover_reply _ -> Event.P_discover_reply
-
-let tid_of_body body =
-  match body with
-  | Wire.Request { tid; _ }
-  | Wire.Accept { tid; _ }
-  | Wire.Put_data { tid; _ }
-  | Wire.Busy { tid }
-  | Wire.Error { tid; _ }
-  | Wire.Cancel_request { tid }
-  | Wire.Cancel_reply { tid; _ }
-  | Wire.Probe { tid }
-  | Wire.Probe_reply { tid; _ }
-  | Wire.Discover { tid; _ }
-  | Wire.Discover_reply { tid } -> tid
-  | Wire.Ack -> Event.no_tid
 
 (* A frame has waited out its packet CPU: hand it to the NIC. *)
 let tx_fired t =
-  let r = t.tx_line.ring in
-  let live = Ring.head_id r >= t.live_from in
-  let peer = Ring.head_n r and wire = Ring.head_a r and ctx = Ring.head_b r in
-  line_next t t.tx_line always;
+  let l = t.tx_line in
+  let live = Delay_line.head_id l >= t.live_from in
+  let peer = Delay_line.head_n l and wire = Delay_line.head_a l and ctx = Delay_line.head_b l in
+  Delay_line.next l always;
   match t.nic with
   | Some nic when live ->
     if peer < 0 then Nic.broadcast_wire nic ?ctx wire else Nic.send_wire nic ?ctx ~dst:peer wire
@@ -604,14 +378,14 @@ let emit t ~dst ?(reliable = false) ?(seq = 0) ?(run = false) ?force_ack body =
   let tx = Bus.transmission_time_us t.bus ~payload_bytes:size in
   t.hot.t_transmission := !(t.hot.t_transmission) + tx;
   Stdlib.incr t.hot.c_sent_total;
-  Stdlib.incr t.hot.sent_by_kind.(body_index body);
+  Stdlib.incr t.hot.sent_by_kind.(Wire.kind body - 1);
   if tracing t then
     event t
       (Event.Tx
          {
-           tid = tid_of_body body;
+           tid = Wire.tid body;
            peer = (match dst with `Peer p -> p | `Broadcast -> Event.broadcast_peer);
-           pkt = pkt_of_body body;
+           pkt = Wire.pkt body;
            bytes = size;
            seq;
            retry = (match body with Wire.Request { retry; _ } -> retry | _ -> false);
@@ -627,9 +401,9 @@ let emit t ~dst ?(reliable = false) ?(seq = 0) ?(run = false) ?force_ack body =
   Crc16.seal wire ~len:written;
   (* The sending span's causal identity rides the frame out of band;
      wire bytes are already encoded above and unaffected. *)
-  let ctx = Hashtbl.find_opt t.tid_causal (tid_of_body body) in
+  let ctx = Hashtbl.find_opt t.tid_causal (Wire.tid body) in
   let peer = match dst with `Peer peer -> peer | `Broadcast -> -1 in
-  ignore (line_push t t.tx_line tx_fired ~n:peer wire ctx)
+  ignore (Delay_line.push t.tx_line ~fire:tx_fired t ~n:peer wire ctx)
 
 (* The cumulative acknowledgement we can assert right now: the last
    in-order consumed sequence number. *)
@@ -679,6 +453,19 @@ let owe_ack t conn ~hold seq =
     conn.ack_tm <- Engine.timer ~tag:"proto" t.engine (fun () -> ack_fired t conn);
   if not (Engine.armed conn.ack_tm) then Engine.arm t.engine conn.ack_tm ~delay:hold
 
+(* A reliable packet to [peer] waits out a data copy and will carry the
+   owed ack: hold the standalone ack back meanwhile, and owe it afresh if
+   the packet is called off. *)
+let hold_ack t peer =
+  match Hashtbl.find_opt t.conns peer with
+  | Some conn when conn.ack_owed <> None -> Engine.disarm t.engine conn.ack_tm
+  | Some _ | None -> ()
+
+let release_ack t peer =
+  match Hashtbl.find_opt t.conns peer with
+  | Some ({ ack_owed = Some a; _ } as conn) -> owe_ack t conn ~hold:t.cost.Cost.ack_grace_us a
+  | Some _ | None -> ()
+
 let replay_response t conn cr =
   Stdlib.incr t.hot.c_duplicates;
   mark t ~peer:conn.peer ~tid:Event.no_tid ~n:0 Event.Duplicate_replayed;
@@ -694,494 +481,10 @@ let replay_response t conn cr =
     | None, None -> ()
   end
 
-(* ---- sliding-window sending --------------------------------------------- *)
-
-(* ---- congestion control (AIMD + Jacobson RTT, windowed only) ----------- *)
-
-let cwnd_note t conn ~reason =
-  Stats.sample t.stats "net.cwnd" (int_of_float conn.cwnd);
-  if tracing t then
-    event t
-      (Event.Cwnd_change
-         { peer = conn.peer; cwnd = int_of_float conn.cwnd;
-           in_flight = conn.in_flight; reason })
-
-(* The accepter of a data-bearing ACCEPT stays blocked until it is acked:
-   record how long the ack took from the ACCEPT's latest emission. *)
-let ack_wait_sample t sp =
-  match sp.sp_body with
-  | Wire.Accept { data; _ } when Bytes.length data > 0 && sp.sp_sent_at > 0 ->
-    let h =
-      match t.hot.h_ack_wait with
-      | Some h -> h
-      | None ->
-        let h = Stats.histogram_cell t.stats "accept.ack_wait_us" in
-        t.hot.h_ack_wait <- Some h;
-        h
-    in
-    Soda_obs.Metrics.Histogram.observe h (Engine.now t.engine - sp.sp_sent_at)
-  | _ -> ()
-
-(* Fold one acked packet into the RTT estimator. Karn's rule: a packet
-   that was ever retransmitted (or re-emitted after a BUSY) has an
-   ambiguous ack and must not sample. *)
-let rtt_sample_sp t conn sp =
-  if aimd_on t && sp.sp_retries = 0 && sp.sp_busy_attempts = 0 && sp.sp_sent_at > 0
-  then begin
-    let sample = Engine.now t.engine - sp.sp_sent_at in
-    if sample >= 0 then begin
-      let srtt, rttvar =
-        Cost.rtt_update t.cost ~srtt_us:conn.srtt_us ~rttvar_us:conn.rttvar_us
-          ~sample_us:sample
-      in
-      conn.srtt_us <- srtt;
-      conn.rttvar_us <- rttvar;
-      conn.rto_shift <- 0;
-      Stats.sample t.stats "net.rtt_us" sample;
-      if tracing t then
-        event t
-          (Event.Rtt_sample
-             { peer = conn.peer; sample_us = sample; srtt_us = int_of_float srtt;
-               rttvar_us = int_of_float rttvar })
-    end
-  end
-
-(* Additive increase: one cumulative ack covering only never-retransmitted
-   packets grows cwnd by the cost model's increment (capped at W). *)
-let cwnd_on_clean_ack t conn acked =
-  if
-    aimd_on t && acked <> []
-    && List.for_all (fun sp -> sp.sp_retries = 0 && sp.sp_busy_attempts = 0) acked
-  then begin
-    let before = int_of_float conn.cwnd in
-    conn.cwnd <- Cost.aimd_increase t.cost ~cwnd:conn.cwnd;
-    if int_of_float conn.cwnd <> before then cwnd_note t conn ~reason:"ack"
-  end
-
-(* Multiplicative decrease on retransmission-timer expiry. A burst of
-   expiries within one RTO is a single loss event (one halving), or a
-   full window's worth of simultaneous timeouts would collapse cwnd to
-   the floor in one step. *)
-let cwnd_on_loss t conn =
-  if aimd_on t then begin
-    let now = Engine.now t.engine in
-    let rto = Cost.rto_us t.cost ~srtt_us:conn.srtt_us ~rttvar_us:conn.rttvar_us in
-    if now - conn.cwnd_cut_at >= rto then begin
-      conn.cwnd_cut_at <- now;
-      let before = int_of_float conn.cwnd in
-      conn.cwnd <- Cost.aimd_decrease t.cost ~cwnd:conn.cwnd;
-      if int_of_float conn.cwnd <> before then cwnd_note t conn ~reason:"loss"
-    end
-  end
-
-(* A REQUEST's backoff exponent starts from the connection's persisted
-   shift: the REQUESTs a busy server holds are all retransmitted, so
-   Karn's rule discards every sample and [srtt] never forms; without the
-   shift each new REQUEST would start from the unbacked-off RTO again. *)
-let backoff_exp t conn sp =
-  if aimd_on t && sp.sp_kind = K_request then max sp.sp_retries conn.rto_shift
-  else sp.sp_retries
-
-let retrans_delay t conn sp =
-  let backoff = t.cost.Cost.retrans_backoff ** float_of_int (backoff_exp t conn sp) in
-  let base = float_of_int t.cost.Cost.retrans_interval_us *. backoff in
-  (* Adaptive floor: once the estimator has a sample, never fire before
-     srtt + 4 rttvar (with the same per-retry backoff). Under incast the
-     static schedule undershoots the queueing delay and every client
-     retransmits spuriously; the estimator absorbs it. The static formula
-     below remains a lower bound, so an adaptive sender never fires
-     EARLIER than the fixed-schedule one did. *)
-  let base =
-    if aimd_on t && conn.srtt_us > 0.0 then
-      Float.max base
-        (float_of_int
-           (Cost.rto_us t.cost ~srtt_us:conn.srtt_us ~rttvar_us:conn.rttvar_us)
-         *. backoff)
-    else base
-  in
-  (* A 2000-byte frame holds the 1 Mbit medium for ~16 ms, and the expected
-     acknowledgement path includes the peer's data copies and (for a
-     REQUEST) the whole accept turn-around; the timeout must comfortably
-     exceed all of it or every large transfer retransmits spuriously. *)
-  let tx bytes = Bus.transmission_time_us t.bus ~payload_bytes:(bytes + 40) in
-  let copy bytes = Cost.data_copy_us t.cost ~bytes in
-  let turnaround =
-    t.cost.Cost.ack_grace_us + t.cost.Cost.accept_trap_us + t.cost.Cost.context_switch_us
-    + (4 * t.cost.Cost.packet_protocol_us)
-  in
-  let extra =
-    match sp.sp_body with
-    | Wire.Request { data; get_size; _ } ->
-      let d = Bytes.length data in
-      (2 * tx d) + (2 * copy d) + tx get_size + copy get_size + turnaround
-    | Wire.Accept { data; put_transferred; _ } ->
-      (* the ack usually rides the next REQUEST, which carries a comparable
-         put payload: allow for its copy and transmission too *)
-      let d = Bytes.length data in
-      (2 * tx d) + (2 * copy d) + (2 * copy put_transferred) + tx put_transferred
-      + turnaround
-    | Wire.Put_data { data; _ } ->
-      let d = Bytes.length data in
-      (2 * tx d) + (2 * copy d) + turnaround
-    | _ -> 2 * tx 0
-  in
-  let jitter = Rng.float t.rng (base *. 0.25) in
-  int_of_float (base +. jitter) + extra
-
-let busy_delay t sp =
-  let base =
-    float_of_int t.cost.Cost.busy_retry_us
-    *. (t.cost.Cost.busy_retry_backoff ** float_of_int (sp.sp_busy_attempts - 1))
-  in
-  let capped = min base (float_of_int t.cost.Cost.busy_retry_max_us) in
-  let jitter = Rng.float t.rng (capped *. 0.1) in
-  int_of_float (capped +. jitter)
-
-let body_for_transmission sp =
-  match sp.sp_body with
-  | Wire.Request r when sp.sp_retries + sp.sp_busy_attempts > 0 ->
-    (* Data rides only on the first transmission (§5.2.3). *)
-    Wire.Request
-      {
-        tid = r.tid;
-        pattern = r.pattern;
-        arg = r.arg;
-        put_size = r.put_size;
-        get_size = r.get_size;
-        data = Bytes.empty;
-        retry = true;
-      }
-  | body -> body
-
-let queue_push_front queue x =
-  let tmp = Queue.create () in
-  Queue.push x tmp;
-  Queue.transfer queue tmp;
-  Queue.transfer tmp queue
-
-let queue_filter q keep =
-  let kept = Queue.create () in
-  Queue.iter (fun p -> if keep p then Queue.push p kept) q;
-  Queue.clear q;
-  Queue.transfer kept q
-
-(* Granted DATA goes ahead of every queued request (FIFO among DATA): the
-   next window slot must go to the exchange the server is already waiting
-   on, not to a new REQUEST it would BUSY-bounce. *)
-let data_first q =
-  let puts = Queue.create () and rest = Queue.create () in
-  Queue.iter (fun p -> Queue.push p (if p.ps_kind = K_put_data then puts else rest)) q;
-  Queue.clear q;
-  Queue.transfer puts q;
-  Queue.transfer rest q
-
-(* Window 1: the queued DATA is what will free the busy handler, so it
-   goes first and a request backing off behind it retries right after. *)
-let retry_behind_data q =
-  Queue.iter (fun p -> p.ps_ready_at <- 0) q;
-  data_first q
-
-(* The pending send to launch next: the first whose BUSY backoff has
-   matured. Where a rejection leaves the refused slot unconsumed (window
-   1), a backing-off head keeps that slot for its retry and holds back
-   everything queued behind it except granted DATA, which the busy
-   handler may be waiting for. *)
-let launchable t q now =
-  match Queue.peek_opt q with
-  | None -> None
-  | Some head as first when head.ps_ready_at <= now -> first
-  | Some _ when not (rejection_consumes t) ->
-    Queue.fold
-      (fun acc p ->
-        match acc with Some _ -> acc | None -> if p.ps_kind = K_put_data then Some p else None)
-      None q
-  | Some _ ->
-    Queue.fold
-      (fun acc p ->
-        match acc with Some _ -> acc | None -> if p.ps_ready_at <= now then Some p else None)
-      None q
-
-(* When the earliest BUSY backoff in the queue matures. Sends that never
-   bounced do not count: held back behind a backing-off head, they would
-   make the wake timer re-arm every microsecond. *)
-let next_ready_at q =
-  Queue.fold (fun acc p -> if p.ps_ready_at > 0 then min acc p.ps_ready_at else acc) max_int q
-
-(* ---- the retransmission timer ------------------------------------------- *)
-
-(* One timer per connection (RFC 6298 §5), armed at the earliest
-   (deadline, id) among the unfinished sends ([conn.rt_sp]). Each
-   deadline reserves its id where a per-send timer would have been
-   scheduled, so expiries run in the same places as with one timer per
-   send. *)
-let rt_before a b = a.sp_due < b.sp_due || (a.sp_due = b.sp_due && a.sp_rt_id < b.sp_rt_id)
-
-let retrans_rearm t conn =
-  let best = ref no_sent in
-  for off = 0 to dist t conn.send_base conn.send_next - 1 do
-    let sp = conn.outstanding.((conn.send_base + off) mod sspace t) in
-    if sp.sp_rt_id >= 0 && (!best == no_sent || rt_before sp !best) then best := sp
-  done;
-  let sp = !best in
-  conn.rt_sp <- sp;
-  if sp == no_sent then Engine.disarm t.engine conn.retrans_tm
-  else Engine.arm_at t.engine conn.retrans_tm ~time:sp.sp_due ~id:sp.sp_rt_id
-
-let clear_deadline t conn sp =
-  if sp.sp_rt_id >= 0 then begin
-    sp.sp_rt_id <- -1;
-    if sp == conn.rt_sp then retrans_rearm t conn
-  end
-
-(* Finish [sp] and free its slot; [==] keeps a re-entrant second retire
-   of the same send from dropping [in_flight] twice. *)
-let retire_sent t conn sp =
-  sp.sp_finished <- true;
-  clear_deadline t conn sp;
-  if conn.outstanding.(sp.sp_seq) == sp then begin
-    conn.outstanding.(sp.sp_seq) <- no_sent;
-    conn.in_flight <- conn.in_flight - 1
-  end
-
-let rec transmit_sent t conn sp =
-  let attempt = sp.sp_retries + sp.sp_busy_attempts in
-  if attempt > 0 then begin
-    Stats.incr t.stats "pkt.retransmissions";
-    (* separate the timer-expiry retransmissions (the congestion signal
-       AIMD reacts to) from BUSY re-emissions (handler flow control) *)
-    if sp.sp_retries > 0 then Stats.incr t.stats "pkt.retransmissions.timer";
-    if tracing t then
-      event t
-        (Event.Retransmit
-           { tid = sp.sp_tid; peer = conn.peer; pkt = pkt_of_body sp.sp_body; attempt })
-  end;
-  let body = body_for_transmission sp in
-  (* The kernel copies the client buffer into the output buffer as part of
-     sending (§5.2): data-bearing transmissions pay one copy here, in the
-     transmit critical path. *)
-  let data_bytes =
-    match body with
-    | Wire.Request { data; _ } | Wire.Accept { data; _ } | Wire.Put_data { data; _ } ->
-      Bytes.length data
-    | _ -> 0
-  in
-  let copy_us = if data_bytes > 0 then Cost.data_copy_us t.cost ~bytes:data_bytes else 0 in
-  if copy_us > 0 then Stats.add_time t.stats (Cost.label Cost.Protocol) copy_us;
-  if copy_us = 0 then begin
-    sp.sp_sent_at <- Engine.now t.engine;
-    emit t ~dst:(`Peer conn.peer) ~reliable:true ~seq:sp.sp_seq ~run:sp.sp_run body;
-    arm_retrans t conn sp
-  end
-  else begin
-    (* The imminent emission will carry any owed ack; hold the standalone
-       ack back while the output buffer is being filled. *)
-    if conn.ack_owed <> None then Engine.disarm t.engine conn.ack_tm;
-    defer t ~delay:copy_us (fun () ->
-        if not sp.sp_finished then begin
-          sp.sp_sent_at <- Engine.now t.engine;
-          emit t ~dst:(`Peer conn.peer) ~reliable:true ~seq:sp.sp_seq ~run:sp.sp_run body;
-          arm_retrans t conn sp
-        end
-        else if conn.ack_owed <> None then
-          (* the emission was cancelled; release the held ack *)
-          owe_ack t conn ~hold:t.cost.Cost.ack_grace_us (Option.get conn.ack_owed))
-  end
-
-(* The timer covers the frame's wait for the medium too: a frame queued
-   behind the bus backlog has not been sent yet, so that wait is not
-   evidence of loss (the paper's adaptor timed out only frames that had
-   gone out on the Megalink). *)
-and arm_retrans t conn sp =
-  let delay = retrans_delay t conn sp + Bus.backlog_us t.bus in
-  let was_first = sp == conn.rt_sp in
-  sp.sp_due <- Engine.now t.engine + delay;
-  sp.sp_rt_id <- Engine.reserve t.engine;
-  if conn.retrans_tm == t.unset_tm then
-    conn.retrans_tm <- Engine.timer ~tag:"proto" t.engine (fun () -> retrans_fired t conn);
-  if was_first then retrans_rearm t conn
-  else if conn.rt_sp == no_sent || rt_before sp conn.rt_sp then begin
-    conn.rt_sp <- sp;
-    Engine.arm_at t.engine conn.retrans_tm ~time:sp.sp_due ~id:sp.sp_rt_id
-  end
-
-(* The earliest deadline expired: the timer moves on to the next one
-   before the expiry is acted on. *)
-and retrans_fired t conn =
-  let sp = conn.rt_sp in
-  sp.sp_rt_id <- -1;
-  retrans_rearm t conn;
-  if not sp.sp_finished then begin
-    (* the timer expiring IS the loss signal: halve cwnd (at most once
-       per RTO) whether we retry or give up *)
-    cwnd_on_loss t conn;
-    if aimd_on t && sp.sp_kind = K_request then
-      conn.rto_shift <- min t.cost.Cost.max_retrans (max conn.rto_shift (sp.sp_retries + 1));
-    if sp.sp_retries >= t.cost.Cost.max_retrans then
-      release_sent t conn sp (fun () -> sp.sp_done Out_timeout)
-    else begin
-      sp.sp_retries <- sp.sp_retries + 1;
-      transmit_sent t conn sp
-    end
-  end
-
-(* Remove a slot WITHOUT advancing the window base, then run [k]: a
-   timeout, or a rejection the peer did not consume ([rejection_consumes]),
-   means the sequence number is reused for the next message once the
-   window empties (the seed's unflipped bit, generalised). *)
-and release_sent t conn sp k =
-  if not sp.sp_finished then begin
-    retire_sent t conn sp;
-    if conn.in_flight = 0 then conn.send_next <- conn.send_base;
-    k ();
-    start_next t conn
-  end
-
-(* The peer refused [sp] with a BUSY or an unadvertised ERROR. *)
-and reject_sent t conn sp k =
-  if rejection_consumes t then resolve_consumed t conn sp k else release_sent t conn sp k
-
-(* A cumulative acknowledgement: the peer consumed every slot up to and
-   including [a]. A slot held by an unresolved CANCEL stops the walk — a
-   CANCEL is resolved by its Cancel_reply body, not the bare ack — and the
-   remainder is parked in [deferred_ack]. *)
-and apply_cum_ack t conn a =
-  let extent = dist t conn.send_base conn.send_next in
-  let d = dist t conn.send_base a in
-  if extent > 0 && d < extent then begin
-    let acked = ref [] in
-    let covered = ref 0 in
-    (try
-       for off = 0 to d do
-         let sp = conn.outstanding.((conn.send_base + off) mod sspace t) in
-         if sp == no_sent then incr covered (* slot vacated by a timed-out message *)
-         else if sp.sp_kind = K_cancel then begin
-           if off < d then conn.deferred_ack <- Some a;
-           raise Exit
-         end
-         else (acked := sp :: !acked; incr covered)
-       done
-     with Exit -> ());
-    if !covered > 0 then begin
-      List.iter (retire_sent t conn) !acked;
-      conn.send_base <- (conn.send_base + !covered) mod sspace t;
-      if conn.in_flight = 0 then conn.send_next <- conn.send_base;
-      if win t > 1 && tracing t then
-        event t
-          (Event.Window_advance
-             { peer = conn.peer; base = conn.send_base; in_flight = conn.in_flight });
-      List.iter (rtt_sample_sp t conn) !acked;
-      cwnd_on_clean_ack t conn !acked;
-      List.iter
-        (fun sp ->
-          if tracing t then
-            event t
-              (Event.Acked { tid = sp.sp_tid; peer = conn.peer; pkt = pkt_of_body sp.sp_body });
-          ack_wait_sample t sp;
-          sp.sp_done Out_acked)
-        (List.rev !acked);
-      start_next t conn
-    end
-  end
-
-(* The peer consumed [sp]'s slot (and, implicitly, everything before it)
-   but answered with a semantic response — ERROR, a windowed BUSY, or a
-   CANCEL reply — rather than a plain ack. Advance the window past it and
-   hand the outcome to [k]. *)
-and resolve_consumed t conn sp k =
-  if not sp.sp_finished then begin
-    apply_cum_ack t conn (seq_prev t sp.sp_seq);
-    retire_sent t conn sp;
-    if conn.send_base = sp.sp_seq then begin
-      conn.send_base <- seq_next t sp.sp_seq;
-      if conn.in_flight = 0 then conn.send_next <- conn.send_base
-    end
-    else begin
-      (* an unresolved CANCEL ahead of us holds the base; fold our slot
-         into the deferred ack so the base clears us when it resolves *)
-      match conn.deferred_ack with
-      | Some a when dist t conn.send_base a >= dist t conn.send_base sp.sp_seq -> ()
-      | Some _ | None -> conn.deferred_ack <- Some sp.sp_seq
-    end;
-    k ();
-    (match conn.deferred_ack with
-     | Some a ->
-       conn.deferred_ack <- None;
-       apply_cum_ack t conn a
-     | None -> ());
-    start_next t conn
-  end
-
-and start_next t conn =
-  let continue = ref true in
-  while !continue do
-    let now = Engine.now t.engine in
-    match launchable t conn.sendq now with
-    | None ->
-      (* backing off after a BUSY; wake when the nearest backoff matures *)
-      if (not (Engine.armed conn.wake_tm)) && not (Queue.is_empty conn.sendq) then begin
-        if conn.wake_tm == t.unset_tm then
-          conn.wake_tm <- Engine.timer ~tag:"proto" t.engine (fun () -> start_next t conn);
-        Engine.arm t.engine conn.wake_tm ~delay:(max 1 (next_ready_at conn.sendq - now))
-      end;
-      continue := false
-    (* The DATA of an accepted exchange answers an explicit server
-       grant: the handler over there is already parked waiting for it,
-       so gating it on a collapsed cwnd can deadlock the window (the
-       in-flight REQUESTs it sits behind are BUSY-bounced by that very
-       handler). It bypasses the congestion window; the peer's receive
-       window still caps it. *)
-    | Some pending
-      when dist t conn.send_base conn.send_next
-           >= if pending.ps_kind = K_put_data then win t else eff_win t conn ->
-      continue := false
-    | Some pending ->
-      if Queue.peek conn.sendq == pending then ignore (Queue.pop conn.sendq)
-      else queue_filter conn.sendq (fun p -> p != pending);
-      let sp =
-        {
-          sp_kind = pending.ps_kind;
-          sp_tid = pending.ps_tid;
-          sp_body = pending.ps_body;
-          sp_seq = conn.send_next;
-          sp_run = win t > 1 && conn.in_flight = 0;
-          (* a requeued request starts its retransmission budget over: its
-             BUSY is proof of liveness, so retransmissions swallowed by a
-             pipelined hold before the nack must not keep eating the
-             crash-detection budget across retry cycles *)
-          sp_retries = 0;
-          sp_busy_attempts = pending.ps_busy;
-          sp_due = 0;
-          sp_rt_id = -1;
-          sp_finished = false;
-          sp_sent_at = 0;
-          sp_done = pending.ps_done;
-        }
-      in
-      conn.send_next <- seq_next t conn.send_next;
-      (* unfinished sends never share a number: [send_next] rewinds only
-         when nothing is in flight *)
-      assert (conn.outstanding.(sp.sp_seq) == no_sent);
-      conn.outstanding.(sp.sp_seq) <- sp;
-      conn.in_flight <- conn.in_flight + 1;
-      Stats.sample t.stats "net.window_occupancy" conn.in_flight;
-      transmit_sent t conn sp
-  done
-
 let send_reliable t ~peer ~kind ~tid body ~on_done =
   let conn = conn_for t peer in
-  touch t conn;
-  if tracing t then event t (Event.Enqueue { tid; peer; pkt = pkt_of_body body });
-  Queue.push
-    { ps_kind = kind; ps_tid = tid; ps_body = body; ps_done = on_done; ps_busy = 0;
-      ps_ready_at = 0 }
-    conn.sendq;
-  (* Granted DATA always goes ahead of unsent requests when windowed; at
-     window 1 only while the head backs off after a BUSY. *)
-  (if kind = K_put_data then
-     if win t > 1 then data_first conn.sendq
-     else if (Queue.peek conn.sendq).ps_ready_at > Engine.now t.engine then
-       retry_behind_data conn.sendq);
-  start_next t conn
+  arm_expiry t conn;
+  Window.send conn.tx kind ~tid body on_done
 
 (* ---- probes (§3.6.2) ---------------------------------------------------- *)
 
@@ -1190,13 +493,23 @@ let probe_live id req () = req.or_probe_id = id
 let stop_probing t req =
   let id = req.or_probe_id in
   req.or_probe_id <- -1;
-  line_cancel t t.probe_line probe_live id
+  Delay_line.cancel t.probe_line probe_live id
 
-let complete_out_req t req completion =
+(* The one way out for an outbound request, by completion or by a
+   successful CANCEL: [k] runs once it has left the tables, and its span
+   closes after [k], so stale late packets for the tid are no longer
+   attributed to it. *)
+let retire_req t req k =
   if req.or_state <> Rq_done then begin
     req.or_state <- Rq_done;
     stop_probing t req;
     Hashtbl.remove t.out_reqs req.or_tid;
+    k ();
+    forget_causal t ~tid:req.or_tid
+  end
+
+let complete_out_req t req completion =
+  retire_req t req @@ fun () ->
     Stats.sample t.stats "req.latency_us" (Engine.now t.engine - req.or_submit_us);
     if tracing t then begin
       let status =
@@ -1214,17 +527,14 @@ let complete_out_req t req completion =
        req.or_cancel_pending <- None;
        k false
      | None -> ());
-    (callbacks t).complete_request ~tid:req.or_tid completion;
-    (* The request's span is closed; stale late packets for this tid are
-       no longer attributed to it. *)
-    forget_causal t ~tid:req.or_tid
-  end
+    (callbacks t).complete_request ~tid:req.or_tid completion
 
-let rec arm_probe t req = req.or_probe_id <- line_push t t.probe_line probe_fired ~n:0 req ()
+let rec arm_probe t req =
+  req.or_probe_id <- Delay_line.push t.probe_line ~fire:probe_fired t ~n:0 req ()
 
 and probe_fired t =
-  let req = Ring.head_a t.probe_line.ring in
-  line_next t t.probe_line probe_live;
+  let req = Delay_line.head_a t.probe_line in
+  Delay_line.next t.probe_line probe_live;
   req.or_probe_id <- -1;
   if req.or_state = Rq_delivered then begin
     if req.or_probe_outstanding then begin
@@ -1264,16 +574,8 @@ and send_remote_cancel t req k =
     (Wire.Cancel_request { tid = req.or_tid })
     ~on_done:(fun outcome ->
       match outcome with
-      | Out_cancel_reply true ->
-        if req.or_state <> Rq_done then begin
-          req.or_state <- Rq_done;
-          stop_probing t req;
-          Hashtbl.remove t.out_reqs req.or_tid;
-          k true
-        end
-        else k false
-      | Out_cancel_reply false -> k false
-      | Out_error _ | Out_acked -> k false
+      | Out_cancel_reply true when req.or_state <> Rq_done -> retire_req t req (fun () -> k true)
+      | Out_cancel_reply _ | Out_error _ | Out_acked -> k false
       | Out_timeout ->
         (* Server dead: the request itself fails CRASHED; cancel fails
            because the request "completed" first. *)
@@ -1284,11 +586,8 @@ and send_remote_cancel t req k =
    backing off, or just refused BUSY -- succeeds locally: drop it from the
    send queue and let whatever it held back go. *)
 let cancel_unsent t conn req on_done =
-  queue_filter conn.sendq (fun p -> not (p.ps_tid = req.or_tid && p.ps_kind = K_request));
-  req.or_state <- Rq_done;
-  Hashtbl.remove t.out_reqs req.or_tid;
-  start_next t conn;
-  on_done true
+  Window.drop_queued conn.tx ~tid:req.or_tid K_request;
+  retire_req t req (fun () -> on_done true)
 
 (* ---- requester: submitting --------------------------------------------- *)
 
@@ -1343,8 +642,8 @@ let submit_discover t ~tid ~pattern ~max_mids =
 let gc_live id txn () = txn.st_gc_id = id
 
 let gc_fired t =
-  let txn = Ring.head_a t.gc_line.ring in
-  line_next t t.gc_line gc_live;
+  let txn = Delay_line.head_a t.gc_line in
+  Delay_line.next t.gc_line gc_live;
   txn.st_gc_id <- -1;
   Hashtbl.remove t.srv_txns (txn.st_src, txn.st_tid);
   forget_causal t ~tid:txn.st_tid
@@ -1354,8 +653,8 @@ let gc_fired t =
 let srv_gc t txn =
   let id = txn.st_gc_id in
   txn.st_gc_id <- -1;
-  line_cancel t t.gc_line gc_live id;
-  txn.st_gc_id <- line_push t t.gc_line gc_fired ~n:0 txn ()
+  Delay_line.cancel t.gc_line gc_live id;
+  txn.st_gc_id <- Delay_line.push t.gc_line ~fire:gc_fired t ~n:0 txn ()
 
 (* A completed record lives on until its ACCEPT's send is [Resolved],
    and expires one record lifetime after that: while a dataless ACCEPT
@@ -1377,9 +676,7 @@ let accept_check_done t txn ctx =
 
 let accept_queued t txn =
   match Hashtbl.find_opt t.conns txn.st_src with
-  | Some conn ->
-    Queue.fold (fun found p -> found || (p.ps_kind = K_accept && p.ps_tid = txn.st_tid))
-      false conn.sendq
+  | Some conn -> Window.queued conn.tx ~tid:txn.st_tid K_accept
   | None -> false
 
 let data_live id _ ctx = ctx.ac_data_id = id
@@ -1387,13 +684,13 @@ let data_live id _ ctx = ctx.ac_data_id = id
 let stop_data_wait t ctx =
   let id = ctx.ac_data_id in
   ctx.ac_data_id <- -1;
-  line_cancel t t.data_line data_live id
+  Delay_line.cancel t.data_line data_live id
 
 let data_fired t =
-  let r = t.data_line.ring in
-  let live = Ring.head_id r >= t.live_from in
-  let txn = Ring.head_a r and ctx = Ring.head_b r and acked = Ring.head_n r = 1 in
-  line_next t t.data_line data_live;
+  let l = t.data_line in
+  let live = Delay_line.head_id l >= t.live_from in
+  let txn = Delay_line.head_a l and ctx = Delay_line.head_b l and acked = Delay_line.head_n l = 1 in
+  Delay_line.next l data_live;
   ctx.ac_data_id <- -1;
   if live && (not ctx.ac_done) && ctx.ac_need_data && (acked || accept_queued t txn) then begin
     Stats.incr t.stats "accept.data_timeouts";
@@ -1410,7 +707,7 @@ let data_fired t =
    behind a receive gap for longer than the lifetime. *)
 let await_put_data t txn ctx ~acked =
   stop_data_wait t ctx;
-  ctx.ac_data_id <- line_push t t.data_line data_fired ~n:(Bool.to_int acked) txn ctx
+  ctx.ac_data_id <- Delay_line.push t.data_line ~fire:data_fired t ~n:(Bool.to_int acked) txn ctx
 
 let truncate_bytes data len =
   if Bytes.length data <= len then data else Bytes.sub data 0 len
@@ -1500,9 +797,7 @@ let cancel t ~tid ~on_done =
      | Rq_delivered -> send_remote_cancel t req on_done
      | Rq_sent ->
        let conn = conn_for t req.or_dst in
-       if Queue.fold (fun found p -> found || (p.ps_tid = tid && p.ps_kind = K_request))
-            false conn.sendq
-       then cancel_unsent t conn req on_done
+       if Window.queued conn.tx ~tid K_request then cancel_unsent t conn req on_done
        else
          (* Await the acknowledgement; the outcome callback resolves us. *)
          req.or_cancel_pending <- Some on_done)
@@ -1512,17 +807,11 @@ let cancel t ~tid ~on_done =
 (* Identify a reliable message for duplicate disambiguation: after the
    sender exhausts retransmissions it reuses the slot for its NEXT
    message, so a stale-looking sequence number with a different
-   transaction id is a fresh message, not a duplicate. The identity is a
-   kind code (0: unsequenced) and the tid, two ints: nothing allocated. *)
-let key_kind body =
-  match body with
-  | Wire.Request _ -> 1
-  | Wire.Accept _ -> 2
-  | Wire.Put_data _ -> 3
-  | Wire.Cancel_request _ -> 4
-  | _ -> 0
-
-let same_message a b = key_kind a = key_kind b && tid_of_body a = tid_of_body b
+   transaction id is a fresh message, not a duplicate. The identity is
+   the wire kind and the tid, two ints: nothing allocated. *)
+let same_packet p q =
+  p.Wire.seq = q.Wire.seq && Wire.kind p.Wire.body = Wire.kind q.Wire.body
+  && Wire.tid p.Wire.body = Wire.tid q.Wire.body
 
 type recv_class =
   | In_order  (* at the window base (or no record): consume now *)
@@ -1547,7 +836,7 @@ let classify t conn pkt =
       (* every number behind the window keeps its last consume's record: a
          delayed duplicate always finds it and is never taken for reuse *)
       let cr = conn.consumed.(pkt.Wire.seq mod sspace t) in
-      if cr.cr_kind = key_kind pkt.Wire.body && cr.cr_tid = tid_of_body pkt.Wire.body
+      if cr.cr_kind = Wire.kind pkt.Wire.body && cr.cr_tid = Wire.tid pkt.Wire.body
       then Dup cr
       else Resync
     end
@@ -1566,7 +855,7 @@ let consume t conn ~resync pkt =
   let seq = pkt.Wire.seq mod sspace t (* off the wire: reduce before indexing *)
   and body = pkt.Wire.body in
   conn.recv_base <- Some (seq_next t seq);
-  let cr = { cr_kind = key_kind body; cr_tid = tid_of_body body; cr_response = None } in
+  let cr = { cr_kind = Wire.kind body; cr_tid = Wire.tid body; cr_response = None } in
   conn.consumed.(seq) <- cr;
   cr
 
@@ -1577,12 +866,7 @@ let consume t conn ~resync pkt =
    would shadow the live message (silently dropped as a "duplicate") and
    later be delivered in its place. *)
 let stash t conn pkt =
-  if
-    not
-      (List.exists
-         (fun p -> p.Wire.seq = pkt.Wire.seq && same_message p.Wire.body pkt.Wire.body)
-         conn.recv_buf)
-  then begin
+  if not (List.exists (same_packet pkt) conn.recv_buf) then begin
     let stale, live = List.partition (fun p -> p.Wire.seq = pkt.Wire.seq) conn.recv_buf in
     if stale <> [] then begin
       Stats.incr t.stats "pkt.window_stale_replaced";
@@ -1599,7 +883,7 @@ let stash t conn pkt =
     if tracing t then
       event t
         (Event.Window_buffer
-           { tid = tid_of_body pkt.Wire.body; peer = conn.peer; seq = pkt.Wire.seq;
+           { tid = Wire.tid pkt.Wire.body; peer = conn.peer; seq = pkt.Wire.seq;
              expected = base })
   end
 
@@ -1613,11 +897,7 @@ let stash t conn pkt =
    retransmission recovers it.) *)
 let flush_run_stale t conn pkt =
   if conn.recv_buf <> [] then begin
-    let keep, stale =
-      List.partition
-        (fun p -> p.Wire.seq = pkt.Wire.seq && same_message p.Wire.body pkt.Wire.body)
-        conn.recv_buf
-    in
+    let keep, stale = List.partition (same_packet pkt) conn.recv_buf in
     if stale <> [] then begin
       conn.recv_buf <- keep;
       Stats.incr t.stats "pkt.window_stale_flushed";
@@ -1627,74 +907,27 @@ let flush_run_stale t conn pkt =
 
 (* ---- responses to our own reliable sends --------------------------------- *)
 
-(* The oldest unfinished message in flight for [tid] (of [kind], if
-   given): the slots from the base on hold the sends in launch order. *)
-let find_sent ?kind t conn tid =
-  let rec go off =
-    if off = dist t conn.send_base conn.send_next then None
-    else
-      let sp = conn.outstanding.((conn.send_base + off) mod sspace t) in
-      if sp.sp_tid = tid && (not sp.sp_finished)
-         && match kind with Some k -> sp.sp_kind = k | None -> true
-      then Some sp
-      else go (off + 1)
-  in
-  go 0
-
-(* A BUSY requeues the refused request at the head of the send queue,
-   where it backs off, holding back the requests queued behind it -- or,
-   at window 1 with granted DATA queued, retries right behind the DATA. *)
 let handle_busy t conn tid =
-  match find_sent ~kind:K_request t conn tid with
-  | None -> ()
-  | Some sp ->
-    sp.sp_busy_attempts <- sp.sp_busy_attempts + 1;
-    Stats.incr t.stats "req.busy_received";
-    let behind_data =
-      win t = 1
-      && Queue.fold (fun found p -> found || p.ps_kind = K_put_data) false conn.sendq
-    in
-    let ready_at = if behind_data then 0 else Engine.now t.engine + busy_delay t sp in
-    reject_sent t conn sp (fun () ->
-        match Hashtbl.find_opt t.out_reqs tid with
-        | Some ({ or_cancel_pending = Some k; _ } as req) ->
-          (* cancelled while on the wire: the server refused it, so the
-             CANCEL wins here rather than after the retries *)
-          req.or_cancel_pending <- None;
-          cancel_unsent t conn req k
-        | Some _ | None ->
-          queue_push_front conn.sendq
-            {
-              ps_kind = sp.sp_kind;
-              ps_tid = sp.sp_tid;
-              ps_body = sp.sp_body;
-              ps_done = sp.sp_done;
-              ps_busy = sp.sp_busy_attempts;
-              ps_ready_at = ready_at;
-            };
-          if behind_data then retry_behind_data conn.sendq)
+  Window.busy conn.tx ~tid (fun () ->
+      match Hashtbl.find_opt t.out_reqs tid with
+      | Some ({ or_cancel_pending = Some k; _ } as req) ->
+        (* cancelled while on the wire: the server refused it, so the
+           CANCEL wins here rather than after the retries *)
+        req.or_cancel_pending <- None;
+        cancel_unsent t conn req k;
+        false
+      | Some _ | None -> true)
 
 let handle_error t conn tid code =
-  match find_sent t conn tid with
-  | Some sp ->
-    let k () = sp.sp_done (Out_error code) in
-    if code = Wire.Err_unadvertised then reject_sent t conn sp k
-    else resolve_consumed t conn sp k
-  | None ->
+  if not (Window.error conn.tx ~tid code) then
     (* An acked request the server held in its input buffer is withdrawn
        when the handler unadvertises before taking it (see
        [flush_buffered]); without this it would wait for the probes to
        report its healthy server CRASHED. *)
-    (match code, Hashtbl.find_opt t.out_reqs tid with
-     | Wire.Err_unadvertised, Some req
-       when req.or_state = Rq_delivered && req.or_dst = conn.peer ->
-       complete_out_req t req Comp_unadvertised
-     | _ -> ())
-
-let handle_cancel_reply t conn tid ok =
-  match find_sent ~kind:K_cancel t conn tid with
-  | None -> ()
-  | Some sp -> resolve_consumed t conn sp (fun () -> sp.sp_done (Out_cancel_reply ok))
+    match code, Hashtbl.find_opt t.out_reqs tid with
+    | Wire.Err_unadvertised, Some req when req.or_state = Rq_delivered && req.or_dst = conn.peer ->
+      complete_out_req t req Comp_unadvertised
+    | _ -> ()
 
 (* ---- consumed-body handlers ---------------------------------------------- *)
 
@@ -1758,7 +991,7 @@ let handle_cancel_request t conn cr ~tid =
       txn.st_state <- Srv_cancelled;
       srv_gc t txn;
       (match t.buffered with
-       | Some br when br.br_src = conn.peer && br.br_tid = tid -> t.buffered <- None
+       | Some p when p.Wire.src = conn.peer && Wire.tid p.Wire.body = tid -> t.buffered <- None
        | Some _ | None -> ());
       true
     | Some { st_state = Srv_cancelled; _ } -> true
@@ -1830,7 +1063,7 @@ let handle_discover_reply t src tid =
    kernels only) leaves the slot unconsumed: the packet stays parked at the
    head of the receive window, data intact, until the input buffer frees. *)
 let offer_request t conn pkt ~resync =
-  let src = pkt.Wire.src and seq = pkt.Wire.seq in
+  let src = pkt.Wire.src in
   match pkt.Wire.body with
   | Wire.Request { tid; pattern; arg; put_size; get_size; data; retry } ->
     let cb = callbacks t in
@@ -1850,7 +1083,7 @@ let offer_request t conn pkt ~resync =
     in
     (* A consumed rejection is stored and replayed on duplicates. *)
     let reject body =
-      if rejection_consumes t then
+      if Window.rejection_consumes t.cost then
         respond_consumed t conn (consume t conn ~resync pkt) body
       else emit t ~dst:(`Peer conn.peer) body
     in
@@ -1860,8 +1093,7 @@ let offer_request t conn pkt ~resync =
        reject (Wire.Error { tid; code = Wire.Err_unadvertised });
        `Done
      | `Deliver ->
-       ignore (consume t conn ~resync pkt);
-       owe_ack t conn ~hold:(ack_hold t pkt.Wire.body) seq;
+       ignore (consume_in_order t conn ~resync pkt);
        register Srv_delivered;
        Stats.incr t.stats "req.delivered";
        if tracing t then
@@ -1872,13 +1104,9 @@ let offer_request t conn pkt ~resync =
        `Done
      | `Busy ->
        if t.cost.Cost.pipelined && t.buffered = None then begin
-         ignore (consume t conn ~resync pkt);
-         owe_ack t conn ~hold:(ack_hold t pkt.Wire.body) seq;
+         ignore (consume_in_order t conn ~resync pkt);
          register Srv_buffered;
-         t.buffered <-
-           Some
-             { br_src = src; br_tid = tid; br_pattern = pattern; br_arg = arg;
-               br_put_size = put_size; br_get_size = get_size };
+         t.buffered <- Some pkt;
          Stats.incr t.stats "req.buffered";
          `Done
        end
@@ -1979,16 +1207,11 @@ let rec drain_holders t =
 
 let flush_buffered t =
   (match t.buffered with
-   | None -> ()
-   | Some br ->
-     let cb = callbacks t in
-     (match
-        cb.deliver_request ~src:br.br_src ~tid:br.br_tid ~pattern:br.br_pattern
-          ~arg:br.br_arg ~put_size:br.br_put_size ~get_size:br.br_get_size
-      with
+   | Some { Wire.src; body = Wire.Request { tid; pattern; arg; put_size; get_size; _ }; _ } ->
+     (match (callbacks t).deliver_request ~src ~tid ~pattern ~arg ~put_size ~get_size with
       | `Deliver ->
         t.buffered <- None;
-        (match Hashtbl.find_opt t.srv_txns (br.br_src, br.br_tid) with
+        (match Hashtbl.find_opt t.srv_txns (src, tid) with
          | Some txn when txn.st_state = Srv_buffered -> txn.st_state <- Srv_delivered
          | Some _ | None -> ());
         Stats.incr t.stats "req.delivered";
@@ -1996,17 +1219,16 @@ let flush_buffered t =
         if tracing t then
           event t
             (Event.Deliver
-               { tid = br.br_tid; src = br.br_src; pattern = Pattern.to_int br.br_pattern;
-                 put_size = br.br_put_size; get_size = br.br_get_size; from_buffer = true })
+               { tid; src; pattern = Pattern.to_int pattern; put_size; get_size;
+                 from_buffer = true })
       | `Busy -> ()
       | `Unadvertised ->
         t.buffered <- None;
-        (match Hashtbl.find_opt t.srv_txns (br.br_src, br.br_tid) with
-         | Some txn when txn.st_state = Srv_buffered ->
-           Hashtbl.remove t.srv_txns (br.br_src, br.br_tid)
+        (match Hashtbl.find_opt t.srv_txns (src, tid) with
+         | Some txn when txn.st_state = Srv_buffered -> Hashtbl.remove t.srv_txns (src, tid)
          | Some _ | None -> ());
-        emit t ~dst:(`Peer br.br_src)
-          (Wire.Error { tid = br.br_tid; code = Wire.Err_unadvertised })));
+        emit t ~dst:(`Peer src) (Wire.Error { tid; code = Wire.Err_unadvertised }))
+   | Some _ | None -> ());
   (* The freed handler (and possibly the freed input buffer) may unblock a
      REQUEST deferred at the head of a receive window. *)
   drain_holders t
@@ -2014,14 +1236,14 @@ let flush_buffered t =
 let process_packet t ~ctx ~bytes pkt =
   let src = pkt.Wire.src in
   Stdlib.incr t.hot.c_recv_total;
-  Stdlib.incr t.hot.recv_by_kind.(body_index pkt.Wire.body);
+  Stdlib.incr t.hot.recv_by_kind.(Wire.kind pkt.Wire.body - 1);
   (* Causal adoption: the first context-carrying packet for an unknown tid
      makes this node a child of the sender's span. Registered before the
      Rx event below so even the first receive is attributed; duplicates
      and retransmissions find the existing entry and change nothing. *)
   (match ctx with
    | Some parent ->
-     let tid = tid_of_body pkt.Wire.body in
+     let tid = Wire.tid pkt.Wire.body in
      if tid <> Event.no_tid && not (Hashtbl.mem t.tid_causal tid) then (
        match Recorder.mint_child t.recorder parent with
        | Some child -> register_causal t ~tid child
@@ -2030,10 +1252,10 @@ let process_packet t ~ctx ~bytes pkt =
   if tracing t then
     event t
       (Event.Rx
-         { tid = tid_of_body pkt.Wire.body; peer = src; pkt = pkt_of_body pkt.Wire.body;
+         { tid = Wire.tid pkt.Wire.body; peer = src; pkt = Wire.pkt pkt.Wire.body;
            bytes; seq = pkt.Wire.seq });
   let conn = conn_for t src in
-  touch t conn;
+  arm_expiry t conn;
   let cls =
     match pkt.Wire.body with
     | Wire.Request _ | Wire.Accept _ | Wire.Put_data _ | Wire.Cancel_request _ ->
@@ -2066,7 +1288,7 @@ let process_packet t ~ctx ~bytes pkt =
      piggybacked ack is suppressed and handle_error advances the window. *)
   (match pkt.Wire.ack, pkt.Wire.body with
    | Some _, Wire.Error _ -> ()
-   | Some a, _ -> apply_cum_ack t conn a
+   | Some a, _ -> Window.ack conn.tx a
    | None, _ -> ());
   match pkt.Wire.body, cls with
   | _, Some (Dup cr) -> replay_response t conn cr
@@ -2077,8 +1299,7 @@ let process_packet t ~ctx ~bytes pkt =
     mark t ~peer:conn.peer ~tid:Event.no_tid ~n:0 Event.No_sync_drop
   | Wire.Request _, Some (In_order | Resync) ->
     (match conn.recv_buf with
-     | held :: _ when held.Wire.seq = pkt.Wire.seq && same_message held.Wire.body pkt.Wire.body
-       ->
+     | held :: _ when same_packet held pkt ->
        (* retransmission of a REQUEST already deferred at the window head;
           re-offer the held original (it still carries the put data), and
           count the swallowed retransmission against the hold bound *)
@@ -2107,7 +1328,7 @@ let process_packet t ~ctx ~bytes pkt =
   | Wire.Ack, _ -> ()
   | Wire.Busy _, _ -> () (* handled above, before the cumulative ack *)
   | Wire.Error { tid; code }, _ -> handle_error t conn tid code
-  | Wire.Cancel_reply { tid; ok }, _ -> handle_cancel_reply t conn tid ok
+  | Wire.Cancel_reply { tid; ok }, _ -> Window.cancel_reply conn.tx ~tid ok
   | Wire.Probe { tid }, _ -> handle_probe t conn tid
   | Wire.Probe_reply { tid; alive }, _ -> handle_probe_reply t tid alive
   | Wire.Discover { tid; pattern }, _ -> handle_discover t src tid pattern
@@ -2116,10 +1337,10 @@ let process_packet t ~ctx ~bytes pkt =
 
 (* A frame has waited out its packet CPU: process it. *)
 let rx_fired t =
-  let r = t.rx_line.ring in
-  let live = Ring.head_id r >= t.live_from in
-  let bytes = Ring.head_n r and pkt = Ring.head_a r and ctx = Ring.head_b r in
-  line_next t t.rx_line always;
+  let l = t.rx_line in
+  let live = Delay_line.head_id l >= t.live_from in
+  let bytes = Delay_line.head_n l and pkt = Delay_line.head_a l and ctx = Delay_line.head_b l in
+  Delay_line.next l always;
   if live then process_packet t ~ctx ~bytes pkt
 
 let attach_nic t =
@@ -2133,7 +1354,7 @@ let attach_nic t =
         | Error _ -> Stats.incr t.stats "pkt.decode_errors"
         | Ok pkt ->
           charge_packet_cpu t;
-          ignore (line_push t t.rx_line rx_fired ~n:len pkt ctx))
+          ignore (Delay_line.push t.rx_line ~fire:rx_fired t ~n:len pkt ctx))
   in
   t.nic <- Some nic;
   nic
@@ -2146,17 +1367,18 @@ let create ~engine ~bus ~mid ~cost ~recorder =
      every station agrees. *)
   Bus.claim_seq_window bus ~window:(Cost.transport_window cost);
   let stats = Stats.create () in
+  let by_kind prefix =
+    Array.of_list
+      (List.map (fun p -> Stats.counter_cell stats (prefix ^ Event.pkt_name p)) Event.pkts)
+  in
   let hot =
     {
       c_sent_total = Stats.counter_cell stats "pkt.sent.total";
       c_recv_total = Stats.counter_cell stats "pkt.recv.total";
       c_standalone_acks = Stats.counter_cell stats "pkt.standalone_acks";
       c_duplicates = Stats.counter_cell stats "pkt.duplicates";
-      h_ack_wait = None;
-      sent_by_kind =
-        Array.map (fun k -> Stats.counter_cell stats ("pkt.sent." ^ k)) kind_names;
-      recv_by_kind =
-        Array.map (fun k -> Stats.counter_cell stats ("pkt.recv." ^ k)) kind_names;
+      sent_by_kind = by_kind "pkt.sent.";
+      recv_by_kind = by_kind "pkt.recv.";
       t_transmission = Stats.time_ref stats (Cost.label Cost.Transmission);
       t_protocol = Stats.time_ref stats (Cost.label Cost.Protocol);
       t_conn_timer = Stats.time_ref stats (Cost.label Cost.Conn_timer);
@@ -2168,7 +1390,9 @@ let create ~engine ~bus ~mid ~cost ~recorder =
   in
   let unset = Engine.timer engine ignore in
   let lifetime = Cost.record_expiry_us cost in
-  let t =
+  let rng = Rng.split (Engine.rng engine) in
+  let line ~delay ~fill_a ~fill_b = Delay_line.create ~tag:"proto" engine ~delay ~fill_a ~fill_b in
+  let rec t =
     {
       engine;
       bus;
@@ -2176,7 +1400,6 @@ let create ~engine ~bus ~mid ~cost ~recorder =
       cost;
       recorder;
       stats;
-      rng = Rng.split (Engine.rng engine);
       nic = None;
       cb = None;
       conns = Hashtbl.create 8;
@@ -2186,14 +1409,29 @@ let create ~engine ~bus ~mid ~cost ~recorder =
       srv_txns = Hashtbl.create 16;
       buffered = None;
       holders = Queue.create ();
-      epoch = 0;
       live_from = 0;
       unset_tm = unset;
-      tx_line = new_line ~delay:hot.packet_cpu ~fill_a:Bytes.empty ~fill_b:None unset;
-      rx_line = new_line ~delay:hot.packet_cpu ~fill_a:no_pkt ~fill_b:None unset;
-      probe_line = new_line ~delay:cost.Cost.probe_interval_us ~fill_a:no_req ~fill_b:() unset;
-      gc_line = new_line ~delay:lifetime ~fill_a:no_txn ~fill_b:() unset;
-      data_line = new_line ~delay:lifetime ~fill_a:no_txn ~fill_b:no_ctx unset;
+      window_env =
+        {
+          Window.engine;
+          bus;
+          cost;
+          rng;
+          stats;
+          recorder;
+          event = (fun kind -> event t kind);
+          transmit =
+            (fun peer ~seq ~run body -> emit t ~dst:(`Peer peer) ~reliable:true ~seq ~run body);
+          hold_ack = (fun peer -> hold_ack t peer);
+          release_ack = (fun peer -> release_ack t peer);
+          defer = (fun ~delay fn -> defer t ~delay fn);
+          unset;
+        };
+      tx_line = line ~delay:hot.packet_cpu ~fill_a:Bytes.empty ~fill_b:None;
+      rx_line = line ~delay:hot.packet_cpu ~fill_a:no_pkt ~fill_b:None;
+      probe_line = line ~delay:cost.Cost.probe_interval_us ~fill_a:no_req ~fill_b:();
+      gc_line = line ~delay:lifetime ~fill_a:no_txn ~fill_b:();
+      data_line = line ~delay:lifetime ~fill_a:no_txn ~fill_b:no_ctx;
       tid_causal = Hashtbl.create 16;
       hot;
     }
@@ -2205,20 +1443,18 @@ let set_callbacks t cb = t.cb <- Some cb
 (* ---- reset ---------------------------------------------------------------- *)
 
 let reset t =
-  t.epoch <- t.epoch + 1;
   Hashtbl.iter
     (fun _ conn ->
-      Engine.disarm t.engine conn.retrans_tm;
-      Engine.disarm t.engine conn.wake_tm;
+      Window.stop conn.tx;
       Engine.disarm t.engine conn.ack_tm;
       Engine.disarm t.engine conn.expiry_tm)
     t.conns;
   (* Probes and record GC are withdrawn. Frames and put-data waits already
      queued still come due, and count as fired events like a one-shot of
-     the old epoch, but are dropped then: no frame of this incarnation
-     reaches the bus after the reset. *)
-  line_reset t t.probe_line;
-  line_reset t t.gc_line;
+     the old incarnation, but are dropped then: no frame of this
+     incarnation reaches the bus after the reset. *)
+  Delay_line.reset t.probe_line;
+  Delay_line.reset t.gc_line;
   t.live_from <- (Engine.counters t.engine).Engine.scheduled;
   Hashtbl.reset t.conns;
   Hashtbl.reset t.out_reqs;
@@ -2240,21 +1476,15 @@ let outstanding_requests t = Hashtbl.length t.out_reqs + Hashtbl.length t.discov
 (* Congestion-control introspection, for the test suites. *)
 let effective_window t ~peer =
   match Hashtbl.find_opt t.conns peer with
-  | Some conn -> eff_win t conn
+  | Some conn -> Window.effective conn.tx
   | None -> win t
 
-let cwnd t ~peer =
-  match Hashtbl.find_opt t.conns peer with
-  | Some conn -> Some conn.cwnd
-  | None -> None
+let cwnd t ~peer = Option.map (fun conn -> Window.cwnd conn.tx) (Hashtbl.find_opt t.conns peer)
 
 let delay_lines t =
-  let n line = Ring.length line.ring in
+  let n = Delay_line.length in
   [ ("tx", n t.tx_line); ("rx", n t.rx_line); ("probe", n t.probe_line); ("gc", n t.gc_line);
     ("data", n t.data_line) ]
 
 let rtt_estimate_us t ~peer =
-  match Hashtbl.find_opt t.conns peer with
-  | Some conn when conn.srtt_us > 0.0 ->
-    Some (int_of_float conn.srtt_us, int_of_float conn.rttvar_us)
-  | _ -> None
+  Option.bind (Hashtbl.find_opt t.conns peer) (fun conn -> Window.rtt_estimate_us conn.tx)

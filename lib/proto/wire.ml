@@ -122,7 +122,8 @@ let get_data_field r =
 
 (* --- kinds ------------------------------------------------------------ *)
 
-let kind_of_body = function
+(* The codes follow the order of [Event.pkts]. *)
+let kind = function
   | Request _ -> 1
   | Accept _ -> 2
   | Put_data _ -> 3
@@ -135,6 +136,24 @@ let kind_of_body = function
   | Probe_reply _ -> 10
   | Discover _ -> 11
   | Discover_reply _ -> 12
+
+let pkt_by_kind = Array.of_list Soda_obs.Event.pkts
+
+let pkt body = pkt_by_kind.(kind body - 1)
+
+let tid = function
+  | Request { tid; _ }
+  | Accept { tid; _ }
+  | Put_data { tid; _ }
+  | Busy { tid }
+  | Error { tid; _ }
+  | Cancel_request { tid }
+  | Cancel_reply { tid; _ }
+  | Probe { tid }
+  | Probe_reply { tid; _ }
+  | Discover { tid; _ }
+  | Discover_reply { tid } -> tid
+  | Ack -> Soda_obs.Event.no_tid
 
 let err_to_int = function Err_unadvertised -> 0 | Err_crashed -> 1 | Err_cancelled -> 2
 
@@ -200,7 +219,7 @@ let encode_into t buf ~off =
     match t.body with Accept { need_put_data; _ } -> need_put_data | _ -> false
   in
   let p = off in
-  let p = w8 buf p (kind_of_body t.body) in
+  let p = w8 buf p (kind t.body) in
   let p = w8 buf p (flags t ~retry ~need_put_data) in
   let p = w16 buf p t.src in
   let p = if seq_ext t <> 0 then w8 buf p (seq_ext t) else p in
@@ -334,8 +353,7 @@ let decode_sub bytes ~off ~len =
 
 let decode bytes = decode_sub bytes ~off:0 ~len:(Bytes.length bytes)
 
-let data_bytes t =
-  match t.body with
+let data_bytes = function
   | Request { data; _ } | Accept { data; _ } | Put_data { data; _ } -> Bytes.length data
   | Ack | Busy _ | Error _ | Cancel_request _ | Cancel_reply _ | Probe _ | Probe_reply _
   | Discover _ | Discover_reply _ -> 0

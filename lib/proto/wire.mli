@@ -97,7 +97,17 @@ val decode : bytes -> (t, string) result
 val decode_sub : bytes -> off:int -> len:int -> (t, string) result
 
 (** Number of payload-data bytes carried (for accounting). *)
-val data_bytes : t -> int
+val data_bytes : body -> int
+
+(** The wire's kind code, from 1: its position in
+    {!Soda_obs.Event.pkts}. *)
+val kind : body -> int
+
+(** The kind as traced. *)
+val pkt : body -> Soda_obs.Event.pkt
+
+(** The transaction a body names; [Event.no_tid] for a bare ACK. *)
+val tid : body -> int
 
 (** Short human-readable form for traces: "REQ#12+800B" etc. *)
 val describe : t -> string

@@ -198,8 +198,28 @@ let test_withdrawn_buffered_request ~window () =
 
 (* ---- cancel ---------------------------------------------------------------------- *)
 
+(* The requester's records of [tid]: whether its causal context is
+   registered, and how many requests the kernel and the transport each
+   count as outstanding. *)
+let records kernel tid =
+  let tr = Kernel.transport kernel in
+  (Transport.causal_ctx tr ~tid <> None, Kernel.outstanding kernel,
+   Transport.outstanding_requests tr)
+
+(* A successful CANCEL leaves no record of the request behind: sampled
+   before the CANCEL and a millisecond after it, while the client lives. *)
+let check_cancel_forgotten sampled =
+  match sampled with
+  | None -> Alcotest.fail "the CANCEL was never issued"
+  | Some ((ctx_before, _, _), (ctx_after, kernel, transport)) ->
+    Alcotest.(check bool) "the request had a causal context" true ctx_before;
+    Alcotest.(check bool) "the cancelled request's causal context is gone" false ctx_after;
+    Alcotest.(check int) "kernel and transport count the same outstanding requests" transport
+      kernel
+
 let test_cancel_before_accept () =
   let net, kernels = make_net 2 in
+  Recorder.set_causal (Network.recorder net) true;
   let k0 = List.nth kernels 0 in
   (* Server records the request but never accepts until told. *)
   let asker = ref None in
@@ -221,9 +241,10 @@ let test_cancel_before_accept () =
                (status = Types.Accept_cancelled));
        });
   let cancel_ok = ref false in
-  let completion_seen = ref false in
+  let completion_seen = ref false and sampled = ref None in
+  let k1 = List.nth kernels 1 in
   ignore
-    (Sodal.attach (List.nth kernels 1)
+    (Sodal.attach k1
        {
          Sodal.default_spec with
          on_completion = (fun _ _ -> completion_seen := true);
@@ -232,12 +253,16 @@ let test_cancel_before_accept () =
              let sv = Sodal.server ~mid:0 ~pattern:patt in
              let tid = Sodal.signal env sv ~arg:0 in
              Sodal.compute env 100_000;
+             let before = records k1 tid in
              cancel_ok := Sodal.cancel env tid;
+             Sodal.compute env 1_000;
+             sampled := Some (before, records k1 tid);
              Sodal.compute env 2_000_000);
        });
   run ~horizon:600.0 net;
   Alcotest.(check bool) "cancel succeeded" true !cancel_ok;
-  Alcotest.(check bool) "no completion after successful cancel" false !completion_seen
+  Alcotest.(check bool) "no completion after successful cancel" false !completion_seen;
+  check_cancel_forgotten !sampled
 
 (* Window 1, non-pipelined: a CANCEL of a request that bounces BUSY kills
    it locally -- the server never took delivery -- and the connection
@@ -247,6 +272,7 @@ let test_cancel_before_accept () =
 let cancel_busy_request ~on_wire () =
   let cost = { Cost.non_pipelined with Cost.window = 1 } in
   let net, kernels = make_net ~seed:11 ~cost 2 in
+  Recorder.set_causal (Network.recorder net) true;
   let seen = ref [] in
   ignore
     (Sodal.attach (List.nth kernels 0)
@@ -260,9 +286,10 @@ let cancel_busy_request ~on_wire () =
              ignore (Sodal.accept_current_signal env ~arg:0));
        });
   let cancel_ok = ref false and cancelled_completed = ref false and last = ref None in
-  let cancel_us = ref 0 in
+  let cancel_us = ref 0 and sampled = ref None in
+  let k1 = List.nth kernels 1 in
   ignore
-    (Sodal.attach (List.nth kernels 1)
+    (Sodal.attach k1
        {
          Sodal.default_spec with
          task =
@@ -279,9 +306,12 @@ let cancel_busy_request ~on_wire () =
                while Stats.counter stats "req.busy_received" = 0 do
                  Sodal.compute env 100
                done;
+             let before = records k1 second in
              let t0 = Sodal.now env in
              cancel_ok := Sodal.cancel env second;
              cancel_us := Sodal.now env - t0;
+             Sodal.compute env 1_000;
+             sampled := Some (before, records k1 second);
              let c = Sodal.b_signal env sv ~arg:3 in
              last := Some c.Sodal.status);
        });
@@ -291,7 +321,8 @@ let cancel_busy_request ~on_wire () =
   Alcotest.(check (list int)) "the handler never saw the cancelled request" [ 1; 3 ]
     (List.rev !seen);
   Alcotest.(check bool) "next request completes OK" true (!last = Some Sodal.Comp_ok);
-  Alcotest.(check bool) "cancel resolved within one round trip" true (!cancel_us < 10_000)
+  Alcotest.(check bool) "cancel resolved within one round trip" true (!cancel_us < 10_000);
+  check_cancel_forgotten !sampled
 
 let test_cancel_after_completion_fails () =
   let net, kernels = make_net 2 in

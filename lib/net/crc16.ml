@@ -1,19 +1,52 @@
-let table =
-  lazy
-    (Array.init 256 (fun byte ->
-         let crc = ref (byte lsl 8) in
-         for _ = 0 to 7 do
-           if !crc land 0x8000 <> 0 then crc := ((!crc lsl 1) lxor 0x1021) land 0xFFFF
-           else crc := (!crc lsl 1) land 0xFFFF
-         done;
-         !crc))
+(* Slicing-by-8 (Kounavis & Berry, ISCC 2005). [tab.(k * 256 + b)] is the
+   CRC contribution of byte [b] followed by [k] zero bytes, for k = 0..7;
+   row 0 is the classic bytewise table. The CRC is linear, so eight bytes
+   fold in at once as the XOR of eight independent lookups, with the
+   register's high and low bytes XORed into the first two. *)
+let tab =
+  let t = Array.make (8 * 256) 0 in
+  for b = 0 to 255 do
+    let crc = ref (b lsl 8) in
+    for _ = 0 to 7 do
+      if !crc land 0x8000 <> 0 then crc := ((!crc lsl 1) lxor 0x1021) land 0xFFFF
+      else crc := (!crc lsl 1) land 0xFFFF
+    done;
+    t.(b) <- !crc
+  done;
+  for k = 1 to 7 do
+    for b = 0 to 255 do
+      let x = t.(((k - 1) * 256) + b) in
+      t.((k * 256) + b) <- ((x lsl 8) land 0xFFFF) lxor t.(x lsr 8)
+    done
+  done;
+  t
+
+(* Unchecked loads: [compute] checks its whole range once, up front. A
+   top-level function, not a closure over the buffer, so the loop
+   allocates nothing. *)
+let[@inline] byte bytes i = Char.code (Bytes.unsafe_get bytes i)
+let[@inline] row k i = Array.unsafe_get tab ((k * 256) + i)
 
 let compute bytes ~off ~len =
-  let table = Lazy.force table in
-  let crc = ref 0xFFFF in
-  for i = off to off + len - 1 do
-    let byte = Char.code (Bytes.get bytes i) in
-    crc := ((!crc lsl 8) lxor table.(((!crc lsr 8) lxor byte) land 0xFF)) land 0xFFFF
+  if off < 0 || len < 0 || off > Bytes.length bytes - len then
+    invalid_arg "Crc16.compute: range outside the buffer";
+  let stop = off + len in
+  let crc = ref 0xFFFF and i = ref off in
+  while !i + 8 <= stop do
+    let p = !i and c = !crc in
+    crc :=
+      row 7 ((c lsr 8) lxor byte bytes p)
+      lxor row 6 ((c land 0xFF) lxor byte bytes (p + 1))
+      lxor row 5 (byte bytes (p + 2))
+      lxor row 4 (byte bytes (p + 3))
+      lxor row 3 (byte bytes (p + 4))
+      lxor row 2 (byte bytes (p + 5))
+      lxor row 1 (byte bytes (p + 6))
+      lxor row 0 (byte bytes (p + 7));
+    i := p + 8
+  done;
+  for p = !i to stop - 1 do
+    crc := ((!crc lsl 8) land 0xFFFF) lxor row 0 ((!crc lsr 8) lxor byte bytes p)
   done;
   !crc
 

@@ -1,9 +1,18 @@
 (** CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF), as computed by the
     simulated Megalink interface to detect transmission errors. A frame
     whose CRC does not match is silently discarded by the receiving NIC,
-    exactly as in §5.2.2 of the paper. *)
+    exactly as in §5.2.2 of the paper.
 
-(** [compute bytes ~off ~len] returns the 16-bit checksum. *)
+    Computed by slicing-by-8 (Kounavis & Berry, ISCC 2005): eight
+    independent table lookups fold in eight bytes at a time, and a tail
+    shorter than eight bytes goes through the bytewise table. The result is
+    the same as the bytewise algorithm's, and {!compute}, {!seal} and
+    {!payload_len} allocate nothing. *)
+
+(** [compute bytes ~off ~len] returns the 16-bit checksum of
+    [bytes.[off .. off+len-1]].
+    @raise Invalid_argument when [off] or [len] is negative or the range
+    runs past the end of [bytes]. *)
 val compute : bytes -> off:int -> len:int -> int
 
 (** [append payload] returns [payload] with its 2-byte big-endian CRC

@@ -482,7 +482,10 @@ and resolve w m k =
   retire w m;
   if w.base = m.seq then begin
     w.base <- (m.seq + 1) mod space w;
-    if w.in_flight = 0 then w.next <- w.base
+    (* a parked ack covers slots the peer consumed behind us: its walk
+       below clears them and then rewinds [next], so that their numbers
+       are never launched again *)
+    if w.in_flight = 0 && w.parked_ack = None then w.next <- w.base
   end
   else begin
     (* an unresolved CANCEL ahead of us holds the base; fold our slot

@@ -44,6 +44,90 @@ let prop_crc_detects_single_flip =
       Bytes.set wire pos (Char.chr (Char.code (Bytes.get wire pos) lxor flip));
       Crc16.check wire = None)
 
+(* The bytewise CRC-16/CCITT-FALSE that [Crc16.compute] replaced: one
+   table lookup per byte, in one serial chain. The sliced CRC must agree
+   with it everywhere. *)
+let reference_table =
+  Array.init 256 (fun byte ->
+      let crc = ref (byte lsl 8) in
+      for _ = 0 to 7 do
+        if !crc land 0x8000 <> 0 then crc := ((!crc lsl 1) lxor 0x1021) land 0xFFFF
+        else crc := (!crc lsl 1) land 0xFFFF
+      done;
+      !crc)
+
+let reference_crc bytes ~off ~len =
+  let crc = ref 0xFFFF in
+  for i = off to off + len - 1 do
+    let byte = Char.code (Bytes.get bytes i) in
+    crc := ((!crc lsl 8) lxor reference_table.(((!crc lsr 8) lxor byte) land 0xFF)) land 0xFFFF
+  done;
+  !crc
+
+(* Random contents, a random offset into the buffer and a length of 0 to
+   4,200 bytes: a length of [8 q + r] leaves a tail of [r] bytes for the
+   bytewise loop. *)
+let prop_crc_matches_bytewise =
+  QCheck.Test.make ~name:"sliced crc equals the bytewise crc" ~count:400
+    QCheck.(triple (int_range 0 525) (int_range 0 7) (pair (int_range 0 63) int))
+    (fun (q, r, (off, seed)) ->
+      let len = (8 * q) + r in
+      let rng = Random.State.make [| seed |] in
+      let buf =
+        Bytes.init (off + len + Random.State.int rng 9) (fun _ ->
+            Char.chr (Random.State.int rng 256))
+      in
+      Crc16.compute buf ~off ~len = reference_crc buf ~off ~len)
+
+(* Every tail length at every alignment, deterministically. *)
+let test_crc_every_residue () =
+  let buf = Bytes.init 4_300 (fun i -> Char.chr (((i * 131) + (i lsr 8)) land 0xFF)) in
+  for off = 0 to 8 do
+    for len = 0 to 80 do
+      Alcotest.(check int) (Printf.sprintf "off %d len %d" off len)
+        (reference_crc buf ~off ~len) (Crc16.compute buf ~off ~len)
+    done;
+    for len = 4_192 to 4_200 do
+      Alcotest.(check int) (Printf.sprintf "off %d len %d" off len)
+        (reference_crc buf ~off ~len) (Crc16.compute buf ~off ~len)
+    done
+  done
+
+let test_crc_range_checked () =
+  let buf = Bytes.make 16 'x' in
+  List.iter
+    (fun (off, len) ->
+      match Crc16.compute buf ~off ~len with
+      | _ -> Alcotest.failf "off %d len %d accepted" off len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 4); (0, -1); (0, 17); (13, 4); (17, 0); (1, max_int); (max_int, 1) ];
+  Alcotest.(check int) "an empty range at the end is the initial value" 0xFFFF
+    (Crc16.compute buf ~off:16 ~len:0)
+
+(* The CRC runs twice per frame, so it must not allocate: 10,000 rounds
+   of [compute], [seal] and [payload_len] on a 4 KB buffer allocate
+   nothing beyond the boxed floats of the measurement itself. *)
+let[@inline never] crc_rounds wire n =
+  let len = Bytes.length wire - 2 in
+  let acc = ref 0 in
+  for _ = 1 to n do
+    acc := !acc lxor Crc16.compute wire ~off:1 ~len:(len - 1);
+    Crc16.seal wire ~len;
+    acc := !acc lxor Crc16.payload_len wire
+  done;
+  !acc
+
+let test_crc_allocates_nothing () =
+  let wire = Bytes.init 4_096 (fun i -> Char.chr (i land 0xFF)) in
+  ignore (crc_rounds wire 10);
+  let before = Gc.minor_words () in
+  let acc = crc_rounds wire 10_000 in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "the sealed frame verifies" 4_094 (Crc16.payload_len wire);
+  ignore (Sys.opaque_identity acc);
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words over 10,000 rounds" words) true
+    (words < 8.0)
+
 (* ---- bus / nic -------------------------------------------------------------- *)
 
 let setup ?(config = Bus.default_config) () =
@@ -290,6 +374,10 @@ let suites =
         Alcotest.test_case "short frame" `Quick test_crc_short_frame;
         QCheck_alcotest.to_alcotest prop_crc_roundtrip;
         QCheck_alcotest.to_alcotest prop_crc_detects_single_flip;
+        QCheck_alcotest.to_alcotest prop_crc_matches_bytewise;
+        Alcotest.test_case "every tail length and alignment" `Quick test_crc_every_residue;
+        Alcotest.test_case "range checked up front" `Quick test_crc_range_checked;
+        Alcotest.test_case "no allocation" `Quick test_crc_allocates_nothing;
       ] );
     ( "net.bus",
       [

@@ -902,6 +902,91 @@ let test_refused_slot_cleared_on_cancel_reply () =
       (Hashtbl.find seen 4, 1) advance
   | None -> Alcotest.fail "the window never advanced after the reply"
 
+(* The BUSY case when the refused REQUEST is the last one in flight:
+   REQUEST 2, a CANCEL of 1 and REQUEST 3 go out in slots 1-3, the peer
+   acks slot 1 on a BUSY for REQUEST 3, and the Cancel_reply follows
+   with no ack. The peer consumed slot 3 when it refused it, so the
+   parked ack must clear it as the CANCEL resolves, and REQUEST 3 must
+   relaunch on slot 4. Relaunched on slot 3 instead, it would reach the
+   peer as a duplicate, which replays its BUSY. *)
+let test_refused_last_slot_relaunches_fresh () =
+  let engine = Engine.create ~seed:29 () in
+  let recorder = Recorder.create ~tracing:true () in
+  let bus = Bus.create engine in
+  let cost = { Cost.default with Cost.window = 4; maxrequests = 8; aimd = false } in
+  let t = Transport.create ~engine ~bus ~mid:0 ~cost ~recorder in
+  Transport.set_callbacks t
+    {
+      Transport.deliver_request = (fun ~src:_ ~tid:_ ~pattern:_ ~arg:_ ~put_size:_ ~get_size:_ -> `Deliver);
+      complete_request = (fun ~tid:_ _ -> ());
+      advertised = (fun _ -> true);
+      classify_unknown_tid = (fun _ -> `Stale);
+    };
+  ignore (Transport.attach_nic t);
+  let submit tid =
+    Transport.submit_request t ~dst:1 ~tid ~pattern:patt ~arg:0 ~put_data:Bytes.empty
+      ~get_size:0
+  in
+  (* first copies' slots, by tid: REQUESTs as positive tids, the CANCEL
+     as -1; every slot REQUEST 3 arrived on; the slots the peer consumed,
+     and how many arrivals came on one of them again *)
+  let seen = Hashtbl.create 8 and slots_of_3 = ref [] and duplicates = ref 0 in
+  let consumed = ref [] and peer = ref None in
+  let send ?ack body =
+    Nic.send (Option.get !peer) ~dst:0
+      (Wire.encode { Wire.src = 1; reliable = false; seq = 0; ack; run = false; body })
+  in
+  peer :=
+    Some
+      (Nic.attach bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ payload ->
+           match Wire.decode payload with
+           | Ok { Wire.body = Wire.Probe { tid }; _ } ->
+             send (Wire.Probe_reply { tid; alive = true })
+           | Ok ({ Wire.body = Wire.Request { tid; _ } | Wire.Cancel_request { tid }; seq; _ } as
+                 pkt) ->
+             let id = match pkt.Wire.body with Wire.Cancel_request _ -> -tid | _ -> tid in
+             let first = not (Hashtbl.mem seen id) in
+             if first then Hashtbl.replace seen id seq;
+             if id = 3 then slots_of_3 := seq :: !slots_of_3;
+             if List.mem seq !consumed then begin
+               (* a consumed slot again: replay the BUSY it was refused with *)
+               incr duplicates;
+               send (Wire.Busy { tid })
+             end
+             else if id = 1 || (id = 3 && not first) then begin
+               consumed := seq :: !consumed;
+               send ~ack:seq Wire.Ack
+             end
+             else if first && List.for_all (Hashtbl.mem seen) [ 2; -1; 3 ] then begin
+               consumed := seq :: Hashtbl.find seen 2 :: !consumed;
+               send ~ack:(Hashtbl.find seen 2) (Wire.Busy { tid = 3 });
+               Engine.schedule engine ~delay:2_000 (fun () ->
+                   send (Wire.Cancel_reply { tid = 1; ok = true }))
+             end
+           | Ok _ | Error _ -> ()));
+  let cancelled = ref None in
+  submit 1;
+  Engine.schedule engine ~delay:50_000 (fun () ->
+      submit 2;
+      Transport.cancel t ~tid:1 ~on_done:(fun ok -> cancelled := Some ok);
+      submit 3);
+  ignore (Engine.run ~until:400_000 engine);
+  let events = Recorder.events recorder in
+  Alcotest.(check (option bool)) "the CANCEL succeeded" (Some true) !cancelled;
+  Alcotest.(check (list int)) "every REQUEST acked once, in order" [ 1; 2; 3 ]
+    (List.filter_map
+       (fun e ->
+         match e.Event.kind with
+         | Event.Acked { tid; pkt = Event.P_request; _ } -> Some tid
+         | _ -> None)
+       events);
+  let refused = Hashtbl.find seen 3 in
+  Alcotest.(check (list int)) "the relaunch took a fresh sequence number"
+    [ refused; refused + 1 ] (List.rev !slots_of_3);
+  Alcotest.(check int) "the peer saw no duplicate" 0 !duplicates;
+  Alcotest.(check int) "nothing left outstanding but REQUESTs 2 and 3" 2
+    (Transport.outstanding_requests t)
+
 let suites =
   [
     ( "proto.window",
@@ -935,5 +1020,7 @@ let suites =
           (cancel_in_window ~busy:true);
         Alcotest.test_case "W=4 a CANCEL reply clears the slot refused behind it" `Quick
           test_refused_slot_cleared_on_cancel_reply;
+        Alcotest.test_case "W=4 a refused last slot relaunches on a fresh number" `Quick
+          test_refused_last_slot_relaunches_fresh;
       ] );
   ]

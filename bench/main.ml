@@ -112,6 +112,58 @@ let bench_out file =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   Filename.concat dir file
 
+(* ---- Gated records ---------------------------------------------------------------- *)
+
+module Json = Soda_obs.Json
+
+(* A figure as the table prints it: rounded to [digits] decimals. *)
+let fixed digits x =
+  let k = 10.0 ** float_of_int digits in
+  Json.Float (Float.round (x *. k) /. k)
+
+let rounded x = Json.Int (Float.to_int (Float.round x))
+
+(* A gate is its name in the record, its verdict and what it checks. *)
+type gate = string * bool * string
+
+(* Write [fields] and the gates' verdicts as one JSON object to
+   _bench_out/[file], print every gate, and exit 1 if any failed. CI runs
+   the gated sections on every push and uploads the records. *)
+let report file fields (gates : gate list) =
+  let path = bench_out file in
+  let verdicts = List.map (fun (name, ok, _) -> (name, Json.Bool ok)) gates in
+  let oc = open_out path in
+  output_string oc (Json.to_string (Json.Obj (fields @ [ ("gates", Json.Obj verdicts) ])));
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "\n    wrote %s\n" path;
+  List.iter
+    (fun (_, ok, what) ->
+      Printf.printf "    %s: %s\n" (if ok then "gate OK" else "GATE FAILED") what)
+    gates;
+  if not (List.for_all (fun (_, ok, _) -> ok) gates) then exit 1
+
+(* The engine's profiling counters after a run, shared by PROFILE and
+   SCALE. *)
+let engine_fields engine ~virtual_us =
+  let module Engine = Soda_sim.Engine in
+  let fired = (Engine.counters engine).Engine.fired in
+  let minor, promoted, major = Engine.gc_words engine in
+  Json.
+    [ ("fired", Int fired); ("virtual_us", Int virtual_us);
+      ("wall_us", rounded (Engine.wall_seconds engine *. 1e6));
+      ("events_per_sec", rounded (Engine.events_per_sec engine));
+      ("heap_highwater", Int (Engine.heap_highwater engine)); ("gc_minor_words", rounded minor);
+      ("gc_promoted_words", rounded promoted); ("gc_major_words", rounded major);
+      ("gc_words_per_event", fixed 1 (if fired = 0 then 0.0 else minor /. float_of_int fired));
+      ("tags", Obj (List.map (fun (tag, n) -> (tag, Int n)) (Engine.tag_counts engine))) ]
+
+(* Events/sec is a wall-clock ratio: zero means the clock did not advance. *)
+let events_measured engines =
+  ( "events_per_sec_measured",
+    List.for_all (fun e -> Soda_sim.Engine.events_per_sec e > 0.0) engines,
+    "events/sec measured at every size (the wall clock advanced)" )
+
 let trace_section () =
   hr "TRACE. Chrome trace_event exports (PUT / GET / EXCHANGE, 100 words)";
   List.iter
@@ -365,34 +417,23 @@ let window_section () =
   let find w = List.find (fun (w', _, _, _, _) -> w' = w) rows in
   let _, _, goodput1, signal1, _ = find 1 in
   let _, _, goodput8, _, _ = find 8 in
-  (* machine-readable record of the sweep + the gate verdicts *)
-  let w1_ok = signal1 <= seed_t2s_ms *. t2s_tolerance in
-  let w8_ok = goodput8 >= 2.0 *. goodput1 in
-  let path = bench_out "BENCH_pr5.json" in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"seed_t2s_ms\": %.2f,\n  \"window_sweep\": [\n" seed_t2s_ms;
-  List.iteri
-    (fun i (w, stream_ms, goodput, signal_ms, pkts) ->
-      Printf.fprintf oc
-        "    { \"window\": %d, \"stream_ms\": %.1f, \"stream_goodput_kbs\": %.1f, \
-         \"signal_ms_per_op\": %.2f, \"packets_per_signal\": %.2f }%s\n"
-        w stream_ms goodput signal_ms pkts
-        (if i < List.length rows - 1 then "," else ""))
-    rows;
-  Printf.fprintf oc
-    "  ],\n  \"gates\": { \"w1_t2s_no_regression\": %b, \"w8_stream_2x\": %b }\n}\n"
-    w1_ok w8_ok;
-  close_out oc;
-  Printf.printf "\n    wrote %s\n" path;
-  if not w1_ok then
-    Printf.printf
-      "    GATE FAILED: W=1 SIGNAL %.2f ms/op exceeds seed T2S %.2f ms (+%.0f%% cap)\n"
-      signal1 seed_t2s_ms ((t2s_tolerance -. 1.0) *. 100.0);
-  if not w8_ok then
-    Printf.printf "    GATE FAILED: W=8 goodput %.1f KB/s < 2x W=1 goodput %.1f KB/s\n"
-      goodput8 goodput1;
-  if not (w1_ok && w8_ok) then exit 1;
-  Printf.printf "    gates OK: W=1 matches the stop-and-wait seed; W=8 >= 2x stream goodput\n"
+  let row (w, stream_ms, goodput, signal_ms, pkts) =
+    Json.(
+      Obj
+        [ ("window", Int w); ("stream_ms", fixed 1 stream_ms);
+          ("stream_goodput_kbs", fixed 1 goodput); ("signal_ms_per_op", fixed 2 signal_ms);
+          ("packets_per_signal", fixed 2 pkts) ])
+  in
+  report "BENCH_pr5.json"
+    Json.[ ("seed_t2s_ms", fixed 2 seed_t2s_ms); ("window_sweep", Arr (List.map row rows)) ]
+    [ ( "w1_t2s_no_regression",
+        signal1 <= seed_t2s_ms *. t2s_tolerance,
+        Printf.sprintf "W=1 SIGNAL %.2f ms/op within seed T2S %.2f ms (+%.0f%% cap)" signal1
+          seed_t2s_ms ((t2s_tolerance -. 1.0) *. 100.0) );
+      ( "w8_stream_2x",
+        goodput8 >= 2.0 *. goodput1,
+        Printf.sprintf "W=8 goodput %.1f KB/s >= 2x W=1 goodput %.1f KB/s" goodput8 goodput1 )
+    ]
 
 (* ---- INCAST: many-to-one convergence, static vs adaptive RTO ------------------------ *)
 
@@ -532,56 +573,42 @@ let incast_section () =
           incast_clients)
       incast_seeds
   in
-  let violations = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
-  List.iter
-    (fun (seed, clients, s, a) ->
-      let bound = incast_p99_bound_ms clients in
-      List.iter
-        (fun (label, r) ->
-          if r.failed > 0 then
-            fail "seed %d, %d clients: %s failed %d SIGNALs" seed clients label r.failed;
-          if r.p99_ms > bound then
-            fail "seed %d, %d clients: %s p99 %.1f ms > %.0f ms" seed clients label r.p99_ms
-              bound)
-        [ ("static", s); ("adaptive", a) ];
-      if a.goodput < s.goodput then
-        fail "seed %d, %d clients: adaptive goodput %.1f < static %.1f ops/s" seed clients
-          a.goodput s.goodput)
-    rows;
+  let all f = List.for_all f rows in
   let _, _, _, adaptive16 =
     List.find (fun (seed, c, _, _) -> seed = 73 && c = 16) rows
   in
   Printf.printf "\n  adaptive timer-retransmit ratio at 16 clients, seed 73: %.1f%%\n"
     (100.0 *. adaptive16.retx_ratio);
-  if adaptive16.retx_ratio > 0.15 then
-    fail "adaptive 16-client retransmit ratio %.1f%% > 15%%" (100.0 *. adaptive16.retx_ratio);
-  let violations = List.rev !violations in
-  let path = bench_out "BENCH_pr10.json" in
-  let oc = open_out path in
   let point r =
-    Printf.sprintf
-      "{ \"goodput_ops_s\": %.1f, \"failed\": %d, \"op_p50_ms\": %.1f, \"op_p99_ms\": %.1f, \
-       \"retx_timer_ratio\": %.4f }"
-      r.goodput r.failed r.p50_ms r.p99_ms r.retx_ratio
+    Json.(
+      Obj
+        [ ("goodput_ops_s", fixed 1 r.goodput); ("failed", Int r.failed);
+          ("op_p50_ms", fixed 1 r.p50_ms); ("op_p99_ms", fixed 1 r.p99_ms);
+          ("retx_timer_ratio", fixed 4 r.retx_ratio) ])
   in
-  Printf.fprintf oc "{\n  \"ops_per_client\": %d,\n  \"incast\": [\n" incast_ops;
-  List.iteri
-    (fun i (seed, clients, s, a) ->
-      Printf.fprintf oc
-        "    { \"seed\": %d, \"clients\": %d, \"op_p99_bound_ms\": %.0f,\n      \
-         \"static\": %s,\n      \"adaptive\": %s }%s\n"
-        seed clients (incast_p99_bound_ms clients) (point s) (point a)
-        (if i < List.length rows - 1 then "," else ""))
-    rows;
-  Printf.fprintf oc "  ],\n  \"gates_ok\": %b\n}\n" (violations = []);
-  close_out oc;
-  Printf.printf "\n    wrote %s\n" path;
-  List.iter (Printf.printf "    GATE FAILED: %s\n") violations;
-  if violations <> [] then exit 1;
-  Printf.printf
-    "    gates OK: no failed SIGNAL, adaptive >= static goodput and p99 within bound at \
-     every point; adaptive retransmit ratio at 16 clients <= 15%%\n"
+  let row (seed, clients, s, a) =
+    Json.(
+      Obj
+        [ ("seed", Int seed); ("clients", Int clients);
+          ("op_p99_bound_ms", rounded (incast_p99_bound_ms clients)); ("static", point s);
+          ("adaptive", point a) ])
+  in
+  report "BENCH_pr10.json"
+    Json.[ ("ops_per_client", Int incast_ops); ("incast", Arr (List.map row rows)) ]
+    [ ( "no_failed_signals",
+        all (fun (_, _, s, a) -> s.failed = 0 && a.failed = 0),
+        "no SIGNAL fails in either configuration at any point" );
+      ( "adaptive_goodput_ge_static",
+        all (fun (_, _, s, a) -> a.goodput >= s.goodput),
+        "adaptive goodput >= static goodput at every point" );
+      ( "op_p99_within_bound",
+        all (fun (_, clients, s, a) ->
+            Float.max s.p99_ms a.p99_ms <= incast_p99_bound_ms clients),
+        "op p99 within its bound (last column) at every point" );
+      ( "n16_retx_timer_ratio",
+        adaptive16.retx_ratio <= 0.15,
+        Printf.sprintf "adaptive timer-retransmit ratio at 16 clients %.1f%% (at most 15%%)"
+          (100.0 *. adaptive16.retx_ratio) ) ]
 
 (* ---- STORE: quorum-replicated KV store --------------------------------------------- *)
 
@@ -786,30 +813,24 @@ let scd_section () =
         Printf.sprintf "n=256 completed %d of 4 operations" r256.completed );
     ]
   in
-  let path = bench_out "BENCH_pr8.json" in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"analytic_forwards_per_broadcast\": \"n*(n-1)\",\n";
-  Printf.fprintf oc
-    "  \"margin\": %.2f,\n  \"n64_baseline\": { \"bus_frames_per_op\": %.1f, \"ops_per_sec\": %.3f },\n  \"scd\": [\n"
-    scd_margin scd_n64_frames_per_op scd_n64_ops_per_sec;
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    { \"n\": %d, \"client_ops\": %d, \"broadcasts\": %d, \"forwards\": %d, \
-         \"bound\": %d, \"forwards_per_op\": %.1f, \"bus_frames_per_op\": %.1f, \
-         \"ops_per_sec\": %.3f, \"mean_latency_ms\": %.1f }%s\n"
-        r.n r.completed r.broadcasts r.forwards (bound r.n) (per_op r r.forwards)
-        (per_op r r.bus_frames) r.ops_per_sec r.lat_ms
-        (if i < List.length rows - 1 then "," else ""))
-    rows;
-  Printf.fprintf oc "  ],\n  \"gates\": { %s }\n}\n"
-    (String.concat ", " (List.map (fun (name, ok, _) -> Printf.sprintf "\"%s\": %b" name ok) gates));
-  close_out oc;
-  Printf.printf "\n    wrote %s\n" path;
-  List.iter
-    (fun (_, ok, what) -> Printf.printf "    %s: %s\n" (if ok then "gate OK" else "GATE FAILED") what)
-    gates;
-  if not (List.for_all (fun (_, ok, _) -> ok) gates) then exit 1
+  let record r =
+    Json.(
+      Obj
+        [ ("n", Int r.n); ("client_ops", Int r.completed); ("broadcasts", Int r.broadcasts);
+          ("forwards", Int r.forwards); ("bound", Int (bound r.n));
+          ("forwards_per_op", fixed 1 (per_op r r.forwards));
+          ("frames_per_op", fixed 1 (per_op r r.bus_frames));
+          ("goodput_ops_s", fixed 3 r.ops_per_sec); ("mean_latency_ms", fixed 1 r.lat_ms) ])
+  in
+  report "BENCH_pr8.json"
+    Json.
+      [ ("analytic_forwards_per_broadcast", Str "n*(n-1)"); ("margin", fixed 2 scd_margin);
+        ( "n64_baseline",
+          Obj
+            [ ("frames_per_op", fixed 1 scd_n64_frames_per_op);
+              ("goodput_ops_s", fixed 3 scd_n64_ops_per_sec) ] );
+        ("scd", Arr (List.map record rows)) ]
+    gates
 
 (* ---- PROFILE: engine hot-path profiling --------------------------------------------- *)
 
@@ -889,38 +910,12 @@ let profile_section () =
               (fun (tag, count) -> Printf.sprintf "%s=%d" tag count)
               (Engine.tag_counts engine))))
     rows;
-  (* machine-readable record, uploaded by CI next to BENCH_pr5.json *)
-  let path = bench_out "BENCH_pr6.json" in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"signal_ring_ops_per_node\": %d,\n  \"profile\": [\n" ops;
-  List.iteri
-    (fun i (nodes, engine, virtual_us) ->
-      let c = Engine.counters engine in
-      let minor, promoted, major = Engine.gc_words engine in
-      Printf.fprintf oc
-        "    { \"nodes\": %d, \"fired\": %d, \"virtual_us\": %d, \"wall_us\": %d, \
-         \"events_per_sec\": %.0f, \"heap_highwater\": %d, \"gc_minor_words\": %.0f, \
-         \"gc_promoted_words\": %.0f, \"gc_major_words\": %.0f, \"tags\": { %s } }%s\n"
-        nodes c.Engine.fired virtual_us
-        (int_of_float (Engine.wall_seconds engine *. 1e6))
-        (Engine.events_per_sec engine)
-        (Engine.heap_highwater engine) minor promoted major
-        (String.concat ", "
-           (List.map
-              (fun (tag, count) -> Printf.sprintf "\"%s\": %d" tag count)
-              (Engine.tag_counts engine)))
-        (if i < List.length rows - 1 then "," else ""))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "\n    wrote %s\n" path;
-  let ok =
-    List.for_all (fun (_, engine, _) -> Engine.events_per_sec engine > 0.0) rows
+  let row (nodes, engine, virtual_us) =
+    Json.Obj (("nodes", Json.Int nodes) :: engine_fields engine ~virtual_us)
   in
-  if not ok then begin
-    Printf.printf "    GATE FAILED: events/sec not measured (wall clock did not advance)\n";
-    exit 1
-  end
+  report "BENCH_pr6.json"
+    Json.[ ("signal_ring_ops_per_node", Int ops); ("profile", Arr (List.map row rows)) ]
+    [ events_measured (List.map (fun (_, engine, _) -> engine) rows) ]
 
 (* ---- SCALE: open-loop Zipf workload at thousands of nodes --------------------------- *)
 
@@ -1002,7 +997,6 @@ let scale_section () =
         nodes r.O.issued r.O.completed r.O.failed r.O.gathers (Pool.reuses pool)
         (Pool.acquires pool))
     rows;
-  (* machine-readable record, uploaded by CI next to BENCH_pr6.json *)
   let baseline_pr6_n64 = 432088.0 in
   let ev_s nodes =
     List.find_map
@@ -1010,57 +1004,33 @@ let scale_section () =
         if n = nodes then Some (Engine.events_per_sec (Network.engine r.O.net)) else None)
       rows
   in
-  let path = bench_out "BENCH_pr7.json" in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"baseline_pr6_n64_events_per_sec\": %.0f,\n" baseline_pr6_n64;
-  (match ev_s 64 with
-   | Some v -> Printf.fprintf oc "  \"n64_speedup_vs_pr6\": %.2f,\n" (v /. baseline_pr6_n64)
-   | None -> ());
-  Printf.fprintf oc "  \"scale\": [\n";
-  List.iteri
-    (fun i (nodes, requests, r) ->
-      let engine = Network.engine r.O.net in
-      let c = Engine.counters engine in
-      let minor, promoted, major = Engine.gc_words engine in
-      Printf.fprintf oc
-        "    { \"nodes\": %d, \"requests\": %d, \"offered\": %d, \"issued\": %d, \
-         \"completed\": %d, \"failed\": %d, \"shed\": %d, \"gathers\": %d, \
-         \"fired\": %d, \"virtual_us\": %d, \"wall_us\": %d, \"events_per_sec\": %.0f, \
-         \"heap_highwater\": %d, \"gc_minor_words\": %.0f, \"gc_promoted_words\": %.0f, \
-         \"gc_major_words\": %.0f, \"gc_words_per_event\": %.1f, \"tags\": { %s } }%s\n"
-        nodes requests r.O.offered r.O.issued r.O.completed r.O.failed r.O.shed
-        r.O.gathers c.Engine.fired r.O.virtual_us
-        (int_of_float (Engine.wall_seconds engine *. 1e6))
-        (Engine.events_per_sec engine)
-        (Engine.heap_highwater engine) minor promoted major
-        (if c.Engine.fired = 0 then 0.0 else minor /. float_of_int c.Engine.fired)
-        (String.concat ", "
-           (List.map
-              (fun (tag, count) -> Printf.sprintf "\"%s\": %d" tag count)
-              (Engine.tag_counts engine)))
-        (if i < List.length rows - 1 then "," else ""))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "\n    wrote %s\n" path;
-  let ok_measured =
-    List.for_all
-      (fun (_, _, r) -> Engine.events_per_sec (Network.engine r.O.net) > 0.0)
-      rows
+  let speedup =
+    match ev_s 64 with
+    | Some v64 -> [ ("n64_speedup_vs_pr6", fixed 2 (v64 /. baseline_pr6_n64)) ]
+    | None -> []
   in
-  if not ok_measured then begin
-    Printf.printf "    GATE FAILED: events/sec not measured (wall clock did not advance)\n";
-    exit 1
-  end;
-  match ev_s 8, ev_s 64 with
-  | Some v8, Some v64 ->
-    Printf.printf "    gate: N=64 at %.0f%% of N=8 throughput (floor 65%%)\n"
-      (100.0 *. v64 /. v8);
-    if v64 < 0.65 *. v8 then begin
-      Printf.printf "    GATE FAILED: N=64 events/sec %.0f < 65%% of N=8 %.0f\n" v64 v8;
-      exit 1
-    end
-  | _ -> ()
+  let ratio_gate =
+    match ev_s 8, ev_s 64 with
+    | Some v8, Some v64 ->
+      [ ( "n64_vs_n8_throughput",
+          v64 >= 0.65 *. v8,
+          Printf.sprintf "N=64 at %.0f%% of N=8 throughput (floor 65%%)" (100.0 *. v64 /. v8) )
+      ]
+    | _ -> []
+  in
+  let row (nodes, requests, r) =
+    Json.Obj
+      (List.map
+         (fun (k, v) -> (k, Json.Int v))
+         [ ("nodes", nodes); ("requests", requests); ("offered", r.O.offered);
+           ("issued", r.O.issued); ("completed", r.O.completed); ("failed", r.O.failed);
+           ("shed", r.O.shed); ("gathers", r.O.gathers) ]
+      @ engine_fields (Network.engine r.O.net) ~virtual_us:r.O.virtual_us)
+  in
+  report "BENCH_pr7.json"
+    ((("baseline_pr6_n64_events_per_sec", rounded baseline_pr6_n64) :: speedup)
+     @ [ ("scale", Json.Arr (List.map row rows)) ])
+    (events_measured (List.map (fun (_, _, r) -> Network.engine r.O.net) rows) :: ratio_gate)
 
 (* ---- FAULT: a workload under a scripted fault plan ---------------------------------- *)
 

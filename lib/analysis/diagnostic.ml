@@ -40,22 +40,10 @@ let pp ppf d =
   Format.fprintf ppf "%s:%d:%d: %s: [%s] %s" d.file d.pos.Ast.line d.pos.Ast.col
     (severity_name d.severity) d.rule d.message
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
-  Printf.sprintf
-    {|{"file":"%s","line":%d,"col":%d,"severity":"%s","rule":"%s","message":"%s"}|}
-    (json_escape d.file) d.pos.Ast.line d.pos.Ast.col (severity_name d.severity) d.rule
-    (json_escape d.message)
+  Soda_obs.Json.(
+    to_string
+      (Obj
+         [ ("file", Str d.file); ("line", Int d.pos.Ast.line); ("col", Int d.pos.Ast.col);
+           ("severity", Str (severity_name d.severity)); ("rule", Str d.rule);
+           ("message", Str d.message) ]))

@@ -1,30 +1,35 @@
 (* SARIF 2.1.0 rendering of sodalint diagnostics (`sodal_check --format
    sarif`), the shape GitHub code scanning ingests: one run, the rule
    metadata taken from the {!Rules} catalog, one result per diagnostic.
-   Built with the same hand-rolled JSON escaping as {!Diagnostic.to_json}
-   — no JSON library in the tree. *)
+   Built as one {!Soda_obs.Json} value. *)
 
-let esc = Diagnostic.json_escape
+open Soda_obs.Json
 
-let level = function Diagnostic.Error -> "error" | Diagnostic.Warning -> "warning"
+let text s = Obj [ ("text", Str s) ]
+let level severity = Str (Diagnostic.severity_name severity)
 
-let rule_json (r : Rules.t) =
-  Printf.sprintf
-    {|{"id":"%s","shortDescription":{"text":"%s"},"fullDescription":{"text":"%s"},"defaultConfiguration":{"level":"%s"}}|}
-    (esc r.Rules.id) (esc r.Rules.title) (esc r.Rules.detail)
-    (level r.Rules.severity)
+let rule (r : Rules.t) =
+  Obj
+    [ ("id", Str r.id); ("shortDescription", text r.title); ("fullDescription", text r.detail);
+      ("defaultConfiguration", Obj [ ("level", level r.severity) ]) ]
 
-let result_json (d : Diagnostic.t) =
-  Printf.sprintf
-    {|{"ruleId":"%s","level":"%s","message":{"text":"%s"},"locations":[{"physicalLocation":{"artifactLocation":{"uri":"%s"},"region":{"startLine":%d,"startColumn":%d}}}]}|}
-    (esc d.Diagnostic.rule)
-    (level d.Diagnostic.severity)
-    (esc d.Diagnostic.message)
-    (esc d.Diagnostic.file)
-    d.Diagnostic.pos.Soda_sodal_lang.Ast.line d.Diagnostic.pos.Soda_sodal_lang.Ast.col
+let result (d : Diagnostic.t) =
+  let region = Obj [ ("startLine", Int d.pos.line); ("startColumn", Int d.pos.col) ] in
+  let location =
+    Obj [ ("artifactLocation", Obj [ ("uri", Str d.file) ]); ("region", region) ]
+  in
+  Obj
+    [ ("ruleId", Str d.rule); ("level", level d.severity); ("message", text d.message);
+      ("locations", Arr [ Obj [ ("physicalLocation", location) ] ]) ]
 
 let render (diags : Diagnostic.t list) =
-  Printf.sprintf
-    {|{"$schema":"https://json.schemastore.org/sarif-2.1.0.json","version":"2.1.0","runs":[{"tool":{"driver":{"name":"sodalint","rules":[%s]}},"results":[%s]}]}|}
-    (String.concat "," (List.map rule_json Rules.all))
-    (String.concat "," (List.map result_json diags))
+  let driver = Obj [ ("name", Str "sodalint"); ("rules", Arr (List.map rule Rules.all)) ] in
+  to_string
+    (Obj
+       [ ("$schema", Str "https://json.schemastore.org/sarif-2.1.0.json");
+         ("version", Str "2.1.0");
+         ( "runs",
+           Arr
+             [ Obj
+                 [ ("tool", Obj [ ("driver", driver) ]);
+                   ("results", Arr (List.map result diags)) ] ] ) ])

@@ -47,10 +47,6 @@ type t = {
   associative_patterns : bool;
   window : int;
   aimd : bool;
-  cwnd_init : int;
-  aimd_incr : float;
-  rtt_alpha : float;
-  rtt_beta : float;
 }
 
 let default =
@@ -84,10 +80,6 @@ let default =
     associative_patterns = true;
     window = 1;
     aimd = true;
-    cwnd_init = 2;
-    aimd_incr = 1.0;
-    rtt_alpha = 0.125;
-    rtt_beta = 0.25;
   }
 
 let non_pipelined = { default with pipelined = false }
@@ -116,16 +108,24 @@ let client_window t = max 1 (t.maxrequests - 1)
 (* ---- Congestion control (AIMD + Jacobson RTT estimation) ----
    Pure arithmetic lives here so the transport's control laws are
    unit-testable without a bus: the transport feeds acks, losses and
-   RTT samples through these and stores the resulting floats. *)
+   RTT samples through these and stores the resulting floats. The
+   constants are the classic ones: cwnd starts at 2 packets, grows by 1
+   per clean cumulative ack, and the estimator uses the RFC 6298 gains
+   1/8 (mean) and 1/4 (variance). *)
+
+let initial_cwnd = 2
+let aimd_incr = 1.0
+let rtt_alpha = 0.125
+let rtt_beta = 0.25
 
 (* Initial congestion window, clamped into [1, W]. *)
-let cwnd_init t = float_of_int (max 1 (min t.cwnd_init (transport_window t)))
+let cwnd_init t = float_of_int (max 1 (min initial_cwnd (transport_window t)))
 
-(* Additive increase: one clean cumulative ack grows cwnd by aimd_incr,
+(* Additive increase: one clean cumulative ack grows cwnd by [aimd_incr],
    capped by the cost-model window so cwnd never exceeds what the
    sequence space can express. *)
 let aimd_increase t ~cwnd =
-  Float.min (float_of_int (transport_window t)) (cwnd +. t.aimd_incr)
+  Float.min (float_of_int (transport_window t)) (cwnd +. aimd_incr)
 
 (* Multiplicative decrease: halve on retransmission-timer expiry, but
    never below one packet in flight (the alternating-bit floor). *)
@@ -134,13 +134,13 @@ let aimd_decrease _t ~cwnd = Float.max 1.0 (cwnd /. 2.0)
 (* Jacobson/Karels estimator. srtt_us = 0.0 means "no sample yet": the
    first sample seeds the mean directly and the variance at half the
    sample, exactly as in RFC 6298. Returns (srtt', rttvar'). *)
-let rtt_update t ~srtt_us ~rttvar_us ~sample_us =
+let rtt_update _t ~srtt_us ~rttvar_us ~sample_us =
   let sample = float_of_int sample_us in
   if srtt_us <= 0.0 then (sample, sample /. 2.0)
   else
     let err = Float.abs (srtt_us -. sample) in
-    let rttvar' = ((1.0 -. t.rtt_beta) *. rttvar_us) +. (t.rtt_beta *. err) in
-    let srtt' = ((1.0 -. t.rtt_alpha) *. srtt_us) +. (t.rtt_alpha *. sample) in
+    let rttvar' = ((1.0 -. rtt_beta) *. rttvar_us) +. (rtt_beta *. err) in
+    let srtt' = ((1.0 -. rtt_alpha) *. srtt_us) +. (rtt_alpha *. sample) in
     (srtt', rttvar')
 
 (* Retransmission timeout derived from the estimator, floored at the

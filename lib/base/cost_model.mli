@@ -73,10 +73,6 @@ type t = {
       (** adapt the effective send window per connection (AIMD); only
           meaningful when [window > 1] — window-1 runs always behave
           exactly like the seed's alternating bit *)
-  cwnd_init : int;  (** initial congestion window, clamped to [1, W] *)
-  aimd_incr : float;  (** additive increase per clean cumulative ack *)
-  rtt_alpha : float;  (** smoothed-RTT gain (RFC 6298: 1/8) *)
-  rtt_beta : float;  (** RTT-variance gain (RFC 6298: 1/4) *)
 }
 
 val default : t
@@ -101,11 +97,11 @@ val seq_space : t -> int
     MAXREQUESTS - 1, leaving one slot for control traffic (§4.4.1). *)
 val client_window : t -> int
 
-(** Initial congestion window as a float, clamped to [1, W]. *)
+(** Initial congestion window (2 packets) as a float, clamped to [1, W]. *)
 val cwnd_init : t -> float
 
 (** [aimd_increase t ~cwnd] after one clean cumulative ack: cwnd grows
-    by [aimd_incr], capped at the cost-model window. *)
+    by 1, capped at the cost-model window. *)
 val aimd_increase : t -> cwnd:float -> float
 
 (** [aimd_decrease t ~cwnd] after a retransmission-timer expiry: cwnd
@@ -113,7 +109,8 @@ val aimd_increase : t -> cwnd:float -> float
 val aimd_decrease : t -> cwnd:float -> float
 
 (** [rtt_update t ~srtt_us ~rttvar_us ~sample_us] folds one RTT sample
-    into the Jacobson/Karels estimator and returns [(srtt', rttvar')].
+    into the Jacobson/Karels estimator (gains 1/8 for the mean, 1/4 for
+    the variance) and returns [(srtt', rttvar')].
     [srtt_us <= 0.0] means "no sample yet": the first sample seeds the
     mean and half-sample variance (RFC 6298). *)
 val rtt_update : t -> srtt_us:float -> rttvar_us:float -> sample_us:int -> float * float

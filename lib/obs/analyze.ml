@@ -2,142 +2,32 @@
    built on it (latency percentiles, per-pair retransmit/BUSY/goodput
    accounting, causal-tree reconstruction and critical paths).
 
-   The parser is hand-rolled for the same reason the exporter is: the
-   image carries no JSON library. It reads exactly the flat one-object-
-   per-line shape [Export.event_fields] emits — each field an int, a
-   string or a bool — and rebuilds the typed [Event.t], including the
-   window-1 seq-as-bool rendering and the optional tr/sp/pa causal
-   fields. *)
+   Each line is read with [Json.of_string]; the flat object
+   [Export.event_fields] emits (each field an int, a string or a bool)
+   is rebuilt into the typed [Event.t], including the window-1
+   seq-as-bool rendering and the optional tr/sp/pa causal fields. *)
 
 exception Parse_error of string
 
-type json = J_int of int | J_str of string | J_bool of bool
-
-(* ---- one-line JSON object parser ---------------------------------------- *)
-
-let parse_line line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at column %d" msg !pos)) in
-  let peek () = if !pos < n then line.[!pos] else fail "unexpected end of line" in
-  let next () =
-    let c = peek () in
-    incr pos;
-    c
-  in
-  let expect c =
-    let got = next () in
-    if got <> c then fail (Printf.sprintf "expected '%c', got '%c'" c got)
-  in
-  let hex c =
-    match c with
-    | '0' .. '9' -> Char.code c - Char.code '0'
-    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-    | _ -> fail "bad hex digit"
-  in
-  let parse_str () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match next () with
-      | '"' -> Buffer.contents b
-      | '\\' ->
-        (match next () with
-         | '"' -> Buffer.add_char b '"'
-         | '\\' -> Buffer.add_char b '\\'
-         | '/' -> Buffer.add_char b '/'
-         | 'n' -> Buffer.add_char b '\n'
-         | 't' -> Buffer.add_char b '\t'
-         | 'r' -> Buffer.add_char b '\r'
-         | 'b' -> Buffer.add_char b '\b'
-         | 'f' -> Buffer.add_char b '\012'
-         | 'u' ->
-           (* bind each digit: argument evaluation order is unspecified *)
-           let d1 = hex (next ()) in
-           let d2 = hex (next ()) in
-           let d3 = hex (next ()) in
-           let d4 = hex (next ()) in
-           let code = (d1 lsl 12) lor (d2 lsl 8) lor (d3 lsl 4) lor d4 in
-           (* The exporter only \u-escapes control characters; anything
-              larger is kept literal so a foreign trace still parses. *)
-           if code < 0x100 then Buffer.add_char b (Char.chr code)
-           else Buffer.add_char b '?'
-         | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
-        go ()
-      | c ->
-        Buffer.add_char b c;
-        go ()
-    in
-    go ()
-  in
-  let parse_value () =
-    match peek () with
-    | '"' -> J_str (parse_str ())
-    | 't' ->
-      if !pos + 4 <= n && String.sub line !pos 4 = "true" then begin
-        pos := !pos + 4;
-        J_bool true
-      end
-      else fail "bad literal"
-    | 'f' ->
-      if !pos + 5 <= n && String.sub line !pos 5 = "false" then begin
-        pos := !pos + 5;
-        J_bool false
-      end
-      else fail "bad literal"
-    | '-' | '0' .. '9' ->
-      let start = !pos in
-      if peek () = '-' then incr pos;
-      while !pos < n && (match line.[!pos] with '0' .. '9' -> true | _ -> false) do
-        incr pos
-      done;
-      if !pos = start || (!pos = start + 1 && line.[start] = '-') then fail "bad number";
-      J_int (int_of_string (String.sub line start (!pos - start)))
-    | c -> fail (Printf.sprintf "unexpected '%c'" c)
-  in
-  expect '{';
-  if !pos < n && peek () = '}' then begin
-    incr pos;
-    []
-  end
-  else begin
-    let fields = ref [] in
-    let rec go () =
-      let k = parse_str () in
-      expect ':';
-      let v = parse_value () in
-      fields := (k, v) :: !fields;
-      match next () with ',' -> go () | '}' -> () | _ -> fail "expected ',' or '}'"
-    in
-    go ();
-    List.rev !fields
-  end
-
 (* ---- field accessors ------------------------------------------------------ *)
 
+(* [int_f] also reads the exporter's window-1 booleanised sequence
+   numbers back as 0 and 1. *)
 let int_f fields k =
   match List.assoc_opt k fields with
-  | Some (J_int v) -> v
-  | Some (J_bool b) -> if b then 1 else 0
-  | Some (J_str _) | None -> raise (Parse_error (Printf.sprintf "missing int %S" k))
+  | Some (Json.Int v) -> v
+  | Some (Json.Bool b) -> if b then 1 else 0
+  | _ -> raise (Parse_error (Printf.sprintf "missing int %S" k))
 
 let str_f fields k =
   match List.assoc_opt k fields with
-  | Some (J_str s) -> s
+  | Some (Json.Str s) -> s
   | _ -> raise (Parse_error (Printf.sprintf "missing string %S" k))
 
 let bool_f fields k =
   match List.assoc_opt k fields with
-  | Some (J_bool b) -> b
+  | Some (Json.Bool b) -> b
   | _ -> raise (Parse_error (Printf.sprintf "missing bool %S" k))
-
-(* Inverse of the exporter's window-1 booleanised sequence numbers. *)
-let seq_f fields =
-  match List.assoc_opt "seq" fields with
-  | Some (J_bool b) -> if b then 1 else 0
-  | Some (J_int v) -> v
-  | _ -> raise (Parse_error "missing seq")
 
 (* Inverse of a [name] function over the constructors listed in [all]. *)
 let named_f what name all fields key =
@@ -150,6 +40,8 @@ let pkt_f fields = named_f "packet kind" Event.pkt_name Event.pkts fields "pkt"
 
 let store_op_f fields = named_f "store op" Event.store_op_name Event.store_ops fields "op"
 
+let status_f fields = named_f "status" Event.status_name Event.statuses fields "status"
+
 let store_phase_f fields =
   named_f "store phase" Event.store_phase_name Event.store_phases fields "phase"
 
@@ -159,120 +51,98 @@ let mids_of_string s =
 
 let kind_of_fields fields =
   let open Event in
-  match str_f fields "ev" with
+  let i = int_f fields and str = str_f fields and flag = bool_f fields in
+  let pkt () = pkt_f fields in
+  match str "ev" with
   | "trap" ->
     Trap
-      { tid = int_f fields "tid"; dst = int_f fields "dst";
-        pattern = int_f fields "pattern"; put_size = int_f fields "put";
-        get_size = int_f fields "get" }
-  | "enqueue" ->
-    Enqueue { tid = int_f fields "tid"; peer = int_f fields "peer"; pkt = pkt_f fields }
+      { tid = i "tid"; dst = i "dst"; pattern = i "pattern"; put_size = i "put";
+        get_size = i "get" }
+  | "enqueue" -> Enqueue { tid = i "tid"; peer = i "peer"; pkt = pkt () }
   | "tx" ->
     Tx
-      { tid = int_f fields "tid"; peer = int_f fields "peer"; pkt = pkt_f fields;
-        bytes = int_f fields "bytes"; seq = seq_f fields; retry = bool_f fields "retry" }
+      { tid = i "tid"; peer = i "peer"; pkt = pkt (); bytes = i "bytes"; seq = i "seq";
+        retry = flag "retry" }
   | "rx" ->
-    Rx
-      { tid = int_f fields "tid"; peer = int_f fields "peer"; pkt = pkt_f fields;
-        bytes = int_f fields "bytes"; seq = seq_f fields }
-  | "ack" ->
-    Acked { tid = int_f fields "tid"; peer = int_f fields "peer"; pkt = pkt_f fields }
-  | "busy-nack" -> Busy_nack { tid = int_f fields "tid"; peer = int_f fields "peer" }
+    Rx { tid = i "tid"; peer = i "peer"; pkt = pkt (); bytes = i "bytes"; seq = i "seq" }
+  | "ack" -> Acked { tid = i "tid"; peer = i "peer"; pkt = pkt () }
+  | "busy-nack" -> Busy_nack { tid = i "tid"; peer = i "peer" }
   | "retransmit" ->
-    Retransmit
-      { tid = int_f fields "tid"; peer = int_f fields "peer"; pkt = pkt_f fields;
-        attempt = int_f fields "attempt" }
+    Retransmit { tid = i "tid"; peer = i "peer"; pkt = pkt (); attempt = i "attempt" }
   | "window-advance" ->
-    Window_advance
-      { peer = int_f fields "peer"; base = int_f fields "base";
-        in_flight = int_f fields "in_flight" }
+    Window_advance { peer = i "peer"; base = i "base"; in_flight = i "in_flight" }
   | "window-buffer" ->
-    Window_buffer
-      { tid = int_f fields "tid"; peer = int_f fields "peer"; seq = int_f fields "seq";
-        expected = int_f fields "expected" }
+    Window_buffer { tid = i "tid"; peer = i "peer"; seq = i "seq"; expected = i "expected" }
   | "cwnd-change" ->
     Cwnd_change
-      { peer = int_f fields "peer"; cwnd = int_f fields "cwnd";
-        in_flight = int_f fields "in_flight"; reason = str_f fields "reason" }
+      { peer = i "peer"; cwnd = i "cwnd"; in_flight = i "in_flight"; reason = str "reason" }
   | "rtt-sample" ->
     Rtt_sample
-      { peer = int_f fields "peer"; sample_us = int_f fields "sample";
-        srtt_us = int_f fields "srtt"; rttvar_us = int_f fields "rttvar" }
-  | "probe" ->
-    Probe
-      { tid = int_f fields "tid"; peer = int_f fields "peer";
-        misses = int_f fields "misses" }
+      { peer = i "peer"; sample_us = i "sample"; srtt_us = i "srtt"; rttvar_us = i "rttvar" }
+  | "probe" -> Probe { tid = i "tid"; peer = i "peer"; misses = i "misses" }
   | "deliver" ->
     Deliver
-      { tid = int_f fields "tid"; src = int_f fields "src";
-        pattern = int_f fields "pattern"; put_size = int_f fields "put";
-        get_size = int_f fields "get"; from_buffer = bool_f fields "buffered" }
+      { tid = i "tid"; src = i "src"; pattern = i "pattern"; put_size = i "put";
+        get_size = i "get"; from_buffer = flag "buffered" }
   | "handler-invoke" -> Handler_invoke
   | "endhandler" -> Endhandler
-  | "complete" -> Complete { tid = int_f fields "tid"; status = str_f fields "status" }
+  | "complete" -> Complete { tid = i "tid"; status = status_f fields }
   | "bus-frame" ->
     Bus_frame
-      { src = int_f fields "src"; dst = int_f fields "dst"; bytes = int_f fields "bytes";
-        start_us = int_f fields "start"; end_us = int_f fields "end" }
-  | "bus-drop" ->
-    Bus_drop
-      { src = int_f fields "src"; dst = int_f fields "dst";
-        reason = str_f fields "reason" }
+      { src = i "src"; dst = i "dst"; bytes = i "bytes"; start_us = i "start";
+        end_us = i "end" }
+  | "bus-drop" -> Bus_drop { src = i "src"; dst = i "dst"; reason = str "reason" }
   | "fault-partition" ->
     Fault_partition
-      { group_a = mids_of_string (str_f fields "a");
-        group_b = mids_of_string (str_f fields "b") }
+      { group_a = mids_of_string (str "a"); group_b = mids_of_string (str "b") }
   | "fault-heal" -> Fault_heal
-  | "fault-crash" -> Fault_crash { mid = int_f fields "node" }
-  | "fault-reboot" -> Fault_reboot { mid = int_f fields "node" }
-  | "fault-duplicate" -> Fault_duplicate { count = int_f fields "count" }
-  | "fault-jitter" ->
-    Fault_jitter { min_us = int_f fields "min"; max_us = int_f fields "max" }
+  | "fault-crash" -> Fault_crash { mid = i "node" }
+  | "fault-reboot" -> Fault_reboot { mid = i "node" }
+  | "fault-duplicate" -> Fault_duplicate { count = i "count" }
+  | "fault-jitter" -> Fault_jitter { min_us = i "min"; max_us = i "max" }
   | "fault-loss-burst" ->
-    Fault_loss_burst
-      { rate_pct = int_f fields "rate_pct"; duration_us = int_f fields "duration" }
+    Fault_loss_burst { rate_pct = i "rate_pct"; duration_us = i "duration" }
   | "store-phase" ->
     Store_phase
-      { op = store_op_f fields; phase = store_phase_f fields; key = int_f fields "key";
-        acks = int_f fields "acks"; quorum = int_f fields "quorum";
-        elapsed_us = int_f fields "elapsed" }
+      { op = store_op_f fields; phase = store_phase_f fields; key = i "key";
+        acks = i "acks"; quorum = i "quorum"; elapsed_us = i "elapsed" }
   | "store-retry" ->
     Store_retry
-      { op = store_op_f fields; phase = store_phase_f fields; key = int_f fields "key";
-        attempt = int_f fields "attempt" }
+      { op = store_op_f fields; phase = store_phase_f fields; key = i "key";
+        attempt = i "attempt" }
   | "store-complete" ->
     Store_complete
-      { op = store_op_f fields; key = int_f fields "key"; ok = bool_f fields "ok";
-        rounds = int_f fields "rounds"; elapsed_us = int_f fields "elapsed" }
-  | "scd-broadcast" ->
-    Scd_broadcast
-      { sd = int_f fields "sd"; sn = int_f fields "sn";
-        payload = str_f fields "payload" }
-  | "scd-deliver" ->
-    Scd_deliver { size = int_f fields "size"; pending = int_f fields "pending" }
+      { op = store_op_f fields; key = i "key"; ok = flag "ok"; rounds = i "rounds";
+        elapsed_us = i "elapsed" }
+  | "scd-broadcast" -> Scd_broadcast { sd = i "sd"; sn = i "sn"; payload = str "payload" }
+  | "scd-deliver" -> Scd_deliver { size = i "size"; pending = i "pending" }
   | "scd-op" ->
     Scd_op
-      { op = str_f fields "op"; origin = int_f fields "origin";
-        oseq = int_f fields "oseq"; ok = bool_f fields "ok";
-        elapsed_us = int_f fields "elapsed" }
+      { op = str "op"; origin = i "origin"; oseq = i "oseq"; ok = flag "ok";
+        elapsed_us = i "elapsed" }
   | "mark" ->
     let mark = named_f "mark" mark_name marks fields "mark" in
-    Mark { peer = int_f fields "peer"; tid = int_f fields "tid"; mark; n = int_f fields "n" }
+    Mark { peer = i "peer"; tid = i "tid"; mark; n = i "n" }
   | s -> raise (Parse_error (Printf.sprintf "unknown event kind %S" s))
 
 let event_of_line line =
-  let fields = parse_line line in
+  let fields =
+    match Json.of_string line with
+    | Json.Obj fields -> fields
+    | _ -> raise (Parse_error "expected an object")
+    | exception Json.Parse_error msg -> raise (Parse_error msg)
+  in
   let kind = kind_of_fields fields in
   let ctx =
     match List.assoc_opt "tr" fields with
-    | Some (J_int trace) ->
+    | Some (Json.Int trace) ->
       Some
         {
           Causal.trace;
           span = int_f fields "sp";
           parent =
             (match List.assoc_opt "pa" fields with
-             | Some (J_int p) -> p
+             | Some (Json.Int p) -> p
              | _ -> Causal.no_parent);
         }
     | _ -> None
@@ -413,7 +283,7 @@ let label_of_kind mid kind =
     (4, Printf.sprintf "scd %s op#%d.%d%s" op origin oseq (if ok then "" else " FAILED"))
   | Trap { tid; dst; _ } -> (3, Printf.sprintf "req#%d %d->%s" tid mid (peer_name dst))
   | Deliver { tid; src; _ } -> (2, Printf.sprintf "serve#%d @%d from %d" tid mid src)
-  | Complete { tid; status } -> (1, Printf.sprintf "req#%d %s" tid status)
+  | Complete { tid; status } -> (1, Printf.sprintf "req#%d %s" tid (status_name status))
   | k -> (0, Printf.sprintf "%s @%d" (kind_label k) mid)
 
 let causal_trees events =

@@ -100,6 +100,17 @@ let store_phases = [ Query; Propagate ]
 
 let store_phase_name = function Query -> "query" | Propagate -> "propagate"
 
+type status = Accepted | Rejected | Unadvertised | Crashed | Discovered
+
+let statuses = [ Accepted; Rejected; Unadvertised; Crashed; Discovered ]
+
+let status_name = function
+  | Accepted -> "accepted"
+  | Rejected -> "rejected"
+  | Unadvertised -> "unadvertised"
+  | Crashed -> "crashed"
+  | Discovered -> "discovered"
+
 type kind =
   | Trap of { tid : int; dst : int; pattern : int; put_size : int; get_size : int }
       (** REQUEST trap on the requester: the span's birth. *)
@@ -131,7 +142,7 @@ type kind =
       (** Server side: REQUEST handed to the advertisement match. *)
   | Handler_invoke
   | Endhandler
-  | Complete of { tid : int; status : string }
+  | Complete of { tid : int; status : status }
       (** Requester side: completion interrupt queued; the span's death. *)
   | Bus_frame of { src : int; dst : int; bytes : int; start_us : int; end_us : int }
       (** Medium occupancy of one frame ([dst = broadcast_peer] for broadcast). *)
@@ -250,7 +261,7 @@ let message = function
       (if from_buffer then " (from pipeline buffer)" else "")
   | Handler_invoke -> "handler invoked"
   | Endhandler -> "endhandler"
-  | Complete { tid; status } -> Printf.sprintf "complete #%d %s" tid status
+  | Complete { tid; status } -> Printf.sprintf "complete #%d %s" tid (status_name status)
   | Bus_frame { src; dst; bytes; start_us; end_us } ->
     Printf.sprintf "frame %d->%s %dB on wire %d..%d us" src (peer_name dst) bytes start_us
       end_us

@@ -83,6 +83,17 @@ val store_phases : store_phase list
 (** ["query"] or ["propagate"], as exported. *)
 val store_phase_name : store_phase -> string
 
+(** How a request completed at its requester: accepted, rejected (an
+    ACCEPT with a negative argument, §4.1.2), unadvertised, crashed, or
+    a DISCOVER that collected its replies. *)
+type status = Accepted | Rejected | Unadvertised | Crashed | Discovered
+
+(** Every status, in declaration order. *)
+val statuses : status list
+
+(** Lower-case name (["accepted"], ...), as exported. *)
+val status_name : status -> string
+
 type kind =
   | Trap of { tid : int; dst : int; pattern : int; put_size : int; get_size : int }
   | Enqueue of { tid : int; peer : int; pkt : pkt }
@@ -112,7 +123,7 @@ type kind =
                  from_buffer : bool }
   | Handler_invoke
   | Endhandler
-  | Complete of { tid : int; status : string }
+  | Complete of { tid : int; status : status }
   | Bus_frame of { src : int; dst : int; bytes : int; start_us : int; end_us : int }
   | Bus_drop of { src : int; dst : int; reason : string }
   | Fault_partition of { group_a : int list; group_b : int list }

@@ -102,7 +102,7 @@ let of_events events =
            close_segment b ev.time_us;
            Hashtbl.remove live tid;
            finished :=
-             { b.b_span with end_us = Some ev.time_us; status = Some status;
+             { b.b_span with end_us = Some ev.time_us; status = Some (status_name status);
                segments = List.rev b.b_segments }
              :: !finished
          | _ -> ())

@@ -512,12 +512,12 @@ let complete_out_req t req completion =
   retire_req t req @@ fun () ->
     Stats.sample t.stats "req.latency_us" (Engine.now t.engine - req.or_submit_us);
     if tracing t then begin
-      let status =
+      let status : Event.status =
         match completion with
-        | Comp_accepted _ -> "accepted"
-        | Comp_unadvertised -> "unadvertised"
-        | Comp_crashed -> "crashed"
-        | Comp_discovered _ -> "discovered"
+        | Comp_accepted { arg; _ } -> if arg < 0 then Rejected else Accepted
+        | Comp_unadvertised -> Unadvertised
+        | Comp_crashed -> Crashed
+        | Comp_discovered _ -> Discovered
       in
       event t (Event.Complete { tid = req.or_tid; status })
     end;

@@ -7,6 +7,7 @@
 module Sodalint = Soda_analysis.Sodalint
 module Diagnostic = Soda_analysis.Diagnostic
 module Ast = Soda_sodal_lang.Ast
+module Json = Soda_obs.Json
 
 let read_file path =
   let ic = open_in_bin path in
@@ -153,6 +154,47 @@ let test_rendering () =
     {|{"file":"a.sodal","line":3,"col":7,"severity":"error","rule":"SL001","message":"no \"blocking\" here"}|}
     (Diagnostic.to_json d)
 
+(* SARIF parses, lists every catalogued rule once and every diagnostic
+   as one result at its position. *)
+let test_sarif () =
+  let diags =
+    analyze
+      (List.map (Filename.concat "lint_fixtures")
+         [ "sl055_a.sodal"; "sl055_b.sodal"; "sl001_block_in_handler.sodal" ])
+  in
+  let rec get path v =
+    match path, v with
+    | [], v -> v
+    | `K key :: rest, Json.Obj fields when List.mem_assoc key fields ->
+      get rest (List.assoc key fields)
+    | `K key :: _, _ -> Alcotest.failf "no member %S" key
+    | `I i :: rest, Json.Arr items -> get rest (List.nth items i)
+    | `I _ :: _, _ -> Alcotest.fail "expected an array"
+  in
+  let list = function Json.Arr items -> items | _ -> Alcotest.fail "expected an array" in
+  let str = function Json.Str s -> s | _ -> Alcotest.fail "expected a string" in
+  let run = get [ `K "runs"; `I 0 ] (Json.of_string (Soda_analysis.Sarif.render diags)) in
+  Alcotest.(check (list string))
+    "one rule per catalog entry"
+    (List.map (fun r -> r.Soda_analysis.Rules.id) Soda_analysis.Rules.all)
+    (List.map
+       (fun r -> str (get [ `K "id" ] r))
+       (list (get [ `K "tool"; `K "driver"; `K "rules" ] run)));
+  Alcotest.(check int) "some diagnostics" 3 (List.length diags);
+  Alcotest.(check (list string))
+    "one result per diagnostic" (List.map fingerprint diags)
+    (List.map
+       (fun r ->
+         let loc = get [ `K "locations"; `I 0; `K "physicalLocation" ] r in
+         let int path = match get path loc with Json.Int n -> n | _ -> -1 in
+         Printf.sprintf "%s:%d:%d %s %s"
+           (Filename.basename (str (get [ `K "artifactLocation"; `K "uri" ] loc)))
+           (int [ `K "region"; `K "startLine" ])
+           (int [ `K "region"; `K "startColumn" ])
+           (str (get [ `K "level" ] r))
+           (str (get [ `K "ruleId" ] r)))
+       (list (get [ `K "results" ] run)))
+
 let suites =
   [
     ( "analysis",
@@ -162,5 +204,6 @@ let suites =
         Alcotest.test_case "shipped examples are clean" `Quick test_examples_clean;
         Alcotest.test_case "exit status" `Quick test_exit_status;
         Alcotest.test_case "human and json rendering" `Quick test_rendering;
+        Alcotest.test_case "sarif rendering" `Quick test_sarif;
       ] );
   ]

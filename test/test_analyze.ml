@@ -18,7 +18,7 @@ let test_jsonl_escaping_round_trip () =
   let nasty = "q\"uote b\\ack\nnl\ttab\rcr ctrl\x01\x1f end" in
   let events =
     [ ev 5 0 (Event.Scd_broadcast { sd = 1; sn = 2; payload = nasty });
-      ev 6 1 (Event.Complete { tid = 3; status = nasty }) ]
+      ev 6 (-1) (Event.Bus_drop { src = 1; dst = 0; reason = nasty }) ]
   in
   let jsonl = Export.jsonl events in
   (* escapes keep it one object per line *)
@@ -31,9 +31,9 @@ let test_jsonl_escaping_round_trip () =
         Alcotest.(check string) "payload round-trips" nasty payload
       | _ -> Alcotest.fail "expected a broadcast");
      (match b.Event.kind with
-      | Event.Complete { status; _ } ->
-        Alcotest.(check string) "status round-trips" nasty status
-      | _ -> Alcotest.fail "expected a completion")
+      | Event.Bus_drop { reason; _ } ->
+        Alcotest.(check string) "reason round-trips" nasty reason
+      | _ -> Alcotest.fail "expected a bus drop")
    | l -> Alcotest.fail (Printf.sprintf "expected 2 events, got %d" (List.length l)));
   (* the chrome exporter must escape the same strings (its [message]
      rendering embeds them in event names) *)
@@ -71,7 +71,7 @@ let all_kinds_events =
            from_buffer = true });
     ev 12 0 Handler_invoke;
     ev 13 0 Endhandler;
-    ev 14 1 (Complete { tid = 7; status = "accepted" });
+    ev 14 1 (Complete { tid = 7; status = Accepted });
     ev 15 (-1) (Bus_frame { src = 1; dst = -1; bytes = 28; start_us = 14; end_us = 15 });
     ev 16 (-1) (Bus_drop { src = 1; dst = 0; reason = "loss" });
     ev 17 (-1) (Fault_partition { group_a = [ 0; 1 ]; group_b = [ 2 ] });
@@ -180,7 +180,7 @@ let span_events durations =
        (fun i dur ->
          let t0 = i * 1_000_000 in
          [ ev t0 1 (Event.Trap { tid = i; dst = 0; pattern = 1; put_size = 0; get_size = 0 });
-           ev (t0 + dur) 1 (Event.Complete { tid = i; status = "accepted" }) ])
+           ev (t0 + dur) 1 (Event.Complete { tid = i; status = Event.Accepted }) ])
        durations)
 
 let prop_latency_totals =

@@ -3,6 +3,8 @@ module Metrics = Soda_obs.Metrics
 module Recorder = Soda_obs.Recorder
 module Span = Soda_obs.Span
 module Export = Soda_obs.Export
+module Json = Soda_obs.Json
+module Analyze = Soda_obs.Analyze
 
 (* ---- metrics ------------------------------------------------------------- *)
 
@@ -97,7 +99,7 @@ let test_span_derivation () =
            { tid = 7; peer = 0; pkt = Event.P_request; bytes = 20; seq = 0; retry = true });
       ev 400 1 (Event.Acked { tid = 7; peer = 0; pkt = Event.P_request });
       ev 500 1 (Event.Rx { tid = 7; peer = 0; pkt = Event.P_accept; bytes = 16; seq = 1 });
-      ev 600 1 (Event.Complete { tid = 7; status = "accepted" });
+      ev 600 1 (Event.Complete { tid = 7; status = Event.Accepted });
     ]
   in
   match Span.of_events events with
@@ -236,6 +238,126 @@ let test_exporters_well_formed () =
   let timeline = Format.asprintf "%a" Export.pp_timeline events in
   Alcotest.(check bool) "timeline non-empty" true (String.length timeline > 0)
 
+(* A REJECT is an ACCEPT with a negative argument (§4.1.2): the requester
+   sees Comp_rejected, so the trace must say "rejected", not "accepted",
+   and the JSONL export must carry it through the analyzer. *)
+let test_reject_traces_rejected () =
+  let module Network = Soda_core.Network in
+  let module Sodal = Soda_runtime.Sodal in
+  let module Pattern = Soda_base.Pattern in
+  let patt = Pattern.well_known 0o556 in
+  let net = Network.create ~seed:7 ~trace:true () in
+  let k0 = Network.add_node net ~mid:0 in
+  let k1 = Network.add_node net ~mid:1 in
+  ignore
+    (Sodal.attach k0
+       {
+         Sodal.default_spec with
+         init = (fun env ~parent:_ -> Sodal.advertise env patt);
+         on_request = (fun env _ -> Sodal.reject env);
+       });
+  let status = ref None in
+  ignore
+    (Sodal.attach k1
+       {
+         Sodal.default_spec with
+         task =
+           (fun env ->
+             let c = Sodal.b_signal env (Sodal.server ~mid:0 ~pattern:patt) ~arg:0 in
+             status := Some c.Sodal.status;
+             Sodal.serve env);
+       });
+  ignore (Network.run ~until:60_000_000 net);
+  Alcotest.(check bool) "requester saw a rejection" true (!status = Some Sodal.Comp_rejected);
+  let completions events =
+    List.filter_map
+      (fun e ->
+        match e.Event.kind with
+        | Event.Complete { status; _ } when e.Event.mid = 1 -> Some (Event.status_name status)
+        | _ -> None)
+      events
+  in
+  let events = Recorder.events (Network.recorder net) in
+  Alcotest.(check (list string)) "traced" [ "rejected" ] (completions events);
+  Alcotest.(check (list string)) "through JSONL and the analyzer" [ "rejected" ]
+    (completions (Analyze.events_of_string (Export.jsonl events)))
+
+(* ---- the JSON value type ---------------------------------------------------- *)
+
+let json_gen =
+  let open QCheck.Gen in
+  let awkward = oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\x00'; '\x01'; '\x1f'; '\x7f'; '/' ] in
+  let str = string_size ~gen:(frequency [ (2, char); (1, awkward) ]) (int_range 0 10) in
+  let finite = map (fun f -> if Float.is_finite f then f else -0.5) float in
+  let leaf =
+    oneof
+      [ map (fun b -> Json.Bool b) bool; map (fun n -> Json.Int n) int;
+        map (fun n -> Json.Int n) (int_range (-1000) 1000);
+        map (fun f -> Json.Float f) finite;
+        map (fun n -> Json.Float (float_of_int n)) (int_range (-1000) 1000);
+        map (fun s -> Json.Str s) str ]
+  in
+  fix
+    (fun self depth ->
+      if depth = 0 then leaf
+      else
+        frequency
+          [ (2, leaf);
+            (1, map (fun l -> Json.Arr l) (list_size (int_range 0 4) (self (depth - 1))));
+            ( 1,
+              map (fun l -> Json.Obj l) (list_size (int_range 0 4) (pair str (self (depth - 1))))
+            ) ])
+    3
+
+let prop_json_round_trip =
+  QCheck.Test.make ~name:"json: of_string (to_string v) = v, no raw control byte" ~count:500
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun v ->
+      let s = Json.to_string v in
+      String.for_all (fun c -> Char.code c >= 0x20) s && Json.of_string s = v)
+
+let test_json_parse_errors () =
+  List.iter
+    (fun text ->
+      match Json.of_string text with
+      | exception Json.Parse_error _ -> ()
+      | _ -> Alcotest.failf "expected Parse_error on %S" text)
+    [ ""; "{"; "[1,]"; "{\"a\" 1}"; "nul"; "null"; "1 2"; "\"\\x\""; "\"\\u12\""; "-" ]
+
+(* The metrics dump reads back to the registry it was made from. *)
+let test_metrics_dump_parses () =
+  let m = Metrics.create () in
+  Metrics.add m "pkt.sent" 12;
+  Metrics.incr m "weird \"name\"";
+  Metrics.set_gauge m "depth" 4;
+  List.iter (Metrics.observe m "lat") [ 5; 9; 200 ];
+  let other = Metrics.create () in
+  Metrics.incr other "c";
+  let dump = Export.metrics_sections_json [ ("node.0", m); ("bus", other) ] in
+  let get path v =
+    List.fold_left
+      (fun v key ->
+        match v with
+        | Json.Obj fields when List.mem_assoc key fields -> List.assoc key fields
+        | _ -> Alcotest.failf "no member %S" key)
+      v path
+  in
+  let v = Json.of_string dump in
+  let check_int what want path =
+    Alcotest.(check bool) what true (get path v = Json.Int want)
+  in
+  List.iter
+    (fun name -> check_int name (Metrics.counter m name) [ "node.0"; "counters"; name ])
+    (Metrics.counter_names m);
+  check_int "gauge" 4 [ "node.0"; "gauges"; "depth" ];
+  check_int "histogram count" 3 [ "node.0"; "histograms"; "lat"; "count" ];
+  check_int "histogram sum" 214 [ "node.0"; "histograms"; "lat"; "sum" ];
+  check_int "second section" 1 [ "bus"; "counters"; "c" ];
+  Alcotest.(check bool) "mean in shortest form" true
+    (get [ "node.0"; "histograms"; "lat"; "mean" ] v = Json.Float (214.0 /. 3.0));
+  Alcotest.(check bool) "one registry alone" true
+    (Json.of_string (Export.metrics_json other) = get [ "bus" ] v)
+
 let suites =
   [
     ( "obs.metrics",
@@ -259,5 +381,12 @@ let suites =
       [
         Alcotest.test_case "network events and spans" `Quick test_network_events_and_spans;
         Alcotest.test_case "exporters well-formed" `Quick test_exporters_well_formed;
+        Alcotest.test_case "a REJECT traces rejected" `Quick test_reject_traces_rejected;
+      ] );
+    ( "obs.json",
+      [
+        QCheck_alcotest.to_alcotest prop_json_round_trip;
+        Alcotest.test_case "malformed input raises" `Quick test_json_parse_errors;
+        Alcotest.test_case "metrics dump parses back" `Quick test_metrics_dump_parses;
       ] );
   ]

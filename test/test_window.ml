@@ -255,7 +255,7 @@ let prop_window_invariants =
 let test_aimd_laws () =
   let c = { Cost.default with Cost.window = 8 } in
   Alcotest.(check bool) "increase adds the increment" true
-    (Cost.aimd_increase c ~cwnd:2.0 = 2.0 +. c.Cost.aimd_incr);
+    (Cost.aimd_increase c ~cwnd:2.0 = 3.0);
   Alcotest.(check bool) "increase caps at W" true (Cost.aimd_increase c ~cwnd:8.0 = 8.0);
   Alcotest.(check bool) "decrease halves" true (Cost.aimd_decrease c ~cwnd:8.0 = 4.0);
   Alcotest.(check bool) "decrease floors at 1" true (Cost.aimd_decrease c ~cwnd:1.0 = 1.0);

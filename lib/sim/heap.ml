@@ -1,90 +1,117 @@
-(* Structure-of-arrays binary min-heap.
+(* Binary min-heap whose sifting moves only ints.
 
    The event queue is the single hottest data structure in the simulator:
-   every scheduled callback passes through one push and one pop. The
-   previous implementation boxed each element in a {key; seq; value}
-   record, costing four words of minor allocation per schedule; at
-   hundreds of thousands of events per simulated second that garbage
-   dominated the GC profile (see docs/PERFORMANCE.md). Keys, sequence
-   numbers and values now live in three parallel arrays, so steady-state
-   push/pop allocates nothing (array growth is amortised), and the
-   [min_key]/[min_seq]/[min_value]/[drop_min] accessors let the engine
-   drain the queue without materialising option/tuple results. *)
+   every scheduled callback passes through one push and one pop. Each heap
+   position holds its (key, seq) pair and the index of a value slot, in
+   three int arrays; the values themselves sit still in a fourth array,
+   written once at [push] and once more, with the filler, at [drop_min].
+   Sifting therefore moves ints only and stores no pointer into the
+   major-heap value array, where every store of a young closure pays a
+   [caml_modify] write barrier; moving values with their keys would pay
+   two per level, and that cost dominated an event (see
+   docs/PERFORMANCE.md). Sifts move a hole rather than swap, so each
+   level is one move.
+
+   [slots] maps positions to value slots and is a permutation of
+   [0 .. capacity - 1]: positions below [size] hold the slots of live
+   entries and the tail holds the free ones, so [push] takes the slot at
+   position [size] and [drop_min] returns the root's slot to the tail
+   without a free list. *)
 
 type 'a t = {
-  mutable keys : int array;
-  mutable seqs : int array;
-  mutable vals : 'a array;
+  mutable keys : int array;  (* by position *)
+  mutable seqs : int array;  (* by position *)
+  mutable slots : int array;  (* by position: the value slot *)
+  mutable vals : 'a array;  (* by slot *)
   mutable size : int;
-  filler : 'a;  (* written into every vacated slot, so a popped value is not pinned *)
+  filler : 'a;  (* held by every free slot, so a popped value is not pinned *)
 }
 
 let initial_capacity = 64
 
-let create ~filler = { keys = [||]; seqs = [||]; vals = [||]; size = 0; filler }
+let create ~filler =
+  { keys = [||]; seqs = [||]; slots = [||]; vals = [||]; size = 0; filler }
 
 let length heap = heap.size
 
 let is_empty heap = heap.size = 0
 
-let less heap i j =
-  let ki = heap.keys.(i) and kj = heap.keys.(j) in
-  ki < kj || (ki = kj && heap.seqs.(i) < heap.seqs.(j))
-
+(* Called only when full: every slot is live, so the new slots are the
+   positions the growth adds. *)
 let grow heap =
-  let capacity = Array.length heap.vals in
-  if heap.size = capacity then begin
-    let next = if capacity = 0 then initial_capacity else capacity * 2 in
-    let keys = Array.make next 0 in
-    let seqs = Array.make next 0 in
-    let vals = Array.make next heap.filler in
-    Array.blit heap.keys 0 keys 0 heap.size;
-    Array.blit heap.seqs 0 seqs 0 heap.size;
-    Array.blit heap.vals 0 vals 0 heap.size;
-    heap.keys <- keys;
-    heap.seqs <- seqs;
-    heap.vals <- vals
+  let capacity = Array.length heap.slots in
+  let next = if capacity = 0 then initial_capacity else capacity * 2 in
+  let keys = Array.make next 0 in
+  let seqs = Array.make next 0 in
+  let slots = Array.init next Fun.id in
+  let vals = Array.make next heap.filler in
+  Array.blit heap.keys 0 keys 0 capacity;
+  Array.blit heap.seqs 0 seqs 0 capacity;
+  Array.blit heap.slots 0 slots 0 capacity;
+  Array.blit heap.vals 0 vals 0 capacity;
+  heap.keys <- keys;
+  heap.seqs <- seqs;
+  heap.slots <- slots;
+  heap.vals <- vals
+
+(* Move the hole at [i] up past every parent greater than (key, seq), then
+   fill it. *)
+let rec sift_up (keys : int array) (seqs : int array) (slots : int array) i ~(key : int)
+    ~(seq : int) ~slot =
+  let parent = (i - 1) / 2 in
+  if i > 0
+     && (let kp = keys.(parent) in
+         key < kp || (key = kp && seq < seqs.(parent)))
+  then begin
+    keys.(i) <- keys.(parent);
+    seqs.(i) <- seqs.(parent);
+    slots.(i) <- slots.(parent);
+    sift_up keys seqs slots parent ~key ~seq ~slot
+  end
+  else begin
+    keys.(i) <- key;
+    seqs.(i) <- seq;
+    slots.(i) <- slot
   end
 
-let swap heap i j =
-  let k = heap.keys.(i) in
-  heap.keys.(i) <- heap.keys.(j);
-  heap.keys.(j) <- k;
-  let s = heap.seqs.(i) in
-  heap.seqs.(i) <- heap.seqs.(j);
-  heap.seqs.(j) <- s;
-  let v = heap.vals.(i) in
-  heap.vals.(i) <- heap.vals.(j);
-  heap.vals.(j) <- v
-
-let rec sift_up heap i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if less heap i parent then begin
-      swap heap i parent;
-      sift_up heap parent
-    end
-  end
-
-let rec sift_down heap i =
+(* Move the hole at [i] down past every lesser child of a heap of [size]
+   entries, then fill it with (key, seq, slot). *)
+let rec sift_down (keys : int array) (seqs : int array) (slots : int array) size i
+    ~(key : int) ~(seq : int) ~slot =
   let left = (2 * i) + 1 in
-  let right = left + 1 in
-  let smallest = ref i in
-  if left < heap.size && less heap left !smallest then smallest := left;
-  if right < heap.size && less heap right !smallest then smallest := right;
-  if !smallest <> i then begin
-    swap heap i !smallest;
-    sift_down heap !smallest
+  let child =
+    if left >= size then -1
+    else begin
+      let right = left + 1 in
+      if right < size
+         && (let kr = keys.(right) and kl = keys.(left) in
+             kr < kl || (kr = kl && seqs.(right) < seqs.(left)))
+      then right
+      else left
+    end
+  in
+  if child >= 0
+     && (let kc = keys.(child) in
+         kc < key || (kc = key && seqs.(child) < seq))
+  then begin
+    keys.(i) <- keys.(child);
+    seqs.(i) <- seqs.(child);
+    slots.(i) <- slots.(child);
+    sift_down keys seqs slots size child ~key ~seq ~slot
+  end
+  else begin
+    keys.(i) <- key;
+    seqs.(i) <- seq;
+    slots.(i) <- slot
   end
 
 let push heap ~key ~seq value =
-  grow heap;
+  if heap.size = Array.length heap.slots then grow heap;
   let i = heap.size in
-  heap.keys.(i) <- key;
-  heap.seqs.(i) <- seq;
-  heap.vals.(i) <- value;
-  heap.size <- heap.size + 1;
-  sift_up heap i
+  let slot = heap.slots.(i) in
+  heap.vals.(slot) <- value;
+  heap.size <- i + 1;
+  sift_up heap.keys heap.seqs heap.slots i ~key ~seq ~slot
 
 let min_key heap =
   if heap.size = 0 then invalid_arg "Heap.min_key: empty heap";
@@ -96,23 +123,22 @@ let min_seq heap =
 
 let min_value heap =
   if heap.size = 0 then invalid_arg "Heap.min_value: empty heap";
-  heap.vals.(0)
+  heap.vals.(heap.slots.(0))
 
 let drop_min heap =
   if heap.size = 0 then invalid_arg "Heap.drop_min: empty heap";
+  let slots = heap.slots in
+  let freed = slots.(0) in
+  (* The freed slot gets the filler: the popped value left there would
+     keep a callback that has run, and whatever its closure captures,
+     reachable until a later push reused the slot. *)
+  heap.vals.(freed) <- heap.filler;
   let last = heap.size - 1 in
   heap.size <- last;
-  heap.vals.(0) <- heap.vals.(last);
-  (* The vacated slot gets the filler: a copy of the moved value (or, when
-     the heap empties, the popped value itself) left there would keep a
-     callback that has run, and whatever its closure captures, reachable
-     until a later push overwrote the slot. *)
-  heap.vals.(last) <- heap.filler;
-  if last > 0 then begin
-    heap.keys.(0) <- heap.keys.(last);
-    heap.seqs.(0) <- heap.seqs.(last);
-    sift_down heap 0
-  end
+  if last > 0 then
+    sift_down heap.keys heap.seqs slots last 0 ~key:heap.keys.(last)
+      ~seq:heap.seqs.(last) ~slot:slots.(last);
+  slots.(last) <- freed
 
 (* Allocating convenience wrappers over the accessors above; kept for
    callers outside the event loop (tests, tooling). *)
@@ -120,7 +146,7 @@ let drop_min heap =
 let pop_min heap =
   if heap.size = 0 then None
   else begin
-    let key = heap.keys.(0) and seq = heap.seqs.(0) and value = heap.vals.(0) in
+    let key = min_key heap and seq = min_seq heap and value = min_value heap in
     drop_min heap;
     Some (key, seq, value)
   end

@@ -4,10 +4,12 @@
     monotonically increasing sequence number as a tie-breaker, so that two
     events scheduled for the same instant pop in insertion order.
 
-    Keys, sequence numbers and values live in parallel arrays
-    (structure-of-arrays): steady-state push/pop allocates nothing, which
-    matters because every simulated callback crosses this heap once in
-    each direction. *)
+    Every simulated callback crosses this heap once in each direction.
+    Each value is stored once, in a slot that does not move while it is
+    queued; the heap order is kept over ints only (key, sequence number,
+    slot index), so sifting stores no pointer and pays no write barrier.
+    Steady-state push/pop allocates nothing; [create] allocates nothing
+    either, and capacity grows by doubling on demand. *)
 
 type 'a t
 

@@ -97,6 +97,100 @@ module Ref_engine = struct
       run t
 end
 
+(* The structure-of-arrays swap heap that Soda_sim.Heap replaced, kept as
+   a differential oracle: a swap of three parallel arrays per level, the
+   values moving with their keys. test_sim.ml drives both over random
+   interleavings of pushes and pops with many equal keys and requires the
+   same (key, seq, value) sequence. *)
+module Ref_heap = struct
+  type 'a t = {
+    mutable keys : int array;
+    mutable seqs : int array;
+    mutable vals : 'a array;
+    mutable size : int;
+    filler : 'a;
+  }
+
+  let create ~filler = { keys = [||]; seqs = [||]; vals = [||]; size = 0; filler }
+
+  let length heap = heap.size
+
+  let less heap i j =
+    let ki = heap.keys.(i) and kj = heap.keys.(j) in
+    ki < kj || (ki = kj && heap.seqs.(i) < heap.seqs.(j))
+
+  let grow heap =
+    let capacity = Array.length heap.vals in
+    if heap.size = capacity then begin
+      let next = if capacity = 0 then 64 else capacity * 2 in
+      let keys = Array.make next 0 in
+      let seqs = Array.make next 0 in
+      let vals = Array.make next heap.filler in
+      Array.blit heap.keys 0 keys 0 heap.size;
+      Array.blit heap.seqs 0 seqs 0 heap.size;
+      Array.blit heap.vals 0 vals 0 heap.size;
+      heap.keys <- keys;
+      heap.seqs <- seqs;
+      heap.vals <- vals
+    end
+
+  let swap heap i j =
+    let k = heap.keys.(i) in
+    heap.keys.(i) <- heap.keys.(j);
+    heap.keys.(j) <- k;
+    let s = heap.seqs.(i) in
+    heap.seqs.(i) <- heap.seqs.(j);
+    heap.seqs.(j) <- s;
+    let v = heap.vals.(i) in
+    heap.vals.(i) <- heap.vals.(j);
+    heap.vals.(j) <- v
+
+  let rec sift_up heap i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if less heap i parent then begin
+        swap heap i parent;
+        sift_up heap parent
+      end
+    end
+
+  let rec sift_down heap i =
+    let left = (2 * i) + 1 in
+    let right = left + 1 in
+    let smallest = ref i in
+    if left < heap.size && less heap left !smallest then smallest := left;
+    if right < heap.size && less heap right !smallest then smallest := right;
+    if !smallest <> i then begin
+      swap heap i !smallest;
+      sift_down heap !smallest
+    end
+
+  let push heap ~key ~seq value =
+    grow heap;
+    let i = heap.size in
+    heap.keys.(i) <- key;
+    heap.seqs.(i) <- seq;
+    heap.vals.(i) <- value;
+    heap.size <- heap.size + 1;
+    sift_up heap i
+
+  let pop_min heap =
+    if heap.size = 0 then None
+    else begin
+      let key = heap.keys.(0) and seq = heap.seqs.(0) and value = heap.vals.(0) in
+      let last = heap.size - 1 in
+      heap.size <- last;
+      heap.vals.(0) <- heap.vals.(last);
+      heap.vals.(last) <- heap.filler;
+      if last > 0 then begin
+        heap.keys.(0) <- heap.keys.(last);
+        heap.seqs.(0) <- heap.seqs.(last);
+        sift_down heap 0
+      end;
+      Some (key, seq, value)
+    end
+end
+
 (* The seed's list-based broadcast bus, kept verbatim as a differential
    oracle for the array/hashtable-backed Soda_net.Bus: same config record,
    same fault RNG draw order (jitter at send, loss/corruption per matching

@@ -31,12 +31,17 @@ let test_heap_empty () =
   Alcotest.(check bool) "pop none" true (Heap.pop_min h = None)
 
 (* A popped value must not stay reachable from the heap: not from the slot
-   the last element vacated when it moved to the root, nor from the root
-   slot of a heap that emptied. *)
+   it was stored in, nor from the root of a heap that emptied, nor from a
+   freed slot of a heap that has grown and reuses its slots. *)
 let[@inline never] push_capturing h ~key weak i =
   let payload = Bytes.make 64 'x' in
   Weak.set weak i (Some payload);
-  Heap.push h ~key ~seq:key (fun () -> ignore (Sys.opaque_identity payload))
+  Heap.push h ~key ~seq:i (fun () -> ignore (Sys.opaque_identity payload))
+
+let[@inline never] pop_run h popped =
+  popped.(Heap.min_seq h) <- true;
+  (Heap.min_value h) ();
+  Heap.drop_min h
 
 let test_heap_releases_popped () =
   let h = Heap.create ~filler:(fun () -> ()) in
@@ -49,7 +54,124 @@ let test_heap_releases_popped () =
   done;
   Gc.full_major ();
   Alcotest.(check bool) "first popped value released" false (Weak.check weak 0);
-  Alcotest.(check bool) "last popped value released" false (Weak.check weak 1)
+  Alcotest.(check bool) "last popped value released" false (Weak.check weak 1);
+  (* 100 pushes grow the heap to 128 entries; 60 pops free slots in the
+     middle of the slot array; 100 more pushes reuse those and grow it to
+     256. Every popped value is released while the rest are kept. *)
+  let h = Heap.create ~filler:(fun () -> ()) in
+  let weak = Weak.create 200 and popped = Array.make 200 false in
+  let push_range lo hi =
+    for i = lo to hi - 1 do
+      push_capturing h ~key:(i * 37 mod 101) weak i
+    done
+  in
+  let released () = List.filter (Weak.check weak) (List.init 200 Fun.id) = [] in
+  let kept_exactly_unpopped () =
+    List.for_all (fun i -> Weak.check weak i = not popped.(i)) (List.init 200 Fun.id)
+  in
+  push_range 0 100;
+  for _ = 1 to 60 do
+    pop_run h popped
+  done;
+  push_range 100 200;
+  for _ = 1 to 70 do
+    pop_run h popped
+  done;
+  Gc.full_major ();
+  Alcotest.(check bool) "grown heap releases popped values, keeps queued ones" true
+    (kept_exactly_unpopped ());
+  while not (Heap.is_empty h) do
+    pop_run h popped
+  done;
+  Gc.full_major ();
+  Alcotest.(check bool) "drained grown heap holds no value" true (released ())
+
+(* The swap heap this one replaced is the oracle. Three pushes to a pop
+   grow the heap past 256 entries, three doublings of its initial 64;
+   keys from 0..15 make most pops a tie broken by seq. Seqs are unique but
+   not in push order, as with the engine's reserved ids. Both heaps must
+   pop the same (key, seq, value) sequence and empty together. *)
+let prop_heap_matches_reference =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (3, map (fun kr -> Some kr) (pair (int_bound 15) (int_bound 3))); (1, return None) ])
+  in
+  QCheck.Test.make ~name:"heap pops as the swap heap it replaced" ~count:200
+    (QCheck.make
+       ~print:QCheck.Print.(list (option (pair int int)))
+       QCheck.Gen.(list_size (int_range 1024 2048) op))
+    (fun ops ->
+      let module R = Helpers.Ref_heap in
+      let h = Heap.create ~filler:"" and r = R.create ~filler:"" in
+      let same = ref true and highwater = ref 0 in
+      let pop () =
+        let got = Heap.pop_min h and want = R.pop_min r in
+        same := !same && got = want
+      in
+      List.iteri
+        (fun i op ->
+          match op with
+          | Some (key, shift) ->
+            let seq = (shift * 4096) + i and value = string_of_int i in
+            Heap.push h ~key ~seq value;
+            R.push r ~key ~seq value;
+            highwater := max !highwater (Heap.length h)
+          | None -> pop ())
+        ops;
+      while not (Heap.is_empty h) do
+        pop ()
+      done;
+      QCheck.assume (!highwater > 256);
+      !same && R.length r = 0)
+
+(* Warm structures allocate nothing: push/drop_min on a heap that holds
+   2,000 entries, arming and disarming a tagged timer (its tag was
+   resolved when it was made; its heap grew in the warm-up), and tagged
+   one-shot schedules, whose tag lookup must not make a closure. *)
+let test_steady_state_allocates_nothing () =
+  let nothing () = () in
+  let h = Heap.create ~filler:nothing in
+  for i = 0 to 1_999 do
+    Heap.push h ~key:(i * 7_919 mod 2_000) ~seq:i nothing
+  done;
+  let before = Gc.minor_words () in
+  for i = 2_000 to 101_999 do
+    let key = Heap.min_key h + (i * 7_919 land 1_023) in
+    Heap.drop_min h;
+    Heap.push h ~key ~seq:i nothing
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "heap keeps its size" 2_000 (Heap.length h);
+  Alcotest.(check bool) "100,000 push/drop_min cycles allocate nothing" true (words < 16.0);
+  let e = Engine.create () in
+  let tm = Engine.timer ~tag:"tick" e nothing in
+  let cycle n =
+    for _ = 1 to n do
+      Engine.arm e tm ~delay:5;
+      Engine.disarm e tm
+    done
+  in
+  cycle 10_000;
+  ignore (Engine.run e);
+  let before = Gc.minor_words () in
+  cycle 10_000;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "10,000 timer arm/disarm cycles allocate nothing" true (words < 16.0);
+  let schedule_all n =
+    for _ = 1 to n do
+      Engine.schedule ~tag:"once" e ~delay:5 nothing
+    done
+  in
+  schedule_all 10_000;
+  ignore (Engine.run e);
+  let before = Gc.minor_words () in
+  schedule_all 10_000;
+  let words = Gc.minor_words () -. before in
+  ignore (Engine.run e);
+  Alcotest.(check (list (pair string int)))
+    "every arm and schedule counted" [ ("once", 20_000); ("tick", 20_000) ] (Engine.tag_counts e);
+  Alcotest.(check bool) "10,000 tagged schedules allocate nothing" true (words < 16.0)
 
 let prop_heap_sorted =
   QCheck.Test.make ~name:"heap pops keys in nondecreasing order" ~count:200
@@ -285,6 +407,19 @@ let test_engine_stop () =
   ignore (Engine.run e);
   Alcotest.(check bool) "stop aborts the run" false !after
 
+(* A run ended by [stop] leaves the clock where the stopping callback
+   ran, not at the horizon, so the next run fires what is left at its own
+   time and the clock never goes backwards. *)
+let test_engine_run_after_stop () =
+  let e = Engine.create () in
+  let fired_at = ref [] in
+  Engine.schedule e ~delay:1 (fun () -> Engine.stop e);
+  Engine.schedule e ~delay:2 (fun () -> fired_at := Engine.now e :: !fired_at);
+  Alcotest.(check int) "stopped run returns the stop time" 1 (Engine.run ~until:1000 e);
+  Alcotest.(check int) "clock stays at the stop" 1 (Engine.now e);
+  Alcotest.(check int) "next run reaches the horizon" 1000 (Engine.run ~until:1000 e);
+  Alcotest.(check (list int)) "the rest fires at its own time" [ 2 ] !fired_at
+
 let test_engine_negative_delay () =
   let e = Engine.create () in
   Alcotest.check_raises "negative delay" (Invalid_argument "Engine.schedule: negative delay")
@@ -490,6 +625,21 @@ let test_engine_profiling () =
   Alcotest.(check (list (pair string int)))
     "tag counts" [ ("alpha", 2); ("beta", 1) ] (Engine.tag_counts e);
   Alcotest.(check int) "high-water survives drain" 4 (Engine.heap_highwater e);
+  (* A timer counts once per arm: not when made, not on a re-arm at the
+     id it holds. A tag passed as another copy of a known tag's text
+     counts into that tag. *)
+  let _idle = Engine.timer ~tag:"idle" e ignore in
+  let tm = Engine.timer ~tag:"gamma" e ignore in
+  let copy = Engine.timer ~tag:(String.concat "" [ "be"; "ta" ]) e ignore in
+  let id = Engine.reserve e in
+  Engine.arm_at e tm ~time:(Engine.now e + 5) ~id;
+  Engine.arm_at e tm ~time:(Engine.now e + 5) ~id;
+  Engine.arm e copy ~delay:1;
+  ignore (Engine.run e);
+  Engine.arm e tm ~delay:2;
+  Engine.disarm e tm;
+  Alcotest.(check (list (pair string int)))
+    "tag counts with timers" [ ("alpha", 2); ("beta", 2); ("gamma", 2) ] (Engine.tag_counts e);
   Alcotest.(check bool) "wall clock accrued" true (Engine.wall_seconds e >= 0.0);
   let minor, promoted, major = Engine.gc_words e in
   Alcotest.(check bool) "gc deltas non-negative" true
@@ -497,6 +647,9 @@ let test_engine_profiling () =
   let m = Soda_obs.Metrics.create () in
   Engine.export_metrics e m ~prefix:"eng";
   Alcotest.(check int) "tag gauge" 2 (Soda_obs.Metrics.gauge m "eng.tag.alpha");
+  Alcotest.(check int) "timer tag gauge" 2 (Soda_obs.Metrics.gauge m "eng.tag.gamma");
+  Alcotest.(check bool) "no gauge for a timer never armed" false
+    (List.mem "eng.tag.idle" (Soda_obs.Metrics.gauge_names m));
   Alcotest.(check int) "heap gauge" 4 (Soda_obs.Metrics.gauge m "eng.heap_highwater");
   Alcotest.(check bool) "gc gauge present" true
     (List.mem "eng.gc_minor_words" (Soda_obs.Metrics.gauge_names m))
@@ -510,6 +663,9 @@ let suites =
         Alcotest.test_case "popped values released" `Quick test_heap_releases_popped;
         QCheck_alcotest.to_alcotest prop_heap_sorted;
         QCheck_alcotest.to_alcotest prop_heap_preserves_multiset;
+        QCheck_alcotest.to_alcotest prop_heap_matches_reference;
+        Alcotest.test_case "steady state allocates nothing" `Quick
+          test_steady_state_allocates_nothing;
       ] );
     ( "sim.ring",
       [
@@ -533,6 +689,7 @@ let suites =
         Alcotest.test_case "nested schedule" `Quick test_engine_nested_schedule;
         Alcotest.test_case "run until" `Quick test_engine_until;
         Alcotest.test_case "stop" `Quick test_engine_stop;
+        Alcotest.test_case "run after stop" `Quick test_engine_run_after_stop;
         Alcotest.test_case "negative delay rejected" `Quick test_engine_negative_delay;
         Alcotest.test_case "lifetime counters" `Quick test_engine_counters;
         Alcotest.test_case "re-arm and reserved ids" `Quick test_engine_rearm;

@@ -143,6 +143,10 @@ let report file fields (gates : gate list) =
     gates;
   if not (List.for_all (fun (_, ok, _) -> ok) gates) then exit 1
 
+(* A tag's words or nanoseconds per fired callback. *)
+let per_event (c : Soda_sim.Engine.tag_cost) total =
+  float_of_int total /. float_of_int (max 1 c.fired)
+
 (* The engine's profiling counters after a run, shared by PROFILE and
    SCALE. *)
 let engine_fields engine ~virtual_us =
@@ -156,7 +160,16 @@ let engine_fields engine ~virtual_us =
       ("heap_highwater", Int (Engine.heap_highwater engine)); ("gc_minor_words", rounded minor);
       ("gc_promoted_words", rounded promoted); ("gc_major_words", rounded major);
       ("gc_words_per_event", fixed 1 (if fired = 0 then 0.0 else minor /. float_of_int fired));
-      ("tags", Obj (List.map (fun (tag, n) -> (tag, Int n)) (Engine.tag_counts engine))) ]
+      ("tags", Obj (List.map (fun (tag, n) -> (tag, Int n)) (Engine.tag_counts engine)));
+      ( "tag_costs",
+        Obj
+          (List.map
+             (fun (c : Engine.tag_cost) ->
+               ( c.tag,
+                 Obj
+                   [ ("fired", Int c.fired); ("words_per_event", fixed 1 (per_event c c.words));
+                     ("ns_per_event", rounded (per_event c c.ns)) ] ))
+             (Engine.tag_costs engine)) ) ]
 
 (* Events/sec is a wall-clock ratio: zero means the clock did not advance. *)
 let events_measured engines =
@@ -909,6 +922,18 @@ let profile_section () =
            (List.map
               (fun (tag, count) -> Printf.sprintf "%s=%d" tag count)
               (Engine.tag_counts engine))))
+    rows;
+  (* A callback's cost includes whatever it runs inline: a proto
+     callback that completes a request runs the kernel completion and the
+     Sodal continuation it resumes, and all of it is charged to proto. *)
+  Printf.printf "\n    cost by source tag (callbacks fired, words and ns per callback):\n";
+  List.iter
+    (fun (nodes, engine, _) ->
+      List.iter
+        (fun (c : Engine.tag_cost) ->
+          Printf.printf "    n=%-4d %-8s %10d %10.1f words %8.0f ns\n" nodes c.tag c.fired
+            (per_event c c.words) (per_event c c.ns))
+        (Engine.tag_costs engine))
     rows;
   let row (nodes, engine, virtual_us) =
     Json.Obj (("nodes", Json.Int nodes) :: engine_fields engine ~virtual_us)

@@ -45,6 +45,9 @@ let status_f fields = named_f "status" Event.status_name Event.statuses fields "
 let store_phase_f fields =
   named_f "store phase" Event.store_phase_name Event.store_phases fields "phase"
 
+let cwnd_reason_f fields =
+  named_f "cwnd reason" Event.cwnd_reason_name Event.cwnd_reasons fields "reason"
+
 let mids_of_string s =
   if s = "" then []
   else List.map int_of_string (String.split_on_char ',' s)
@@ -75,7 +78,8 @@ let kind_of_fields fields =
     Window_buffer { tid = i "tid"; peer = i "peer"; seq = i "seq"; expected = i "expected" }
   | "cwnd-change" ->
     Cwnd_change
-      { peer = i "peer"; cwnd = i "cwnd"; in_flight = i "in_flight"; reason = str "reason" }
+      { peer = i "peer"; cwnd = i "cwnd"; in_flight = i "in_flight";
+        reason = cwnd_reason_f fields }
   | "rtt-sample" ->
     Rtt_sample
       { peer = i "peer"; sample_us = i "sample"; srtt_us = i "srtt"; rttvar_us = i "rttvar" }

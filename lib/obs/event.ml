@@ -100,6 +100,12 @@ let store_phases = [ Query; Propagate ]
 
 let store_phase_name = function Query -> "query" | Propagate -> "propagate"
 
+type cwnd_reason = Cwnd_ack | Cwnd_loss
+
+let cwnd_reasons = [ Cwnd_ack; Cwnd_loss ]
+
+let cwnd_reason_name = function Cwnd_ack -> "ack" | Cwnd_loss -> "loss"
+
 type status = Accepted | Rejected | Unadvertised | Crashed | Discovered
 
 let statuses = [ Accepted; Rejected; Unadvertised; Crashed; Discovered ]
@@ -129,10 +135,10 @@ type kind =
   | Window_buffer of { tid : int; peer : int; seq : int; expected : int }
       (** Receiver side: an out-of-order packet parked in the receive
           window until the gap at [expected] fills. *)
-  | Cwnd_change of { peer : int; cwnd : int; in_flight : int; reason : string }
-      (** Congestion window moved: [reason] is ["ack"] (additive
-          increase) or ["loss"] (multiplicative decrease on
-          retransmission-timer expiry). Windowed transports only. *)
+  | Cwnd_change of { peer : int; cwnd : int; in_flight : int; reason : cwnd_reason }
+      (** Congestion window moved: additive increase on a clean ack, or
+          multiplicative decrease on retransmission-timer expiry.
+          Windowed transports only. *)
   | Rtt_sample of { peer : int; sample_us : int; srtt_us : int; rttvar_us : int }
       (** One Karn-clean RTT measurement folded into the estimator
           (smoothed mean + variance after the update). *)
@@ -249,7 +255,8 @@ let message = function
     Printf.sprintf "hold #%d sn=%d from %d in receive window (expecting sn=%d)" tid seq
       peer expected
   | Cwnd_change { peer; cwnd; in_flight; reason } ->
-    Printf.sprintf "cwnd to %d now %d on %s (%d in flight)" peer cwnd reason in_flight
+    Printf.sprintf "cwnd to %d now %d on %s (%d in flight)" peer cwnd (cwnd_reason_name reason)
+      in_flight
   | Rtt_sample { peer; sample_us; srtt_us; rttvar_us } ->
     Printf.sprintf "rtt to %d sample %d us (srtt %d us, rttvar %d us)" peer sample_us
       srtt_us rttvar_us

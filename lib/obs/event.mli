@@ -83,6 +83,17 @@ val store_phases : store_phase list
 (** ["query"] or ["propagate"], as exported. *)
 val store_phase_name : store_phase -> string
 
+(** Why a congestion window moved: [Cwnd_ack] is the additive increase
+    on a clean cumulative ack, [Cwnd_loss] the multiplicative decrease on
+    a retransmission-timer expiry. *)
+type cwnd_reason = Cwnd_ack | Cwnd_loss
+
+(** Every reason, in declaration order. *)
+val cwnd_reasons : cwnd_reason list
+
+(** ["ack"] or ["loss"], as exported. *)
+val cwnd_reason_name : cwnd_reason -> string
+
 (** How a request completed at its requester: accepted, rejected (an
     ACCEPT with a negative argument, §4.1.2), unadvertised, crashed, or
     a DISCOVER that collected its replies. *)
@@ -109,11 +120,9 @@ type kind =
   | Window_buffer of { tid : int; peer : int; seq : int; expected : int }
       (** Receiver side: an out-of-order packet parked in the receive
           window until the gap at [expected] fills. *)
-  | Cwnd_change of { peer : int; cwnd : int; in_flight : int; reason : string }
-      (** Congestion window moved: [reason] is ["ack"] (additive
-          increase on a clean cumulative ack) or ["loss"]
-          (multiplicative decrease on retransmission-timer expiry).
-          Emitted only by windowed (> 1) transports with AIMD on. *)
+  | Cwnd_change of { peer : int; cwnd : int; in_flight : int; reason : cwnd_reason }
+      (** Congestion window moved (see {!cwnd_reason}). Emitted only by
+          windowed (> 1) transports with AIMD on. *)
   | Rtt_sample of { peer : int; sample_us : int; srtt_us : int; rttvar_us : int }
       (** One RTT measurement accepted by the estimator (Karn's rule:
           retransmitted packets never sample); [srtt_us]/[rttvar_us]

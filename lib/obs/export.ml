@@ -45,7 +45,8 @@ let event_fields (e : Event.t) : (string * Json.t) list =
     | Window_buffer { tid; peer; seq = n; expected } ->
       [ int "tid" tid; int "peer" peer; int "seq" n; int "expected" expected ]
     | Cwnd_change { peer; cwnd; in_flight; reason } ->
-      [ int "peer" peer; int "cwnd" cwnd; int "in_flight" in_flight; str "reason" reason ]
+      [ int "peer" peer; int "cwnd" cwnd; int "in_flight" in_flight;
+        str "reason" (cwnd_reason_name reason) ]
     | Rtt_sample { peer; sample_us; srtt_us; rttvar_us } ->
       [ int "peer" peer; int "sample" sample_us; int "srtt" srtt_us; int "rttvar" rttvar_us ]
     | Probe { tid; peer; misses } -> [ int "tid" tid; int "peer" peer; int "misses" misses ]

@@ -10,21 +10,6 @@ type kind = K_request | K_accept | K_put_data | K_cancel
 
 type outcome = Out_acked | Out_error of Wire.err_code | Out_cancel_reply of bool | Out_timeout
 
-type env = {
-  engine : Engine.t;
-  bus : Bus.t;
-  cost : Cost.t;
-  rng : Rng.t;
-  stats : Stats.t;
-  recorder : Recorder.t;
-  event : Event.kind -> unit;
-  transmit : int -> seq:int -> run:bool -> Wire.body -> unit;
-  hold_ack : int -> unit;
-  release_ack : int -> unit;
-  defer : delay:int -> (unit -> unit) -> unit;
-  unset : Engine.timer;
-}
-
 (* One reliable message, from [send] to its outcome. While launched it
    holds the slot [seq]; a BUSY puts it back in the queue, and it takes a
    fresh slot when launched again. *)
@@ -58,6 +43,47 @@ let no_msg =
   { kind = K_request; tid = Event.no_tid; body = Wire.Ack; on_done = ignore; seq = 0;
     run = false; retries = 0; busy = 0; ready_at = 0; launches = 0; due = 0; rt_id = -1;
     sent_at = 0 }
+
+(* What the windows of one node share. [acked] is the ack walk's
+   scratch, used as a stack: a walk pushes the messages it covers from
+   [top] up and keeps them there until their callbacks have run, so an
+   [on_done] that re-enters a window of this node walks above them. It
+   starts with one entry and doubles when a walk needs more, so a node
+   pays for the widest walk it has run, not for W (a W-entry array per
+   node made set-up measurably slower). The stats slots are resolved at
+   their first sample. *)
+type shared = {
+  mutable acked : msg array;
+  mutable top : int;
+  window_occupancy : Stats.sample_slot;
+  rtt_us : Stats.sample_slot;
+  cwnd_pkts : Stats.sample_slot;
+  ack_wait_us : Stats.sample_slot;
+  t_protocol : int ref;
+}
+
+let shared stats =
+  { acked = [| no_msg |]; top = 0;
+    window_occupancy = Stats.sample_slot stats "net.window_occupancy";
+    rtt_us = Stats.sample_slot stats "net.rtt_us"; cwnd_pkts = Stats.sample_slot stats "net.cwnd";
+    ack_wait_us = Stats.sample_slot stats "accept.ack_wait_us";
+    t_protocol = Stats.time_ref stats (Cost.label Cost.Protocol) }
+
+type env = {
+  engine : Engine.t;
+  bus : Bus.t;
+  cost : Cost.t;
+  rng : Rng.t;
+  stats : Stats.t;
+  recorder : Recorder.t;
+  event : Event.kind -> unit;
+  transmit : int -> seq:int -> run:bool -> Wire.body -> unit;
+  hold_ack : int -> unit;
+  release_ack : int -> unit;
+  defer : delay:int -> (unit -> unit) -> unit;
+  unset : Engine.timer;
+  shared : shared;
+}
 
 type t = {
   env : env;
@@ -126,7 +152,7 @@ let stop w =
 (* ---- congestion control (AIMD + Jacobson RTT, windowed only) ----------- *)
 
 let cwnd_note w ~reason =
-  Stats.sample w.env.stats "net.cwnd" (int_of_float w.cwnd);
+  Stats.observe w.env.shared.cwnd_pkts (int_of_float w.cwnd);
   if tracing w then
     w.env.event
       (Event.Cwnd_change
@@ -137,7 +163,7 @@ let cwnd_note w ~reason =
 let ack_wait_sample w m =
   match m.body with
   | Wire.Accept { data; _ } when Bytes.length data > 0 && m.sent_at > 0 ->
-    Stats.sample w.env.stats "accept.ack_wait_us" (Engine.now w.env.engine - m.sent_at)
+    Stats.observe w.env.shared.ack_wait_us (Engine.now w.env.engine - m.sent_at)
   | _ -> ()
 
 (* Karn's rule: a message that was ever retransmitted (or re-emitted
@@ -155,7 +181,7 @@ let rtt_sample w m =
       w.srtt_us <- srtt;
       w.rttvar_us <- rttvar;
       w.rto_shift <- 0;
-      Stats.sample w.env.stats "net.rtt_us" sample;
+      Stats.observe w.env.shared.rtt_us sample;
       if tracing w then
         w.env.event
           (Event.Rtt_sample
@@ -164,13 +190,16 @@ let rtt_sample w m =
     end
   end
 
+let rec all_clean acked lo hi = lo >= hi || (clean acked.(lo) && all_clean acked (lo + 1) hi)
+
 (* Additive increase: one cumulative ack covering only never-retransmitted
-   messages grows cwnd by the cost model's increment (capped at W). *)
-let cwnd_on_clean_ack w acked =
-  if aimd_on w && acked <> [] && List.for_all clean acked then begin
+   messages ([acked.(lo .. hi - 1)]) grows cwnd by the cost model's
+   increment (capped at W). *)
+let cwnd_on_clean_ack w acked lo hi =
+  if aimd_on w && hi > lo && all_clean acked lo hi then begin
     let before = int_of_float w.cwnd in
     w.cwnd <- Cost.aimd_increase w.env.cost ~cwnd:w.cwnd;
-    if int_of_float w.cwnd <> before then cwnd_note w ~reason:"ack"
+    if int_of_float w.cwnd <> before then cwnd_note w ~reason:Event.Cwnd_ack
   end
 
 (* Multiplicative decrease on retransmission-timer expiry. A burst of
@@ -185,7 +214,7 @@ let cwnd_on_loss w =
       w.cwnd_cut_at <- now;
       let before = int_of_float w.cwnd in
       w.cwnd <- Cost.aimd_decrease w.env.cost ~cwnd:w.cwnd;
-      if int_of_float w.cwnd <> before then cwnd_note w ~reason:"loss"
+      if int_of_float w.cwnd <> before then cwnd_note w ~reason:Event.Cwnd_loss
     end
   end
 
@@ -271,13 +300,12 @@ let queue_filter q keep =
   Queue.clear q;
   Queue.transfer kept q
 
-(* The first queued message that satisfies [p]. *)
-let first_queued q p =
-  Queue.fold (fun acc m -> match acc with Some _ -> acc | None -> if p m then Some m else None) None q
+(* The first queued message that satisfies [p]; [no_msg] if none does. *)
+let first_queued q p = Queue.fold (fun acc m -> if acc == no_msg && p m then m else acc) no_msg q
 
 let queued w ?tid kind =
   first_queued w.queue (fun m -> m.kind = kind && match tid with Some t -> m.tid = t | None -> true)
-  <> None
+  != no_msg
 
 (* Granted DATA goes ahead of every queued request (FIFO among DATA): the
    next window slot must go to the exchange the server is already waiting
@@ -299,14 +327,15 @@ let retry_behind_data q =
    Where a rejection leaves the refused slot unconsumed (window 1), a
    backing-off head keeps that slot for its retry and holds back
    everything queued behind it except granted DATA, which the busy
-   handler may be waiting for. *)
+   handler may be waiting for. [no_msg] when nothing may launch. *)
 let launchable w now =
-  match Queue.peek_opt w.queue with
-  | None -> None
-  | Some head as found when head.ready_at <= now -> found
-  | Some _ when not (rejection_consumes w.env.cost) ->
-    first_queued w.queue (fun m -> m.kind = K_put_data)
-  | Some _ -> first_queued w.queue (fun m -> m.ready_at <= now)
+  if Queue.is_empty w.queue then no_msg
+  else
+    let head = Queue.peek w.queue in
+    if head.ready_at <= now then head
+    else if not (rejection_consumes w.env.cost) then
+      first_queued w.queue (fun m -> m.kind = K_put_data)
+    else first_queued w.queue (fun m -> m.ready_at <= now)
 
 (* When the earliest BUSY backoff in the queue matures. Sends that never
    bounced do not count: held back behind a backing-off head, they would
@@ -367,7 +396,7 @@ let rec transmit w m =
   let copy_us = if bytes > 0 then Cost.data_copy_us env.cost ~bytes else 0 in
   if copy_us = 0 then emit w m body
   else begin
-    Stats.add_time env.stats (Cost.label Cost.Protocol) copy_us;
+    env.shared.t_protocol := !(env.shared.t_protocol) + copy_us;
     (* The imminent emission will carry any owed ack; hold the standalone
        ack back while the output buffer is being filled, and release it
        if the emission is called off. *)
@@ -436,40 +465,65 @@ and reject w m k = if rejection_consumes w.env.cost then resolve w m k else rele
 (* A cumulative acknowledgement: the peer consumed every slot up to and
    including [a]. A slot held by an unresolved CANCEL stops the walk — a
    CANCEL is resolved by its Cancel_reply body, not the bare ack — and the
-   remainder is parked in [parked_ack]. *)
+   remainder is parked in [parked_ack]. The acked messages are pushed on
+   the node's scratch stack, oldest first: retired and sampled newest
+   first, then told oldest first. Each is taken off the stack just before
+   its [on_done] runs; the ones still to come stay below [top], out of
+   reach of a walk that [on_done] starts. *)
 and ack w a =
   let extent = dist w w.base w.next in
   let d = dist w w.base a in
   if extent > 0 && d < extent then begin
-    let acked = ref [] in
-    let covered = ref 0 in
-    (try
-       for off = 0 to d do
-         let m = w.slots.((w.base + off) mod space w) in
-         if m == no_msg then incr covered (* slot vacated by a timed-out message *)
-         else if m.kind = K_cancel then begin
-           if off < d then w.parked_ack <- Some a;
-           raise Exit
-         end
-         else (acked := m :: !acked; incr covered)
-       done
-     with Exit -> ());
-    if !covered > 0 then begin
-      List.iter (retire w) !acked;
-      w.base <- (w.base + !covered) mod space w;
+    let s = w.env.shared in
+    let lo = s.top in
+    let covered = collect w s a d 0 in
+    if covered > 0 then begin
+      let hi = s.top in
+      for i = hi - 1 downto lo do
+        retire w s.acked.(i)
+      done;
+      w.base <- (w.base + covered) mod space w;
       if w.in_flight = 0 then w.next <- w.base;
       if win w > 1 && tracing w then
         w.env.event (Event.Window_advance { peer = w.peer; base = w.base; in_flight = w.in_flight });
-      List.iter (rtt_sample w) !acked;
-      cwnd_on_clean_ack w !acked;
-      List.iter
-        (fun m ->
-          if tracing w then
-            w.env.event (Event.Acked { tid = m.tid; peer = w.peer; pkt = Wire.pkt m.body });
-          ack_wait_sample w m;
-          m.on_done Out_acked)
-        (List.rev !acked);
+      for i = hi - 1 downto lo do
+        rtt_sample w s.acked.(i)
+      done;
+      cwnd_on_clean_ack w s.acked lo hi;
+      for i = lo to hi - 1 do
+        let m = s.acked.(i) in
+        s.acked.(i) <- no_msg;
+        if tracing w then
+          w.env.event (Event.Acked { tid = m.tid; peer = w.peer; pkt = Wire.pkt m.body });
+        ack_wait_sample w m;
+        m.on_done Out_acked
+      done;
+      s.top <- lo;
       start_next w
+    end
+  end
+
+(* Push the messages in slots [base .. base + d] onto the scratch stack,
+   from [off] on, stopping at a CANCEL; the number of slots covered. A
+   slot vacated by a timed-out message is covered with nothing pushed. *)
+and collect w s a d off =
+  if off > d then off
+  else begin
+    let m = w.slots.((w.base + off) mod space w) in
+    if m == no_msg then collect w s a d (off + 1)
+    else if m.kind = K_cancel then begin
+      if off < d then w.parked_ack <- Some a;
+      off
+    end
+    else begin
+      if s.top = Array.length s.acked then begin
+        let bigger = Array.make (2 * s.top) no_msg in
+        Array.blit s.acked 0 bigger 0 s.top;
+        s.acked <- bigger
+      end;
+      s.acked.(s.top) <- m;
+      s.top <- s.top + 1;
+      collect w s a d (off + 1)
     end
   end
 
@@ -506,8 +560,8 @@ and start_next w =
   let continue = ref true in
   while !continue do
     let now = Engine.now w.env.engine in
-    match launchable w now with
-    | None ->
+    let m = launchable w now in
+    if m == no_msg then begin
       (* backing off after a BUSY; wake when the nearest backoff matures *)
       if (not (Engine.armed w.wake_tm)) && not (Queue.is_empty w.queue) then begin
         if w.wake_tm == w.env.unset then
@@ -515,15 +569,16 @@ and start_next w =
         Engine.arm w.env.engine w.wake_tm ~delay:(max 1 (next_ready_at w.queue - now))
       end;
       continue := false
+    end
     (* The DATA of an accepted exchange answers an explicit server
        grant: the handler over there is already parked waiting for it,
        so gating it on a collapsed cwnd can deadlock the window (the
        in-flight REQUESTs it sits behind are BUSY-bounced by that very
        handler). It bypasses the congestion window; the peer's receive
        window still caps it. *)
-    | Some m when dist w w.base w.next >= if m.kind = K_put_data then win w else effective w ->
+    else if dist w w.base w.next >= if m.kind = K_put_data then win w else effective w then
       continue := false
-    | Some m ->
+    else begin
       if Queue.peek w.queue == m then ignore (Queue.pop w.queue)
       else queue_filter w.queue (fun p -> p != m);
       m.seq <- w.next;
@@ -541,8 +596,9 @@ and start_next w =
       assert (w.slots.(m.seq) == no_msg);
       w.slots.(m.seq) <- m;
       w.in_flight <- w.in_flight + 1;
-      Stats.sample w.env.stats "net.window_occupancy" w.in_flight;
+      Stats.observe w.env.shared.window_occupancy w.in_flight;
       transmit w m
+    end
   done
 
 let send w kind ~tid body on_done =

@@ -19,6 +19,12 @@ type outcome =
   | Out_cancel_reply of bool
   | Out_timeout  (** [max_retrans] retransmissions went unanswered *)
 
+(** Per-node state the windows share among themselves: the ack walk's
+    scratch and the stats slots. *)
+type shared
+
+val shared : Soda_sim.Stats.t -> shared
+
 (** What the windows of one node share with the transport. *)
 type env = {
   engine : Soda_sim.Engine.t;
@@ -37,6 +43,7 @@ type env = {
   defer : delay:int -> (unit -> unit) -> unit;
       (** a one-shot dropped if the node resets meanwhile *)
   unset : Soda_sim.Engine.timer;  (** never armed: a timer not yet made *)
+  shared : shared;  (** made once per node, from [stats] *)
 }
 
 type t

@@ -71,13 +71,13 @@ type conn = {
   mutable ack_tm : Engine.timer;  (* owed ack *)
   mutable expiry_tm : Engine.timer;
   (* receiver half *)
-  mutable recv_base : int option;  (* expected next incoming seq; None = take any *)
+  mutable recv_base : int;  (* expected next incoming seq; -1 = take any *)
   consumed : consumed_rec array;  (* per sequence number: its last consume, or [no_rec] *)
   mutable recv_buf : Wire.t list;
       (* held packets, nearest first: out-of-order arrivals waiting for the
          gap at [recv_base], plus (pipelined kernels) an in-order REQUEST
          deferred while the input buffer is full *)
-  mutable ack_owed : int option;  (* cumulative ack to send, piggybacked or timed *)
+  mutable ack_owed : int;  (* cumulative ack to send, piggybacked or timed; -1 = none *)
   mutable expiry_deadline : int;
       (* virtual time before which the delta-t record must not expire;
          pushed forward on every touch WITHOUT re-arming [expiry_tm] (a
@@ -148,7 +148,21 @@ type srv_txn = {
   mutable st_gc_id : int;  (* id of the live record-GC entry; -1 = none *)
 }
 
-(* Fillers for the empty slots of the delay lines below. *)
+(* Server records are keyed by (requester, tid): 16 + 48 bits on the
+   wire, one more than an int holds, so the key is a pair compared field
+   by field. A lookup fills the transport's one [txn_probe] instead of
+   building a tuple. *)
+module Txn_key = struct
+  type t = { mutable k_src : int; mutable k_tid : int }
+
+  let equal a b = a.k_src = b.k_src && a.k_tid = b.k_tid
+  let hash k = Hashtbl.hash ((k.k_src lsl 48) lxor k.k_tid)
+end
+
+module Txns = Hashtbl.Make (Txn_key)
+
+(* Fillers for the empty slots of the delay lines below, and the misses
+   of the record lookups. *)
 let no_req =
   { or_tid = Event.no_tid; or_dst = -1; or_put = Bytes.empty; or_get_size = 0;
     or_submit_us = 0; or_state = Rq_done; or_probe_id = -1; or_probe_misses = 0;
@@ -179,7 +193,8 @@ type t = {
      side of DISCOVER remembers recently answered (src, tid) pairs and
      drops the replay instead of scheduling a second staggered reply. *)
   seen_discovers : (int * int, unit) Hashtbl.t;
-  srv_txns : (int * int, srv_txn) Hashtbl.t;
+  srv_txns : srv_txn Txns.t;
+  txn_probe : Txn_key.t;
   mutable buffered : Wire.t option;  (* the pipelined input buffer: a REQUEST *)
   holders : conn Queue.t;
       (* connections with a REQUEST held at the head of their receive
@@ -208,10 +223,13 @@ type t = {
   hot : hot_cells;
 }
 
-(* Backing cells of the per-packet stats, fetched once at [create]: every
-   packet bumps two counters and four time accumulators on each side, and
-   the string-keyed lookups were a measurable slice of the packet cost at
-   scale. [sent_by_kind]/[recv_by_kind] are indexed by [Wire.kind] - 1. *)
+(* Backing cells of the per-packet and per-transaction stats, fetched
+   once at [create]: every packet bumps two counters and four time
+   accumulators on each side, and the string-keyed lookups were a
+   measurable slice of the packet cost at scale. [sent_by_kind]/
+   [recv_by_kind] are indexed by [Wire.kind] - 1. The slots resolve at
+   their first use, so a node that never submits or serves exports no
+   such counter and carries no histogram. *)
 and hot_cells = {
   c_sent_total : int ref;
   c_recv_total : int ref;
@@ -223,6 +241,9 @@ and hot_cells = {
   t_protocol : int ref;
   t_conn_timer : int ref;
   t_retrans_timer : int ref;
+  req_submitted : Stats.counter_slot;
+  req_delivered : Stats.counter_slot;
+  req_latency_us : Stats.sample_slot;
   packet_cpu : int;  (* packet_protocol_us + conn_timer_us + retrans_timer_us *)
 }
 
@@ -292,7 +313,7 @@ let seq_prev t s = (s - 1 + sspace t) mod sspace t
 
 (* ---- connection records ------------------------------------------------ *)
 
-let conn_active conn = Window.active conn.tx || conn.ack_owed <> None || conn.recv_buf <> []
+let conn_active conn = Window.active conn.tx || conn.ack_owed >= 0 || conn.recv_buf <> []
 
 (* Lazy expiry: every packet touches the record, and cancelling plus
    re-scheduling the timer per touch cost a heap push/pop per packet. The
@@ -316,19 +337,19 @@ let expiry_fired t conn =
   end
 
 let conn_for t peer =
-  match Hashtbl.find_opt t.conns peer with
-  | Some c -> c
-  | None ->
+  match Hashtbl.find t.conns peer with
+  | c -> c
+  | exception Not_found ->
     let c =
       {
         peer;
         tx = Window.create t.window_env ~peer;
         ack_tm = t.unset_tm;
         expiry_tm = t.unset_tm;
-        recv_base = None;
+        recv_base = -1;
         consumed = Array.make (sspace t) no_rec;
         recv_buf = [];
-        ack_owed = None;
+        ack_owed = -1;
         expiry_deadline = 0;
         hold = no_hold;
       }
@@ -353,26 +374,27 @@ let tx_fired t =
     if peer < 0 then Nic.broadcast_wire nic ?ctx wire else Nic.send_wire nic ?ctx ~dst:peer wire
   | Some _ | None -> ()
 
-(* Emit a packet to [dst], picking up any owed acknowledgement (piggyback,
-   §5.2.3). The kernel CPU cost is charged before the NIC transmits. *)
-let emit t ~dst ?(reliable = false) ?(seq = 0) ?(run = false) ?force_ack body =
+(* Emit a packet to [peer] (-1 = broadcast) carrying the cumulative
+   [ack] (-1 = none), or, to a peer when [ack] is -1, any owed
+   acknowledgement (piggyback, §5.2.3). The kernel CPU cost is charged
+   before the NIC transmits. *)
+let emit t ~peer ~reliable ~seq ~run ~ack body =
   if Option.is_none t.nic then failwith "Transport: no NIC";
   let ack =
-    match force_ack with
-    | Some _ as a -> a
-    | None ->
-      (match dst with
-       | `Peer peer ->
-         let conn = conn_for t peer in
-         let owed = conn.ack_owed in
-         if owed <> None then begin
-           conn.ack_owed <- None;
-           Engine.disarm t.engine conn.ack_tm
-         end;
-         owed
-       | `Broadcast -> None)
+    if ack >= 0 || peer < 0 then ack
+    else begin
+      let conn = conn_for t peer in
+      let owed = conn.ack_owed in
+      if owed >= 0 then begin
+        conn.ack_owed <- -1;
+        Engine.disarm t.engine conn.ack_tm
+      end;
+      owed
+    end
   in
-  let pkt = { Wire.src = t.mid; reliable; seq; ack; run; body } in
+  let pkt =
+    { Wire.src = t.mid; reliable; seq; ack = (if ack < 0 then None else Some ack); run; body }
+  in
   let size = Wire.encoded_size pkt in
   charge_packet_cpu t;
   let tx = Bus.transmission_time_us t.bus ~payload_bytes:size in
@@ -384,7 +406,7 @@ let emit t ~dst ?(reliable = false) ?(seq = 0) ?(run = false) ?force_ack body =
       (Event.Tx
          {
            tid = Wire.tid body;
-           peer = (match dst with `Peer p -> p | `Broadcast -> Event.broadcast_peer);
+           peer = (if peer < 0 then Event.broadcast_peer else peer);
            pkt = Wire.pkt body;
            bytes = size;
            seq;
@@ -402,19 +424,20 @@ let emit t ~dst ?(reliable = false) ?(seq = 0) ?(run = false) ?force_ack body =
   (* The sending span's causal identity rides the frame out of band;
      wire bytes are already encoded above and unaffected. *)
   let ctx = Hashtbl.find_opt t.tid_causal (Wire.tid body) in
-  let peer = match dst with `Peer peer -> peer | `Broadcast -> -1 in
   ignore (Delay_line.push t.tx_line ~fire:tx_fired t ~n:peer wire ctx)
 
+(* An unsequenced packet: a response, probe, discovery or bare ack. *)
+let emit_unsequenced t ~peer body = emit t ~peer ~reliable:false ~seq:0 ~run:false ~ack:(-1) body
+
 (* The cumulative acknowledgement we can assert right now: the last
-   in-order consumed sequence number. *)
-let cum_ack t conn =
-  match conn.recv_base with Some b -> Some (seq_prev t b) | None -> None
+   in-order consumed sequence number; -1 before the first. *)
+let cum_ack t conn = if conn.recv_base < 0 then -1 else seq_prev t conn.recv_base
 
 (* A response to a consumed reliable message: remember it on the consumed
    slot for duplicate replay, and let it carry the owed ack. *)
 let respond_consumed t conn cr body =
   cr.cr_response <- Some body;
-  emit t ~dst:(`Peer conn.peer) body
+  emit_unsequenced t ~peer:conn.peer body
 
 (* ---- owed acknowledgements --------------------------------------------- *)
 
@@ -442,13 +465,13 @@ let ack_hold t body =
   | _ -> c.Cost.ack_grace_us
 
 let ack_fired t conn =
-  if conn.ack_owed <> None then begin
+  if conn.ack_owed >= 0 then begin
     Stdlib.incr t.hot.c_standalone_acks;
-    emit t ~dst:(`Peer conn.peer) Wire.Ack
+    emit_unsequenced t ~peer:conn.peer Wire.Ack
   end
 
 let owe_ack t conn ~hold seq =
-  conn.ack_owed <- Some seq;
+  conn.ack_owed <- seq;
   if conn.ack_tm == t.unset_tm then
     conn.ack_tm <- Engine.timer ~tag:"proto" t.engine (fun () -> ack_fired t conn);
   if not (Engine.armed conn.ack_tm) then Engine.arm t.engine conn.ack_tm ~delay:hold
@@ -457,28 +480,28 @@ let owe_ack t conn ~hold seq =
    owed ack: hold the standalone ack back meanwhile, and owe it afresh if
    the packet is called off. *)
 let hold_ack t peer =
-  match Hashtbl.find_opt t.conns peer with
-  | Some conn when conn.ack_owed <> None -> Engine.disarm t.engine conn.ack_tm
-  | Some _ | None -> ()
+  match Hashtbl.find t.conns peer with
+  | conn -> if conn.ack_owed >= 0 then Engine.disarm t.engine conn.ack_tm
+  | exception Not_found -> ()
 
 let release_ack t peer =
-  match Hashtbl.find_opt t.conns peer with
-  | Some ({ ack_owed = Some a; _ } as conn) -> owe_ack t conn ~hold:t.cost.Cost.ack_grace_us a
-  | Some _ | None -> ()
+  match Hashtbl.find t.conns peer with
+  | conn ->
+    if conn.ack_owed >= 0 then owe_ack t conn ~hold:t.cost.Cost.ack_grace_us conn.ack_owed
+  | exception Not_found -> ()
 
 let replay_response t conn cr =
   Stdlib.incr t.hot.c_duplicates;
   mark t ~peer:conn.peer ~tid:Event.no_tid ~n:0 Event.Duplicate_replayed;
-  if conn.ack_owed <> None then begin
+  if conn.ack_owed >= 0 then
     (* Our ack is still within its grace window; quell the retransmission
        with an immediate standalone ack. *)
-    emit t ~dst:(`Peer conn.peer) Wire.Ack
-  end
+    emit_unsequenced t ~peer:conn.peer Wire.Ack
   else begin
-    match cr.cr_response, cum_ack t conn with
-    | Some body, ack -> emit t ~dst:(`Peer conn.peer) ?force_ack:ack body
-    | None, Some a -> emit t ~dst:(`Peer conn.peer) ~force_ack:a Wire.Ack
-    | None, None -> ()
+    let ack = cum_ack t conn in
+    match cr.cr_response with
+    | Some body -> emit t ~peer:conn.peer ~reliable:false ~seq:0 ~run:false ~ack body
+    | None -> if ack >= 0 then emit t ~peer:conn.peer ~reliable:false ~seq:0 ~run:false ~ack Wire.Ack
   end
 
 let send_reliable t ~peer ~kind ~tid body ~on_done =
@@ -488,6 +511,9 @@ let send_reliable t ~peer ~kind ~tid body ~on_done =
 
 (* ---- probes (§3.6.2) ---------------------------------------------------- *)
 
+(* The outbound request [tid]; [no_req], which is [Rq_done], if none. *)
+let find_req t tid = match Hashtbl.find t.out_reqs tid with req -> req | exception Not_found -> no_req
+
 let probe_live id req () = req.or_probe_id = id
 
 let stop_probing t req =
@@ -496,21 +522,29 @@ let stop_probing t req =
   Delay_line.cancel t.probe_line probe_live id
 
 (* The one way out for an outbound request, by completion or by a
-   successful CANCEL: [k] runs once it has left the tables, and its span
-   closes after [k], so stale late packets for the tid are no longer
-   attributed to it. *)
-let retire_req t req k =
-  if req.or_state <> Rq_done then begin
+   successful CANCEL: [retire_req] takes it out of the tables, and is
+   false if it had left them already. The caller then reports the
+   outcome and closes the span with [forget_causal], so stale late
+   packets for the tid are no longer attributed to it. *)
+let retire_req t req =
+  if req.or_state = Rq_done then false
+  else begin
     req.or_state <- Rq_done;
     stop_probing t req;
     Hashtbl.remove t.out_reqs req.or_tid;
-    k ();
+    true
+  end
+
+(* A successful CANCEL. *)
+let retire_cancelled t req on_done =
+  if retire_req t req then begin
+    on_done true;
     forget_causal t ~tid:req.or_tid
   end
 
 let complete_out_req t req completion =
-  retire_req t req @@ fun () ->
-    Stats.sample t.stats "req.latency_us" (Engine.now t.engine - req.or_submit_us);
+  if retire_req t req then begin
+    Stats.observe t.hot.req_latency_us (Engine.now t.engine - req.or_submit_us);
     if tracing t then begin
       let status : Event.status =
         match completion with
@@ -527,7 +561,9 @@ let complete_out_req t req completion =
        req.or_cancel_pending <- None;
        k false
      | None -> ());
-    (callbacks t).complete_request ~tid:req.or_tid completion
+    (callbacks t).complete_request ~tid:req.or_tid completion;
+    forget_causal t ~tid:req.or_tid
+  end
 
 let rec arm_probe t req =
   req.or_probe_id <- Delay_line.push t.probe_line ~fire:probe_fired t ~n:0 req ()
@@ -551,7 +587,7 @@ and probe_fired t =
       if tracing t then
         event t
           (Event.Probe { tid = req.or_tid; peer = req.or_dst; misses = req.or_probe_misses });
-      emit t ~dst:(`Peer req.or_dst) (Wire.Probe { tid = req.or_tid });
+      emit_unsequenced t ~peer:req.or_dst (Wire.Probe { tid = req.or_tid });
       arm_probe t req
     end
   end
@@ -574,7 +610,7 @@ and send_remote_cancel t req k =
     (Wire.Cancel_request { tid = req.or_tid })
     ~on_done:(fun outcome ->
       match outcome with
-      | Out_cancel_reply true when req.or_state <> Rq_done -> retire_req t req (fun () -> k true)
+      | Out_cancel_reply true when req.or_state <> Rq_done -> retire_cancelled t req k
       | Out_cancel_reply _ | Out_error _ | Out_acked -> k false
       | Out_timeout ->
         (* Server dead: the request itself fails CRASHED; cancel fails
@@ -587,7 +623,7 @@ and send_remote_cancel t req k =
    send queue and let whatever it held back go. *)
 let cancel_unsent t conn req on_done =
   Window.drop_queued conn.tx ~tid:req.or_tid K_request;
-  retire_req t req (fun () -> on_done true)
+  retire_cancelled t req on_done
 
 (* ---- requester: submitting --------------------------------------------- *)
 
@@ -607,7 +643,7 @@ let submit_request t ~dst ~tid ~pattern ~arg ~put_data ~get_size =
     }
   in
   Hashtbl.replace t.out_reqs tid req;
-  Stats.incr t.stats "req.submitted";
+  Stats.bump t.hot.req_submitted;
   let body =
     Wire.Request
       {
@@ -632,12 +668,25 @@ let submit_discover t ~tid ~pattern ~max_mids =
   let dr = { dr_tid = tid; dr_max = max_mids; dr_mids = [] } in
   Hashtbl.replace t.discovers tid dr;
   Stats.incr t.stats "discover.submitted";
-  emit t ~dst:`Broadcast (Wire.Discover { tid; pattern });
+  emit_unsequenced t ~peer:(-1) (Wire.Discover { tid; pattern });
   defer t ~delay:t.cost.Cost.discover_window_us (fun () ->
       Hashtbl.remove t.discovers tid;
       (callbacks t).complete_request ~tid (Comp_discovered (List.rev dr.dr_mids)))
 
 (* ---- server: transactions ----------------------------------------------- *)
+
+(* The server record of [src]'s transaction [tid]; [no_txn] if none. *)
+let find_txn t ~src ~tid =
+  let k = t.txn_probe in
+  k.k_src <- src;
+  k.k_tid <- tid;
+  match Txns.find t.srv_txns k with txn -> txn | exception Not_found -> no_txn
+
+let remove_txn t ~src ~tid =
+  let k = t.txn_probe in
+  k.k_src <- src;
+  k.k_tid <- tid;
+  Txns.remove t.srv_txns k
 
 let gc_live id txn () = txn.st_gc_id = id
 
@@ -645,7 +694,7 @@ let gc_fired t =
   let txn = Delay_line.head_a t.gc_line in
   Delay_line.next t.gc_line gc_live;
   txn.st_gc_id <- -1;
-  Hashtbl.remove t.srv_txns (txn.st_src, txn.st_tid);
+  remove_txn t ~src:txn.st_src ~tid:txn.st_tid;
   forget_causal t ~tid:txn.st_tid
 
 (* Forget a finished server record one lifetime from now, replacing any
@@ -675,9 +724,9 @@ let accept_check_done t txn ctx =
     accept_finish t txn ctx (Acc_success ctx.ac_received)
 
 let accept_queued t txn =
-  match Hashtbl.find_opt t.conns txn.st_src with
-  | Some conn -> Window.queued conn.tx ~tid:txn.st_tid K_accept
-  | None -> false
+  match Hashtbl.find t.conns txn.st_src with
+  | conn -> Window.queued conn.tx ~tid:txn.st_tid K_accept
+  | exception Not_found -> false
 
 let data_live id _ ctx = ctx.ac_data_id = id
 
@@ -712,95 +761,95 @@ let await_put_data t txn ctx ~acked =
 let truncate_bytes data len =
   if Bytes.length data <= len then data else Bytes.sub data 0 len
 
+(* Blind accept: either a guessed signature or a requester that crashed
+   and lost our record. Send it; the requester's kernel will answer with
+   the appropriate error (§3.3.2 rule 6, §5.4 staleness). *)
+let accept_blind t ~requester_mid ~requester_tid ~arg ~on_done =
+  let body =
+    Wire.Accept
+      { tid = requester_tid; arg; put_transferred = 0; need_put_data = false; data = Bytes.empty }
+  in
+  send_reliable t ~peer:requester_mid ~kind:K_accept ~tid:requester_tid body
+    ~on_done:(fun outcome ->
+      match outcome with
+      | Out_acked -> on_done Acc_cancelled
+      | Out_error Wire.Err_crashed -> on_done (Acc_crashed Bytes.empty)
+      | Out_error _ -> on_done Acc_cancelled
+      | Out_timeout -> on_done (Acc_crashed Bytes.empty)
+      | Out_cancel_reply _ -> ())
+
 let accept t ~requester_mid ~requester_tid ~arg ~get_capacity ~data_out ~on_done =
-  let key = (requester_mid, requester_tid) in
-  match Hashtbl.find_opt t.srv_txns key with
-  | Some { st_state = Srv_cancelled; _ } -> on_done Acc_cancelled
-  | Some ({ st_state = Srv_accepting _ | Srv_completed; _ } as _txn) ->
-    (* Double accept of the same request. *)
-    on_done Acc_cancelled
-  | Some ({ st_state = Srv_delivered | Srv_buffered; _ } as txn) ->
-    let put_transferred = min txn.st_put_size get_capacity in
-    let data_out = truncate_bytes data_out txn.st_get_size in
-    let need_data = put_transferred > 0 && txn.st_put_data = None in
-    let received =
-      match txn.st_put_data with
-      | Some data -> truncate_bytes data put_transferred
-      | None -> Bytes.empty
-    in
-    (* the record outlives the accept by a lifetime; it needs no data *)
-    txn.st_put_data <- None;
-    (* The input-buffer -> client copy of the requester's put data happens
-       as part of the ACCEPT command; the outbound copy is charged at
-       transmit time. *)
-    let copy_us = Cost.data_copy_us t.cost ~bytes:(Bytes.length received) in
-    Stats.add_time t.stats (Cost.label Cost.Protocol) copy_us;
-    let ctx =
-      {
-        ac_put_transferred = put_transferred;
-        ac_need_data = need_data;
-        ac_send = (if Bytes.length data_out > 0 then Awaiting_ack else Unacked);
-        ac_received = received;
-        ac_done = false;
-        ac_data_id = -1;
-        ac_on_done = on_done;
-      }
-    in
-    txn.st_state <- Srv_accepting ctx;
-    if need_data then await_put_data t txn ctx ~acked:false;
-    let body =
-      Wire.Accept
-        { tid = requester_tid; arg; put_transferred; need_put_data = need_data; data = data_out }
-    in
-    defer t ~delay:copy_us (fun () ->
-        send_reliable t ~peer:requester_mid ~kind:K_accept ~tid:requester_tid body
-          ~on_done:(fun outcome ->
-            match outcome with
-            | Out_acked ->
-              accept_resolved t txn ctx;
-              if ctx.ac_need_data then await_put_data t txn ctx ~acked:true;
-              accept_check_done t txn ctx
-            | Out_error Wire.Err_cancelled ->
-              accept_resolved t txn ctx;
-              if not ctx.ac_done then accept_finish t txn ctx Acc_cancelled
-            | Out_error _ | Out_timeout ->
-              accept_resolved t txn ctx;
-              if not ctx.ac_done then accept_finish t txn ctx (Acc_crashed ctx.ac_received)
-            | Out_cancel_reply _ -> ());
-        accept_check_done t txn ctx)
-  | None ->
-    (* Blind accept: either a guessed signature or a requester that crashed
-       and lost our record. Send it; the requester's kernel will answer with
-       the appropriate error (§3.3.2 rule 6, §5.4 staleness). *)
-    let body =
-      Wire.Accept
-        { tid = requester_tid; arg; put_transferred = 0; need_put_data = false;
-          data = Bytes.empty }
-    in
-    send_reliable t ~peer:requester_mid ~kind:K_accept ~tid:requester_tid body
-      ~on_done:(fun outcome ->
-        match outcome with
-        | Out_acked -> on_done Acc_cancelled
-        | Out_error Wire.Err_crashed -> on_done (Acc_crashed Bytes.empty)
-        | Out_error _ -> on_done Acc_cancelled
-        | Out_timeout -> on_done (Acc_crashed Bytes.empty)
-        | Out_cancel_reply _ -> ())
+  let txn = find_txn t ~src:requester_mid ~tid:requester_tid in
+  if txn == no_txn then accept_blind t ~requester_mid ~requester_tid ~arg ~on_done
+  else
+    match txn.st_state with
+    | Srv_cancelled -> on_done Acc_cancelled
+    | Srv_accepting _ | Srv_completed ->
+      (* Double accept of the same request. *)
+      on_done Acc_cancelled
+    | Srv_delivered | Srv_buffered ->
+      let put_transferred = min txn.st_put_size get_capacity in
+      let data_out = truncate_bytes data_out txn.st_get_size in
+      let need_data = put_transferred > 0 && txn.st_put_data = None in
+      let received =
+        match txn.st_put_data with
+        | Some data -> truncate_bytes data put_transferred
+        | None -> Bytes.empty
+      in
+      (* the record outlives the accept by a lifetime; it needs no data *)
+      txn.st_put_data <- None;
+      (* The input-buffer -> client copy of the requester's put data happens
+         as part of the ACCEPT command; the outbound copy is charged at
+         transmit time. *)
+      let copy_us = Cost.data_copy_us t.cost ~bytes:(Bytes.length received) in
+      t.hot.t_protocol := !(t.hot.t_protocol) + copy_us;
+      let ctx =
+        {
+          ac_put_transferred = put_transferred;
+          ac_need_data = need_data;
+          ac_send = (if Bytes.length data_out > 0 then Awaiting_ack else Unacked);
+          ac_received = received;
+          ac_done = false;
+          ac_data_id = -1;
+          ac_on_done = on_done;
+        }
+      in
+      txn.st_state <- Srv_accepting ctx;
+      if need_data then await_put_data t txn ctx ~acked:false;
+      let body =
+        Wire.Accept
+          { tid = requester_tid; arg; put_transferred; need_put_data = need_data; data = data_out }
+      in
+      defer t ~delay:copy_us (fun () ->
+          send_reliable t ~peer:requester_mid ~kind:K_accept ~tid:requester_tid body
+            ~on_done:(fun outcome ->
+              match outcome with
+              | Out_acked ->
+                accept_resolved t txn ctx;
+                if ctx.ac_need_data then await_put_data t txn ctx ~acked:true;
+                accept_check_done t txn ctx
+              | Out_error Wire.Err_cancelled ->
+                accept_resolved t txn ctx;
+                if not ctx.ac_done then accept_finish t txn ctx Acc_cancelled
+              | Out_error _ | Out_timeout ->
+                accept_resolved t txn ctx;
+                if not ctx.ac_done then accept_finish t txn ctx (Acc_crashed ctx.ac_received)
+              | Out_cancel_reply _ -> ());
+          accept_check_done t txn ctx)
 
 (* ---- cancel -------------------------------------------------------------- *)
 
 let cancel t ~tid ~on_done =
-  match Hashtbl.find_opt t.out_reqs tid with
-  | None -> on_done false
-  | Some req ->
-    (match req.or_state with
-     | Rq_done -> on_done false
-     | Rq_delivered -> send_remote_cancel t req on_done
-     | Rq_sent ->
-       let conn = conn_for t req.or_dst in
-       if Window.queued conn.tx ~tid K_request then cancel_unsent t conn req on_done
-       else
-         (* Await the acknowledgement; the outcome callback resolves us. *)
-         req.or_cancel_pending <- Some on_done)
+  let req = find_req t tid in
+  match req.or_state with
+  | Rq_done -> on_done false
+  | Rq_delivered -> send_remote_cancel t req on_done
+  | Rq_sent ->
+    let conn = conn_for t req.or_dst in
+    if Window.queued conn.tx ~tid K_request then cancel_unsent t conn req on_done
+    else
+      (* Await the acknowledgement; the outcome callback resolves us. *)
+      req.or_cancel_pending <- Some on_done
 
 (* ---- incoming packet processing ------------------------------------------ *)
 
@@ -824,13 +873,15 @@ type recv_class =
          on it would strand its predecessors (they would look "behind").
          Drop it; the sender's retransmission of the flagged run start
          establishes the base. *)
+  | Unsequenced  (* an ack, response, probe or discovery: no sequence number *)
 
 let classify t conn pkt =
-  match conn.recv_base with
-  | None -> if win t = 1 || pkt.Wire.run then In_order else No_sync
-  | Some base ->
+  match pkt.Wire.body with
+  | Wire.Request _ | Wire.Accept _ | Wire.Put_data _ | Wire.Cancel_request _ ->
+    let base = conn.recv_base in
     let d = dist t base pkt.Wire.seq in
-    if d = 0 then In_order
+    if base < 0 then (if win t = 1 || pkt.Wire.run then In_order else No_sync)
+    else if d = 0 then In_order
     else if d < win t then Out_of_order
     else begin
       (* every number behind the window keeps its last consume's record: a
@@ -840,13 +891,14 @@ let classify t conn pkt =
       then Dup cr
       else Resync
     end
+  | _ -> Unsequenced
 
 (* Consume one in-order sequence number: advance the expected base and
    open a replay record for it. [resync] means the sender rolled back and
    reused old slots — everything remembered about the previous numbering
    is void. *)
 let consume t conn ~resync pkt =
-  if conn.recv_base = None then
+  if conn.recv_base < 0 then
     mark t ~peer:conn.peer ~tid:Event.no_tid ~n:0 Event.Take_any_sn;
   if resync then begin
     conn.recv_buf <- [];
@@ -854,7 +906,7 @@ let consume t conn ~resync pkt =
   end;
   let seq = pkt.Wire.seq mod sspace t (* off the wire: reduce before indexing *)
   and body = pkt.Wire.body in
-  conn.recv_base <- Some (seq_next t seq);
+  conn.recv_base <- seq_next t seq;
   let cr = { cr_kind = Wire.kind body; cr_tid = Wire.tid body; cr_response = None } in
   conn.consumed.(seq) <- cr;
   cr
@@ -872,7 +924,7 @@ let stash t conn pkt =
       Stats.incr t.stats "pkt.window_stale_replaced";
       mark t ~peer:conn.peer ~tid:Event.no_tid ~n:(List.length stale) Event.Stale_dropped
     end;
-    let base = match conn.recv_base with Some b -> b | None -> pkt.Wire.seq in
+    let base = if conn.recv_base < 0 then pkt.Wire.seq else conn.recv_base in
     let d p = dist t base p.Wire.seq in
     let rec insert = function
       | [] -> [ pkt ]
@@ -909,14 +961,15 @@ let flush_run_stale t conn pkt =
 
 let handle_busy t conn tid =
   Window.busy conn.tx ~tid (fun () ->
-      match Hashtbl.find_opt t.out_reqs tid with
-      | Some ({ or_cancel_pending = Some k; _ } as req) ->
+      let req = find_req t tid in
+      match req.or_cancel_pending with
+      | Some k ->
         (* cancelled while on the wire: the server refused it, so the
            CANCEL wins here rather than after the retries *)
         req.or_cancel_pending <- None;
         cancel_unsent t conn req k;
         false
-      | Some _ | None -> true)
+      | None -> true)
 
 let handle_error t conn tid code =
   if not (Window.error conn.tx ~tid code) then
@@ -924,23 +977,28 @@ let handle_error t conn tid code =
        when the handler unadvertises before taking it (see
        [flush_buffered]); without this it would wait for the probes to
        report its healthy server CRASHED. *)
-    match code, Hashtbl.find_opt t.out_reqs tid with
-    | Wire.Err_unadvertised, Some req when req.or_state = Rq_delivered && req.or_dst = conn.peer ->
-      complete_out_req t req Comp_unadvertised
-    | _ -> ()
+    if code = Wire.Err_unadvertised then begin
+      let req = find_req t tid in
+      if req.or_state = Rq_delivered && req.or_dst = conn.peer then
+        complete_out_req t req Comp_unadvertised
+    end
 
 (* ---- consumed-body handlers ---------------------------------------------- *)
 
 let handle_accept t conn cr src ~tid ~arg ~put_transferred ~need_put_data data =
-  match Hashtbl.find_opt t.out_reqs tid with
-  | Some req when req.or_state <> Rq_done ->
-    if src <> req.or_dst then
+  let req = find_req t tid in
+  if req.or_state = Rq_done then begin
+    match (callbacks t).classify_unknown_tid tid with
+    | `Completed -> respond_consumed t conn cr (Wire.Error { tid; code = Wire.Err_cancelled })
+    | `Stale -> respond_consumed t conn cr (Wire.Error { tid; code = Wire.Err_crashed })
+  end
+  else if src <> req.or_dst then
       (* Rule 6 of §3.3.2: only the addressed server may accept. *)
       respond_consumed t conn cr (Wire.Error { tid; code = Wire.Err_cancelled })
     else begin
       let get_data = truncate_bytes data req.or_get_size in
       let copy_us = Cost.data_copy_us t.cost ~bytes:(Bytes.length get_data) in
-      Stats.add_time t.stats (Cost.label Cost.Protocol) copy_us;
+      t.hot.t_protocol := !(t.hot.t_protocol) + copy_us;
       if need_put_data then begin
         (* The put data was wasted on a busy transmission and must be
            re-sent; the data exchange -- and hence the requester's
@@ -962,41 +1020,38 @@ let handle_accept t conn cr src ~tid ~arg ~put_transferred ~need_put_data data =
         defer t ~delay:copy_us (fun () ->
             complete_out_req t req (Comp_accepted { arg; put_transferred; get_data }))
     end
-  | Some _ | None ->
-    (match (callbacks t).classify_unknown_tid tid with
-     | `Completed ->
-       respond_consumed t conn cr (Wire.Error { tid; code = Wire.Err_cancelled })
-     | `Stale -> respond_consumed t conn cr (Wire.Error { tid; code = Wire.Err_crashed }))
 
 let handle_put_data t conn ~tid data =
-  match Hashtbl.find_opt t.srv_txns (conn.peer, tid) with
-  | Some ({ st_state = Srv_accepting ctx; _ } as txn) when ctx.ac_need_data ->
+  let txn = find_txn t ~src:conn.peer ~tid in
+  match txn.st_state with
+  | Srv_accepting ctx when ctx.ac_need_data ->
     stop_data_wait t ctx;
     ctx.ac_received <- truncate_bytes data ctx.ac_put_transferred;
     ctx.ac_need_data <- false;
     let copy_us = Cost.data_copy_us t.cost ~bytes:(Bytes.length ctx.ac_received) in
-    Stats.add_time t.stats (Cost.label Cost.Protocol) copy_us;
+    t.hot.t_protocol := !(t.hot.t_protocol) + copy_us;
     defer t ~delay:copy_us (fun () -> accept_check_done t txn ctx)
-  | Some _ | None -> ()
+  | _ -> ()
 
 let handle_cancel_request t conn cr ~tid =
-  let key = (conn.peer, tid) in
+  let txn = find_txn t ~src:conn.peer ~tid in
   let ok =
-    match Hashtbl.find_opt t.srv_txns key with
-    | Some ({ st_state = Srv_delivered; _ } as txn) ->
+    txn == no_txn
+    ||
+    match txn.st_state with
+    | Srv_delivered ->
       txn.st_state <- Srv_cancelled;
       srv_gc t txn;
       true
-    | Some ({ st_state = Srv_buffered; _ } as txn) ->
+    | Srv_buffered ->
       txn.st_state <- Srv_cancelled;
       srv_gc t txn;
       (match t.buffered with
        | Some p when p.Wire.src = conn.peer && Wire.tid p.Wire.body = tid -> t.buffered <- None
        | Some _ | None -> ());
       true
-    | Some { st_state = Srv_cancelled; _ } -> true
-    | Some { st_state = Srv_accepting _ | Srv_completed; _ } -> false
-    | None -> true
+    | Srv_cancelled -> true
+    | Srv_accepting _ | Srv_completed -> false
   in
   if ok then Stats.incr t.stats "cancel.granted" else Stats.incr t.stats "cancel.refused";
   respond_consumed t conn cr (Wire.Cancel_reply { tid; ok })
@@ -1017,18 +1072,14 @@ let handle_consumed t conn cr pkt =
   | _ -> ()
 
 let handle_probe t conn tid =
-  let alive =
-    match Hashtbl.find_opt t.srv_txns (conn.peer, tid) with
-    | Some { st_state = Srv_cancelled; _ } -> false
-    | Some _ -> true
-    | None -> false
-  in
+  let txn = find_txn t ~src:conn.peer ~tid in
+  let alive = txn != no_txn && match txn.st_state with Srv_cancelled -> false | _ -> true in
   Stats.incr t.stats "probe.answered";
-  emit t ~dst:(`Peer conn.peer) (Wire.Probe_reply { tid; alive })
+  emit_unsequenced t ~peer:conn.peer (Wire.Probe_reply { tid; alive })
 
 let handle_probe_reply t tid alive =
-  match Hashtbl.find_opt t.out_reqs tid with
-  | Some req when req.or_state = Rq_delivered ->
+  let req = find_req t tid in
+  if req.or_state = Rq_delivered then begin
     req.or_probe_outstanding <- false;
     req.or_probe_misses <- 0;
     if not alive then begin
@@ -1036,7 +1087,7 @@ let handle_probe_reply t tid alive =
       mark t ~peer:req.or_dst ~tid ~n:0 Event.Probe_lost;
       complete_out_req t req Comp_crashed
     end
-  | Some _ | None -> ()
+  end
 
 let handle_discover t src tid pattern =
   if Hashtbl.mem t.seen_discovers (src, tid) then
@@ -1048,7 +1099,7 @@ let handle_discover t src tid pattern =
     if (callbacks t).advertised pattern then begin
       let delay = t.cost.Cost.discover_stagger_us * (t.mid + 1) in
       Stats.incr t.stats "discover.matched";
-      defer t ~delay (fun () -> emit t ~dst:(`Peer src) (Wire.Discover_reply { tid }))
+      defer t ~delay (fun () -> emit_unsequenced t ~peer:src (Wire.Discover_reply { tid }))
     end
   end
 
@@ -1059,6 +1110,28 @@ let handle_discover_reply t src tid =
       dr.dr_mids <- src :: dr.dr_mids
   | None -> ()
 
+(* Open the server record of a REQUEST the kernel took. *)
+let register_txn t ~src ~tid ~put_size ~get_size ~data ~retry st_state =
+  let txn =
+    {
+      st_src = src;
+      st_tid = tid;
+      st_put_size = put_size;
+      st_get_size = get_size;
+      st_put_data = (if (not retry) && put_size > 0 then Some data else None);
+      st_state;
+      st_gc_id = -1;
+    }
+  in
+  Txns.replace t.srv_txns { Txn_key.k_src = src; k_tid = tid } txn
+
+(* Refuse an in-order REQUEST. A consumed rejection is stored and
+   replayed on duplicates. *)
+let reject_request t conn pkt ~resync body =
+  if Window.rejection_consumes t.cost then
+    respond_consumed t conn (consume t conn ~resync pkt) body
+  else emit_unsequenced t ~peer:conn.peer body
+
 (* Offer an in-order REQUEST to the kernel. [`Held] (windowed pipelined
    kernels only) leaves the slot unconsumed: the packet stays parked at the
    head of the receive window, data intact, until the input buffer frees. *)
@@ -1066,36 +1139,15 @@ let offer_request t conn pkt ~resync =
   let src = pkt.Wire.src in
   match pkt.Wire.body with
   | Wire.Request { tid; pattern; arg; put_size; get_size; data; retry } ->
-    let cb = callbacks t in
-    let register st_state =
-      let txn =
-        {
-          st_src = src;
-          st_tid = tid;
-          st_put_size = put_size;
-          st_get_size = get_size;
-          st_put_data = (if (not retry) && put_size > 0 then Some data else None);
-          st_state;
-          st_gc_id = -1;
-        }
-      in
-      Hashtbl.replace t.srv_txns (src, tid) txn
-    in
-    (* A consumed rejection is stored and replayed on duplicates. *)
-    let reject body =
-      if Window.rejection_consumes t.cost then
-        respond_consumed t conn (consume t conn ~resync pkt) body
-      else emit t ~dst:(`Peer conn.peer) body
-    in
-    (match cb.deliver_request ~src ~tid ~pattern ~arg ~put_size ~get_size with
+    (match (callbacks t).deliver_request ~src ~tid ~pattern ~arg ~put_size ~get_size with
      | `Unadvertised ->
        Stats.incr t.stats "req.unadvertised";
-       reject (Wire.Error { tid; code = Wire.Err_unadvertised });
+       reject_request t conn pkt ~resync (Wire.Error { tid; code = Wire.Err_unadvertised });
        `Done
      | `Deliver ->
        ignore (consume_in_order t conn ~resync pkt);
-       register Srv_delivered;
-       Stats.incr t.stats "req.delivered";
+       register_txn t ~src ~tid ~put_size ~get_size ~data ~retry Srv_delivered;
+       Stats.bump t.hot.req_delivered;
        if tracing t then
          event t
            (Event.Deliver
@@ -1105,7 +1157,7 @@ let offer_request t conn pkt ~resync =
      | `Busy ->
        if t.cost.Cost.pipelined && t.buffered = None then begin
          ignore (consume_in_order t conn ~resync pkt);
-         register Srv_buffered;
+         register_txn t ~src ~tid ~put_size ~get_size ~data ~retry Srv_buffered;
          t.buffered <- Some pkt;
          Stats.incr t.stats "req.buffered";
          `Done
@@ -1119,7 +1171,7 @@ let offer_request t conn pkt ~resync =
        else begin
          Stats.incr t.stats "req.busy_nacked";
          if tracing t then event t (Event.Busy_nack { tid; peer = conn.peer });
-         reject (Wire.Busy { tid });
+         reject_request t conn pkt ~resync (Wire.Busy { tid });
          `Done
        end)
   | _ -> assert false
@@ -1133,11 +1185,11 @@ let note_held t conn pkt =
 (* Process parked packets that have become in-order (the gap filled, or a
    deferred REQUEST's handler freed). Stops at the first hold. *)
 let rec drain_recv t conn =
-  match conn.recv_base, conn.recv_buf with
-  (* [None]: a deferred in-order REQUEST was parked before the connection
+  match conn.recv_buf with
+  (* No base: a deferred in-order REQUEST was parked before the connection
      record existed (first contact with the input buffer full); it is the
      synchronisation point, so offer it as soon as the buffer drains. *)
-  | base, pkt :: rest when base = None || base = Some pkt.Wire.seq ->
+  | pkt :: rest when conn.recv_base < 0 || conn.recv_base = pkt.Wire.seq ->
     (match pkt.Wire.body with
      | Wire.Request _ ->
        (match offer_request t conn pkt ~resync:false with
@@ -1182,10 +1234,9 @@ let count_held_retry t conn held =
 (* Is the head of [conn]'s receive window in order? After [drain_recv]
    that means a REQUEST it left held. *)
 let head_held conn =
-  match conn.recv_base, conn.recv_buf with
-  | None, _ :: _ -> true
-  | Some base, pkt :: _ -> base = pkt.Wire.seq
-  | _, [] -> false
+  match conn.recv_buf with
+  | pkt :: _ -> conn.recv_base < 0 || conn.recv_base = pkt.Wire.seq
+  | [] -> false
 
 (* Offer freed input-buffer capacity to the held connections, longest
    holder first. A hold means the whole node's input buffer is occupied
@@ -1211,10 +1262,9 @@ let flush_buffered t =
      (match (callbacks t).deliver_request ~src ~tid ~pattern ~arg ~put_size ~get_size with
       | `Deliver ->
         t.buffered <- None;
-        (match Hashtbl.find_opt t.srv_txns (src, tid) with
-         | Some txn when txn.st_state = Srv_buffered -> txn.st_state <- Srv_delivered
-         | Some _ | None -> ());
-        Stats.incr t.stats "req.delivered";
+        let txn = find_txn t ~src ~tid in
+        if txn.st_state = Srv_buffered then txn.st_state <- Srv_delivered;
+        Stats.bump t.hot.req_delivered;
         Stats.incr t.stats "req.delivered_from_buffer";
         if tracing t then
           event t
@@ -1224,10 +1274,8 @@ let flush_buffered t =
       | `Busy -> ()
       | `Unadvertised ->
         t.buffered <- None;
-        (match Hashtbl.find_opt t.srv_txns (src, tid) with
-         | Some txn when txn.st_state = Srv_buffered -> Hashtbl.remove t.srv_txns (src, tid)
-         | Some _ | None -> ());
-        emit t ~dst:(`Peer src) (Wire.Error { tid; code = Wire.Err_unadvertised }))
+        if (find_txn t ~src ~tid).st_state = Srv_buffered then remove_txn t ~src ~tid;
+        emit_unsequenced t ~peer:src (Wire.Error { tid; code = Wire.Err_unadvertised }))
    | Some _ | None -> ());
   (* The freed handler (and possibly the freed input buffer) may unblock a
      REQUEST deferred at the head of a receive window. *)
@@ -1256,18 +1304,13 @@ let process_packet t ~ctx ~bytes pkt =
            bytes; seq = pkt.Wire.seq });
   let conn = conn_for t src in
   arm_expiry t conn;
-  let cls =
-    match pkt.Wire.body with
-    | Wire.Request _ | Wire.Accept _ | Wire.Put_data _ | Wire.Cancel_request _ ->
-      Some (classify t conn pkt)
-    | _ -> None
-  in
-  let resync = cls = Some Resync in
+  let cls = classify t conn pkt in
+  let resync = match cls with Resync -> true | _ -> false in
   (* Consuming a run-flagged packet voids everything still held for this
      peer: nothing else was outstanding when it launched, so held packets
      are stale remnants of a send era the peer abandoned. *)
   (match cls with
-   | Some (In_order | Resync) when pkt.Wire.run -> flush_run_stale t conn pkt
+   | (In_order | Resync) when pkt.Wire.run -> flush_run_stale t conn pkt
    | _ -> ());
   (* For non-REQUEST reliable bodies, consume the sequence number and
      register the owed acknowledgement BEFORE processing the piggybacked
@@ -1275,9 +1318,9 @@ let process_packet t ~ctx ~bytes pkt =
      queued one, which should carry the ack we now owe (§5.2.3). *)
   let consumed_cr =
     match pkt.Wire.body, cls with
-    | (Wire.Accept _ | Wire.Put_data _ | Wire.Cancel_request _), Some (In_order | Resync) ->
-      Some (consume_in_order t conn ~resync pkt)
-    | _ -> None
+    | (Wire.Accept _ | Wire.Put_data _ | Wire.Cancel_request _), (In_order | Resync) ->
+      consume_in_order t conn ~resync pkt
+    | _ -> no_rec
   in
   (* A BUSY must be interpreted before the cumulative ack riding the same
      packet: at window >1 the busy'd slot was consumed by the peer, and the
@@ -1291,13 +1334,13 @@ let process_packet t ~ctx ~bytes pkt =
    | Some a, _ -> Window.ack conn.tx a
    | None, _ -> ());
   match pkt.Wire.body, cls with
-  | _, Some (Dup cr) -> replay_response t conn cr
-  | _, Some No_sync ->
+  | _, Dup cr -> replay_response t conn cr
+  | _, No_sync ->
     (* No record and not a run start: the piggybacked ack above was still
        honoured, but the body waits for the flagged retransmission. *)
     Stats.incr t.stats "pkt.no_sync_dropped";
     mark t ~peer:conn.peer ~tid:Event.no_tid ~n:0 Event.No_sync_drop
-  | Wire.Request _, Some (In_order | Resync) ->
+  | Wire.Request _, (In_order | Resync) ->
     (match conn.recv_buf with
      | held :: _ when same_packet held pkt ->
        (* retransmission of a REQUEST already deferred at the window head;
@@ -1311,7 +1354,7 @@ let process_packet t ~ctx ~bytes pkt =
         | `Held ->
           stash t conn pkt;
           note_held t conn pkt))
-  | Wire.Put_data { tid; data }, Some Out_of_order ->
+  | Wire.Put_data { tid; data }, Out_of_order ->
     (* The slot must fill in order, but the BODY is transaction-addressed
        and idempotent -- and the accepting handler may be blocked waiting
        for exactly this data while earlier slots wait for that handler
@@ -1320,10 +1363,10 @@ let process_packet t ~ctx ~bytes pkt =
        window bookkeeping and is replayed harmlessly. *)
     stash t conn pkt;
     handle_put_data t conn ~tid data
-  | (Wire.Request _ | Wire.Accept _ | Wire.Cancel_request _), Some Out_of_order ->
+  | (Wire.Request _ | Wire.Accept _ | Wire.Cancel_request _), Out_of_order ->
     stash t conn pkt
-  | (Wire.Accept _ | Wire.Put_data _ | Wire.Cancel_request _), Some (In_order | Resync) ->
-    handle_consumed t conn (Option.get consumed_cr) pkt;
+  | (Wire.Accept _ | Wire.Put_data _ | Wire.Cancel_request _), (In_order | Resync) ->
+    handle_consumed t conn consumed_cr pkt;
     drain_recv t conn
   | Wire.Ack, _ -> ()
   | Wire.Busy _, _ -> () (* handled above, before the cumulative ack *)
@@ -1333,7 +1376,7 @@ let process_packet t ~ctx ~bytes pkt =
   | Wire.Probe_reply { tid; alive }, _ -> handle_probe_reply t tid alive
   | Wire.Discover { tid; pattern }, _ -> handle_discover t src tid pattern
   | Wire.Discover_reply { tid }, _ -> handle_discover_reply t src tid
-  | (Wire.Request _ | Wire.Accept _ | Wire.Put_data _ | Wire.Cancel_request _), None -> ()
+  | (Wire.Request _ | Wire.Accept _ | Wire.Put_data _ | Wire.Cancel_request _), Unsequenced -> ()
 
 (* A frame has waited out its packet CPU: process it. *)
 let rx_fired t =
@@ -1383,6 +1426,9 @@ let create ~engine ~bus ~mid ~cost ~recorder =
       t_protocol = Stats.time_ref stats (Cost.label Cost.Protocol);
       t_conn_timer = Stats.time_ref stats (Cost.label Cost.Conn_timer);
       t_retrans_timer = Stats.time_ref stats (Cost.label Cost.Retrans_timer);
+      req_submitted = Stats.counter_slot stats "req.submitted";
+      req_delivered = Stats.counter_slot stats "req.delivered";
+      req_latency_us = Stats.sample_slot stats "req.latency_us";
       packet_cpu =
         cost.Cost.packet_protocol_us + cost.Cost.conn_timer_us
         + cost.Cost.retrans_timer_us;
@@ -1406,7 +1452,8 @@ let create ~engine ~bus ~mid ~cost ~recorder =
       out_reqs = Hashtbl.create 16;
       discovers = Hashtbl.create 4;
       seen_discovers = Hashtbl.create 4;
-      srv_txns = Hashtbl.create 16;
+      srv_txns = Txns.create 16;
+      txn_probe = { Txn_key.k_src = -1; k_tid = Event.no_tid };
       buffered = None;
       holders = Queue.create ();
       live_from = 0;
@@ -1421,11 +1468,12 @@ let create ~engine ~bus ~mid ~cost ~recorder =
           recorder;
           event = (fun kind -> event t kind);
           transmit =
-            (fun peer ~seq ~run body -> emit t ~dst:(`Peer peer) ~reliable:true ~seq ~run body);
+            (fun peer ~seq ~run body -> emit t ~peer ~reliable:true ~seq ~run ~ack:(-1) body);
           hold_ack = (fun peer -> hold_ack t peer);
           release_ack = (fun peer -> release_ack t peer);
           defer = (fun ~delay fn -> defer t ~delay fn);
           unset;
+          shared = Window.shared stats;
         };
       tx_line = line ~delay:hot.packet_cpu ~fill_a:Bytes.empty ~fill_b:None;
       rx_line = line ~delay:hot.packet_cpu ~fill_a:no_pkt ~fill_b:None;
@@ -1460,7 +1508,7 @@ let reset t =
   Hashtbl.reset t.out_reqs;
   Hashtbl.reset t.discovers;
   Hashtbl.reset t.seen_discovers;
-  Hashtbl.reset t.srv_txns;
+  Txns.reset t.srv_txns;
   Hashtbl.reset t.tid_causal;
   Queue.clear t.holders;
   t.buffered <- None;

@@ -1,7 +1,20 @@
 type counters = { scheduled : int; fired : int; cancelled : int; pending : int }
 
-(* The callback counter of one source tag. *)
-type tag_cell = { tag : string; mutable count : int }
+type tag_cost = { tag : string; fired : int; words : int; ns : int }
+
+(* The counters of one source tag: schedules and arms ([count], always
+   on) and, while profiling is on, the callbacks fired with the minor
+   words they allocated and the nanoseconds they took. [idx] is the
+   cell's index in the engine's [cells]: a one-shot keeps it beside its
+   value in the heap, so its tag survives queueing. *)
+type tag_cell = {
+  tag : string;
+  idx : int;
+  mutable count : int;
+  mutable fired : int;
+  mutable words : int;
+  mutable ns : int;
+}
 
 (* A reusable timer: its callback is allocated once, and arming pushes the
    record itself onto the timer heap. [tm_id] is the id of the armed shot
@@ -30,11 +43,11 @@ type t = {
   root_rng : Rng.t;
   (* Hot-path profiling. The always-on part is integer bumps, plus a scan
      of the few known tags per *tagged* schedule (a timer resolves its
-     tag once, when made); wall-clock is read once per [run] call, never
-     inside the event loop, and never feeds back into scheduling, so
-     determinism is untouched. *)
+     tag once, when made). The wall clock is read once per [run] call
+     and, only while profiling is on, around each tagged callback; it
+     never feeds back into scheduling, so determinism is untouched. *)
   mutable heap_highwater : int;
-  mutable tags : tag_cell list;  (* one cell per tag, newest first *)
+  mutable cells : tag_cell array;  (* one per tag, by [idx]; 0 is [no_cell] *)
   mutable wall_s : float;  (* wall time accrued inside [run] *)
   mutable profile_gc : bool;
   mutable gc_minor_words : float;
@@ -46,9 +59,9 @@ exception Stop
 
 let nothing () = ()
 
-(* The cell of an untagged timer, and the tag lookup's miss; nothing is
-   ever counted into it. *)
-let no_cell = { tag = ""; count = 0 }
+(* The cell of an untagged timer or one-shot, and the tag lookup's miss;
+   nothing is ever counted into it. *)
+let no_cell = { tag = ""; idx = 0; count = 0; fired = 0; words = 0; ns = 0 }
 
 let no_timer = { tm_fn = nothing; tm_cell = no_cell; tm_id = -1 }
 
@@ -63,7 +76,7 @@ let create ?(seed = 42) () =
     timers = Heap.create ~filler:no_timer;
     root_rng = Rng.create ~seed;
     heap_highwater = 0;
-    tags = [];
+    cells = [| no_cell |];
     wall_s = 0.0;
     profile_gc = false;
     gc_minor_words = 0.0;
@@ -78,16 +91,17 @@ let rng t = t.root_rng
 (* Tag lookup without hashing: a scan over the few known tags. The scan
    is a top-level function and returns [no_cell] for a miss: a local
    closure or an option here would allocate on every tagged schedule. *)
-let rec find_cell tag = function
-  | [] -> no_cell
-  | c :: rest -> if String.equal c.tag tag then c else find_cell tag rest
+let rec find_cell cells tag i =
+  if i = Array.length cells then no_cell
+  else if String.equal cells.(i).tag tag then cells.(i)
+  else find_cell cells tag (i + 1)
 
 let tag_cell t tag =
-  let c = find_cell tag t.tags in
+  let c = find_cell t.cells tag 1 in
   if c != no_cell then c
   else begin
-    let c = { tag; count = 0 } in
-    t.tags <- c :: t.tags;
+    let c = { tag; idx = Array.length t.cells; count = 0; fired = 0; words = 0; ns = 0 } in
+    t.cells <- Array.append t.cells [| c |];
     c
   end
 
@@ -104,12 +118,15 @@ let schedule ?tag t ~delay fn =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
   let seq = reserve t in
   t.live <- t.live + 1;
-  (match tag with
-   | None -> ()
-   | Some tag ->
-     let c = tag_cell t tag in
-     c.count <- c.count + 1);
-  Heap.push t.queue ~key:(t.clock + delay) ~seq fn;
+  let c =
+    match tag with
+    | None -> no_cell
+    | Some tag ->
+      let c = tag_cell t tag in
+      c.count <- c.count + 1;
+      c
+  in
+  Heap.push_tagged t.queue ~key:(t.clock + delay) ~seq ~tag:c.idx fn;
   note_depth t
 
 (* ---- reusable timers ---------------------------------------------------- *)
@@ -158,7 +175,18 @@ let events_per_sec t =
 (* A cell made for a timer that was never armed has counted nothing and
    is left out, as if it did not exist. *)
 let tag_counts t =
-  List.filter_map (fun c -> if c.count > 0 then Some (c.tag, c.count) else None) t.tags
+  List.filter_map
+    (fun c -> if c.count > 0 then Some (c.tag, c.count) else None)
+    (Array.to_list t.cells)
+  |> List.sort compare
+
+let tag_costs t =
+  List.filter_map
+    (fun (c : tag_cell) ->
+      if c.fired > 0 then
+        Some ({ tag = c.tag; fired = c.fired; words = c.words; ns = c.ns } : tag_cost)
+      else None)
+    (Array.to_list t.cells)
   |> List.sort compare
 
 let set_profile_gc t on = t.profile_gc <- on
@@ -190,6 +218,20 @@ let export_metrics t m ~prefix =
 
 let stop _t = raise Stop
 
+(* Run one callback with its minor words and wall nanoseconds charged to
+   its tag. [Gc.minor_words] and the monotonic clock return unboxed, so
+   the measurement allocates nothing of its own. *)
+let[@inline never] profiled c fn =
+  if c == no_cell then fn ()
+  else begin
+    let words0 = Gc.minor_words () in
+    let ns0 = Monotonic_clock.now () in
+    fn ();
+    c.fired <- c.fired + 1;
+    c.words <- c.words + int_of_float (Gc.minor_words () -. words0);
+    c.ns <- c.ns + Int64.to_int (Int64.sub (Monotonic_clock.now ()) ns0)
+  end
+
 (* Pop the lesser (time, id) of the two heap heads. A timer shot that is
    no longer its timer's armed one is dropped the way a cancelled event
    was: the clock does not move and nothing counts as fired. *)
@@ -214,7 +256,7 @@ let step t ~until =
         t.clock <- time;
         t.live <- t.live - 1;
         t.n_fired <- t.n_fired + 1;
-        tm.tm_fn ()
+        if t.profile_gc then profiled tm.tm_cell tm.tm_fn else tm.tm_fn ()
       end;
       true
     end
@@ -225,11 +267,12 @@ let step t ~until =
     if time > until then false
     else begin
       let fn = Heap.min_value q in
+      let tag = Heap.min_tag q in
       Heap.drop_min q;
       t.clock <- time;
       t.live <- t.live - 1;
       t.n_fired <- t.n_fired + 1;
-      fn ();
+      if t.profile_gc then profiled t.cells.(tag) fn else fn ();
       true
     end
   end

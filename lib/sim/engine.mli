@@ -80,9 +80,10 @@ val counters : t -> counters
 
 (** {2 Hot-path profiling}
 
-    Always-on and deterministic: the event loop itself never reads the
-    wall clock — [run] samples it once on entry and once on exit, and the
-    result feeds no scheduling decision. *)
+    Always-on and deterministic: [run] samples the wall clock once on
+    entry and once on exit, and the event loop reads it per callback
+    only under {!set_profile_gc}; no reading feeds a scheduling
+    decision. *)
 
 (** Most entries the one-shot and timer heaps have ever held together
     (includes withdrawn timer shots not yet popped, i.e. real memory
@@ -102,9 +103,20 @@ val events_per_sec : t -> float
 val tag_counts : t -> (string * int) list
 
 (** Opt-in GC profiling: when enabled, each [run] call accumulates the
-    [Gc.quick_stat] allocation deltas it spans. Off by default — a
-    [Gc.quick_stat] pair per [run] is cheap but not free. *)
+    [Gc.quick_stat] allocation deltas it spans, and every tagged
+    callback's minor words and wall nanoseconds are charged to its tag
+    ({!tag_costs}). Off by default; off, it costs one branch per event. *)
 val set_profile_gc : t -> bool -> unit
+
+(** What the callbacks of one tag cost while profiling was on: [fired]
+    callbacks, the minor words they allocated and the wall nanoseconds
+    they took. Whatever a callback runs inline (a continuation it
+    resumes, a completion it delivers) is charged to its tag. *)
+type tag_cost = { tag : string; fired : int; words : int; ns : int }
+
+(** One entry per tag that fired while profiling was on, sorted by tag.
+    Untagged callbacks are not charged. *)
+val tag_costs : t -> tag_cost list
 
 (** Accumulated [(minor, promoted, major)] allocated words while
     profiling was on. *)

@@ -22,6 +22,31 @@ let counter t name = Metrics.counter t.metrics name
 let counter_cell t name = Metrics.counter_cell t.metrics name
 let histogram_cell t name = Metrics.histogram_cell t.metrics name
 
+(* Cells resolved at their first use. A name the node never touches
+   stays absent from its exports, and a histogram (1,888 words) is made
+   only where something is sampled. [no_ref] is never written. *)
+let no_ref = ref 0
+
+type counter_slot = { c_stats : t; c_name : string; mutable c_ref : int ref }
+
+let counter_slot t name = { c_stats = t; c_name = name; c_ref = no_ref }
+
+let bump s =
+  if s.c_ref == no_ref then s.c_ref <- counter_cell s.c_stats s.c_name;
+  Stdlib.incr s.c_ref
+
+type sample_slot = { s_stats : t; s_name : string; mutable s_hist : Metrics.histogram option }
+
+let sample_slot t name = { s_stats = t; s_name = name; s_hist = None }
+
+let observe s v =
+  match s.s_hist with
+  | Some h -> Metrics.Histogram.observe h v
+  | None ->
+    let h = histogram_cell s.s_stats s.s_name in
+    s.s_hist <- Some h;
+    Metrics.Histogram.observe h v
+
 (* Exception-based lookup: [find_opt] would allocate a [Some] per
    accounting call, and [add_time] runs several times per packet. *)
 let time_cell t name =

@@ -29,6 +29,24 @@ val counter_cell : t -> string -> int ref
 val time_ref : t -> string -> int ref
 val histogram_cell : t -> string -> Soda_obs.Metrics.histogram
 
+(** Slots: a name bound once, its cell resolved at the first bump or
+    sample. A slot that is never used adds nothing to the bag, so it
+    exports exactly what the string-keyed call would have. *)
+
+type counter_slot
+
+val counter_slot : t -> string -> counter_slot
+
+(** [bump s] is [incr t name]. *)
+val bump : counter_slot -> unit
+
+type sample_slot
+
+val sample_slot : t -> string -> sample_slot
+
+(** [observe s v] is [sample t name v]. *)
+val observe : sample_slot -> int -> unit
+
 (** Microsecond accumulators, reported in milliseconds. *)
 
 val add_time : t -> string -> int -> unit

@@ -63,7 +63,7 @@ let all_kinds_events =
     ev 8 1 (Window_advance { peer = 0; base = 4; in_flight = 3 });
     ev 9 0 (Window_buffer { tid = 7; peer = 1; seq = 6; expected = 4 });
     ev 10 1 (Probe { tid = 7; peer = 0; misses = 1 });
-    ev 10 1 (Cwnd_change { peer = 0; cwnd = 6; in_flight = 4; reason = "loss" });
+    ev 10 1 (Cwnd_change { peer = 0; cwnd = 6; in_flight = 4; reason = Cwnd_loss });
     ev 10 1 (Rtt_sample { peer = 0; sample_us = 2_100; srtt_us = 2_000; rttvar_us = 150 });
     ev 11 0
       (Deliver

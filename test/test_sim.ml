@@ -654,6 +654,39 @@ let test_engine_profiling () =
   Alcotest.(check bool) "gc gauge present" true
     (List.mem "eng.gc_minor_words" (Soda_obs.Metrics.gauge_names m))
 
+
+(* With profiling on, each tagged callback is charged to its tag, one-shots
+   (whose tag waits beside them in the heap) and timers alike: the runs,
+   and the minor words they allocate, exactly. The measurement allocates
+   nothing of its own, so a callback that allocates nothing costs 0
+   words; untagged callbacks are not charged. With profiling off nothing
+   is charged. *)
+let[@inline never] allocate_ten sink () = sink := Array.make 10 0
+
+let test_engine_tag_costs () =
+  let run ~profile =
+    let e = Engine.create () in
+    Engine.set_profile_gc e profile;
+    let sink = ref [||] in
+    for i = 1 to 100 do
+      Engine.schedule ~tag:"alloc" e ~delay:i (allocate_ten sink);
+      Engine.schedule ~tag:"quiet" e ~delay:i ignore;
+      Engine.schedule e ~delay:i (allocate_ten sink)
+    done;
+    let tm = Engine.timer ~tag:"timer" e (allocate_ten sink) in
+    Engine.arm e tm ~delay:7;
+    ignore (Engine.run e);
+    List.map
+      (fun (c : Engine.tag_cost) -> (c.tag, (c.fired, c.words)))
+      (Engine.tag_costs e)
+  in
+  Alcotest.(check (list (pair string (pair int int))))
+    "fired and minor words per tag"
+    [ ("alloc", (100, 1_100)); ("quiet", (100, 0)); ("timer", (1, 11)) ]
+    (run ~profile:true);
+  Alcotest.(check (list (pair string (pair int int)))) "nothing charged when off" []
+    (run ~profile:false)
+
 let suites =
   [
     ( "sim.heap",
@@ -696,6 +729,7 @@ let suites =
         Alcotest.test_case "disarming a fired timer" `Quick test_engine_disarm_fired;
         QCheck_alcotest.to_alcotest prop_engine_matches_reference;
         Alcotest.test_case "profiling counters" `Quick test_engine_profiling;
+        Alcotest.test_case "per-tag words and runs" `Quick test_engine_tag_costs;
       ] );
     ( "sim.stats",
       [

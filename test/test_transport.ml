@@ -733,6 +733,51 @@ let test_aimd_transparent_loss_free () =
   Alcotest.(check (list int)) "identical delivery sequence" seen_off seen_on;
   Alcotest.(check (list bool)) "identical completion sequence" ok_off ok_on
 
+
+(* ---- allocation ------------------------------------------------------------ *)
+
+(* Minor words a warm W=1 SIGNAL round trip may allocate, the whole stack
+   on both nodes: the client fiber, kernels, transports and bus. It sits
+   just above today's count, 631.0 words, so a list, option, closure or
+   tuple built per packet on this path fails here. *)
+let signal_round_trip_budget = 640.0
+
+let test_signal_round_trip_budget () =
+  let net, kernels = make_net ~seed:11 2 in
+  let server = List.nth kernels 0 and client = List.nth kernels 1 in
+  let patt = Pattern.well_known 0o642 in
+  ignore
+    (Sodal.attach server
+       {
+         Sodal.default_spec with
+         init = (fun env ~parent:_ -> Sodal.advertise env patt);
+         on_request = (fun env _ -> ignore (Sodal.accept_current_signal env ~arg:0));
+       });
+  let warm = 200 and n = 1_000 in
+  let marks = Array.make 2 0.0 and failed = ref 0 in
+  ignore
+    (Sodal.attach client
+       {
+         Sodal.default_spec with
+         task =
+           (fun env ->
+             Sodal.compute env 10_000;
+             let sv = Sodal.server ~mid:0 ~pattern:patt in
+             for i = 1 to warm + n do
+               if i = warm + 1 then marks.(0) <- Gc.minor_words ();
+               let c = Sodal.b_signal env sv ~arg:0 in
+               if c.Sodal.status <> Sodal.Comp_ok then incr failed
+             done;
+             marks.(1) <- Gc.minor_words ());
+       });
+  run net;
+  Alcotest.(check int) "every SIGNAL completed" 0 !failed;
+  let per_op = (marks.(1) -. marks.(0)) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per round trip, budget %.0f" per_op signal_round_trip_budget)
+    true
+    (per_op > 0.0 && per_op <= signal_round_trip_budget)
+
 let suites =
   [
     ( "transport.reliability",
@@ -783,5 +828,10 @@ let suites =
       [
         Alcotest.test_case "AIMD transparent on a clean wire" `Quick
           test_aimd_transparent_loss_free;
+      ] );
+    ( "transport.alloc",
+      [
+        Alcotest.test_case "warm W=1 SIGNAL round trip within its word budget" `Quick
+          test_signal_round_trip_budget;
       ] );
   ]

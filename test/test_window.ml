@@ -315,7 +315,7 @@ let test_cwnd_events_bounded () =
     (List.exists
        (fun (e : Event.t) ->
          match e.Event.kind with
-         | Event.Cwnd_change { reason; _ } -> reason = "ack"
+         | Event.Cwnd_change { reason = Event.Cwnd_ack; _ } -> true
          | _ -> false)
        events);
   Alcotest.(check bool) "cwnd always within [1, W]; estimator state sane" true
@@ -987,6 +987,123 @@ let test_refused_last_slot_relaunches_fresh () =
   Alcotest.(check int) "nothing left outstanding but REQUESTs 2 and 3" 2
     (Transport.outstanding_requests t)
 
+
+(* ---- the send window alone: the ack walk ------------------------------------ *)
+
+module Window = Soda_proto.Send_window
+
+(* A send window to peer 1 on a fresh engine, AIMD off: transmissions go
+   nowhere and the test plays the peer by calling [Window.ack]. *)
+let bare_window ~window =
+  let engine = Engine.create ~seed:5 () in
+  let cost = { Cost.default with Cost.window; aimd = false } in
+  let stats = Stats.create () in
+  let env =
+    {
+      Window.engine;
+      bus = Soda_net.Bus.create engine;
+      cost;
+      rng = Soda_sim.Rng.create ~seed:5;
+      stats;
+      recorder = Recorder.create ();
+      event = ignore;
+      transmit = (fun _ ~seq:_ ~run:_ _ -> ());
+      hold_ack = ignore;
+      release_ack = ignore;
+      defer = (fun ~delay fn -> Engine.schedule engine ~delay fn);
+      unset = Engine.timer engine ignore;
+      shared = Window.shared stats;
+    }
+  in
+  (Window.create env ~peer:1, Cost.seq_space cost)
+
+let put_data tid = Wire.Put_data { tid; data = Bytes.empty }
+
+(* A warm window acks 10,000 launched messages, one at a time and then in
+   cumulative batches of 3, and the walks allocate nothing: the acked
+   messages go on the node's preallocated scratch, not in a list. Only
+   the [Window.ack] calls are measured; launching allocates each message. *)
+let test_ack_walk_allocates_nothing () =
+  let w, space = bare_window ~window:4 in
+  let sent = ref 0 and acked = ref 0 and words = ref 0 in
+  let on_done _ = incr acked in
+  let send () =
+    Window.send w K_put_data ~tid:!sent (put_data !sent) on_done;
+    incr sent
+  in
+  let ack_last ~measured =
+    let w0 = Gc.minor_words () in
+    Window.ack w ((!sent - 1) mod space);
+    if measured then words := !words + int_of_float (Gc.minor_words () -. w0)
+  in
+  let round ~batch ~measured =
+    for _ = 1 to batch do
+      send ()
+    done;
+    ack_last ~measured
+  in
+  round ~batch:1 ~measured:false;
+  round ~batch:3 ~measured:false;
+  let warm = !acked in
+  for _ = 1 to 4_999 do
+    round ~batch:1 ~measured:true
+  done;
+  for _ = 1 to 1_667 do
+    round ~batch:3 ~measured:true
+  done;
+  Alcotest.(check int) "every launched message acked" 10_000 (!acked - warm);
+  Alcotest.(check bool) "nothing left in flight" false (Window.active w);
+  Alcotest.(check bool)
+    (Printf.sprintf "10,000 acks allocate under 16 words (%d)" !words)
+    true (!words < 16)
+
+(* One cumulative ack covers A, B and C, and A's [on_done] re-enters the
+   same window: it sends D, or it resolves the CANCEL X launched behind
+   them. With [uncovered] messages launched between C and X (W=8), that
+   resolution starts a second ack walk, over them, while the first still
+   has B and C to tell. Every [on_done] runs exactly once, each walk's in
+   launch order: a walk that reused the first one's scratch entries would
+   tell one message twice and lose another. *)
+let ack_reentrant ~window ~reentry ~uncovered () =
+  let w, _ = bare_window ~window in
+  let log = ref [] in
+  let note name outcome =
+    let o =
+      match outcome with
+      | Window.Out_acked -> "acked"
+      | Out_cancel_reply true -> "cancelled"
+      | Out_cancel_reply false | Out_error _ | Out_timeout -> "failed"
+    in
+    log := (name ^ " " ^ o) :: !log
+  in
+  let send tid on_done = Window.send w K_put_data ~tid (put_data tid) on_done in
+  send 1 (fun o ->
+      note "A" o;
+      match reentry with
+      | `Send -> send 4 (note "D")
+      | `Cancel -> Window.cancel_reply w ~tid:9 true);
+  send 2 (note "B");
+  send 3 (note "C");
+  List.iteri (fun i name -> send (5 + i) (note name)) uncovered;
+  if reentry = `Cancel then
+    Window.send w K_cancel ~tid:9 (Wire.Cancel_request { tid = 9 }) (note "X");
+  Window.ack w 2;
+  let expected =
+    match reentry with
+    | `Send -> [ "A acked"; "B acked"; "C acked" ]
+    | `Cancel -> ("A acked" :: List.map (fun n -> n ^ " acked") uncovered)
+                 @ [ "X cancelled"; "B acked"; "C acked" ]
+  in
+  Alcotest.(check (list string)) "each on_done once, each walk in launch order" expected
+    (List.rev !log);
+  (match reentry with
+   | `Send ->
+     Alcotest.(check bool) "D launched" true (Window.active w);
+     Window.ack w 3;
+     Alcotest.(check (list string)) "D acked after" (expected @ [ "D acked" ]) (List.rev !log)
+   | `Cancel -> ());
+  Alcotest.(check bool) "nothing left in flight" false (Window.active w)
+
 let suites =
   [
     ( "proto.window",
@@ -1022,5 +1139,16 @@ let suites =
           test_refused_slot_cleared_on_cancel_reply;
         Alcotest.test_case "W=4 a refused last slot relaunches on a fresh number" `Quick
           test_refused_last_slot_relaunches_fresh;
+      ] );
+    ( "proto.send_window",
+      [
+        Alcotest.test_case "warm ack walk allocates nothing" `Quick
+          test_ack_walk_allocates_nothing;
+        Alcotest.test_case "W=4 on_done sends on the acking window" `Quick
+          (ack_reentrant ~window:4 ~reentry:`Send ~uncovered:[]);
+        Alcotest.test_case "W=4 on_done resolves a CANCEL behind the walk" `Quick
+          (ack_reentrant ~window:4 ~reentry:`Cancel ~uncovered:[]);
+        Alcotest.test_case "W=8 on_done starts a second ack walk" `Quick
+          (ack_reentrant ~window:8 ~reentry:`Cancel ~uncovered:[ "E"; "F" ]);
       ] );
   ]

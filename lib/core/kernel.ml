@@ -45,6 +45,21 @@ type t = {
   completions : Types.handler_event Queue.t;
   pending : (int, pending_request) Hashtbl.t;  (* tid -> requester bookkeeping *)
   mutable crashed : bool;
+  (* A handler invocation waits out one context switch on
+     [invoke_timer], holding the client it was made for and its event; a
+     client's return from an ACCEPT trap waits one beat on [return_timer],
+     holding the client's [on_done] and the result. Each field is cleared
+     when its timer fires, and the invocation's when the client is
+     killed. A wait that finds its timer armed takes a one-shot. The
+     timers are made at their first use. *)
+  mutable invoke_timer : Engine.timer option;
+  mutable invoking : client;
+  mutable invoke_event : Types.handler_event;
+  mutable return_timer : Engine.timer option;
+  mutable returning : Types.accept_status * int -> unit;
+  mutable returned : Types.accept_status * int;
+  context_switch_time : Stats.time_slot;
+  protocol_time : Stats.time_slot;
   (* Ambient causal parent: a client-visible operation (a store op, a
      multi-request facility call) sets this so every REQUEST trapped
      under it becomes a child span of the operation rather than a fresh
@@ -150,19 +165,51 @@ let reserved_pattern_active t pattern =
 let handler_available t =
   t.client <> None && t.hs_open && (not t.hs_busy) && Queue.is_empty t.completions
 
+(* Fillers for the fields of a timer that waits for nothing. *)
+let no_client = { invoke_handler = ignore; on_kill = ignore }
+let no_event = Types.Booting { parent = 0 }
+let no_return (_ : Types.accept_status * int) = ()
+let no_result = (Types.Accept_cancelled, 0)
+
+let deliver_invocation t epoch_client event =
+  (* The client may have died between scheduling and delivery. *)
+  match t.client with
+  | Some c when c == epoch_client -> c.invoke_handler event
+  | Some _ | None -> ()
+
+let handler_invoked t =
+  let epoch_client = t.invoking and event = t.invoke_event in
+  t.invoking <- no_client;
+  t.invoke_event <- no_event;
+  deliver_invocation t epoch_client event
+
+let invoke_timer t =
+  match t.invoke_timer with
+  | Some tm -> tm
+  | None ->
+    let tm = Engine.timer ~tag:"kernel" t.engine (fun () -> handler_invoked t) in
+    t.invoke_timer <- Some tm;
+    tm
+
 let invoke_client_handler t event =
   match t.client with
   | None -> ()
   | Some client ->
     t.hs_busy <- true;
     if tracing t then emit_event t ?ctx:(handler_event_ctx t event) Event.Handler_invoke;
-    Stats.add_time (stats t) (Cost.label Cost.Context_switch) t.cost.Cost.context_switch_us;
-    let epoch_client = client in
-    Engine.schedule ~tag:"kernel" t.engine ~delay:t.cost.Cost.context_switch_us (fun () ->
-        (* The client may have died between scheduling and delivery. *)
-        match t.client with
-        | Some c when c == epoch_client -> c.invoke_handler event
-        | Some _ | None -> ())
+    Stats.charge t.context_switch_time t.cost.Cost.context_switch_us;
+    let delay = t.cost.Cost.context_switch_us in
+    let tm = invoke_timer t in
+    if Engine.armed tm then
+      (* An invocation is still pending: the client was killed and a new
+         one attached within a context switch, or the handler was
+         released by a direct [endhandler]. *)
+      Engine.schedule ~tag:"kernel" t.engine ~delay (fun () -> deliver_invocation t client event)
+    else begin
+      t.invoking <- client;
+      t.invoke_event <- event;
+      Engine.arm t.engine tm ~delay
+    end
 
 let rec dispatch_completions t =
   if t.client <> None && t.hs_open && (not t.hs_busy) && not (Queue.is_empty t.completions)
@@ -220,6 +267,8 @@ let kill_client t ~readvertise_boot ~drain =
      t.client <- None;
      client.on_kill ()
    | None -> ());
+  t.invoking <- no_client;
+  t.invoke_event <- no_event;
   t.hs_open <- false;
   t.hs_busy <- false;
   Queue.clear t.completions;
@@ -382,9 +431,9 @@ let deliver_request t ~src ~tid ~pattern ~arg ~put_size ~get_size =
   else `Busy
 
 let complete_request t ~tid completion =
-  match Hashtbl.find_opt t.pending tid with
-  | None -> ()
-  | Some pr ->
+  match Hashtbl.find t.pending tid with
+  | exception Not_found -> ()
+  | pr ->
     Hashtbl.remove t.pending tid;
     let self requester_tid = { Types.rq_mid = t.mid; rq_tid = requester_tid } in
     let event =
@@ -429,6 +478,27 @@ let complete_request t ~tid completion =
     in
     enqueue_completion t event
 
+(* The return from the ACCEPT trap is not instantaneous: the client is
+   unblocked a beat after the data exchange completes, so a request
+   arriving at that exact instant still finds the handler BUSY (this is
+   what produces the paper's BUSY-NACK traces, §5.2.3). The cost is part
+   of the accept trap overhead charged by the runtime. *)
+let accept_return_us = 100
+
+let accept_returned t =
+  let on_done = t.returning and result = t.returned in
+  t.returning <- no_return;
+  t.returned <- no_result;
+  on_done result
+
+let return_timer t =
+  match t.return_timer with
+  | Some tm -> tm
+  | None ->
+    let tm = Engine.timer ~tag:"kernel" t.engine (fun () -> accept_returned t) in
+    t.return_timer <- Some tm;
+    tm
+
 let classify_unknown_tid t tid =
   let serial = (tid lsr 32) land 0xFF in
   let counter = tid land 0xFFFFFFFF in
@@ -444,6 +514,7 @@ let classify_unknown_tid t tid =
 let create ~engine ~bus ~recorder ~cost ~mid ~boot_kinds =
   let transport = Transport.create ~engine ~bus ~mid ~cost ~recorder in
   let nic = Transport.attach_nic transport in
+  let stats = Transport.stats transport in
   let t =
     {
       engine;
@@ -465,6 +536,14 @@ let create ~engine ~bus ~recorder ~cost ~mid ~boot_kinds =
       completions = Queue.create ();
       pending = Hashtbl.create 16;
       crashed = false;
+      invoke_timer = None;
+      invoking = no_client;
+      invoke_event = no_event;
+      return_timer = None;
+      returning = no_return;
+      returned = no_result;
+      context_switch_time = Stats.time_slot stats (Cost.label Cost.Context_switch);
+      protocol_time = Stats.time_slot stats (Cost.label Cost.Protocol);
       causal_parent = None;
     }
   in
@@ -528,7 +607,7 @@ let request t ~server ~arg ~put ~get_buffer =
       (* Copy the put data at trap time; the client must not touch its
          buffer until completion anyway (§3.3.2 rule 1). *)
       let copy_us = Cost.data_copy_us t.cost ~bytes:(Bytes.length put) in
-      Stats.add_time (stats t) (Cost.label Cost.Protocol) copy_us;
+      Stats.charge t.protocol_time copy_us;
       let put = Bytes.copy put in
       Transport.submit_request t.transport ~dst ~tid ~pattern:server.Types.sv_pattern ~arg
         ~put_data:put ~get_size:(Bytes.length get_buffer);
@@ -551,28 +630,31 @@ let request t ~server ~arg ~put ~get_buffer =
       Ok tid
   end
 
+let land_accept t ~get_buffer ~on_done status data =
+  let len = min (Bytes.length data) (Bytes.length get_buffer) in
+  Bytes.blit data 0 get_buffer 0 len;
+  let tm = return_timer t in
+  if Engine.armed tm then
+    (* Another return is in its beat: two ACCEPTs ended within one. *)
+    Engine.schedule ~tag:"kernel" t.engine ~delay:accept_return_us (fun () ->
+        on_done (status, len))
+  else begin
+    t.returning <- on_done;
+    t.returned <- (status, len);
+    Engine.arm t.engine tm ~delay:accept_return_us
+  end
+
+let accept_landed t ~get_buffer ~on_done = function
+  | Transport.Acc_success data -> land_accept t ~get_buffer ~on_done Types.Accept_success data
+  | Transport.Acc_cancelled -> land_accept t ~get_buffer ~on_done Types.Accept_cancelled Bytes.empty
+  | Transport.Acc_crashed data -> land_accept t ~get_buffer ~on_done Types.Accept_crashed data
+
+(* The transport keeps the one closure made here until the ACCEPT ends. *)
 let accept t ~requester ~arg ~get_buffer ~put ~on_done =
   let data_out = Bytes.copy put in
-  (* The return from the ACCEPT trap is not instantaneous: the client is
-     unblocked a beat after the data exchange completes, so a request
-     arriving at that exact instant still finds the handler BUSY (this is
-     what produces the paper's BUSY-NACK traces, §5.2.3). The cost is part
-     of the accept trap overhead charged by the runtime. *)
-  let on_done outcome =
-    Engine.schedule ~tag:"kernel" t.engine ~delay:100 (fun () -> on_done outcome)
-  in
   Transport.accept t.transport ~requester_mid:requester.Types.rq_mid
     ~requester_tid:requester.Types.rq_tid ~arg ~get_capacity:(Bytes.length get_buffer)
-    ~data_out ~on_done:(fun outcome ->
-      let land_data status data =
-        let len = min (Bytes.length data) (Bytes.length get_buffer) in
-        Bytes.blit data 0 get_buffer 0 len;
-        on_done (status, len)
-      in
-      match outcome with
-      | Transport.Acc_success data -> land_data Types.Accept_success data
-      | Transport.Acc_cancelled -> on_done (Types.Accept_cancelled, 0)
-      | Transport.Acc_crashed data -> land_data Types.Accept_crashed data)
+    ~data_out ~on_done:(fun outcome -> accept_landed t ~get_buffer ~on_done outcome)
 
 let cancel t ~requester ~on_done =
   let tid = requester.Types.rq_tid in

@@ -1,21 +1,53 @@
+open Effect.Deep
+
 exception Stop
 
-type _ Effect.t += Await : (('a -> unit) -> unit) -> 'a Effect.t
+type _ Effect.t += Await : (('a -> unit) -> unit) -> 'a Effect.t | Park : unit Effect.t
+
+type slot = { mutable k : (unit, unit) continuation }
+
+(* The mark of an empty slot: a continuation that is never resumed, taken
+   once from a fiber that parks as soon as it starts. A slot holds it
+   rather than an option, so a park allocates no [Some]. *)
+let empty =
+  let got : (unit, unit) continuation option ref = ref None in
+  match_with Effect.perform Park
+    {
+      retc = ignore;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Park -> Some (fun (k : (a, unit) continuation) -> got := Some k)
+          | _ -> None);
+    };
+  Option.get !got
+
+let slot () = { k = empty }
+
+let park () = Effect.perform Park
+
+let wake s =
+  let k = s.k in
+  if k == empty then failwith "Fiber.wake: nothing parked";
+  s.k <- empty;
+  continue k ()
 
 let await f = Effect.perform (Await f)
 
-let spawn ?(on_exit = fun () -> ()) fn =
-  let open Effect.Deep in
+let spawn ~on_exit s fn =
+  let park_here = Some (fun k -> s.k <- k) in
   match_with fn ()
     {
-      retc = (fun () -> on_exit ());
+      retc = on_exit;
       exnc =
         (fun e ->
           on_exit ();
           match e with Stop -> () | e -> raise e);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
           match eff with
+          | Park -> park_here
           | Await f ->
             Some
               (fun (k : (a, unit) continuation) ->

@@ -3,15 +3,43 @@
     A client processor's TASK and HANDLER (§3.1) each run as a fiber: plain
     OCaml code that suspends at SODA primitives and [idle ()] and is
     resumed by simulation events. One-shot continuations; a fiber whose
-    resume never fires simply leaks (the simulated machine halted). *)
+    resume never fires simply leaks (the simulated machine halted).
+
+    A fiber suspends in one of two ways:
+    - {b park/wake}, the hot path. Each fiber is spawned with a {!slot}
+      that holds at most one parked continuation. [park ()] saves the
+      fiber's continuation in its own slot and returns when some event
+      calls [wake] on that slot. Nothing is allocated per suspension: the
+      effect is a constant and the handler's answer to it is built once
+      per [spawn]. Whoever parks arranges its own wake-up (a reusable
+      timer, a flag, a result field) before calling [park].
+    - {b await}, for rare paths that need a value or a one-off waker
+      (CANCEL, [await_first], DISCOVER): it builds a resume closure per
+      call. *)
 
 (** Raised inside a fiber to terminate it silently (client death, DIE). *)
 exception Stop
 
-(** [spawn ?on_exit fn] runs [fn ()] as a fiber. [on_exit] fires when the
-    fiber returns or terminates via {!Stop} (not when it suspends).
-    Other exceptions propagate to the scheduler after [on_exit]. *)
-val spawn : ?on_exit:(unit -> unit) -> (unit -> unit) -> unit
+(** The resume point of one fiber: empty, or one parked continuation. A
+    slot may serve many fibers in turn (a handler per invocation), but
+    only one at a time. *)
+type slot
+
+val slot : unit -> slot
+
+(** [spawn ~on_exit s fn] runs [fn ()] as a fiber whose {!park} saves
+    into [s]. [on_exit] fires when the fiber returns or terminates via
+    {!Stop} (not when it suspends). Other exceptions propagate to the
+    scheduler after [on_exit]. *)
+val spawn : on_exit:(unit -> unit) -> slot -> (unit -> unit) -> unit
+
+(** [park ()] suspends the current fiber in its slot until [wake]. *)
+val park : unit -> unit
+
+(** [wake s] empties [s] and resumes the fiber parked there; it returns
+    when that fiber next suspends or ends. Raises [Failure] if nothing is
+    parked in [s]. *)
+val wake : slot -> unit
 
 (** [await f] suspends the current fiber; [f resume] must arrange for
     [resume v] to be called exactly once (later calls raise). The awaited

@@ -31,14 +31,40 @@ type env = {
   engine : Engine.t;
   cost : Cost.t;
   mutable generation : int;
-  mutable idle_waiters : (unit -> unit) list;
   block_waits : (int, completion_info -> unit) Hashtbl.t;
   mutable context : fiber_context;
   mutable current_request : Types.requester_signature option;
   mutable spec : spec;
+  task_fiber : fiber;
+  handler_fiber : fiber;  (* reused by every handler invocation *)
+  mutable running : fiber;  (* the fiber that last started or resumed *)
+  (* The fibers waiting in [idle], a stack linked through [below] with
+     the last to idle on top: [n_idle] deep, [idlers] its top. *)
+  mutable idlers : fiber;
+  mutable n_idle : int;
+  overhead : Stats.time_slot;  (* client overhead, §5.5 *)
 }
 
 and fiber_context = Task_context | Handler_context
+
+(* One execution context of the client processor (§3.1). It parks in
+   [slot]; its timer, its ACCEPT return, the completion of its blocking
+   REQUEST and [wake_idlers] each resume it, unless the client was killed
+   since it parked. *)
+and fiber = {
+  owner : env;
+  ctx : fiber_context;
+  slot : Fiber.slot;
+  mutable timer : Engine.timer option;  (* made at its first arm *)
+  on_accept : Types.accept_status * int -> unit;  (* lands in [accepted] *)
+  mutable accepted : Types.accept_status * int;
+  on_completed : completion_info -> unit;  (* lands in [completed] *)
+  mutable completed : completion_info;
+  mutable gen : int;  (* [owner.generation] when it parked *)
+  mutable busy : bool;  (* spawned and not yet ended *)
+  mutable idle : bool;  (* on the idle stack *)
+  mutable below : fiber;
+}
 
 and spec = {
   init : env -> parent:int -> unit;
@@ -47,8 +73,146 @@ and spec = {
   task : env -> unit;
 }
 
+(* ---- environment helpers --------------------------------------------- *)
+
+let my_mid env = Kernel.mid env.kernel
+let kernel env = env.kernel
+let now env = Engine.now env.engine
+let in_handler env = env.context = Handler_context
+
+(* ---- suspension ------------------------------------------------------- *)
+
+(* Resume [fb] where it parked. The resume is voided if the client was
+   killed meanwhile (its processor was reset). The fiber's context (task
+   vs handler) is restored on resumption: the task may run while the
+   handler fiber is suspended in an ACCEPT, so the flag is per-fiber state
+   saved across every suspension. *)
+let resume fb =
+  let env = fb.owner in
+  if env.generation = fb.gen then begin
+    env.context <- fb.ctx;
+    env.running <- fb;
+    Fiber.wake fb.slot
+  end
+
+let park env fb =
+  fb.gen <- env.generation;
+  Fiber.park ()
+
+let no_accept = (Types.Accept_cancelled, 0)
+
+let no_completion =
+  { tid = 0; status = Comp_crashed; reply_arg = 0; put_transferred = 0; get_transferred = 0 }
+
+(* Take [fb] off the idle stack: a fired [idle_for] timer. *)
+let unstack env fb =
+  fb.idle <- false;
+  if env.idlers == fb then env.idlers <- fb.below
+  else begin
+    let rec find above i =
+      if i > 1 then if above.below == fb then above.below <- fb.below else find above.below (i - 1)
+    in
+    find env.idlers env.n_idle
+  end;
+  env.n_idle <- env.n_idle - 1
+
+let timer_fired fb =
+  if fb.idle then unstack fb.owner fb;
+  resume fb
+
+let timer_of fb =
+  match fb.timer with
+  | Some tm -> tm
+  | None ->
+    let tm = Engine.timer ~tag:"client" fb.owner.engine (fun () -> timer_fired fb) in
+    fb.timer <- Some tm;
+    tm
+
+let accept_done fb result =
+  fb.accepted <- result;
+  resume fb
+
+let completion_done fb info =
+  fb.completed <- info;
+  resume fb
+
+(* Park the running fiber for [us] of virtual time. *)
+let sleep env us =
+  let fb = env.running in
+  Engine.arm env.engine (timer_of fb) ~delay:us;
+  park env fb
+
+(* Suspend on a one-off waker (the rare paths): [f resume] must call
+   [resume] once. The generation check and context restore are those of
+   [resume]. *)
+let await env f =
+  let gen = env.generation in
+  let context = env.context in
+  let fb = env.running in
+  Fiber.await (fun resume ->
+      f (fun v ->
+          if env.generation = gen then begin
+            env.context <- context;
+            env.running <- fb;
+            resume v
+          end))
+
+(* Model the client-side cost of invoking a primitive (TRAP + descriptor
+   pool management, §5.2.1); the caller runs the primitive on the other
+   side of the trap. *)
+let trap env us =
+  Stats.charge env.overhead us;
+  sleep env us
+
+let idle_park env fb =
+  fb.idle <- true;
+  fb.below <- env.idlers;
+  env.idlers <- fb;
+  env.n_idle <- env.n_idle + 1;
+  park env fb
+
+(* Wake the fibers idle at the call, the last to idle first. One that
+   idles again meanwhile waits for the next call. A fiber in [idle_for]
+   is woken here or by its timer, whichever comes first. *)
+let wake_idlers env =
+  let rec wake fb n =
+    if n > 0 then begin
+      let below = fb.below in
+      fb.idle <- false;
+      (match fb.timer with
+       | Some tm when Engine.armed tm -> Engine.disarm env.engine tm
+       | Some _ | None -> ());
+      resume fb;
+      wake below (n - 1)
+    end
+  in
+  let top = env.idlers and n = env.n_idle in
+  env.n_idle <- 0;
+  wake top n
+
+(* The client was killed: its idle fibers will never be woken. *)
+let drop_idlers env =
+  let rec drop fb n =
+    if n > 0 then begin
+      fb.idle <- false;
+      drop fb.below (n - 1)
+    end
+  in
+  let top = env.idlers and n = env.n_idle in
+  env.n_idle <- 0;
+  drop top n
+
+let idle env = idle_park env env.running
+
+let idle_for env us =
+  let fb = env.running in
+  Engine.arm env.engine (timer_of fb) ~delay:us;
+  idle_park env fb
+
+let compute env us = if us > 0 then sleep env us
+
 let rec serve env =
-  Fiber.await (fun resume -> env.idle_waiters <- resume :: env.idle_waiters);
+  idle env;
   serve env
 
 let default_spec =
@@ -61,59 +225,6 @@ let default_spec =
     task = serve;
   }
 
-(* ---- environment helpers --------------------------------------------- *)
-
-let my_mid env = Kernel.mid env.kernel
-let kernel env = env.kernel
-let now env = Engine.now env.engine
-let in_handler env = env.context = Handler_context
-
-(* Suspend the calling fiber; the resume is voided if the client is killed
-   meanwhile (its processor was reset). The fiber's context (task vs
-   handler) is restored on resumption: the task may run while the handler
-   fiber is suspended in an ACCEPT, so the flag is per-fiber state saved
-   across every suspension. *)
-let await env f =
-  let gen = env.generation in
-  let context = env.context in
-  Fiber.await (fun resume ->
-      f (fun v ->
-          if env.generation = gen then begin
-            env.context <- context;
-            resume v
-          end))
-
-(* Model the client-side cost of invoking a primitive (TRAP + descriptor
-   pool management, §5.2.1), then run [k] on the other side of the trap. *)
-let trap env us k =
-  Stats.add_time (Kernel.stats env.kernel) (Cost.label Cost.Client_overhead) us;
-  await env (fun resume -> Engine.schedule ~tag:"client" env.engine ~delay:us resume);
-  k ()
-
-let wake_idlers env =
-  let waiters = env.idle_waiters in
-  env.idle_waiters <- [];
-  List.iter (fun w -> w ()) waiters
-
-let idle env = await env (fun resume -> env.idle_waiters <- resume :: env.idle_waiters)
-
-(* Whichever of the timer and the wake-up comes first resumes; a wake-up
-   disarms the timer, and a fired timer leaves a spent waiter behind. *)
-let idle_for env us =
-  await env (fun resume ->
-      let timer = Engine.timer ~tag:"client" env.engine resume in
-      Engine.arm env.engine timer ~delay:us;
-      env.idle_waiters <-
-        (fun () ->
-          if Engine.armed timer then begin
-            Engine.disarm env.engine timer;
-            resume ()
-          end)
-        :: env.idle_waiters)
-
-let compute env us =
-  if us > 0 then await env (fun resume -> Engine.schedule ~tag:"client" env.engine ~delay:us resume)
-
 (* ---- handler machinery ------------------------------------------------ *)
 
 let completion_of_event ~tid ~status ~arg ~put_transferred ~get_transferred =
@@ -125,38 +236,61 @@ let completion_of_event ~tid ~status ~arg ~put_transferred ~get_transferred =
   in
   { tid; status; reply_arg = arg; put_transferred; get_transferred }
 
+(* The handler record, or a fresh one when a previous invocation is still
+   suspended in it (only if the kernel's handler was released by hand). *)
+let handler_fiber env =
+  let fb = env.handler_fiber in
+  if not fb.busy then fb
+  else
+    let rec spare =
+      { fb with slot = Fiber.slot (); timer = None; on_accept = (fun r -> accept_done spare r);
+        on_completed = (fun c -> completion_done spare c); busy = false; idle = false }
+    in
+    spare
+
+let start_fiber env fb =
+  fb.busy <- true;
+  env.context <- fb.ctx;
+  env.running <- fb
+
 let run_handler_fiber env body =
-  Fiber.spawn
+  let fb = handler_fiber env in
+  Fiber.spawn fb.slot
     ~on_exit:(fun () ->
+      fb.busy <- false;
       env.context <- Task_context;
       env.current_request <- None;
       Kernel.endhandler env.kernel;
       wake_idlers env)
     (fun () ->
-      env.context <- Handler_context;
-      Stats.add_time (Kernel.stats env.kernel)
-        (Cost.label Cost.Client_overhead)
-        env.cost.Cost.handler_client_us;
+      start_fiber env fb;
+      Stats.charge env.overhead env.cost.Cost.handler_client_us;
       compute env env.cost.Cost.handler_client_us;
       body ())
 
 let start_task env =
-  Fiber.spawn
+  let fb = env.task_fiber in
+  Fiber.spawn fb.slot
     ~on_exit:(fun () ->
+      fb.busy <- false;
       (* Implicit DIE at the end of the Task section (§4.1). *)
       if Kernel.client_alive env.kernel then Kernel.die env.kernel)
-    (fun () -> env.spec.task env)
+    (fun () ->
+      start_fiber env fb;
+      env.spec.task env)
 
 let handle_event env event =
   match event with
   | Types.Booting { parent } ->
-    Fiber.spawn
+    let fb = handler_fiber env in
+    Fiber.spawn fb.slot
       ~on_exit:(fun () ->
+        fb.busy <- false;
         env.context <- Task_context;
         Kernel.endhandler env.kernel;
         start_task env)
       (fun () ->
-        env.context <- Handler_context;
+        start_fiber env fb;
         env.spec.init env ~parent)
   | Types.Request_arrival { requester; pattern; arg; put_size; get_size } ->
     run_handler_fiber env (fun () ->
@@ -167,8 +301,8 @@ let handle_event env event =
       completion_of_event ~tid:requester.Types.rq_tid ~status ~arg ~put_transferred
         ~get_transferred
     in
-    (match Hashtbl.find_opt env.block_waits info.tid with
-     | Some k ->
+    (match Hashtbl.find env.block_waits info.tid with
+     | k ->
        (* A blocking REQUEST is waiting on this completion: consume the
           interrupt with a minimal handler (the saved-PC trick of §4.1.1)
           and resume the task. *)
@@ -176,21 +310,36 @@ let handle_event env event =
        Kernel.endhandler env.kernel;
        k info;
        wake_idlers env
-     | None -> run_handler_fiber env (fun () -> env.spec.on_completion env info))
+     | exception Not_found -> run_handler_fiber env (fun () -> env.spec.on_completion env info))
 
 let make_client kernel spec =
-  let env =
+  let rec env =
     {
       kernel;
       engine = Kernel.engine kernel;
       cost = Kernel.cost kernel;
       generation = 0;
-      idle_waiters = [];
       block_waits = Hashtbl.create 8;
       context = Task_context;
       current_request = None;
       spec;
+      task_fiber = task;
+      handler_fiber = handler;
+      running = task;
+      idlers = task;
+      n_idle = 0;
+      overhead = Stats.time_slot (Kernel.stats kernel) (Cost.label Cost.Client_overhead);
     }
+  and task =
+    { owner = env; ctx = Task_context; slot = Fiber.slot (); timer = None;
+      on_accept = (fun r -> accept_done task r); accepted = no_accept;
+      on_completed = (fun c -> completion_done task c); completed = no_completion; gen = 0;
+      busy = false; idle = false; below = task }
+  and handler =
+    { owner = env; ctx = Handler_context; slot = Fiber.slot (); timer = None;
+      on_accept = (fun r -> accept_done handler r); accepted = no_accept;
+      on_completed = (fun c -> completion_done handler c); completed = no_completion; gen = 0;
+      busy = false; idle = false; below = handler }
   in
   let client =
     {
@@ -198,7 +347,7 @@ let make_client kernel spec =
       on_kill =
         (fun () ->
           env.generation <- env.generation + 1;
-          env.idle_waiters <- [];
+          drop_idlers env;
           Hashtbl.reset env.block_waits;
           env.context <- Task_context;
           env.current_request <- None);
@@ -228,26 +377,27 @@ let fail_reserved = function
   | Error `Reserved_pattern -> raise (Sodal_error "reserved patterns cannot be (un)advertised")
 
 let advertise env pattern =
-  trap env env.cost.Cost.small_trap_us (fun () ->
-      fail_reserved (Kernel.advertise env.kernel pattern))
+  trap env env.cost.Cost.small_trap_us;
+  fail_reserved (Kernel.advertise env.kernel pattern)
 
 let unadvertise env pattern =
-  trap env env.cost.Cost.small_trap_us (fun () ->
-      fail_reserved (Kernel.unadvertise env.kernel pattern))
+  trap env env.cost.Cost.small_trap_us;
+  fail_reserved (Kernel.unadvertise env.kernel pattern)
 
 let getuniqueid env =
-  trap env env.cost.Cost.small_trap_us (fun () -> Kernel.getuniqueid env.kernel)
+  trap env env.cost.Cost.small_trap_us;
+  Kernel.getuniqueid env.kernel
 
 (* ---- requests ------------------------------------------------------------ *)
 
 let request_raw env ~server ~arg ~put ~get_buffer =
-  trap env env.cost.Cost.request_trap_us (fun () ->
-      match Kernel.request env.kernel ~server ~arg ~put ~get_buffer with
-      | Ok tid -> tid
-      | Error Kernel.Too_many_requests -> raise Too_many_requests
-      | Error Kernel.Request_to_self -> raise (Sodal_error "REQUEST to own machine")
-      | Error Kernel.Data_too_large -> raise (Sodal_error "message exceeds kernel buffer")
-      | Error Kernel.Client_dead -> raise Fiber.Stop)
+  trap env env.cost.Cost.request_trap_us;
+  match Kernel.request env.kernel ~server ~arg ~put ~get_buffer with
+  | Ok tid -> tid
+  | Error Kernel.Too_many_requests -> raise Too_many_requests
+  | Error Kernel.Request_to_self -> raise (Sodal_error "REQUEST to own machine")
+  | Error Kernel.Data_too_large -> raise (Sodal_error "message exceeds kernel buffer")
+  | Error Kernel.Client_dead -> raise Fiber.Stop
 
 let signal env server ~arg = request_raw env ~server ~arg ~put:Bytes.empty ~get_buffer:Bytes.empty
 let put env server ~arg data = request_raw env ~server ~arg ~put:data ~get_buffer:Bytes.empty
@@ -256,10 +406,14 @@ let get env server ~arg ~into = request_raw env ~server ~arg ~put:Bytes.empty ~g
 let exchange env server ~arg data ~into =
   request_raw env ~server ~arg ~put:data ~get_buffer:into
 
+(* The completion lands in the fiber record and resumes it. *)
 let await_completion env tid =
   if in_handler env then
     raise (Sodal_error "blocking REQUEST within the handler would deadlock (§4.1.1)");
-  await env (fun resume -> Hashtbl.replace env.block_waits tid resume)
+  let fb = env.running in
+  Hashtbl.replace env.block_waits tid fb.on_completed;
+  park env fb;
+  fb.completed
 
 let b_request env ~server ~arg ~put ~get_buffer =
   let tid = request_raw env ~server ~arg ~put ~get_buffer in
@@ -288,18 +442,19 @@ let await_first env tids =
               end))
         tids)
 
-let await_completion env tid = await_first env [ tid ]
-
 let swallow_completion env tid = Hashtbl.replace env.block_waits tid (fun _ -> ())
 
 let on_completion_of env tid k = Hashtbl.replace env.block_waits tid k
 
 (* ---- accepts --------------------------------------------------------------- *)
 
+(* The kernel's return lands in the fiber record and resumes it. *)
 let accept_raw env ~requester ~arg ~get_buffer ~put =
-  trap env env.cost.Cost.accept_trap_us (fun () ->
-      await env (fun resume ->
-          Kernel.accept env.kernel ~requester ~arg ~get_buffer ~put ~on_done:resume))
+  trap env env.cost.Cost.accept_trap_us;
+  let fb = env.running in
+  Kernel.accept env.kernel ~requester ~arg ~get_buffer ~put ~on_done:fb.on_accept;
+  park env fb;
+  fb.accepted
 
 let accept_signal env requester ~arg =
   fst (accept_raw env ~requester ~arg ~get_buffer:Bytes.empty ~put:Bytes.empty)
@@ -332,16 +487,18 @@ let reject env = reject_request env (current env)
 (* ---- cancel, handler control, process control -------------------------------- *)
 
 let cancel env tid =
-  trap env env.cost.Cost.small_trap_us (fun () ->
-      await env (fun resume ->
-          Kernel.cancel env.kernel ~requester:{ Types.rq_mid = my_mid env; rq_tid = tid }
-            ~on_done:resume))
+  trap env env.cost.Cost.small_trap_us;
+  await env (fun resume ->
+      Kernel.cancel env.kernel ~requester:{ Types.rq_mid = my_mid env; rq_tid = tid }
+        ~on_done:resume)
 
 let open_handler env =
-  trap env env.cost.Cost.small_trap_us (fun () -> Kernel.open_handler env.kernel)
+  trap env env.cost.Cost.small_trap_us;
+  Kernel.open_handler env.kernel
 
 let close_handler env =
-  trap env env.cost.Cost.small_trap_us (fun () -> Kernel.close_handler env.kernel)
+  trap env env.cost.Cost.small_trap_us;
+  Kernel.close_handler env.kernel
 
 let die env =
   Kernel.die env.kernel;

@@ -59,6 +59,14 @@ let time_cell t name =
 
 let time_ref = time_cell
 
+type time_slot = { t_stats : t; t_name : string; mutable t_ref : int ref }
+
+let time_slot t name = { t_stats = t; t_name = name; t_ref = no_ref }
+
+let charge s us =
+  if s.t_ref == no_ref then s.t_ref <- time_cell s.t_stats s.t_name;
+  s.t_ref := !(s.t_ref) + us
+
 let add_time t name us =
   let r = time_cell t name in
   r := !r + us

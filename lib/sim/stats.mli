@@ -47,6 +47,13 @@ val sample_slot : t -> string -> sample_slot
 (** [observe s v] is [sample t name v]. *)
 val observe : sample_slot -> int -> unit
 
+type time_slot
+
+val time_slot : t -> string -> time_slot
+
+(** [charge s us] is [add_time t name us]. *)
+val charge : time_slot -> int -> unit
+
 (** Microsecond accumulators, reported in milliseconds. *)
 
 val add_time : t -> string -> int -> unit

@@ -442,6 +442,19 @@ let test_stats_times_and_samples () =
   Stats.add_time s "proto" 1500;
   Stats.add_time s "proto" 500;
   Alcotest.(check (float 0.001)) "ms" 2.0 (Stats.time_ms s "proto");
+  (* A time slot resolves its entry at the first charge: one never charged
+     is absent from the printed bag. *)
+  let listed name =
+    List.exists
+      (fun line -> String.starts_with ~prefix:(name ^ ":") line)
+      (String.split_on_char '\n' (Format.asprintf "%a" Stats.pp s))
+  in
+  let slot = Stats.time_slot s "client" in
+  Alcotest.(check bool) "uncharged slot absent" false (listed "client");
+  Stats.charge slot 700;
+  Stats.charge slot 300;
+  Alcotest.(check bool) "charged slot listed" true (listed "client");
+  Alcotest.(check (float 0.001)) "slot ms" 1.0 (Stats.time_ms s "client");
   Stats.sample s "lat" 10;
   Stats.sample s "lat" 20;
   Stats.sample s "lat" 30;

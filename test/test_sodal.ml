@@ -546,6 +546,215 @@ let prop_bqueue_fifo =
       let out = List.map (fun _ -> Bqueue.dequeue q) xs in
       out = xs)
 
+(* The client and kernel times of §5.5 appear in a node's stats only once
+   something is charged to them: a node with no client lists neither. *)
+let test_untrapped_node_has_no_client_time () =
+  let net, kernels = make_net 3 in
+  let _server = echo_server (List.nth kernels 0) patt in
+  let _client =
+    Sodal.attach (List.nth kernels 1)
+      {
+        Sodal.default_spec with
+        task = (fun env -> ignore (Sodal.b_signal env (Sodal.server ~mid:0 ~pattern:patt) ~arg:0));
+      }
+  in
+  run net;
+  let listed k name =
+    List.exists
+      (fun line -> String.starts_with ~prefix:(name ^ ":") line)
+      (String.split_on_char '\n' (Format.asprintf "%a" Soda_sim.Stats.pp (Kernel.stats k)))
+  in
+  let labels = List.map Cost.label [ Cost.Client_overhead; Cost.Context_switch ] in
+  Alcotest.(check (list bool)) "server lists both" [ true; true ]
+    (List.map (listed (List.nth kernels 0)) labels);
+  Alcotest.(check (list bool)) "bystander lists neither" [ false; false ]
+    (List.map (listed (List.nth kernels 2)) labels)
+
+(* ---- fibers: two execution contexts, each parked in its own slot ------- *)
+
+(* A requester on node 1 that SIGNALs node 0 at each of [at] (virtual us,
+   ascending) without blocking, then idles. *)
+let signal_at kernel at =
+  ignore
+    (Sodal.attach kernel
+       {
+         Sodal.default_spec with
+         task =
+           (fun env ->
+             List.iter
+               (fun t ->
+                 Sodal.compute env (t - Sodal.now env);
+                 ignore (Sodal.signal env (Sodal.server ~mid:0 ~pattern:patt) ~arg:0))
+               at;
+             Sodal.serve env);
+       })
+
+(* The handler parks in ACCEPT while the task keeps parking on its own
+   timer ([compute] or [idle_for]): every resumption must come back in its
+   own context, and the task must run while the handler waits. *)
+let test_accept_beside_task ~idle () =
+  let net, kernels = make_net 2 in
+  let k0 = List.nth kernels 0 in
+  let in_accept = ref false and during = ref 0 and task_ctx = ref [] and handler_ctx = ref [] in
+  let _server =
+    Sodal.attach k0
+      {
+        Sodal.default_spec with
+        init = (fun env ~parent:_ -> Sodal.advertise env patt);
+        on_request =
+          (fun env _ ->
+            handler_ctx := Sodal.in_handler env :: !handler_ctx;
+            in_accept := true;
+            let status = Sodal.accept_current_signal env ~arg:0 in
+            in_accept := false;
+            Alcotest.(check bool) "accepted" true (status = Types.Accept_success);
+            handler_ctx := Sodal.in_handler env :: !handler_ctx);
+        task =
+          (fun env ->
+            for _ = 1 to 400 do
+              if idle then Sodal.idle_for env 50 else Sodal.compute env 50;
+              if !in_accept then incr during;
+              task_ctx := Sodal.in_handler env :: !task_ctx
+            done;
+            Sodal.serve env);
+      }
+  in
+  signal_at (List.nth kernels 1) [ 2_000; 9_000 ];
+  run net ~horizon:1.0;
+  Alcotest.(check (list bool)) "handler resumes in the handler" [ true; true; true; true ]
+    !handler_ctx;
+  Alcotest.(check int) "task resumptions" 400 (List.length !task_ctx);
+  Alcotest.(check bool) "task resumes as the task" true (List.for_all not !task_ctx);
+  Alcotest.(check bool) "task ran while the handler was in ACCEPT" true (!during > 0)
+
+(* Two idle waiters, the task and a handler whose kernel state was
+   released by hand (so a later request finds the handler free). The next
+   handler's exit wakes both, the last to idle first. With [~task_last]
+   the task idles for a while on a timer first and idles again after the
+   handler; otherwise the task idles first. *)
+let test_idle_wake_order ~task_last () =
+  let net, kernels = make_net 2 in
+  let k0 = List.nth kernels 0 in
+  let woken = ref [] in
+  let log name env = woken := (name, Sodal.in_handler env) :: !woken in
+  let first = ref true in
+  let _server =
+    Sodal.attach k0
+      {
+        Sodal.default_spec with
+        init = (fun env ~parent:_ -> Sodal.advertise env patt);
+        on_request =
+          (fun env _ ->
+            ignore (Sodal.accept_current_signal env ~arg:0);
+            if !first then begin
+              first := false;
+              Kernel.endhandler (Sodal.kernel env);
+              Sodal.idle env;
+              log "handler" env
+            end);
+        task =
+          (fun env ->
+            if task_last then begin
+              Sodal.idle_for env 20_000;
+              log "task timer" env
+            end;
+            Sodal.idle env;
+            log "task" env;
+            Sodal.serve env);
+      }
+  in
+  signal_at (List.nth kernels 1) [ 10_000; 30_000 ];
+  run net ~horizon:1.0;
+  let expected =
+    if task_last then [ ("task timer", false); ("task", false); ("handler", true) ]
+    else [ ("handler", true); ("task", false) ]
+  in
+  Alcotest.(check (list (pair string bool))) "wake order" expected (List.rev !woken)
+
+(* A handler that releases the kernel's handler state by hand and then
+   ends releases it twice: two queued completions are invoked within one
+   context switch, and both must reach the client. *)
+let test_two_invocations_in_flight () =
+  let net, kernels = make_net 2 in
+  let k0 = List.nth kernels 0 and k1 = List.nth kernels 1 in
+  let completions = ref 0 in
+  let _server =
+    Sodal.attach k0
+      {
+        init = (fun env ~parent:_ -> Sodal.advertise env patt);
+        on_request =
+          (fun env _ ->
+            ignore (Sodal.accept_current_signal env ~arg:0);
+            (* Long enough for both completions below to queue. *)
+            Sodal.compute env 20_000;
+            Kernel.endhandler (Sodal.kernel env);
+            Sodal.compute env 100);
+        on_completion = (fun _ _ -> incr completions);
+        task =
+          (fun env ->
+            let peer = Sodal.server ~mid:1 ~pattern:patt in
+            ignore (Sodal.signal env peer ~arg:0);
+            ignore (Sodal.signal env peer ~arg:0);
+            Sodal.serve env);
+      }
+  in
+  let _peer =
+    Sodal.attach k1
+      {
+        Sodal.default_spec with
+        init = (fun env ~parent:_ -> Sodal.advertise env patt);
+        on_request = (fun env _ -> ignore (Sodal.accept_current_signal env ~arg:0));
+        task =
+          (fun env ->
+            Sodal.compute env 1_000;
+            ignore (Sodal.signal env (Sodal.server ~mid:0 ~pattern:patt) ~arg:0);
+            Sodal.serve env);
+      }
+  in
+  run net ~horizon:1.0;
+  Alcotest.(check int) "both completions handled" 2 !completions
+
+(* A client killed while its task is parked in [compute] and its handler
+   in an ACCEPT (a blind one, toward a machine that does not exist, so it
+   retransmits until it gives up) resumes neither, and nothing keeps it
+   alive: its stale timers fire into nothing and let go of it. *)
+let test_killed_client_unreachable () =
+  let net, kernels = make_net 2 in
+  let k0 = List.nth kernels 0 in
+  let resumed = ref 0 and parked = ref 0 in
+  let weak = Weak.create 1 in
+  let attach_victim () =
+    let env =
+      Sodal.attach k0
+        {
+          Sodal.default_spec with
+          init = (fun env ~parent:_ -> Sodal.advertise env patt);
+          on_request =
+            (fun env _ ->
+              incr parked;
+              ignore (Sodal.accept_signal env { Types.rq_mid = 9; rq_tid = 1 } ~arg:0);
+              incr resumed);
+          task =
+            (fun env ->
+              Sodal.compute env 2_000_000;
+              incr resumed);
+        }
+    in
+    Weak.set weak 0 (Some env)
+  in
+  attach_victim ();
+  signal_at (List.nth kernels 1) [ 5_000 ];
+  Engine.schedule (Network.engine net) ~delay:50_000 (fun () -> Kernel.die k0);
+  run net ~horizon:10.0;
+  Alcotest.(check int) "handler reached its ACCEPT" 1 !parked;
+  Alcotest.(check int) "nothing resumed after the kill" 0 !resumed;
+  Alcotest.(check int) "every timer fired or was withdrawn" 0
+    (Engine.pending (Network.engine net));
+  Gc.full_major ();
+  Alcotest.(check bool) "killed client unreachable" false (Weak.check weak 0);
+  (* The network, its kernel included, stays reachable through the check. *)
+  ignore (Sys.opaque_identity (net, k0))
+
 let suites =
   [
     ( "sodal.transfer",
@@ -572,6 +781,19 @@ let suites =
         Alcotest.test_case "in-order delivery" `Quick test_ordering_same_server;
         Alcotest.test_case "DIE clears advertisements" `Quick test_die_then_unadvertised;
         Alcotest.test_case "getuniqueid unique" `Quick test_getuniqueid_unique;
+        Alcotest.test_case "no client time without a client" `Quick
+          test_untrapped_node_has_no_client_time;
+      ] );
+    ( "sodal.fiber",
+      [
+        Alcotest.test_case "ACCEPT beside compute" `Quick (test_accept_beside_task ~idle:false);
+        Alcotest.test_case "ACCEPT beside idle_for" `Quick (test_accept_beside_task ~idle:true);
+        Alcotest.test_case "idle wake order: task first" `Quick
+          (test_idle_wake_order ~task_last:false);
+        Alcotest.test_case "idle wake order: task last" `Quick
+          (test_idle_wake_order ~task_last:true);
+        Alcotest.test_case "two invocations in flight" `Quick test_two_invocations_in_flight;
+        Alcotest.test_case "killed client is unreachable" `Quick test_killed_client_unreachable;
       ] );
     ( "sodal.bqueue",
       [

@@ -229,12 +229,12 @@ let deliver_to t frame mid rx =
       Stats.incr t.stats "bus.frames_partitioned";
       if tracing t then
         emit_event t
-          (Event.Bus_drop { src = frame.Frame.src; dst = mid; reason = "partitioned" })
+          (Event.Bus_drop { src = frame.Frame.src; dst = mid; reason = Drop_partitioned })
     end
     else if Rng.chance t.fault_rng t.config.loss_rate then begin
       Stats.incr t.stats "bus.frames_lost";
       if tracing t then
-        emit_event t (Event.Bus_drop { src = frame.Frame.src; dst = mid; reason = "lost" })
+        emit_event t (Event.Bus_drop { src = frame.Frame.src; dst = mid; reason = Drop_lost })
     end
     else begin
       let frame =
@@ -242,7 +242,7 @@ let deliver_to t frame mid rx =
           Stats.incr t.stats "bus.frames_corrupted";
           if tracing t then
             emit_event t
-              (Event.Bus_drop { src = frame.Frame.src; dst = mid; reason = "corrupted" });
+              (Event.Bus_drop { src = frame.Frame.src; dst = mid; reason = Drop_corrupted });
           { frame with Frame.wire = corrupt t frame.Frame.wire }
         end
         else frame

@@ -48,6 +48,11 @@ let store_phase_f fields =
 let cwnd_reason_f fields =
   named_f "cwnd reason" Event.cwnd_reason_name Event.cwnd_reasons fields "reason"
 
+let bus_drop_reason_f fields =
+  named_f "bus drop reason" Event.bus_drop_reason_name Event.bus_drop_reasons fields "reason"
+
+let scd_op_f fields = named_f "scd op" Event.scd_op_name Event.scd_ops fields "op"
+
 let mids_of_string s =
   if s = "" then []
   else List.map int_of_string (String.split_on_char ',' s)
@@ -95,7 +100,7 @@ let kind_of_fields fields =
     Bus_frame
       { src = i "src"; dst = i "dst"; bytes = i "bytes"; start_us = i "start";
         end_us = i "end" }
-  | "bus-drop" -> Bus_drop { src = i "src"; dst = i "dst"; reason = str "reason" }
+  | "bus-drop" -> Bus_drop { src = i "src"; dst = i "dst"; reason = bus_drop_reason_f fields }
   | "fault-partition" ->
     Fault_partition
       { group_a = mids_of_string (str "a"); group_b = mids_of_string (str "b") }
@@ -122,7 +127,7 @@ let kind_of_fields fields =
   | "scd-deliver" -> Scd_deliver { size = i "size"; pending = i "pending" }
   | "scd-op" ->
     Scd_op
-      { op = str "op"; origin = i "origin"; oseq = i "oseq"; ok = flag "ok";
+      { op = scd_op_f fields; origin = i "origin"; oseq = i "oseq"; ok = flag "ok";
         elapsed_us = i "elapsed" }
   | "mark" ->
     let mark = named_f "mark" mark_name marks fields "mark" in
@@ -284,7 +289,9 @@ let label_of_kind mid kind =
   | Store_phase { op; key; _ } | Store_retry { op; key; _ } ->
     (3, Printf.sprintf "store %s key=%d" (store_op_name op) key)
   | Scd_op { op; origin; oseq; ok; _ } ->
-    (4, Printf.sprintf "scd %s op#%d.%d%s" op origin oseq (if ok then "" else " FAILED"))
+    (4,
+     Printf.sprintf "scd %s op#%d.%d%s" (scd_op_name op) origin oseq
+       (if ok then "" else " FAILED"))
   | Trap { tid; dst; _ } -> (3, Printf.sprintf "req#%d %d->%s" tid mid (peer_name dst))
   | Deliver { tid; src; _ } -> (2, Printf.sprintf "serve#%d @%d from %d" tid mid src)
   | Complete { tid; status } -> (1, Printf.sprintf "req#%d %s" tid (status_name status))

@@ -106,6 +106,25 @@ let cwnd_reasons = [ Cwnd_ack; Cwnd_loss ]
 
 let cwnd_reason_name = function Cwnd_ack -> "ack" | Cwnd_loss -> "loss"
 
+type bus_drop_reason = Drop_partitioned | Drop_lost | Drop_corrupted
+
+let bus_drop_reasons = [ Drop_partitioned; Drop_lost; Drop_corrupted ]
+
+let bus_drop_reason_name = function
+  | Drop_partitioned -> "partitioned"
+  | Drop_lost -> "lost"
+  | Drop_corrupted -> "corrupted"
+
+type scd_op = Scd_write | Scd_snapshot | Scd_incr | Scd_cread
+
+let scd_ops = [ Scd_write; Scd_snapshot; Scd_incr; Scd_cread ]
+
+let scd_op_name = function
+  | Scd_write -> "write"
+  | Scd_snapshot -> "snapshot"
+  | Scd_incr -> "incr"
+  | Scd_cread -> "cread"
+
 type status = Accepted | Rejected | Unadvertised | Crashed | Discovered
 
 let statuses = [ Accepted; Rejected; Unadvertised; Crashed; Discovered ]
@@ -152,7 +171,7 @@ type kind =
       (** Requester side: completion interrupt queued; the span's death. *)
   | Bus_frame of { src : int; dst : int; bytes : int; start_us : int; end_us : int }
       (** Medium occupancy of one frame ([dst = broadcast_peer] for broadcast). *)
-  | Bus_drop of { src : int; dst : int; reason : string }
+  | Bus_drop of { src : int; dst : int; reason : bus_drop_reason }
   | Fault_partition of { group_a : int list; group_b : int list }
       (** Injected network split: frames crossing the cut are dropped. *)
   | Fault_heal
@@ -178,7 +197,7 @@ type kind =
   | Scd_deliver of { size : int; pending : int }
       (** An SCD member delivered a message set of [size] messages
           ([pending] quadruplets remain buffered). *)
-  | Scd_op of { op : string; origin : int; oseq : int; ok : bool; elapsed_us : int }
+  | Scd_op of { op : scd_op; origin : int; oseq : int; ok : bool; elapsed_us : int }
       (** An SCD client operation (write/snapshot/incr/cread) finished. *)
   | Mark of { peer : int; tid : int; mark : mark; n : int }
       (** A Delta-t or kernel state change (docs/OBSERVABILITY.md lists
@@ -272,7 +291,8 @@ let message = function
   | Bus_frame { src; dst; bytes; start_us; end_us } ->
     Printf.sprintf "frame %d->%s %dB on wire %d..%d us" src (peer_name dst) bytes start_us
       end_us
-  | Bus_drop { src; dst; reason } -> Printf.sprintf "frame %d->%d %s" src dst reason
+  | Bus_drop { src; dst; reason } ->
+    Printf.sprintf "frame %d->%d %s" src dst (bus_drop_reason_name reason)
   | Fault_partition { group_a; group_b } ->
     Printf.sprintf "fault: partition {%s} | {%s}" (mids_string group_a) (mids_string group_b)
   | Fault_heal -> "fault: partition healed"
@@ -298,7 +318,7 @@ let message = function
   | Scd_deliver { size; pending } ->
     Printf.sprintf "scd deliver set of %d message(s), %d buffered" size pending
   | Scd_op { op; origin; oseq; ok; elapsed_us } ->
-    Printf.sprintf "scd %s op#%d.%d %s in %d us" op origin oseq
+    Printf.sprintf "scd %s op#%d.%d %s in %d us" (scd_op_name op) origin oseq
       (if ok then "ok" else "FAILED")
       elapsed_us
   | Mark { peer; tid; mark; n } ->

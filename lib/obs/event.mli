@@ -94,6 +94,26 @@ val cwnd_reasons : cwnd_reason list
 (** ["ack"] or ["loss"], as exported. *)
 val cwnd_reason_name : cwnd_reason -> string
 
+(** Why the bus dropped a frame: a partition cut it, the loss draw took
+    it, or its CRC failed at the receiver. *)
+type bus_drop_reason = Drop_partitioned | Drop_lost | Drop_corrupted
+
+(** Every reason, in declaration order. *)
+val bus_drop_reasons : bus_drop_reason list
+
+(** ["partitioned"], ["lost"] or ["corrupted"], as exported. *)
+val bus_drop_reason_name : bus_drop_reason -> string
+
+(** An SCD client operation: a register write, a snapshot read, a counter
+    increment or a counter read. *)
+type scd_op = Scd_write | Scd_snapshot | Scd_incr | Scd_cread
+
+(** Every op, in declaration order. *)
+val scd_ops : scd_op list
+
+(** ["write"], ["snapshot"], ["incr"] or ["cread"], as exported. *)
+val scd_op_name : scd_op -> string
+
 (** How a request completed at its requester: accepted, rejected (an
     ACCEPT with a negative argument, §4.1.2), unadvertised, crashed, or
     a DISCOVER that collected its replies. *)
@@ -134,7 +154,7 @@ type kind =
   | Endhandler
   | Complete of { tid : int; status : status }
   | Bus_frame of { src : int; dst : int; bytes : int; start_us : int; end_us : int }
-  | Bus_drop of { src : int; dst : int; reason : string }
+  | Bus_drop of { src : int; dst : int; reason : bus_drop_reason }
   | Fault_partition of { group_a : int list; group_b : int list }
       (** Injected network split: frames crossing the cut are dropped. *)
   | Fault_heal
@@ -161,8 +181,8 @@ type kind =
   | Scd_deliver of { size : int; pending : int }
       (** An SCD member delivered a message set of [size] messages
           ([pending] quadruplets remain buffered). *)
-  | Scd_op of { op : string; origin : int; oseq : int; ok : bool; elapsed_us : int }
-      (** An SCD client operation (write/snapshot/incr/cread) finished. *)
+  | Scd_op of { op : scd_op; origin : int; oseq : int; ok : bool; elapsed_us : int }
+      (** An SCD client operation finished. *)
   | Mark of { peer : int; tid : int; mark : mark; n : int }
       (** [peer] is [-1] and [tid] is {!no_tid} when they do not apply;
           [n] is a count or detail, [0] when unused. *)

@@ -58,7 +58,8 @@ let event_fields (e : Event.t) : (string * Json.t) list =
     | Bus_frame { src; dst; bytes; start_us; end_us } ->
       [ int "src" src; int "dst" dst; int "bytes" bytes; int "start" start_us;
         int "end" end_us ]
-    | Bus_drop { src; dst; reason } -> [ int "src" src; int "dst" dst; str "reason" reason ]
+    | Bus_drop { src; dst; reason } ->
+      [ int "src" src; int "dst" dst; str "reason" (bus_drop_reason_name reason) ]
     | Fault_partition { group_a; group_b } ->
       [ str "a" (mids_string group_a); str "b" (mids_string group_b) ]
     | Fault_crash { mid } | Fault_reboot { mid } -> [ int "node" mid ]
@@ -78,7 +79,7 @@ let event_fields (e : Event.t) : (string * Json.t) list =
     | Scd_broadcast { sd; sn; payload } -> [ int "sd" sd; int "sn" sn; str "payload" payload ]
     | Scd_deliver { size; pending } -> [ int "size" size; int "pending" pending ]
     | Scd_op { op; origin; oseq; ok; elapsed_us } ->
-      [ str "op" op; int "origin" origin; int "oseq" oseq; flag "ok" ok;
+      [ str "op" (scd_op_name op); int "origin" origin; int "oseq" oseq; flag "ok" ok;
         int "elapsed" elapsed_us ]
     | Mark { peer; tid; mark; n } ->
       [ int "peer" peer; int "tid" tid; str "mark" (mark_name mark); int "n" n ]

@@ -3,6 +3,7 @@ module Rng = Soda_sim.Rng
 module Stats = Soda_sim.Stats
 module Delay_line = Soda_sim.Delay_line
 module Window = Send_window
+module Rx = Recv_window
 module Recorder = Soda_obs.Recorder
 module Event = Soda_obs.Event
 module Causal = Soda_obs.Causal
@@ -38,54 +39,20 @@ type callbacks = {
   classify_unknown_tid : int -> [ `Completed | `Stale ];
 }
 
-(* Replay record for one consumed incoming sequence number: the message's
-   identity (for duplicate disambiguation after the sender reuses a slot)
-   and the response to replay when its duplicate arrives. At window 1 the
-   only record ever read is the one just behind the base, the seed's
-   single last-consumed/last-response pair. *)
-type consumed_rec = {
-  cr_kind : int;  (* [Wire.kind] of the consumed message *)
-  cr_tid : int;
-  mutable cr_response : Wire.body option;
-}
-
-(* An empty replay slot: kind 0 matches no sequenced message. *)
-let no_rec = { cr_kind = 0; cr_tid = Event.no_tid; cr_response = None }
-
-(* A REQUEST held at the head of a receive window while the node's input
-   buffer is full, and how many of its retransmissions we have swallowed
-   while holding it. *)
-type hold = { h_pkt : Wire.t; mutable h_retries : int }
-
-(* No packet that ever arrives. *)
-let no_pkt = { Wire.src = -1; reliable = false; seq = 0; ack = None; run = false; body = Wire.Ack }
-
-(* No hold: its packet is [no_pkt]. *)
-let no_hold = { h_pkt = no_pkt; h_retries = 0 }
-
 type conn = {
   peer : int;
   tx : Window.t;  (* the sending half *)
+  rx : Rx.t;  (* the receiving half *)
   (* Timers, reused for the connection's life. [ack_tm] is made on first
      use: until then it is the transport's never-armed [unset_tm]. *)
   mutable ack_tm : Engine.timer;  (* owed ack *)
   mutable expiry_tm : Engine.timer;
-  (* receiver half *)
-  mutable recv_base : int;  (* expected next incoming seq; -1 = take any *)
-  consumed : consumed_rec array;  (* per sequence number: its last consume, or [no_rec] *)
-  mutable recv_buf : Wire.t list;
-      (* held packets, nearest first: out-of-order arrivals waiting for the
-         gap at [recv_base], plus (pipelined kernels) an in-order REQUEST
-         deferred while the input buffer is full *)
   mutable ack_owed : int;  (* cumulative ack to send, piggybacked or timed; -1 = none *)
   mutable expiry_deadline : int;
       (* virtual time before which the delta-t record must not expire;
          pushed forward on every touch WITHOUT re-arming [expiry_tm] (a
          heap push per received packet) — the timer re-arms itself for
          the remainder when it fires early *)
-  mutable hold : hold;
-      (* the head-of-window REQUEST deferred on a full input buffer; not
-         [no_hold] exactly while the connection is queued in [t.holders] *)
 }
 
 (* ---- requester-side transaction records -------------------------------- *)
@@ -206,6 +173,7 @@ type t = {
          previous incarnation and is dropped when it comes due *)
   unset_tm : Engine.timer;  (* never armed: a connection timer not yet created *)
   window_env : Window.env;
+  rx_shared : Rx.shared;
   (* the fixed delays: a frame's packet CPU on the way out ([n] = peer,
      -1 = broadcast) and on the way in ([n] = frame length), the probe
      interval, and one record lifetime for a server record's GC and for a
@@ -244,6 +212,7 @@ and hot_cells = {
   req_submitted : Stats.counter_slot;
   req_delivered : Stats.counter_slot;
   req_latency_us : Stats.sample_slot;
+  no_sync_dropped : Stats.counter_slot;
   packet_cpu : int;  (* packet_protocol_us + conn_timer_us + retrans_timer_us *)
 }
 
@@ -301,19 +270,11 @@ let charge_packet_cpu t =
   h.t_conn_timer := !(h.t_conn_timer) + t.cost.Cost.conn_timer_us;
   h.t_retrans_timer := !(h.t_retrans_timer) + t.cost.Cost.retrans_timer_us
 
-(* ---- window geometry ---------------------------------------------------- *)
-
-(* At window 1 the sequence space collapses to {0,1} and every computation
-   below reduces to the seed's alternating-bit flip, bit for bit. *)
 let win t = Cost.transport_window t.cost
-let sspace t = Cost.seq_space t.cost
-let dist t base x = (x - base + sspace t) mod sspace t
-let seq_next t s = (s + 1) mod sspace t
-let seq_prev t s = (s - 1 + sspace t) mod sspace t
 
 (* ---- connection records ------------------------------------------------ *)
 
-let conn_active conn = Window.active conn.tx || conn.ack_owed >= 0 || conn.recv_buf <> []
+let conn_active conn = Window.active conn.tx || conn.ack_owed >= 0 || Rx.active conn.rx
 
 (* Lazy expiry: every packet touches the record, and cancelling plus
    re-scheduling the timer per touch cost a heap push/pop per packet. The
@@ -344,14 +305,11 @@ let conn_for t peer =
       {
         peer;
         tx = Window.create t.window_env ~peer;
+        rx = Rx.create t.rx_shared;
         ack_tm = t.unset_tm;
         expiry_tm = t.unset_tm;
-        recv_base = -1;
-        consumed = Array.make (sspace t) no_rec;
-        recv_buf = [];
         ack_owed = -1;
         expiry_deadline = 0;
-        hold = no_hold;
       }
     in
     c.expiry_tm <- Engine.timer ~tag:"proto" t.engine (fun () -> expiry_fired t c);
@@ -429,14 +387,10 @@ let emit t ~peer ~reliable ~seq ~run ~ack body =
 (* An unsequenced packet: a response, probe, discovery or bare ack. *)
 let emit_unsequenced t ~peer body = emit t ~peer ~reliable:false ~seq:0 ~run:false ~ack:(-1) body
 
-(* The cumulative acknowledgement we can assert right now: the last
-   in-order consumed sequence number; -1 before the first. *)
-let cum_ack t conn = if conn.recv_base < 0 then -1 else seq_prev t conn.recv_base
-
-(* A response to a consumed reliable message: remember it on the consumed
-   slot for duplicate replay, and let it carry the owed ack. *)
-let respond_consumed t conn cr body =
-  cr.cr_response <- Some body;
+(* A response to the consumed reliable message [pkt]: remember it for
+   duplicate replay, and let it carry the owed ack. *)
+let respond_consumed t conn pkt body =
+  Rx.respond conn.rx pkt body;
   emit_unsequenced t ~peer:conn.peer body
 
 (* ---- owed acknowledgements --------------------------------------------- *)
@@ -490,19 +444,16 @@ let release_ack t peer =
     if conn.ack_owed >= 0 then owe_ack t conn ~hold:t.cost.Cost.ack_grace_us conn.ack_owed
   | exception Not_found -> ()
 
-let replay_response t conn cr =
+let replay_response t conn pkt =
   Stdlib.incr t.hot.c_duplicates;
   mark t ~peer:conn.peer ~tid:Event.no_tid ~n:0 Event.Duplicate_replayed;
   if conn.ack_owed >= 0 then
     (* Our ack is still within its grace window; quell the retransmission
        with an immediate standalone ack. *)
     emit_unsequenced t ~peer:conn.peer Wire.Ack
-  else begin
-    let ack = cum_ack t conn in
-    match cr.cr_response with
-    | Some body -> emit t ~peer:conn.peer ~reliable:false ~seq:0 ~run:false ~ack body
-    | None -> if ack >= 0 then emit t ~peer:conn.peer ~reliable:false ~seq:0 ~run:false ~ack Wire.Ack
-  end
+  else
+    emit t ~peer:conn.peer ~reliable:false ~seq:0 ~run:false ~ack:(Rx.cum_ack conn.rx)
+      (Rx.response conn.rx pkt)
 
 let send_reliable t ~peer ~kind ~tid body ~on_done =
   let conn = conn_for t peer in
@@ -853,108 +804,20 @@ let cancel t ~tid ~on_done =
 
 (* ---- incoming packet processing ------------------------------------------ *)
 
-(* Identify a reliable message for duplicate disambiguation: after the
-   sender exhausts retransmissions it reuses the slot for its NEXT
-   message, so a stale-looking sequence number with a different
-   transaction id is a fresh message, not a duplicate. The identity is
-   the wire kind and the tid, two ints: nothing allocated. *)
-let same_packet p q =
-  p.Wire.seq = q.Wire.seq && Wire.kind p.Wire.body = Wire.kind q.Wire.body
-  && Wire.tid p.Wire.body = Wire.tid q.Wire.body
-
-type recv_class =
-  | In_order  (* at the window base (or no record): consume now *)
-  | Out_of_order  (* inside the receive window but ahead of a gap *)
-  | Dup of consumed_rec  (* behind the window and already consumed *)
-  | Resync  (* behind the window but a different message: slot reuse *)
-  | No_sync
-      (* no record and not a run start: at window > 1 the packet may sit
-         anywhere inside a reordered burst, so synchronising the window base
-         on it would strand its predecessors (they would look "behind").
-         Drop it; the sender's retransmission of the flagged run start
-         establishes the base. *)
-  | Unsequenced  (* an ack, response, probe or discovery: no sequence number *)
-
-let classify t conn pkt =
-  match pkt.Wire.body with
-  | Wire.Request _ | Wire.Accept _ | Wire.Put_data _ | Wire.Cancel_request _ ->
-    let base = conn.recv_base in
-    let d = dist t base pkt.Wire.seq in
-    if base < 0 then (if win t = 1 || pkt.Wire.run then In_order else No_sync)
-    else if d = 0 then In_order
-    else if d < win t then Out_of_order
-    else begin
-      (* every number behind the window keeps its last consume's record: a
-         delayed duplicate always finds it and is never taken for reuse *)
-      let cr = conn.consumed.(pkt.Wire.seq mod sspace t) in
-      if cr.cr_kind = Wire.kind pkt.Wire.body && cr.cr_tid = Wire.tid pkt.Wire.body
-      then Dup cr
-      else Resync
-    end
-  | _ -> Unsequenced
-
-(* Consume one in-order sequence number: advance the expected base and
-   open a replay record for it. [resync] means the sender rolled back and
-   reused old slots — everything remembered about the previous numbering
-   is void. *)
 let consume t conn ~resync pkt =
-  if conn.recv_base < 0 then
-    mark t ~peer:conn.peer ~tid:Event.no_tid ~n:0 Event.Take_any_sn;
-  if resync then begin
-    conn.recv_buf <- [];
-    Array.fill conn.consumed 0 (sspace t) no_rec
-  end;
-  let seq = pkt.Wire.seq mod sspace t (* off the wire: reduce before indexing *)
-  and body = pkt.Wire.body in
-  conn.recv_base <- seq_next t seq;
-  let cr = { cr_kind = Wire.kind body; cr_tid = Wire.tid body; cr_response = None } in
-  conn.consumed.(seq) <- cr;
-  cr
+  if Rx.base conn.rx < 0 then mark t ~peer:conn.peer ~tid:Event.no_tid ~n:0 Event.Take_any_sn;
+  if Rx.consume conn.rx ~resync pkt then
+    mark t ~peer:conn.peer ~tid:Event.no_tid ~n:1 Event.Stale_dropped
 
-(* Park a packet in the receive window. A slot already held by the SAME
-   message keeps its original copy (retries are dataless); a different
-   message at the same slot means the sender vacated it by exhausting
-   retransmissions and reused it — the stale hold is replaced, or it
-   would shadow the live message (silently dropped as a "duplicate") and
-   later be delivered in its place. *)
 let stash t conn pkt =
-  if not (List.exists (same_packet pkt) conn.recv_buf) then begin
-    let stale, live = List.partition (fun p -> p.Wire.seq = pkt.Wire.seq) conn.recv_buf in
-    if stale <> [] then begin
-      Stats.incr t.stats "pkt.window_stale_replaced";
-      mark t ~peer:conn.peer ~tid:Event.no_tid ~n:(List.length stale) Event.Stale_dropped
-    end;
-    let base = if conn.recv_base < 0 then pkt.Wire.seq else conn.recv_base in
-    let d p = dist t base p.Wire.seq in
-    let rec insert = function
-      | [] -> [ pkt ]
-      | p :: rest -> if d pkt < d p then pkt :: p :: rest else p :: insert rest
-    in
-    conn.recv_buf <- insert live;
-    Stats.incr t.stats "pkt.window_buffered";
-    if tracing t then
-      event t
-        (Event.Window_buffer
-           { tid = Wire.tid pkt.Wire.body; peer = conn.peer; seq = pkt.Wire.seq;
-             expected = base })
-  end
-
-(* A run-flagged packet was launched with nothing else outstanding: when
-   we consume one, every other packet still held for this peer predates
-   the run — its sender-side slot was vacated by exhausted
-   retransmissions — and must not be delivered when the base advances
-   past it. Only a held copy of this very message survives. (A packet the
-   sender launched *after* the run start and that overtook it on the wire
-   is flushed too; it is still unacknowledged at the sender, so its
-   retransmission recovers it.) *)
-let flush_run_stale t conn pkt =
-  if conn.recv_buf <> [] then begin
-    let keep, stale = List.partition (same_packet pkt) conn.recv_buf in
-    if stale <> [] then begin
-      conn.recv_buf <- keep;
-      Stats.incr t.stats "pkt.window_stale_flushed";
-      mark t ~peer:conn.peer ~tid:Event.no_tid ~n:(List.length stale) Event.Stale_dropped
-    end
+  let s = Rx.stash conn.rx pkt in
+  if s = Rx.Replaced_stale then mark t ~peer:conn.peer ~tid:Event.no_tid ~n:1 Event.Stale_dropped;
+  if s <> Rx.Already_stashed && tracing t then begin
+    let base = Rx.base conn.rx in
+    event t
+      (Event.Window_buffer
+         { tid = Wire.tid pkt.Wire.body; peer = conn.peer; seq = pkt.Wire.seq;
+           expected = (if base < 0 then pkt.Wire.seq else base) })
   end
 
 (* ---- responses to our own reliable sends --------------------------------- *)
@@ -985,16 +848,16 @@ let handle_error t conn tid code =
 
 (* ---- consumed-body handlers ---------------------------------------------- *)
 
-let handle_accept t conn cr src ~tid ~arg ~put_transferred ~need_put_data data =
+let handle_accept t conn pkt src ~tid ~arg ~put_transferred ~need_put_data data =
   let req = find_req t tid in
   if req.or_state = Rq_done then begin
     match (callbacks t).classify_unknown_tid tid with
-    | `Completed -> respond_consumed t conn cr (Wire.Error { tid; code = Wire.Err_cancelled })
-    | `Stale -> respond_consumed t conn cr (Wire.Error { tid; code = Wire.Err_crashed })
+    | `Completed -> respond_consumed t conn pkt (Wire.Error { tid; code = Wire.Err_cancelled })
+    | `Stale -> respond_consumed t conn pkt (Wire.Error { tid; code = Wire.Err_crashed })
   end
   else if src <> req.or_dst then
       (* Rule 6 of §3.3.2: only the addressed server may accept. *)
-      respond_consumed t conn cr (Wire.Error { tid; code = Wire.Err_cancelled })
+      respond_consumed t conn pkt (Wire.Error { tid; code = Wire.Err_cancelled })
     else begin
       let get_data = truncate_bytes data req.or_get_size in
       let copy_us = Cost.data_copy_us t.cost ~bytes:(Bytes.length get_data) in
@@ -1033,7 +896,7 @@ let handle_put_data t conn ~tid data =
     defer t ~delay:copy_us (fun () -> accept_check_done t txn ctx)
   | _ -> ()
 
-let handle_cancel_request t conn cr ~tid =
+let handle_cancel_request t conn pkt ~tid =
   let txn = find_txn t ~src:conn.peer ~tid in
   let ok =
     txn == no_txn
@@ -1054,21 +917,20 @@ let handle_cancel_request t conn cr ~tid =
     | Srv_accepting _ | Srv_completed -> false
   in
   if ok then Stats.incr t.stats "cancel.granted" else Stats.incr t.stats "cancel.refused";
-  respond_consumed t conn cr (Wire.Cancel_reply { tid; ok })
+  respond_consumed t conn pkt (Wire.Cancel_reply { tid; ok })
 
 (* Consume an in-order ACCEPT, DATA or CANCEL and owe its ack. *)
 let consume_in_order t conn ~resync pkt =
-  let cr = consume t conn ~resync pkt in
-  owe_ack t conn ~hold:(ack_hold t pkt.Wire.body) pkt.Wire.seq;
-  cr
+  consume t conn ~resync pkt;
+  owe_ack t conn ~hold:(ack_hold t pkt.Wire.body) pkt.Wire.seq
 
 (* Act on a body consumed by [consume_in_order]. *)
-let handle_consumed t conn cr pkt =
+let handle_consumed t conn pkt =
   match pkt.Wire.body with
   | Wire.Accept { tid; arg; put_transferred; need_put_data; data } ->
-    handle_accept t conn cr pkt.Wire.src ~tid ~arg ~put_transferred ~need_put_data data
+    handle_accept t conn pkt pkt.Wire.src ~tid ~arg ~put_transferred ~need_put_data data
   | Wire.Put_data { tid; data } -> handle_put_data t conn ~tid data
-  | Wire.Cancel_request { tid } -> handle_cancel_request t conn cr ~tid
+  | Wire.Cancel_request { tid } -> handle_cancel_request t conn pkt ~tid
   | _ -> ()
 
 let handle_probe t conn tid =
@@ -1128,13 +990,21 @@ let register_txn t ~src ~tid ~put_size ~get_size ~data ~retry st_state =
 (* Refuse an in-order REQUEST. A consumed rejection is stored and
    replayed on duplicates. *)
 let reject_request t conn pkt ~resync body =
-  if Window.rejection_consumes t.cost then
-    respond_consumed t conn (consume t conn ~resync pkt) body
+  if Window.rejection_consumes t.cost then begin
+    consume t conn ~resync pkt;
+    respond_consumed t conn pkt body
+  end
   else emit_unsequenced t ~peer:conn.peer body
 
-(* Offer an in-order REQUEST to the kernel. [`Held] (windowed pipelined
-   kernels only) leaves the slot unconsumed: the packet stays parked at the
-   head of the receive window, data intact, until the input buffer frees. *)
+let busy_nack t conn pkt ~resync tid =
+  Stats.incr t.stats "req.busy_nacked";
+  if tracing t then event t (Event.Busy_nack { tid; peer = conn.peer });
+  reject_request t conn pkt ~resync (Wire.Busy { tid })
+
+(* Offer an in-order REQUEST to the kernel; false when it is held (windowed
+   pipelined kernels only): the slot stays unconsumed and the packet stays
+   stashed at the head of the receive window, data intact, until the input
+   buffer frees. *)
 let offer_request t conn pkt ~resync =
   let src = pkt.Wire.src in
   match pkt.Wire.body with
@@ -1143,9 +1013,9 @@ let offer_request t conn pkt ~resync =
      | `Unadvertised ->
        Stats.incr t.stats "req.unadvertised";
        reject_request t conn pkt ~resync (Wire.Error { tid; code = Wire.Err_unadvertised });
-       `Done
+       true
      | `Deliver ->
-       ignore (consume_in_order t conn ~resync pkt);
+       consume_in_order t conn ~resync pkt;
        register_txn t ~src ~tid ~put_size ~get_size ~data ~retry Srv_delivered;
        Stats.bump t.hot.req_delivered;
        if tracing t then
@@ -1153,105 +1023,61 @@ let offer_request t conn pkt ~resync =
            (Event.Deliver
               { tid; src; pattern = Pattern.to_int pattern; put_size; get_size;
                 from_buffer = false });
-       `Done
+       true
      | `Busy ->
        if t.cost.Cost.pipelined && t.buffered = None then begin
-         ignore (consume_in_order t conn ~resync pkt);
+         consume_in_order t conn ~resync pkt;
          register_txn t ~src ~tid ~put_size ~get_size ~data ~retry Srv_buffered;
          t.buffered <- Some pkt;
          Stats.incr t.stats "req.buffered";
-         `Done
+         true
        end
-       else if win t > 1 && t.cost.Cost.pipelined then begin
+       else if win t > 1 && t.cost.Cost.pipelined && not resync then begin
          (* input buffer full: defer rather than nack, keeping the put data
-            for delivery once the handler drains *)
-         Stats.incr t.stats "req.busy_deferred";
-         `Held
+            for delivery once the handler drains. A REQUEST that restarts
+            the peer's numbering is refused instead: its number lies
+            behind the window, where nothing can be held. The connection
+            queues for the input buffer unless it already waits there. *)
+         stash t conn pkt;
+         if Rx.hold conn.rx pkt then Queue.push conn t.holders;
+         false
        end
        else begin
-         Stats.incr t.stats "req.busy_nacked";
-         if tracing t then event t (Event.Busy_nack { tid; peer = conn.peer });
-         reject_request t conn pkt ~resync (Wire.Busy { tid });
-         `Done
+         busy_nack t conn pkt ~resync tid;
+         true
        end)
   | _ -> assert false
 
-(* [pkt], at the head of [conn]'s receive window, was just held: queue
-   the connection for the input buffer unless it already waits there. *)
-let note_held t conn pkt =
-  if conn.hold == no_hold then Queue.push conn t.holders;
-  if conn.hold.h_pkt != pkt then conn.hold <- { h_pkt = pkt; h_retries = 0 }
-
-(* Process parked packets that have become in-order (the gap filled, or a
-   deferred REQUEST's handler freed). Stops at the first hold. *)
+(* Process stashed packets that have become in-order (the gap filled, or a
+   held REQUEST's handler freed). Stops at the first hold. A REQUEST held
+   on first contact is the synchronisation point: it is offered as soon as
+   the buffer drains. *)
 let rec drain_recv t conn =
-  match conn.recv_buf with
-  (* No base: a deferred in-order REQUEST was parked before the connection
-     record existed (first contact with the input buffer full); it is the
-     synchronisation point, so offer it as soon as the buffer drains. *)
-  | pkt :: rest when conn.recv_base < 0 || conn.recv_base = pkt.Wire.seq ->
-    (match pkt.Wire.body with
-     | Wire.Request _ ->
-       (match offer_request t conn pkt ~resync:false with
-        | `Done ->
-          conn.recv_buf <- rest;
-          drain_recv t conn
-        | `Held -> note_held t conn pkt)
-     | _ ->
-       conn.recv_buf <- rest;
-       handle_consumed t conn (consume_in_order t conn ~resync:false pkt) pkt;
-       drain_recv t conn)
-  | _ -> ()
-
-(* Nack a deferred REQUEST before the hold kills its sender. A pipelined
-   kernel holds an in-order REQUEST (`Held`) while the input buffer is
-   full, swallowing its retransmissions — but each swallowed
-   retransmission burns the sender's [max_retrans] crash-detection
-   budget. Past a threshold (with margin left for a lost nack, answered
-   by duplicate replay), consume the slot and BUSY-nack so the requester
-   falls back to the indefinite adaptive busy-retry path instead of
-   failing [Out_timeout] against a merely long-busy handler. *)
-let held_retry_limit t = max 1 (t.cost.Cost.max_retrans - 2)
-
-let count_held_retry t conn held =
-  match conn.recv_buf with
-  | still :: rest when still == held && conn.hold.h_pkt == held ->
-    let h = conn.hold in
-    h.h_retries <- h.h_retries + 1;
-    if h.h_retries >= held_retry_limit t then begin
-      match held.Wire.body with
-      | Wire.Request { tid; _ } ->
-        conn.recv_buf <- rest;
-        Stats.incr t.stats "req.busy_nacked";
-        Stats.incr t.stats "req.held_nacked";
-        if tracing t then event t (Event.Busy_nack { tid; peer = conn.peer });
-        respond_consumed t conn (consume t conn ~resync:false held) (Wire.Busy { tid });
-        drain_recv t conn
-      | _ -> ()
-    end
-  | _ -> () (* the hold cleared: the deferred packet was delivered *)
-
-(* Is the head of [conn]'s receive window in order? After [drain_recv]
-   that means a REQUEST it left held. *)
-let head_held conn =
-  match conn.recv_buf with
-  | pkt :: _ -> conn.recv_base < 0 || conn.recv_base = pkt.Wire.seq
-  | [] -> false
+  let pkt = Rx.head conn.rx in
+  if pkt != Rx.none then
+    match pkt.Wire.body with
+    | Wire.Request _ -> if offer_request t conn pkt ~resync:false then drain_recv t conn
+    | _ ->
+      consume_in_order t conn ~resync:false pkt;
+      handle_consumed t conn pkt;
+      drain_recv t conn
 
 (* Offer freed input-buffer capacity to the held connections, longest
    holder first. A hold means the whole node's input buffer is occupied
    ([`Busy] does not depend on the pattern), so the first head still held
-   after its drain ends the walk: everyone behind it would be held too. A
-   connection that made progress but holds a newer REQUEST goes to the
-   back; one that holds nothing any more leaves. *)
+   after a drain that consumed nothing ends the walk: everyone behind it
+   would be held too. A connection that made progress but holds a newer
+   REQUEST goes to the back; one that holds nothing any more leaves. *)
 let rec drain_holders t =
   if not (Queue.is_empty t.holders) then begin
     let conn = Queue.peek t.holders in
-    let before = conn.recv_buf in
+    let before = Rx.base conn.rx in
     drain_recv t conn;
-    if not (head_held conn && conn.recv_buf == before) then begin
+    (* an in-order head left after the drain is a REQUEST it held *)
+    let held = Rx.head conn.rx != Rx.none in
+    if not (held && Rx.base conn.rx = before) then begin
       ignore (Queue.pop t.holders);
-      if head_held conn then Queue.push conn t.holders else conn.hold <- no_hold;
+      if held then Queue.push conn t.holders else Rx.release conn.rx;
       drain_holders t
     end
   end
@@ -1304,24 +1130,24 @@ let process_packet t ~ctx ~bytes pkt =
            bytes; seq = pkt.Wire.seq });
   let conn = conn_for t src in
   arm_expiry t conn;
-  let cls = classify t conn pkt in
-  let resync = match cls with Resync -> true | _ -> false in
-  (* Consuming a run-flagged packet voids everything still held for this
-     peer: nothing else was outstanding when it launched, so held packets
-     are stale remnants of a send era the peer abandoned. *)
+  let cls = Rx.classify conn.rx pkt in
+  let resync = match cls with Rx.Resync -> true | _ -> false in
+  (* Consuming a run-flagged packet voids everything still stashed for
+     this peer: nothing else was outstanding when it launched, so stashed
+     packets are stale remnants of a send era the peer abandoned. *)
   (match cls with
-   | (In_order | Resync) when pkt.Wire.run -> flush_run_stale t conn pkt
+   | (In_order | Resync) when pkt.Wire.run ->
+     let n = Rx.flush_run_stale conn.rx pkt in
+     if n > 0 then mark t ~peer:conn.peer ~tid:Event.no_tid ~n Event.Stale_dropped
    | _ -> ());
   (* For non-REQUEST reliable bodies, consume the sequence number and
      register the owed acknowledgement BEFORE processing the piggybacked
      ack: acking our in-flight message may immediately transmit the next
      queued one, which should carry the ack we now owe (§5.2.3). *)
-  let consumed_cr =
-    match pkt.Wire.body, cls with
-    | (Wire.Accept _ | Wire.Put_data _ | Wire.Cancel_request _), (In_order | Resync) ->
-      consume_in_order t conn ~resync pkt
-    | _ -> no_rec
-  in
+  (match pkt.Wire.body, cls with
+   | (Wire.Accept _ | Wire.Put_data _ | Wire.Cancel_request _), (In_order | Resync) ->
+     consume_in_order t conn ~resync pkt
+   | _ -> ());
   (* A BUSY must be interpreted before the cumulative ack riding the same
      packet: at window >1 the busy'd slot was consumed by the peer, and the
      plain ack walk must not mistake it for a success. *)
@@ -1334,39 +1160,37 @@ let process_packet t ~ctx ~bytes pkt =
    | Some a, _ -> Window.ack conn.tx a
    | None, _ -> ());
   match pkt.Wire.body, cls with
-  | _, Dup cr -> replay_response t conn cr
+  | _, Dup -> replay_response t conn pkt
   | _, No_sync ->
     (* No record and not a run start: the piggybacked ack above was still
        honoured, but the body waits for the flagged retransmission. *)
-    Stats.incr t.stats "pkt.no_sync_dropped";
+    Stats.bump t.hot.no_sync_dropped;
     mark t ~peer:conn.peer ~tid:Event.no_tid ~n:0 Event.No_sync_drop
   | Wire.Request _, (In_order | Resync) ->
-    (match conn.recv_buf with
-     | held :: _ when same_packet held pkt ->
-       (* retransmission of a REQUEST already deferred at the window head;
-          re-offer the held original (it still carries the put data), and
-          count the swallowed retransmission against the hold bound *)
-       drain_recv t conn;
-       count_held_retry t conn held
-     | _ ->
-       (match offer_request t conn pkt ~resync with
-        | `Done -> drain_recv t conn
-        | `Held ->
-          stash t conn pkt;
-          note_held t conn pkt))
-  | Wire.Put_data { tid; data }, Out_of_order ->
-    (* The slot must fill in order, but the BODY is transaction-addressed
+    let held = Rx.head_copy conn.rx pkt in
+    if held != Rx.none then begin
+      (* retransmission of a REQUEST already held at the window head;
+         re-offer the held original (it still carries the put data), and
+         count the swallowed retransmission against the hold bound: past
+         it, refuse the held REQUEST before the hold kills its sender *)
+      drain_recv t conn;
+      if Rx.held_retry conn.rx held then begin
+        busy_nack t conn held ~resync:false (Wire.tid held.Wire.body);
+        drain_recv t conn
+      end
+    end
+    else if offer_request t conn pkt ~resync then drain_recv t conn
+  | _, Out_of_order -> (
+    stash t conn pkt;
+    (* The slot must fill in order, but a DATA BODY is transaction-addressed
        and idempotent -- and the accepting handler may be blocked waiting
        for exactly this data while earlier slots wait for that handler
        (requests pipelined ahead of the DATA). Processing the body eagerly
        breaks the circular wait; the stashed copy still fills the gap for
        window bookkeeping and is replayed harmlessly. *)
-    stash t conn pkt;
-    handle_put_data t conn ~tid data
-  | (Wire.Request _ | Wire.Accept _ | Wire.Cancel_request _), Out_of_order ->
-    stash t conn pkt
+    match pkt.Wire.body with Put_data { tid; data } -> handle_put_data t conn ~tid data | _ -> ())
   | (Wire.Accept _ | Wire.Put_data _ | Wire.Cancel_request _), (In_order | Resync) ->
-    handle_consumed t conn consumed_cr pkt;
+    handle_consumed t conn pkt;
     drain_recv t conn
   | Wire.Ack, _ -> ()
   | Wire.Busy _, _ -> () (* handled above, before the cumulative ack *)
@@ -1429,6 +1253,7 @@ let create ~engine ~bus ~mid ~cost ~recorder =
       req_submitted = Stats.counter_slot stats "req.submitted";
       req_delivered = Stats.counter_slot stats "req.delivered";
       req_latency_us = Stats.sample_slot stats "req.latency_us";
+      no_sync_dropped = Stats.counter_slot stats "pkt.no_sync_dropped";
       packet_cpu =
         cost.Cost.packet_protocol_us + cost.Cost.conn_timer_us
         + cost.Cost.retrans_timer_us;
@@ -1458,6 +1283,7 @@ let create ~engine ~bus ~mid ~cost ~recorder =
       holders = Queue.create ();
       live_from = 0;
       unset_tm = unset;
+      rx_shared = Rx.shared stats cost;
       window_env =
         {
           Window.engine;
@@ -1476,7 +1302,7 @@ let create ~engine ~bus ~mid ~cost ~recorder =
           shared = Window.shared stats;
         };
       tx_line = line ~delay:hot.packet_cpu ~fill_a:Bytes.empty ~fill_b:None;
-      rx_line = line ~delay:hot.packet_cpu ~fill_a:no_pkt ~fill_b:None;
+      rx_line = line ~delay:hot.packet_cpu ~fill_a:Rx.none ~fill_b:None;
       probe_line = line ~delay:cost.Cost.probe_interval_us ~fill_a:no_req ~fill_b:();
       gc_line = line ~delay:lifetime ~fill_a:no_txn ~fill_b:();
       data_line = line ~delay:lifetime ~fill_a:no_txn ~fill_b:no_ctx;

@@ -2,7 +2,7 @@ open Effect.Deep
 
 exception Stop
 
-type _ Effect.t += Await : (('a -> unit) -> unit) -> 'a Effect.t | Park : unit Effect.t
+type _ Effect.t += Park : unit Effect.t
 
 type slot = { mutable k : (unit, unit) continuation }
 
@@ -33,8 +33,6 @@ let wake s =
   s.k <- empty;
   continue k ()
 
-let await f = Effect.perform (Await f)
-
 let spawn ~on_exit s fn =
   let park_here = Some (fun k -> s.k <- k) in
   match_with fn ()
@@ -48,13 +46,5 @@ let spawn ~on_exit s fn =
         (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
           match eff with
           | Park -> park_here
-          | Await f ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                let resumed = ref false in
-                f (fun v ->
-                    if !resumed then failwith "Fiber: continuation resumed twice";
-                    resumed := true;
-                    continue k v))
           | _ -> None);
     }

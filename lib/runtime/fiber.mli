@@ -5,17 +5,14 @@
     resumed by simulation events. One-shot continuations; a fiber whose
     resume never fires simply leaks (the simulated machine halted).
 
-    A fiber suspends in one of two ways:
-    - {b park/wake}, the hot path. Each fiber is spawned with a {!slot}
-      that holds at most one parked continuation. [park ()] saves the
-      fiber's continuation in its own slot and returns when some event
-      calls [wake] on that slot. Nothing is allocated per suspension: the
-      effect is a constant and the handler's answer to it is built once
-      per [spawn]. Whoever parks arranges its own wake-up (a reusable
-      timer, a flag, a result field) before calling [park].
-    - {b await}, for rare paths that need a value or a one-off waker
-      (CANCEL, [await_first], DISCOVER): it builds a resume closure per
-      call. *)
+    A fiber suspends one way only: each fiber is spawned with a {!slot}
+    that holds at most one parked continuation; [park ()] saves the
+    fiber's continuation in its own slot and returns when some event
+    calls [wake] on that slot. Nothing is allocated per suspension: the
+    effect is a constant and the handler's answer to it is built once per
+    [spawn]. Whoever parks arranges its own wake-up (a reusable timer, a
+    flag, a result field the waker fills) before calling [park], and
+    parks only if the answer has not already come. *)
 
 (** Raised inside a fiber to terminate it silently (client death, DIE). *)
 exception Stop
@@ -40,8 +37,3 @@ val park : unit -> unit
     when that fiber next suspends or ends. Raises [Failure] if nothing is
     parked in [s]. *)
 val wake : slot -> unit
-
-(** [await f] suspends the current fiber; [f resume] must arrange for
-    [resume v] to be called exactly once (later calls raise). The awaited
-    value is returned from [await]. *)
-val await : (('a -> unit) -> unit) -> 'a

@@ -49,8 +49,9 @@ and fiber_context = Task_context | Handler_context
 
 (* One execution context of the client processor (§3.1). It parks in
    [slot]; its timer, its ACCEPT return, the completion of its blocking
-   REQUEST and [wake_idlers] each resume it, unless the client was killed
-   since it parked. *)
+   REQUEST or of one of its [await_first] tids, the answer to its CANCEL
+   and [wake_idlers] each resume it, unless the client was killed since it
+   parked. *)
 and fiber = {
   owner : env;
   ctx : fiber_context;
@@ -60,11 +61,16 @@ and fiber = {
   mutable accepted : Types.accept_status * int;
   on_completed : completion_info -> unit;  (* lands in [completed] *)
   mutable completed : completion_info;
+  mutable cancel : cancel_state;
   mutable gen : int;  (* [owner.generation] when it parked *)
   mutable busy : bool;  (* spawned and not yet ended *)
   mutable idle : bool;  (* on the idle stack *)
   mutable below : fiber;
 }
+
+(* Where the fiber's last CANCEL stands: asked and not yet answered,
+   parked for the answer, or answered. *)
+and cancel_state = Asking | Awaiting | Granted | Refused
 
 and spec = {
   init : env -> parent:int -> unit;
@@ -141,21 +147,6 @@ let sleep env us =
   let fb = env.running in
   Engine.arm env.engine (timer_of fb) ~delay:us;
   park env fb
-
-(* Suspend on a one-off waker (the rare paths): [f resume] must call
-   [resume] once. The generation check and context restore are those of
-   [resume]. *)
-let await env f =
-  let gen = env.generation in
-  let context = env.context in
-  let fb = env.running in
-  Fiber.await (fun resume ->
-      f (fun v ->
-          if env.generation = gen then begin
-            env.context <- context;
-            env.running <- fb;
-            resume v
-          end))
 
 (* Model the client-side cost of invoking a primitive (TRAP + descriptor
    pool management, §5.2.1); the caller runs the primitive on the other
@@ -333,13 +324,13 @@ let make_client kernel spec =
   and task =
     { owner = env; ctx = Task_context; slot = Fiber.slot (); timer = None;
       on_accept = (fun r -> accept_done task r); accepted = no_accept;
-      on_completed = (fun c -> completion_done task c); completed = no_completion; gen = 0;
-      busy = false; idle = false; below = task }
+      on_completed = (fun c -> completion_done task c); completed = no_completion;
+      cancel = Refused; gen = 0; busy = false; idle = false; below = task }
   and handler =
     { owner = env; ctx = Handler_context; slot = Fiber.slot (); timer = None;
       on_accept = (fun r -> accept_done handler r); accepted = no_accept;
-      on_completed = (fun c -> completion_done handler c); completed = no_completion; gen = 0;
-      busy = false; idle = false; below = handler }
+      on_completed = (fun c -> completion_done handler c); completed = no_completion;
+      cancel = Refused; gen = 0; busy = false; idle = false; below = handler }
   in
   let client =
     {
@@ -430,17 +421,12 @@ let await_first env tids =
   if in_handler env then
     raise (Sodal_error "blocking wait within the handler would deadlock (§4.1.1)");
   if tids = [] then invalid_arg "Sodal.await_first: empty tid list";
-  await env (fun resume ->
-      let fired = ref false in
-      List.iter
-        (fun tid ->
-          Hashtbl.replace env.block_waits tid (fun info ->
-              if not !fired then begin
-                fired := true;
-                List.iter (fun t -> Hashtbl.remove env.block_waits t) tids;
-                resume info
-              end))
-        tids)
+  let fb = env.running in
+  List.iter (fun tid -> Hashtbl.replace env.block_waits tid fb.on_completed) tids;
+  park env fb;
+  (* the first completion took its own wait; the others fall through *)
+  List.iter (fun tid -> Hashtbl.remove env.block_waits tid) tids;
+  fb.completed
 
 let swallow_completion env tid = Hashtbl.replace env.block_waits tid (fun _ -> ())
 
@@ -486,11 +472,24 @@ let reject env = reject_request env (current env)
 
 (* ---- cancel, handler control, process control -------------------------------- *)
 
+let cancel_done fb ok =
+  let parked = fb.cancel = Awaiting in
+  fb.cancel <- (if ok then Granted else Refused);
+  if parked then resume fb
+
+(* The kernel answers at once for a foreign, finished or still-queued tid:
+   then the fiber does not park. *)
 let cancel env tid =
   trap env env.cost.Cost.small_trap_us;
-  await env (fun resume ->
-      Kernel.cancel env.kernel ~requester:{ Types.rq_mid = my_mid env; rq_tid = tid }
-        ~on_done:resume)
+  let fb = env.running in
+  fb.cancel <- Asking;
+  Kernel.cancel env.kernel ~requester:{ Types.rq_mid = my_mid env; rq_tid = tid }
+    ~on_done:(fun ok -> cancel_done fb ok);
+  if fb.cancel = Asking then begin
+    fb.cancel <- Awaiting;
+    park env fb
+  end;
+  fb.cancel = Granted
 
 let open_handler env =
   trap env env.cost.Cost.small_trap_us;

@@ -50,11 +50,11 @@ let op_incr = 2
 let op_cread = 3
 let op_request_size = 25
 
-let op_label = function
-  | 0 -> "write"
-  | 1 -> "snapshot"
-  | 2 -> "incr"
-  | _ -> "cread"
+let op_event = function
+  | 0 -> Event.Scd_write
+  | 1 -> Event.Scd_snapshot
+  | 2 -> Event.Scd_incr
+  | _ -> Event.Scd_cread
 
 let encode_op ~kind ~origin ~oseq ~a ~b =
   let buf = Bytes.create op_request_size in
@@ -493,7 +493,7 @@ let complete_op env m (p : pending) =
   Metrics.observe ms "scd.op.us" (Sodal.now env - p.p_start_us);
   emit env
     (Event.Scd_op
-       { op = op_label p.p_kind; origin = p.p_origin; oseq = p.p_oseq; ok = true;
+       { op = op_event p.p_kind; origin = p.p_origin; oseq = p.p_oseq; ok = true;
          elapsed_us = Sodal.now env - p.p_start_us });
   match (p.p_waiter, p.p_result) with
   | Some asker, Some data -> (
@@ -793,7 +793,7 @@ let do_op env t ~kind ~a ~b ~get_size =
         Metrics.incr (metrics env) "scd.unreachable";
         emit env
           (Event.Scd_op
-             { op = op_label kind; origin = t.origin; oseq; ok = false;
+             { op = op_event kind; origin = t.origin; oseq; ok = false;
                elapsed_us = Sodal.now env - t0 });
         Error Unreachable
       end

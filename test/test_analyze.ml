@@ -18,7 +18,7 @@ let test_jsonl_escaping_round_trip () =
   let nasty = "q\"uote b\\ack\nnl\ttab\rcr ctrl\x01\x1f end" in
   let events =
     [ ev 5 0 (Event.Scd_broadcast { sd = 1; sn = 2; payload = nasty });
-      ev 6 (-1) (Event.Bus_drop { src = 1; dst = 0; reason = nasty }) ]
+      ev 6 0 (Event.Scd_broadcast { sd = 2; sn = 3; payload = String.uppercase_ascii nasty }) ]
   in
   let jsonl = Export.jsonl events in
   (* escapes keep it one object per line *)
@@ -31,9 +31,10 @@ let test_jsonl_escaping_round_trip () =
         Alcotest.(check string) "payload round-trips" nasty payload
       | _ -> Alcotest.fail "expected a broadcast");
      (match b.Event.kind with
-      | Event.Bus_drop { reason; _ } ->
-        Alcotest.(check string) "reason round-trips" nasty reason
-      | _ -> Alcotest.fail "expected a bus drop")
+      | Event.Scd_broadcast { payload; _ } ->
+        Alcotest.(check string) "second payload round-trips" (String.uppercase_ascii nasty)
+          payload
+      | _ -> Alcotest.fail "expected a second broadcast")
    | l -> Alcotest.fail (Printf.sprintf "expected 2 events, got %d" (List.length l)));
   (* the chrome exporter must escape the same strings (its [message]
      rendering embeds them in event names) *)
@@ -73,7 +74,9 @@ let all_kinds_events =
     ev 13 0 Endhandler;
     ev 14 1 (Complete { tid = 7; status = Accepted });
     ev 15 (-1) (Bus_frame { src = 1; dst = -1; bytes = 28; start_us = 14; end_us = 15 });
-    ev 16 (-1) (Bus_drop { src = 1; dst = 0; reason = "loss" });
+    ev 16 (-1) (Bus_drop { src = 1; dst = 0; reason = Drop_partitioned });
+    ev 16 (-1) (Bus_drop { src = 1; dst = 2; reason = Drop_lost });
+    ev 16 (-1) (Bus_drop { src = 2; dst = 0; reason = Drop_corrupted });
     ev 17 (-1) (Fault_partition { group_a = [ 0; 1 ]; group_b = [ 2 ] });
     ev 18 (-1) (Fault_partition { group_a = []; group_b = [] });
     ev 19 (-1) Fault_heal;
@@ -91,7 +94,10 @@ let all_kinds_events =
       (Store_complete { op = Op_read; key = 2; ok = false; rounds = 4; elapsed_us = 99 });
     ev 28 3 (Scd_broadcast { sd = 3; sn = 9; payload = "w r1=4" });
     ev 29 3 (Scd_deliver { size = 2; pending = 5 });
-    ev 30 3 (Scd_op { op = "snapshot"; origin = 3; oseq = 1; ok = true; elapsed_us = 812 });
+    ev 30 3 (Scd_op { op = Scd_write; origin = 3; oseq = 1; ok = true; elapsed_us = 812 });
+    ev 30 3 (Scd_op { op = Scd_snapshot; origin = 3; oseq = 2; ok = false; elapsed_us = 9 });
+    ev 30 3 (Scd_op { op = Scd_incr; origin = 1; oseq = 3; ok = true; elapsed_us = 40 });
+    ev 30 3 (Scd_op { op = Scd_cread; origin = 2; oseq = 4; ok = true; elapsed_us = 7 });
   ]
   @ List.mapi
       (fun i mark -> ev (31 + i) 0 (Mark { peer = i - 1; tid = 7 - i; mark; n = i }))
@@ -166,7 +172,12 @@ let test_parse_errors () =
      \"key\":1,\"attempt\":1}";
   bad
     "{\"t\":1,\"mid\":0,\"ev\":\"store-retry\",\"op\":\"read\",\"phase\":\"vote\",\
-     \"key\":1,\"attempt\":1}"
+     \"key\":1,\"attempt\":1}";
+  (* a bus-drop reason or SCD op outside the typed variants *)
+  bad "{\"t\":1,\"mid\":-1,\"ev\":\"bus-drop\",\"src\":1,\"dst\":0,\"reason\":\"loss\"}";
+  bad
+    "{\"t\":1,\"mid\":3,\"ev\":\"scd-op\",\"op\":\"swap\",\"origin\":3,\"oseq\":1,\
+     \"ok\":true,\"elapsed\":5}"
 
 (* ---- qcheck: analyzer totals match the in-memory histograms --------------- *)
 

@@ -755,6 +755,45 @@ let test_killed_client_unreachable () =
   (* The network, its kernel included, stays reachable through the check. *)
   ignore (Sys.opaque_identity (net, k0))
 
+(* [await_first] parks the task in its own slot on two tids: the first
+   completion resumes it, and the other, no longer awaited, reaches the
+   completion handler. A CANCEL of the finished tid is answered at once,
+   without parking. *)
+let test_await_first_then_cancel () =
+  let net, kernels = make_net 2 in
+  let _server =
+    Sodal.attach (List.nth kernels 0)
+      {
+        Sodal.default_spec with
+        init = (fun env ~parent:_ -> Sodal.advertise env patt);
+        on_request = (fun env _ -> ignore (Sodal.accept_current_signal env ~arg:0));
+      }
+  in
+  let first = ref (-1) and handled = ref [] and tids = ref [] and cancel_ok = ref true in
+  let _client =
+    Sodal.attach (List.nth kernels 1)
+      {
+        Sodal.default_spec with
+        on_completion = (fun _ c -> handled := c.Sodal.tid :: !handled);
+        task =
+          (fun env ->
+            let sv = Sodal.server ~mid:0 ~pattern:patt in
+            let a = Sodal.signal env sv ~arg:0 in
+            let b = Sodal.signal env sv ~arg:0 in
+            tids := [ a; b ];
+            first := (Sodal.await_first env [ b; a ]).Sodal.tid;
+            cancel_ok := Sodal.cancel env a;
+            Sodal.serve env);
+      }
+  in
+  run net ~horizon:1.0;
+  match !tids with
+  | [ a; b ] ->
+    Alcotest.(check int) "the first completion wins" a !first;
+    Alcotest.(check (list int)) "the other falls through to the handler" [ b ] !handled;
+    Alcotest.(check bool) "CANCEL of a finished tid fails at once" false !cancel_ok
+  | _ -> Alcotest.fail "the task never ran"
+
 let suites =
   [
     ( "sodal.transfer",
@@ -786,6 +825,8 @@ let suites =
       ] );
     ( "sodal.fiber",
       [
+        Alcotest.test_case "await_first, then CANCEL answered at once" `Quick
+          test_await_first_then_cancel;
         Alcotest.test_case "ACCEPT beside compute" `Quick (test_accept_beside_task ~idle:false);
         Alcotest.test_case "ACCEPT beside idle_for" `Quick (test_accept_beside_task ~idle:true);
         Alcotest.test_case "idle wake order: task first" `Quick

@@ -1104,6 +1104,225 @@ let ack_reentrant ~window ~reentry ~uncovered () =
    | `Cancel -> ());
   Alcotest.(check bool) "nothing left in flight" false (Window.active w)
 
+(* ---- the receiving half through its interface ------------------------------ *)
+
+module Rx = Soda_proto.Recv_window
+
+(* A receive window of width [window] with its stats, and packets from
+   peer 1: a REQUEST or an ACCEPT for [tid] at sequence number [seq]. *)
+let bare_rx ~window =
+  let cost = { Cost.default with Cost.window } in
+  let stats = Stats.create () in
+  (Rx.create (Rx.shared stats cost), stats, Cost.seq_space cost)
+
+let rx_pkt ?(run = false) ~seq body =
+  { Wire.src = 1; reliable = true; seq; ack = None; run; body }
+
+let rx_req ?run ~seq tid =
+  rx_pkt ?run ~seq
+    (Wire.Request
+       { tid; pattern = patt; arg = 0; put_size = 0; get_size = 0; data = Bytes.empty;
+         retry = false })
+
+let rx_acc ?run ~seq tid =
+  rx_pkt ?run ~seq
+    (Wire.Accept
+       { tid; arg = 0; put_transferred = 0; need_put_data = false; data = Bytes.empty })
+
+let cls_name = function
+  | Rx.In_order -> "in-order"
+  | Out_of_order -> "out-of-order"
+  | Dup -> "dup"
+  | Resync -> "resync"
+  | No_sync -> "no-sync"
+  | Unsequenced -> "unsequenced"
+
+let check_cls what want w pkt =
+  Alcotest.(check string) what (cls_name want) (cls_name (Rx.classify w pkt))
+
+(* Consume [pkt], which must be in order and displace nothing. *)
+let rx_consume w pkt =
+  check_cls "in order" Rx.In_order w pkt;
+  Alcotest.(check bool) "nothing displaced" false (Rx.consume w ~resync:false pkt)
+
+(* In order the base follows each consume; at W > 1 a packet ahead of a gap
+   is stashed and becomes the head once the gap fills. *)
+let test_rx_in_order_and_gap ~window () =
+  let w, _, _ = bare_rx ~window in
+  Alcotest.(check int) "no base yet" (-1) (Rx.base w);
+  Alcotest.(check int) "no ack yet" (-1) (Rx.cum_ack w);
+  rx_consume w (rx_req ~run:true ~seq:0 10);
+  Alcotest.(check int) "base past it" 1 (Rx.base w);
+  Alcotest.(check int) "acks it" 0 (Rx.cum_ack w);
+  if window = 1 then
+    (* the alternating bit: the next number after the base is the one
+       just consumed, never a gap *)
+    check_cls "number behind" Rx.Dup w (rx_req ~seq:0 10)
+  else begin
+    let late = rx_acc ~seq:3 13 in
+    check_cls "ahead of a gap" Rx.Out_of_order w late;
+    Alcotest.(check bool) "stashed" true (Rx.stash w late = Rx.Stashed);
+    Alcotest.(check bool) "active" true (Rx.active w);
+    Alcotest.(check bool) "gap: no head" true (Rx.head w == Rx.none);
+    rx_consume w (rx_req ~seq:1 11);
+    rx_consume w (rx_req ~seq:2 12);
+    Alcotest.(check bool) "gap filled: the stash is the head" true (Rx.head w == late);
+    rx_consume w late;
+    Alcotest.(check bool) "nothing left" false (Rx.active w);
+    Alcotest.(check int) "base past the stash" 4 (Rx.base w)
+  end
+
+(* A duplicate behind the window replays the stored response; a consume
+   with none replays a bare ack. *)
+let test_rx_replay ~window () =
+  let w, _, _ = bare_rx ~window in
+  let a = rx_req ~run:true ~seq:0 20 and b = rx_acc ~seq:1 21 in
+  rx_consume w a;
+  Rx.respond w a (Wire.Busy { tid = 20 });
+  check_cls "a duplicate" Rx.Dup w (rx_req ~seq:0 20);
+  Alcotest.(check bool) "replays the BUSY" true (Rx.response w a = Wire.Busy { tid = 20 });
+  rx_consume w b;
+  check_cls "b duplicate" Rx.Dup w (rx_acc ~seq:1 21);
+  Alcotest.(check bool) "no response: a bare ack" true (Rx.response w b = Wire.Ack);
+  if window > 1 then begin
+    check_cls "a still a duplicate" Rx.Dup w a;
+    Alcotest.(check bool) "a still replays the BUSY" true (Rx.response w a = Wire.Busy { tid = 20 })
+  end
+
+(* A different message on a number behind the window is a reuse: its
+   consume forgets both the stash and every replay record. *)
+let test_rx_resync ~window () =
+  let w, _, space = bare_rx ~window in
+  let consumed = if window = 1 then 1 else 3 in
+  for i = 0 to consumed - 1 do
+    rx_consume w (rx_req ~run:(i = 0) ~seq:i (30 + i))
+  done;
+  if window > 1 then ignore (Rx.stash w (rx_acc ~seq:(consumed + 1) 39));
+  (* far enough behind that seq 0 is behind the new base as well *)
+  let reuse = rx_req ~seq:(if window = 1 then 0 else space / 2) 40 in
+  check_cls "another message behind" Rx.Resync w reuse;
+  Alcotest.(check bool) "nothing displaced" false (Rx.consume w ~resync:true reuse);
+  Alcotest.(check bool) "the stash is forgotten" false (Rx.active w);
+  Alcotest.(check int) "base past the reuse" ((reuse.Wire.seq + 1) mod space) (Rx.base w);
+  check_cls "seq 0's record is forgotten" Rx.Resync w (rx_req ~seq:0 30)
+
+(* Before the first consume, a packet that is not a run start is taken
+   at W = 1 and dropped at W > 1; a run start is taken at any width. *)
+let test_rx_no_sync ~window () =
+  let w, _, space = bare_rx ~window in
+  let seq = 5 mod space in
+  check_cls "not a run start" (if window = 1 then Rx.In_order else Rx.No_sync) w (rx_req ~seq 50);
+  check_cls "a run start" Rx.In_order w (rx_req ~run:true ~seq 50);
+  check_cls "an ack" Rx.Unsequenced w (rx_pkt ~seq:0 Wire.Ack)
+
+(* A second message on a stashed number replaces the first: the sender
+   reused the number. A copy of the stashed message is kept as it was. *)
+let test_rx_stale_stash ~window () =
+  let w, stats, _ = bare_rx ~window in
+  rx_consume w (rx_req ~run:true ~seq:0 60);
+  if window = 1 then
+    for s = 0 to 1 do
+      Alcotest.(check bool) "no gap at W=1" true
+        (Rx.classify w (rx_req ~seq:s 61) <> Rx.Out_of_order)
+    done
+  else begin
+    let x = rx_req ~seq:2 61 and y = rx_req ~seq:2 62 in
+    Alcotest.(check bool) "stashed" true (Rx.stash w x = Rx.Stashed);
+    Alcotest.(check bool) "a copy is not stashed again" true
+      (Rx.stash w (rx_req ~seq:2 61) = Rx.Already_stashed);
+    Alcotest.(check bool) "another message replaces it" true (Rx.stash w y = Rx.Replaced_stale);
+    Alcotest.(check int) "one stale replaced" 1 (Stats.counter stats "pkt.window_stale_replaced");
+    rx_consume w (rx_req ~seq:1 63);
+    Alcotest.(check bool) "the live message is the head" true (Rx.head w == y)
+  end
+
+(* A run start voids every other stash; only a copy of the run start
+   itself, held at the head, survives. *)
+let test_rx_run_flush ~window () =
+  let w, stats, _ = bare_rx ~window in
+  rx_consume w (rx_req ~run:true ~seq:0 70);
+  let run = rx_req ~run:true ~seq:1 71 in
+  Alcotest.(check int) "nothing to flush" 0 (Rx.flush_run_stale w run);
+  ignore (Rx.stash w run);
+  let stale = if window = 1 then [] else [ 2; 3 ] in
+  List.iter (fun s -> ignore (Rx.stash w (rx_acc ~seq:s (80 + s)))) stale;
+  Alcotest.(check int) "flushed all but the run start" (List.length stale)
+    (Rx.flush_run_stale w (rx_req ~run:true ~seq:1 71));
+  Alcotest.(check bool) "the run start stays the head" true (Rx.head w == run);
+  Alcotest.(check int) "flushes counted"
+    (if stale = [] then 0 else 1)
+    (Stats.counter stats "pkt.window_stale_flushed")
+
+(* A held REQUEST counts its swallowed retransmissions; at the limit it
+   is consumed, and its BUSY replays to later copies. *)
+let test_rx_held_limit ~window () =
+  let w, stats, _ = bare_rx ~window in
+  rx_consume w (rx_req ~run:true ~seq:0 90);
+  let h = rx_req ~seq:1 91 in
+  check_cls "at the base" Rx.In_order w h;
+  ignore (Rx.stash w h);
+  Alcotest.(check bool) "first hold queues" true (Rx.hold w h);
+  Alcotest.(check bool) "a second does not" false (Rx.hold w h);
+  let copy = rx_req ~seq:1 91 in
+  Alcotest.(check bool) "a copy finds the held original" true (Rx.head_copy w copy == h);
+  let limit = max 1 (Cost.default.Cost.max_retrans - 2) in
+  for _ = 1 to limit - 1 do
+    Alcotest.(check bool) "below the limit" false (Rx.held_retry w h)
+  done;
+  Alcotest.(check bool) "at the limit" true (Rx.held_retry w h);
+  Alcotest.(check int) "held_nacked" 1 (Stats.counter stats "req.held_nacked");
+  Alcotest.(check int) "busy_deferred" 2 (Stats.counter stats "req.busy_deferred");
+  rx_consume w h;
+  Rx.respond w h (Wire.Busy { tid = 91 });
+  Rx.release w;
+  check_cls "a later copy" Rx.Dup w copy;
+  Alcotest.(check bool) "replays the BUSY" true (Rx.response w copy = Wire.Busy { tid = 91 })
+
+(* On first contact with the input buffer full, the run start is held
+   before any base exists: it is the head, and consuming it sets the base. *)
+let test_rx_first_contact_hold ~window () =
+  let w, _, space = bare_rx ~window in
+  let seq = 7 mod space in
+  let h = rx_req ~run:true ~seq 100 in
+  ignore (Rx.stash w h);
+  Alcotest.(check bool) "queued" true (Rx.hold w h);
+  Alcotest.(check int) "still no base" (-1) (Rx.base w);
+  Alcotest.(check bool) "the hold is the head" true (Rx.head w == h);
+  rx_consume w h;
+  Alcotest.(check int) "base past it" ((seq + 1) mod space) (Rx.base w);
+  Alcotest.(check bool) "nothing stashed" false (Rx.active w)
+
+(* A held REQUEST whose number another message consumes is dropped with
+   it: it is not left behind the base to be delivered when the numbers
+   come round again. *)
+let test_rx_held_displaced ~window () =
+  let w, stats, space = bare_rx ~window in
+  rx_consume w (rx_req ~run:true ~seq:0 110);
+  let h = rx_req ~seq:1 111 in
+  ignore (Rx.stash w h);
+  ignore (Rx.hold w h);
+  let other = rx_acc ~seq:1 112 in
+  check_cls "the other message is in order" Rx.In_order w other;
+  Alcotest.(check bool) "displaces the held one" true (Rx.consume w ~resync:false other);
+  Alcotest.(check int) "counted as stale" 1 (Stats.counter stats "pkt.window_stale_replaced");
+  Alcotest.(check bool) "nothing stashed" false (Rx.active w);
+  for i = 2 to space do
+    rx_consume w (rx_acc ~seq:(i mod space) (120 + i))
+  done;
+  Alcotest.(check int) "the numbers came round" 1 (Rx.base w);
+  Alcotest.(check bool) "the held REQUEST is gone" true (Rx.head w == Rx.none)
+
+let rx_cases =
+  [ ("in order, and a gap filled from the stash", test_rx_in_order_and_gap);
+    ("duplicate replays its response or a bare ack", test_rx_replay);
+    ("slot reuse forgets stash and records", test_rx_resync);
+    ("no sync before a run start", test_rx_no_sync);
+    ("another message replaces a stale stash", test_rx_stale_stash);
+    ("run start flushes the stash", test_rx_run_flush);
+    ("held retry limit consumes a BUSY", test_rx_held_limit);
+    ("hold on first contact", test_rx_first_contact_hold);
+    ("held REQUEST displaced by another message", test_rx_held_displaced) ]
+
 let suites =
   [
     ( "proto.window",
@@ -1140,6 +1359,14 @@ let suites =
         Alcotest.test_case "W=4 a refused last slot relaunches on a fresh number" `Quick
           test_refused_last_slot_relaunches_fresh;
       ] );
+    ( "proto.recv_window",
+      List.concat_map
+        (fun (name, case) ->
+          List.map
+            (fun window ->
+              Alcotest.test_case (Printf.sprintf "W=%d %s" window name) `Quick (case ~window))
+            [ 1; 4; 64 ])
+        rx_cases );
     ( "proto.send_window",
       [
         Alcotest.test_case "warm ack walk allocates nothing" `Quick

@@ -435,27 +435,21 @@ let complete_request t ~tid completion =
   | exception Not_found -> ()
   | pr ->
     Hashtbl.remove t.pending tid;
-    let self requester_tid = { Types.rq_mid = t.mid; rq_tid = requester_tid } in
+    let requester = { Types.rq_mid = t.mid; rq_tid = tid } in
     let event =
       match completion with
       | Transport.Comp_accepted { arg; put_transferred; get_data } ->
         let len = min (Bytes.length get_data) (Bytes.length pr.pr_get_buffer) in
         Bytes.blit get_data 0 pr.pr_get_buffer 0 len;
         Types.Request_completion
-          {
-            requester = self tid;
-            status = Types.Completed;
-            arg;
-            put_transferred;
-            get_transferred = len;
-          }
+          { requester; status = Types.Completed; arg; put_transferred; get_transferred = len }
       | Transport.Comp_unadvertised ->
         Types.Request_completion
-          { requester = self tid; status = Types.Unadvertised; arg = 0;
-            put_transferred = 0; get_transferred = 0 }
+          { requester; status = Types.Unadvertised; arg = 0; put_transferred = 0;
+            get_transferred = 0 }
       | Transport.Comp_crashed ->
         Types.Request_completion
-          { requester = self tid; status = Types.Crashed; arg = 0; put_transferred = 0;
+          { requester; status = Types.Crashed; arg = 0; put_transferred = 0;
             get_transferred = 0 }
       | Transport.Comp_discovered mids ->
         (* DISCOVER is a GET: matching mids land in the get buffer as
@@ -468,13 +462,8 @@ let complete_request t ~tid completion =
             Bytes.set pr.pr_get_buffer ((2 * i) + 1) (Char.chr (m land 0xFF)))
           mids;
         Types.Request_completion
-          {
-            requester = self tid;
-            status = Types.Completed;
-            arg = List.length mids;
-            put_transferred = 0;
-            get_transferred = 2 * List.length mids;
-          }
+          { requester; status = Types.Completed; arg = List.length mids; put_transferred = 0;
+            get_transferred = 2 * List.length mids }
     in
     enqueue_completion t event
 

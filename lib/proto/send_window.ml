@@ -138,8 +138,6 @@ let create env ~peer =
    local cost-model window IS the peer's receive window. *)
 let effective w = if aimd_on w then max 1 (min (win w) (int_of_float w.cwnd)) else win w
 
-let cwnd w = w.cwnd
-
 let rtt_estimate_us w =
   if w.srtt_us > 0.0 then Some (int_of_float w.srtt_us, int_of_float w.rttvar_us) else None
 

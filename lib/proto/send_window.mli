@@ -89,10 +89,5 @@ val active : t -> bool
 (** Disarm the window's timers (the node resets). *)
 val stop : t -> unit
 
-(** [min(cwnd, window)] with AIMD on, the window otherwise. *)
-val effective : t -> int
-
-val cwnd : t -> float
-
 (** [(srtt_us, rttvar_us)] once a Karn-clean sample has been taken. *)
 val rtt_estimate_us : t -> (int * int) option

@@ -1347,14 +1347,6 @@ let shutdown t =
 
 let outstanding_requests t = Hashtbl.length t.out_reqs + Hashtbl.length t.discovers
 
-(* Congestion-control introspection, for the test suites. *)
-let effective_window t ~peer =
-  match Hashtbl.find_opt t.conns peer with
-  | Some conn -> Window.effective conn.tx
-  | None -> win t
-
-let cwnd t ~peer = Option.map (fun conn -> Window.cwnd conn.tx) (Hashtbl.find_opt t.conns peer)
-
 let delay_lines t =
   let n = Delay_line.length in
   [ ("tx", n t.tx_line); ("rx", n t.rx_line); ("probe", n t.probe_line); ("gc", n t.gc_line);

@@ -148,15 +148,6 @@ val shutdown : t -> unit
 (** Number of uncompleted outbound requests (for MAXREQUESTS). *)
 val outstanding_requests : t -> int
 
-(** Effective send window toward [peer]: min(cwnd, window) with AIMD on,
-    the configured window otherwise (or when no connection record
-    exists yet). Exposed for the congestion-control test suites. *)
-val effective_window : t -> peer:int -> int
-
-(** Congestion window toward [peer]; [None] when no connection record
-    exists. Always within [1, window]. *)
-val cwnd : t -> peer:int -> float option
-
 (** RTT estimator state toward [peer] as [(srtt_us, rttvar_us)]; [None]
     before the first Karn-clean sample (or without a record). *)
 val rtt_estimate_us : t -> peer:int -> (int * int) option

@@ -33,9 +33,9 @@ let wake s =
   s.k <- empty;
   continue k ()
 
-let spawn ~on_exit s fn =
+let runner ~on_exit s fn =
   let park_here = Some (fun k -> s.k <- k) in
-  match_with fn ()
+  let handler =
     {
       retc = on_exit;
       exnc =
@@ -48,3 +48,5 @@ let spawn ~on_exit s fn =
           | Park -> park_here
           | _ -> None);
     }
+  in
+  fun () -> match_with fn () handler

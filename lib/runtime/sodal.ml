@@ -33,7 +33,6 @@ type env = {
   mutable generation : int;
   block_waits : (int, completion_info -> unit) Hashtbl.t;
   mutable context : fiber_context;
-  mutable current_request : Types.requester_signature option;
   mutable spec : spec;
   task_fiber : fiber;
   handler_fiber : fiber;  (* reused by every handler invocation *)
@@ -47,15 +46,18 @@ type env = {
 
 and fiber_context = Task_context | Handler_context
 
-(* One execution context of the client processor (§3.1). It parks in
-   [slot]; its timer, its ACCEPT return, the completion of its blocking
-   REQUEST or of one of its [await_first] tids, the answer to its CANCEL
-   and [wake_idlers] each resume it, unless the client was killed since it
-   parked. *)
+(* One execution context of the client processor (§3.1). [run] starts
+   it: the task once, the handler once per invocation, on the [event]
+   written just before. It parks in [slot]; its timer, its ACCEPT return,
+   the completion of its blocking REQUEST or of one of its [await_first]
+   tids, the answer to its CANCEL and [wake_idlers] each resume it,
+   unless the client was killed since it parked. *)
 and fiber = {
   owner : env;
   ctx : fiber_context;
   slot : Fiber.slot;
+  mutable run : unit -> unit;  (* [Fiber.runner] over [slot], set by [runs] *)
+  mutable event : Types.handler_event;  (* the invocation a handler runs *)
   mutable timer : Engine.timer option;  (* made at its first arm *)
   on_accept : Types.accept_status * int -> unit;  (* lands in [accepted] *)
   mutable accepted : Types.accept_status * int;
@@ -63,7 +65,7 @@ and fiber = {
   mutable completed : completion_info;
   mutable cancel : cancel_state;
   mutable gen : int;  (* [owner.generation] when it parked *)
-  mutable busy : bool;  (* spawned and not yet ended *)
+  mutable busy : bool;  (* started and not yet ended *)
   mutable idle : bool;  (* on the idle stack *)
   mutable below : fiber;
 }
@@ -106,6 +108,8 @@ let park env fb =
   Fiber.park ()
 
 let no_accept = (Types.Accept_cancelled, 0)
+
+let no_event = Types.Booting { parent = 0 }
 
 let no_completion =
   { tid = 0; status = Comp_crashed; reply_arg = 0; put_transferred = 0; get_transferred = 0 }
@@ -227,6 +231,63 @@ let completion_of_event ~tid ~status ~arg ~put_transferred ~get_transferred =
   in
   { tid; status; reply_arg = arg; put_transferred; get_transferred }
 
+let start_fiber env fb =
+  fb.busy <- true;
+  env.context <- fb.ctx;
+  env.running <- fb
+
+let task_body fb =
+  let env = fb.owner in
+  start_fiber env fb;
+  env.spec.task env
+
+let task_exit fb =
+  fb.busy <- false;
+  (* Implicit DIE at the end of the Task section (§4.1). *)
+  let env = fb.owner in
+  if Kernel.client_alive env.kernel then Kernel.die env.kernel
+
+(* Give [fb] its runner: [body] and [exit] as two closures over [fb],
+   made once with the handler they run under. *)
+let runs fb body exit =
+  fb.run <- Fiber.runner fb.slot ~on_exit:(fun () -> exit fb) (fun () -> body fb)
+
+let handler_entry env =
+  Stats.charge env.overhead env.cost.Cost.handler_client_us;
+  compute env env.cost.Cost.handler_client_us
+
+(* One handler invocation, read from [fb.event]: Booting runs the
+   Initialization section; an arrival or a completion pays the client's
+   handler entry cost first. *)
+let handler_body fb =
+  let env = fb.owner in
+  start_fiber env fb;
+  match fb.event with
+  | Types.Booting { parent } -> env.spec.init env ~parent
+  | Types.Request_arrival { requester; pattern; arg; put_size; get_size } ->
+    handler_entry env;
+    env.spec.on_request env { asker = requester; pattern; arg; put_size; get_size }
+  | Types.Request_completion { requester; status; arg; put_transferred; get_transferred } ->
+    handler_entry env;
+    env.spec.on_completion env
+      (completion_of_event ~tid:requester.Types.rq_tid ~status ~arg ~put_transferred
+         ~get_transferred)
+
+(* The event is let go here, so that no record keeps a finished
+   invocation's event alive past the next minor collection. *)
+let handler_exit fb =
+  let env = fb.owner and event = fb.event in
+  fb.busy <- false;
+  fb.event <- no_event;
+  env.context <- Task_context;
+  match event with
+  | Types.Booting _ ->
+    Kernel.endhandler env.kernel;
+    env.task_fiber.run ()
+  | Types.Request_arrival _ | Types.Request_completion _ ->
+    Kernel.endhandler env.kernel;
+    wake_idlers env
+
 (* The handler record, or a fresh one when a previous invocation is still
    suspended in it (only if the kernel's handler was released by hand). *)
 let handler_fiber env =
@@ -237,71 +298,30 @@ let handler_fiber env =
       { fb with slot = Fiber.slot (); timer = None; on_accept = (fun r -> accept_done spare r);
         on_completed = (fun c -> completion_done spare c); busy = false; idle = false }
     in
+    runs spare handler_body handler_exit;
     spare
 
-let start_fiber env fb =
-  fb.busy <- true;
-  env.context <- fb.ctx;
-  env.running <- fb
-
-let run_handler_fiber env body =
+let invoke env event =
   let fb = handler_fiber env in
-  Fiber.spawn fb.slot
-    ~on_exit:(fun () ->
-      fb.busy <- false;
-      env.context <- Task_context;
-      env.current_request <- None;
-      Kernel.endhandler env.kernel;
-      wake_idlers env)
-    (fun () ->
-      start_fiber env fb;
-      Stats.charge env.overhead env.cost.Cost.handler_client_us;
-      compute env env.cost.Cost.handler_client_us;
-      body ())
-
-let start_task env =
-  let fb = env.task_fiber in
-  Fiber.spawn fb.slot
-    ~on_exit:(fun () ->
-      fb.busy <- false;
-      (* Implicit DIE at the end of the Task section (§4.1). *)
-      if Kernel.client_alive env.kernel then Kernel.die env.kernel)
-    (fun () ->
-      start_fiber env fb;
-      env.spec.task env)
+  fb.event <- event;
+  fb.run ()
 
 let handle_event env event =
   match event with
-  | Types.Booting { parent } ->
-    let fb = handler_fiber env in
-    Fiber.spawn fb.slot
-      ~on_exit:(fun () ->
-        fb.busy <- false;
-        env.context <- Task_context;
-        Kernel.endhandler env.kernel;
-        start_task env)
-      (fun () ->
-        start_fiber env fb;
-        env.spec.init env ~parent)
-  | Types.Request_arrival { requester; pattern; arg; put_size; get_size } ->
-    run_handler_fiber env (fun () ->
-        env.current_request <- Some requester;
-        env.spec.on_request env { asker = requester; pattern; arg; put_size; get_size })
-  | Types.Request_completion { requester; status; arg; put_transferred; get_transferred } ->
-    let info =
-      completion_of_event ~tid:requester.Types.rq_tid ~status ~arg ~put_transferred
-        ~get_transferred
-    in
-    (match Hashtbl.find env.block_waits info.tid with
-     | k ->
-       (* A blocking REQUEST is waiting on this completion: consume the
-          interrupt with a minimal handler (the saved-PC trick of §4.1.1)
-          and resume the task. *)
-       Hashtbl.remove env.block_waits info.tid;
-       Kernel.endhandler env.kernel;
-       k info;
-       wake_idlers env
-     | exception Not_found -> run_handler_fiber env (fun () -> env.spec.on_completion env info))
+  | Types.Request_completion { requester; status; arg; put_transferred; get_transferred } -> (
+    match Hashtbl.find env.block_waits requester.Types.rq_tid with
+    | k ->
+      (* A blocking REQUEST is waiting on this completion: consume the
+         interrupt with a minimal handler (the saved-PC trick of §4.1.1)
+         and resume the task. *)
+      Hashtbl.remove env.block_waits requester.Types.rq_tid;
+      Kernel.endhandler env.kernel;
+      k
+        (completion_of_event ~tid:requester.Types.rq_tid ~status ~arg ~put_transferred
+           ~get_transferred);
+      wake_idlers env
+    | exception Not_found -> invoke env event)
+  | Types.Booting _ | Types.Request_arrival _ -> invoke env event
 
 let make_client kernel spec =
   let rec env =
@@ -312,7 +332,6 @@ let make_client kernel spec =
       generation = 0;
       block_waits = Hashtbl.create 8;
       context = Task_context;
-      current_request = None;
       spec;
       task_fiber = task;
       handler_fiber = handler;
@@ -322,16 +341,20 @@ let make_client kernel spec =
       overhead = Stats.time_slot (Kernel.stats kernel) (Cost.label Cost.Client_overhead);
     }
   and task =
-    { owner = env; ctx = Task_context; slot = Fiber.slot (); timer = None;
+    { owner = env; ctx = Task_context; slot = Fiber.slot (); run = ignore; event = no_event;
+      timer = None;
       on_accept = (fun r -> accept_done task r); accepted = no_accept;
       on_completed = (fun c -> completion_done task c); completed = no_completion;
       cancel = Refused; gen = 0; busy = false; idle = false; below = task }
   and handler =
-    { owner = env; ctx = Handler_context; slot = Fiber.slot (); timer = None;
+    { owner = env; ctx = Handler_context; slot = Fiber.slot (); run = ignore; event = no_event;
+      timer = None;
       on_accept = (fun r -> accept_done handler r); accepted = no_accept;
       on_completed = (fun c -> completion_done handler c); completed = no_completion;
       cancel = Refused; gen = 0; busy = false; idle = false; below = handler }
   in
+  runs task task_body task_exit;
+  runs handler handler_body handler_exit;
   let client =
     {
       Kernel.invoke_handler = (fun event -> handle_event env event);
@@ -340,8 +363,7 @@ let make_client kernel spec =
           env.generation <- env.generation + 1;
           drop_idlers env;
           Hashtbl.reset env.block_waits;
-          env.context <- Task_context;
-          env.current_request <- None);
+          env.context <- Task_context);
     }
   in
   (env, client)
@@ -454,10 +476,13 @@ let accept_get env requester ~arg ~data =
 let accept_exchange env requester ~arg ~into ~data =
   accept_raw env ~requester ~arg ~get_buffer:into ~put:data
 
+(* The request that invoked the running handler: each handler record
+   holds its own invocation, so one suspended beside a spare keeps it. *)
 let current env =
-  match env.current_request with
-  | Some requester when in_handler env -> requester
-  | Some _ | None -> raise (Sodal_error "ACCEPT_CURRENT outside the handler (§4.1.2)")
+  match env.running.event with
+  | Types.Request_arrival { requester; _ } when in_handler env -> requester
+  | Types.Request_arrival _ | Types.Request_completion _ | Types.Booting _ ->
+    raise (Sodal_error "ACCEPT_CURRENT outside the handler (§4.1.2)")
 
 let accept_current_signal env ~arg = accept_signal env (current env) ~arg
 let accept_current_put env ~arg ~into = accept_put env (current env) ~arg ~into

@@ -714,6 +714,221 @@ let test_two_invocations_in_flight () =
   run net ~horizon:1.0;
   Alcotest.(check int) "both completions handled" 2 !completions
 
+(* Every handler invocation runs in the one handler record unless another
+   is still suspended. An exception other than [Fiber.Stop] leaves the
+   handler through its exit (the kernel's handler is released) and then
+   reaches the caller of the engine; the next invocation runs in the same
+   record. *)
+exception Handler_fault
+
+let test_handler_raises_then_runs_again () =
+  let net, kernels = make_net 2 in
+  let invoked = ref 0 and statuses = ref [] in
+  let server =
+    Sodal.attach (List.nth kernels 0)
+      {
+        Sodal.default_spec with
+        init = (fun env ~parent:_ -> Sodal.advertise env patt);
+        on_request =
+          (fun env _ ->
+            incr invoked;
+            ignore (Sodal.accept_current_signal env ~arg:0);
+            if !invoked = 1 then raise Handler_fault);
+      }
+  in
+  let _client =
+    Sodal.attach (List.nth kernels 1)
+      {
+        Sodal.default_spec with
+        task =
+          (fun env ->
+            let sv = Sodal.server ~mid:0 ~pattern:patt in
+            for _ = 1 to 2 do
+              statuses := (Sodal.b_signal env sv ~arg:0).Sodal.status :: !statuses
+            done;
+            Sodal.serve env);
+      }
+  in
+  let raised = try run net ~horizon:1.0; false with Handler_fault -> true in
+  Alcotest.(check bool) "the fault reached the engine's caller" true raised;
+  Alcotest.(check int) "one invocation before the fault" 1 !invoked;
+  Alcotest.(check bool) "the handler was left" false (Sodal.in_handler server);
+  run net ~horizon:1.0;
+  Alcotest.(check int) "the next invocation ran" 2 !invoked;
+  Alcotest.(check bool) "both SIGNALs accepted" true
+    (!statuses = [ Sodal.Comp_ok; Sodal.Comp_ok ])
+
+(* DIE inside the handler ends the client: no further invocation runs,
+   and the task, parked in [compute], never resumes. *)
+let test_die_in_handler () =
+  let net, kernels = make_net 2 in
+  let k0 = List.nth kernels 0 in
+  let invoked = ref 0 and ticks = ref 0 and ticks_at_die = ref (-1) and after_die = ref false in
+  let _server =
+    Sodal.attach k0
+      {
+        init = (fun env ~parent:_ -> Sodal.advertise env patt);
+        on_request =
+          (fun env _ ->
+            incr invoked;
+            ticks_at_die := !ticks;
+            (Sodal.die env : unit);
+            after_die := true);
+        on_completion = (fun _ _ -> ());
+        task =
+          (fun env ->
+            while true do
+              Sodal.compute env 1_000;
+              incr ticks
+            done);
+      }
+  in
+  let completions = ref [] in
+  let _client =
+    Sodal.attach (List.nth kernels 1)
+      {
+        Sodal.default_spec with
+        on_completion = (fun _ c -> completions := c.Sodal.status :: !completions);
+        task =
+          (fun env ->
+            let sv = Sodal.server ~mid:0 ~pattern:patt in
+            ignore (Sodal.signal env sv ~arg:0);
+            Sodal.compute env 30_000;
+            ignore (Sodal.signal env sv ~arg:0);
+            Sodal.serve env);
+      }
+  in
+  run net ~horizon:2.0;
+  Alcotest.(check int) "one invocation" 1 !invoked;
+  Alcotest.(check bool) "DIE does not return" false !after_die;
+  Alcotest.(check bool) "the task ran before the DIE" true (!ticks_at_die > 0);
+  Alcotest.(check int) "the task ended at the DIE" !ticks_at_die !ticks;
+  Alcotest.(check bool) "the client is gone" false (Kernel.client_alive k0);
+  Alcotest.(check int) "both requests completed" 2 (List.length !completions);
+  Alcotest.(check bool) "neither was accepted" false (List.mem Sodal.Comp_ok !completions)
+
+(* The Booting invocation and a later request invocation share the
+   handler record, and each leaves by its own exit: Booting starts the
+   task once, the request's exit wakes the idle task. *)
+let test_booting_then_request_exits () =
+  let net, kernels = make_net 2 in
+  let log = ref [] in
+  let note name env = log := (name, Sodal.in_handler env) :: !log in
+  let _server =
+    Sodal.attach (List.nth kernels 0)
+      {
+        init =
+          (fun env ~parent:_ ->
+            Sodal.advertise env patt;
+            note "init" env);
+        on_request =
+          (fun env _ ->
+            ignore (Sodal.accept_current_signal env ~arg:0);
+            note "request" env);
+        on_completion = (fun _ _ -> ());
+        task =
+          (fun env ->
+            note "task start" env;
+            Sodal.idle env;
+            note "task woken" env;
+            Sodal.serve env);
+      }
+  in
+  signal_at (List.nth kernels 1) [ 5_000 ];
+  run net ~horizon:1.0;
+  Alcotest.(check (list (pair string bool)))
+    "each invocation took its own exit"
+    [ ("init", true); ("task start", false); ("request", true); ("task woken", false) ]
+    (List.rev !log)
+
+(* A second invocation that arrives while the first is still suspended
+   (its kernel handler released by hand) runs in a spare record with its
+   own resume point: both park and resume in the handler context without
+   disturbing each other, and a third, after both, runs again. *)
+let test_spare_handler_record () =
+  let net, kernels = make_net 2 in
+  let arrivals = ref 0 and log = ref [] in
+  let _server =
+    Sodal.attach (List.nth kernels 0)
+      {
+        Sodal.default_spec with
+        init = (fun env ~parent:_ -> Sodal.advertise env patt);
+        on_request =
+          (fun env _ ->
+            incr arrivals;
+            let n = !arrivals in
+            ignore (Sodal.accept_current_signal env ~arg:0);
+            if n = 1 then begin
+              Kernel.endhandler (Sodal.kernel env);
+              Sodal.compute env 20_000
+            end
+            else Sodal.compute env 100;
+            log := (n, Sodal.in_handler env) :: !log);
+      }
+  in
+  signal_at (List.nth kernels 1) [ 2_000; 8_000; 60_000 ];
+  run net ~horizon:1.0;
+  Alcotest.(check (list (pair int bool)))
+    "the spare finished while the first was parked"
+    [ (2, true); (1, true); (3, true) ]
+    (List.rev !log)
+
+(* ACCEPT_CURRENT answers the invocation it runs in. The first
+   invocation, released by hand, ACCEPTs its own request only after a
+   second has run and ended in a spare record. *)
+let test_current_request_per_invocation () =
+  let net, kernels = make_net 2 in
+  let arrivals = ref 0 and log = ref [] in
+  let _server =
+    Sodal.attach (List.nth kernels 0)
+      {
+        Sodal.default_spec with
+        init = (fun env ~parent:_ -> Sodal.advertise env patt);
+        on_request =
+          (fun env info ->
+            incr arrivals;
+            let n = !arrivals in
+            if n = 1 then begin
+              Kernel.endhandler (Sodal.kernel env);
+              Sodal.compute env 20_000
+            end;
+            let status =
+              try Some (Sodal.accept_current_signal env ~arg:n)
+              with Sodal.Sodal_error _ -> None
+            in
+            log := (n, info.Sodal.asker.Types.rq_tid, status) :: !log);
+      }
+  in
+  let replies = ref [] in
+  let _client =
+    Sodal.attach (List.nth kernels 1)
+      {
+        Sodal.default_spec with
+        on_completion =
+          (fun _ c -> replies := (c.Sodal.tid, c.Sodal.status, c.Sodal.reply_arg) :: !replies);
+        task =
+          (fun env ->
+            let sv = Sodal.server ~mid:0 ~pattern:patt in
+            Sodal.compute env 2_000;
+            ignore (Sodal.signal env sv ~arg:0);
+            Sodal.compute env 6_000;
+            ignore (Sodal.signal env sv ~arg:0);
+            Sodal.serve env);
+      }
+  in
+  run net ~horizon:1.0;
+  let ok = Some Types.Accept_success in
+  (match List.rev !log with
+   | [ (2, t2, s2); (1, t1, s1) ] ->
+     Alcotest.(check bool) "the second ACCEPTs its own request" true (s2 = ok);
+     Alcotest.(check bool) "the first ACCEPTs its own request" true (s1 = ok);
+     Alcotest.(check (list (pair int int))) "each reply carries its invocation's argument"
+       [ (t1, 1); (t2, 2) ]
+       (List.sort compare (List.map (fun (tid, _, arg) -> (tid, arg)) !replies))
+   | _ -> Alcotest.fail "expected the second invocation to end first");
+  Alcotest.(check bool) "both completed" true
+    (List.for_all (fun (_, st, _) -> st = Sodal.Comp_ok) !replies)
+
 (* A client killed while its task is parked in [compute] and its handler
    in an ACCEPT (a blind one, toward a machine that does not exist, so it
    retransmits until it gives up) resumes neither, and nothing keeps it
@@ -834,6 +1049,15 @@ let suites =
         Alcotest.test_case "idle wake order: task last" `Quick
           (test_idle_wake_order ~task_last:true);
         Alcotest.test_case "two invocations in flight" `Quick test_two_invocations_in_flight;
+        Alcotest.test_case "handler raises, next invocation runs" `Quick
+          test_handler_raises_then_runs_again;
+        Alcotest.test_case "DIE in the handler ends the client" `Quick test_die_in_handler;
+        Alcotest.test_case "Booting and request take their own exits" `Quick
+          test_booting_then_request_exits;
+        Alcotest.test_case "spare handler record resumes on its own" `Quick
+          test_spare_handler_record;
+        Alcotest.test_case "ACCEPT_CURRENT beside a spare invocation" `Quick
+          test_current_request_per_invocation;
         Alcotest.test_case "killed client is unreachable" `Quick test_killed_client_unreachable;
       ] );
     ( "sodal.bqueue",

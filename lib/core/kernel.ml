@@ -1,4 +1,5 @@
 module Engine = Soda_sim.Engine
+module Delay_line = Soda_sim.Delay_line
 module Stats = Soda_sim.Stats
 module Bus = Soda_net.Bus
 module Nic = Soda_net.Nic
@@ -45,19 +46,13 @@ type t = {
   completions : Types.handler_event Queue.t;
   pending : (int, pending_request) Hashtbl.t;  (* tid -> requester bookkeeping *)
   mutable crashed : bool;
-  (* A handler invocation waits out one context switch on
-     [invoke_timer], holding the client it was made for and its event; a
-     client's return from an ACCEPT trap waits one beat on [return_timer],
-     holding the client's [on_done] and the result. Each field is cleared
-     when its timer fires, and the invocation's when the client is
-     killed. A wait that finds its timer armed takes a one-shot. The
-     timers are made at their first use. *)
-  mutable invoke_timer : Engine.timer option;
-  mutable invoking : client;
-  mutable invoke_event : Types.handler_event;
-  mutable return_timer : Engine.timer option;
-  mutable returning : Types.accept_status * int -> unit;
-  mutable returned : Types.accept_status * int;
+  (* A handler invocation waits out one context switch in [invocations]
+     (the client it was made for and its event; a killed client stays
+     reachable until its entry fires); a client's return from an ACCEPT
+     trap waits one beat in [returns] (its [on_done], the status and [n]
+     the length). *)
+  invocations : (client, Types.handler_event) Delay_line.t;
+  returns : (Types.accept_status * int -> unit, Types.accept_status) Delay_line.t;
   context_switch_time : Stats.time_slot;
   protocol_time : Stats.time_slot;
   (* Ambient causal parent: a client-visible operation (a store op, a
@@ -165,31 +160,22 @@ let reserved_pattern_active t pattern =
 let handler_available t =
   t.client <> None && t.hs_open && (not t.hs_busy) && Queue.is_empty t.completions
 
-(* Fillers for the fields of a timer that waits for nothing. *)
+(* Fillers for the empty slots of the delay lines. *)
 let no_client = { invoke_handler = ignore; on_kill = ignore }
 let no_event = Types.Booting { parent = 0 }
 let no_return (_ : Types.accept_status * int) = ()
-let no_result = (Types.Accept_cancelled, 0)
 
-let deliver_invocation t epoch_client event =
-  (* The client may have died between scheduling and delivery. *)
-  match t.client with
-  | Some c when c == epoch_client -> c.invoke_handler event
-  | Some _ | None -> ()
+let always _ _ _ = true
 
+(* An invocation has waited out its context switch. The client it was
+   made for may have died meanwhile. *)
 let handler_invoked t =
-  let epoch_client = t.invoking and event = t.invoke_event in
-  t.invoking <- no_client;
-  t.invoke_event <- no_event;
-  deliver_invocation t epoch_client event
-
-let invoke_timer t =
-  match t.invoke_timer with
-  | Some tm -> tm
-  | None ->
-    let tm = Engine.timer ~tag:"kernel" t.engine (fun () -> handler_invoked t) in
-    t.invoke_timer <- Some tm;
-    tm
+  let l = t.invocations in
+  let client = Delay_line.head_a l and event = Delay_line.head_b l in
+  Delay_line.next l always;
+  match t.client with
+  | Some c when c == client -> c.invoke_handler event
+  | Some _ | None -> ()
 
 let invoke_client_handler t event =
   match t.client with
@@ -198,18 +184,7 @@ let invoke_client_handler t event =
     t.hs_busy <- true;
     if tracing t then emit_event t ?ctx:(handler_event_ctx t event) Event.Handler_invoke;
     Stats.charge t.context_switch_time t.cost.Cost.context_switch_us;
-    let delay = t.cost.Cost.context_switch_us in
-    let tm = invoke_timer t in
-    if Engine.armed tm then
-      (* An invocation is still pending: the client was killed and a new
-         one attached within a context switch, or the handler was
-         released by a direct [endhandler]. *)
-      Engine.schedule ~tag:"kernel" t.engine ~delay (fun () -> deliver_invocation t client event)
-    else begin
-      t.invoking <- client;
-      t.invoke_event <- event;
-      Engine.arm t.engine tm ~delay
-    end
+    ignore (Delay_line.push t.invocations ~fire:handler_invoked t ~n:0 client event)
 
 let rec dispatch_completions t =
   if t.client <> None && t.hs_open && (not t.hs_busy) && not (Queue.is_empty t.completions)
@@ -267,8 +242,6 @@ let kill_client t ~readvertise_boot ~drain =
      t.client <- None;
      client.on_kill ()
    | None -> ());
-  t.invoking <- no_client;
-  t.invoke_event <- no_event;
   t.hs_open <- false;
   t.hs_busy <- false;
   Queue.clear t.completions;
@@ -475,18 +448,10 @@ let complete_request t ~tid completion =
 let accept_return_us = 100
 
 let accept_returned t =
-  let on_done = t.returning and result = t.returned in
-  t.returning <- no_return;
-  t.returned <- no_result;
-  on_done result
-
-let return_timer t =
-  match t.return_timer with
-  | Some tm -> tm
-  | None ->
-    let tm = Engine.timer ~tag:"kernel" t.engine (fun () -> accept_returned t) in
-    t.return_timer <- Some tm;
-    tm
+  let l = t.returns in
+  let on_done = Delay_line.head_a l and status = Delay_line.head_b l and len = Delay_line.head_n l in
+  Delay_line.next l always;
+  on_done (status, len)
 
 let classify_unknown_tid t tid =
   let serial = (tid lsr 32) land 0xFF in
@@ -525,12 +490,12 @@ let create ~engine ~bus ~recorder ~cost ~mid ~boot_kinds =
       completions = Queue.create ();
       pending = Hashtbl.create 16;
       crashed = false;
-      invoke_timer = None;
-      invoking = no_client;
-      invoke_event = no_event;
-      return_timer = None;
-      returning = no_return;
-      returned = no_result;
+      invocations =
+        Delay_line.create ~tag:"kernel" engine ~delay:cost.Cost.context_switch_us
+          ~fill_a:no_client ~fill_b:no_event;
+      returns =
+        Delay_line.create ~tag:"kernel" engine ~delay:accept_return_us ~fill_a:no_return
+          ~fill_b:Types.Accept_cancelled;
       context_switch_time = Stats.time_slot stats (Cost.label Cost.Context_switch);
       protocol_time = Stats.time_slot stats (Cost.label Cost.Protocol);
       causal_parent = None;
@@ -622,16 +587,7 @@ let request t ~server ~arg ~put ~get_buffer =
 let land_accept t ~get_buffer ~on_done status data =
   let len = min (Bytes.length data) (Bytes.length get_buffer) in
   Bytes.blit data 0 get_buffer 0 len;
-  let tm = return_timer t in
-  if Engine.armed tm then
-    (* Another return is in its beat: two ACCEPTs ended within one. *)
-    Engine.schedule ~tag:"kernel" t.engine ~delay:accept_return_us (fun () ->
-        on_done (status, len))
-  else begin
-    t.returning <- on_done;
-    t.returned <- (status, len);
-    Engine.arm t.engine tm ~delay:accept_return_us
-  end
+  ignore (Delay_line.push t.returns ~fire:accept_returned t ~n:len on_done status)
 
 let accept_landed t ~get_buffer ~on_done = function
   | Transport.Acc_success data -> land_accept t ~get_buffer ~on_done Types.Accept_success data

@@ -4,6 +4,7 @@ module Stats = Soda_sim.Stats
 module Delay_line = Soda_sim.Delay_line
 module Window = Send_window
 module Rx = Recv_window
+module Srv = Server_txn
 module Recorder = Soda_obs.Recorder
 module Event = Soda_obs.Event
 module Causal = Soda_obs.Causal
@@ -21,7 +22,7 @@ type completion =
   | Comp_crashed
   | Comp_discovered of int list
 
-type accept_outcome = Acc_success of bytes | Acc_cancelled | Acc_crashed of bytes
+type accept_outcome = Srv.outcome = Acc_success of bytes | Acc_cancelled | Acc_crashed of bytes
 
 type delivery_decision = [ `Deliver | `Busy | `Unadvertised ]
 
@@ -79,69 +80,12 @@ type discover_req = {
   mutable dr_mids : int list;  (* reverse order *)
 }
 
-(* ---- server-side transaction records ----------------------------------- *)
-
-(* Where an ACCEPT's reliable send stands. An accept that returns get
-   data completes only once its ACCEPT is acked ([Awaiting_ack]); a
-   dataless one may complete while its ACCEPT is still [Unacked]. The
-   record starts to expire only once the send is [Resolved]: acked,
-   refused with an ERROR or timed out. *)
-type accept_send = Awaiting_ack | Unacked | Resolved
-
-type accept_ctx = {
-  ac_put_transferred : int;
-  mutable ac_need_data : bool;
-  mutable ac_send : accept_send;
-  mutable ac_received : bytes;
-  mutable ac_done : bool;
-  mutable ac_data_id : int;  (* id of the live put-data-wait entry; -1 = none *)
-  ac_on_done : accept_outcome -> unit;
-}
-
-type srv_state =
-  | Srv_buffered
-  | Srv_delivered
-  | Srv_accepting of accept_ctx
-  | Srv_completed
-  | Srv_cancelled
-
-type srv_txn = {
-  st_src : int;
-  st_tid : int;
-  st_put_size : int;
-  st_get_size : int;
-  mutable st_put_data : bytes option;
-  mutable st_state : srv_state;
-  mutable st_gc_id : int;  (* id of the live record-GC entry; -1 = none *)
-}
-
-(* Server records are keyed by (requester, tid): 16 + 48 bits on the
-   wire, one more than an int holds, so the key is a pair compared field
-   by field. A lookup fills the transport's one [txn_probe] instead of
-   building a tuple. *)
-module Txn_key = struct
-  type t = { mutable k_src : int; mutable k_tid : int }
-
-  let equal a b = a.k_src = b.k_src && a.k_tid = b.k_tid
-  let hash k = Hashtbl.hash ((k.k_src lsl 48) lxor k.k_tid)
-end
-
-module Txns = Hashtbl.Make (Txn_key)
-
-(* Fillers for the empty slots of the delay lines below, and the misses
-   of the record lookups. *)
+(* The filler for the empty slots of the probe line below, and the miss
+   of the request lookup. *)
 let no_req =
   { or_tid = Event.no_tid; or_dst = -1; or_put = Bytes.empty; or_get_size = 0;
     or_submit_us = 0; or_state = Rq_done; or_probe_id = -1; or_probe_misses = 0;
     or_probe_outstanding = false; or_cancel_pending = None }
-
-let no_txn =
-  { st_src = -1; st_tid = Event.no_tid; st_put_size = 0; st_get_size = 0; st_put_data = None;
-    st_state = Srv_completed; st_gc_id = -1 }
-
-let no_ctx =
-  { ac_put_transferred = 0; ac_need_data = false; ac_send = Resolved; ac_received = Bytes.empty;
-    ac_done = true; ac_data_id = -1; ac_on_done = ignore }
 
 type t = {
   engine : Engine.t;
@@ -160,9 +104,7 @@ type t = {
      side of DISCOVER remembers recently answered (src, tid) pairs and
      drops the replay instead of scheduling a second staggered reply. *)
   seen_discovers : (int * int, unit) Hashtbl.t;
-  srv_txns : srv_txn Txns.t;
-  txn_probe : Txn_key.t;
-  mutable buffered : Wire.t option;  (* the pipelined input buffer: a REQUEST *)
+  srv : Srv.t;  (* the server transactions and the pipelined input buffer *)
   holders : conn Queue.t;
       (* connections with a REQUEST held at the head of their receive
          window, in the order each head was first held: freed input-buffer
@@ -181,8 +123,8 @@ type t = {
   tx_line : (bytes, Causal.ctx option) Delay_line.t;
   rx_line : (Wire.t, Causal.ctx option) Delay_line.t;
   probe_line : (out_req, unit) Delay_line.t;
-  gc_line : (srv_txn, unit) Delay_line.t;
-  data_line : (srv_txn, accept_ctx) Delay_line.t;
+  gc_line : (Srv.txn, unit) Delay_line.t;
+  data_line : (Srv.txn, unit) Delay_line.t;
   (* Causal identity per live transaction: the requester registers the
      minted context at trap time, the server adopts a child span at
      first sight of a context-carrying packet. Keyed by tid (globally
@@ -626,76 +568,59 @@ let submit_discover t ~tid ~pattern ~max_mids =
 
 (* ---- server: transactions ----------------------------------------------- *)
 
-(* The server record of [src]'s transaction [tid]; [no_txn] if none. *)
-let find_txn t ~src ~tid =
-  let k = t.txn_probe in
-  k.k_src <- src;
-  k.k_tid <- tid;
-  match Txns.find t.srv_txns k with txn -> txn | exception Not_found -> no_txn
-
-let remove_txn t ~src ~tid =
-  let k = t.txn_probe in
-  k.k_src <- src;
-  k.k_tid <- tid;
-  Txns.remove t.srv_txns k
-
-let gc_live id txn () = txn.st_gc_id = id
+let gc_live id (txn : Srv.txn) () = txn.gc_id = id
 
 let gc_fired t =
   let txn = Delay_line.head_a t.gc_line in
   Delay_line.next t.gc_line gc_live;
-  txn.st_gc_id <- -1;
-  remove_txn t ~src:txn.st_src ~tid:txn.st_tid;
-  forget_causal t ~tid:txn.st_tid
+  Srv.set_gc_id txn (-1);
+  Srv.remove t.srv txn;
+  forget_causal t ~tid:txn.tid
 
 (* Forget a finished server record one lifetime from now, replacing any
    GC already due. *)
-let srv_gc t txn =
-  let id = txn.st_gc_id in
-  txn.st_gc_id <- -1;
+let srv_gc t (txn : Srv.txn) =
+  let id = txn.gc_id in
+  Srv.set_gc_id txn (-1);
   Delay_line.cancel t.gc_line gc_live id;
-  txn.st_gc_id <- Delay_line.push t.gc_line ~fire:gc_fired t ~n:0 txn ()
+  Srv.set_gc_id txn (Delay_line.push t.gc_line ~fire:gc_fired t ~n:0 txn ())
 
-(* A completed record lives on until its ACCEPT's send is [Resolved],
-   and expires one record lifetime after that: while a dataless ACCEPT
-   still waits in the send queue or is being retransmitted, a probe from
-   its requester must hear "alive". *)
-let accept_finish t txn ctx outcome =
-  ctx.ac_done <- true;
-  txn.st_state <- Srv_completed;
-  if ctx.ac_send = Resolved then srv_gc t txn;
-  ctx.ac_on_done outcome
+(* End an ACCEPT and report [outcome]. The record lives on until its
+   ACCEPT's send is [Resolved], and expires one record lifetime after
+   that: while a dataless ACCEPT still waits in the send queue or is
+   being retransmitted, a probe from its requester must hear "alive". *)
+let accept_finish t (txn : Srv.txn) outcome =
+  let report = Srv.finish txn in
+  if txn.send = Resolved then srv_gc t txn;
+  report outcome
 
-let accept_resolved t txn ctx =
-  ctx.ac_send <- Resolved;
-  if ctx.ac_done then srv_gc t txn
+let accept_resolved t txn = if Srv.resolve txn then srv_gc t txn
 
-let accept_check_done t txn ctx =
-  if (not ctx.ac_done) && (not ctx.ac_need_data) && ctx.ac_send <> Awaiting_ack then
-    accept_finish t txn ctx (Acc_success ctx.ac_received)
+let accept_check_done t (txn : Srv.txn) =
+  if Srv.ready txn then accept_finish t txn (Acc_success txn.data)
 
-let accept_queued t txn =
-  match Hashtbl.find t.conns txn.st_src with
-  | conn -> Window.queued conn.tx ~tid:txn.st_tid K_accept
+let accept_queued t (txn : Srv.txn) =
+  match Hashtbl.find t.conns txn.src with
+  | conn -> Window.queued conn.tx ~tid:txn.tid K_accept
   | exception Not_found -> false
 
-let data_live id _ ctx = ctx.ac_data_id = id
+let data_live id (txn : Srv.txn) () = txn.data_id = id
 
-let stop_data_wait t ctx =
-  let id = ctx.ac_data_id in
-  ctx.ac_data_id <- -1;
+let stop_data_wait t (txn : Srv.txn) =
+  let id = txn.data_id in
+  Srv.set_data_id txn (-1);
   Delay_line.cancel t.data_line data_live id
 
 let data_fired t =
   let l = t.data_line in
   let live = Delay_line.head_id l >= t.live_from in
-  let txn = Delay_line.head_a l and ctx = Delay_line.head_b l and acked = Delay_line.head_n l = 1 in
+  let txn = Delay_line.head_a l and acked = Delay_line.head_n l = 1 in
   Delay_line.next l data_live;
-  ctx.ac_data_id <- -1;
-  if live && (not ctx.ac_done) && ctx.ac_need_data && (acked || accept_queued t txn) then begin
+  Srv.set_data_id txn (-1);
+  if live && txn.state = Accepting && txn.need_data && (acked || accept_queued t txn) then begin
     Stats.incr t.stats "accept.data_timeouts";
-    mark t ~peer:txn.st_src ~tid:txn.st_tid ~n:0 Event.Data_wait_expired;
-    accept_finish t txn ctx (Acc_crashed Bytes.empty)
+    mark t ~peer:txn.src ~tid:txn.tid ~n:0 Event.Data_wait_expired;
+    accept_finish t txn (Acc_crashed Bytes.empty)
   end
 
 (* The put data was wasted on a busy transmission; a crashed requester
@@ -705,12 +630,9 @@ let data_fired t =
    behind our REQUEST to a peer whose handler waits on data of ours); a
    sent ACCEPT is bounded by its retransmissions, and at W>1 may sit
    behind a receive gap for longer than the lifetime. *)
-let await_put_data t txn ctx ~acked =
-  stop_data_wait t ctx;
-  ctx.ac_data_id <- Delay_line.push t.data_line ~fire:data_fired t ~n:(Bool.to_int acked) txn ctx
-
-let truncate_bytes data len =
-  if Bytes.length data <= len then data else Bytes.sub data 0 len
+let await_put_data t txn ~acked =
+  stop_data_wait t txn;
+  Srv.set_data_id txn (Delay_line.push t.data_line ~fire:data_fired t ~n:(Bool.to_int acked) txn ())
 
 (* Blind accept: either a guessed signature or a requester that crashed
    and lost our record. Send it; the requester's kernel will answer with
@@ -729,64 +651,45 @@ let accept_blind t ~requester_mid ~requester_tid ~arg ~on_done =
       | Out_timeout -> on_done (Acc_crashed Bytes.empty)
       | Out_cancel_reply _ -> ())
 
+(* How the ACCEPT's own send ended. *)
+let accept_sent t (txn : Srv.txn) (outcome : Window.outcome) =
+  match outcome with
+  | Out_acked ->
+    accept_resolved t txn;
+    if txn.need_data then await_put_data t txn ~acked:true;
+    accept_check_done t txn
+  | Out_error _ | Out_timeout ->
+    accept_resolved t txn;
+    if txn.state = Accepting then
+      accept_finish t txn
+        (if outcome = Out_error Wire.Err_cancelled then Acc_cancelled else Acc_crashed txn.data)
+  | Out_cancel_reply _ -> ()
+
 let accept t ~requester_mid ~requester_tid ~arg ~get_capacity ~data_out ~on_done =
-  let txn = find_txn t ~src:requester_mid ~tid:requester_tid in
-  if txn == no_txn then accept_blind t ~requester_mid ~requester_tid ~arg ~on_done
+  let txn = Srv.find t.srv ~src:requester_mid ~tid:requester_tid in
+  if txn == Srv.none then accept_blind t ~requester_mid ~requester_tid ~arg ~on_done
   else
-    match txn.st_state with
-    | Srv_cancelled -> on_done Acc_cancelled
-    | Srv_accepting _ | Srv_completed ->
-      (* Double accept of the same request. *)
-      on_done Acc_cancelled
-    | Srv_delivered | Srv_buffered ->
-      let put_transferred = min txn.st_put_size get_capacity in
-      let data_out = truncate_bytes data_out txn.st_get_size in
-      let need_data = put_transferred > 0 && txn.st_put_data = None in
-      let received =
-        match txn.st_put_data with
-        | Some data -> truncate_bytes data put_transferred
-        | None -> Bytes.empty
-      in
-      (* the record outlives the accept by a lifetime; it needs no data *)
-      txn.st_put_data <- None;
+    let sends_data = Bytes.length data_out > 0 && txn.get_size > 0 in
+    if not (Srv.accept txn ~get_capacity ~sends_data ~on_done) then
+      on_done Acc_cancelled (* a second ACCEPT, or the request was cancelled *)
+    else begin
+      let data_out = Wire.truncate data_out txn.get_size in
       (* The input-buffer -> client copy of the requester's put data happens
          as part of the ACCEPT command; the outbound copy is charged at
          transmit time. *)
-      let copy_us = Cost.data_copy_us t.cost ~bytes:(Bytes.length received) in
+      let copy_us = Cost.data_copy_us t.cost ~bytes:(Bytes.length txn.data) in
       t.hot.t_protocol := !(t.hot.t_protocol) + copy_us;
-      let ctx =
-        {
-          ac_put_transferred = put_transferred;
-          ac_need_data = need_data;
-          ac_send = (if Bytes.length data_out > 0 then Awaiting_ack else Unacked);
-          ac_received = received;
-          ac_done = false;
-          ac_data_id = -1;
-          ac_on_done = on_done;
-        }
-      in
-      txn.st_state <- Srv_accepting ctx;
-      if need_data then await_put_data t txn ctx ~acked:false;
+      if txn.need_data then await_put_data t txn ~acked:false;
       let body =
         Wire.Accept
-          { tid = requester_tid; arg; put_transferred; need_put_data = need_data; data = data_out }
+          { tid = requester_tid; arg; put_transferred = txn.put_transferred;
+            need_put_data = txn.need_data; data = data_out }
       in
       defer t ~delay:copy_us (fun () ->
           send_reliable t ~peer:requester_mid ~kind:K_accept ~tid:requester_tid body
-            ~on_done:(fun outcome ->
-              match outcome with
-              | Out_acked ->
-                accept_resolved t txn ctx;
-                if ctx.ac_need_data then await_put_data t txn ctx ~acked:true;
-                accept_check_done t txn ctx
-              | Out_error Wire.Err_cancelled ->
-                accept_resolved t txn ctx;
-                if not ctx.ac_done then accept_finish t txn ctx Acc_cancelled
-              | Out_error _ | Out_timeout ->
-                accept_resolved t txn ctx;
-                if not ctx.ac_done then accept_finish t txn ctx (Acc_crashed ctx.ac_received)
-              | Out_cancel_reply _ -> ());
-          accept_check_done t txn ctx)
+            ~on_done:(fun outcome -> accept_sent t txn outcome);
+          accept_check_done t txn)
+    end
 
 (* ---- cancel -------------------------------------------------------------- *)
 
@@ -859,14 +762,14 @@ let handle_accept t conn pkt src ~tid ~arg ~put_transferred ~need_put_data data 
       (* Rule 6 of §3.3.2: only the addressed server may accept. *)
       respond_consumed t conn pkt (Wire.Error { tid; code = Wire.Err_cancelled })
     else begin
-      let get_data = truncate_bytes data req.or_get_size in
+      let get_data = Wire.truncate data req.or_get_size in
       let copy_us = Cost.data_copy_us t.cost ~bytes:(Bytes.length get_data) in
       t.hot.t_protocol := !(t.hot.t_protocol) + copy_us;
       if need_put_data then begin
         (* The put data was wasted on a busy transmission and must be
            re-sent; the data exchange -- and hence the requester's
            completion -- is only over once the server acknowledges it. *)
-        let payload = truncate_bytes req.or_put put_transferred in
+        let payload = Wire.truncate req.or_put put_transferred in
         Stats.incr t.stats "req.data_resend";
         send_reliable t ~peer:src ~kind:K_put_data ~tid
           (Wire.Put_data { tid; data = payload })
@@ -885,36 +788,23 @@ let handle_accept t conn pkt src ~tid ~arg ~put_transferred ~need_put_data data 
     end
 
 let handle_put_data t conn ~tid data =
-  let txn = find_txn t ~src:conn.peer ~tid in
-  match txn.st_state with
-  | Srv_accepting ctx when ctx.ac_need_data ->
-    stop_data_wait t ctx;
-    ctx.ac_received <- truncate_bytes data ctx.ac_put_transferred;
-    ctx.ac_need_data <- false;
-    let copy_us = Cost.data_copy_us t.cost ~bytes:(Bytes.length ctx.ac_received) in
+  let txn = Srv.find t.srv ~src:conn.peer ~tid in
+  if Srv.take_data txn data then begin
+    stop_data_wait t txn;
+    let copy_us = Cost.data_copy_us t.cost ~bytes:(Bytes.length txn.data) in
     t.hot.t_protocol := !(t.hot.t_protocol) + copy_us;
-    defer t ~delay:copy_us (fun () -> accept_check_done t txn ctx)
-  | _ -> ()
+    defer t ~delay:copy_us (fun () -> accept_check_done t txn)
+  end
 
 let handle_cancel_request t conn pkt ~tid =
-  let txn = find_txn t ~src:conn.peer ~tid in
+  let txn = Srv.find t.srv ~src:conn.peer ~tid in
   let ok =
-    txn == no_txn
-    ||
-    match txn.st_state with
-    | Srv_delivered ->
-      txn.st_state <- Srv_cancelled;
+    match Srv.cancel t.srv txn with
+    | Cancelled_now ->
       srv_gc t txn;
       true
-    | Srv_buffered ->
-      txn.st_state <- Srv_cancelled;
-      srv_gc t txn;
-      (match t.buffered with
-       | Some p when p.Wire.src = conn.peer && Wire.tid p.Wire.body = tid -> t.buffered <- None
-       | Some _ | None -> ());
-      true
-    | Srv_cancelled -> true
-    | Srv_accepting _ | Srv_completed -> false
+    | Gone -> true
+    | Refused -> false
   in
   if ok then Stats.incr t.stats "cancel.granted" else Stats.incr t.stats "cancel.refused";
   respond_consumed t conn pkt (Wire.Cancel_reply { tid; ok })
@@ -934,8 +824,7 @@ let handle_consumed t conn pkt =
   | _ -> ()
 
 let handle_probe t conn tid =
-  let txn = find_txn t ~src:conn.peer ~tid in
-  let alive = txn != no_txn && match txn.st_state with Srv_cancelled -> false | _ -> true in
+  let alive = (Srv.find t.srv ~src:conn.peer ~tid).state <> Cancelled in
   Stats.incr t.stats "probe.answered";
   emit_unsequenced t ~peer:conn.peer (Wire.Probe_reply { tid; alive })
 
@@ -972,21 +861,6 @@ let handle_discover_reply t src tid =
       dr.dr_mids <- src :: dr.dr_mids
   | None -> ()
 
-(* Open the server record of a REQUEST the kernel took. *)
-let register_txn t ~src ~tid ~put_size ~get_size ~data ~retry st_state =
-  let txn =
-    {
-      st_src = src;
-      st_tid = tid;
-      st_put_size = put_size;
-      st_get_size = get_size;
-      st_put_data = (if (not retry) && put_size > 0 then Some data else None);
-      st_state;
-      st_gc_id = -1;
-    }
-  in
-  Txns.replace t.srv_txns { Txn_key.k_src = src; k_tid = tid } txn
-
 (* Refuse an in-order REQUEST. A consumed rejection is stored and
    replayed on duplicates. *)
 let reject_request t conn pkt ~resync body =
@@ -1016,7 +890,7 @@ let offer_request t conn pkt ~resync =
        true
      | `Deliver ->
        consume_in_order t conn ~resync pkt;
-       register_txn t ~src ~tid ~put_size ~get_size ~data ~retry Srv_delivered;
+       Srv.add t.srv ~src ~tid ~pattern ~arg ~put_size ~get_size ~data ~retry ~buffered:false;
        Stats.bump t.hot.req_delivered;
        if tracing t then
          event t
@@ -1025,10 +899,9 @@ let offer_request t conn pkt ~resync =
                 from_buffer = false });
        true
      | `Busy ->
-       if t.cost.Cost.pipelined && t.buffered = None then begin
+       if t.cost.Cost.pipelined && Srv.buffered t.srv == Srv.none then begin
          consume_in_order t conn ~resync pkt;
-         register_txn t ~src ~tid ~put_size ~get_size ~data ~retry Srv_buffered;
-         t.buffered <- Some pkt;
+         Srv.add t.srv ~src ~tid ~pattern ~arg ~put_size ~get_size ~data ~retry ~buffered:true;
          Stats.incr t.stats "req.buffered";
          true
        end
@@ -1083,26 +956,24 @@ let rec drain_holders t =
   end
 
 let flush_buffered t =
-  (match t.buffered with
-   | Some { Wire.src; body = Wire.Request { tid; pattern; arg; put_size; get_size; _ }; _ } ->
-     (match (callbacks t).deliver_request ~src ~tid ~pattern ~arg ~put_size ~get_size with
-      | `Deliver ->
-        t.buffered <- None;
-        let txn = find_txn t ~src ~tid in
-        if txn.st_state = Srv_buffered then txn.st_state <- Srv_delivered;
-        Stats.bump t.hot.req_delivered;
-        Stats.incr t.stats "req.delivered_from_buffer";
-        if tracing t then
-          event t
-            (Event.Deliver
-               { tid; src; pattern = Pattern.to_int pattern; put_size; get_size;
-                 from_buffer = true })
-      | `Busy -> ()
-      | `Unadvertised ->
-        t.buffered <- None;
-        if (find_txn t ~src ~tid).st_state = Srv_buffered then remove_txn t ~src ~tid;
-        emit_unsequenced t ~peer:src (Wire.Error { tid; code = Wire.Err_unadvertised }))
-   | Some _ | None -> ());
+  let txn = Srv.buffered t.srv in
+  if txn != Srv.none then begin
+    let { Srv.src; tid; pattern; arg; put_size; get_size; _ } = txn in
+    match (callbacks t).deliver_request ~src ~tid ~pattern ~arg ~put_size ~get_size with
+    | `Deliver ->
+      Srv.free_buffer t.srv;
+      Stats.bump t.hot.req_delivered;
+      Stats.incr t.stats "req.delivered_from_buffer";
+      if tracing t then
+        event t
+          (Event.Deliver
+             { tid; src; pattern = Pattern.to_int pattern; put_size; get_size;
+               from_buffer = true })
+    | `Busy -> ()
+    | `Unadvertised ->
+      Srv.withdraw_buffered t.srv;
+      emit_unsequenced t ~peer:src (Wire.Error { tid; code = Wire.Err_unadvertised })
+  end;
   (* The freed handler (and possibly the freed input buffer) may unblock a
      REQUEST deferred at the head of a receive window. *)
   drain_holders t
@@ -1277,9 +1148,7 @@ let create ~engine ~bus ~mid ~cost ~recorder =
       out_reqs = Hashtbl.create 16;
       discovers = Hashtbl.create 4;
       seen_discovers = Hashtbl.create 4;
-      srv_txns = Txns.create 16;
-      txn_probe = { Txn_key.k_src = -1; k_tid = Event.no_tid };
-      buffered = None;
+      srv = Srv.create ();
       holders = Queue.create ();
       live_from = 0;
       unset_tm = unset;
@@ -1304,8 +1173,8 @@ let create ~engine ~bus ~mid ~cost ~recorder =
       tx_line = line ~delay:hot.packet_cpu ~fill_a:Bytes.empty ~fill_b:None;
       rx_line = line ~delay:hot.packet_cpu ~fill_a:Rx.none ~fill_b:None;
       probe_line = line ~delay:cost.Cost.probe_interval_us ~fill_a:no_req ~fill_b:();
-      gc_line = line ~delay:lifetime ~fill_a:no_txn ~fill_b:();
-      data_line = line ~delay:lifetime ~fill_a:no_txn ~fill_b:no_ctx;
+      gc_line = line ~delay:lifetime ~fill_a:Srv.none ~fill_b:();
+      data_line = line ~delay:lifetime ~fill_a:Srv.none ~fill_b:();
       tid_causal = Hashtbl.create 16;
       hot;
     }
@@ -1334,10 +1203,9 @@ let reset t =
   Hashtbl.reset t.out_reqs;
   Hashtbl.reset t.discovers;
   Hashtbl.reset t.seen_discovers;
-  Txns.reset t.srv_txns;
+  Srv.reset t.srv;
   Hashtbl.reset t.tid_causal;
   Queue.clear t.holders;
-  t.buffered <- None;
   mark t ~peer:(-1) ~tid:Event.no_tid ~n:0 Event.Transport_reset
 
 let shutdown t =

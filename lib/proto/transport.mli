@@ -40,10 +40,12 @@
     - {b DISCOVER}: broadcast pattern lookup with per-mid staggered
       replies (§5.3).
 
-    The client-facing semantics (patterns, handler states, MAXREQUESTS,
-    booting) live in [Soda_core.Kernel], which drives this module through
-    the callback record. docs/PROTOCOL.md maps each decision to its
-    module. *)
+    The server transactions (each REQUEST the kernel took, its ACCEPT,
+    and the input buffer) are {!Server_txn} records, whose transitions
+    this module acts on. The client-facing semantics (patterns, handler
+    states, MAXREQUESTS, booting) live in [Soda_core.Kernel], which
+    drives this module through the callback record. docs/PROTOCOL.md
+    maps each decision to its module. *)
 
 module Types = Soda_base.Types
 

@@ -358,6 +358,8 @@ let data_bytes = function
   | Ack | Busy _ | Error _ | Cancel_request _ | Cancel_reply _ | Probe _ | Probe_reply _
   | Discover _ | Discover_reply _ -> 0
 
+let truncate data n = if Bytes.length data <= n then data else Bytes.sub data 0 n
+
 let describe t =
   let body =
     match t.body with

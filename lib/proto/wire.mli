@@ -99,6 +99,11 @@ val decode_sub : bytes -> off:int -> len:int -> (t, string) result
 (** Number of payload-data bytes carried (for accounting). *)
 val data_bytes : body -> int
 
+(** [truncate data n]: the first [n] bytes of [data], or [data] itself
+    when it is no longer: a transfer moves at most what the receiving
+    buffer holds (§3.3.2). *)
+val truncate : bytes -> int -> bytes
+
 (** The wire's kind code, from 1: its position in
     {!Soda_obs.Event.pkts}. *)
 val kind : body -> int

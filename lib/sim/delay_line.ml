@@ -26,7 +26,7 @@ let length l = l.len
 
 let grow l =
   let capacity = Array.length l.due in
-  let next = if capacity = 0 then 8 else 2 * capacity in
+  let next = if capacity = 0 then 2 else 2 * capacity in
   let move src fill =
     let dst = Array.make next fill in
     for i = 0 to l.len - 1 do

@@ -103,9 +103,10 @@ val events_per_sec : t -> float
 val tag_counts : t -> (string * int) list
 
 (** Opt-in GC profiling: when enabled, each [run] call accumulates the
-    [Gc.quick_stat] allocation deltas it spans, and every tagged
-    callback's minor words and wall nanoseconds are charged to its tag
-    ({!tag_costs}). Off by default; off, it costs one branch per event. *)
+    allocation deltas it spans ([Gc.minor_words], and [Gc.counters] for
+    promoted and major words), and every tagged callback's minor words
+    and wall nanoseconds are charged to its tag ({!tag_costs}). Off by
+    default; off, it costs one branch per event. *)
 val set_profile_gc : t -> bool -> unit
 
 (** What the callbacks of one tag cost while profiling was on: [fired]

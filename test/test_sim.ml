@@ -700,6 +700,26 @@ let test_engine_tag_costs () =
   Alcotest.(check (list (pair string (pair int int)))) "nothing charged when off" []
     (run ~profile:false)
 
+(* The run-level minor words cover everything the run allocated, so they
+   are at least what the tagged callbacks were charged. A short run
+   allocates far less than a minor heap, so a reading that moves only at
+   a minor collection ([Gc.quick_stat] on OCaml 5) reads 0 here. *)
+let test_engine_run_words () =
+  let e = Engine.create () in
+  Engine.set_profile_gc e true;
+  let sink = ref [||] in
+  for i = 1 to 100 do
+    Engine.schedule ~tag:"alloc" e ~delay:i (allocate_ten sink)
+  done;
+  ignore (Engine.run e);
+  let minor, _, _ = Engine.gc_words e in
+  let charged = List.fold_left (fun acc (c : Engine.tag_cost) -> acc + c.words) 0 (Engine.tag_costs e) in
+  Alcotest.(check int) "the callbacks were charged" 1_100 charged;
+  Alcotest.(check bool)
+    (Printf.sprintf "run-level minor words %.0f cover the per-tag %d" minor charged)
+    true
+    (minor >= float_of_int charged)
+
 let suites =
   [
     ( "sim.heap",
@@ -743,6 +763,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_engine_matches_reference;
         Alcotest.test_case "profiling counters" `Quick test_engine_profiling;
         Alcotest.test_case "per-tag words and runs" `Quick test_engine_tag_costs;
+        Alcotest.test_case "run-level words cover the tags" `Quick test_engine_run_words;
       ] );
     ( "sim.stats",
       [

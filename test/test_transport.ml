@@ -8,6 +8,8 @@ module Bus = Soda_net.Bus
 module Event = Soda_obs.Event
 module Recorder = Soda_obs.Recorder
 module Transport = Soda_proto.Transport
+module Wire = Soda_proto.Wire
+module Nic = Soda_net.Nic
 
 let patt = Pattern.well_known 0o711
 
@@ -341,6 +343,236 @@ let test_cancel_after_completion_fails () =
        });
   run net;
   Alcotest.(check bool) "cancel after completion fails" false !cancel_ok
+
+(* ---- server transactions, packet by packet ------------------------------------------ *)
+
+(* A server transport at mid 0 (W=1, pipelined input buffer) and a
+   scripted requester station at mid 1 that sends raw frames and keeps
+   every packet the server sends it. The server's handler takes a
+   REQUEST when it is free, and is then busy until the test frees it. *)
+type scripted = {
+  engine : Engine.t;
+  server : Transport.t;
+  peer : Nic.t;
+  busy : bool ref;
+  delivered : int list ref;  (* tids handed to the handler, latest first *)
+  heard : Wire.t list ref;  (* packets the station received, latest first *)
+}
+
+let scripted () =
+  let engine = Engine.create ~seed:3 () in
+  let bus = Bus.create engine in
+  let server =
+    Transport.create ~engine ~bus ~mid:0 ~cost:Cost.default ~recorder:(Recorder.create ())
+  in
+  let busy = ref false and delivered = ref [] and heard = ref [] in
+  Transport.set_callbacks server
+    {
+      Transport.deliver_request =
+        (fun ~src:_ ~tid ~pattern:_ ~arg:_ ~put_size:_ ~get_size:_ ->
+          if !busy then `Busy
+          else begin
+            busy := true;
+            delivered := tid :: !delivered;
+            `Deliver
+          end);
+      complete_request = (fun ~tid:_ _ -> ());
+      advertised = (fun _ -> true);
+      classify_unknown_tid = (fun _ -> `Stale);
+    };
+  ignore (Transport.attach_nic server);
+  let peer =
+    Nic.attach bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ payload ->
+        match Wire.decode payload with Ok p -> heard := p :: !heard | Error _ -> ())
+  in
+  { engine; server; peer; busy; delivered; heard }
+
+(* The station sends one packet and the server has 10 ms to act on it. *)
+let send s ~reliable ~seq ~ack body =
+  Nic.send s.peer ~dst:0 (Wire.encode { Wire.src = 1; reliable; seq; ack; run = false; body });
+  ignore (Engine.run_for s.engine ~duration:10_000)
+
+let send_request s ~seq tid =
+  send s ~reliable:true ~seq ~ack:None
+    (Wire.Request
+       { tid; pattern = patt; arg = 0; put_size = 0; get_size = 0; data = Bytes.empty;
+         retry = false })
+
+let send_cancel s ~seq tid = send s ~reliable:true ~seq ~ack:None (Wire.Cancel_request { tid })
+
+(* The [ok] of every CANCEL reply the station heard for [tid], in order. *)
+let cancel_replies s tid =
+  List.rev
+    (List.filter_map
+       (fun p ->
+         match p.Wire.body with
+         | Wire.Cancel_reply { tid = t; ok } when t = tid -> Some ok
+         | _ -> None)
+       !(s.heard))
+
+let heard_busy s =
+  List.exists (fun p -> match p.Wire.body with Wire.Busy _ -> true | _ -> false) !(s.heard)
+
+(* The handler is freed and the server offers it the input buffer. *)
+let free_handler s =
+  s.busy := false;
+  Transport.flush_buffered s.server;
+  ignore (Engine.run_for s.engine ~duration:10_000)
+
+(* A CANCEL of a REQUEST waiting in the pipelined input buffer is
+   granted and frees the buffer: the handler never sees the cancelled
+   REQUEST, and the next one that meets the busy handler is buffered in
+   its place rather than refused. *)
+let test_cancel_buffered () =
+  let s = scripted () in
+  send_request s ~seq:0 101;
+  send_request s ~seq:1 102;
+  Alcotest.(check (list int)) "the first REQUEST reached the handler" [ 101 ] !(s.delivered);
+  Alcotest.(check int) "the second waits in the input buffer" 1
+    (Stats.counter (Transport.stats s.server) "req.buffered");
+  send_cancel s ~seq:0 102;
+  Alcotest.(check (list bool)) "CANCEL granted" [ true ] (cancel_replies s 102);
+  free_handler s;
+  Alcotest.(check (list int)) "the handler never sees the cancelled REQUEST" [ 101 ]
+    !(s.delivered);
+  s.busy := true;
+  send_request s ~seq:1 103;
+  Alcotest.(check bool) "the freed buffer takes the next REQUEST, no BUSY" false (heard_busy s);
+  free_handler s;
+  Alcotest.(check (list int)) "which the handler gets next" [ 103; 101 ] !(s.delivered)
+
+(* A second CANCEL of a cancelled transaction (a new message, not a
+   duplicate) is granted again; the transaction stays cancelled, so an
+   ACCEPT of it is refused and a probe hears it is not alive. *)
+let test_cancel_repeated () =
+  let s = scripted () in
+  send_request s ~seq:0 101;
+  send_cancel s ~seq:1 101;
+  send_cancel s ~seq:0 101;
+  Alcotest.(check (list bool)) "both CANCELs granted" [ true; true ] (cancel_replies s 101);
+  Alcotest.(check int) "two grants counted" 2
+    (Stats.counter (Transport.stats s.server) "cancel.granted");
+  let outcome = ref None in
+  Transport.accept s.server ~requester_mid:1 ~requester_tid:101 ~arg:0 ~get_capacity:0
+    ~data_out:Bytes.empty ~on_done:(fun o -> outcome := Some o);
+  Alcotest.(check bool) "an ACCEPT of it is cancelled" true
+    (!outcome = Some Transport.Acc_cancelled);
+  send s ~reliable:false ~seq:0 ~ack:None (Wire.Probe { tid = 101 });
+  Alcotest.(check bool) "a probe hears it is not alive" true
+    (List.exists
+       (fun p ->
+         match p.Wire.body with Wire.Probe_reply { tid = 101; alive } -> not alive | _ -> false)
+       !(s.heard))
+
+(* An ACCEPT of a transaction the server holds no record of goes out
+   blind (§3.3.2 rule 6); when the requester acks it instead of
+   answering with an ERROR, the accepter reads CANCELLED. *)
+let test_blind_accept_acked () =
+  let s = scripted () in
+  let outcome = ref None in
+  Transport.accept s.server ~requester_mid:1 ~requester_tid:555 ~arg:9 ~get_capacity:0
+    ~data_out:Bytes.empty ~on_done:(fun o -> outcome := Some o);
+  ignore (Engine.run_for s.engine ~duration:10_000);
+  let seq =
+    match
+      List.find_map
+        (fun p ->
+          match p.Wire.body with
+          | Wire.Accept { tid = 555; arg = 9; _ } -> Some p.Wire.seq
+          | _ -> None)
+        !(s.heard)
+    with
+    | Some seq -> seq
+    | None -> Alcotest.fail "the blind ACCEPT never reached the requester"
+  in
+  Alcotest.(check bool) "nothing reported before the ack" true (!outcome = None);
+  send s ~reliable:false ~seq:0 ~ack:(Some seq) Wire.Ack;
+  Alcotest.(check bool) "acked blind ACCEPT reads CANCELLED" true
+    (!outcome = Some Transport.Acc_cancelled)
+
+(* A CANCEL that reaches the server after its handler began the ACCEPT
+   is refused, and the requester completes normally. The client cancels
+   as soon as the server's handler traps into the ACCEPT; the REQUEST's
+   ack is still held to ride the ACCEPT, so the CANCEL goes out once the
+   ACCEPT's piggybacked ack arrives, just before the ACCEPT itself
+   completes the request. *)
+let test_cancel_after_accept () =
+  let net, kernels = make_net 2 in
+  let accepting = ref false in
+  ignore
+    (Sodal.attach (List.nth kernels 0)
+       {
+         Sodal.default_spec with
+         init = (fun env ~parent:_ -> Sodal.advertise env patt);
+         on_request =
+           (fun env _ ->
+             accepting := true;
+             ignore (Sodal.accept_current_signal env ~arg:5));
+       });
+  let cancel_ok = ref None and completion = ref None in
+  ignore
+    (Sodal.attach (List.nth kernels 1)
+       {
+         Sodal.default_spec with
+         task =
+           (fun env ->
+             let tid = Sodal.signal env (Sodal.server ~mid:0 ~pattern:patt) ~arg:0 in
+             Sodal.on_completion_of env tid (fun c -> completion := Some (c.Sodal.status, c.Sodal.reply_arg));
+             while not !accepting do
+               Sodal.compute env 100
+             done;
+             cancel_ok := Some (Sodal.cancel env tid);
+             Sodal.compute env 100_000);
+       });
+  run ~horizon:5.0 net;
+  Alcotest.(check (option bool)) "CANCEL refused" (Some false) !cancel_ok;
+  Alcotest.(check int) "refused by the server" 1
+    (Stats.counter (Kernel.stats (List.nth kernels 0)) "cancel.refused");
+  Alcotest.(check bool) "the request completed normally" true
+    (!completion = Some (Sodal.Comp_ok, 5))
+
+(* A second ACCEPT of one request, after the first succeeded, reads
+   CANCELLED and sends nothing. *)
+let test_double_accept () =
+  let net, kernels = make_net 2 in
+  let asker = ref None and statuses = ref [] in
+  ignore
+    (Sodal.attach (List.nth kernels 0)
+       {
+         Sodal.default_spec with
+         init = (fun env ~parent:_ -> Sodal.advertise env patt);
+         on_request = (fun _ info -> asker := Some info.Sodal.asker);
+         task =
+           (fun env ->
+             while !asker = None do
+               Sodal.idle env
+             done;
+             let asker = Option.get !asker in
+             let accepts_sent () =
+               Stats.counter (Kernel.stats (List.nth kernels 0)) "pkt.sent.ACCEPT"
+             in
+             let first = Sodal.accept_signal env asker ~arg:1 in
+             let sent = accepts_sent () in
+             let second = Sodal.accept_signal env asker ~arg:2 in
+             statuses := [ first; second ];
+             Alcotest.(check int) "the first ACCEPT was sent once" 1 sent;
+             Alcotest.(check int) "the second sends nothing" sent (accepts_sent ()));
+       });
+  let completion = ref None in
+  ignore
+    (Sodal.attach (List.nth kernels 1)
+       {
+         Sodal.default_spec with
+         task =
+           (fun env ->
+             let c = Sodal.b_signal env (Sodal.server ~mid:0 ~pattern:patt) ~arg:0 in
+             completion := Some (c.Sodal.status, c.Sodal.reply_arg));
+       });
+  run ~horizon:5.0 net;
+  Alcotest.(check bool) "first ACCEPT succeeds, second is CANCELLED" true
+    (!statuses = [ Types.Accept_success; Types.Accept_cancelled ]);
+  Alcotest.(check bool) "the requester sees the first" true
+    (!completion = Some (Sodal.Comp_ok, 1))
 
 (* ---- crash semantics --------------------------------------------------------------- *)
 
@@ -738,7 +970,7 @@ let test_aimd_transparent_loss_free () =
 
 (* Minor words a warm W=1 SIGNAL round trip may allocate, the whole stack
    on both nodes: the client fiber, kernels, transports and bus. It sits
-   just above today's count, 353.0 words, so a list, option, closure or
+   just above today's count, 345.0 words, so a list, option, closure or
    tuple built per packet on this path fails here, and so does a fresh
    effect handler or closures built per handler invocation (about 397
    words in all) or a resume closure per fiber suspension (about 631). *)
@@ -805,6 +1037,14 @@ let suites =
         Alcotest.test_case "cancel on the wire, then BUSY" `Quick
           (cancel_busy_request ~on_wire:true);
         Alcotest.test_case "cancel after completion" `Quick test_cancel_after_completion_fails;
+      ] );
+    ( "transport.server",
+      [
+        Alcotest.test_case "cancel of a buffered request" `Quick test_cancel_buffered;
+        Alcotest.test_case "repeated cancel" `Quick test_cancel_repeated;
+        Alcotest.test_case "cancel after the accept" `Quick test_cancel_after_accept;
+        Alcotest.test_case "second accept of one request" `Quick test_double_accept;
+        Alcotest.test_case "acked blind accept" `Quick test_blind_accept_acked;
       ] );
     ( "transport.crash",
       [

@@ -172,4 +172,3 @@ let data_copy_us t ~bytes =
   let words = (bytes + t.word_bytes - 1) / t.word_bytes in
   words * t.copy_word_us
 
-let packet_bytes t ~data_bytes = t.header_bytes + data_bytes

@@ -136,5 +136,3 @@ val crash_quarantine_us : t -> int
 (** [data_copy_us t ~bytes] cost of one client<->kernel copy. *)
 val data_copy_us : t -> bytes:int -> int
 
-(** [packet_bytes t ~data_bytes] wire size of a packet. *)
-val packet_bytes : t -> data_bytes:int -> int

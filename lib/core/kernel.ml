@@ -411,7 +411,7 @@ let complete_request t ~tid completion =
     let requester = { Types.rq_mid = t.mid; rq_tid = tid } in
     let event =
       match completion with
-      | Transport.Comp_accepted { arg; put_transferred; get_data } ->
+      | Transport.Comp_accepted { arg; put_transferred; get_data; _ } ->
         let len = min (Bytes.length get_data) (Bytes.length pr.pr_get_buffer) in
         Bytes.blit get_data 0 pr.pr_get_buffer 0 len;
         Types.Request_completion

@@ -41,14 +41,6 @@ let links mgr =
     mgr.table []
   |> List.sort compare
 
-let role_of mgr id =
-  match Hashtbl.find_opt mgr.table id with Some e -> Some e.state | None -> None
-
-let peer_of mgr id =
-  match Hashtbl.find_opt mgr.table id with
-  | Some { remote_pattern = Some p; remote_machine; _ } -> Some (remote_machine, p)
-  | Some _ | None -> None
-
 let find_by_pattern mgr pattern =
   Hashtbl.fold
     (fun id e acc ->

@@ -24,11 +24,7 @@ module Sodal = Soda_runtime.Sodal
 (** Local link-end identifier (small integer index, as in the paper). *)
 type id = int
 
-type role = Master | Slave
-
 type manager
-
-val link_service : Soda_base.Pattern.t
 
 (** [spec ?on_data manager] builds a client program participating in the
     link protocol. [on_data env mgr link ~arg data] handles user messages
@@ -50,10 +46,6 @@ val introduce : Sodal.env -> a:int -> b:int -> unit
 
 (** [links mgr] — currently installed local ends. *)
 val links : manager -> id list
-
-val role_of : manager -> id -> role option
-
-val peer_of : manager -> id -> (int * Soda_base.Pattern.t) option
 
 (** [send env mgr link ~arg data] sends user data over the link (a
     blocking PUT), transparently reissuing while the far end moves.

@@ -26,16 +26,6 @@ val sink :
   unit ->
   Sodal.spec
 
-(** A hook version for embedding in an existing program: returns
-    [(on_request_hook)] which consumes stream chunks addressed to
-    [pattern] (returns false for unrelated requests). *)
-val sink_hook :
-  pattern:Soda_base.Pattern.t ->
-  on_block:(Sodal.env -> src:int -> bytes -> unit) ->
-  Sodal.env ->
-  Sodal.request_info ->
-  bool
-
 type error =
   | Receiver_gone  (** the sink crashed or unadvertised mid-stream *)
   | Rejected

@@ -46,7 +46,7 @@ type t = {
   h_frame_bytes : Soda_obs.Metrics.histogram;
   h_queueing_us : Soda_obs.Metrics.histogram;
   pool : Pool.t;
-  mutable obs : Recorder.t option;
+  obs : Recorder.t option;
   (* fault-plan state *)
   mutable partition : (int list * int list) option;
   (* mid -> 1 (group_a) | 2 (group_b); mirrors [partition] so the
@@ -90,8 +90,6 @@ let engine t = t.engine
 let stats t = t.stats
 let config t = t.config
 let pool t = t.pool
-
-let set_obs t obs = t.obs <- Some obs
 
 (* Seq-space width implied by a station's transport window; mirrors
    Cost_model.seq_space's tiers (1-bit / 4-bit / 8-bit encodings). *)
@@ -180,8 +178,6 @@ let set_delay_jitter t ~min_us ~max_us =
       (Printf.sprintf "Bus.set_delay_jitter: invalid range %d..%d" min_us max_us);
   t.jitter <- (if max_us = 0 then None else Some (min_us, max_us));
   emit_event t (Event.Fault_jitter { min_us; max_us })
-
-let clear_delay_jitter t = t.jitter <- None
 
 let transmission_time_us t ~payload_bytes =
   let bytes = payload_bytes + t.config.frame_overhead_bytes + 2 (* CRC trailer *) in

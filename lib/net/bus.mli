@@ -37,11 +37,6 @@ val pool : t -> Pool.t
 (** Current configuration (fault-rate setters mutate it in place). *)
 val config : t -> config
 
-(** Attach a structured-event recorder; when its tracing is enabled the
-    bus emits {!Soda_obs.Event.Bus_frame} (medium occupancy) and
-    {!Soda_obs.Event.Bus_drop} events. *)
-val set_obs : t -> Soda_obs.Recorder.t -> unit
-
 (** Every station on one medium must use the same reliable-protocol send
     window: the receive-side sequence arithmetic is derived from the local
     window, so stations with different windows — and hence possibly
@@ -89,8 +84,6 @@ val duplicate_next : ?count:int -> t -> unit
     disables jitter.
     @raise Invalid_argument unless [0 <= min_us <= max_us]. *)
 val set_delay_jitter : t -> min_us:int -> max_us:int -> unit
-
-val clear_delay_jitter : t -> unit
 
 (** [transmission_time_us t ~payload_bytes] is the time the medium is held
     for a frame of that size (including overhead and CRC trailer). *)

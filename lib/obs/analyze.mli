@@ -12,10 +12,6 @@ exception Parse_error of string
 
 (** {1 Parsing} *)
 
-(** [event_of_line line] parses one JSONL line.
-    @raise Parse_error on malformed input or an unknown event kind. *)
-val event_of_line : string -> Event.t
-
 (** Parse a whole JSONL document; blank lines are skipped. Errors are
     re-raised with a ["line N:"] prefix. *)
 val events_of_string : string -> Event.t list
@@ -47,9 +43,6 @@ type pair_stats = {
     pair's goodput; BUSY nacks count against the direction the nacked
     REQUEST travelled. *)
 val pair_accounting : Event.t list -> pair_stats list
-
-(** [rx_bytes / tx_bytes] as a percentage (100 when nothing was sent). *)
-val goodput_pct : pair_stats -> float
 
 (** {1 Causal trees} *)
 

@@ -5,6 +5,7 @@ module Delay_line = Soda_sim.Delay_line
 module Window = Send_window
 module Rx = Recv_window
 module Srv = Server_txn
+module Cli = Client_txn
 module Recorder = Soda_obs.Recorder
 module Event = Soda_obs.Event
 module Causal = Soda_obs.Causal
@@ -17,7 +18,7 @@ module Cost = Soda_base.Cost_model
 module Types = Soda_base.Types
 
 type completion =
-  | Comp_accepted of { arg : int; put_transferred : int; get_data : bytes }
+  | Comp_accepted of Cli.req
   | Comp_unadvertised
   | Comp_crashed
   | Comp_discovered of int list
@@ -56,37 +57,6 @@ type conn = {
          the remainder when it fires early *)
 }
 
-(* ---- requester-side transaction records -------------------------------- *)
-
-type req_state = Rq_sent | Rq_delivered | Rq_done
-
-type out_req = {
-  or_tid : int;
-  or_dst : int;
-  or_put : bytes;
-  or_get_size : int;
-  or_submit_us : int;  (* trap time, for the completion-latency histogram *)
-  mutable or_state : req_state;
-  mutable or_probe_id : int;  (* id of the live probe-line entry; -1 = none *)
-  mutable or_probe_misses : int;
-  mutable or_probe_outstanding : bool;
-  mutable or_cancel_pending : (bool -> unit) option;
-      (* a CANCEL blocked until the server's state is known (§5.2.3) *)
-}
-
-type discover_req = {
-  dr_tid : int;
-  dr_max : int;
-  mutable dr_mids : int list;  (* reverse order *)
-}
-
-(* The filler for the empty slots of the probe line below, and the miss
-   of the request lookup. *)
-let no_req =
-  { or_tid = Event.no_tid; or_dst = -1; or_put = Bytes.empty; or_get_size = 0;
-    or_submit_us = 0; or_state = Rq_done; or_probe_id = -1; or_probe_misses = 0;
-    or_probe_outstanding = false; or_cancel_pending = None }
-
 type t = {
   engine : Engine.t;
   bus : Bus.t;
@@ -97,8 +67,7 @@ type t = {
   mutable nic : Nic.t option;
   mutable cb : callbacks option;
   conns : (int, conn) Hashtbl.t;
-  out_reqs : (int, out_req) Hashtbl.t;
-  discovers : (int, discover_req) Hashtbl.t;
+  reqs : Cli.t;  (* the outbound requests and DISCOVERs *)
   (* Broadcast frames are not covered by the per-connection seq/ack
      machinery, so a bus-level duplication replays them verbatim. Responder
      side of DISCOVER remembers recently answered (src, tid) pairs and
@@ -122,7 +91,7 @@ type t = {
      put-data wait ([n] = 1 once the ACCEPT is acked) *)
   tx_line : (bytes, Causal.ctx option) Delay_line.t;
   rx_line : (Wire.t, Causal.ctx option) Delay_line.t;
-  probe_line : (out_req, unit) Delay_line.t;
+  probe_line : (Cli.req, unit) Delay_line.t;
   gc_line : (Srv.txn, unit) Delay_line.t;
   data_line : (Srv.txn, unit) Delay_line.t;
   (* Causal identity per live transaction: the requester registers the
@@ -402,169 +371,119 @@ let send_reliable t ~peer ~kind ~tid body ~on_done =
   arm_expiry t conn;
   Window.send conn.tx kind ~tid body on_done
 
-(* ---- probes (§3.6.2) ---------------------------------------------------- *)
+(* ---- requester: outbound requests (§3.3, §3.6.2) ------------------------ *)
 
-(* The outbound request [tid]; [no_req], which is [Rq_done], if none. *)
-let find_req t tid = match Hashtbl.find t.out_reqs tid with req -> req | exception Not_found -> no_req
+let probe_live id (req : Cli.req) () = req.probe_id = id
 
-let probe_live id req () = req.or_probe_id = id
+(* Take [req] out of the table and stop probing it; false if it was out
+   already. The caller then reports the outcome and closes the span with
+   [forget_causal], so stale late packets for the tid are no longer
+   attributed to it. *)
+let retire t (req : Cli.req) =
+  let id = req.probe_id in
+  Cli.retire t.reqs req && (Delay_line.cancel t.probe_line probe_live id; true)
 
-let stop_probing t req =
-  let id = req.or_probe_id in
-  req.or_probe_id <- -1;
-  Delay_line.cancel t.probe_line probe_live id
+(* How an outbound request completed: by its ACCEPT, whose result is in
+   the record, by an unadvertised ERROR, or taken for crashed. *)
+type verdict = Accepted | Unadvertised | Crashed
 
-(* The one way out for an outbound request, by completion or by a
-   successful CANCEL: [retire_req] takes it out of the tables, and is
-   false if it had left them already. The caller then reports the
-   outcome and closes the span with [forget_causal], so stale late
-   packets for the tid are no longer attributed to it. *)
-let retire_req t req =
-  if req.or_state = Rq_done then false
-  else begin
-    req.or_state <- Rq_done;
-    stop_probing t req;
-    Hashtbl.remove t.out_reqs req.or_tid;
-    true
-  end
-
-(* A successful CANCEL. *)
-let retire_cancelled t req on_done =
-  if retire_req t req then begin
-    on_done true;
-    forget_causal t ~tid:req.or_tid
-  end
-
-let complete_out_req t req completion =
-  if retire_req t req then begin
-    Stats.observe t.hot.req_latency_us (Engine.now t.engine - req.or_submit_us);
+let complete t (req : Cli.req) verdict =
+  if retire t req then begin
+    Stats.observe t.hot.req_latency_us (Engine.now t.engine - req.submit_us);
     if tracing t then begin
       let status : Event.status =
-        match completion with
-        | Comp_accepted { arg; _ } -> if arg < 0 then Rejected else Accepted
-        | Comp_unadvertised -> Unadvertised
-        | Comp_crashed -> Crashed
-        | Comp_discovered _ -> Discovered
+        match verdict with
+        | Accepted -> if req.arg < 0 then Rejected else Accepted
+        | Unadvertised -> Unadvertised
+        | Crashed -> Crashed
       in
-      event t (Event.Complete { tid = req.or_tid; status })
+      event t (Event.Complete { tid = req.tid; status })
     end;
     (* A pending CANCEL loses the race against completion (§3.3.3). *)
-    (match req.or_cancel_pending with
-     | Some k ->
-       req.or_cancel_pending <- None;
-       k false
-     | None -> ());
-    (callbacks t).complete_request ~tid:req.or_tid completion;
-    forget_causal t ~tid:req.or_tid
+    (Cli.take_cancel req) false;
+    (callbacks t).complete_request ~tid:req.tid
+      (match verdict with
+       | Accepted -> Comp_accepted req
+       | Unadvertised -> Comp_unadvertised
+       | Crashed -> Comp_crashed);
+    forget_causal t ~tid:req.tid
   end
 
+(* A CANCEL that took effect, unless the request completed first. *)
+let cancel_granted t (req : Cli.req) on_done =
+  let ok = retire t req in
+  on_done ok;
+  if ok then forget_causal t ~tid:req.tid
+
 let rec arm_probe t req =
-  req.or_probe_id <- Delay_line.push t.probe_line ~fire:probe_fired t ~n:0 req ()
+  Cli.set_probe_id req (Delay_line.push t.probe_line ~fire:probe_fired t ~n:0 req ())
 
 and probe_fired t =
   let req = Delay_line.head_a t.probe_line in
   Delay_line.next t.probe_line probe_live;
-  req.or_probe_id <- -1;
-  if req.or_state = Rq_delivered then begin
-    if req.or_probe_outstanding then begin
-      req.or_probe_misses <- req.or_probe_misses + 1;
-      Stats.incr t.stats "probe.misses"
-    end;
-    if req.or_probe_misses >= t.cost.Cost.probe_miss_limit then begin
-      mark t ~peer:req.or_dst ~tid:req.or_tid ~n:req.or_probe_misses Event.Probe_silent;
-      complete_out_req t req Comp_crashed
+  Cli.set_probe_id req (-1);
+  if req.state = Delivered then begin
+    let misses = req.unanswered in
+    if misses > 0 then Stats.incr t.stats "probe.misses";
+    if Cli.probe req ~limit:t.cost.Cost.probe_miss_limit then begin
+      Stats.incr t.stats "probe.sent";
+      if tracing t then event t (Event.Probe { tid = req.tid; peer = req.dst; misses });
+      emit_unsequenced t ~peer:req.dst (Wire.Probe { tid = req.tid });
+      arm_probe t req
     end
     else begin
-      req.or_probe_outstanding <- true;
-      Stats.incr t.stats "probe.sent";
-      if tracing t then
-        event t
-          (Event.Probe { tid = req.or_tid; peer = req.or_dst; misses = req.or_probe_misses });
-      emit_unsequenced t ~peer:req.or_dst (Wire.Probe { tid = req.or_tid });
-      arm_probe t req
+      mark t ~peer:req.dst ~tid:req.tid ~n:misses Event.Probe_silent;
+      complete t req Crashed
     end
   end
 
 let rec mark_delivered t req =
-  if req.or_state = Rq_sent then begin
-    req.or_state <- Rq_delivered;
+  if Cli.deliver req then begin
     arm_probe t req;
     (* A CANCEL waiting for the server's state to become known can now
        proceed remotely. *)
-    match req.or_cancel_pending with
-    | Some k ->
-      req.or_cancel_pending <- None;
-      send_remote_cancel t req k
-    | None -> ()
+    let k = Cli.take_cancel req in
+    if k != Cli.no_cancel then send_remote_cancel t req k
   end
 
-and send_remote_cancel t req k =
-  send_reliable t ~peer:req.or_dst ~kind:K_cancel ~tid:req.or_tid
-    (Wire.Cancel_request { tid = req.or_tid })
+and send_remote_cancel t (req : Cli.req) k =
+  send_reliable t ~peer:req.dst ~kind:K_cancel ~tid:req.tid (Wire.Cancel_request { tid = req.tid })
     ~on_done:(fun outcome ->
       match outcome with
-      | Out_cancel_reply true when req.or_state <> Rq_done -> retire_cancelled t req k
-      | Out_cancel_reply _ | Out_error _ | Out_acked -> k false
+      | Out_cancel_reply true -> cancel_granted t req k
       | Out_timeout ->
         (* Server dead: the request itself fails CRASHED; cancel fails
            because the request "completed" first. *)
-        complete_out_req t req Comp_crashed;
-        k false)
+        complete t req Crashed;
+        k false
+      | _ -> k false)
 
 (* A CANCEL of a request the server will never see again -- still queued,
    backing off, or just refused BUSY -- succeeds locally: drop it from the
    send queue and let whatever it held back go. *)
-let cancel_unsent t conn req on_done =
-  Window.drop_queued conn.tx ~tid:req.or_tid K_request;
-  retire_cancelled t req on_done
+let cancel_unsent t conn (req : Cli.req) on_done =
+  Window.drop_queued conn.tx ~tid:req.tid K_request;
+  cancel_granted t req on_done
 
 (* ---- requester: submitting --------------------------------------------- *)
 
 let submit_request t ~dst ~tid ~pattern ~arg ~put_data ~get_size =
-  let req =
-    {
-      or_tid = tid;
-      or_dst = dst;
-      or_put = put_data;
-      or_get_size = get_size;
-      or_submit_us = Engine.now t.engine;
-      or_state = Rq_sent;
-      or_probe_id = -1;
-      or_probe_misses = 0;
-      or_probe_outstanding = false;
-      or_cancel_pending = None;
-    }
-  in
-  Hashtbl.replace t.out_reqs tid req;
+  let req = Cli.add t.reqs ~tid ~dst ~put:put_data ~get_size ~now:(Engine.now t.engine) in
   Stats.bump t.hot.req_submitted;
-  let body =
-    Wire.Request
-      {
-        tid;
-        pattern;
-        arg;
-        put_size = Bytes.length put_data;
-        get_size;
-        data = put_data;
-        retry = false;
-      }
-  in
+  let put_size = Bytes.length put_data in
+  let body = Wire.Request { tid; pattern; arg; put_size; get_size; data = put_data; retry = false } in
   send_reliable t ~peer:dst ~kind:K_request ~tid body ~on_done:(fun outcome ->
       match outcome with
       | Out_acked -> mark_delivered t req
-      | Out_error Wire.Err_unadvertised -> complete_out_req t req Comp_unadvertised
-      | Out_error _ -> complete_out_req t req Comp_crashed
-      | Out_timeout -> complete_out_req t req Comp_crashed
-      | Out_cancel_reply _ -> ())
+      | Out_error Wire.Err_unadvertised -> complete t req Unadvertised
+      | _ -> complete t req Crashed)
 
 let submit_discover t ~tid ~pattern ~max_mids =
-  let dr = { dr_tid = tid; dr_max = max_mids; dr_mids = [] } in
-  Hashtbl.replace t.discovers tid dr;
+  let d = Cli.discover t.reqs ~tid ~max_mids in
   Stats.incr t.stats "discover.submitted";
   emit_unsequenced t ~peer:(-1) (Wire.Discover { tid; pattern });
   defer t ~delay:t.cost.Cost.discover_window_us (fun () ->
-      Hashtbl.remove t.discovers tid;
-      (callbacks t).complete_request ~tid (Comp_discovered (List.rev dr.dr_mids)))
+      (callbacks t).complete_request ~tid (Comp_discovered (Cli.discovered t.reqs d)))
 
 (* ---- server: transactions ----------------------------------------------- *)
 
@@ -694,16 +613,16 @@ let accept t ~requester_mid ~requester_tid ~arg ~get_capacity ~data_out ~on_done
 (* ---- cancel -------------------------------------------------------------- *)
 
 let cancel t ~tid ~on_done =
-  let req = find_req t tid in
-  match req.or_state with
-  | Rq_done -> on_done false
-  | Rq_delivered -> send_remote_cancel t req on_done
-  | Rq_sent ->
-    let conn = conn_for t req.or_dst in
+  let req = Cli.find t.reqs tid in
+  match req.state with
+  | Done -> on_done false
+  | Delivered -> send_remote_cancel t req on_done
+  | Sent ->
+    let conn = conn_for t req.dst in
     if Window.queued conn.tx ~tid K_request then cancel_unsent t conn req on_done
     else
       (* Await the acknowledgement; the outcome callback resolves us. *)
-      req.or_cancel_pending <- Some on_done
+      Cli.await_cancel req on_done
 
 (* ---- incoming packet processing ------------------------------------------ *)
 
@@ -727,15 +646,11 @@ let stash t conn pkt =
 
 let handle_busy t conn tid =
   Window.busy conn.tx ~tid (fun () ->
-      let req = find_req t tid in
-      match req.or_cancel_pending with
-      | Some k ->
-        (* cancelled while on the wire: the server refused it, so the
-           CANCEL wins here rather than after the retries *)
-        req.or_cancel_pending <- None;
-        cancel_unsent t conn req k;
-        false
-      | None -> true)
+      let req = Cli.find t.reqs tid in
+      let k = Cli.take_cancel req in
+      (* cancelled while on the wire: the server refused it, so the
+         CANCEL wins here rather than after the retries *)
+      k == Cli.no_cancel || (cancel_unsent t conn req k; false))
 
 let handle_error t conn tid code =
   if not (Window.error conn.tx ~tid code) then
@@ -744,48 +659,42 @@ let handle_error t conn tid code =
        [flush_buffered]); without this it would wait for the probes to
        report its healthy server CRASHED. *)
     if code = Wire.Err_unadvertised then begin
-      let req = find_req t tid in
-      if req.or_state = Rq_delivered && req.or_dst = conn.peer then
-        complete_out_req t req Comp_unadvertised
+      let req = Cli.find t.reqs tid in
+      if req.state = Delivered && req.dst = conn.peer then complete t req Unadvertised
     end
 
 (* ---- consumed-body handlers ---------------------------------------------- *)
 
 let handle_accept t conn pkt src ~tid ~arg ~put_transferred ~need_put_data data =
-  let req = find_req t tid in
-  if req.or_state = Rq_done then begin
-    match (callbacks t).classify_unknown_tid tid with
-    | `Completed -> respond_consumed t conn pkt (Wire.Error { tid; code = Wire.Err_cancelled })
-    | `Stale -> respond_consumed t conn pkt (Wire.Error { tid; code = Wire.Err_crashed })
-  end
-  else if src <> req.or_dst then
-      (* Rule 6 of §3.3.2: only the addressed server may accept. *)
-      respond_consumed t conn pkt (Wire.Error { tid; code = Wire.Err_cancelled })
-    else begin
-      let get_data = Wire.truncate data req.or_get_size in
-      let copy_us = Cost.data_copy_us t.cost ~bytes:(Bytes.length get_data) in
-      t.hot.t_protocol := !(t.hot.t_protocol) + copy_us;
-      if need_put_data then begin
-        (* The put data was wasted on a busy transmission and must be
-           re-sent; the data exchange -- and hence the requester's
-           completion -- is only over once the server acknowledges it. *)
-        let payload = Wire.truncate req.or_put put_transferred in
-        Stats.incr t.stats "req.data_resend";
-        send_reliable t ~peer:src ~kind:K_put_data ~tid
-          (Wire.Put_data { tid; data = payload })
-          ~on_done:(fun outcome ->
-            match outcome with
-            | Out_acked ->
-              complete_out_req t req (Comp_accepted { arg; put_transferred; get_data })
-            | Out_error _ | Out_timeout -> complete_out_req t req Comp_crashed
-            | Out_cancel_reply _ -> ())
-      end
-      else if copy_us = 0 then
-        complete_out_req t req (Comp_accepted { arg; put_transferred; get_data })
-      else
-        defer t ~delay:copy_us (fun () ->
-            complete_out_req t req (Comp_accepted { arg; put_transferred; get_data }))
+  let req = Cli.find t.reqs tid in
+  match Cli.accept req ~src ~arg ~put_transferred ~data with
+  | Unknown ->
+    let code =
+      match (callbacks t).classify_unknown_tid tid with
+      | `Completed -> Wire.Err_cancelled
+      | `Stale -> Wire.Err_crashed
+    in
+    respond_consumed t conn pkt (Wire.Error { tid; code })
+  | Foreign ->
+    (* Rule 6 of §3.3.2: only the addressed server may accept. *)
+    respond_consumed t conn pkt (Wire.Error { tid; code = Wire.Err_cancelled })
+  | Taken ->
+    let copy_us = Cost.data_copy_us t.cost ~bytes:(Bytes.length req.get_data) in
+    t.hot.t_protocol := !(t.hot.t_protocol) + copy_us;
+    if need_put_data then begin
+      (* The put data was wasted on a busy transmission and must be
+         re-sent; the data exchange -- and hence the requester's
+         completion -- is only over once the server acknowledges it. *)
+      Stats.incr t.stats "req.data_resend";
+      send_reliable t ~peer:src ~kind:K_put_data ~tid
+        (Wire.Put_data { tid; data = Wire.truncate req.put put_transferred })
+        ~on_done:(fun outcome ->
+          match outcome with
+          | Out_acked -> complete t req Accepted
+          | _ -> complete t req Crashed)
     end
+    else if copy_us = 0 then complete t req Accepted
+    else defer t ~delay:copy_us (fun () -> complete t req Accepted)
 
 let handle_put_data t conn ~tid data =
   let txn = Srv.find t.srv ~src:conn.peer ~tid in
@@ -829,15 +738,11 @@ let handle_probe t conn tid =
   emit_unsequenced t ~peer:conn.peer (Wire.Probe_reply { tid; alive })
 
 let handle_probe_reply t tid alive =
-  let req = find_req t tid in
-  if req.or_state = Rq_delivered then begin
-    req.or_probe_outstanding <- false;
-    req.or_probe_misses <- 0;
-    if not alive then begin
-      Stats.incr t.stats "probe.lost";
-      mark t ~peer:req.or_dst ~tid ~n:0 Event.Probe_lost;
-      complete_out_req t req Comp_crashed
-    end
+  let req = Cli.find t.reqs tid in
+  if Cli.probe_answered req && not alive then begin
+    Stats.incr t.stats "probe.lost";
+    mark t ~peer:req.dst ~tid ~n:0 Event.Probe_lost;
+    complete t req Crashed
   end
 
 let handle_discover t src tid pattern =
@@ -854,12 +759,7 @@ let handle_discover t src tid pattern =
     end
   end
 
-let handle_discover_reply t src tid =
-  match Hashtbl.find_opt t.discovers tid with
-  | Some dr ->
-    if (not (List.mem src dr.dr_mids)) && List.length dr.dr_mids < dr.dr_max then
-      dr.dr_mids <- src :: dr.dr_mids
-  | None -> ()
+let handle_discover_reply t src tid = Cli.discover_reply t.reqs ~tid ~src
 
 (* Refuse an in-order REQUEST. A consumed rejection is stored and
    replayed on duplicates. *)
@@ -1145,8 +1045,7 @@ let create ~engine ~bus ~mid ~cost ~recorder =
       nic = None;
       cb = None;
       conns = Hashtbl.create 8;
-      out_reqs = Hashtbl.create 16;
-      discovers = Hashtbl.create 4;
+      reqs = Cli.create ();
       seen_discovers = Hashtbl.create 4;
       srv = Srv.create ();
       holders = Queue.create ();
@@ -1172,7 +1071,7 @@ let create ~engine ~bus ~mid ~cost ~recorder =
         };
       tx_line = line ~delay:hot.packet_cpu ~fill_a:Bytes.empty ~fill_b:None;
       rx_line = line ~delay:hot.packet_cpu ~fill_a:Rx.none ~fill_b:None;
-      probe_line = line ~delay:cost.Cost.probe_interval_us ~fill_a:no_req ~fill_b:();
+      probe_line = line ~delay:cost.Cost.probe_interval_us ~fill_a:Cli.none ~fill_b:();
       gc_line = line ~delay:lifetime ~fill_a:Srv.none ~fill_b:();
       data_line = line ~delay:lifetime ~fill_a:Srv.none ~fill_b:();
       tid_causal = Hashtbl.create 16;
@@ -1200,8 +1099,7 @@ let reset t =
   Delay_line.reset t.gc_line;
   t.live_from <- (Engine.counters t.engine).Engine.scheduled;
   Hashtbl.reset t.conns;
-  Hashtbl.reset t.out_reqs;
-  Hashtbl.reset t.discovers;
+  Cli.reset t.reqs;
   Hashtbl.reset t.seen_discovers;
   Srv.reset t.srv;
   Hashtbl.reset t.tid_causal;
@@ -1213,7 +1111,7 @@ let shutdown t =
   Bus.detach t.bus ~mid:t.mid;
   t.nic <- None
 
-let outstanding_requests t = Hashtbl.length t.out_reqs + Hashtbl.length t.discovers
+let outstanding_requests t = Cli.outstanding t.reqs
 
 let delay_lines t =
   let n = Delay_line.length in

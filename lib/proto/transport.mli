@@ -51,7 +51,9 @@ module Types = Soda_base.Types
 
 (** How a request completed, reported to the kernel exactly once. *)
 type completion =
-  | Comp_accepted of { arg : int; put_transferred : int; get_data : bytes }
+  | Comp_accepted of Client_txn.req
+      (** the record holds the ACCEPT's result: [arg], [put_transferred]
+          and [get_data] *)
   | Comp_unadvertised
   | Comp_crashed
   | Comp_discovered of int list  (** mids that answered a DISCOVER *)

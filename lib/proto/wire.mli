@@ -54,7 +54,7 @@ type t = {
   src : int;  (** sender machine id *)
   reliable : bool;  (** sender retransmits until acknowledged *)
   seq : int;
-      (** modular sequence number, 0..[seq_mask] (meaningful when
+      (** modular sequence number, 0..255 (meaningful when
           [reliable]); the window-1 degenerate case only ever uses 0/1 and
           encodes exactly as the original alternating bit *)
   ack : int option;  (** piggybacked cumulative acknowledgement *)
@@ -65,15 +65,6 @@ type t = {
           window-1 encoding never sets the flag. *)
   body : body;
 }
-
-(** Sequence numbers are 8 bits on the wire, in a two-tier extension
-    scheme: the low bit rides the original flag positions; bits 1-3 ride
-    a first extension byte present only when non-zero (flag 0x40) — the
-    historical 4-bit layout; bits 4-7 ride a second extension byte whose
-    presence is signalled by bit 6 of the first. Window-1 packets stay
-    byte-identical to the seed encoding and window<=8 packets to the
-    single-extension 4-bit format. *)
-val seq_mask : int
 
 (** Exact number of bytes {!encode} produces for [t] (header, up to two
     optional extension bytes, body). Lets callers acquire exactly-sized

@@ -556,8 +556,6 @@ let discover env pattern =
 
 (* ---- casts ----------------------------------------------------------------------- *)
 
-let self_signature env ~tid = { Types.rq_mid = my_mid env; rq_tid = tid }
-
 let server ~mid ~pattern = { Types.sv_mid = Types.Mid mid; sv_pattern = pattern }
 
 let server_broadcast ~pattern = { Types.sv_mid = Types.Broadcast_mid; sv_pattern = pattern }

@@ -190,9 +190,6 @@ val compute : env -> int -> unit
 (** DIE: terminate this client (§3.5.1). Does not return. *)
 val die : env -> 'a
 
-(** [self_signature env ~tid] casts <my mid, tid> (§4.1.3). *)
-val self_signature : env -> tid:Types.tid -> Types.requester_signature
-
 (** [server env ~mid ~pattern] casts <mid, pattern>. *)
 val server : mid:int -> pattern:Pattern.t -> Types.server_signature
 

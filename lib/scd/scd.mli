@@ -48,10 +48,6 @@ type member
     is the number of snapshot-object registers. *)
 val member : cluster:string -> index:int -> mids:int list -> regs:int -> member
 
-(** Stable well-known pattern of member [index]: the entry point for
-    client operations. *)
-val member_pattern : cluster:string -> index:int -> Pattern.t
-
 (** Stable well-known pattern every member of [cluster] also advertises:
     the entry point for peer FORWARD frames. *)
 val cluster_pattern : cluster:string -> Pattern.t

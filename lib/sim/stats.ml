@@ -84,8 +84,6 @@ let count t name =
 let mean_us t name =
   match histogram t name with Some h -> Metrics.Histogram.mean h | None -> 0.0
 
-let mean_ms t name = mean_us t name /. 1000.0
-
 let max_us t name =
   match histogram t name with Some h -> Metrics.Histogram.max_value h | None -> 0
 

@@ -66,7 +66,6 @@ val sample : t -> string -> int -> unit
 val histogram : t -> string -> Soda_obs.Metrics.histogram option
 val count : t -> string -> int
 val mean_us : t -> string -> float
-val mean_ms : t -> string -> float
 val max_us : t -> string -> int
 
 (** Nearest-rank percentile; [p] is clamped to [0, 100], [p <= 0] returns

@@ -56,17 +56,10 @@ type replica
 
 val replica : cluster:string -> index:int -> replica
 
-(** The stable advertised entry point of replica [index] of [cluster]
-    (derived from the cluster name, same in every incarnation). *)
-val replica_pattern : cluster:string -> index:int -> Pattern.t
-
-(** The switchboard name ["/store/<cluster>/<index>"]. *)
-val replica_name : cluster:string -> index:int -> string
-
 (** [replica_spec ?register r] is the server program. With
     [~register:true] the task additionally mints a fresh per-incarnation
     unique entry point, advertises it alongside the stable pattern, and
-    binds it in the §6.14 switchboard under {!replica_name} —
+    binds it in the §6.14 switchboard under ["/store/<cluster>/<index>"] —
     [register]ing on first boot and [rebind]ing to reclaim the name when
     a previous incarnation's binding is still there. *)
 val replica_spec : ?register:bool -> replica -> Sodal.spec
@@ -93,9 +86,10 @@ type error = No_quorum  (** no majority answered within the retry budget *)
 val handle : Sodal.env -> cluster:string -> mids:int list -> t
 
 (** [connect env ~cluster ~n ()] resolves all [n] replicas through the
-    switchboard ({!replica_name} bindings). The handle re-resolves a
-    replica's binding between rounds when it answers UNADVERTISED — the
-    signature a reboot with [~register:true] replaces. *)
+    switchboard (["/store/<cluster>/<index>"] bindings). The handle
+    re-resolves a replica's binding between rounds when it answers
+    UNADVERTISED — the signature a reboot with [~register:true]
+    replaces. *)
 val connect :
   Sodal.env ->
   cluster:string ->

@@ -157,6 +157,27 @@ let test_discover_none () =
   run net;
   Alcotest.(check (list int)) "empty" [] !found
 
+(* §3.4.4: a request addressed to <BROADCAST, pattern> is a DISCOVER; the
+   mids that answered land in the get buffer as 16-bit big-endian words. *)
+let test_discover_by_broadcast_address () =
+  let net, kernels = make_net 4 in
+  List.iteri (fun mid k -> if mid = 0 || mid = 2 then ignore (echo_server k patt)) kernels;
+  let got = ref None in
+  ignore
+    (Sodal.attach (List.nth kernels 3)
+       {
+         Sodal.default_spec with
+         task =
+           (fun env ->
+             let into = Bytes.make 8 '\xff' in
+             let c = Sodal.b_get env (Sodal.server_broadcast ~pattern:patt) ~arg:0 ~into in
+             got := Some (c.Sodal.status, Bytes.sub_string into 0 c.Sodal.get_transferred));
+       });
+  run net;
+  Alcotest.(check (option (pair bool string))) "both advertisers, in reply order"
+    (Some (true, "\000\000\000\002"))
+    (Option.map (fun (status, mids) -> (status = Sodal.Comp_ok, mids)) !got)
+
 let test_discover_blocking_retries () =
   (* Sodal.discover loops until some server advertises. *)
   let net, kernels = make_net 2 in
@@ -440,6 +461,8 @@ let suites =
         Alcotest.test_case "finds advertisers" `Quick test_discover_finds_advertisers;
         Alcotest.test_case "transparent to clients" `Quick test_discover_transparent_to_clients;
         Alcotest.test_case "no advertisers" `Quick test_discover_none;
+        Alcotest.test_case "request to the broadcast address" `Quick
+          test_discover_by_broadcast_address;
         Alcotest.test_case "blocking discover retries" `Quick test_discover_blocking_retries;
       ] );
     ( "kernel.boot",

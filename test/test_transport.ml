@@ -574,6 +574,189 @@ let test_double_accept () =
   Alcotest.(check bool) "the requester sees the first" true
     (!completion = Some (Sodal.Comp_ok, 1))
 
+(* ---- requester transactions, packet by packet ---------------------------------------- *)
+
+(* A requester transport at mid 1 (W=1) and scripted server stations at
+   mids 0 and 2 that send raw frames and keep every packet they hear.
+   The stations answer every probe "alive", so no probe verdict ends a
+   request here. The requester's completions and CANCEL answers land in
+   one log, in the order they were reported. *)
+type requester = {
+  clock : Engine.t;
+  medium : Bus.t;
+  client : Transport.t;
+  stations : (int * Nic.t) list;  (* by mid *)
+  got : (int * Wire.t) list ref;  (* (station mid, packet) heard, latest first *)
+  log : string list ref;  (* latest first *)
+}
+
+let describe = function
+  | Transport.Comp_accepted _ -> "accepted"
+  | Comp_unadvertised -> "unadvertised"
+  | Comp_crashed -> "crashed"
+  | Comp_discovered mids -> "discovered " ^ String.concat "," (List.map string_of_int mids)
+
+let requester () =
+  let clock = Engine.create ~seed:5 () in
+  let medium = Bus.create clock in
+  let client =
+    Transport.create ~engine:clock ~bus:medium ~mid:1 ~cost:Cost.default
+      ~recorder:(Recorder.create ())
+  in
+  let got = ref [] and log = ref [] in
+  Transport.set_callbacks client
+    {
+      Transport.deliver_request = (fun ~src:_ ~tid:_ ~pattern:_ ~arg:_ ~put_size:_ ~get_size:_ -> `Busy);
+      complete_request =
+        (fun ~tid c -> log := Printf.sprintf "%d %s" tid (describe c) :: !log);
+      advertised = (fun _ -> false);
+      classify_unknown_tid = (fun _ -> `Completed);
+    };
+  ignore (Transport.attach_nic client);
+  let station mid =
+    let nic = ref None in
+    let n =
+      Nic.attach medium ~mid ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ payload ->
+          match Wire.decode payload with
+          | Ok p ->
+            got := (mid, p) :: !got;
+            (match p.Wire.body with
+             | Wire.Probe { tid } ->
+               Nic.send (Option.get !nic) ~dst:1
+                 (Wire.encode
+                    { Wire.src = mid; reliable = false; seq = 0; ack = None; run = false;
+                      body = Wire.Probe_reply { tid; alive = true } })
+             | _ -> ())
+          | Error _ -> ())
+    in
+    nic := Some n;
+    n
+  in
+  { clock; medium; client; stations = [ (0, station 0); (2, station 2) ]; got; log }
+
+let advance r us = ignore (Engine.run_for r.clock ~duration:us)
+
+(* Station [from] sends one packet to the requester, which has 10 ms to
+   act on it. *)
+let say r ~from ?(reliable = false) ?ack body =
+  Nic.send (List.assoc from r.stations) ~dst:1
+    (Wire.encode { Wire.src = from; reliable; seq = 0; ack; run = false; body });
+  advance r 10_000
+
+(* The requester submits REQUEST [tid] to mid 0; unless [unacked], mid 0
+   acks it, so the request is delivered. *)
+let submit ?(unacked = false) ?(put = "") r tid =
+  Transport.submit_request r.client ~dst:0 ~tid ~pattern:patt ~arg:0
+    ~put_data:(Bytes.of_string put) ~get_size:0;
+  advance r 10_000;
+  let seq =
+    List.find_map
+      (function
+        | 0, { Wire.body = Wire.Request { tid = t; _ }; seq; _ } when t = tid -> Some seq
+        | _ -> None)
+      !(r.got)
+  in
+  match seq with
+  | None -> Alcotest.fail "the REQUEST never reached mid 0"
+  | Some seq -> if not unacked then say r ~from:0 ~ack:seq Wire.Ack
+
+let accept_from r ~from ?(need_put_data = false) ?(put_transferred = 0) tid ~arg =
+  say r ~from ~reliable:true
+    (Wire.Accept { tid; arg; put_transferred; need_put_data; data = Bytes.empty })
+
+let cancel_into_log r tid =
+  Transport.cancel r.client ~tid ~on_done:(fun ok ->
+      r.log := Printf.sprintf "cancel %b" ok :: !(r.log))
+
+let heard_by r mid f = List.filter_map (fun (m, p) -> if m = mid then f p.Wire.body else None) !(r.got)
+
+(* Rule 6 of §3.3.2: only the addressed server may accept. An ACCEPT
+   from another server is refused CANCELLED and completes nothing; the
+   request still completes from its real server. *)
+let test_foreign_accept () =
+  let r = requester () in
+  submit r 7;
+  accept_from r ~from:2 7 ~arg:5;
+  Alcotest.(check (list string)) "the foreign ACCEPT completes nothing" [] !(r.log);
+  Alcotest.(check (list bool)) "and is refused CANCELLED" [ true ]
+    (heard_by r 2 (function
+      | Wire.Error { tid = 7; code } -> Some (code = Wire.Err_cancelled)
+      | _ -> None));
+  accept_from r ~from:0 7 ~arg:9;
+  Alcotest.(check (list string)) "the real server's ACCEPT completes it" [ "7 accepted" ] !(r.log);
+  Alcotest.(check int) "nothing outstanding" 0 (Transport.outstanding_requests r.client);
+  Alcotest.(check int) "the real server hears no ERROR" 0
+    (List.length (heard_by r 0 (function Wire.Error _ -> Some () | _ -> None)))
+
+(* The ACCEPT asks for the put data again (it was wasted on a busy
+   transmission); the server never acks the resent data, so its send
+   times out and the request completes CRASHED. *)
+let test_resent_put_data_times_out () =
+  let r = requester () in
+  submit ~put:"abc" r 8;
+  accept_from r ~from:0 ~need_put_data:true ~put_transferred:2 8 ~arg:1;
+  Alcotest.(check (list string)) "not complete while the data is unacked" [] !(r.log);
+  advance r 2_000_000;
+  Alcotest.(check (list string)) "the data's timeout completes it CRASHED" [ "8 crashed" ]
+    !(r.log);
+  Alcotest.(check bool) "the data was resent, cut to what the server takes" true
+    (List.mem "ab" (heard_by r 0 (function
+       | Wire.Put_data { tid = 8; data } -> Some (Bytes.to_string data)
+       | _ -> None)));
+  Alcotest.(check int) "counted once" 1
+    (Stats.counter (Transport.stats r.client) "req.data_resend")
+
+(* A CANCEL of a delivered request goes to the server; when the server
+   never answers it, the CANCEL times out: the request completes
+   CRASHED, and then the CANCEL reports false. *)
+let test_remote_cancel_times_out () =
+  let r = requester () in
+  submit r 9;
+  cancel_into_log r 9;
+  advance r 10_000;
+  Alcotest.(check int) "the CANCEL went to the server" 1
+    (List.length (heard_by r 0 (function Wire.Cancel_request { tid = 9 } -> Some () | _ -> None)));
+  Alcotest.(check (list string)) "no answer yet" [] !(r.log);
+  advance r 2_000_000;
+  Alcotest.(check (list string)) "CRASHED, then the CANCEL fails" [ "9 crashed"; "cancel false" ]
+    (List.rev !(r.log));
+  Alcotest.(check int) "nothing outstanding" 0 (Transport.outstanding_requests r.client)
+
+(* §3.3.3: a CANCEL issued while the REQUEST is on the wire waits for
+   its ack; an ACCEPT that arrives first wins the race. The CANCEL
+   reports false, never goes out, and the completion is the normal one. *)
+let test_pending_cancel_loses () =
+  let r = requester () in
+  submit ~unacked:true r 10;
+  cancel_into_log r 10;
+  Alcotest.(check (list string)) "the CANCEL waits" [] !(r.log);
+  accept_from r ~from:0 10 ~arg:4;
+  Alcotest.(check (list string)) "the CANCEL fails, then the request completes"
+    [ "cancel false"; "10 accepted" ] (List.rev !(r.log));
+  Alcotest.(check int) "no CANCEL went out" 0
+    (List.length (heard_by r 0 (function Wire.Cancel_request _ -> Some () | _ -> None)))
+
+(* DISCOVER collects the mids that answer within its window: a reply the
+   bus duplicates counts once, and one after the window changes nothing. *)
+let test_discover_replies () =
+  let r = requester () in
+  Transport.submit_discover r.client ~tid:11 ~pattern:patt ~max_mids:4;
+  advance r 5_000;
+  Alcotest.(check int) "both stations heard the broadcast" 2
+    (List.length
+       (List.filter (fun (_, p) -> match p.Wire.body with Wire.Discover _ -> true | _ -> false)
+          !(r.got)));
+  Bus.duplicate_next r.medium;
+  say r ~from:0 (Wire.Discover_reply { tid = 11 });
+  say r ~from:2 (Wire.Discover_reply { tid = 11 });
+  Alcotest.(check int) "outstanding until the window ends" 1
+    (Transport.outstanding_requests r.client);
+  advance r 20_000;
+  Alcotest.(check (list string)) "each mid once, in reply order" [ "11 discovered 0,2" ] !(r.log);
+  say r ~from:2 (Wire.Discover_reply { tid = 11 });
+  Alcotest.(check (list string)) "a late reply changes nothing" [ "11 discovered 0,2" ] !(r.log);
+  Alcotest.(check int) "nothing outstanding" 0 (Transport.outstanding_requests r.client)
+
 (* ---- crash semantics --------------------------------------------------------------- *)
 
 let test_request_to_silent_node_crashes () =
@@ -1045,6 +1228,14 @@ let suites =
         Alcotest.test_case "cancel after the accept" `Quick test_cancel_after_accept;
         Alcotest.test_case "second accept of one request" `Quick test_double_accept;
         Alcotest.test_case "acked blind accept" `Quick test_blind_accept_acked;
+      ] );
+    ( "transport.client",
+      [
+        Alcotest.test_case "accept from a server not addressed" `Quick test_foreign_accept;
+        Alcotest.test_case "resent put data times out" `Quick test_resent_put_data_times_out;
+        Alcotest.test_case "remote cancel times out" `Quick test_remote_cancel_times_out;
+        Alcotest.test_case "pending cancel loses to the accept" `Quick test_pending_cancel_loses;
+        Alcotest.test_case "discover replies" `Quick test_discover_replies;
       ] );
     ( "transport.crash",
       [

@@ -9,6 +9,7 @@
    delivery to the application regardless of what the wire did. *)
 
 open Helpers
+open Window_run
 module Cost = Soda_base.Cost_model
 module Event = Soda_obs.Event
 module Recorder = Soda_obs.Recorder
@@ -106,38 +107,6 @@ let window_events_bounded ~window events =
 
 let max_occupancy kernel = Stats.max_us (Kernel.stats kernel) "net.window_occupancy"
 
-(* One streamed block, client mid 1 -> sink mid 0, under a fault plan.
-   Returns (send result, reassembled blocks, events, client kernel,
-   finish time). The sink rejects any out-of-order chunk, so a transport
-   that delivers out of order fails the send. *)
-let run_stream ?(aimd = true) ~seed ~window ~loss ?plan payload =
-  let cost = { Cost.default with Cost.window; Cost.maxrequests = window + 1; aimd } in
-  let net, kernels = make_net ~seed ~cost ~trace:true 2 in
-  if loss > 0.0 then Soda_net.Bus.set_loss_rate (Network.bus net) loss;
-  let blocks = ref [] in
-  ignore
-    (Sodal.attach (List.nth kernels 0)
-       (Stream.sink ~pattern:patt
-          ~on_block:(fun _ ~src:_ block -> blocks := Bytes.to_string block :: !blocks)
-          ()));
-  let sent = ref None and done_at = ref max_int in
-  ignore
-    (Sodal.attach (List.nth kernels 1)
-       {
-         Sodal.default_spec with
-         task =
-           (fun env ->
-             sent :=
-               Some
-                 (Stream.send env (Sodal.server ~mid:0 ~pattern:patt) ~chunk_bytes:100
-                    (Bytes.of_string payload));
-             done_at := Sodal.now env);
-       });
-  (match plan with Some p -> Injector.install net p | None -> ());
-  ignore (Network.run ~until:300_000_000 net);
-  let events = Recorder.events (Network.recorder net) in
-  (!sent, List.rev !blocks, events, List.nth kernels 1, !done_at)
-
 let payload = String.init 1_200 (fun i -> Char.chr ((i * 7 mod 94) + 33))
 
 (* A clean wide-window run must actually pipeline: several packets in
@@ -190,54 +159,11 @@ let test_window_reorders_parked () =
 
 (* ---- the qcheck property ----------------------------------------------------- *)
 
-type scenario = {
-  seed : int;
-  window : int;
-  loss_pct : int;
-  dup : (int * int) option; (* duplicate the next [n] frames at t *)
-  jitter : int option; (* 0..max_us per-frame delay, from t=0 *)
-}
-
-let gen_scenario st =
-  let open QCheck.Gen in
-  let opt g st = if bool st then Some (g st) else None in
-  {
-    seed = int_bound 9999 st;
-    window = oneofl [ 2; 4; 8 ] st;
-    loss_pct = int_bound 10 st;
-    dup = opt (pair (int_range 0 100_000) (int_range 1 4)) st;
-    jitter = opt (int_range 500 2_500) st;
-  }
-
-let scenario_print s =
-  Printf.sprintf "seed=%d window=%d loss=%d%% dup=%s jitter=%s" s.seed s.window
-    s.loss_pct
-    (match s.dup with Some (at, n) -> Printf.sprintf "%d@%dus" n at | None -> "-")
-    (match s.jitter with Some j -> Printf.sprintf "0..%dus" j | None -> "-")
-
-let plan_of_scenario s =
-  let steps = ref [] in
-  (match s.jitter with
-   | Some max_us ->
-     steps :=
-       { Fault_plan.at_us = 0; action = Fault_plan.Delay_jitter { min_us = 0; max_us } }
-       :: !steps
-   | None -> ());
-  (match s.dup with
-   | Some (at_us, n) ->
-     steps := { Fault_plan.at_us; action = Fault_plan.Duplicate_next n } :: !steps
-   | None -> ());
-  List.sort (fun a b -> compare a.Fault_plan.at_us b.Fault_plan.at_us) !steps
-
 let prop_window_invariants =
   QCheck.Test.make ~name:"window invariants under loss / dup / reorder" ~count:12
     (QCheck.make ~print:scenario_print gen_scenario)
     (fun s ->
-      let sent, blocks, events, client, _ =
-        run_stream ~seed:(s.seed + 1) ~window:s.window
-          ~loss:(float_of_int s.loss_pct /. 100.0)
-          ~plan:(plan_of_scenario s) payload
-      in
+      let sent, blocks, events, client, _ = run_scenario s payload in
       let ok_sent = sent = Some (Ok ()) in
       let ok_blocks = blocks = [ payload ] in
       let ok_occ = max_occupancy client <= s.window in
@@ -336,8 +262,6 @@ let test_cwnd_events_bounded () =
    waits behind a gap in the client's receive window. The sink's wait for
    the data must start when the client acks the ACCEPT: started at the
    ACCEPT, it expired first and every later chunk was rejected. *)
-let long_payload = String.init 30_000 (fun i -> Char.chr ((i * 13 mod 94) + 33))
-
 let test_data_wait_behind_gap () =
   let plan =
     [ { Fault_plan.at_us = 0;

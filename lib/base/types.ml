@@ -34,29 +34,3 @@ let requester_signature_equal a b = a.rq_mid = b.rq_mid && a.rq_tid = b.rq_tid
 
 let pp_requester_signature ppf { rq_mid; rq_tid } =
   Format.fprintf ppf "<%d,#%d>" rq_mid rq_tid
-
-let pp_server_signature ppf { sv_mid; sv_pattern } =
-  (match sv_mid with
-   | Mid m -> Format.fprintf ppf "<%d," m
-   | Broadcast_mid -> Format.fprintf ppf "<*,");
-  Format.fprintf ppf "%a>" Pattern.pp sv_pattern
-
-let pp_accept_status ppf = function
-  | Accept_success -> Format.pp_print_string ppf "SUCCESS"
-  | Accept_cancelled -> Format.pp_print_string ppf "CANCELLED"
-  | Accept_crashed -> Format.pp_print_string ppf "CRASHED"
-
-let pp_completion_status ppf = function
-  | Completed -> Format.pp_print_string ppf "COMPLETED"
-  | Crashed -> Format.pp_print_string ppf "CRASHED"
-  | Unadvertised -> Format.pp_print_string ppf "UNADVERTISED"
-
-let pp_handler_event ppf = function
-  | Request_arrival { requester; pattern; arg; put_size; get_size } ->
-    Format.fprintf ppf "arrival(%a, %a, arg=%d, put=%d, get=%d)"
-      pp_requester_signature requester Pattern.pp pattern arg put_size get_size
-  | Request_completion { requester; status; arg; put_transferred; get_transferred } ->
-    Format.fprintf ppf "completion(%a, %a, arg=%d, put=%d, get=%d)"
-      pp_requester_signature requester pp_completion_status status arg put_transferred
-      get_transferred
-  | Booting { parent } -> Format.fprintf ppf "booting(parent=%d)" parent

@@ -52,7 +52,3 @@ val broadcast : target
 val requester_signature_equal : requester_signature -> requester_signature -> bool
 
 val pp_requester_signature : Format.formatter -> requester_signature -> unit
-val pp_server_signature : Format.formatter -> server_signature -> unit
-val pp_accept_status : Format.formatter -> accept_status -> unit
-val pp_completion_status : Format.formatter -> completion_status -> unit
-val pp_handler_event : Format.formatter -> handler_event -> unit

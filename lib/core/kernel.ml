@@ -165,14 +165,12 @@ let no_client = { invoke_handler = ignore; on_kill = ignore }
 let no_event = Types.Booting { parent = 0 }
 let no_return (_ : Types.accept_status * int) = ()
 
-let always _ _ _ = true
-
 (* An invocation has waited out its context switch. The client it was
    made for may have died meanwhile. *)
 let handler_invoked t =
   let l = t.invocations in
   let client = Delay_line.head_a l and event = Delay_line.head_b l in
-  Delay_line.next l always;
+  Delay_line.next l Delay_line.always;
   match t.client with
   | Some c when c == client -> c.invoke_handler event
   | Some _ | None -> ()
@@ -450,7 +448,7 @@ let accept_return_us = 100
 let accept_returned t =
   let l = t.returns in
   let on_done = Delay_line.head_a l and status = Delay_line.head_b l and len = Delay_line.head_n l in
-  Delay_line.next l always;
+  Delay_line.next l Delay_line.always;
   on_done (status, len)
 
 let classify_unknown_tid t tid =
@@ -535,6 +533,9 @@ let set_boot_program t f = t.boot_program <- Some f
 
 type request_error = Too_many_requests | Request_to_self | Data_too_large | Client_dead
 
+(* The kernel's copy of a client buffer; an empty one is shared. *)
+let copy b = if Bytes.length b = 0 then Bytes.empty else Bytes.copy b
+
 let request t ~server ~arg ~put ~get_buffer =
   if t.client = None || t.crashed then Error Client_dead
   else if Transport.outstanding_requests t.transport >= t.cost.Cost.maxrequests then
@@ -562,7 +563,7 @@ let request t ~server ~arg ~put ~get_buffer =
          buffer until completion anyway (§3.3.2 rule 1). *)
       let copy_us = Cost.data_copy_us t.cost ~bytes:(Bytes.length put) in
       Stats.charge t.protocol_time copy_us;
-      let put = Bytes.copy put in
+      let put = copy put in
       Transport.submit_request t.transport ~dst ~tid ~pattern:server.Types.sv_pattern ~arg
         ~put_data:put ~get_size:(Bytes.length get_buffer);
       Ok tid
@@ -596,7 +597,7 @@ let accept_landed t ~get_buffer ~on_done = function
 
 (* The transport keeps the one closure made here until the ACCEPT ends. *)
 let accept t ~requester ~arg ~get_buffer ~put ~on_done =
-  let data_out = Bytes.copy put in
+  let data_out = copy put in
   Transport.accept t.transport ~requester_mid:requester.Types.rq_mid
     ~requester_tid:requester.Types.rq_tid ~arg ~get_capacity:(Bytes.length get_buffer)
     ~data_out ~on_done:(fun outcome -> accept_landed t ~get_buffer ~on_done outcome)

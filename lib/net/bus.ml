@@ -1,6 +1,7 @@
 module Engine = Soda_sim.Engine
 module Rng = Soda_sim.Rng
 module Stats = Soda_sim.Stats
+module Delay_line = Soda_sim.Delay_line
 module Recorder = Soda_obs.Recorder
 module Event = Soda_obs.Event
 
@@ -34,6 +35,9 @@ type t = {
   mutable order_n : int;
   mutable order_dirty : bool;
   mutable busy_until : int;
+  (* frames on the wire, due at their arrival; [n] = 1 when the frame's
+     pooled buffer is released after this delivery *)
+  arrivals : (Frame.t, unit) Delay_line.t;
   fault_rng : Rng.t;
   stats : Stats.t;
   (* Backing cells of the per-frame stats, fetched once: a frame costs
@@ -58,6 +62,8 @@ type t = {
   mutable seq_window : int option;  (* transport window claimed by the stations *)
 }
 
+let no_frame = { Frame.src = -1; dst = Frame.Broadcast; wire = Bytes.empty; ctx = None }
+
 let create ?(config = default_config) ?obs engine =
   let stats = Stats.create () in
   {
@@ -69,6 +75,7 @@ let create ?(config = default_config) ?obs engine =
     order_n = 0;
     order_dirty = false;
     busy_until = 0;
+    arrivals = Delay_line.create ~tag:"bus" engine ~delay:0 ~fill_a:no_frame ~fill_b:();
     fault_rng = Rng.split (Engine.rng engine);
     stats;
     c_frames_sent = Stats.counter_cell stats "bus.frames_sent";
@@ -269,6 +276,13 @@ let deliver t frame =
       deliver_to t frame mids.(i) rxs.(i)
     done
 
+let arrived t =
+  let l = t.arrivals in
+  let frame = Delay_line.head_a l and release = Delay_line.head_n l = 1 in
+  Delay_line.next l Delay_line.always;
+  deliver t frame;
+  if release then Pool.release t.pool frame.Frame.wire
+
 (* Core transmission path. [release] marks pool-owned wire buffers: the bus
    frees them after the frame's LAST delivery event (the duplicated copy
    strictly trails the original, so releasing with the final event is safe). *)
@@ -305,18 +319,18 @@ let send_frame t ?ctx ~src ~dst ~release wire =
   let arrival = start + tx + t.config.propagation_us + jitter_us - now in
   let dup = t.duplicate_pending > 0 in
   let release_now = release && not dup in
-  Engine.schedule ~tag:"bus" t.engine ~delay:arrival (fun () ->
-      deliver t frame;
-      if release_now then Pool.release t.pool wire);
+  ignore
+    (Delay_line.push_after t.arrivals ~delay:arrival ~fire:arrived t
+       ~n:(Bool.to_int release_now) frame ());
   if dup then begin
     t.duplicate_pending <- t.duplicate_pending - 1;
     Stats.incr t.stats "bus.frames_duplicated";
     (* The copy trails the original by one transmission time plus a small
        random slack: late enough to look like a stale retransmission. *)
     let slack = 1 + Rng.int t.fault_rng (max 1 t.config.propagation_us * 4) in
-    Engine.schedule ~tag:"bus" t.engine ~delay:(arrival + tx + slack) (fun () ->
-        deliver t frame;
-        if release then Pool.release t.pool wire)
+    ignore
+      (Delay_line.push_after t.arrivals ~delay:(arrival + tx + slack) ~fire:arrived t
+         ~n:(Bool.to_int release) frame ())
   end
 
 let send t ?ctx ~src ~dst payload =

@@ -71,6 +71,8 @@ let retire t req =
 
 let set_probe_id req id = req.probe_id <- id
 
+let no_discovery = { d_tid = -1; max_mids = 0; mids = [] }
+
 let discover t ~tid ~max_mids =
   let d = { d_tid = tid; max_mids; mids = [] } in
   t.discoveries <- d :: t.discoveries;

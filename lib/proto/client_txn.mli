@@ -99,6 +99,9 @@ val set_probe_id : req -> int -> unit
 
 type discovery
 
+(** Belongs to no collection: it fills an empty slot. *)
+val no_discovery : discovery
+
 (** [discover t ~tid ~max_mids] starts collecting the mids that answer
     DISCOVER [tid], at most [max_mids] of them. *)
 val discover : t -> tid:int -> max_mids:int -> discovery

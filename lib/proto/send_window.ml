@@ -1,6 +1,7 @@
 module Engine = Soda_sim.Engine
 module Rng = Soda_sim.Rng
 module Stats = Soda_sim.Stats
+module Delay_line = Soda_sim.Delay_line
 module Recorder = Soda_obs.Recorder
 module Event = Soda_obs.Event
 module Bus = Soda_net.Bus
@@ -17,7 +18,7 @@ type msg = {
   kind : kind;
   tid : int;
   body : Wire.body;
-  on_done : outcome -> unit;
+  on_done : int -> int -> outcome -> unit;  (* told the peer and the tid *)
   mutable seq : int;
   mutable run : bool;
       (* launched with nothing outstanding: this slot is the window base and
@@ -40,7 +41,7 @@ type msg = {
 
 (* An empty slot. Its tid is no transaction's. *)
 let no_msg =
-  { kind = K_request; tid = Event.no_tid; body = Wire.Ack; on_done = ignore; seq = 0;
+  { kind = K_request; tid = Event.no_tid; body = Wire.Ack; on_done = (fun _ _ _ -> ()); seq = 0;
     run = false; retries = 0; busy = 0; ready_at = 0; launches = 0; due = 0; rt_id = -1;
     sent_at = 0 }
 
@@ -80,7 +81,7 @@ type env = {
   transmit : int -> seq:int -> run:bool -> Wire.body -> unit;
   hold_ack : int -> unit;
   release_ack : int -> unit;
-  defer : delay:int -> (unit -> unit) -> unit;
+  live : int -> bool;
   unset : Engine.timer;
   shared : shared;
 }
@@ -99,6 +100,9 @@ type t = {
   (* Made on first use; until then the never-armed [env.unset]. *)
   mutable retrans_tm : Engine.timer;
   mutable wake_tm : Engine.timer;  (* queued-send backoff wake-up *)
+  mutable copying : (msg, unit) Delay_line.t option;
+      (* messages whose data is being copied into the output buffer, [n]
+         the launch that copies; made at the first copy *)
   mutable parked_ack : int option;  (* a cumulative ack held back by an unresolved CANCEL slot *)
   (* congestion control (windowed transports with aimd on): effective
      send window = min(cwnd, window); Jacobson estimator state in float
@@ -131,7 +135,7 @@ let aimd_on w = w.env.cost.Cost.aimd && win w > 1
 let create env ~peer =
   { env; peer; base = 0; next = 0; slots = Array.make (Cost.seq_space env.cost) no_msg;
     in_flight = 0; queue = Queue.create (); rt = no_msg; retrans_tm = env.unset;
-    wake_tm = env.unset; parked_ack = None; cwnd = Cost.cwnd_init env.cost; srtt_us = 0.0;
+    wake_tm = env.unset; copying = None; parked_ack = None; cwnd = Cost.cwnd_init env.cost; srtt_us = 0.0;
     rttvar_us = 0.0; cwnd_cut_at = 0; rto_shift = 0 }
 
 (* The bus pins one window per medium (Bus.claim_seq_window), so the
@@ -223,6 +227,12 @@ let cwnd_on_loss w =
 let backoff_exp w m =
   if aimd_on w && m.kind = K_request then max m.retries w.rto_shift else m.retries
 
+(* The line time and data copy of [bytes], for [retrans_delay]. *)
+let tx_time w bytes = Bus.transmission_time_us w.env.bus ~payload_bytes:(bytes + 40)
+let copy_time c bytes = Cost.data_copy_us c ~bytes
+
+(* Floats stay local to this function, where they are unboxed: the
+   jitter is [Rng.float]'s arithmetic on the same draw. *)
 let retrans_delay w m =
   let c = w.env.cost in
   let backoff = c.Cost.retrans_backoff ** float_of_int (backoff_exp w m) in
@@ -233,18 +243,16 @@ let retrans_delay w m =
      retransmits spuriously; the estimator absorbs it. The static formula
      below remains a lower bound, so an adaptive sender never fires
      EARLIER than the fixed-schedule one did. *)
-  let base =
+  let adaptive =
     if aimd_on w && w.srtt_us > 0.0 then
-      Float.max base
-        (float_of_int (Cost.rto_us c ~srtt_us:w.srtt_us ~rttvar_us:w.rttvar_us) *. backoff)
-    else base
+      float_of_int (Cost.rto_us c ~srtt_us:w.srtt_us ~rttvar_us:w.rttvar_us) *. backoff
+    else 0.0
   in
+  let base = if adaptive > base then adaptive else base in
   (* A 2000-byte frame holds the 1 Mbit medium for ~16 ms, and the expected
      acknowledgement path includes the peer's data copies and (for a
      REQUEST) the whole accept turn-around; the timeout must comfortably
      exceed all of it or every large transfer retransmits spuriously. *)
-  let tx bytes = Bus.transmission_time_us w.env.bus ~payload_bytes:(bytes + 40) in
-  let copy bytes = Cost.data_copy_us c ~bytes in
   let turnaround =
     c.Cost.ack_grace_us + c.Cost.accept_trap_us + c.Cost.context_switch_us
     + (4 * c.Cost.packet_protocol_us)
@@ -253,20 +261,21 @@ let retrans_delay w m =
     match m.body with
     | Wire.Request { data; get_size; _ } ->
       let d = Bytes.length data in
-      (2 * tx d) + (2 * copy d) + tx get_size + copy get_size + turnaround
+      (2 * tx_time w d) + (2 * copy_time c d) + tx_time w get_size + copy_time c get_size
+      + turnaround
     | Wire.Accept { data; put_transferred; _ } ->
       (* the ack usually rides the next REQUEST, which carries a comparable
          put payload: allow for its copy and transmission too *)
       let d = Bytes.length data in
-      (2 * tx d) + (2 * copy d) + (2 * copy put_transferred) + tx put_transferred
-      + turnaround
+      (2 * tx_time w d) + (2 * copy_time c d) + (2 * copy_time c put_transferred)
+      + tx_time w put_transferred + turnaround
     | Wire.Put_data { data; _ } ->
       let d = Bytes.length data in
-      (2 * tx d) + (2 * copy d) + turnaround
-    | _ -> 2 * tx 0
+      (2 * tx_time w d) + (2 * copy_time c d) + turnaround
+    | _ -> 2 * tx_time w 0
   in
-  let jitter = Rng.float w.env.rng (base *. 0.25) in
-  int_of_float (base +. jitter) + extra
+  let draw = float_of_int (Rng.bits32 w.env.rng) in
+  int_of_float (base +. (draw /. 4294967296.0 *. (base *. 0.25))) + extra
 
 let busy_delay w m =
   let c = w.env.cost in
@@ -399,10 +408,26 @@ let rec transmit w m =
        ack back while the output buffer is being filled, and release it
        if the emission is called off. *)
     env.hold_ack w.peer;
-    let launch = m.launches in
-    env.defer ~delay:copy_us (fun () ->
-        if m.launches = launch && launched w m then emit w m body else env.release_ack w.peer)
+    let l =
+      match w.copying with
+      | Some l -> l
+      | None ->
+        let l = Delay_line.create ~tag:"proto" env.engine ~delay:0 ~fill_a:no_msg ~fill_b:() in
+        w.copying <- Some l;
+        l
+    in
+    ignore (Delay_line.push_after l ~delay:copy_us ~fire:copied w ~n:m.launches m ())
   end
+
+(* A copy is done: the message goes out unless it was relaunched or
+   resolved meanwhile. Nothing happens for a node reset since. *)
+and copied w =
+  let l = Option.get w.copying in
+  let id = Delay_line.head_id l and m = Delay_line.head_a l and launch = Delay_line.head_n l in
+  Delay_line.next l Delay_line.always;
+  if w.env.live id then
+    if m.launches = launch && launched w m then emit w m (body_for_transmission m)
+    else w.env.release_ack w.peer
 
 and emit w m body =
   m.sent_at <- Engine.now w.env.engine;
@@ -440,7 +465,7 @@ and retrans_fired w =
     let max_retrans = w.env.cost.Cost.max_retrans in
     if aimd_on w && m.kind = K_request then
       w.rto_shift <- min max_retrans (max w.rto_shift (m.retries + 1));
-    if m.retries >= max_retrans then release w m (fun () -> m.on_done Out_timeout)
+    if m.retries >= max_retrans then release w m (fun () -> m.on_done w.peer m.tid Out_timeout)
     else begin
       m.retries <- m.retries + 1;
       transmit w m
@@ -494,7 +519,7 @@ and ack w a =
         if tracing w then
           w.env.event (Event.Acked { tid = m.tid; peer = w.peer; pkt = Wire.pkt m.body });
         ack_wait_sample w m;
-        m.on_done Out_acked
+        m.on_done w.peer m.tid Out_acked
       done;
       s.top <- lo;
       start_next w
@@ -649,7 +674,7 @@ let busy w ~tid requeue =
 let error w ~tid code =
   match find w tid with
   | Some m ->
-    let k () = m.on_done (Out_error code) in
+    let k () = m.on_done w.peer tid (Out_error code) in
     if code = Wire.Err_unadvertised then reject w m k else resolve w m k;
     true
   | None -> false
@@ -657,4 +682,4 @@ let error w ~tid code =
 let cancel_reply w ~tid ok =
   match find ~kind:K_cancel w tid with
   | None -> ()
-  | Some m -> resolve w m (fun () -> m.on_done (Out_cancel_reply ok))
+  | Some m -> resolve w m (fun () -> m.on_done w.peer tid (Out_cancel_reply ok))

@@ -40,8 +40,9 @@ type env = {
       (** a packet to this peer will go out after a data copy: hold back
           the ack owed to it, which that packet will carry *)
   release_ack : int -> unit;  (** that packet was called off *)
-  defer : delay:int -> (unit -> unit) -> unit;
-      (** a one-shot dropped if the node resets meanwhile *)
+  live : int -> bool;
+      (** is an event id taken since the node's last reset? A copy that
+          began before it is dropped when it ends *)
   unset : Soda_sim.Engine.timer;  (** never armed: a timer not yet made *)
   shared : shared;  (** made once per node, from [stats] *)
 }
@@ -58,8 +59,9 @@ val rejection_consumes : Soda_base.Cost_model.t -> bool
 
 (** [send w kind ~tid body on_done] queues a message and launches what
     the window allows. Granted DATA ([K_put_data]) goes ahead of queued
-    requests. *)
-val send : t -> kind -> tid:int -> Wire.body -> (outcome -> unit) -> unit
+    requests. The outcome is reported as [on_done peer tid outcome], so
+    one function made once can serve every message of a kind. *)
+val send : t -> kind -> tid:int -> Wire.body -> (int -> int -> outcome -> unit) -> unit
 
 (** A cumulative ack: the peer consumed every slot up to this one. *)
 val ack : t -> int -> unit

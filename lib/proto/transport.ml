@@ -79,9 +79,9 @@ type t = {
          window, in the order each head was first held: freed input-buffer
          capacity goes to the longest holder *)
   mutable live_from : int;
-      (* the first event id taken since the last reset: an older deferred
-         action or entry of the frame or put-data lines belongs to the
-         previous incarnation and is dropped when it comes due *)
+      (* the first event id taken since the last reset: an older entry of
+         a line below (the probe and GC lines are emptied instead) belongs
+         to the previous incarnation and is dropped when it comes due *)
   unset_tm : Engine.timer;  (* never armed: a connection timer not yet created *)
   window_env : Window.env;
   rx_shared : Rx.shared;
@@ -94,6 +94,20 @@ type t = {
   probe_line : (Cli.req, unit) Delay_line.t;
   gc_line : (Srv.txn, unit) Delay_line.t;
   data_line : (Srv.txn, unit) Delay_line.t;
+  (* the data copies, each entry waiting its own: the requester's put
+     data reaching the server's client, before the ACCEPT in [b] goes out
+     ([n] = 1) or after it arrived late ([n] = 0), and an accepted
+     request's get data reaching ours *)
+  srv_copy_line : (Srv.txn, Wire.body) Delay_line.t;
+  get_copy_line : (Cli.req, unit) Delay_line.t;
+  (* the DISCOVER delays: our collection window ([n] = tid), and, for a
+     DISCOVER we heard ([n] = the asker's mid, [a] = tid), our reply's
+     stagger ([b]) or the end of the record lifetime for which its
+     replays are dropped *)
+  discover_line : (Cli.discovery, unit) Delay_line.t;
+  answer_line : (int, bool) Delay_line.t;
+  (* the outcome of every REQUEST send, made once *)
+  request_sent : int -> int -> Window.outcome -> unit;
   (* Causal identity per live transaction: the requester registers the
      minted context at trap time, the server adopts a child span at
      first sight of a context-carrying packet. Keyed by tid (globally
@@ -165,13 +179,8 @@ let causal_ctx t ~tid = Hashtbl.find_opt t.tid_causal tid
 
 let forget_causal t ~tid = Hashtbl.remove t.tid_causal tid
 
-(* Schedule a variable-delay one-shot that is dropped if the node resets
-   meanwhile. Fixed delays go through a [Delay_line]. *)
-let defer t ~delay fn =
-  let live_from = t.live_from in
-  Engine.schedule ~tag:"proto" t.engine ~delay (fun () -> if t.live_from = live_from then fn ())
-
-let always _ _ _ = true
+(* The head of [l] was pushed by this incarnation. *)
+let head_live t l = Delay_line.head_id l >= t.live_from
 
 (* Charge kernel CPU for one packet event and attribute it (§5.5
    breakdown); the packet waits it out in the tx or rx line. *)
@@ -235,9 +244,9 @@ let conn_for t peer =
 (* A frame has waited out its packet CPU: hand it to the NIC. *)
 let tx_fired t =
   let l = t.tx_line in
-  let live = Delay_line.head_id l >= t.live_from in
+  let live = head_live t l in
   let peer = Delay_line.head_n l and wire = Delay_line.head_a l and ctx = Delay_line.head_b l in
-  Delay_line.next l always;
+  Delay_line.next l Delay_line.always;
   match t.nic with
   | Some nic when live ->
     if peer < 0 then Nic.broadcast_wire nic ?ctx wire else Nic.send_wire nic ?ctx ~dst:peer wire
@@ -366,6 +375,7 @@ let replay_response t conn pkt =
     emit t ~peer:conn.peer ~reliable:false ~seq:0 ~run:false ~ack:(Rx.cum_ack conn.rx)
       (Rx.response conn.rx pkt)
 
+(* [on_done peer tid outcome] reports how the send ended. *)
 let send_reliable t ~peer ~kind ~tid body ~on_done =
   let conn = conn_for t peer in
   arm_expiry t conn;
@@ -448,7 +458,7 @@ let rec mark_delivered t req =
 
 and send_remote_cancel t (req : Cli.req) k =
   send_reliable t ~peer:req.dst ~kind:K_cancel ~tid:req.tid (Wire.Cancel_request { tid = req.tid })
-    ~on_done:(fun outcome ->
+    ~on_done:(fun _ _ outcome ->
       match outcome with
       | Out_cancel_reply true -> cancel_granted t req k
       | Out_timeout ->
@@ -468,22 +478,41 @@ let cancel_unsent t conn (req : Cli.req) on_done =
 (* ---- requester: submitting --------------------------------------------- *)
 
 let submit_request t ~dst ~tid ~pattern ~arg ~put_data ~get_size =
-  let req = Cli.add t.reqs ~tid ~dst ~put:put_data ~get_size ~now:(Engine.now t.engine) in
+  ignore (Cli.add t.reqs ~tid ~dst ~put:put_data ~get_size ~now:(Engine.now t.engine));
   Stats.bump t.hot.req_submitted;
   let put_size = Bytes.length put_data in
   let body = Wire.Request { tid; pattern; arg; put_size; get_size; data = put_data; retry = false } in
-  send_reliable t ~peer:dst ~kind:K_request ~tid body ~on_done:(fun outcome ->
-      match outcome with
-      | Out_acked -> mark_delivered t req
-      | Out_error Wire.Err_unadvertised -> complete t req Unadvertised
-      | _ -> complete t req Crashed)
+  send_reliable t ~peer:dst ~kind:K_request ~tid body ~on_done:t.request_sent
+
+(* How a REQUEST's send ended; a request that completed meanwhile is out
+   of the table, and [Cli.none] changes nothing. *)
+let request_sent t _peer tid (outcome : Window.outcome) =
+  let req = Cli.find t.reqs tid in
+  match outcome with
+  | Out_acked -> mark_delivered t req
+  | Out_error Wire.Err_unadvertised -> complete t req Unadvertised
+  | _ -> complete t req Crashed
+
+(* The collection window closed: report the mids that answered, and
+   close the DISCOVER's span. It took exactly the window. *)
+let discover_fired t =
+  let l = t.discover_line in
+  let live = head_live t l in
+  let tid = Delay_line.head_n l and d = Delay_line.head_a l in
+  Delay_line.next l Delay_line.always;
+  if live then begin
+    let mids = Cli.discovered t.reqs d in
+    Stats.observe t.hot.req_latency_us t.cost.Cost.discover_window_us;
+    if tracing t then event t (Event.Complete { tid; status = Discovered });
+    (callbacks t).complete_request ~tid (Comp_discovered mids);
+    forget_causal t ~tid
+  end
 
 let submit_discover t ~tid ~pattern ~max_mids =
   let d = Cli.discover t.reqs ~tid ~max_mids in
   Stats.incr t.stats "discover.submitted";
   emit_unsequenced t ~peer:(-1) (Wire.Discover { tid; pattern });
-  defer t ~delay:t.cost.Cost.discover_window_us (fun () ->
-      (callbacks t).complete_request ~tid (Comp_discovered (Cli.discovered t.reqs d)))
+  ignore (Delay_line.push t.discover_line ~fire:discover_fired t ~n:tid d ())
 
 (* ---- server: transactions ----------------------------------------------- *)
 
@@ -532,7 +561,7 @@ let stop_data_wait t (txn : Srv.txn) =
 
 let data_fired t =
   let l = t.data_line in
-  let live = Delay_line.head_id l >= t.live_from in
+  let live = head_live t l in
   let txn = Delay_line.head_a l and acked = Delay_line.head_n l = 1 in
   Delay_line.next l data_live;
   Srv.set_data_id txn (-1);
@@ -562,7 +591,7 @@ let accept_blind t ~requester_mid ~requester_tid ~arg ~on_done =
       { tid = requester_tid; arg; put_transferred = 0; need_put_data = false; data = Bytes.empty }
   in
   send_reliable t ~peer:requester_mid ~kind:K_accept ~tid:requester_tid body
-    ~on_done:(fun outcome ->
+    ~on_done:(fun _ _ outcome ->
       match outcome with
       | Out_acked -> on_done Acc_cancelled
       | Out_error Wire.Err_crashed -> on_done (Acc_crashed Bytes.empty)
@@ -584,6 +613,22 @@ let accept_sent t (txn : Srv.txn) (outcome : Window.outcome) =
         (if outcome = Out_error Wire.Err_cancelled then Acc_cancelled else Acc_crashed txn.data)
   | Out_cancel_reply _ -> ()
 
+(* The put data has reached the client: an ACCEPT waiting for it goes
+   out. Its outcome keeps the record, not a lookup: a second copy of the
+   REQUEST may have put a newer record under the same (requester, tid)
+   meanwhile. *)
+let srv_copied t =
+  let l = t.srv_copy_line in
+  let live = head_live t l in
+  let txn = Delay_line.head_a l and send = Delay_line.head_n l = 1 and body = Delay_line.head_b l in
+  Delay_line.next l Delay_line.always;
+  if live then begin
+    if send then
+      send_reliable t ~peer:txn.src ~kind:K_accept ~tid:txn.tid body
+        ~on_done:(fun _ _ outcome -> accept_sent t txn outcome);
+    accept_check_done t txn
+  end
+
 let accept t ~requester_mid ~requester_tid ~arg ~get_capacity ~data_out ~on_done =
   let txn = Srv.find t.srv ~src:requester_mid ~tid:requester_tid in
   if txn == Srv.none then accept_blind t ~requester_mid ~requester_tid ~arg ~on_done
@@ -604,10 +649,7 @@ let accept t ~requester_mid ~requester_tid ~arg ~get_capacity ~data_out ~on_done
           { tid = requester_tid; arg; put_transferred = txn.put_transferred;
             need_put_data = txn.need_data; data = data_out }
       in
-      defer t ~delay:copy_us (fun () ->
-          send_reliable t ~peer:requester_mid ~kind:K_accept ~tid:requester_tid body
-            ~on_done:(fun outcome -> accept_sent t txn outcome);
-          accept_check_done t txn)
+      ignore (Delay_line.push_after t.srv_copy_line ~delay:copy_us ~fire:srv_copied t ~n:1 txn body)
     end
 
 (* ---- cancel -------------------------------------------------------------- *)
@@ -665,6 +707,14 @@ let handle_error t conn tid code =
 
 (* ---- consumed-body handlers ---------------------------------------------- *)
 
+(* The get data has reached the client: the request completes. *)
+let get_copied t =
+  let l = t.get_copy_line in
+  let live = head_live t l in
+  let req = Delay_line.head_a l in
+  Delay_line.next l Delay_line.always;
+  if live then complete t req Accepted
+
 let handle_accept t conn pkt src ~tid ~arg ~put_transferred ~need_put_data data =
   let req = Cli.find t.reqs tid in
   match Cli.accept req ~src ~arg ~put_transferred ~data with
@@ -688,13 +738,13 @@ let handle_accept t conn pkt src ~tid ~arg ~put_transferred ~need_put_data data 
       Stats.incr t.stats "req.data_resend";
       send_reliable t ~peer:src ~kind:K_put_data ~tid
         (Wire.Put_data { tid; data = Wire.truncate req.put put_transferred })
-        ~on_done:(fun outcome ->
+        ~on_done:(fun _ _ outcome ->
           match outcome with
           | Out_acked -> complete t req Accepted
           | _ -> complete t req Crashed)
     end
     else if copy_us = 0 then complete t req Accepted
-    else defer t ~delay:copy_us (fun () -> complete t req Accepted)
+    else ignore (Delay_line.push_after t.get_copy_line ~delay:copy_us ~fire:get_copied t ~n:0 req ())
 
 let handle_put_data t conn ~tid data =
   let txn = Srv.find t.srv ~src:conn.peer ~tid in
@@ -702,7 +752,7 @@ let handle_put_data t conn ~tid data =
     stop_data_wait t txn;
     let copy_us = Cost.data_copy_us t.cost ~bytes:(Bytes.length txn.data) in
     t.hot.t_protocol := !(t.hot.t_protocol) + copy_us;
-    defer t ~delay:copy_us (fun () -> accept_check_done t txn)
+    ignore (Delay_line.push_after t.srv_copy_line ~delay:copy_us ~fire:srv_copied t ~n:0 txn Wire.Ack)
   end
 
 let handle_cancel_request t conn pkt ~tid =
@@ -745,17 +795,27 @@ let handle_probe_reply t tid alive =
     complete t req Crashed
   end
 
+let answer_fired t =
+  let l = t.answer_line in
+  let live = head_live t l in
+  let src = Delay_line.head_n l and tid = Delay_line.head_a l and reply = Delay_line.head_b l in
+  Delay_line.next l Delay_line.always;
+  if live then
+    if reply then emit_unsequenced t ~peer:src (Wire.Discover_reply { tid })
+    else Hashtbl.remove t.seen_discovers (src, tid)
+
+let answer t ~delay src tid reply =
+  ignore (Delay_line.push_after t.answer_line ~delay ~fire:answer_fired t ~n:src tid reply)
+
 let handle_discover t src tid pattern =
   if Hashtbl.mem t.seen_discovers (src, tid) then
     Stats.incr t.stats "discover.duped"
   else begin
     Hashtbl.replace t.seen_discovers (src, tid) ();
-    defer t ~delay:(Cost.record_expiry_us t.cost) (fun () ->
-        Hashtbl.remove t.seen_discovers (src, tid));
+    answer t ~delay:(Cost.record_expiry_us t.cost) src tid false;
     if (callbacks t).advertised pattern then begin
-      let delay = t.cost.Cost.discover_stagger_us * (t.mid + 1) in
       Stats.incr t.stats "discover.matched";
-      defer t ~delay (fun () -> emit_unsequenced t ~peer:src (Wire.Discover_reply { tid }))
+      answer t ~delay:(t.cost.Cost.discover_stagger_us * (t.mid + 1)) src tid true
     end
   end
 
@@ -976,9 +1036,9 @@ let process_packet t ~ctx ~bytes pkt =
 (* A frame has waited out its packet CPU: process it. *)
 let rx_fired t =
   let l = t.rx_line in
-  let live = Delay_line.head_id l >= t.live_from in
+  let live = head_live t l in
   let bytes = Delay_line.head_n l and pkt = Delay_line.head_a l and ctx = Delay_line.head_b l in
-  Delay_line.next l always;
+  Delay_line.next l Delay_line.always;
   if live then process_packet t ~ctx ~bytes pkt
 
 let attach_nic t =
@@ -1065,7 +1125,7 @@ let create ~engine ~bus ~mid ~cost ~recorder =
             (fun peer ~seq ~run body -> emit t ~peer ~reliable:true ~seq ~run ~ack:(-1) body);
           hold_ack = (fun peer -> hold_ack t peer);
           release_ack = (fun peer -> release_ack t peer);
-          defer = (fun ~delay fn -> defer t ~delay fn);
+          live = (fun id -> id >= t.live_from);
           unset;
           shared = Window.shared stats;
         };
@@ -1074,6 +1134,11 @@ let create ~engine ~bus ~mid ~cost ~recorder =
       probe_line = line ~delay:cost.Cost.probe_interval_us ~fill_a:Cli.none ~fill_b:();
       gc_line = line ~delay:lifetime ~fill_a:Srv.none ~fill_b:();
       data_line = line ~delay:lifetime ~fill_a:Srv.none ~fill_b:();
+      srv_copy_line = line ~delay:0 ~fill_a:Srv.none ~fill_b:Wire.Ack;
+      get_copy_line = line ~delay:0 ~fill_a:Cli.none ~fill_b:();
+      discover_line = line ~delay:cost.Cost.discover_window_us ~fill_a:Cli.no_discovery ~fill_b:();
+      answer_line = line ~delay:0 ~fill_a:0 ~fill_b:false;
+      request_sent = (fun peer tid outcome -> request_sent t peer tid outcome);
       tid_causal = Hashtbl.create 16;
       hot;
     }
@@ -1091,10 +1156,11 @@ let reset t =
       Engine.disarm t.engine conn.ack_tm;
       Engine.disarm t.engine conn.expiry_tm)
     t.conns;
-  (* Probes and record GC are withdrawn. Frames and put-data waits already
-     queued still come due, and count as fired events like a one-shot of
-     the old incarnation, but are dropped then: no frame of this
-     incarnation reaches the bus after the reset. *)
+  (* Probes and record GC are withdrawn. The entries of the other lines
+     (frames, put-data waits, data copies, DISCOVER delays) still come
+     due, and count as fired events like a one-shot of the old
+     incarnation, but are dropped then: no frame of this incarnation
+     reaches the bus after the reset. *)
   Delay_line.reset t.probe_line;
   Delay_line.reset t.gc_line;
   t.live_from <- (Engine.counters t.engine).Engine.scheduled;
@@ -1116,7 +1182,8 @@ let outstanding_requests t = Cli.outstanding t.reqs
 let delay_lines t =
   let n = Delay_line.length in
   [ ("tx", n t.tx_line); ("rx", n t.rx_line); ("probe", n t.probe_line); ("gc", n t.gc_line);
-    ("data", n t.data_line) ]
+    ("data", n t.data_line); ("srv_copy", n t.srv_copy_line); ("get_copy", n t.get_copy_line);
+    ("discover", n t.discover_line); ("answer", n t.answer_line) ]
 
 let rtt_estimate_us t ~peer =
   Option.bind (Hashtbl.find_opt t.conns peer) (fun conn -> Window.rtt_estimate_us conn.tx)

@@ -156,9 +156,11 @@ val outstanding_requests : t -> int
     before the first Karn-clean sample (or without a record). *)
 val rtt_estimate_us : t -> peer:int -> (int * int) option
 
-(** Entries waiting in each fixed-delay line, stale ones included:
-    ["tx"] and ["rx"] (frames waiting out their packet CPU), ["probe"],
-    ["gc"] (server-record GC) and ["data"] (put-data waits). For the test
+(** Entries waiting in each delay line, stale ones included: ["tx"] and
+    ["rx"] (frames waiting out their packet CPU), ["probe"], ["gc"]
+    (server-record GC), ["data"] (put-data waits), ["srv_copy"] and
+    ["get_copy"] (data copies), ["discover"] (collection windows) and
+    ["answer"] (DISCOVER replies and replay memory). For the test
     suites. *)
 val delay_lines : t -> (string * int) list
 

@@ -85,40 +85,36 @@ let wdata b p data =
   Bytes.blit data 0 b p len;
   p + len
 
-(* [limit] bounds the readable slice so a packet can be decoded straight
-   out of a larger frame buffer without a [Bytes.sub] of the payload. *)
-type reader = { bytes : bytes; mutable pos : int; limit : int }
+(* Fixed-position readers over [b.[p .. lim - 1]]: a field that would
+   run past [lim] raises [Truncated]. Nothing is allocated but a data
+   field's copy. *)
 
 exception Truncated
 
-let get_u8 r =
-  if r.pos >= r.limit then raise Truncated;
-  let v = Char.code (Bytes.get r.bytes r.pos) in
-  r.pos <- r.pos + 1;
-  v
+(* A field the codec refuses, with its message. *)
+exception Malformed of string
 
-let get_u16 r =
-  let hi = get_u8 r in
-  (hi lsl 8) lor get_u8 r
+let u8 b lim p =
+  if p + 1 > lim then raise Truncated;
+  Char.code (Bytes.get b p)
 
-let get_u32 r =
-  let hi = get_u16 r in
-  (hi lsl 16) lor get_u16 r
+let u16 b lim p =
+  if p + 2 > lim then raise Truncated;
+  (Char.code (Bytes.get b p) lsl 8) lor Char.code (Bytes.get b (p + 1))
 
-let get_i32 r =
-  let v = get_u32 r in
+let u32 b lim p = (u16 b lim p lsl 16) lor u16 b lim (p + 2)
+
+let i32 b lim p =
+  let v = u32 b lim p in
   if v land 0x80000000 <> 0 then v - 0x100000000 else v
 
-let get_u48 r =
-  let hi = get_u16 r in
-  (hi lsl 32) lor get_u32 r
+let u48 b lim p = (u16 b lim p lsl 32) lor u32 b lim (p + 2)
 
-let get_data_field r =
-  let len = get_u32 r in
-  if len < 0 || r.pos + len > r.limit then raise Truncated;
-  let data = Bytes.sub r.bytes r.pos len in
-  r.pos <- r.pos + len;
-  data
+(* A length-prefixed data field at [p]; a zero-length one is [Bytes.empty]. *)
+let data_field b lim p =
+  let len = u32 b lim p in
+  if len < 0 || p + 4 + len > lim then raise Truncated;
+  if len = 0 then Bytes.empty else Bytes.sub b (p + 4) len
 
 (* --- kinds ------------------------------------------------------------ *)
 
@@ -271,19 +267,22 @@ let encode t =
 (* --- decode ----------------------------------------------------------- *)
 
 (* Decode the packet occupying [bytes.[off .. off+len-1]] — the payload
-   view of a frame buffer — without copying the slice first. *)
+   view of a frame buffer — without copying the slice first. Every field
+   sits at a position fixed by the header, so each is read in place; the
+   packet's last byte must be the body's. *)
 let decode_sub bytes ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length bytes then
     Stdlib.Error "bad slice"
   else
+  let b = bytes and lim = off + len in
   try
-    let r = { bytes; pos = off; limit = off + len } in
-    let kind = get_u8 r in
-    let flags = get_u8 r in
-    let src = get_u16 r in
+    let kind = u8 b lim off in
+    let flags = u8 b lim (off + 1) in
+    let src = u16 b lim (off + 2) in
     let reliable = flags land 0x01 <> 0 in
-    let ext = if flags land 0x40 <> 0 then get_u8 r else 0 in
-    let ext2 = if ext land 0x40 <> 0 then get_u8 r else 0 in
+    let ext = if flags land 0x40 <> 0 then u8 b lim (off + 4) else 0 in
+    let ext2 = if ext land 0x40 <> 0 then u8 b lim (off + 5) else 0 in
+    let p = off + 4 + (if flags land 0x40 <> 0 then 1 else 0) + if ext land 0x40 <> 0 then 1 else 0 in
     let seq =
       (if flags land 0x02 <> 0 then 1 else 0)
       lor ((ext land 0x07) lsl 1)
@@ -300,56 +299,49 @@ let decode_sub bytes ~off ~len =
     let retry = flags land 0x10 <> 0 in
     let need_put_data = flags land 0x20 <> 0 in
     let run = flags land 0x80 <> 0 in
-    let body_result =
+    let body =
       match kind with
       | 1 ->
-        let tid = get_u48 r in
-        let pattern = Pattern.of_int (get_u48 r) in
-        let arg = get_i32 r in
-        let put_size = get_u32 r in
-        let get_size = get_u32 r in
-        let data = get_data_field r in
-        Ok (Request { tid; pattern; arg; put_size; get_size; data; retry })
+        let tid = u48 b lim p in
+        let pattern = Pattern.of_int (u48 b lim (p + 6)) in
+        let arg = i32 b lim (p + 12) in
+        let put_size = u32 b lim (p + 16) in
+        let get_size = u32 b lim (p + 20) in
+        Request { tid; pattern; arg; put_size; get_size; data = data_field b lim (p + 24); retry }
       | 2 ->
-        let tid = get_u48 r in
-        let arg = get_i32 r in
-        let put_transferred = get_u32 r in
-        let data = get_data_field r in
-        Ok (Accept { tid; arg; put_transferred; need_put_data; data })
+        let tid = u48 b lim p in
+        let arg = i32 b lim (p + 6) in
+        let put_transferred = u32 b lim (p + 10) in
+        Accept { tid; arg; put_transferred; need_put_data; data = data_field b lim (p + 14) }
       | 3 ->
-        let tid = get_u48 r in
-        let data = get_data_field r in
-        Ok (Put_data { tid; data })
-      | 4 -> Ok Ack
-      | 5 -> Ok (Busy { tid = get_u48 r })
+        let tid = u48 b lim p in
+        Put_data { tid; data = data_field b lim (p + 6) }
+      | 4 -> Ack
+      | 5 -> Busy { tid = u48 b lim p }
       | 6 ->
-        let tid = get_u48 r in
-        (match err_of_int (get_u8 r) with
-         | Ok code -> Ok (Error { tid; code })
-         | Error e -> Error e)
-      | 7 -> Ok (Cancel_request { tid = get_u48 r })
+        let tid = u48 b lim p in
+        (match err_of_int (u8 b lim (p + 6)) with
+         | Ok code -> Error { tid; code }
+         | Error e -> raise (Malformed e))
+      | 7 -> Cancel_request { tid = u48 b lim p }
       | 8 ->
-        let tid = get_u48 r in
-        Ok (Cancel_reply { tid; ok = get_u8 r <> 0 })
-      | 9 -> Ok (Probe { tid = get_u48 r })
+        let tid = u48 b lim p in
+        Cancel_reply { tid; ok = u8 b lim (p + 6) <> 0 }
+      | 9 -> Probe { tid = u48 b lim p }
       | 10 ->
-        let tid = get_u48 r in
-        Ok (Probe_reply { tid; alive = get_u8 r <> 0 })
+        let tid = u48 b lim p in
+        Probe_reply { tid; alive = u8 b lim (p + 6) <> 0 }
       | 11 ->
-        let tid = get_u48 r in
-        let pattern = Pattern.of_int (get_u48 r) in
-        Ok (Discover { tid; pattern })
-      | 12 -> Ok (Discover_reply { tid = get_u48 r })
-      | n -> Error (Printf.sprintf "unknown packet kind %d" n)
+        let tid = u48 b lim p in
+        Discover { tid; pattern = Pattern.of_int (u48 b lim (p + 6)) }
+      | 12 -> Discover_reply { tid = u48 b lim p }
+      | n -> raise (Malformed (Printf.sprintf "unknown packet kind %d" n))
     in
-    match body_result with
-    | Error _ as e -> e
-    | Ok body ->
-      if r.pos <> off + len then Error "trailing bytes"
-      else Ok { src; reliable; seq; ack; run; body }
+    if p + body_size body <> lim then Stdlib.Error "trailing bytes"
+    else Ok { src; reliable; seq; ack; run; body }
   with
   | Truncated -> Error "truncated packet"
-  | Invalid_argument msg -> Error msg
+  | Malformed msg | Invalid_argument msg -> Error msg
 
 let decode bytes = decode_sub bytes ~off:0 ~len:(Bytes.length bytes)
 

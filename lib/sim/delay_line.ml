@@ -1,6 +1,7 @@
 (* A power-of-two circular buffer over five parallel arrays, [first] the
-   head's slot and [len] the number of entries, behind one timer. Arrays
-   start empty, so a line that is never pushed to costs a few words. *)
+   head's slot and [len] the number of entries, kept in (due, id) order
+   behind one timer. Arrays start empty, so a line that is never pushed
+   to costs a few words. *)
 
 type ('a, 'b) t = {
   engine : Engine.t;
@@ -52,11 +53,33 @@ let head_b l = l.b.(head l)
 
 let disarm l = match l.tm with Some tm -> Engine.disarm l.engine tm | None -> ()
 
-let push l ~fire ctx ~n a b =
+(* The position, counted from the head, where an entry due at [due]
+   goes: behind every entry due no later, since those took smaller ids.
+   The entries due later each move one slot towards the tail. The walk
+   starts at the tail, so an entry due last costs one comparison. *)
+let rec place l due k =
+  if k = 0 then 0
+  else
+    let mask = Array.length l.due - 1 in
+    let prev = (l.first + k - 1) land mask in
+    if l.due.(prev) <= due then k
+    else begin
+      let i = (prev + 1) land mask in
+      l.due.(i) <- l.due.(prev);
+      l.id.(i) <- l.id.(prev);
+      l.n.(i) <- l.n.(prev);
+      l.a.(i) <- l.a.(prev);
+      l.b.(i) <- l.b.(prev);
+      place l due (k - 1)
+    end
+
+let push_after l ~delay ~fire ctx ~n a b =
+  if delay < 0 then invalid_arg "Delay_line.push_after: negative delay";
   let id = Engine.reserve l.engine in
-  let due = Engine.now l.engine + l.delay in
+  let due = Engine.now l.engine + delay in
   if l.len = Array.length l.due then grow l;
-  let i = (l.first + l.len) land (Array.length l.due - 1) in
+  let k = place l due l.len in
+  let i = (l.first + k) land (Array.length l.due - 1) in
   l.due.(i) <- due;
   l.id.(i) <- id;
   l.n.(i) <- n;
@@ -71,8 +94,10 @@ let push l ~fire ctx ~n a b =
       l.tm <- Some tm;
       tm
   in
-  if not (Engine.armed tm) then Engine.arm_at l.engine tm ~time:due ~id;
+  if k = 0 || not (Engine.armed tm) then Engine.arm_at l.engine tm ~time:due ~id;
   id
+
+let push l ~fire ctx ~n a b = push_after l ~delay:l.delay ~fire ctx ~n a b
 
 let drop l =
   let i = head l in
@@ -90,6 +115,8 @@ let rec settle l live =
     drop l;
     settle l live
   end
+
+let always _ _ _ = true
 
 let next l live =
   drop l;

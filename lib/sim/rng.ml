@@ -1,8 +1,15 @@
 (* PCG32 (Melissa O'Neill): 64-bit LCG state, 32-bit xorshift-rotate output.
    All arithmetic is on boxed-free native int64 via the Int64 module; the
-   output is truncated to 32 bits and returned as a non-negative int. *)
+   output is truncated to 32 bits and returned as a non-negative int. The
+   state lives in 8 bytes rather than a mutable [int64] field, whose every
+   update would box a fresh 3-word int64: a draw allocates nothing. *)
 
-type t = { mutable state : int64; inc : int64 }
+type t = { state : Bytes.t; inc : int64 }
+
+let make state inc =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_ne b 0 state;
+  { state = b; inc }
 
 let multiplier = 6364136223846793005L
 
@@ -21,12 +28,11 @@ let create ~seed =
   let s1 = splitmix64 s0 in
   (* The increment must be odd. *)
   let inc = Int64.logor (Int64.shift_left s1 1) 1L in
-  let state = next_state (Int64.add s0 inc) inc in
-  { state; inc }
+  make (next_state (Int64.add s0 inc) inc) inc
 
 let bits32 rng =
-  let old = rng.state in
-  rng.state <- next_state old rng.inc;
+  let old = Bytes.get_int64_ne rng.state 0 in
+  Bytes.set_int64_ne rng.state 0 (next_state old rng.inc);
   let xorshifted =
     Int64.to_int
       (Int64.logand
@@ -41,7 +47,7 @@ let split rng =
   let s0 = splitmix64 (Int64.of_int (bits32 rng)) in
   let s1 = splitmix64 (Int64.logxor s0 rng.inc) in
   let inc = Int64.logor (Int64.shift_left s1 1) 1L in
-  { state = next_state (Int64.add s0 inc) inc; inc }
+  make (next_state (Int64.add s0 inc) inc) inc
 
 let int rng bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

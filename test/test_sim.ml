@@ -234,6 +234,65 @@ let prop_ring_fifo =
       done;
       !ok && Delay_line.length l = 0)
 
+(* Entries with delays of their own, zero and tied ones included, pushed
+   between runs of the clock and mixed with [cancel] and [reset], fire at
+   the same (time, id) as one-shots scheduled with the same delays on a
+   twin engine, where a cancelled one-shot fires and does nothing. Each
+   op is a (kind, value) pair: 0-4 push with delay [value], 5-6 run the
+   clock [value] us on, 7 cancel the [value]-th newest live entry, 8
+   cancel the live head, 9 reset. *)
+let prop_per_entry_delays =
+  QCheck.Test.make ~name:"per-entry delays fire like one-shots" ~count:300
+    QCheck.(list (pair (int_bound 9) (int_bound 20)))
+    (fun ops ->
+      let e_line = Engine.create () and e_shot = Engine.create () in
+      let l = Delay_line.create e_line ~delay:0 ~fill_a:(-1) ~fill_b:() in
+      let dead = Hashtbl.create 16 in
+      let live id _ () = not (Hashtbl.mem dead id) in
+      (* the ids pushed and not yet fired or cancelled, newest first *)
+      let pending = ref [] in
+      let line_log = ref [] and shot_log = ref [] in
+      let forget id = pending := List.filter (( <> ) id) !pending in
+      let fire l =
+        let id = Delay_line.head_id l and a = Delay_line.head_a l in
+        Delay_line.next l live;
+        forget id;
+        line_log := (Engine.now e_line, id, a) :: !line_log
+      in
+      let cancel id =
+        Hashtbl.replace dead id ();
+        forget id;
+        Delay_line.cancel l live id
+      in
+      List.iter
+        (fun (kind, v) ->
+          if kind <= 4 then begin
+            let id = Delay_line.push_after l ~delay:v ~fire l ~n:0 v () in
+            let id' = (Engine.counters e_shot).Engine.scheduled in
+            assert (id = id');
+            Engine.schedule e_shot ~delay:v (fun () ->
+                if not (Hashtbl.mem dead id) then shot_log := (Engine.now e_shot, id, v) :: !shot_log);
+            pending := id :: !pending
+          end
+          else if kind <= 6 then begin
+            ignore (Engine.run e_line ~until:(Engine.now e_line + v));
+            ignore (Engine.run e_shot ~until:(Engine.now e_shot + v))
+          end
+          else if kind = 7 then
+            (match List.nth_opt !pending v with Some id -> cancel id | None -> ())
+          else if kind = 8 then begin
+            if Delay_line.length l > 0 then cancel (Delay_line.head_id l)
+          end
+          else begin
+            List.iter (fun id -> Hashtbl.replace dead id ()) !pending;
+            pending := [];
+            Delay_line.reset l
+          end)
+        ops;
+      ignore (Engine.run e_line);
+      ignore (Engine.run e_shot);
+      List.rev !line_log = List.rev !shot_log && Delay_line.length l = 0)
+
 let[@inline never] push_payload l weak =
   let payload = Bytes.make 64 'x' in
   Weak.set weak 0 (Some payload);
@@ -248,30 +307,38 @@ let test_ring_steady_state () =
   Gc.full_major ();
   Alcotest.(check bool) "dropped payload released" false (Weak.check weak 0);
   (* Eight entries wait at any time: each one that comes due is replaced,
-     so the ring wraps around and the timer re-arms on every shot. *)
-  let l = Delay_line.create engine ~delay:1 ~fill_a:Bytes.empty ~fill_b:() in
-  let pushed = ref 0 and fired = ref 0 and limit = ref 100 and entry = Bytes.empty in
-  let rec refill l =
-    incr fired;
-    Delay_line.next l always;
-    if !pushed < !limit then push l
-  and push l =
-    incr pushed;
-    ignore (Delay_line.push l ~fire:refill l ~n:0 entry ())
+     so the ring wraps around and the timer re-arms on every shot. With
+     delays of their own, 1 to 3 us, most entries go in ahead of the
+     tail and some become the head, moving the timer. *)
+  let steady name push_entry =
+    let l = Delay_line.create engine ~delay:1 ~fill_a:Bytes.empty ~fill_b:() in
+    let pushed = ref 0 and fired = ref 0 and limit = ref 100 in
+    let rec refill l =
+      incr fired;
+      Delay_line.next l always;
+      if !pushed < !limit then push l
+    and push l =
+      incr pushed;
+      ignore (push_entry l ~fire:refill !pushed)
+    in
+    let run_to n =
+      limit := n;
+      for _ = 1 to 8 do
+        push l
+      done;
+      ignore (Engine.run engine)
+    in
+    run_to 100;
+    let before = Gc.minor_words () in
+    run_to 10_100;
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check int) (name ^ ": every entry fired") 10_100 !fired;
+    Alcotest.(check bool) (name ^ ": bounded pushes allocate nothing after warm-up") true
+      (words < 8.0)
   in
-  let run_to n =
-    limit := n;
-    for _ = 1 to 8 do
-      push l
-    done;
-    ignore (Engine.run engine)
-  in
-  run_to 100;
-  let before = Gc.minor_words () in
-  run_to 10_100;
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check int) "every entry fired" 10_100 !fired;
-  Alcotest.(check bool) "bounded pushes allocate nothing after warm-up" true (words < 8.0)
+  steady "fixed delay" (fun l ~fire _ -> Delay_line.push l ~fire l ~n:0 Bytes.empty ());
+  steady "own delays" (fun l ~fire i ->
+      Delay_line.push_after l ~delay:(1 + (i * 7 mod 3)) ~fire l ~n:0 Bytes.empty ())
 
 (* ---- rng ------------------------------------------------------------------ *)
 
@@ -736,6 +803,7 @@ let suites =
     ( "sim.ring",
       [
         QCheck_alcotest.to_alcotest prop_ring_fifo;
+        QCheck_alcotest.to_alcotest prop_per_entry_delays;
         Alcotest.test_case "release and steady state" `Quick test_ring_steady_state;
       ] );
     ( "sim.rng",

@@ -596,13 +596,10 @@ let describe = function
   | Comp_crashed -> "crashed"
   | Comp_discovered mids -> "discovered " ^ String.concat "," (List.map string_of_int mids)
 
-let requester () =
+let requester ?(recorder = Recorder.create ()) () =
   let clock = Engine.create ~seed:5 () in
   let medium = Bus.create clock in
-  let client =
-    Transport.create ~engine:clock ~bus:medium ~mid:1 ~cost:Cost.default
-      ~recorder:(Recorder.create ())
-  in
+  let client = Transport.create ~engine:clock ~bus:medium ~mid:1 ~cost:Cost.default ~recorder in
   let got = ref [] and log = ref [] in
   Transport.set_callbacks client
     {
@@ -756,6 +753,37 @@ let test_discover_replies () =
   say r ~from:2 (Wire.Discover_reply { tid = 11 });
   Alcotest.(check (list string)) "a late reply changes nothing" [ "11 discovered 0,2" ] !(r.log);
   Alcotest.(check int) "nothing outstanding" 0 (Transport.outstanding_requests r.client)
+
+(* A traced DISCOVER's span closes when its window does: the requester
+   emits its [complete] event, status Discovered, forgets the span's
+   causal context and samples its latency, as for any other completed
+   request. *)
+let test_discover_completes_span () =
+  let recorder = Recorder.create ~tracing:true () in
+  Recorder.set_causal recorder true;
+  let r = requester ~recorder () in
+  Transport.register_causal r.client ~tid:11 (Option.get (Recorder.mint_root recorder));
+  Transport.submit_discover r.client ~tid:11 ~pattern:patt ~max_mids:4;
+  advance r 5_000;
+  say r ~from:2 (Wire.Discover_reply { tid = 11 });
+  let completes () =
+    List.filter_map
+      (fun (e : Event.t) ->
+        match e.Event.kind with
+        | Event.Complete { tid; status } -> Some (tid, status, e.Event.ctx <> None)
+        | _ -> None)
+      (Recorder.events recorder)
+  in
+  Alcotest.(check int) "no complete event inside the window" 0 (List.length (completes ()));
+  advance r 20_000;
+  Alcotest.(check (list string)) "the DISCOVER completed" [ "11 discovered 2" ] !(r.log);
+  Alcotest.(check bool) "one complete event, Discovered, in the DISCOVER's span" true
+    (completes () = [ (11, Event.Discovered, true) ]);
+  Alcotest.(check bool) "the span's context is forgotten" true
+    (Transport.causal_ctx r.client ~tid:11 = None);
+  Alcotest.(check (pair int int)) "one latency sample, the window" (1, Cost.default.Cost.discover_window_us)
+    (Stats.count (Transport.stats r.client) "req.latency_us",
+     Stats.max_us (Transport.stats r.client) "req.latency_us")
 
 (* ---- crash semantics --------------------------------------------------------------- *)
 
@@ -1153,11 +1181,13 @@ let test_aimd_transparent_loss_free () =
 
 (* Minor words a warm W=1 SIGNAL round trip may allocate, the whole stack
    on both nodes: the client fiber, kernels, transports and bus. It sits
-   just above today's count, 345.0 words, so a list, option, closure or
-   tuple built per packet on this path fails here, and so does a fresh
-   effect handler or closures built per handler invocation (about 397
-   words in all) or a resume closure per fiber suspension (about 631). *)
-let signal_round_trip_budget = 360.0
+   about 10% above today's count, 263.0 words, so a list, option, closure
+   or tuple built per packet on this path fails here, and so do the
+   closures per frame, per copy and per REQUEST outcome of before (about
+   32 words more), a fresh effect handler or closures built per handler
+   invocation (about 52 more) and a resume closure per fiber suspension
+   (about 286 more). *)
+let signal_round_trip_budget = 290.0
 
 let test_signal_round_trip_budget () =
   let net, kernels = make_net ~seed:11 2 in
@@ -1236,6 +1266,7 @@ let suites =
         Alcotest.test_case "remote cancel times out" `Quick test_remote_cancel_times_out;
         Alcotest.test_case "pending cancel loses to the accept" `Quick test_pending_cancel_loses;
         Alcotest.test_case "discover replies" `Quick test_discover_replies;
+        Alcotest.test_case "discover closes its span" `Quick test_discover_completes_span;
       ] );
     ( "transport.crash",
       [

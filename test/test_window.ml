@@ -934,7 +934,7 @@ let bare_window ~window =
       transmit = (fun _ ~seq:_ ~run:_ _ -> ());
       hold_ack = ignore;
       release_ack = ignore;
-      defer = (fun ~delay fn -> Engine.schedule engine ~delay fn);
+      live = (fun _ -> true);
       unset = Engine.timer engine ignore;
       shared = Window.shared stats;
     }
@@ -950,7 +950,8 @@ let put_data tid = Wire.Put_data { tid; data = Bytes.empty }
 let test_ack_walk_allocates_nothing () =
   let w, space = bare_window ~window:4 in
   let sent = ref 0 and acked = ref 0 and words = ref 0 in
-  let on_done _ = incr acked in
+  (* Each outcome names its window's peer. *)
+  let on_done peer _ _ = if peer = 1 then incr acked in
   let send () =
     Window.send w K_put_data ~tid:!sent (put_data !sent) on_done;
     incr sent
@@ -991,7 +992,7 @@ let test_ack_walk_allocates_nothing () =
 let ack_reentrant ~window ~reentry ~uncovered () =
   let w, _ = bare_window ~window in
   let log = ref [] in
-  let note name outcome =
+  let note name _ _ outcome =
     let o =
       match outcome with
       | Window.Out_acked -> "acked"
@@ -1001,8 +1002,8 @@ let ack_reentrant ~window ~reentry ~uncovered () =
     log := (name ^ " " ^ o) :: !log
   in
   let send tid on_done = Window.send w K_put_data ~tid (put_data tid) on_done in
-  send 1 (fun o ->
-      note "A" o;
+  send 1 (fun peer tid o ->
+      note "A" peer tid o;
       match reentry with
       | `Send -> send 4 (note "D")
       | `Cancel -> Window.cancel_reply w ~tid:9 true);

@@ -214,6 +214,55 @@ let prop_wire_roundtrip =
   QCheck.Test.make ~name:"wire codec roundtrips arbitrary packets" ~count:500 arb_packet
     (fun pkt -> roundtrip pkt = pkt)
 
+(* The receive path's decoder, [decode_sub] on a packet inside a larger
+   frame buffer, for every body kind, with the ack present and absent and
+   sequence numbers of the widths W = 1, 8 and 64 use (spaces 2, 16 and
+   256): the packet comes back; each strict prefix is truncated; one byte
+   more is trailing; and the same packet with its data field emptied
+   decodes to the shared [Bytes.empty], allocating nothing for it. *)
+let with_data body data =
+  match body with
+  | Wire.Request r -> Wire.Request { r with data }
+  | Wire.Accept a -> Wire.Accept { a with data }
+  | Wire.Put_data p -> Wire.Put_data { p with data }
+  | body -> body
+
+let gen_window_packet =
+  QCheck.Gen.(
+    fun st ->
+      let space = match int_bound 2 st with 0 -> 2 | 1 -> 16 | _ -> 256 in
+      let body = gen_body st in
+      let ack = if bool st then Some (int_bound (space - 1) st) else None in
+      { Wire.src = int_bound 0xFFFF st; reliable = bool st; seq = int_bound (space - 1) st; ack;
+        run = bool st; body })
+
+let prop_decode_sub_contract =
+  QCheck.Test.make ~name:"decode_sub: roundtrip, prefixes, trailing byte, empty data" ~count:600
+    (QCheck.make ~print:Wire.describe gen_window_packet)
+    (fun pkt ->
+      let off = 5 in
+      let frame p =
+        let size = Wire.encoded_size p in
+        let buf = Bytes.make (off + size + 1) '\x5A' in
+        ignore (Wire.encode_into p buf ~off);
+        (buf, size)
+      in
+      let buf, size = frame pkt in
+      let decode len = Wire.decode_sub buf ~off ~len in
+      let rec prefixes len =
+        len >= size || (decode len = Error "truncated packet" && prefixes (len + 1))
+      in
+      let emptied = { pkt with body = with_data pkt.Wire.body Bytes.empty } in
+      let ebuf, esize = frame emptied in
+      decode size = Ok pkt && prefixes 0
+      && decode (size + 1) = Error "trailing bytes"
+      &&
+      match Wire.decode_sub ebuf ~off ~len:esize with
+      | Ok { body = Request { data; _ } | Accept { data; _ } | Put_data { data; _ }; _ } ->
+        data == Bytes.empty
+      | Ok p -> p = emptied
+      | Error _ -> false)
+
 (* One codec: the zero-copy [encode_into] and the seed's Buffer-based
    encoder (the [Ref_wire] oracle in helpers.ml) produce byte-identical
    frames of exactly [encoded_size], for the full 8-bit seq/ack range. *)
@@ -309,6 +358,7 @@ let suites =
         Alcotest.test_case "garbage rejected" `Quick test_decode_garbage;
         Alcotest.test_case "data accounting" `Quick test_data_bytes;
         QCheck_alcotest.to_alcotest prop_wire_roundtrip;
+        QCheck_alcotest.to_alcotest prop_decode_sub_contract;
         QCheck_alcotest.to_alcotest prop_encoders_agree;
         QCheck_alcotest.to_alcotest prop_kinds_agree;
         QCheck_alcotest.to_alcotest prop_decode_never_crashes;

@@ -24,8 +24,6 @@ type cost = {
   dispatch_us : int;  (** port demultiplexing per delivered message *)
 }
 
-val default_cost : cost
-
 val create_node :
   engine:Soda_sim.Engine.t -> bus:Soda_net.Bus.t -> mid:int -> ?cost:cost -> unit -> node
 

@@ -31,7 +31,6 @@ type action =
 type step = { at_us : int; action : action }
 type t = step list
 
-val action_to_string : action -> string
 val step_to_string : step -> string
 
 (** One line per step, trailing newline. *)

@@ -9,7 +9,3 @@ let dst_matches dst ~mid =
   match dst with
   | To m -> m = mid
   | Broadcast -> true
-
-let pp_dst ppf = function
-  | To m -> Format.fprintf ppf "mid:%d" m
-  | Broadcast -> Format.pp_print_string ppf "broadcast"

@@ -15,5 +15,3 @@ type t = {
 }
 
 val dst_matches : dst -> mid:int -> bool
-
-val pp_dst : Format.formatter -> dst -> unit

@@ -4,23 +4,21 @@ type tag_cost = { tag : string; fired : int; words : int; ns : int }
 
 (* The counters of one source tag: schedules and arms ([count], always
    on) and, while profiling is on, the callbacks fired with the minor
-   words they allocated and the nanoseconds they took. [idx] is the
-   cell's index in the engine's [cells]: a one-shot keeps it beside its
-   value in the heap, so its tag survives queueing. *)
+   words they allocated and the nanoseconds they took. *)
 type tag_cell = {
   tag : string;
-  idx : int;
   mutable count : int;
   mutable fired : int;
   mutable words : int;
   mutable ns : int;
 }
 
-(* A reusable timer: its callback is allocated once, and arming pushes the
-   record itself onto the timer heap. [tm_id] is the id of the armed shot
-   (-1 when disarmed); a popped shot whose id no longer matches was
-   disarmed or re-armed since, and is dropped. [tm_cell] is its tag's
-   counter, resolved when the timer is made ([no_cell] when untagged). *)
+(* A timer: its callback is allocated once, and arming pushes the record
+   itself onto the heap. A one-shot is a timer made by [schedule] and
+   armed once. [tm_id] is the id of the armed shot (-1 when disarmed); a
+   popped shot whose id no longer matches was disarmed or re-armed since,
+   and is dropped. [tm_cell] is its tag's counter, resolved when the
+   timer is made ([no_cell] when untagged). *)
 type timer = {
   tm_fn : unit -> unit;
   tm_cell : tag_cell;
@@ -33,13 +31,9 @@ type t = {
   mutable live : int;
   mutable n_fired : int;
   mutable n_cancelled : int;
-  (* One-shot callbacks ride the heap directly; the heap's tie-break
-     sequence number doubles as the event id, so a schedule allocates no
-     per-event record at all.
-     Timer shots live in a second heap of timer records; ids come from the
-     same counter, so the two heaps interleave in one (time, id) order. *)
-  queue : (unit -> unit) Heap.t;
-  timers : timer Heap.t;
+  (* Every event is a timer shot: the heap's tie-break sequence number is
+     the shot's event id, so shots run in one (time, id) order. *)
+  shots : timer Heap.t;
   root_rng : Rng.t;
   (* Hot-path profiling. The always-on part is integer bumps, plus a scan
      of the few known tags per *tagged* schedule (a timer resolves its
@@ -47,7 +41,7 @@ type t = {
      and, only while profiling is on, around each tagged callback; it
      never feeds back into scheduling, so determinism is untouched. *)
   mutable heap_highwater : int;
-  mutable cells : tag_cell array;  (* one per tag, by [idx]; 0 is [no_cell] *)
+  mutable cells : tag_cell array;  (* one per tag seen *)
   mutable wall_s : float;  (* wall time accrued inside [run] *)
   mutable profile_gc : bool;
   mutable gc_minor_words : float;
@@ -59,9 +53,9 @@ exception Stop
 
 let nothing () = ()
 
-(* The cell of an untagged timer or one-shot, and the tag lookup's miss;
-   nothing is ever counted into it. *)
-let no_cell = { tag = ""; idx = 0; count = 0; fired = 0; words = 0; ns = 0 }
+(* The cell of an untagged timer, and the tag lookup's miss; nothing is
+   ever counted into it. *)
+let no_cell = { tag = ""; count = 0; fired = 0; words = 0; ns = 0 }
 
 let no_timer = { tm_fn = nothing; tm_cell = no_cell; tm_id = -1 }
 
@@ -72,11 +66,10 @@ let create ?(seed = 42) () =
     live = 0;
     n_fired = 0;
     n_cancelled = 0;
-    queue = Heap.create ~filler:nothing;
-    timers = Heap.create ~filler:no_timer;
+    shots = Heap.create ~filler:no_timer;
     root_rng = Rng.create ~seed;
     heap_highwater = 0;
-    cells = [| no_cell |];
+    cells = [||];
     wall_s = 0.0;
     profile_gc = false;
     gc_minor_words = 0.0;
@@ -97,39 +90,22 @@ let rec find_cell cells tag i =
   else find_cell cells tag (i + 1)
 
 let tag_cell t tag =
-  let c = find_cell t.cells tag 1 in
+  let c = find_cell t.cells tag 0 in
   if c != no_cell then c
   else begin
-    let c = { tag; idx = Array.length t.cells; count = 0; fired = 0; words = 0; ns = 0 } in
+    let c = { tag; count = 0; fired = 0; words = 0; ns = 0 } in
     t.cells <- Array.append t.cells [| c |];
     c
   end
 
 let note_depth t =
-  let depth = Heap.length t.queue + Heap.length t.timers in
+  let depth = Heap.length t.shots in
   if depth > t.heap_highwater then t.heap_highwater <- depth
 
 let reserve t =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   seq
-
-let schedule ?tag t ~delay fn =
-  if delay < 0 then invalid_arg "Engine.schedule: negative delay";
-  let seq = reserve t in
-  t.live <- t.live + 1;
-  let c =
-    match tag with
-    | None -> no_cell
-    | Some tag ->
-      let c = tag_cell t tag in
-      c.count <- c.count + 1;
-      c
-  in
-  Heap.push_tagged t.queue ~key:(t.clock + delay) ~seq ~tag:c.idx fn;
-  note_depth t
-
-(* ---- reusable timers ---------------------------------------------------- *)
 
 let timer ?tag t fn =
   let tm_cell = match tag with None -> no_cell | Some tag -> tag_cell t tag in
@@ -144,13 +120,18 @@ let arm_at t tm ~time ~id =
     tm.tm_id <- id;
     let c = tm.tm_cell in
     if c != no_cell then c.count <- c.count + 1;
-    Heap.push t.timers ~key:time ~seq:id tm;
+    Heap.push t.shots ~key:time ~seq:id tm;
     note_depth t
   end
 
 let arm t tm ~delay =
   if delay < 0 then invalid_arg "Engine.arm: negative delay";
   arm_at t tm ~time:(t.clock + delay) ~id:(reserve t)
+
+(* A one-shot is a fresh timer armed once: one 4-word record. *)
+let schedule ?tag t ~delay fn =
+  if delay < 0 then invalid_arg "Engine.schedule: negative delay";
+  arm_at t (timer ?tag t fn) ~time:(t.clock + delay) ~id:(reserve t)
 
 let disarm t tm =
   if tm.tm_id >= 0 then begin
@@ -232,25 +213,19 @@ let[@inline never] profiled c fn =
     c.ns <- c.ns + Int64.to_int (Int64.sub (Monotonic_clock.now ()) ns0)
   end
 
-(* Pop the lesser (time, id) of the two heap heads. A timer shot that is
-   no longer its timer's armed one is dropped the way a cancelled event
-   was: the clock does not move and nothing counts as fired. *)
+(* Pop the least (time, id) shot. One that is no longer its timer's
+   armed shot is dropped the way a cancelled event was: the clock does
+   not move and nothing counts as fired. *)
 let step t ~until =
-  let q = t.queue and tq = t.timers in
-  let from_timers =
-    (not (Heap.is_empty tq))
-    && (Heap.is_empty q
-       ||
-       let k = Heap.min_key q and kt = Heap.min_key tq in
-       kt < k || (kt = k && Heap.min_seq tq < Heap.min_seq q))
-  in
-  if from_timers then begin
-    let time = Heap.min_key tq in
+  let q = t.shots in
+  if Heap.is_empty q then false
+  else begin
+    let time = Heap.min_key q in
     if time > until then false
     else begin
-      let id = Heap.min_seq tq in
-      let tm = Heap.min_value tq in
-      Heap.drop_min tq;
+      let id = Heap.min_seq q in
+      let tm = Heap.min_value q in
+      Heap.drop_min q;
       if tm.tm_id = id then begin
         tm.tm_id <- -1;
         t.clock <- time;
@@ -258,21 +233,6 @@ let step t ~until =
         t.n_fired <- t.n_fired + 1;
         if t.profile_gc then profiled tm.tm_cell tm.tm_fn else tm.tm_fn ()
       end;
-      true
-    end
-  end
-  else if Heap.is_empty q then false
-  else begin
-    let time = Heap.min_key q in
-    if time > until then false
-    else begin
-      let fn = Heap.min_value q in
-      let tag = Heap.min_tag q in
-      Heap.drop_min q;
-      t.clock <- time;
-      t.live <- t.live - 1;
-      t.n_fired <- t.n_fired + 1;
-      if t.profile_gc then profiled t.cells.(tag) fn else fn ();
       true
     end
   end

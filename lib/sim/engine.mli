@@ -21,18 +21,19 @@ val rng : t -> Rng.t
     [tag] attributes the callback to a subsystem ("kernel", "bus", ...)
     in the per-tag profiling counters. A tagged schedule finds its
     counter by a scan over the few tags seen so far, comparing by
-    content; it hashes and allocates nothing. Untagged schedules cost
-    nothing extra. A scheduled one-shot cannot be withdrawn: a callback
-    that may need to be called off is a {!timer}. *)
+    content; it hashes nothing. A schedule is a fresh {!timer} armed
+    once, so it allocates one 4-word record and its tag counts as an
+    arm does. A scheduled one-shot cannot be withdrawn: a callback that
+    may need to be called off is a {!timer}. *)
 val schedule : ?tag:string -> t -> delay:int -> (unit -> unit) -> unit
 
 (** {2 Reusable timers}
 
     A timer is a callback allocated once and fired any number of times.
     It has at most one armed shot; arming, re-arming and disarming it
-    allocate nothing. Every shot carries an event id from the same
-    counter as {!schedule}, and shots and one-shots run in one order:
-    by time, then by id. *)
+    allocate nothing. Every shot, a one-shot's included, carries an event
+    id from one counter and waits in one heap; shots run by time, then by
+    id. *)
 type timer
 
 (** [timer ?tag t f] is a disarmed timer that runs [f] when a shot fires.
@@ -85,9 +86,8 @@ val counters : t -> counters
     only under {!set_profile_gc}; no reading feeds a scheduling
     decision. *)
 
-(** Most entries the one-shot and timer heaps have ever held together
-    (includes withdrawn timer shots not yet popped, i.e. real memory
-    pressure). *)
+(** Most entries the event heap has ever held (includes withdrawn timer
+    shots not yet popped, i.e. real memory pressure). *)
 val heap_highwater : t -> int
 
 (** Wall-clock seconds accrued inside [run]/[run_for] calls. *)

@@ -4,10 +4,9 @@
    every scheduled callback passes through one push and one pop. Each heap
    position holds its (key, seq) pair and the index of a value slot, in
    three int arrays; the values themselves sit still in a fourth array,
-   written once at [push] and once more, with the filler, at [drop_min],
-   beside an int array of per-value tags.
+   written once at [push] and once more, with the filler, at [drop_min].
    Sifting therefore moves ints only and stores no pointer into the
-   major-heap value array, where every store of a young closure pays a
+   major-heap value array, where every store of a young value pays a
    [caml_modify] write barrier; moving values with their keys would pay
    two per level, and that cost dominated an event (see
    docs/PERFORMANCE.md). Sifts move a hole rather than swap, so each
@@ -24,7 +23,6 @@ type 'a t = {
   mutable seqs : int array;  (* by position *)
   mutable slots : int array;  (* by position: the value slot *)
   mutable vals : 'a array;  (* by slot *)
-  mutable tags : int array;  (* by slot: the caller's int beside the value *)
   mutable size : int;
   filler : 'a;  (* held by every free slot, so a popped value is not pinned *)
 }
@@ -32,7 +30,7 @@ type 'a t = {
 let initial_capacity = 64
 
 let create ~filler =
-  { keys = [||]; seqs = [||]; slots = [||]; vals = [||]; tags = [||]; size = 0; filler }
+  { keys = [||]; seqs = [||]; slots = [||]; vals = [||]; size = 0; filler }
 
 let length heap = heap.size
 
@@ -47,17 +45,14 @@ let grow heap =
   let seqs = Array.make next 0 in
   let slots = Array.init next Fun.id in
   let vals = Array.make next heap.filler in
-  let tags = Array.make next 0 in
   Array.blit heap.keys 0 keys 0 capacity;
   Array.blit heap.seqs 0 seqs 0 capacity;
   Array.blit heap.slots 0 slots 0 capacity;
   Array.blit heap.vals 0 vals 0 capacity;
-  Array.blit heap.tags 0 tags 0 capacity;
   heap.keys <- keys;
   heap.seqs <- seqs;
   heap.slots <- slots;
-  heap.vals <- vals;
-  heap.tags <- tags
+  heap.vals <- vals
 
 (* Move the hole at [i] up past every parent greater than (key, seq), then
    fill it. *)
@@ -110,16 +105,13 @@ let rec sift_down (keys : int array) (seqs : int array) (slots : int array) size
     slots.(i) <- slot
   end
 
-let push_tagged heap ~key ~seq ~tag value =
+let push heap ~key ~seq value =
   if heap.size = Array.length heap.slots then grow heap;
   let i = heap.size in
   let slot = heap.slots.(i) in
   heap.vals.(slot) <- value;
-  heap.tags.(slot) <- tag;
   heap.size <- i + 1;
   sift_up heap.keys heap.seqs heap.slots i ~key ~seq ~slot
-
-let push heap ~key ~seq value = push_tagged heap ~key ~seq ~tag:0 value
 
 let min_key heap =
   if heap.size = 0 then invalid_arg "Heap.min_key: empty heap";
@@ -132,10 +124,6 @@ let min_seq heap =
 let min_value heap =
   if heap.size = 0 then invalid_arg "Heap.min_value: empty heap";
   heap.vals.(heap.slots.(0))
-
-let min_tag heap =
-  if heap.size = 0 then invalid_arg "Heap.min_tag: empty heap";
-  heap.tags.(heap.slots.(0))
 
 let drop_min heap =
   if heap.size = 0 then invalid_arg "Heap.drop_min: empty heap";

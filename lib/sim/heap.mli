@@ -23,24 +23,18 @@ val length : 'a t -> int
 val is_empty : 'a t -> bool
 
 (** [push heap ~key ~seq value] inserts [value] with priority
-    [(key, seq)] and tag 0. *)
+    [(key, seq)]. *)
 val push : 'a t -> key:int -> seq:int -> 'a -> unit
-
-(** [push_tagged heap ~key ~seq ~tag value] is [push], keeping the int
-    [tag] beside [value] until it is dropped. *)
-val push_tagged : 'a t -> key:int -> seq:int -> tag:int -> 'a -> unit
 
 (** {2 Allocation-free draining}
 
     The accessors below are the event loop's interface: check
-    {!is_empty}, read the minimum with [min_key]/[min_seq]/[min_value]/
-    [min_tag], then [drop_min]. All raise [Invalid_argument] on an empty
-    heap. *)
+    {!is_empty}, read the minimum with [min_key]/[min_seq]/[min_value],
+    then [drop_min]. All raise [Invalid_argument] on an empty heap. *)
 
 val min_key : 'a t -> int
 val min_seq : 'a t -> int
 val min_value : 'a t -> 'a
-val min_tag : 'a t -> int
 val drop_min : 'a t -> unit
 
 (** {2 Allocating conveniences} *)

@@ -49,15 +49,16 @@ let split rng =
   let inc = Int64.logor (Int64.shift_left s1 1) 1L in
   make (next_state (Int64.add s0 inc) inc) inc
 
+(* Rejection sampling to avoid modulo bias. A top-level function: a
+   local closure over [rng], [bound] and [limit] would allocate on every
+   call. *)
+let rec draw rng bound limit =
+  let v = bits32 rng in
+  if v <= limit then v mod bound else draw rng bound limit
+
 let int rng bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias. *)
-  let limit = 0xFFFFFFFF - (0x100000000 mod bound) in
-  let rec draw () =
-    let v = bits32 rng in
-    if v <= limit then v mod bound else draw ()
-  in
-  draw ()
+  draw rng bound (0xFFFFFFFF - (0x100000000 mod bound))
 
 let float rng bound = float_of_int (bits32 rng) /. 4294967296.0 *. bound
 

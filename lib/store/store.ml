@@ -205,8 +205,6 @@ let resolve_attempts = 20
 
 type error = No_quorum
 
-let quorum t = t.q
-
 let recorder env = Kernel.recorder (Sodal.kernel env)
 
 (* Store events are stamped with the ambient operation span (set by

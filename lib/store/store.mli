@@ -97,8 +97,6 @@ val connect :
   unit ->
   (t, Soda_facilities.Nameserver.error) result
 
-val quorum : t -> int
-
 (** The longest value [write] and [cas] accept, in bytes (512): a query
     reply must fit its fixed-size buffer. *)
 val max_value : int

@@ -126,9 +126,10 @@ let prop_heap_matches_reference =
       !same && R.length r = 0)
 
 (* Warm structures allocate nothing: push/drop_min on a heap that holds
-   2,000 entries, arming and disarming a tagged timer (its tag was
-   resolved when it was made; its heap grew in the warm-up), and tagged
-   one-shot schedules, whose tag lookup must not make a closure. *)
+   2,000 entries, and arming and disarming a tagged timer (its tag was
+   resolved when it was made; its heap grew in the warm-up). A tagged
+   one-shot schedule allocates its shot record, 4 words, and nothing
+   more: its tag lookup must not make a closure or an option. *)
 let test_steady_state_allocates_nothing () =
   let nothing () = () in
   let h = Heap.create ~filler:nothing in
@@ -171,7 +172,11 @@ let test_steady_state_allocates_nothing () =
   ignore (Engine.run e);
   Alcotest.(check (list (pair string int)))
     "every arm and schedule counted" [ ("once", 20_000); ("tick", 20_000) ] (Engine.tag_counts e);
-  Alcotest.(check bool) "10,000 tagged schedules allocate nothing" true (words < 16.0)
+  Alcotest.(check bool)
+    (Printf.sprintf "10,000 tagged schedules allocate only their 4-word records (%.0f words)"
+       words)
+    true
+    (words >= 40_000.0 && words < 40_016.0)
 
 let prop_heap_sorted =
   QCheck.Test.make ~name:"heap pops keys in nondecreasing order" ~count:200
@@ -364,6 +369,37 @@ let test_rng_bounds () =
   done;
   Alcotest.check_raises "bound must be positive"
     (Invalid_argument "Rng.int: bound must be positive") (fun () -> ignore (Rng.int rng 0))
+
+(* [Rng.int] allocates nothing on a warm generator, and draws what it
+   drew when its rejection loop was a local closure. The last bound,
+   2^31 + 1, rejects almost half of all 32-bit draws: its second draw
+   here rejects two. *)
+let test_rng_int_draws () =
+  let rng = Rng.create ~seed:2024 in
+  List.iter
+    (fun (bound, want) ->
+      let got = List.init 4 (fun _ -> Rng.int rng bound) in
+      Alcotest.(check (list int)) (Printf.sprintf "first draws below %d" bound) want got)
+    [
+      (3, [ 2; 0; 0; 1 ]);
+      (10, [ 1; 3; 0; 4 ]);
+      (1_000, [ 231; 320; 710; 453 ]);
+      (1_000_003, [ 239_903; 667_819; 502_017; 673_892 ]);
+      (0x80000001, [ 754_080_675; 1_689_383_720; 1_108_032_779; 914_398_972 ]);
+    ];
+  let sink = ref 0 in
+  let draw_all n =
+    for _ = 1 to n do
+      sink := !sink + Rng.int rng 0x80000001 + Rng.int rng 1_000
+    done
+  in
+  draw_all 1_000;
+  let before = Gc.minor_words () in
+  draw_all 10_000;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "20,000 draws allocate nothing (%.0f words)" words)
+    true (words < 16.0)
 
 let test_rng_split_independent () =
   let a = Rng.create ~seed:9 in
@@ -736,7 +772,7 @@ let test_engine_profiling () =
 
 
 (* With profiling on, each tagged callback is charged to its tag, one-shots
-   (whose tag waits beside them in the heap) and timers alike: the runs,
+   (whose shot record holds their tag's counter) and timers alike: the runs,
    and the minor words they allocate, exactly. The measurement allocates
    nothing of its own, so a callback that allocates nothing costs 0
    words; untagged callbacks are not charged. With profiling off nothing
@@ -814,6 +850,7 @@ let suites =
         Alcotest.test_case "split independence" `Quick test_rng_split_independent;
         Alcotest.test_case "uniformity" `Quick test_rng_uniformity;
         QCheck_alcotest.to_alcotest prop_rng_chance_extremes;
+        Alcotest.test_case "int draws allocate nothing" `Quick test_rng_int_draws;
       ] );
     ( "sim.engine",
       [

@@ -178,16 +178,20 @@ let run cfg =
     let u = Rng.float rng 1.0 in
     max 1 (int_of_float (-.float_of_int cfg.mean_interarrival_us *. log (1.0 -. u)))
   in
-  let rec arrive src () =
+  (* One timer per source, re-armed at each arrival: an arrival
+     allocates no callback and no shot. *)
+  let timers = ref [||] in
+  let arrive src =
     if !offered < cfg.requests then begin
       arrival src;
       if !offered < cfg.requests then
-        Engine.schedule ~tag:"client" engine ~delay:(next_delay rngs.(src)) (arrive src)
+        Engine.arm engine !timers.(src) ~delay:(next_delay rngs.(src))
     end
   in
+  timers :=
+    Array.init cfg.nodes (fun src -> Engine.timer ~tag:"client" engine (fun () -> arrive src));
   for i = 0 to cfg.nodes - 1 do
-    Engine.schedule ~tag:"client" engine ~delay:(start_us + next_delay rngs.(i))
-      (arrive i)
+    Engine.arm engine !timers.(i) ~delay:(start_us + next_delay rngs.(i))
   done;
   if cfg.profile_gc then Engine.set_profile_gc engine true;
   (* Horizon: generous multiple of the expected arrival span plus drain

@@ -50,6 +50,7 @@ and extra = {
 let none = { Wire.src = -1; reliable = false; seq = 0; ack = None; run = false; body = Wire.Ack }
 let no_extra = { pkts = [||]; resps = [||]; stashed = 0; held = none; retries = 0 }
 let create sh = { sh; base = -1; ids = Array.make sh.space 0; x = no_extra }
+let nobody sh = { sh; base = -1; ids = [||]; x = no_extra }
 
 let extra w =
   if w.x == no_extra then
@@ -163,6 +164,14 @@ let hold w pkt =
   fresh
 
 let release w = w.x.held <- none
+
+let holding w = w.x.held != none
+
+let reuse w =
+  if active w || holding w then invalid_arg "Recv_window.reuse: a packet is stashed or held";
+  w.base <- -1;
+  Array.fill w.ids 0 w.sh.space 0;
+  w.x <- no_extra
 
 let held_retry w pkt =
   let x = w.x in

@@ -41,6 +41,10 @@ type t
 (** A window before its first packet: no base, nothing stashed or held. *)
 val create : shared -> t
 
+(** A window of no peer: it has no slots, and no packet may be given to
+    it. A filler for arrays of windows. *)
+val nobody : shared -> t
+
 (** No packet: what [head] returns when nothing is in order. *)
 val none : Wire.t
 
@@ -100,6 +104,16 @@ val hold : t -> Wire.t -> bool
 
 (** The connection left the queue of held connections. *)
 val release : t -> unit
+
+(** A REQUEST is held: the connection waits in the queue of held
+    connections until [release]. *)
+val holding : t -> bool
+
+(** [reuse w] makes [w], with nothing stashed or held, exactly what
+    [create] gives: no base, no consume records, no stored responses.
+    The window is then another peer's. It allocates nothing.
+    @raise Invalid_argument when a packet is stashed or held. *)
+val reuse : t -> unit
 
 (** [held_retry w pkt]: a retransmission of the held head [pkt] was
     swallowed. True once the count reaches [max_retrans - 2] (at least

@@ -28,11 +28,9 @@ type msg = {
   mutable busy : int;  (* BUSYs received *)
   mutable ready_at : int;  (* earliest launch (BUSY backoff); 0 = at once *)
   mutable launches : int;
-  mutable due : int;  (* retransmission deadline, while [rt_id >= 0] *)
   mutable rt_id : int;
-      (* the deadline's reserved event id; -1 = no deadline. The window's
-         one retransmission timer is armed at the earliest (deadline, id)
-         among its launched messages *)
+      (* the id of the retransmission deadline's entry in the node's
+         [waits] line; -1 = no deadline *)
   mutable sent_at : int;
       (* virtual time of the most recent emission; 0 = never sent. Feeds
          the RTT estimator only when the message was emitted exactly once
@@ -42,8 +40,12 @@ type msg = {
 (* An empty slot. Its tid is no transaction's. *)
 let no_msg =
   { kind = K_request; tid = Event.no_tid; body = Wire.Ack; on_done = (fun _ _ _ -> ()); seq = 0;
-    run = false; retries = 0; busy = 0; ready_at = 0; launches = 0; due = 0; rt_id = -1;
+    run = false; retries = 0; busy = 0; ready_at = 0; launches = 0; rt_id = -1;
     sent_at = 0 }
+
+(* The message of an owed ack's hold in [waits], told from [no_msg] by
+   identity; never sent. *)
+let ack_hold = { no_msg with seq = -1 }
 
 (* What the windows of one node share. [acked] is the ack walk's
    scratch, used as a stack: a walk pushes the messages it covers from
@@ -61,16 +63,26 @@ type shared = {
   cwnd_pkts : Stats.sample_slot;
   ack_wait_us : Stats.sample_slot;
   t_protocol : int ref;
+  mutable lines : lines option;
+      (* made at their first use: the lines' filler is a window of no
+         peer, and a window needs the node's [env] *)
 }
 
-let shared stats =
-  { acked = [| no_msg |]; top = 0;
-    window_occupancy = Stats.sample_slot stats "net.window_occupancy";
-    rtt_us = Stats.sample_slot stats "net.rtt_us"; cwnd_pkts = Stats.sample_slot stats "net.cwnd";
-    ack_wait_us = Stats.sample_slot stats "accept.ack_wait_us";
-    t_protocol = Stats.time_ref stats (Cost.label Cost.Protocol) }
-
-type env = {
+(* Every timed wait of the node's windows, one entry each. [waits] holds
+   the short ones: a launched message's retransmission deadline ([a] the
+   message, live while its [rt_id] is the entry's id), a window's
+   BUSY-backoff wake ([a] = [no_msg], live while the window's [wake_id]
+   is) and the hold of the ack it owes ([a] = [ack_hold], live while its
+   [ack_id] is). [copy] holds the data copies into the output buffer
+   ([n] the launch that copies; every copy entry fires). No window holds
+   a timer of its own. *)
+and lines = {
+  waits : (msg, t) Delay_line.t;
+  copy : (msg, t) Delay_line.t;
+  nobody : t;  (* the lines' filler: a window of no peer, with no slots *)
+  cwnd_init : float;  (* a fresh window's cwnd *)
+}
+and env = {
   engine : Engine.t;
   bus : Bus.t;
   cost : Cost.t;
@@ -79,16 +91,14 @@ type env = {
   recorder : Recorder.t;
   event : Event.kind -> unit;
   transmit : int -> seq:int -> run:bool -> Wire.body -> unit;
-  hold_ack : int -> unit;
-  release_ack : int -> unit;
+  ack_due : int -> unit;
   live : int -> bool;
-  unset : Engine.timer;
   shared : shared;
 }
 
-type t = {
+and t = {
   env : env;
-  peer : int;
+  mutable peer : int;
   (* [base] is the oldest unacknowledged slot, [next] the next slot to
      assign; at most [Cost.transport_window] apart *)
   mutable base : int;
@@ -96,13 +106,12 @@ type t = {
   slots : msg array;  (* per sequence number: its launched message, or [no_msg] *)
   mutable in_flight : int;  (* launched messages in [slots] *)
   queue : msg Queue.t;
-  mutable rt : msg;  (* the message [retrans_tm] is armed for; [no_msg] = disarmed *)
-  (* Made on first use; until then the never-armed [env.unset]. *)
-  mutable retrans_tm : Engine.timer;
-  mutable wake_tm : Engine.timer;  (* queued-send backoff wake-up *)
-  mutable copying : (msg, unit) Delay_line.t option;
-      (* messages whose data is being copied into the output buffer, [n]
-         the launch that copies; made at the first copy *)
+  mutable wake_id : int;  (* the BUSY-backoff wake's entry in [waits]; -1 = none *)
+  mutable copies : int;  (* this window's entries in [copy] *)
+  mutable ack_owed : int;
+      (* the cumulative ack the peer is owed, for the next packet to it to
+         carry; -1 = none *)
+  mutable ack_id : int;  (* the owed ack's hold in [waits]; -1 = none, or held back *)
   mutable parked_ack : int option;  (* a cumulative ack held back by an unresolved CANCEL slot *)
   (* congestion control (windowed transports with aimd on): effective
      send window = min(cwnd, window); Jacobson estimator state in float
@@ -119,6 +128,13 @@ type t = {
          clean RTT sample, capped at max_retrans *)
 }
 
+let shared stats =
+  { acked = [| no_msg |]; top = 0;
+    window_occupancy = Stats.sample_slot stats "net.window_occupancy";
+    rtt_us = Stats.sample_slot stats "net.rtt_us"; cwnd_pkts = Stats.sample_slot stats "net.cwnd";
+    ack_wait_us = Stats.sample_slot stats "accept.ack_wait_us";
+    t_protocol = Stats.time_ref stats (Cost.label Cost.Protocol); lines = None }
+
 (* At window 1 the sequence space collapses to {0,1} and every computation
    below reduces to the seed's alternating-bit flip, bit for bit. *)
 let win w = Cost.transport_window w.env.cost
@@ -132,11 +148,28 @@ let rejection_consumes cost = Cost.transport_window cost > 1
    the seed's alternating bit, AIMD knob or not. *)
 let aimd_on w = w.env.cost.Cost.aimd && win w > 1
 
-let create env ~peer =
-  { env; peer; base = 0; next = 0; slots = Array.make (Cost.seq_space env.cost) no_msg;
-    in_flight = 0; queue = Queue.create (); rt = no_msg; retrans_tm = env.unset;
-    wake_tm = env.unset; copying = None; parked_ack = None; cwnd = Cost.cwnd_init env.cost; srtt_us = 0.0;
-    rttvar_us = 0.0; cwnd_cut_at = 0; rto_shift = 0 }
+let make env ~peer slots =
+  { env; peer; base = 0; next = 0; slots; in_flight = 0; queue = Queue.create (); wake_id = -1;
+    copies = 0; ack_owed = -1; ack_id = -1; parked_ack = None; cwnd = Cost.cwnd_init env.cost;
+    srtt_us = 0.0; rttvar_us = 0.0; cwnd_cut_at = 0; rto_shift = 0 }
+
+let lines_of env =
+  match env.shared.lines with
+  | Some ls -> ls
+  | None ->
+    let nobody = make env ~peer:(-1) [||] in
+    let line fill_a fill_b = Delay_line.create ~tag:"proto" env.engine ~delay:0 ~fill_a ~fill_b in
+    let ls =
+      { waits = line no_msg nobody; copy = line no_msg nobody; nobody; cwnd_init = nobody.cwnd }
+    in
+    env.shared.lines <- Some ls;
+    ls
+
+let lines w = lines_of w.env
+
+let nobody env = (lines_of env).nobody
+
+let create env ~peer = make env ~peer (Array.make (Cost.seq_space env.cost) no_msg)
 
 (* The bus pins one window per medium (Bus.claim_seq_window), so the
    local cost-model window IS the peer's receive window. *)
@@ -146,10 +179,6 @@ let rtt_estimate_us w =
   if w.srtt_us > 0.0 then Some (int_of_float w.srtt_us, int_of_float w.rttvar_us) else None
 
 let active w = w.in_flight > 0 || not (Queue.is_empty w.queue)
-
-let stop w =
-  Engine.disarm w.env.engine w.retrans_tm;
-  Engine.disarm w.env.engine w.wake_tm
 
 (* ---- congestion control (AIMD + Jacobson RTT, windowed only) ----------- *)
 
@@ -350,24 +379,19 @@ let launchable w now =
 let next_ready_at q =
   Queue.fold (fun acc m -> if m.ready_at > 0 then min acc m.ready_at else acc) max_int q
 
-(* ---- the retransmission timer ------------------------------------------- *)
+(* ---- lines, retirement and reuse ---------------------------------------- *)
 
-(* One timer per window (RFC 6298 §5), armed at the earliest (deadline,
-   id) among the launched messages ([w.rt]). Each deadline reserves its
-   id where a per-message timer would have been scheduled, so expiries
-   run in the same places as with one timer per message. *)
-let rt_before a b = a.due < b.due || (a.due = b.due && a.rt_id < b.rt_id)
+let wait_live id m w =
+  if m == no_msg then w.wake_id = id else if m == ack_hold then w.ack_id = id else m.rt_id = id
 
-let retrans_rearm w =
-  let best = ref no_msg in
-  for off = 0 to dist w w.base w.next - 1 do
-    let m = w.slots.((w.base + off) mod space w) in
-    if m.rt_id >= 0 && (!best == no_msg || rt_before m !best) then best := m
-  done;
-  let m = !best in
-  w.rt <- m;
-  if m == no_msg then Engine.disarm w.env.engine w.retrans_tm
-  else Engine.arm_at w.env.engine w.retrans_tm ~time:m.due ~id:m.rt_id
+(* [m] leaves its deadline: the entry goes stale, and the line moves on
+   if it was the head. *)
+let clear_deadline w m =
+  let id = m.rt_id in
+  if id >= 0 then begin
+    m.rt_id <- -1;
+    Delay_line.cancel (lines w).waits wait_live id
+  end
 
 (* Launched and not yet resolved: it holds its slot. *)
 let launched w m = w.slots.(m.seq) == m
@@ -376,13 +400,51 @@ let launched w m = w.slots.(m.seq) == m
    second retire from dropping [in_flight] twice. *)
 let retire w m =
   if launched w m then begin
-    if m.rt_id >= 0 then begin
-      m.rt_id <- -1;
-      if m == w.rt then retrans_rearm w
-    end;
+    clear_deadline w m;
     w.slots.(m.seq) <- no_msg;
     w.in_flight <- w.in_flight - 1
   end
+
+(* The owed ack's hold goes stale; the ack stays owed. *)
+let withdraw_ack w =
+  let id = w.ack_id in
+  if id >= 0 then begin
+    w.ack_id <- -1;
+    Delay_line.cancel (lines w).waits wait_live id
+  end
+
+let take_ack w =
+  let a = w.ack_owed in
+  if a >= 0 then begin
+    w.ack_owed <- -1;
+    withdraw_ack w
+  end;
+  a
+
+let owed_ack w = w.ack_owed
+
+let stop w =
+  let id = w.wake_id in
+  if id >= 0 then begin
+    w.wake_id <- -1;
+    Delay_line.cancel (lines w).waits wait_live id
+  end;
+  withdraw_ack w;
+  Array.iter (clear_deadline w) w.slots
+
+let quiet w = (not (active w)) && w.wake_id < 0 && w.copies = 0 && w.ack_owed < 0 && w.ack_id < 0
+
+let reuse w ~peer =
+  if not (quiet w) then invalid_arg "Send_window.reuse: the window is not quiet";
+  w.peer <- peer;
+  w.base <- 0;
+  w.next <- 0;
+  w.parked_ack <- None;
+  w.cwnd <- (lines w).cwnd_init;
+  w.srtt_us <- 0.0;
+  w.rttvar_us <- 0.0;
+  w.cwnd_cut_at <- 0;
+  w.rto_shift <- 0
 
 let rec transmit w m =
   let env = w.env in
@@ -407,57 +469,69 @@ let rec transmit w m =
     (* The imminent emission will carry any owed ack; hold the standalone
        ack back while the output buffer is being filled, and release it
        if the emission is called off. *)
-    env.hold_ack w.peer;
-    let l =
-      match w.copying with
-      | Some l -> l
-      | None ->
-        let l = Delay_line.create ~tag:"proto" env.engine ~delay:0 ~fill_a:no_msg ~fill_b:() in
-        w.copying <- Some l;
-        l
-    in
-    ignore (Delay_line.push_after l ~delay:copy_us ~fire:copied w ~n:m.launches m ())
+    withdraw_ack w;
+    let ls = lines w in
+    w.copies <- w.copies + 1;
+    ignore (Delay_line.push_after ls.copy ~delay:copy_us ~fire:copied ls ~n:m.launches m w)
   end
 
 (* A copy is done: the message goes out unless it was relaunched or
-   resolved meanwhile. Nothing happens for a node reset since. *)
-and copied w =
-  let l = Option.get w.copying in
-  let id = Delay_line.head_id l and m = Delay_line.head_a l and launch = Delay_line.head_n l in
+   resolved meanwhile. Nothing happens for a node reset since. A window
+   with a copy under way is not [quiet], so [w] is still the window
+   that began it. *)
+and copied ls =
+  let l = ls.copy in
+  let id = Delay_line.head_id l and m = Delay_line.head_a l and w = Delay_line.head_b l in
+  let launch = Delay_line.head_n l in
   Delay_line.next l Delay_line.always;
+  w.copies <- w.copies - 1;
   if w.env.live id then
     if m.launches = launch && launched w m then emit w m (body_for_transmission m)
-    else w.env.release_ack w.peer
+    else if w.ack_owed >= 0 then owe_ack w ~hold:w.env.cost.Cost.ack_grace_us w.ack_owed
+
+(* An ack owed already keeps its hold, and its time. *)
+and owe_ack w ~hold seq =
+  w.ack_owed <- seq;
+  if w.ack_id < 0 then begin
+    let ls = lines w in
+    w.ack_id <- Delay_line.push_after ls.waits ~delay:hold ~fire:waited ls ~n:0 ack_hold w
+  end
 
 and emit w m body =
   m.sent_at <- Engine.now w.env.engine;
   w.env.transmit w.peer ~seq:m.seq ~run:m.run body;
   arm_retrans w m
 
-(* The timer covers the frame's wait for the medium too: a frame queued
-   behind the bus backlog has not been sent yet, so that wait is not
-   evidence of loss (the paper's adaptor timed out only frames that had
-   gone out on the Megalink). *)
+(* The deadline covers the frame's wait for the medium too: a frame
+   queued behind the bus backlog has not been sent yet, so that wait is
+   not evidence of loss (the paper's adaptor timed out only frames that
+   had gone out on the Megalink). The entry reserves its id where a timer
+   per message would have been armed, so expiries run in the same
+   places. *)
 and arm_retrans w m =
-  let env = w.env in
-  let delay = retrans_delay w m + Bus.backlog_us env.bus in
-  let was_first = m == w.rt in
-  m.due <- Engine.now env.engine + delay;
-  m.rt_id <- Engine.reserve env.engine;
-  if w.retrans_tm == env.unset then
-    w.retrans_tm <- Engine.timer ~tag:"proto" env.engine (fun () -> retrans_fired w);
-  if was_first then retrans_rearm w
-  else if w.rt == no_msg || rt_before m w.rt then begin
-    w.rt <- m;
-    Engine.arm_at env.engine w.retrans_tm ~time:m.due ~id:m.rt_id
-  end
+  let ls = lines w in
+  let delay = retrans_delay w m + Bus.backlog_us w.env.bus in
+  clear_deadline w m;
+  m.rt_id <- Delay_line.push_after ls.waits ~delay ~fire:waited ls ~n:0 m w
 
-(* The earliest deadline expired: the timer moves on to the next one
-   before the expiry is acted on. *)
-and retrans_fired w =
-  let m = w.rt in
+(* The node's earliest wait ended: the line moves on to the next one
+   before the wake, the ack or the expiry is acted on. *)
+and waited ls =
+  let l = ls.waits in
+  let m = Delay_line.head_a l and w = Delay_line.head_b l in
+  Delay_line.next l wait_live;
+  if m == no_msg then begin
+    w.wake_id <- -1;
+    start_next w
+  end
+  else if m == ack_hold then begin
+    w.ack_id <- -1;
+    if w.ack_owed >= 0 then w.env.ack_due w.peer
+  end
+  else retrans_expired w m
+
+and retrans_expired w m =
   m.rt_id <- -1;
-  retrans_rearm w;
   if launched w m then begin
     (* the timer expiring IS the loss signal: halve cwnd (at most once
        per RTO) whether we retry or give up *)
@@ -586,10 +660,11 @@ and start_next w =
     let m = launchable w now in
     if m == no_msg then begin
       (* backing off after a BUSY; wake when the nearest backoff matures *)
-      if (not (Engine.armed w.wake_tm)) && not (Queue.is_empty w.queue) then begin
-        if w.wake_tm == w.env.unset then
-          w.wake_tm <- Engine.timer ~tag:"proto" w.env.engine (fun () -> start_next w);
-        Engine.arm w.env.engine w.wake_tm ~delay:(max 1 (next_ready_at w.queue - now))
+      if w.wake_id < 0 && not (Queue.is_empty w.queue) then begin
+        let ls = lines w in
+        w.wake_id <-
+          Delay_line.push_after ls.waits ~delay:(max 1 (next_ready_at w.queue - now)) ~fire:waited
+            ls ~n:0 no_msg w
       end;
       continue := false
     end

@@ -4,12 +4,17 @@
     the slots of the modular sequence space [Cost.seq_space], at most
     [Cost.transport_window] unacknowledged at once (fewer with AIMD:
     [min(cwnd, window)]). The window owns every sending decision: slot
-    assignment, cumulative acks, the one retransmission timer with its
-    randomised exponential backoff and Karn state, the Jacobson RTT
-    estimator, the congestion window, and the BUSY backoff of a refused
-    REQUEST. The transport hands it messages and feeds it the peer's
-    acks, BUSYs, ERRORs and CANCEL replies; each message's outcome is
-    reported once, unless the node resets first. *)
+    assignment, cumulative acks, each launched message's retransmission
+    deadline with its randomised exponential backoff and Karn state, the
+    Jacobson RTT estimator, the congestion window, and the BUSY backoff
+    of a refused REQUEST. The transport hands it messages and feeds it
+    the peer's acks, BUSYs, ERRORs and CANCEL replies; each message's
+    outcome is reported once, unless the node resets first.
+
+    A window holds no timer: its deadlines, its BUSY-backoff wake, the
+    hold of the ack it owes and its output copies are entries of lines
+    shared by the node's windows, each reserving its event id where a
+    timer of its own would have been armed. *)
 
 type kind = K_request | K_accept | K_put_data | K_cancel
 
@@ -20,7 +25,8 @@ type outcome =
   | Out_timeout  (** [max_retrans] retransmissions went unanswered *)
 
 (** Per-node state the windows share among themselves: the ack walk's
-    scratch and the stats slots. *)
+    scratch, the stats slots, and the timed lines (made at their first
+    use). *)
 type shared
 
 val shared : Soda_sim.Stats.t -> shared
@@ -36,20 +42,22 @@ type env = {
   event : Soda_obs.Event.kind -> unit;  (** emit a structured event *)
   transmit : int -> seq:int -> run:bool -> Wire.body -> unit;
       (** [transmit peer ~seq ~run body] puts a reliable packet on the wire *)
-  hold_ack : int -> unit;
-      (** a packet to this peer will go out after a data copy: hold back
-          the ack owed to it, which that packet will carry *)
-  release_ack : int -> unit;  (** that packet was called off *)
+  ack_due : int -> unit;
+      (** [ack_due peer]: the ack owed to [peer] was held its time and no
+          packet carried it: send it alone *)
   live : int -> bool;
       (** is an event id taken since the node's last reset? A copy that
           began before it is dropped when it ends *)
-  unset : Soda_sim.Engine.timer;  (** never armed: a timer not yet made *)
   shared : shared;  (** made once per node, from [stats] *)
 }
 
 type t
 
 val create : env -> peer:int -> t
+
+(** The node's window of no peer: it has no slots, and nothing may be
+    sent on it. A filler for arrays of windows. *)
+val nobody : env -> t
 
 (** Does a BUSY or an unadvertised ERROR consume the refused message's
     sequence number? At window > 1 the receiver consumes it to keep its
@@ -88,8 +96,40 @@ val drop_queued : t -> tid:int -> kind -> unit
 (** Something is queued or unacknowledged. *)
 val active : t -> bool
 
-(** Disarm the window's timers (the node resets). *)
+(** Withdraw the window's deadlines, wake and ack hold (the node
+    resets). Copies under way still end, and are dropped by [env.live]. *)
 val stop : t -> unit
+
+(** Nothing is queued or launched, no ack is owed, and no entry of this
+    window waits in a line: [reuse] may take it. *)
+val quiet : t -> bool
+
+(** [reuse w ~peer] makes the quiet [w] a window to [peer] in exactly the
+    state [create env ~peer] gives: slots, queue, cwnd, RTT estimate,
+    Karn shift and parked ack start over, and it behaves event for event
+    as a fresh window would. It allocates nothing.
+    @raise Invalid_argument when [w] is not [quiet]. *)
+val reuse : t -> peer:int -> unit
+
+(** {2 The owed ack}
+
+    The cumulative ack a connection owes its peer for what it consumed
+    waits for the next packet to the peer to carry it, for at most a
+    hold; then [env.ack_due] sends it alone. A transmission that waits
+    out a data copy holds the standalone ack back meanwhile, since it
+    will carry the ack, and owes it again for the grace window
+    ([ack_grace_us]) if the transmission is called off. *)
+
+(** [owe_ack w ~hold seq]: the peer is owed the ack of [seq]. An ack
+    owed already keeps its hold, and its time. *)
+val owe_ack : t -> hold:int -> int -> unit
+
+(** The owed ack for a packet about to go out, or -1: the packet carries
+    it, and it is owed no longer. *)
+val take_ack : t -> int
+
+(** The owed ack, or -1; nothing changes. *)
+val owed_ack : t -> int
 
 (** [(srtt_us, rttvar_us)] once a Karn-clean sample has been taken. *)
 val rtt_estimate_us : t -> (int * int) option

@@ -41,20 +41,20 @@ type callbacks = {
   classify_unknown_tid : int -> [ `Completed | `Stale ];
 }
 
+(* A Delta-t connection record, plain data: its expiry is an entry of
+   the transport's [expiry_line], and its window's waits are entries of
+   the lines the node's windows share. An expired record may be reused
+   for another peer ([take_record]). *)
 type conn = {
-  peer : int;
+  mutable peer : int;
   tx : Window.t;  (* the sending half *)
   rx : Rx.t;  (* the receiving half *)
-  (* Timers, reused for the connection's life. [ack_tm] is made on first
-     use: until then it is the transport's never-armed [unset_tm]. *)
-  mutable ack_tm : Engine.timer;  (* owed ack *)
-  mutable expiry_tm : Engine.timer;
-  mutable ack_owed : int;  (* cumulative ack to send, piggybacked or timed; -1 = none *)
   mutable expiry_deadline : int;
       (* virtual time before which the delta-t record must not expire;
-         pushed forward on every touch WITHOUT re-arming [expiry_tm] (a
-         heap push per received packet) — the timer re-arms itself for
-         the remainder when it fires early *)
+         pushed forward on every touch WITHOUT a new entry (a heap push
+         per received packet) — the entry re-pushes the remainder when it
+         fires early *)
+  mutable expiry_id : int;  (* the record's entry in [expiry_line]; -1 = none *)
 }
 
 type t = {
@@ -82,7 +82,7 @@ type t = {
       (* the first event id taken since the last reset: an older entry of
          a line below (the probe and GC lines are emptied instead) belongs
          to the previous incarnation and is dropped when it comes due *)
-  unset_tm : Engine.timer;  (* never armed: a connection timer not yet created *)
+  mutable records : records option;  (* made with the first connection record *)
   window_env : Window.env;
   rx_shared : Rx.shared;
   (* the fixed delays: a frame's packet CPU on the way out ([n] = peer,
@@ -116,6 +116,17 @@ type t = {
   hot : hot_cells;
 }
 
+(* The connection records' expiries, and the expired records kept for
+   reuse. Made with the first record, since the line's filler [nobody] is
+   a record of no peer. A record's entry is live while its [expiry_id]
+   is the entry's id. *)
+and records = {
+  nobody : conn;
+  expiry_line : (conn, unit) Delay_line.t;
+  mutable spares : conn array;  (* expired records in [0, n_spares), [nobody] above *)
+  mutable n_spares : int;
+}
+
 (* Backing cells of the per-packet and per-transaction stats, fetched
    once at [create]: every packet bumps two counters and four time
    accumulators on each side, and the string-keyed lookups were a
@@ -138,6 +149,8 @@ and hot_cells = {
   req_delivered : Stats.counter_slot;
   req_latency_us : Stats.sample_slot;
   no_sync_dropped : Stats.counter_slot;
+  records_created : Stats.counter_slot;
+  records_expired : Stats.counter_slot;
   packet_cpu : int;  (* packet_protocol_us + conn_timer_us + retrans_timer_us *)
 }
 
@@ -194,48 +207,100 @@ let win t = Cost.transport_window t.cost
 
 (* ---- connection records ------------------------------------------------ *)
 
-let conn_active conn = Window.active conn.tx || conn.ack_owed >= 0 || Rx.active conn.rx
+let conn_active conn = Window.active conn.tx || Window.owed_ack conn.tx >= 0 || Rx.active conn.rx
+
+let records t = match t.records with Some r -> r | None -> assert false
+
+let expiry_live id conn () = conn.expiry_id = id
+
+let new_record t peer =
+  { peer; tx = Window.create t.window_env ~peer; rx = Rx.create t.rx_shared; expiry_deadline = 0;
+    expiry_id = -1 }
+
+(* An expired record goes back to the spare list only with no entry
+   left in a line (its window's deadlines, wake, ack hold and copies) and
+   no place in [holders]: any of them would reach the record's next
+   peer. *)
+let spare r conn =
+  if Window.quiet conn.tx && not (Rx.holding conn.rx) then begin
+    let n = r.n_spares in
+    if n = Array.length r.spares then begin
+      let bigger = Array.make (max 4 (2 * n)) r.nobody in
+      Array.blit r.spares 0 bigger 0 n;
+      r.spares <- bigger
+    end;
+    r.spares.(n) <- conn;
+    r.n_spares <- n + 1
+  end
+
+let drop_spares r =
+  r.spares <- [||];
+  r.n_spares <- 0
+
+(* A record for [peer]: a spare one, made fresh again, or a new one. *)
+let take_record t peer =
+  match t.records with
+  | Some r when r.n_spares > 0 ->
+    let n = r.n_spares - 1 in
+    let c = r.spares.(n) in
+    r.spares.(n) <- r.nobody;
+    r.n_spares <- n;
+    c.peer <- peer;
+    Window.reuse c.tx ~peer;
+    Rx.reuse c.rx;
+    c.expiry_deadline <- 0;
+    c
+  | Some _ -> new_record t peer
+  | None ->
+    let nobody =
+      { peer = -1; tx = Window.nobody t.window_env; rx = Rx.nobody t.rx_shared;
+        expiry_deadline = 0; expiry_id = -1 }
+    in
+    let expiry_line = Delay_line.create ~tag:"proto" t.engine ~delay:0 ~fill_a:nobody ~fill_b:() in
+    t.records <- Some { nobody; expiry_line; spares = [||]; n_spares = 0 };
+    new_record t peer
+
+(* The record is forgotten. The spare list goes with the last live
+   record, so an idle transport keeps none. *)
+let expire t r conn =
+  mark t ~peer:conn.peer ~tid:Event.no_tid ~n:0 Event.Record_expired;
+  Stats.bump t.hot.records_expired;
+  Hashtbl.remove t.conns conn.peer;
+  if Hashtbl.length t.conns = 0 then drop_spares r else spare r conn
 
 (* Lazy expiry: every packet touches the record, and cancelling plus
-   re-scheduling the timer per touch cost a heap push/pop per packet. The
-   deadline lives in [expiry_deadline]; the armed event fires at some
-   stale deadline, notices it moved, and re-arms for the remainder — the
-   record still expires at exactly last-touch + record_expiry_us. *)
-let arm_expiry t conn =
+   re-pushing its entry per touch cost a heap push/pop per packet. The
+   deadline lives in [expiry_deadline]; the entry fires at some stale
+   deadline, notices it moved, and re-pushes the remainder — the record
+   still expires at exactly last-touch + record_expiry_us. Each push
+   reserves its id where the record's timer was armed. *)
+let rec push_expiry t conn ~delay =
+  conn.expiry_id <-
+    Delay_line.push_after (records t).expiry_line ~delay ~fire:expiry_fired t ~n:0 conn ()
+
+and arm_expiry t conn =
   let delay = Cost.record_expiry_us t.cost in
   conn.expiry_deadline <- Engine.now t.engine + delay;
-  if not (Engine.armed conn.expiry_tm) then Engine.arm t.engine conn.expiry_tm ~delay
+  if conn.expiry_id < 0 then push_expiry t conn ~delay
 
-let expiry_fired t conn =
+and expiry_fired t =
+  let r = records t in
+  let conn = Delay_line.head_a r.expiry_line in
+  Delay_line.next r.expiry_line expiry_live;
+  conn.expiry_id <- -1;
   let now = Engine.now t.engine in
-  if now < conn.expiry_deadline then
-    Engine.arm t.engine conn.expiry_tm ~delay:(conn.expiry_deadline - now)
+  if now < conn.expiry_deadline then push_expiry t conn ~delay:(conn.expiry_deadline - now)
   else if conn_active conn then arm_expiry t conn
-  else begin
-    mark t ~peer:conn.peer ~tid:Event.no_tid ~n:0 Event.Record_expired;
-    Stats.incr t.stats "deltat.records_expired";
-    Hashtbl.remove t.conns conn.peer
-  end
+  else expire t r conn
 
 let conn_for t peer =
   match Hashtbl.find t.conns peer with
   | c -> c
   | exception Not_found ->
-    let c =
-      {
-        peer;
-        tx = Window.create t.window_env ~peer;
-        rx = Rx.create t.rx_shared;
-        ack_tm = t.unset_tm;
-        expiry_tm = t.unset_tm;
-        ack_owed = -1;
-        expiry_deadline = 0;
-      }
-    in
-    c.expiry_tm <- Engine.timer ~tag:"proto" t.engine (fun () -> expiry_fired t c);
+    let c = take_record t peer in
     Hashtbl.replace t.conns peer c;
     mark t ~peer ~tid:Event.no_tid ~n:0 Event.Record_created;
-    Stats.incr t.stats "deltat.records_created";
+    Stats.bump t.hot.records_created;
     arm_expiry t c;
     c
 
@@ -258,18 +323,7 @@ let tx_fired t =
    before the NIC transmits. *)
 let emit t ~peer ~reliable ~seq ~run ~ack body =
   if Option.is_none t.nic then failwith "Transport: no NIC";
-  let ack =
-    if ack >= 0 || peer < 0 then ack
-    else begin
-      let conn = conn_for t peer in
-      let owed = conn.ack_owed in
-      if owed >= 0 then begin
-        conn.ack_owed <- -1;
-        Engine.disarm t.engine conn.ack_tm
-      end;
-      owed
-    end
-  in
+  let ack = if ack >= 0 || peer < 0 then ack else Window.take_ack (conn_for t peer).tx in
   let pkt =
     { Wire.src = t.mid; reliable; seq; ack = (if ack < 0 then None else Some ack); run; body }
   in
@@ -338,36 +392,15 @@ let ack_hold t body =
     else c.Cost.ack_grace_us + turnaround
   | _ -> c.Cost.ack_grace_us
 
-let ack_fired t conn =
-  if conn.ack_owed >= 0 then begin
-    Stdlib.incr t.hot.c_standalone_acks;
-    emit_unsequenced t ~peer:conn.peer Wire.Ack
-  end
-
-let owe_ack t conn ~hold seq =
-  conn.ack_owed <- seq;
-  if conn.ack_tm == t.unset_tm then
-    conn.ack_tm <- Engine.timer ~tag:"proto" t.engine (fun () -> ack_fired t conn);
-  if not (Engine.armed conn.ack_tm) then Engine.arm t.engine conn.ack_tm ~delay:hold
-
-(* A reliable packet to [peer] waits out a data copy and will carry the
-   owed ack: hold the standalone ack back meanwhile, and owe it afresh if
-   the packet is called off. *)
-let hold_ack t peer =
-  match Hashtbl.find t.conns peer with
-  | conn -> if conn.ack_owed >= 0 then Engine.disarm t.engine conn.ack_tm
-  | exception Not_found -> ()
-
-let release_ack t peer =
-  match Hashtbl.find t.conns peer with
-  | conn ->
-    if conn.ack_owed >= 0 then owe_ack t conn ~hold:t.cost.Cost.ack_grace_us conn.ack_owed
-  | exception Not_found -> ()
+(* The ack owed to [peer] was held its time: it goes alone. *)
+let ack_due t peer =
+  Stdlib.incr t.hot.c_standalone_acks;
+  emit_unsequenced t ~peer Wire.Ack
 
 let replay_response t conn pkt =
   Stdlib.incr t.hot.c_duplicates;
   mark t ~peer:conn.peer ~tid:Event.no_tid ~n:0 Event.Duplicate_replayed;
-  if conn.ack_owed >= 0 then
+  if Window.owed_ack conn.tx >= 0 then
     (* Our ack is still within its grace window; quell the retransmission
        with an immediate standalone ack. *)
     emit_unsequenced t ~peer:conn.peer Wire.Ack
@@ -771,7 +804,7 @@ let handle_cancel_request t conn pkt ~tid =
 (* Consume an in-order ACCEPT, DATA or CANCEL and owe its ack. *)
 let consume_in_order t conn ~resync pkt =
   consume t conn ~resync pkt;
-  owe_ack t conn ~hold:(ack_hold t pkt.Wire.body) pkt.Wire.seq
+  Window.owe_ack conn.tx ~hold:(ack_hold t pkt.Wire.body) pkt.Wire.seq
 
 (* Act on a body consumed by [consume_in_order]. *)
 let handle_consumed t conn pkt =
@@ -1085,12 +1118,13 @@ let create ~engine ~bus ~mid ~cost ~recorder =
       req_delivered = Stats.counter_slot stats "req.delivered";
       req_latency_us = Stats.sample_slot stats "req.latency_us";
       no_sync_dropped = Stats.counter_slot stats "pkt.no_sync_dropped";
+      records_created = Stats.counter_slot stats "deltat.records_created";
+      records_expired = Stats.counter_slot stats "deltat.records_expired";
       packet_cpu =
         cost.Cost.packet_protocol_us + cost.Cost.conn_timer_us
         + cost.Cost.retrans_timer_us;
     }
   in
-  let unset = Engine.timer engine ignore in
   let lifetime = Cost.record_expiry_us cost in
   let rng = Rng.split (Engine.rng engine) in
   let line ~delay ~fill_a ~fill_b = Delay_line.create ~tag:"proto" engine ~delay ~fill_a ~fill_b in
@@ -1110,7 +1144,7 @@ let create ~engine ~bus ~mid ~cost ~recorder =
       srv = Srv.create ();
       holders = Queue.create ();
       live_from = 0;
-      unset_tm = unset;
+      records = None;
       rx_shared = Rx.shared stats cost;
       window_env =
         {
@@ -1123,10 +1157,8 @@ let create ~engine ~bus ~mid ~cost ~recorder =
           event = (fun kind -> event t kind);
           transmit =
             (fun peer ~seq ~run body -> emit t ~peer ~reliable:true ~seq ~run ~ack:(-1) body);
-          hold_ack = (fun peer -> hold_ack t peer);
-          release_ack = (fun peer -> release_ack t peer);
+          ack_due = (fun peer -> ack_due t peer);
           live = (fun id -> id >= t.live_from);
-          unset;
           shared = Window.shared stats;
         };
       tx_line = line ~delay:hot.packet_cpu ~fill_a:Bytes.empty ~fill_b:None;
@@ -1150,12 +1182,13 @@ let set_callbacks t cb = t.cb <- Some cb
 (* ---- reset ---------------------------------------------------------------- *)
 
 let reset t =
-  Hashtbl.iter
-    (fun _ conn ->
-      Window.stop conn.tx;
-      Engine.disarm t.engine conn.ack_tm;
-      Engine.disarm t.engine conn.expiry_tm)
-    t.conns;
+  Hashtbl.iter (fun _ conn -> Window.stop conn.tx) t.conns;
+  (* Every live expiry is a record's in the table. *)
+  (match t.records with
+   | Some r ->
+     Delay_line.reset r.expiry_line;
+     drop_spares r
+   | None -> ());
   (* Probes and record GC are withdrawn. The entries of the other lines
      (frames, put-data waits, data copies, DISCOVER delays) still come
      due, and count as fired events like a one-shot of the old
@@ -1181,9 +1214,12 @@ let outstanding_requests t = Cli.outstanding t.reqs
 
 let delay_lines t =
   let n = Delay_line.length in
+  let expiry = match t.records with Some r -> n r.expiry_line | None -> 0 in
   [ ("tx", n t.tx_line); ("rx", n t.rx_line); ("probe", n t.probe_line); ("gc", n t.gc_line);
     ("data", n t.data_line); ("srv_copy", n t.srv_copy_line); ("get_copy", n t.get_copy_line);
-    ("discover", n t.discover_line); ("answer", n t.answer_line) ]
+    ("discover", n t.discover_line); ("answer", n t.answer_line); ("expiry", expiry) ]
+
+let spare_records t = match t.records with Some r -> r.n_spares | None -> 0
 
 let rtt_estimate_us t ~peer =
   Option.bind (Hashtbl.find_opt t.conns peer) (fun conn -> Window.rtt_estimate_us conn.tx)

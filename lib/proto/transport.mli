@@ -5,8 +5,8 @@
 
     - the {b sending half} of each connection as a {!Send_window}: up to
       [cost.window] (clamped 1..[max_window]) unacknowledged reliable
-      messages per peer, one retransmission timer per connection with
-      randomised exponential backoff, and AIMD congestion control with a
+      messages per peer, a retransmission deadline per launched message
+      with randomised exponential backoff, and AIMD congestion control with a
       Jacobson RTT estimator (windowed transports with [cost.aimd]).
       Window 1 degenerates to the paper's alternating-bit stop-and-wait
       (§5.2.3) exactly — same wire bytes, same golden trace;
@@ -17,7 +17,9 @@
     - {b Delta-t} connection management: no explicit connection setup; a
       peer's record is created on first contact (window 1: any sequence
       bit is accepted; wider windows: only a run-start-flagged packet may
-      establish the window base), expires after MPL + Delta-t of silence;
+      establish the window base), expires after MPL + Delta-t of silence,
+      and is then reused for the next new peer when nothing of it is
+      still timed;
     - {b BUSY NACKs}: a REQUEST meeting a busy/closed handler is refused
       and retried by the requester at an adaptively slowed rate; retries
       never carry data. At window 1 the refusal leaves the sequence bit
@@ -159,10 +161,13 @@ val rtt_estimate_us : t -> peer:int -> (int * int) option
 (** Entries waiting in each delay line, stale ones included: ["tx"] and
     ["rx"] (frames waiting out their packet CPU), ["probe"], ["gc"]
     (server-record GC), ["data"] (put-data waits), ["srv_copy"] and
-    ["get_copy"] (data copies), ["discover"] (collection windows) and
-    ["answer"] (DISCOVER replies and replay memory). For the test
-    suites. *)
+    ["get_copy"] (data copies), ["discover"] (collection windows),
+    ["answer"] (DISCOVER replies and replay memory) and ["expiry"]
+    (connection records). For the test suites. *)
 val delay_lines : t -> (string * int) list
+
+(** Expired connection records kept for reuse. For the test suites. *)
+val spare_records : t -> int
 
 (** Causal identity, per live transaction. The kernel registers the
     context minted at the REQUEST trap; the server side of the transport

@@ -1121,6 +1121,168 @@ let test_deltat_record_expiry () =
   Alcotest.(check bool) "records expired during silence" true (marked Event.Record_expired);
   Alcotest.(check bool) "take-any on recontact" true (marked Event.Take_any_sn)
 
+(* ---- recycled records ---------------------------------------------------------- *)
+
+(* A bare transport A (mid 1), traced or not, and scripted stations 0
+   (B), 2 (C) and 3 (D), which log what they hear with its time and
+   answer nothing by themselves. *)
+type quartet = {
+  clk : Engine.t;
+  a : Transport.t;
+  trace : Recorder.t;
+  heard : (int * int * Wire.t) list ref;  (* (time, station, packet), latest first *)
+  nics : (int * Nic.t) list;
+}
+
+let quartet ~tracing =
+  let clk = Engine.create ~seed:5 () in
+  let medium = Bus.create clk in
+  let trace = Recorder.create ~tracing () in
+  let a = Transport.create ~engine:clk ~bus:medium ~mid:1 ~cost:Cost.default ~recorder:trace in
+  Transport.set_callbacks a
+    {
+      Transport.deliver_request =
+        (fun ~src:_ ~tid:_ ~pattern:_ ~arg:_ ~put_size:_ ~get_size:_ -> `Busy);
+      complete_request = (fun ~tid:_ _ -> ());
+      advertised = (fun _ -> false);
+      classify_unknown_tid = (fun _ -> `Completed);
+    };
+  ignore (Transport.attach_nic a);
+  let heard = ref [] in
+  let station mid =
+    ( mid,
+      Nic.attach medium ~mid ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ payload ->
+          match Wire.decode payload with
+          | Ok p -> heard := (Engine.now clk, mid, p) :: !heard
+          | Error _ -> ()) )
+  in
+  { clk; a; trace; heard; nics = List.map station [ 0; 2; 3 ] }
+
+let tell q ~from ?(reliable = false) ?(seq = 0) ?ack body =
+  Nic.send (List.assoc from q.nics) ~dst:1
+    (Wire.encode { Wire.src = from; reliable; seq; ack; run = false; body })
+
+let wait q us = ignore (Engine.run_for q.clk ~duration:us)
+
+(* A asks station [from] REQUEST [tid]; the station acks it, accepts it,
+   and A's ack of the ACCEPT goes out on its own. *)
+let exchange q ~from tid =
+  Transport.submit_request q.a ~dst:from ~tid ~pattern:patt ~arg:0 ~put_data:Bytes.empty
+    ~get_size:0;
+  wait q 10_000;
+  let seq =
+    List.find_map
+      (function
+        | _, m, { Wire.body = Wire.Request { tid = t; _ }; seq; _ } when m = from && t = tid ->
+          Some seq
+        | _ -> None)
+      !(q.heard)
+  in
+  tell q ~from ~ack:(Option.get seq) Wire.Ack;
+  wait q 10_000;
+  tell q ~from ~reliable:true
+    (Wire.Accept { tid; arg = 0; put_transferred = 0; need_put_data = false; data = Bytes.empty });
+  wait q 100_000
+
+(* A talks to D (which keeps one record alive throughout, so the spare
+   list is kept), optionally to B, stays silent towards B for two record
+   lifetimes, then talks to C. What A sent to C and A's events about C,
+   timed from the first of them, and the spare records before C, after
+   C, and once every record has expired. *)
+let talk_to_c ~via_b =
+  let q = quartet ~tracing:true in
+  exchange q ~from:3 1;
+  if via_b then exchange q ~from:0 2;
+  let lifetime = Cost.record_expiry_us Cost.default in
+  for _ = 1 to 8 do
+    tell q ~from:3 (Wire.Probe { tid = 99 });
+    wait q (lifetime / 4)
+  done;
+  let spares = Transport.spare_records q.a in
+  let start = Engine.now q.clk in
+  exchange q ~from:2 3;
+  let to_c =
+    List.filter_map
+      (fun (time, m, p) ->
+        if m = 2 then
+          Some
+            (Printf.sprintf "%d seq %d%s ack %s %s" (time - start) p.Wire.seq
+               (if p.Wire.run then " run" else "")
+               (match p.Wire.ack with Some a -> string_of_int a | None -> "-")
+               (Event.pkt_name (Wire.pkt p.Wire.body)))
+        else None)
+      (List.rev !(q.heard))
+  in
+  let about_c =
+    List.filter_map
+      (fun (e : Event.t) ->
+        let peer =
+          match e.Event.kind with
+          | Event.Tx { peer; _ } | Event.Rx { peer; _ } | Event.Mark { peer; _ } -> peer
+          | _ -> -1
+        in
+        if e.Event.mid = 1 && peer = 2 then
+          Some
+            (Printf.sprintf "%d %s %s" (e.Event.time_us - start) (Event.kind_label e.Event.kind)
+               (Event.message e.Event.kind))
+        else None)
+      (Recorder.events q.trace)
+  in
+  let left = Transport.spare_records q.a in
+  wait q (2 * lifetime);
+  ((spares, left, Transport.spare_records q.a), to_c, about_c)
+
+(* A's record of B expires and is reused for C: A's packets to C and
+   its events about C are those of a run where A never talked to B. *)
+let test_recycled_record_carries_nothing () =
+  let spares, to_c, about_c = talk_to_c ~via_b:true in
+  let _, fresh_to_c, fresh_about_c = talk_to_c ~via_b:false in
+  Alcotest.(check (triple int int int))
+    "B's record spare, taken for C; none kept once A is idle" (1, 0, 0) spares;
+  Alcotest.(check bool) "A sent C its REQUEST and ack" true (List.length to_c >= 2);
+  Alcotest.(check (list string)) "A's packets to C" fresh_to_c to_c;
+  Alcotest.(check (list string)) "A's events about C" fresh_about_c about_c
+
+(* Re-creating an expired record from the spare list allocates only the
+   [conns] table's bucket: a packet from a peer whose record expired
+   costs at most 4 words more than the same packet from a peer with a
+   record, plus what a second reading of the record lifetime allocates
+   (the new record arms its expiry, and the packet then re-arms it). *)
+let test_recycled_record_allocates_its_bucket () =
+  let q = quartet ~tracing:false in
+  let lifetime = Cost.record_expiry_us Cost.default in
+  let words_of_ack ~from =
+    tell q ~from Wire.Ack;
+    let w0 = Gc.minor_words () in
+    wait q 20_000;
+    Gc.minor_words () -. w0
+  in
+  let lifetime_words =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Cost.record_expiry_us Cost.default));
+    Gc.minor_words () -. w0
+  in
+  let worst = ref 0.0 in
+  for round = 1 to 6 do
+    (* D keeps A's table non-empty; B's and C's records expire *)
+    ignore (words_of_ack ~from:3);
+    ignore (words_of_ack ~from:0);
+    ignore (words_of_ack ~from:2);
+    for _ = 1 to 8 do
+      tell q ~from:3 (Wire.Probe { tid = 99 });
+      wait q (lifetime / 4)
+    done;
+    Alcotest.(check int) "B's and C's records are spare" 2 (Transport.spare_records q.a);
+    let recycled = words_of_ack ~from:0 in
+    let known = words_of_ack ~from:0 in
+    if round > 2 then worst := Float.max !worst (recycled -. known)
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "a recycled record costs %.0f words more, at most 4 + %.0f" !worst
+       lifetime_words)
+    true
+    (!worst <= 4.0 +. lifetime_words)
+
 (* ---- AIMD transparency (loss-free differential) ------------------------------ *)
 
 (* On a clean wire congestion control must be invisible to the
@@ -1287,7 +1449,11 @@ let suites =
           (test_get_stream_two_packets ~words:100);
       ] );
     ( "transport.deltat",
-      [ Alcotest.test_case "record expiry + take-any" `Quick test_deltat_record_expiry ] );
+      [
+        Alcotest.test_case "record expiry + take-any" `Quick test_deltat_record_expiry;
+        Alcotest.test_case "a recycled record carries nothing over" `Quick
+          test_recycled_record_carries_nothing;
+      ] );
     ( "transport.aimd",
       [
         Alcotest.test_case "AIMD transparent on a clean wire" `Quick
@@ -1297,5 +1463,7 @@ let suites =
       [
         Alcotest.test_case "warm W=1 SIGNAL round trip within its word budget" `Quick
           test_signal_round_trip_budget;
+        Alcotest.test_case "a recycled record allocates only its table bucket" `Quick
+          test_recycled_record_allocates_its_bucket;
       ] );
   ]

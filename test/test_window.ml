@@ -932,10 +932,8 @@ let bare_window ~window =
       recorder = Recorder.create ();
       event = ignore;
       transmit = (fun _ ~seq:_ ~run:_ _ -> ());
-      hold_ack = ignore;
-      release_ack = ignore;
+      ack_due = ignore;
       live = (fun _ -> true);
-      unset = Engine.timer engine ignore;
       shared = Window.shared stats;
     }
   in
@@ -1028,6 +1026,181 @@ let ack_reentrant ~window ~reentry ~uncovered () =
      Alcotest.(check (list string)) "D acked after" (expected @ [ "D acked" ]) (List.rev !log)
    | `Cancel -> ());
   Alcotest.(check bool) "nothing left in flight" false (Window.active w)
+
+(* ---- a reused window ---------------------------------------------------------- *)
+
+(* A node at W=8 with AIMD on whose windows log every transmission
+   (with the owed ack of [cur] it carries), outcome and standalone ack
+   with the time and the event ids taken so far, and keep the
+   transmitted (seq, tid) pairs, latest first. *)
+type logged = {
+  clock : Engine.t;
+  env : Window.env;
+  log : string list ref;  (* latest first *)
+  sent : (int * int) list ref;
+  cur : Window.t option ref;  (* the window in use *)
+}
+
+let logged_node () =
+  let clock = Engine.create ~seed:9 () in
+  let cost = { Cost.default with Cost.window = 8; aimd = true } in
+  let stats = Stats.create () in
+  let log = ref [] and sent = ref [] and cur = ref None in
+  let stamp what =
+    log :=
+      Printf.sprintf "%d #%d %s" (Engine.now clock) (Engine.counters clock).scheduled what :: !log
+  in
+  let transmit peer ~seq ~run body =
+    sent := (seq, Wire.tid body) :: !sent;
+    let ack = match !cur with Some w -> Window.take_ack w | None -> -1 in
+    stamp
+      (Printf.sprintf "tx peer %d seq %d%s ack %d %s %d" peer seq (if run then " run" else "") ack
+         (Event.pkt_name (Wire.pkt body)) (Wire.tid body))
+  in
+  let env =
+    {
+      Window.engine = clock;
+      bus = Soda_net.Bus.create clock;
+      cost;
+      rng = Soda_sim.Rng.create ~seed:9;
+      stats;
+      recorder = Recorder.create ();
+      event = ignore;
+      transmit;
+      ack_due = (fun peer -> stamp (Printf.sprintf "ack due peer %d" peer));
+      live = (fun _ -> true);
+      shared = Window.shared stats;
+    }
+  in
+  { clock; env; log; sent; cur }
+
+let note_outcome n peer tid outcome =
+  let o =
+    match outcome with
+    | Window.Out_acked -> "acked"
+    | Out_error _ -> "error"
+    | Out_cancel_reply ok -> Printf.sprintf "cancel reply %b" ok
+    | Out_timeout -> "timeout"
+  in
+  n.log :=
+    Printf.sprintf "%d #%d done peer %d tid %d %s" (Engine.now n.clock)
+      (Engine.counters n.clock).scheduled peer tid o
+    :: !(n.log)
+
+let request tid =
+  Wire.Request
+    { tid; pattern = patt; arg = 0; put_size = 0; get_size = 0; data = Bytes.empty; retry = false }
+
+(* 200 words of DATA: its transmission waits out a copy. *)
+let put_data_copied tid = Wire.Put_data { tid; data = Bytes.make 400 'd' }
+
+let run_for n us = ignore (Engine.run_for n.clock ~duration:us)
+
+(* Random sends, acks, BUSYs, owed acks taken or left to come due, and
+   waits on [w], then no more retries and acks until it is quiet, and
+   last a REQUEST left to time out: the window ends with its RTO shift
+   raised and cwnd cut. *)
+let warm_up n w ~seed =
+  let rand = Random.State.make [| seed |] in
+  let requeue = ref true in
+  let latest () = match !(n.sent) with (seq, _) :: _ -> Some seq | [] -> None in
+  let take () =
+    let a = Window.take_ack w in
+    if a >= 0 then n.log := Printf.sprintf "took ack %d" a :: !(n.log)
+  in
+  for i = 1 to 80 do
+    match Random.State.int rand 8 with
+    | 0 -> Window.send w K_request ~tid:i (request i) (note_outcome n)
+    | 1 -> Window.send w K_put_data ~tid:i (put_data_copied i) (note_outcome n)
+    | 2 -> Option.iter (Window.ack w) (latest ())
+    | 3 -> (
+      match !(n.sent) with
+      | (_, tid) :: _ -> Window.busy w ~tid (fun () -> !requeue)
+      | [] -> ())
+    | 4 -> Window.owe_ack w ~hold:(Random.State.int rand 5_000) i
+    | 5 -> take ()
+    | _ -> run_for n (Random.State.int rand 40_000)
+  done;
+  requeue := false;
+  let rounds = ref 0 in
+  while (not (Window.quiet w)) && !rounds < 1_000 do
+    take ();
+    Option.iter (Window.ack w) (latest ());
+    run_for n 50_000;
+    incr rounds
+  done;
+  Window.send w K_request ~tid:500 (request 500) (note_outcome n);
+  while (not (Window.quiet w)) && !rounds < 2_000 do
+    run_for n 100_000;
+    incr rounds
+  done;
+  Alcotest.(check bool) "the warmed window is quiet" true (Window.quiet w)
+
+(* The same script on any window to peer 2: an owed ack that the first
+   transmission carries, six REQUESTs and a DATA that waits out its
+   copy, retransmissions before the first ack, a BUSY, a cumulative ack,
+   an owed ack left to come due, and the rest left to time out. *)
+let script n w =
+  let first = List.length !(n.sent) in
+  Window.owe_ack w ~hold:3_000 7;
+  for tid = 1000 to 1005 do
+    Window.send w K_request ~tid (request tid) (note_outcome n)
+  done;
+  Window.send w K_put_data ~tid:1006 (put_data_copied 1006) (note_outcome n);
+  run_for n 40_000;
+  let seq_of k = fst (List.nth (List.rev !(n.sent)) (first + k)) in
+  Window.ack w (seq_of 0);
+  Window.busy w ~tid:1001 (fun () -> true);
+  run_for n 30_000;
+  Window.ack w (fst (List.hd !(n.sent)));
+  Window.owe_ack w ~hold:3_000 8;
+  run_for n 3_000_000
+
+(* A quiet window reused for peer 2 behaves event for event as a window
+   [create]d for peer 2 on a twin node with the same history: the same
+   transmissions and outcomes, at the same times and event ids. *)
+let test_reused_window_is_fresh () =
+  List.iter
+    (fun seed ->
+      let a = logged_node () and b = logged_node () in
+      let wa = Window.create a.env ~peer:1 and wb = Window.create b.env ~peer:1 in
+      a.cur := Some wa;
+      b.cur := Some wb;
+      warm_up a wa ~seed;
+      warm_up b wb ~seed;
+      Alcotest.(check (list string)) "twin histories" !(a.log) !(b.log);
+      let before = List.length !(a.log) in
+      Window.reuse wa ~peer:2;
+      script a wa;
+      let fresh = Window.create b.env ~peer:2 in
+      b.cur := Some fresh;
+      script b fresh;
+      let tail n = List.filteri (fun i _ -> i < List.length !(n.log) - before) !(n.log) in
+      Alcotest.(check bool) "the script transmits" true (List.length (tail a) > 10);
+      Alcotest.(check (list string))
+        (Printf.sprintf "warm-up seed %d: reused = created" seed)
+        (List.rev (tail b)) (List.rev (tail a)))
+    [ 1; 2; 3 ]
+
+(* A window that still owes an ack, or has a send launched, is not quiet,
+   and [reuse] refuses it: either would reach the next peer. *)
+let test_reuse_refuses_busy_window () =
+  let n = logged_node () in
+  let w = Window.create n.env ~peer:1 in
+  let refused () =
+    match Window.reuse w ~peer:2 with () -> false | exception Invalid_argument _ -> true
+  in
+  Window.owe_ack w ~hold:1_000 3;
+  Alcotest.(check bool) "an owed ack" true (refused ());
+  run_for n 2_000;
+  Alcotest.(check bool) "an owed ack whose hold ended" true (refused ());
+  Alcotest.(check int) "the ack taken" 3 (Window.take_ack w);
+  Window.send w K_request ~tid:1 (request 1) (note_outcome n);
+  Alcotest.(check bool) "a launched send" true (refused ());
+  Window.ack w 0;
+  run_for n 1_000;
+  Alcotest.(check bool) "quiet" true (Window.quiet w);
+  Window.reuse w ~peer:2
 
 (* ---- the receiving half through its interface ------------------------------ *)
 
@@ -1302,5 +1475,8 @@ let suites =
           (ack_reentrant ~window:4 ~reentry:`Cancel ~uncovered:[]);
         Alcotest.test_case "W=8 on_done starts a second ack walk" `Quick
           (ack_reentrant ~window:8 ~reentry:`Cancel ~uncovered:[ "E"; "F" ]);
+        Alcotest.test_case "a reused window is a fresh one" `Quick test_reused_window_is_fresh;
+        Alcotest.test_case "reuse refuses a window that is not quiet" `Quick
+          test_reuse_refuses_busy_window;
       ] );
   ]

@@ -151,15 +151,17 @@ let rto_us t ~srtt_us ~rttvar_us =
   else
     max t.retrans_interval_us (int_of_float (srtt_us +. (4.0 *. rttvar_us)))
 
-let r_us t =
-  let rec sum i interval acc =
-    if i >= t.max_retrans then acc
-    else
-      sum (i + 1)
-        (int_of_float (float_of_int interval *. t.retrans_backoff))
-        (acc + interval)
-  in
-  sum 0 t.retrans_interval_us 0
+(* [acc] plus the retransmission intervals from the [i]th on, the [i]th
+   being [interval] and each next one [retrans_backoff] times longer. A
+   top-level loop: a local one is a closure over [t], made per call. *)
+let rec sum_intervals t i interval acc =
+  if i >= t.max_retrans then acc
+  else
+    sum_intervals t (i + 1)
+      (int_of_float (float_of_int interval *. t.retrans_backoff))
+      (acc + interval)
+
+let r_us t = sum_intervals t 0 t.retrans_interval_us 0
 
 let delta_t_us t = t.mpl_us + r_us t + t.ack_grace_us
 

@@ -16,8 +16,6 @@
 
 type t = private int
 
-val patternsize_bits : int
-
 (** [of_int i] validates that [i] fits in PATTERNSIZE bits.
     @raise Invalid_argument otherwise. *)
 val of_int : int -> t

@@ -47,11 +47,10 @@ type t = {
   pending : (int, pending_request) Hashtbl.t;  (* tid -> requester bookkeeping *)
   mutable crashed : bool;
   (* A handler invocation waits out one context switch in [invocations]
-     (the client it was made for and its event; a killed client stays
-     reachable until its entry fires); a client's return from an ACCEPT
-     trap waits one beat in [returns] (its [on_done], the status and [n]
-     the length). *)
-  invocations : (client, Types.handler_event) Delay_line.t;
+     (its event); a client's return from an ACCEPT trap waits one beat in
+     [returns] (its [on_done], the status and [n] the length). Killing
+     the client empties both. *)
+  invocations : (unit, Types.handler_event) Delay_line.t;
   returns : (Types.accept_status * int -> unit, Types.accept_status) Delay_line.t;
   context_switch_time : Stats.time_slot;
   protocol_time : Stats.time_slot;
@@ -161,28 +160,27 @@ let handler_available t =
   t.client <> None && t.hs_open && (not t.hs_busy) && Queue.is_empty t.completions
 
 (* Fillers for the empty slots of the delay lines. *)
-let no_client = { invoke_handler = ignore; on_kill = ignore }
 let no_event = Types.Booting { parent = 0 }
 let no_return (_ : Types.accept_status * int) = ()
 
-(* An invocation has waited out its context switch. The client it was
-   made for may have died meanwhile. *)
+(* An invocation has waited out its context switch. It was made for the
+   client attached now: a kill empties the line. *)
 let handler_invoked t =
   let l = t.invocations in
-  let client = Delay_line.head_a l and event = Delay_line.head_b l in
+  let event = Delay_line.head_b l in
   Delay_line.next l Delay_line.always;
   match t.client with
-  | Some c when c == client -> c.invoke_handler event
-  | Some _ | None -> ()
+  | Some c -> c.invoke_handler event
+  | None -> ()
 
 let invoke_client_handler t event =
   match t.client with
   | None -> ()
-  | Some client ->
+  | Some _ ->
     t.hs_busy <- true;
     if tracing t then emit_event t ?ctx:(handler_event_ctx t event) Event.Handler_invoke;
     Stats.charge t.context_switch_time t.cost.Cost.context_switch_us;
-    ignore (Delay_line.push t.invocations ~fire:handler_invoked t ~n:0 client event)
+    ignore (Delay_line.push t.invocations ~fire:handler_invoked t ~n:0 () event)
 
 let rec dispatch_completions t =
   if t.client <> None && t.hs_open && (not t.hs_busy) && not (Queue.is_empty t.completions)
@@ -242,6 +240,8 @@ let kill_client t ~readvertise_boot ~drain =
    | None -> ());
   t.hs_open <- false;
   t.hs_busy <- false;
+  Delay_line.reset t.invocations;
+  Delay_line.reset t.returns;
   Queue.clear t.completions;
   Hashtbl.reset t.pending;
   clear_advertisements t;
@@ -490,7 +490,7 @@ let create ~engine ~bus ~recorder ~cost ~mid ~boot_kinds =
       crashed = false;
       invocations =
         Delay_line.create ~tag:"kernel" engine ~delay:cost.Cost.context_switch_us
-          ~fill_a:no_client ~fill_b:no_event;
+          ~fill_a:() ~fill_b:no_event;
       returns =
         Delay_line.create ~tag:"kernel" engine ~delay:accept_return_us ~fill_a:no_return
           ~fill_b:Types.Accept_cancelled;

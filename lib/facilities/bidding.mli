@@ -11,9 +11,6 @@
 module Types = Soda_base.Types
 module Sodal = Soda_runtime.Sodal
 
-(** The BID entry derived from a service pattern. *)
-val bid_pattern : Soda_base.Pattern.t -> Soda_base.Pattern.t
-
 (** Server side: [serve_bids env ~pattern ~load] advertises both the
     service pattern and its BID entry; arriving bid GETs are answered from
     [load ()]. Call from the Initialization section; bids are answered by

@@ -92,7 +92,6 @@ and env = {
   event : Event.kind -> unit;
   transmit : int -> seq:int -> run:bool -> Wire.body -> unit;
   ack_due : int -> unit;
-  live : int -> bool;
   shared : shared;
 }
 
@@ -423,14 +422,12 @@ let take_ack w =
 
 let owed_ack w = w.ack_owed
 
-let stop w =
-  let id = w.wake_id in
-  if id >= 0 then begin
-    w.wake_id <- -1;
-    Delay_line.cancel (lines w).waits wait_live id
-  end;
-  withdraw_ack w;
-  Array.iter (clear_deadline w) w.slots
+let reset env =
+  match env.shared.lines with
+  | Some ls ->
+    Delay_line.reset ls.waits;
+    Delay_line.reset ls.copy
+  | None -> ()
 
 let quiet w = (not (active w)) && w.wake_id < 0 && w.copies = 0 && w.ack_owed < 0 && w.ack_id < 0
 
@@ -476,18 +473,15 @@ let rec transmit w m =
   end
 
 (* A copy is done: the message goes out unless it was relaunched or
-   resolved meanwhile. Nothing happens for a node reset since. A window
-   with a copy under way is not [quiet], so [w] is still the window
-   that began it. *)
+   resolved meanwhile. A window with a copy under way is not [quiet], so
+   [w] is still the window that began it. *)
 and copied ls =
   let l = ls.copy in
-  let id = Delay_line.head_id l and m = Delay_line.head_a l and w = Delay_line.head_b l in
-  let launch = Delay_line.head_n l in
+  let m = Delay_line.head_a l and w = Delay_line.head_b l and launch = Delay_line.head_n l in
   Delay_line.next l Delay_line.always;
   w.copies <- w.copies - 1;
-  if w.env.live id then
-    if m.launches = launch && launched w m then emit w m (body_for_transmission m)
-    else if w.ack_owed >= 0 then owe_ack w ~hold:w.env.cost.Cost.ack_grace_us w.ack_owed
+  if m.launches = launch && launched w m then emit w m (body_for_transmission m)
+  else if w.ack_owed >= 0 then owe_ack w ~hold:w.env.cost.Cost.ack_grace_us w.ack_owed
 
 (* An ack owed already keeps its hold, and its time. *)
 and owe_ack w ~hold seq =

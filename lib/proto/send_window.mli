@@ -45,9 +45,6 @@ type env = {
   ack_due : int -> unit;
       (** [ack_due peer]: the ack owed to [peer] was held its time and no
           packet carried it: send it alone *)
-  live : int -> bool;
-      (** is an event id taken since the node's last reset? A copy that
-          began before it is dropped when it ends *)
   shared : shared;  (** made once per node, from [stats] *)
 }
 
@@ -96,9 +93,12 @@ val drop_queued : t -> tid:int -> kind -> unit
 (** Something is queued or unacknowledged. *)
 val active : t -> bool
 
-(** Withdraw the window's deadlines, wake and ack hold (the node
-    resets). Copies under way still end, and are dropped by [env.live]. *)
-val stop : t -> unit
+(** [reset env]: the node resets. Every entry of its windows' lines
+    (deadlines, BUSY wakes, ack holds and copies under way) is dropped,
+    so no callback of a window made before the reset runs again. Those
+    windows must be dropped with it: their fields still name entries
+    that are gone, and none of them may be sent on or reused. *)
+val reset : env -> unit
 
 (** Nothing is queued or launched, no ack is owed, and no entry of this
     window waits in a line: [reuse] may take it. *)

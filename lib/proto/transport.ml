@@ -62,6 +62,7 @@ type t = {
   bus : Bus.t;
   mid : int;
   cost : Cost.t;
+  lifetime : int;  (* a record's lifetime, [Cost.record_expiry_us] *)
   recorder : Recorder.t;  (* the network's shared structured-event recorder *)
   stats : Stats.t;
   mutable nic : Nic.t option;
@@ -78,10 +79,6 @@ type t = {
       (* connections with a REQUEST held at the head of their receive
          window, in the order each head was first held: freed input-buffer
          capacity goes to the longest holder *)
-  mutable live_from : int;
-      (* the first event id taken since the last reset: an older entry of
-         a line below (the probe and GC lines are emptied instead) belongs
-         to the previous incarnation and is dropped when it comes due *)
   mutable records : records option;  (* made with the first connection record *)
   window_env : Window.env;
   rx_shared : Rx.shared;
@@ -192,9 +189,6 @@ let causal_ctx t ~tid = Hashtbl.find_opt t.tid_causal tid
 
 let forget_causal t ~tid = Hashtbl.remove t.tid_causal tid
 
-(* The head of [l] was pushed by this incarnation. *)
-let head_live t l = Delay_line.head_id l >= t.live_from
-
 (* Charge kernel CPU for one packet event and attribute it (§5.5
    breakdown); the packet waits it out in the tx or rx line. *)
 let charge_packet_cpu t =
@@ -279,7 +273,7 @@ let rec push_expiry t conn ~delay =
     Delay_line.push_after (records t).expiry_line ~delay ~fire:expiry_fired t ~n:0 conn ()
 
 and arm_expiry t conn =
-  let delay = Cost.record_expiry_us t.cost in
+  let delay = t.lifetime in
   conn.expiry_deadline <- Engine.now t.engine + delay;
   if conn.expiry_id < 0 then push_expiry t conn ~delay
 
@@ -309,13 +303,12 @@ let conn_for t peer =
 (* A frame has waited out its packet CPU: hand it to the NIC. *)
 let tx_fired t =
   let l = t.tx_line in
-  let live = head_live t l in
   let peer = Delay_line.head_n l and wire = Delay_line.head_a l and ctx = Delay_line.head_b l in
   Delay_line.next l Delay_line.always;
   match t.nic with
-  | Some nic when live ->
+  | Some nic ->
     if peer < 0 then Nic.broadcast_wire nic ?ctx wire else Nic.send_wire nic ?ctx ~dst:peer wire
-  | Some _ | None -> ()
+  | None -> ()
 
 (* Emit a packet to [peer] (-1 = broadcast) carrying the cumulative
    [ack] (-1 = none), or, to a peer when [ack] is -1, any owed
@@ -530,16 +523,13 @@ let request_sent t _peer tid (outcome : Window.outcome) =
    close the DISCOVER's span. It took exactly the window. *)
 let discover_fired t =
   let l = t.discover_line in
-  let live = head_live t l in
   let tid = Delay_line.head_n l and d = Delay_line.head_a l in
   Delay_line.next l Delay_line.always;
-  if live then begin
-    let mids = Cli.discovered t.reqs d in
-    Stats.observe t.hot.req_latency_us t.cost.Cost.discover_window_us;
-    if tracing t then event t (Event.Complete { tid; status = Discovered });
-    (callbacks t).complete_request ~tid (Comp_discovered mids);
-    forget_causal t ~tid
-  end
+  let mids = Cli.discovered t.reqs d in
+  Stats.observe t.hot.req_latency_us t.cost.Cost.discover_window_us;
+  if tracing t then event t (Event.Complete { tid; status = Discovered });
+  (callbacks t).complete_request ~tid (Comp_discovered mids);
+  forget_causal t ~tid
 
 let submit_discover t ~tid ~pattern ~max_mids =
   let d = Cli.discover t.reqs ~tid ~max_mids in
@@ -594,11 +584,10 @@ let stop_data_wait t (txn : Srv.txn) =
 
 let data_fired t =
   let l = t.data_line in
-  let live = head_live t l in
   let txn = Delay_line.head_a l and acked = Delay_line.head_n l = 1 in
   Delay_line.next l data_live;
   Srv.set_data_id txn (-1);
-  if live && txn.state = Accepting && txn.need_data && (acked || accept_queued t txn) then begin
+  if txn.state = Accepting && txn.need_data && (acked || accept_queued t txn) then begin
     Stats.incr t.stats "accept.data_timeouts";
     mark t ~peer:txn.src ~tid:txn.tid ~n:0 Event.Data_wait_expired;
     accept_finish t txn (Acc_crashed Bytes.empty)
@@ -652,15 +641,12 @@ let accept_sent t (txn : Srv.txn) (outcome : Window.outcome) =
    meanwhile. *)
 let srv_copied t =
   let l = t.srv_copy_line in
-  let live = head_live t l in
   let txn = Delay_line.head_a l and send = Delay_line.head_n l = 1 and body = Delay_line.head_b l in
   Delay_line.next l Delay_line.always;
-  if live then begin
-    if send then
-      send_reliable t ~peer:txn.src ~kind:K_accept ~tid:txn.tid body
-        ~on_done:(fun _ _ outcome -> accept_sent t txn outcome);
-    accept_check_done t txn
-  end
+  if send then
+    send_reliable t ~peer:txn.src ~kind:K_accept ~tid:txn.tid body
+      ~on_done:(fun _ _ outcome -> accept_sent t txn outcome);
+  accept_check_done t txn
 
 let accept t ~requester_mid ~requester_tid ~arg ~get_capacity ~data_out ~on_done =
   let txn = Srv.find t.srv ~src:requester_mid ~tid:requester_tid in
@@ -743,10 +729,9 @@ let handle_error t conn tid code =
 (* The get data has reached the client: the request completes. *)
 let get_copied t =
   let l = t.get_copy_line in
-  let live = head_live t l in
   let req = Delay_line.head_a l in
   Delay_line.next l Delay_line.always;
-  if live then complete t req Accepted
+  complete t req Accepted
 
 let handle_accept t conn pkt src ~tid ~arg ~put_transferred ~need_put_data data =
   let req = Cli.find t.reqs tid in
@@ -830,12 +815,10 @@ let handle_probe_reply t tid alive =
 
 let answer_fired t =
   let l = t.answer_line in
-  let live = head_live t l in
   let src = Delay_line.head_n l and tid = Delay_line.head_a l and reply = Delay_line.head_b l in
   Delay_line.next l Delay_line.always;
-  if live then
-    if reply then emit_unsequenced t ~peer:src (Wire.Discover_reply { tid })
-    else Hashtbl.remove t.seen_discovers (src, tid)
+  if reply then emit_unsequenced t ~peer:src (Wire.Discover_reply { tid })
+  else Hashtbl.remove t.seen_discovers (src, tid)
 
 let answer t ~delay src tid reply =
   ignore (Delay_line.push_after t.answer_line ~delay ~fire:answer_fired t ~n:src tid reply)
@@ -845,7 +828,7 @@ let handle_discover t src tid pattern =
     Stats.incr t.stats "discover.duped"
   else begin
     Hashtbl.replace t.seen_discovers (src, tid) ();
-    answer t ~delay:(Cost.record_expiry_us t.cost) src tid false;
+    answer t ~delay:t.lifetime src tid false;
     if (callbacks t).advertised pattern then begin
       Stats.incr t.stats "discover.matched";
       answer t ~delay:(t.cost.Cost.discover_stagger_us * (t.mid + 1)) src tid true
@@ -1069,10 +1052,9 @@ let process_packet t ~ctx ~bytes pkt =
 (* A frame has waited out its packet CPU: process it. *)
 let rx_fired t =
   let l = t.rx_line in
-  let live = head_live t l in
   let bytes = Delay_line.head_n l and pkt = Delay_line.head_a l and ctx = Delay_line.head_b l in
   Delay_line.next l Delay_line.always;
-  if live then process_packet t ~ctx ~bytes pkt
+  process_packet t ~ctx ~bytes pkt
 
 let attach_nic t =
   (* Zero-copy receive: decode straight out of the frame buffer (which may
@@ -1134,6 +1116,7 @@ let create ~engine ~bus ~mid ~cost ~recorder =
       bus;
       mid;
       cost;
+      lifetime;
       recorder;
       stats;
       nic = None;
@@ -1143,7 +1126,6 @@ let create ~engine ~bus ~mid ~cost ~recorder =
       seen_discovers = Hashtbl.create 4;
       srv = Srv.create ();
       holders = Queue.create ();
-      live_from = 0;
       records = None;
       rx_shared = Rx.shared stats cost;
       window_env =
@@ -1158,7 +1140,6 @@ let create ~engine ~bus ~mid ~cost ~recorder =
           transmit =
             (fun peer ~seq ~run body -> emit t ~peer ~reliable:true ~seq ~run ~ack:(-1) body);
           ack_due = (fun peer -> ack_due t peer);
-          live = (fun id -> id >= t.live_from);
           shared = Window.shared stats;
         };
       tx_line = line ~delay:hot.packet_cpu ~fill_a:Bytes.empty ~fill_b:None;
@@ -1181,22 +1162,25 @@ let set_callbacks t cb = t.cb <- Some cb
 
 (* ---- reset ---------------------------------------------------------------- *)
 
+(* The node forgets everything, and every line it has is emptied: nothing
+   the old incarnation put on one acts after the reset, and none of its
+   frames reaches the bus. *)
 let reset t =
-  Hashtbl.iter (fun _ conn -> Window.stop conn.tx) t.conns;
-  (* Every live expiry is a record's in the table. *)
+  Window.reset t.window_env;
   (match t.records with
    | Some r ->
      Delay_line.reset r.expiry_line;
      drop_spares r
    | None -> ());
-  (* Probes and record GC are withdrawn. The entries of the other lines
-     (frames, put-data waits, data copies, DISCOVER delays) still come
-     due, and count as fired events like a one-shot of the old
-     incarnation, but are dropped then: no frame of this incarnation
-     reaches the bus after the reset. *)
+  Delay_line.reset t.tx_line;
+  Delay_line.reset t.rx_line;
   Delay_line.reset t.probe_line;
   Delay_line.reset t.gc_line;
-  t.live_from <- (Engine.counters t.engine).Engine.scheduled;
+  Delay_line.reset t.data_line;
+  Delay_line.reset t.srv_copy_line;
+  Delay_line.reset t.get_copy_line;
+  Delay_line.reset t.discover_line;
+  Delay_line.reset t.answer_line;
   Hashtbl.reset t.conns;
   Cli.reset t.reqs;
   Hashtbl.reset t.seen_discovers;

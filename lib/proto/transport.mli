@@ -142,7 +142,9 @@ val cancel : t -> tid:int -> on_done:(bool -> unit) -> unit
     held at the heads of receive windows, longest-held first. *)
 val flush_buffered : t -> unit
 
-(** Crash or DIE: drop every connection record, transaction and timer.
+(** Crash or DIE: drop every connection record and transaction, and
+    empty every delay line (see {!delay_lines}) and the send windows'
+    lines, so nothing the old incarnation scheduled acts after the reset.
     The caller is responsible for the reboot quarantine. *)
 val reset : t -> unit
 

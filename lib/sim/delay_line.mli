@@ -56,5 +56,8 @@ val always : int -> 'a -> 'b -> bool
     it reaches the head. *)
 val cancel : ('a, 'b) t -> (int -> 'a -> 'b -> bool) -> int -> unit
 
-(** [reset l] drops every entry and disarms the timer. *)
+(** [reset l] drops every entry and disarms the timer. A dropped entry
+    never fires, and its event id stays taken, so every entry pushed
+    later runs where it would have anyway. A line's [fire] may reset it
+    once it has called {!next}. *)
 val reset : ('a, 'b) t -> unit

@@ -441,6 +441,27 @@ let test_stale_tid_answered_err_crashed () =
   Alcotest.(check bool) "server sees ACCEPT status CRASHED" true
     (!acc_status = Some Types.Accept_crashed)
 
+(* A DIE while the Booting invocation waits out its context switch: the
+   invocation reaches neither the dead client nor the one attached right
+   after it, which gets its own Booting once. *)
+let test_die_drops_waiting_invocation () =
+  let net, kernels = make_net 1 in
+  let k = List.hd kernels in
+  let client calls =
+    { Kernel.invoke_handler =
+        (fun _ ->
+          incr calls;
+          Kernel.endhandler k);
+      on_kill = ignore }
+  in
+  let dead = ref 0 and fresh = ref 0 in
+  Kernel.attach_client k ~parent:0 (client dead);
+  Kernel.die k;
+  Kernel.attach_client k ~parent:0 (client fresh);
+  run ~horizon:5.0 net;
+  Alcotest.(check int) "the dead client is never invoked" 0 !dead;
+  Alcotest.(check int) "the new client is invoked once" 1 !fresh
+
 let suites =
   [
     ( "kernel.patterns",
@@ -472,6 +493,8 @@ let suites =
         Alcotest.test_case "boot patterns readvertised" `Quick
           test_boot_patterns_readvertised_after_kill;
         Alcotest.test_case "system pattern privilege" `Quick test_system_pattern_privilege;
+        Alcotest.test_case "DIE drops a waiting handler invocation" `Quick
+          test_die_drops_waiting_invocation;
       ] );
     ( "kernel.reboot",
       [

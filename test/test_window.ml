@@ -933,7 +933,6 @@ let bare_window ~window =
       event = ignore;
       transmit = (fun _ ~seq:_ ~run:_ _ -> ());
       ack_due = ignore;
-      live = (fun _ -> true);
       shared = Window.shared stats;
     }
   in
@@ -1068,7 +1067,6 @@ let logged_node () =
       event = ignore;
       transmit;
       ack_due = (fun peer -> stamp (Printf.sprintf "ack due peer %d" peer));
-      live = (fun _ -> true);
       shared = Window.shared stats;
     }
   in
@@ -1201,6 +1199,24 @@ let test_reuse_refuses_busy_window () =
   run_for n 1_000;
   Alcotest.(check bool) "quiet" true (Window.quiet w);
   Window.reuse w ~peer:2
+
+(* A node reset empties the lines its windows share: a window with a
+   retransmission deadline, an ack hold and a copy under way runs none
+   of them after [Window.reset], and the engine has nothing left to do. *)
+let test_reset_ends_every_wait () =
+  let n = logged_node () in
+  let w = Window.create n.env ~peer:1 in
+  n.cur := Some w;
+  Window.send w K_request ~tid:1 (request 1) (note_outcome n);
+  Window.send w K_put_data ~tid:2 (put_data_copied 2) (note_outcome n);
+  Window.owe_ack w ~hold:3_000 5;
+  Alcotest.(check int) "the REQUEST went out, the DATA is being copied" 1 (List.length !(n.log));
+  Alcotest.(check int) "the waits and copy lines are armed" 2 (Engine.pending n.clock);
+  Window.reset n.env;
+  Alcotest.(check int) "nothing pending after the reset" 0 (Engine.pending n.clock);
+  let before = !(n.log) in
+  run_for n 10_000_000;
+  Alcotest.(check (list string)) "no window callback after the reset" before !(n.log)
 
 (* ---- the receiving half through its interface ------------------------------ *)
 
@@ -1478,5 +1494,7 @@ let suites =
         Alcotest.test_case "a reused window is a fresh one" `Quick test_reused_window_is_fresh;
         Alcotest.test_case "reuse refuses a window that is not quiet" `Quick
           test_reuse_refuses_busy_window;
+        Alcotest.test_case "a reset ends every wait of the node's windows" `Quick
+          test_reset_ends_every_wait;
       ] );
   ]

@@ -9,7 +9,7 @@ module Network = Soda_core.Network
 module Kernel = Soda_core.Kernel
 module Sodal = Soda_runtime.Sodal
 module Bus = Soda_net.Bus
-module Stats = Soda_sim.Stats
+module Metrics = Soda_obs.Metrics
 module Event = Soda_obs.Event
 module Recorder = Soda_obs.Recorder
 
@@ -88,8 +88,8 @@ let scenario_duplicate_rejection () =
              Sodal.serve env);
        });
   ignore (Network.run ~until:60_000_000 net);
-  let retrans = Stats.counter (Kernel.stats k1) "pkt.retransmissions" in
-  let dups = Stats.counter (Kernel.stats k0) "pkt.duplicates" in
+  let retrans = Metrics.counter (Kernel.stats k1) "pkt.retransmissions" in
+  let dups = Metrics.counter (Kernel.stats k0) "pkt.duplicates" in
   Printf.printf "    5/%d signals completed; %d retransmissions, %d duplicates suppressed\n"
     !completed retrans dups;
   Printf.printf "    exactly-once delivery: %s (%d handler deliveries for 5 requests)\n"

@@ -500,8 +500,8 @@ let incast_run ~seed ~clients ~ops mode =
   let module Network = Soda_core.Network in
   let module Kernel = Soda_core.Kernel in
   let module Sodal = Soda_runtime.Sodal in
-  let module Stats = Soda_sim.Stats in
-  let module Histogram = Soda_obs.Metrics.Histogram in
+  let module Metrics = Soda_obs.Metrics in
+  let module Histogram = Metrics.Histogram in
   let patt = Pattern.well_known 0o655 in
   let net = Network.create ~seed ~cost:(incast_cost mode) () in
   let server = Network.add_node net ~mid:0 in
@@ -552,7 +552,7 @@ let incast_run ~seed ~clients ~ops mode =
   ignore (Network.run ~until:600_000_000 net);
   if !done_count < total then failwith "incast run did not complete";
   let sum key =
-    List.fold_left (fun n k -> n + Stats.counter (Kernel.stats k) key) 0 !kernels
+    List.fold_left (fun n k -> n + Metrics.counter (Kernel.stats k) key) 0 !kernels
   in
   let ms p = float_of_int (Histogram.percentile latency p) /. 1000.0 in
   {
@@ -636,9 +636,8 @@ let store_section () =
   let module Metrics = Soda_obs.Metrics in
   let module Recorder = Soda_obs.Recorder in
   let module Network = Soda_core.Network in
-  let module Stats = Soda_sim.Stats in
   let module FP = Soda_fault.Fault_plan in
-  let frames net = Stats.counter (Soda_net.Bus.stats (Network.bus net)) "bus.frames_sent" in
+  let frames net = Metrics.counter (Soda_net.Bus.stats (Network.bus net)) "bus.frames_sent" in
   let clients = 2 and ops = 30 in
   List.iter
     (fun n ->
@@ -766,15 +765,12 @@ let scd_row ~n ~clients ~ops ~mean_interarrival_us =
     completed;
     broadcasts = Metrics.counter m "scd.broadcasts";
     forwards = Metrics.counter m "scd.forwards";
-    bus_frames =
-      Soda_sim.Stats.counter (Soda_net.Bus.stats (Network.bus r.Harness.net)) "bus.frames_sent";
+    bus_frames = Metrics.counter (Soda_net.Bus.stats (Network.bus r.Harness.net)) "bus.frames_sent";
     probe_lost =
       List.fold_left
         (fun acc mid ->
           acc
-          + Soda_sim.Stats.counter
-              (Soda_core.Kernel.stats (Network.node r.Harness.net ~mid))
-              "probe.lost")
+          + Metrics.counter (Soda_core.Kernel.stats (Network.node r.Harness.net ~mid)) "probe.lost")
         0
         (List.init (n + clients) Fun.id);
     ops_per_sec = float_of_int completed /. (float_of_int span_us /. 1e6);

@@ -9,7 +9,7 @@ module Cost = Soda_base.Cost_model
 module Network = Soda_core.Network
 module Kernel = Soda_core.Kernel
 module Sodal = Soda_runtime.Sodal
-module Stats = Soda_sim.Stats
+module Metrics = Soda_obs.Metrics
 module Bus = Soda_net.Bus
 
 type op = Signal | Put | Get | Exchange
@@ -102,8 +102,8 @@ let stream ?(cost = Cost.default) ?(loss = 0.0) ?(seed = 271) ~op ~words
     List.map
       (fun c ->
         ( c,
-          Stats.time_us stats (Cost.label c)
-          + Stats.time_us server_stats (Cost.label c) ))
+          Metrics.counter stats (Cost.label c)
+          + Metrics.counter server_stats (Cost.label c) ))
       Cost.all_categories
   in
   let data = Bytes.make (words * 2) 'D' in
@@ -113,19 +113,21 @@ let stream ?(cost = Cost.default) ?(loss = 0.0) ?(seed = 271) ~op ~words
     incr completions;
     if !completions = warmup then begin
       t_warm := Sodal.now env;
-      frames_warm := Stats.counter bus_stats "bus.frames_sent";
+      frames_warm := Metrics.counter bus_stats "bus.frames_sent";
       warm_breakdown := snapshot_breakdown ();
       retrans_warm :=
-        Stats.counter stats "pkt.retransmissions" + Stats.counter server_stats "pkt.retransmissions";
-      busy_warm := Stats.counter server_stats "req.busy_nacked"
+        Metrics.counter stats "pkt.retransmissions"
+        + Metrics.counter server_stats "pkt.retransmissions";
+      busy_warm := Metrics.counter server_stats "req.busy_nacked"
     end;
     if !completions = n then begin
       t_end := Sodal.now env;
-      frames_end := Stats.counter bus_stats "bus.frames_sent";
+      frames_end := Metrics.counter bus_stats "bus.frames_sent";
       end_breakdown := snapshot_breakdown ();
       retrans_end :=
-        Stats.counter stats "pkt.retransmissions" + Stats.counter server_stats "pkt.retransmissions";
-      busy_end := Stats.counter server_stats "req.busy_nacked"
+        Metrics.counter stats "pkt.retransmissions"
+        + Metrics.counter server_stats "pkt.retransmissions";
+      busy_end := Metrics.counter server_stats "req.busy_nacked"
     end
   in
   ignore

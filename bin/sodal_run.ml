@@ -41,11 +41,10 @@ let print_metrics net =
   let engine_metrics = Soda_obs.Metrics.create () in
   Soda_sim.Engine.export_metrics (Network.engine net) engine_metrics ~prefix:"engine";
   Format.printf "@.== engine ==@.%a" Soda_obs.Metrics.pp engine_metrics;
-  Format.printf "@.== bus ==@.%a" Soda_sim.Stats.pp
-    (Soda_net.Bus.stats (Network.bus net));
+  Format.printf "@.== bus ==@.%a" Soda_obs.Metrics.pp (Soda_net.Bus.stats (Network.bus net));
   List.iter
     (fun (mid, kernel) ->
-      Format.printf "@.== node %d ==@.%a" mid Soda_sim.Stats.pp
+      Format.printf "@.== node %d ==@.%a" mid Soda_obs.Metrics.pp
         (Soda_core.Kernel.stats kernel))
     (Network.nodes net);
   Format.printf "@."
@@ -58,12 +57,11 @@ let export_metrics_json net file =
   Soda_sim.Engine.export_metrics (Network.engine net) engine_metrics ~prefix:"engine";
   let sections =
     (("engine", engine_metrics)
-     :: ("bus", Soda_sim.Stats.registry (Soda_net.Bus.stats (Network.bus net)))
+     :: ("bus", Soda_net.Bus.stats (Network.bus net))
      :: ("recorder", Soda_obs.Recorder.metrics (Network.recorder net))
      :: List.map
           (fun (mid, kernel) ->
-            ( Printf.sprintf "node.%d" mid,
-              Soda_sim.Stats.registry (Soda_core.Kernel.stats kernel) ))
+            (Printf.sprintf "node.%d" mid, Soda_core.Kernel.stats kernel))
           (Network.nodes net))
   in
   let oc = open_out file in

@@ -1,5 +1,5 @@
 module Engine = Soda_sim.Engine
-module Stats = Soda_sim.Stats
+module Metrics = Soda_obs.Metrics
 module Bus = Soda_net.Bus
 module Nic = Soda_net.Nic
 
@@ -77,7 +77,7 @@ type node = {
   bus : Bus.t;
   mid : int;
   cost : cost;
-  stats : Stats.t;
+  stats : Metrics.t;
   mutable nic : Nic.t option;
   ports : (int, bytes -> bytes option) Hashtbl.t;
   peers : (int, peer_state) Hashtbl.t;
@@ -104,7 +104,7 @@ let rec peer node mid =
 and retransmit node dst =
   match (peer node dst).inflight with
   | Some ob ->
-    Stats.incr node.stats "starmod.pkt.retransmitted";
+    Metrics.incr node.stats "starmod.pkt.retransmitted";
     transmit node dst ob
   | None -> ()
 
@@ -121,7 +121,7 @@ and pump node dst =
 and transmit node dst ob =
   let p = peer node dst in
   let packet = { ob.ob_packet with seq = p.send_seq } in
-  Stats.incr node.stats "starmod.pkt.sent";
+  Metrics.incr node.stats "starmod.pkt.sent";
   let nic = Option.get node.nic in
   (* kernel protocol work, then the wire *)
   Engine.schedule node.engine ~delay:node.cost.packet_us (fun () ->
@@ -139,7 +139,7 @@ let send_packet node ~dst ~kind ~call_id ~port payload ~on_delivered =
   pump node dst
 
 let send_ack node ~dst ~seq =
-  Stats.incr node.stats "starmod.pkt.sent";
+  Metrics.incr node.stats "starmod.pkt.sent";
   let nic = Option.get node.nic in
   Engine.schedule node.engine ~delay:node.cost.packet_us (fun () ->
       Nic.send nic ~dst
@@ -171,9 +171,9 @@ let deliver node ~src packet =
 
 let on_rx node ~src payload =
   match decode payload with
-  | None -> Stats.incr node.stats "starmod.pkt.bad"
+  | None -> Metrics.incr node.stats "starmod.pkt.bad"
   | Some packet ->
-    Stats.incr node.stats "starmod.pkt.recv";
+    Metrics.incr node.stats "starmod.pkt.recv";
     Engine.schedule node.engine ~delay:node.cost.packet_us (fun () ->
         match packet.kind with
         | Ack ->
@@ -201,7 +201,7 @@ let create_node ~engine ~bus ~mid ?(cost = default_cost) () =
       bus;
       mid;
       cost;
-      stats = Stats.create ();
+      stats = Metrics.create ();
       nic = None;
       ports = Hashtbl.create 8;
       peers = Hashtbl.create 8;
@@ -218,7 +218,7 @@ let sync_call node ~dst ~port payload ~on_reply =
   let call_id = node.next_call in
   node.next_call <- node.next_call + 1;
   Hashtbl.replace node.calls call_id on_reply;
-  Stats.incr node.stats "starmod.sync_calls";
+  Metrics.incr node.stats "starmod.sync_calls";
   (* user->kernel trap + kernel buffering, then queue for the net process *)
   let delay = node.cost.trap_us + node.cost.buffer_copy_us in
   Engine.schedule node.engine ~delay (fun () ->
@@ -227,7 +227,7 @@ let sync_call node ~dst ~port payload ~on_reply =
 let async_send node ~dst ~port payload ~on_done =
   let call_id = node.next_call in
   node.next_call <- node.next_call + 1;
-  Stats.incr node.stats "starmod.async_sends";
+  Metrics.incr node.stats "starmod.async_sends";
   let delay = node.cost.trap_us + node.cost.buffer_copy_us in
   Engine.schedule node.engine ~delay (fun () ->
       send_packet node ~dst ~kind:Msg ~call_id ~port payload ~on_delivered:on_done)

@@ -27,7 +27,7 @@ type cost = {
 val create_node :
   engine:Soda_sim.Engine.t -> bus:Soda_net.Bus.t -> mid:int -> ?cost:cost -> unit -> node
 
-val stats : node -> Soda_sim.Stats.t
+val stats : node -> Soda_obs.Metrics.t
 
 (** [define_port node ~port f] — messages to [port] run [f payload]; a
     [Some reply] is sent back to a synchronous caller. *)

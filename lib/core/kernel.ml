@@ -1,6 +1,6 @@
 module Engine = Soda_sim.Engine
 module Delay_line = Soda_sim.Delay_line
-module Stats = Soda_sim.Stats
+module Metrics = Soda_obs.Metrics
 module Bus = Soda_net.Bus
 module Nic = Soda_net.Nic
 module Pattern = Soda_base.Pattern
@@ -52,8 +52,8 @@ type t = {
      the client empties both. *)
   invocations : (unit, Types.handler_event) Delay_line.t;
   returns : (Types.accept_status * int -> unit, Types.accept_status) Delay_line.t;
-  context_switch_time : Stats.time_slot;
-  protocol_time : Stats.time_slot;
+  context_switch_time : Metrics.counter_slot;
+  protocol_time : Metrics.counter_slot;
   (* Ambient causal parent: a client-visible operation (a store op, a
      multi-request facility call) sets this so every REQUEST trapped
      under it becomes a child span of the operation rather than a fresh
@@ -179,7 +179,7 @@ let invoke_client_handler t event =
   | Some _ ->
     t.hs_busy <- true;
     if tracing t then emit_event t ?ctx:(handler_event_ctx t event) Event.Handler_invoke;
-    Stats.charge t.context_switch_time t.cost.Cost.context_switch_us;
+    Metrics.bump_by t.context_switch_time t.cost.Cost.context_switch_us;
     ignore (Delay_line.push t.invocations ~fire:handler_invoked t ~n:0 () event)
 
 let rec dispatch_completions t =
@@ -494,8 +494,8 @@ let create ~engine ~bus ~recorder ~cost ~mid ~boot_kinds =
       returns =
         Delay_line.create ~tag:"kernel" engine ~delay:accept_return_us ~fill_a:no_return
           ~fill_b:Types.Accept_cancelled;
-      context_switch_time = Stats.time_slot stats (Cost.label Cost.Context_switch);
-      protocol_time = Stats.time_slot stats (Cost.label Cost.Protocol);
+      context_switch_time = Metrics.counter_slot stats (Cost.label Cost.Context_switch);
+      protocol_time = Metrics.counter_slot stats (Cost.label Cost.Protocol);
       causal_parent = None;
     }
   in
@@ -562,7 +562,7 @@ let request t ~server ~arg ~put ~get_buffer =
       (* Copy the put data at trap time; the client must not touch its
          buffer until completion anyway (§3.3.2 rule 1). *)
       let copy_us = Cost.data_copy_us t.cost ~bytes:(Bytes.length put) in
-      Stats.charge t.protocol_time copy_us;
+      Metrics.bump_by t.protocol_time copy_us;
       let put = copy put in
       Transport.submit_request t.transport ~dst ~tid ~pattern:server.Types.sv_pattern ~arg
         ~put_data:put ~get_size:(Bytes.length get_buffer);

@@ -36,7 +36,7 @@ val create :
 val mid : t -> int
 val engine : t -> Soda_sim.Engine.t
 val cost : t -> Soda_base.Cost_model.t
-val stats : t -> Soda_sim.Stats.t
+val stats : t -> Soda_obs.Metrics.t
 
 (** The node's transport, for introspection by the test suites. *)
 val transport : t -> Soda_proto.Transport.t

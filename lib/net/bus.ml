@@ -1,6 +1,6 @@
 module Engine = Soda_sim.Engine
 module Rng = Soda_sim.Rng
-module Stats = Soda_sim.Stats
+module Metrics = Soda_obs.Metrics
 module Delay_line = Soda_sim.Delay_line
 module Recorder = Soda_obs.Recorder
 module Event = Soda_obs.Event
@@ -39,7 +39,7 @@ type t = {
      pooled buffer is released after this delivery *)
   arrivals : (Frame.t, unit) Delay_line.t;
   fault_rng : Rng.t;
-  stats : Stats.t;
+  stats : Metrics.t;
   (* Backing cells of the per-frame stats, fetched once: a frame costs
      five accounting updates, and the string-keyed lookups were measurable
      at thousands of frames per simulated second. *)
@@ -47,8 +47,8 @@ type t = {
   c_bytes_sent : int ref;
   c_frames_delivered : int ref;
   t_medium_busy : int ref;
-  h_frame_bytes : Soda_obs.Metrics.histogram;
-  h_queueing_us : Soda_obs.Metrics.histogram;
+  h_frame_bytes : Metrics.histogram;
+  h_queueing_us : Metrics.histogram;
   pool : Pool.t;
   obs : Recorder.t option;
   (* fault-plan state *)
@@ -65,7 +65,7 @@ type t = {
 let no_frame = { Frame.src = -1; dst = Frame.Broadcast; wire = Bytes.empty; ctx = None }
 
 let create ?(config = default_config) ?obs engine =
-  let stats = Stats.create () in
+  let stats = Metrics.create () in
   {
     engine;
     config;
@@ -78,12 +78,12 @@ let create ?(config = default_config) ?obs engine =
     arrivals = Delay_line.create ~tag:"bus" engine ~delay:0 ~fill_a:no_frame ~fill_b:();
     fault_rng = Rng.split (Engine.rng engine);
     stats;
-    c_frames_sent = Stats.counter_cell stats "bus.frames_sent";
-    c_bytes_sent = Stats.counter_cell stats "bus.bytes_sent";
-    c_frames_delivered = Stats.counter_cell stats "bus.frames_delivered";
-    t_medium_busy = Stats.time_ref stats "bus.medium_busy";
-    h_frame_bytes = Stats.histogram_cell stats "bus.frame_bytes";
-    h_queueing_us = Stats.histogram_cell stats "bus.queueing_us";
+    c_frames_sent = Metrics.counter_cell stats "bus.frames_sent";
+    c_bytes_sent = Metrics.counter_cell stats "bus.bytes_sent";
+    c_frames_delivered = Metrics.counter_cell stats "bus.frames_delivered";
+    t_medium_busy = Metrics.counter_cell stats "bus.medium_busy";
+    h_frame_bytes = Metrics.histogram_cell stats "bus.frame_bytes";
+    h_queueing_us = Metrics.histogram_cell stats "bus.queueing_us";
     pool = Pool.create ();
     obs;
     partition = None;
@@ -229,20 +229,20 @@ let deliver_to t frame mid rx =
        the wire when the cut appears is eaten too — that is exactly the
        "ack eaten by a partition" adversary the chaos suite scripts. *)
     if separated t frame.Frame.src mid then begin
-      Stats.incr t.stats "bus.frames_partitioned";
+      Metrics.incr t.stats "bus.frames_partitioned";
       if tracing t then
         emit_event t
           (Event.Bus_drop { src = frame.Frame.src; dst = mid; reason = Drop_partitioned })
     end
     else if Rng.chance t.fault_rng t.config.loss_rate then begin
-      Stats.incr t.stats "bus.frames_lost";
+      Metrics.incr t.stats "bus.frames_lost";
       if tracing t then
         emit_event t (Event.Bus_drop { src = frame.Frame.src; dst = mid; reason = Drop_lost })
     end
     else begin
       let frame =
         if Rng.chance t.fault_rng t.config.corruption_rate then begin
-          Stats.incr t.stats "bus.frames_corrupted";
+          Metrics.incr t.stats "bus.frames_corrupted";
           if tracing t then
             emit_event t
               (Event.Bus_drop { src = frame.Frame.src; dst = mid; reason = Drop_corrupted });
@@ -296,8 +296,8 @@ let send_frame t ?ctx ~src ~dst ~release wire =
   incr t.c_frames_sent;
   t.c_bytes_sent := !(t.c_bytes_sent) + payload_bytes;
   t.t_medium_busy := !(t.t_medium_busy) + tx;
-  Soda_obs.Metrics.Histogram.observe t.h_frame_bytes payload_bytes;
-  Soda_obs.Metrics.Histogram.observe t.h_queueing_us (start - now);
+  Metrics.Histogram.observe t.h_frame_bytes payload_bytes;
+  Metrics.Histogram.observe t.h_queueing_us (start - now);
   if tracing t then
     emit_event t
       (Event.Bus_frame
@@ -324,7 +324,7 @@ let send_frame t ?ctx ~src ~dst ~release wire =
        ~n:(Bool.to_int release_now) frame ());
   if dup then begin
     t.duplicate_pending <- t.duplicate_pending - 1;
-    Stats.incr t.stats "bus.frames_duplicated";
+    Metrics.incr t.stats "bus.frames_duplicated";
     (* The copy trails the original by one transmission time plus a small
        random slack: late enough to look like a stale retransmission. *)
     let slack = 1 + Rng.int t.fault_rng (max 1 t.config.propagation_us * 4) in

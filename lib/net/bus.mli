@@ -26,7 +26,7 @@ val default_config : config
 val create : ?config:config -> ?obs:Soda_obs.Recorder.t -> Soda_sim.Engine.t -> t
 
 val engine : t -> Soda_sim.Engine.t
-val stats : t -> Soda_sim.Stats.t
+val stats : t -> Soda_obs.Metrics.t
 
 (** The medium's shared frame-buffer pool. Hot-path senders acquire
     exactly-sized buffers here, seal them ({!Crc16.seal}) and hand them to

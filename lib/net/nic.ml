@@ -1,9 +1,9 @@
-module Stats = Soda_sim.Stats
+module Metrics = Soda_obs.Metrics
 
 type t = {
   bus : Bus.t;
   mid : int;
-  stats : Stats.t option;
+  stats : Metrics.t option;
   mutable crc_drops : int;
   mutable enabled : bool;
 }
@@ -19,7 +19,7 @@ let make ?stats bus ~mid ~deliver =
         if len < 0 then begin
           t.crc_drops <- t.crc_drops + 1;
           match t.stats with
-          | Some s -> Stats.incr s "nic.crc_drops"
+          | Some s -> Metrics.incr s "nic.crc_drops"
           | None -> ()
         end
         else deliver frame len

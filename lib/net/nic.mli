@@ -14,7 +14,7 @@ type t
     increment its ["nic.crc_drops"] counter, so the drop count surfaces in
     the node's metrics registry. *)
 val attach :
-  ?stats:Soda_sim.Stats.t ->
+  ?stats:Soda_obs.Metrics.t ->
   Bus.t ->
   mid:int ->
   rx:(src:int -> broadcast:bool -> ctx:Soda_obs.Causal.ctx option -> bytes -> unit) ->
@@ -26,7 +26,7 @@ val attach :
     be a pooled buffer recycled after this delivery), so [rx] must finish
     reading before returning and must not retain [wire]. *)
 val attach_view :
-  ?stats:Soda_sim.Stats.t ->
+  ?stats:Soda_obs.Metrics.t ->
   Bus.t ->
   mid:int ->
   rx:

@@ -53,6 +53,9 @@ let bus_drop_reason_f fields =
 
 let scd_op_f fields = named_f "scd op" Event.scd_op_name Event.scd_ops fields "op"
 
+let scd_payload_f fields =
+  named_f "scd payload" Event.scd_payload_name Event.scd_payloads fields "payload"
+
 let mids_of_string s =
   if s = "" then []
   else List.map int_of_string (String.split_on_char ',' s)
@@ -123,7 +126,7 @@ let kind_of_fields fields =
     Store_complete
       { op = store_op_f fields; key = i "key"; ok = flag "ok"; rounds = i "rounds";
         elapsed_us = i "elapsed" }
-  | "scd-broadcast" -> Scd_broadcast { sd = i "sd"; sn = i "sn"; payload = str "payload" }
+  | "scd-broadcast" -> Scd_broadcast { sd = i "sd"; sn = i "sn"; payload = scd_payload_f fields }
   | "scd-deliver" -> Scd_deliver { size = i "size"; pending = i "pending" }
   | "scd-op" ->
     Scd_op

@@ -125,6 +125,15 @@ let scd_op_name = function
   | Scd_incr -> "incr"
   | Scd_cread -> "cread"
 
+type scd_payload = Payload_write | Payload_incr | Payload_sync
+
+let scd_payloads = [ Payload_write; Payload_incr; Payload_sync ]
+
+let scd_payload_name = function
+  | Payload_write -> "write"
+  | Payload_incr -> "incr"
+  | Payload_sync -> "sync"
+
 type status = Accepted | Rejected | Unadvertised | Crashed | Discovered
 
 let statuses = [ Accepted; Rejected; Unadvertised; Crashed; Discovered ]
@@ -192,7 +201,7 @@ type kind =
   | Store_complete of
       { op : store_op; key : int; ok : bool; rounds : int; elapsed_us : int }
       (** A store operation finished ([ok = false]: no quorum reachable). *)
-  | Scd_broadcast of { sd : int; sn : int; payload : string }
+  | Scd_broadcast of { sd : int; sn : int; payload : scd_payload }
       (** An SCD member started a broadcast (first FORWARD of a message). *)
   | Scd_deliver of { size : int; pending : int }
       (** An SCD member delivered a message set of [size] messages
@@ -314,7 +323,7 @@ let message = function
       (if ok then "ok" else "NO QUORUM")
       rounds elapsed_us
   | Scd_broadcast { sd; sn; payload } ->
-    Printf.sprintf "scd broadcast (%d,%d) %s" sd sn payload
+    Printf.sprintf "scd broadcast (%d,%d) %s" sd sn (scd_payload_name payload)
   | Scd_deliver { size; pending } ->
     Printf.sprintf "scd deliver set of %d message(s), %d buffered" size pending
   | Scd_op { op; origin; oseq; ok; elapsed_us } ->

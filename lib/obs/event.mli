@@ -114,6 +114,16 @@ val scd_ops : scd_op list
 (** ["write"], ["snapshot"], ["incr"] or ["cread"], as exported. *)
 val scd_op_name : scd_op -> string
 
+(** The application operation an SCD broadcast carries: a register
+    write, a counter increment, or a sync round. *)
+type scd_payload = Payload_write | Payload_incr | Payload_sync
+
+(** Every payload, in declaration order. *)
+val scd_payloads : scd_payload list
+
+(** ["write"], ["incr"] or ["sync"], as exported. *)
+val scd_payload_name : scd_payload -> string
+
 (** How a request completed at its requester: accepted, rejected (an
     ACCEPT with a negative argument, §4.1.2), unadvertised, crashed, or
     a DISCOVER that collected its replies. *)
@@ -176,7 +186,7 @@ type kind =
   | Store_complete of
       { op : store_op; key : int; ok : bool; rounds : int; elapsed_us : int }
       (** A store operation finished ([ok = false]: no quorum reachable). *)
-  | Scd_broadcast of { sd : int; sn : int; payload : string }
+  | Scd_broadcast of { sd : int; sn : int; payload : scd_payload }
       (** An SCD member started a broadcast (first FORWARD of a message). *)
   | Scd_deliver of { size : int; pending : int }
       (** An SCD member delivered a message set of [size] messages

@@ -76,7 +76,8 @@ let event_fields (e : Event.t) : (string * Json.t) list =
     | Store_complete { op; key; ok; rounds; elapsed_us } ->
       [ str "op" (store_op_name op); int "key" key; flag "ok" ok; int "rounds" rounds;
         int "elapsed" elapsed_us ]
-    | Scd_broadcast { sd; sn; payload } -> [ int "sd" sd; int "sn" sn; str "payload" payload ]
+    | Scd_broadcast { sd; sn; payload } ->
+      [ int "sd" sd; int "sn" sn; str "payload" (scd_payload_name payload) ]
     | Scd_deliver { size; pending } -> [ int "size" size; int "pending" pending ]
     | Scd_op { op; origin; oseq; ok; elapsed_us } ->
       [ str "op" (scd_op_name op); int "origin" origin; int "oseq" oseq; flag "ok" ok;

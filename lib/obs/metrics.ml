@@ -122,6 +122,31 @@ let add t name n =
 let counter t name =
   match Hashtbl.find t.counters name with r -> !r | exception Not_found -> 0
 
+(* Slot cells start as these sentinels, never written: a name the node
+   never touches stays absent from its exports. *)
+let no_ref = ref 0
+
+let no_histogram =
+  { h_count = 0; h_sum = 0; h_min = max_int; h_max = min_int; buckets = [||] }
+
+type counter_slot = { c_metrics : t; c_name : string; mutable c_ref : int ref }
+
+let counter_slot t name = { c_metrics = t; c_name = name; c_ref = no_ref }
+
+let resolve s = if s.c_ref == no_ref then s.c_ref <- counter_cell s.c_metrics s.c_name
+
+let bump s =
+  resolve s;
+  Stdlib.incr s.c_ref
+
+let bump_by s n =
+  resolve s;
+  s.c_ref := !(s.c_ref) + n
+
+type histogram_slot = { h_metrics : t; h_name : string; mutable h_cell : histogram }
+
+let histogram_slot t name = { h_metrics = t; h_name = name; h_cell = no_histogram }
+
 let set_gauge t name v = cell t.gauges name := v
 
 let gauge t name =
@@ -136,6 +161,10 @@ let histogram_cell t name =
     h
 
 let observe t name v = Histogram.observe (histogram_cell t name) v
+
+let sample s v =
+  if s.h_cell == no_histogram then s.h_cell <- histogram_cell s.h_metrics s.h_name;
+  Histogram.observe s.h_cell v
 
 let histogram t name = Hashtbl.find_opt t.histograms name
 

@@ -1,9 +1,13 @@
 (** Metrics registry: named counters, gauges and log-scale histograms.
 
+    Every layer counts here: a node's packet and request counters, its
+    §5.5 time categories (microsecond counters named [Cost.label c]),
+    the bus's frame counts and medium time, SCD and the store.
+
     Histograms store exact unit buckets for values below 64 and 32
     sub-buckets per power-of-two octave above (≤ ~3% relative error on
-    percentiles), with exact count/sum/min/max. This replaces the raw
-    sample lists the old [Stats] kept: memory is O(buckets), not O(n). *)
+    percentiles), with exact count/sum/min/max: memory is O(buckets),
+    not O(samples). *)
 
 type t
 type histogram
@@ -21,6 +25,28 @@ val counter : t -> string -> int
     string hash + table probe per increment. The registry never drops a
     cell, so one fetched at setup stays attached. *)
 val counter_cell : t -> string -> int ref
+
+(** Slots: a name bound once, its cell resolved at the first bump or
+    sample. A slot that is never used adds nothing to the registry, so
+    it exports exactly what the string-keyed call would have, and a
+    histogram (1,888 words) exists only where something is sampled. *)
+
+type counter_slot
+
+val counter_slot : t -> string -> counter_slot
+
+(** [bump s] is [incr t name]. *)
+val bump : counter_slot -> unit
+
+(** [bump_by s n] is [add t name n]. *)
+val bump_by : counter_slot -> int -> unit
+
+type histogram_slot
+
+val histogram_slot : t -> string -> histogram_slot
+
+(** [sample s v] is [observe t name v]. *)
+val sample : histogram_slot -> int -> unit
 
 (** Gauges (set to the latest value). *)
 

@@ -1,4 +1,4 @@
-module Stats = Soda_sim.Stats
+module Metrics = Soda_obs.Metrics
 module Cost = Soda_base.Cost_model
 
 type cls = In_order | Out_of_order | Dup | Resync | No_sync | Unsequenced
@@ -9,21 +9,21 @@ type shared = {
   window : int;
   space : int;
   held_limit : int;
-  stale_replaced : Stats.counter_slot;
-  buffered : Stats.counter_slot;
-  stale_flushed : Stats.counter_slot;
-  busy_deferred : Stats.counter_slot;
-  held_nacked : Stats.counter_slot;
+  stale_replaced : Metrics.counter_slot;
+  buffered : Metrics.counter_slot;
+  stale_flushed : Metrics.counter_slot;
+  busy_deferred : Metrics.counter_slot;
+  held_nacked : Metrics.counter_slot;
 }
 
 let shared stats cost =
   { window = Cost.transport_window cost; space = Cost.seq_space cost;
     held_limit = max 1 (cost.Cost.max_retrans - 2);
-    stale_replaced = Stats.counter_slot stats "pkt.window_stale_replaced";
-    buffered = Stats.counter_slot stats "pkt.window_buffered";
-    stale_flushed = Stats.counter_slot stats "pkt.window_stale_flushed";
-    busy_deferred = Stats.counter_slot stats "req.busy_deferred";
-    held_nacked = Stats.counter_slot stats "req.held_nacked" }
+    stale_replaced = Metrics.counter_slot stats "pkt.window_stale_replaced";
+    buffered = Metrics.counter_slot stats "pkt.window_buffered";
+    stale_flushed = Metrics.counter_slot stats "pkt.window_stale_flushed";
+    busy_deferred = Metrics.counter_slot stats "req.busy_deferred";
+    held_nacked = Metrics.counter_slot stats "req.held_nacked" }
 
 (* Slot [i] is sequence number [i]. At window 1 the space is {0,1} and the
    only record ever read is the one just behind the base: the seed's
@@ -102,7 +102,7 @@ let consume w ~resync pkt =
   if x != no_extra then x.resps.(i) <- Wire.Ack;
   w.base <- (i + 1) mod sh.space;
   let displaced = old != none && ident old <> id in
-  if displaced then Stats.bump sh.stale_replaced;
+  if displaced then Metrics.bump sh.stale_replaced;
   displaced
 
 let respond w pkt body = (extra w).resps.(slot w.sh pkt.Wire.seq) <- body
@@ -115,13 +115,13 @@ let stash w pkt =
   if old != none && ident old = ident pkt then Already_stashed
   else begin
     x.pkts.(i) <- pkt;
-    Stats.bump w.sh.buffered;
+    Metrics.bump w.sh.buffered;
     if old == none then begin
       x.stashed <- x.stashed + 1;
       Stashed
     end
     else begin
-      Stats.bump w.sh.stale_replaced;
+      Metrics.bump w.sh.stale_replaced;
       Replaced_stale
     end
   end
@@ -141,7 +141,7 @@ let flush_run_stale w pkt =
       end
     done;
     x.stashed <- x.stashed - !n;
-    if !n > 0 then Stats.bump sh.stale_flushed;
+    if !n > 0 then Metrics.bump sh.stale_flushed;
     !n
   end
 
@@ -155,7 +155,7 @@ let head_copy w pkt =
 
 let hold w pkt =
   let x = extra w in
-  Stats.bump w.sh.busy_deferred;
+  Metrics.bump w.sh.busy_deferred;
   let fresh = x.held == none in
   if x.held != pkt then begin
     x.held <- pkt;
@@ -178,5 +178,5 @@ let held_retry w pkt =
   head w == pkt && x.held == pkt
   && begin
     x.retries <- x.retries + 1;
-    x.retries >= w.sh.held_limit && (Stats.bump w.sh.held_nacked; true)
+    x.retries >= w.sh.held_limit && (Metrics.bump w.sh.held_nacked; true)
   end

@@ -33,7 +33,7 @@ type stashed =
 (** Per-node constants and stats slots, shared by the node's windows. *)
 type shared
 
-val shared : Soda_sim.Stats.t -> Soda_base.Cost_model.t -> shared
+val shared : Soda_obs.Metrics.t -> Soda_base.Cost_model.t -> shared
 
 (** One peer's receiving half. *)
 type t

@@ -106,11 +106,14 @@ let decode b =
   in
   if len = 0 then Error "scd frame: empty batch" else entries 0 []
 
-let payload_label = function Write _ -> "write" | Incr _ -> "incr" | Sync -> "sync"
+let payload_kind : payload -> Soda_obs.Event.scd_payload = function
+  | Write _ -> Payload_write
+  | Incr _ -> Payload_incr
+  | Sync -> Payload_sync
 
 let pp ppf fwd =
   Format.fprintf ppf "FORWARD(sd=%d sn=%d f=%d snf=%d %s" fwd.sd fwd.sn fwd.f fwd.snf
-    (payload_label fwd.payload);
+    (Soda_obs.Event.scd_payload_name (payload_kind fwd.payload));
   (match fwd.payload with
   | Write { reg; value; date; writer } ->
     Format.fprintf ppf " reg=%d value=%d date=%d writer=%d" reg value date writer

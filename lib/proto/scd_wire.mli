@@ -35,6 +35,6 @@ val encode : forward -> bytes
     byte-identical to [encode]). Entries come back in order. An empty
     buffer, a truncated entry or an unknown tag rejects the whole buffer. *)
 val decode : bytes -> (forward list, string) result
-val payload_label : payload -> string
+val payload_kind : payload -> Soda_obs.Event.scd_payload
 val pp : Format.formatter -> forward -> unit
 val equal : forward -> forward -> bool

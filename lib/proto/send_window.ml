@@ -1,6 +1,6 @@
 module Engine = Soda_sim.Engine
 module Rng = Soda_sim.Rng
-module Stats = Soda_sim.Stats
+module Metrics = Soda_obs.Metrics
 module Delay_line = Soda_sim.Delay_line
 module Recorder = Soda_obs.Recorder
 module Event = Soda_obs.Event
@@ -58,10 +58,10 @@ let ack_hold = { no_msg with seq = -1 }
 type shared = {
   mutable acked : msg array;
   mutable top : int;
-  window_occupancy : Stats.sample_slot;
-  rtt_us : Stats.sample_slot;
-  cwnd_pkts : Stats.sample_slot;
-  ack_wait_us : Stats.sample_slot;
+  window_occupancy : Metrics.histogram_slot;
+  rtt_us : Metrics.histogram_slot;
+  cwnd_pkts : Metrics.histogram_slot;
+  ack_wait_us : Metrics.histogram_slot;
   t_protocol : int ref;
   mutable lines : lines option;
       (* made at their first use: the lines' filler is a window of no
@@ -87,7 +87,7 @@ and env = {
   bus : Bus.t;
   cost : Cost.t;
   rng : Rng.t;
-  stats : Stats.t;
+  stats : Metrics.t;
   recorder : Recorder.t;
   event : Event.kind -> unit;
   transmit : int -> seq:int -> run:bool -> Wire.body -> unit;
@@ -129,10 +129,11 @@ and t = {
 
 let shared stats =
   { acked = [| no_msg |]; top = 0;
-    window_occupancy = Stats.sample_slot stats "net.window_occupancy";
-    rtt_us = Stats.sample_slot stats "net.rtt_us"; cwnd_pkts = Stats.sample_slot stats "net.cwnd";
-    ack_wait_us = Stats.sample_slot stats "accept.ack_wait_us";
-    t_protocol = Stats.time_ref stats (Cost.label Cost.Protocol); lines = None }
+    window_occupancy = Metrics.histogram_slot stats "net.window_occupancy";
+    rtt_us = Metrics.histogram_slot stats "net.rtt_us";
+    cwnd_pkts = Metrics.histogram_slot stats "net.cwnd";
+    ack_wait_us = Metrics.histogram_slot stats "accept.ack_wait_us";
+    t_protocol = Metrics.counter_cell stats (Cost.label Cost.Protocol); lines = None }
 
 (* At window 1 the sequence space collapses to {0,1} and every computation
    below reduces to the seed's alternating-bit flip, bit for bit. *)
@@ -182,7 +183,7 @@ let active w = w.in_flight > 0 || not (Queue.is_empty w.queue)
 (* ---- congestion control (AIMD + Jacobson RTT, windowed only) ----------- *)
 
 let cwnd_note w ~reason =
-  Stats.observe w.env.shared.cwnd_pkts (int_of_float w.cwnd);
+  Metrics.sample w.env.shared.cwnd_pkts (int_of_float w.cwnd);
   if tracing w then
     w.env.event
       (Event.Cwnd_change
@@ -193,7 +194,7 @@ let cwnd_note w ~reason =
 let ack_wait_sample w m =
   match m.body with
   | Wire.Accept { data; _ } when Bytes.length data > 0 && m.sent_at > 0 ->
-    Stats.observe w.env.shared.ack_wait_us (Engine.now w.env.engine - m.sent_at)
+    Metrics.sample w.env.shared.ack_wait_us (Engine.now w.env.engine - m.sent_at)
   | _ -> ()
 
 (* Karn's rule: a message that was ever retransmitted (or re-emitted
@@ -211,7 +212,7 @@ let rtt_sample w m =
       w.srtt_us <- srtt;
       w.rttvar_us <- rttvar;
       w.rto_shift <- 0;
-      Stats.observe w.env.shared.rtt_us sample;
+      Metrics.sample w.env.shared.rtt_us sample;
       if tracing w then
         w.env.event
           (Event.Rtt_sample
@@ -447,10 +448,10 @@ let rec transmit w m =
   let env = w.env in
   let attempt = m.retries + m.busy in
   if attempt > 0 then begin
-    Stats.incr env.stats "pkt.retransmissions";
+    Metrics.incr env.stats "pkt.retransmissions";
     (* separate the timer-expiry retransmissions (the congestion signal
        AIMD reacts to) from BUSY re-emissions (handler flow control) *)
-    if m.retries > 0 then Stats.incr env.stats "pkt.retransmissions.timer";
+    if m.retries > 0 then Metrics.incr env.stats "pkt.retransmissions.timer";
     if tracing w then
       env.event (Event.Retransmit { tid = m.tid; peer = w.peer; pkt = Wire.pkt m.body; attempt })
   end;
@@ -688,7 +689,7 @@ and start_next w =
       assert (w.slots.(m.seq) == no_msg);
       w.slots.(m.seq) <- m;
       w.in_flight <- w.in_flight + 1;
-      Stats.observe w.env.shared.window_occupancy w.in_flight;
+      Metrics.sample w.env.shared.window_occupancy w.in_flight;
       transmit w m
     end
   done
@@ -730,7 +731,7 @@ let busy w ~tid requeue =
   | None -> ()
   | Some m ->
     m.busy <- m.busy + 1;
-    Stats.incr w.env.stats "req.busy_received";
+    Metrics.incr w.env.stats "req.busy_received";
     let behind_data = win w = 1 && queued w K_put_data in
     let ready_at = if behind_data then 0 else Engine.now w.env.engine + busy_delay w m in
     reject w m (fun () ->

@@ -29,7 +29,7 @@ type outcome =
     use). *)
 type shared
 
-val shared : Soda_sim.Stats.t -> shared
+val shared : Soda_obs.Metrics.t -> shared
 
 (** What the windows of one node share with the transport. *)
 type env = {
@@ -37,7 +37,7 @@ type env = {
   bus : Soda_net.Bus.t;  (** for the line time and backlog in the RTO *)
   cost : Soda_base.Cost_model.t;
   rng : Soda_sim.Rng.t;  (** RTO and BUSY-backoff jitter *)
-  stats : Soda_sim.Stats.t;
+  stats : Soda_obs.Metrics.t;
   recorder : Soda_obs.Recorder.t;
   event : Soda_obs.Event.kind -> unit;  (** emit a structured event *)
   transmit : int -> seq:int -> run:bool -> Wire.body -> unit;

@@ -1,6 +1,6 @@
 module Engine = Soda_sim.Engine
 module Rng = Soda_sim.Rng
-module Stats = Soda_sim.Stats
+module Metrics = Soda_obs.Metrics
 module Delay_line = Soda_sim.Delay_line
 module Window = Send_window
 module Rx = Recv_window
@@ -64,7 +64,7 @@ type t = {
   cost : Cost.t;
   lifetime : int;  (* a record's lifetime, [Cost.record_expiry_us] *)
   recorder : Recorder.t;  (* the network's shared structured-event recorder *)
-  stats : Stats.t;
+  stats : Metrics.t;
   mutable nic : Nic.t option;
   mutable cb : callbacks option;
   conns : (int, conn) Hashtbl.t;
@@ -125,8 +125,8 @@ and records = {
 }
 
 (* Backing cells of the per-packet and per-transaction stats, fetched
-   once at [create]: every packet bumps two counters and four time
-   accumulators on each side, and the string-keyed lookups were a
+   once at [create]: every packet bumps two counters and four §5.5 time
+   counters (µs) on each side, and the string-keyed lookups were a
    measurable slice of the packet cost at scale. [sent_by_kind]/
    [recv_by_kind] are indexed by [Wire.kind] - 1. The slots resolve at
    their first use, so a node that never submits or serves exports no
@@ -142,12 +142,12 @@ and hot_cells = {
   t_protocol : int ref;
   t_conn_timer : int ref;
   t_retrans_timer : int ref;
-  req_submitted : Stats.counter_slot;
-  req_delivered : Stats.counter_slot;
-  req_latency_us : Stats.sample_slot;
-  no_sync_dropped : Stats.counter_slot;
-  records_created : Stats.counter_slot;
-  records_expired : Stats.counter_slot;
+  req_submitted : Metrics.counter_slot;
+  req_delivered : Metrics.counter_slot;
+  req_latency_us : Metrics.histogram_slot;
+  no_sync_dropped : Metrics.counter_slot;
+  records_created : Metrics.counter_slot;
+  records_expired : Metrics.counter_slot;
   packet_cpu : int;  (* packet_protocol_us + conn_timer_us + retrans_timer_us *)
 }
 
@@ -258,7 +258,7 @@ let take_record t peer =
    record, so an idle transport keeps none. *)
 let expire t r conn =
   mark t ~peer:conn.peer ~tid:Event.no_tid ~n:0 Event.Record_expired;
-  Stats.bump t.hot.records_expired;
+  Metrics.bump t.hot.records_expired;
   Hashtbl.remove t.conns conn.peer;
   if Hashtbl.length t.conns = 0 then drop_spares r else spare r conn
 
@@ -294,7 +294,7 @@ let conn_for t peer =
     let c = take_record t peer in
     Hashtbl.replace t.conns peer c;
     mark t ~peer ~tid:Event.no_tid ~n:0 Event.Record_created;
-    Stats.bump t.hot.records_created;
+    Metrics.bump t.hot.records_created;
     arm_expiry t c;
     c
 
@@ -425,7 +425,7 @@ type verdict = Accepted | Unadvertised | Crashed
 
 let complete t (req : Cli.req) verdict =
   if retire t req then begin
-    Stats.observe t.hot.req_latency_us (Engine.now t.engine - req.submit_us);
+    Metrics.sample t.hot.req_latency_us (Engine.now t.engine - req.submit_us);
     if tracing t then begin
       let status : Event.status =
         match verdict with
@@ -460,9 +460,9 @@ and probe_fired t =
   Cli.set_probe_id req (-1);
   if req.state = Delivered then begin
     let misses = req.unanswered in
-    if misses > 0 then Stats.incr t.stats "probe.misses";
+    if misses > 0 then Metrics.incr t.stats "probe.misses";
     if Cli.probe req ~limit:t.cost.Cost.probe_miss_limit then begin
-      Stats.incr t.stats "probe.sent";
+      Metrics.incr t.stats "probe.sent";
       if tracing t then event t (Event.Probe { tid = req.tid; peer = req.dst; misses });
       emit_unsequenced t ~peer:req.dst (Wire.Probe { tid = req.tid });
       arm_probe t req
@@ -505,7 +505,7 @@ let cancel_unsent t conn (req : Cli.req) on_done =
 
 let submit_request t ~dst ~tid ~pattern ~arg ~put_data ~get_size =
   ignore (Cli.add t.reqs ~tid ~dst ~put:put_data ~get_size ~now:(Engine.now t.engine));
-  Stats.bump t.hot.req_submitted;
+  Metrics.bump t.hot.req_submitted;
   let put_size = Bytes.length put_data in
   let body = Wire.Request { tid; pattern; arg; put_size; get_size; data = put_data; retry = false } in
   send_reliable t ~peer:dst ~kind:K_request ~tid body ~on_done:t.request_sent
@@ -526,14 +526,14 @@ let discover_fired t =
   let tid = Delay_line.head_n l and d = Delay_line.head_a l in
   Delay_line.next l Delay_line.always;
   let mids = Cli.discovered t.reqs d in
-  Stats.observe t.hot.req_latency_us t.cost.Cost.discover_window_us;
+  Metrics.sample t.hot.req_latency_us t.cost.Cost.discover_window_us;
   if tracing t then event t (Event.Complete { tid; status = Discovered });
   (callbacks t).complete_request ~tid (Comp_discovered mids);
   forget_causal t ~tid
 
 let submit_discover t ~tid ~pattern ~max_mids =
   let d = Cli.discover t.reqs ~tid ~max_mids in
-  Stats.incr t.stats "discover.submitted";
+  Metrics.incr t.stats "discover.submitted";
   emit_unsequenced t ~peer:(-1) (Wire.Discover { tid; pattern });
   ignore (Delay_line.push t.discover_line ~fire:discover_fired t ~n:tid d ())
 
@@ -588,7 +588,7 @@ let data_fired t =
   Delay_line.next l data_live;
   Srv.set_data_id txn (-1);
   if txn.state = Accepting && txn.need_data && (acked || accept_queued t txn) then begin
-    Stats.incr t.stats "accept.data_timeouts";
+    Metrics.incr t.stats "accept.data_timeouts";
     mark t ~peer:txn.src ~tid:txn.tid ~n:0 Event.Data_wait_expired;
     accept_finish t txn (Acc_crashed Bytes.empty)
   end
@@ -753,7 +753,7 @@ let handle_accept t conn pkt src ~tid ~arg ~put_transferred ~need_put_data data 
       (* The put data was wasted on a busy transmission and must be
          re-sent; the data exchange -- and hence the requester's
          completion -- is only over once the server acknowledges it. *)
-      Stats.incr t.stats "req.data_resend";
+      Metrics.incr t.stats "req.data_resend";
       send_reliable t ~peer:src ~kind:K_put_data ~tid
         (Wire.Put_data { tid; data = Wire.truncate req.put put_transferred })
         ~on_done:(fun _ _ outcome ->
@@ -783,7 +783,7 @@ let handle_cancel_request t conn pkt ~tid =
     | Gone -> true
     | Refused -> false
   in
-  if ok then Stats.incr t.stats "cancel.granted" else Stats.incr t.stats "cancel.refused";
+  if ok then Metrics.incr t.stats "cancel.granted" else Metrics.incr t.stats "cancel.refused";
   respond_consumed t conn pkt (Wire.Cancel_reply { tid; ok })
 
 (* Consume an in-order ACCEPT, DATA or CANCEL and owe its ack. *)
@@ -802,13 +802,13 @@ let handle_consumed t conn pkt =
 
 let handle_probe t conn tid =
   let alive = (Srv.find t.srv ~src:conn.peer ~tid).state <> Cancelled in
-  Stats.incr t.stats "probe.answered";
+  Metrics.incr t.stats "probe.answered";
   emit_unsequenced t ~peer:conn.peer (Wire.Probe_reply { tid; alive })
 
 let handle_probe_reply t tid alive =
   let req = Cli.find t.reqs tid in
   if Cli.probe_answered req && not alive then begin
-    Stats.incr t.stats "probe.lost";
+    Metrics.incr t.stats "probe.lost";
     mark t ~peer:req.dst ~tid ~n:0 Event.Probe_lost;
     complete t req Crashed
   end
@@ -825,12 +825,12 @@ let answer t ~delay src tid reply =
 
 let handle_discover t src tid pattern =
   if Hashtbl.mem t.seen_discovers (src, tid) then
-    Stats.incr t.stats "discover.duped"
+    Metrics.incr t.stats "discover.duped"
   else begin
     Hashtbl.replace t.seen_discovers (src, tid) ();
     answer t ~delay:t.lifetime src tid false;
     if (callbacks t).advertised pattern then begin
-      Stats.incr t.stats "discover.matched";
+      Metrics.incr t.stats "discover.matched";
       answer t ~delay:(t.cost.Cost.discover_stagger_us * (t.mid + 1)) src tid true
     end
   end
@@ -847,7 +847,7 @@ let reject_request t conn pkt ~resync body =
   else emit_unsequenced t ~peer:conn.peer body
 
 let busy_nack t conn pkt ~resync tid =
-  Stats.incr t.stats "req.busy_nacked";
+  Metrics.incr t.stats "req.busy_nacked";
   if tracing t then event t (Event.Busy_nack { tid; peer = conn.peer });
   reject_request t conn pkt ~resync (Wire.Busy { tid })
 
@@ -861,13 +861,13 @@ let offer_request t conn pkt ~resync =
   | Wire.Request { tid; pattern; arg; put_size; get_size; data; retry } ->
     (match (callbacks t).deliver_request ~src ~tid ~pattern ~arg ~put_size ~get_size with
      | `Unadvertised ->
-       Stats.incr t.stats "req.unadvertised";
+       Metrics.incr t.stats "req.unadvertised";
        reject_request t conn pkt ~resync (Wire.Error { tid; code = Wire.Err_unadvertised });
        true
      | `Deliver ->
        consume_in_order t conn ~resync pkt;
        Srv.add t.srv ~src ~tid ~pattern ~arg ~put_size ~get_size ~data ~retry ~buffered:false;
-       Stats.bump t.hot.req_delivered;
+       Metrics.bump t.hot.req_delivered;
        if tracing t then
          event t
            (Event.Deliver
@@ -878,7 +878,7 @@ let offer_request t conn pkt ~resync =
        if t.cost.Cost.pipelined && Srv.buffered t.srv == Srv.none then begin
          consume_in_order t conn ~resync pkt;
          Srv.add t.srv ~src ~tid ~pattern ~arg ~put_size ~get_size ~data ~retry ~buffered:true;
-         Stats.incr t.stats "req.buffered";
+         Metrics.incr t.stats "req.buffered";
          true
        end
        else if win t > 1 && t.cost.Cost.pipelined && not resync then begin
@@ -938,8 +938,8 @@ let flush_buffered t =
     match (callbacks t).deliver_request ~src ~tid ~pattern ~arg ~put_size ~get_size with
     | `Deliver ->
       Srv.free_buffer t.srv;
-      Stats.bump t.hot.req_delivered;
-      Stats.incr t.stats "req.delivered_from_buffer";
+      Metrics.bump t.hot.req_delivered;
+      Metrics.incr t.stats "req.delivered_from_buffer";
       if tracing t then
         event t
           (Event.Deliver
@@ -1011,7 +1011,7 @@ let process_packet t ~ctx ~bytes pkt =
   | _, No_sync ->
     (* No record and not a run start: the piggybacked ack above was still
        honoured, but the body waits for the flagged retransmission. *)
-    Stats.bump t.hot.no_sync_dropped;
+    Metrics.bump t.hot.no_sync_dropped;
     mark t ~peer:conn.peer ~tid:Event.no_tid ~n:0 Event.No_sync_drop
   | Wire.Request _, (In_order | Resync) ->
     let held = Rx.head_copy conn.rx pkt in
@@ -1064,7 +1064,7 @@ let attach_nic t =
     Nic.attach_view ~stats:t.stats t.bus ~mid:t.mid
       ~rx:(fun ~src:_ ~broadcast:_ ~ctx ~wire ~len ->
         match Wire.decode_sub wire ~off:0 ~len with
-        | Error _ -> Stats.incr t.stats "pkt.decode_errors"
+        | Error _ -> Metrics.incr t.stats "pkt.decode_errors"
         | Ok pkt ->
           charge_packet_cpu t;
           ignore (Delay_line.push t.rx_line ~fire:rx_fired t ~n:len pkt ctx))
@@ -1079,29 +1079,29 @@ let create ~engine ~bus ~mid ~cost ~recorder =
      sequence arithmetic from the LOCAL window, which is only sound if
      every station agrees. *)
   Bus.claim_seq_window bus ~window:(Cost.transport_window cost);
-  let stats = Stats.create () in
+  let stats = Metrics.create () in
   let by_kind prefix =
     Array.of_list
-      (List.map (fun p -> Stats.counter_cell stats (prefix ^ Event.pkt_name p)) Event.pkts)
+      (List.map (fun p -> Metrics.counter_cell stats (prefix ^ Event.pkt_name p)) Event.pkts)
   in
   let hot =
     {
-      c_sent_total = Stats.counter_cell stats "pkt.sent.total";
-      c_recv_total = Stats.counter_cell stats "pkt.recv.total";
-      c_standalone_acks = Stats.counter_cell stats "pkt.standalone_acks";
-      c_duplicates = Stats.counter_cell stats "pkt.duplicates";
+      c_sent_total = Metrics.counter_cell stats "pkt.sent.total";
+      c_recv_total = Metrics.counter_cell stats "pkt.recv.total";
+      c_standalone_acks = Metrics.counter_cell stats "pkt.standalone_acks";
+      c_duplicates = Metrics.counter_cell stats "pkt.duplicates";
       sent_by_kind = by_kind "pkt.sent.";
       recv_by_kind = by_kind "pkt.recv.";
-      t_transmission = Stats.time_ref stats (Cost.label Cost.Transmission);
-      t_protocol = Stats.time_ref stats (Cost.label Cost.Protocol);
-      t_conn_timer = Stats.time_ref stats (Cost.label Cost.Conn_timer);
-      t_retrans_timer = Stats.time_ref stats (Cost.label Cost.Retrans_timer);
-      req_submitted = Stats.counter_slot stats "req.submitted";
-      req_delivered = Stats.counter_slot stats "req.delivered";
-      req_latency_us = Stats.sample_slot stats "req.latency_us";
-      no_sync_dropped = Stats.counter_slot stats "pkt.no_sync_dropped";
-      records_created = Stats.counter_slot stats "deltat.records_created";
-      records_expired = Stats.counter_slot stats "deltat.records_expired";
+      t_transmission = Metrics.counter_cell stats (Cost.label Cost.Transmission);
+      t_protocol = Metrics.counter_cell stats (Cost.label Cost.Protocol);
+      t_conn_timer = Metrics.counter_cell stats (Cost.label Cost.Conn_timer);
+      t_retrans_timer = Metrics.counter_cell stats (Cost.label Cost.Retrans_timer);
+      req_submitted = Metrics.counter_slot stats "req.submitted";
+      req_delivered = Metrics.counter_slot stats "req.delivered";
+      req_latency_us = Metrics.histogram_slot stats "req.latency_us";
+      no_sync_dropped = Metrics.counter_slot stats "pkt.no_sync_dropped";
+      records_created = Metrics.counter_slot stats "deltat.records_created";
+      records_expired = Metrics.counter_slot stats "deltat.records_expired";
       packet_cpu =
         cost.Cost.packet_protocol_us + cost.Cost.conn_timer_us
         + cost.Cost.retrans_timer_us;

@@ -110,7 +110,7 @@ val set_callbacks : t -> callbacks -> unit
 val attach_nic : t -> Soda_net.Nic.t
 
 val mid : t -> int
-val stats : t -> Soda_sim.Stats.t
+val stats : t -> Soda_obs.Metrics.t
 val cost : t -> Soda_base.Cost_model.t
 
 (** Requester side. [put_data] is the put-direction payload (copied in);

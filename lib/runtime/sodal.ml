@@ -1,5 +1,5 @@
 module Engine = Soda_sim.Engine
-module Stats = Soda_sim.Stats
+module Metrics = Soda_obs.Metrics
 module Pattern = Soda_base.Pattern
 module Types = Soda_base.Types
 module Cost = Soda_base.Cost_model
@@ -41,7 +41,7 @@ type env = {
      the last to idle on top: [n_idle] deep, [idlers] its top. *)
   mutable idlers : fiber;
   mutable n_idle : int;
-  overhead : Stats.time_slot;  (* client overhead, §5.5 *)
+  overhead : Metrics.counter_slot;  (* client overhead, §5.5 *)
 }
 
 and fiber_context = Task_context | Handler_context
@@ -156,7 +156,7 @@ let sleep env us =
    pool management, §5.2.1); the caller runs the primitive on the other
    side of the trap. *)
 let trap env us =
-  Stats.charge env.overhead us;
+  Metrics.bump_by env.overhead us;
   sleep env us
 
 let idle_park env fb =
@@ -253,7 +253,7 @@ let runs fb body exit =
   fb.run <- Fiber.runner fb.slot ~on_exit:(fun () -> exit fb) (fun () -> body fb)
 
 let handler_entry env =
-  Stats.charge env.overhead env.cost.Cost.handler_client_us;
+  Metrics.bump_by env.overhead env.cost.Cost.handler_client_us;
   compute env env.cost.Cost.handler_client_us
 
 (* One handler invocation, read from [fb.event]: Booting runs the
@@ -338,7 +338,7 @@ let make_client kernel spec =
       running = task;
       idlers = task;
       n_idle = 0;
-      overhead = Stats.time_slot (Kernel.stats kernel) (Cost.label Cost.Client_overhead);
+      overhead = Metrics.counter_slot (Kernel.stats kernel) (Cost.label Cost.Client_overhead);
     }
   and task =
     { owner = env; ctx = Task_context; slot = Fiber.slot (); run = ignore; event = no_event;

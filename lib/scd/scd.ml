@@ -161,6 +161,11 @@ type member = {
   n : int;
   regs : int;
   mutable clock : int;  (* sn of the next FORWARD this member sends *)
+  (* Per forwarder: the stamp of its next FORWARD to process, and the
+     ones that arrived ahead of it, in stamp order (see [process_forward]) *)
+  next_snf : int array;
+  held : Scd_wire.forward list array;
+  mutable n_held : int;
   buffer : (int * int, quad) Hashtbl.t;
   delivered : (int * int, unit) Hashtbl.t;
   (* snapshot object *)
@@ -200,6 +205,9 @@ let member ~cluster ~index ~mids ~regs =
     n;
     regs;
     clock = 0;
+    next_snf = Array.make n 0;
+    held = Array.make n [];
+    n_held = 0;
     buffer = Hashtbl.create 32;
     candidates = 0;
     delivered = Hashtbl.create 64;
@@ -233,6 +241,7 @@ let counter_value m = m.counter
 let broadcasts_made m = m.nbroadcasts
 let broadcast_sns m = List.rev m.bcast_sns
 let retry_depth m = Array.fold_left (fun acc ch -> acc + Queue.length ch.ch_q) 0 m.chans
+let held_forwards m = m.n_held
 
 let majority m = (m.n / 2) + 1
 
@@ -419,26 +428,57 @@ let fresh_quad m ~sd ~sn payload =
     q_known = 0 }
 
 (* First sight of a message: buffer it with a fresh clock vector and echo
-   our own FORWARD. Repeat sights only lower the forwarder's clock entry
-   (min), which makes bus-duplicated or retried FORWARDs idempotent — an
-   echo is never double-counted. *)
-let process_forward env m (fwd : Scd_wire.forward) =
+   our own FORWARD. Later sights, from other forwarders, only lower their
+   clock entries. *)
+let take_forward env m (fwd : Scd_wire.forward) =
+  let key = (fwd.sd, fwd.sn) in
+  if Hashtbl.mem m.delivered key then Metrics.incr (metrics env) "scd.stale_forward"
+  else
+    match Hashtbl.find_opt m.buffer key with
+    | Some q -> set_clock m q fwd.f fwd.snf
+    | None ->
+      let q = fresh_quad m ~sd:fwd.sd ~sn:fwd.sn fwd.payload in
+      set_clock m q fwd.f fwd.snf;
+      Hashtbl.replace m.buffer key q;
+      let snf = m.clock in
+      m.clock <- m.clock + 1;
+      set_clock m q m.index snf;
+      echo m { fwd with f = m.index; snf }
+
+(* A FORWARD that arrived ahead of its forwarder's next stamp waits in
+   stamp order; a second copy of a held one is a repeat. *)
+let hold m (fwd : Scd_wire.forward) =
+  let l = m.held.(fwd.f) in
+  if not (List.exists (fun (h : Scd_wire.forward) -> h.snf = fwd.snf) l) then begin
+    m.held.(fwd.f) <- List.merge (fun (a : Scd_wire.forward) b -> compare a.snf b.snf) [ fwd ] l;
+    m.n_held <- m.n_held + 1
+  end
+
+(* The clock reasoning needs each forwarder's stamps in the order it made
+   them. A forwarder stamps 0, 1, 2, ... and queues every FORWARD on
+   every channel, so the stream from it carries each stamp exactly once,
+   in a row, whichever path (its transfer or its reply to ours) brings
+   each batch. So FIFO is enforced here, where the paths meet: a stamp
+   below the next one is a repeat (a retried or duplicated transfer) and
+   is dropped, one above it is held until the gap fills, and the next
+   one is taken, then the held ones that follow it. The in-order path
+   reads one array slot and allocates nothing. *)
+let rec process_forward env m (fwd : Scd_wire.forward) =
   if fwd.sd < 0 || fwd.sd >= m.n || fwd.f < 0 || fwd.f >= m.n then
     Metrics.incr (metrics env) "scd.bad_frame"
   else begin
-    let key = (fwd.sd, fwd.sn) in
-    if Hashtbl.mem m.delivered key then Metrics.incr (metrics env) "scd.stale_forward"
-    else
-      match Hashtbl.find_opt m.buffer key with
-      | Some q -> set_clock m q fwd.f fwd.snf
-      | None ->
-        let q = fresh_quad m ~sd:fwd.sd ~sn:fwd.sn fwd.payload in
-        set_clock m q fwd.f fwd.snf;
-        Hashtbl.replace m.buffer key q;
-        let snf = m.clock in
-        m.clock <- m.clock + 1;
-        set_clock m q m.index snf;
-        echo m { fwd with f = m.index; snf }
+    let next = m.next_snf.(fwd.f) in
+    if fwd.snf > next then hold m fwd
+    else if fwd.snf = next then begin
+      m.next_snf.(fwd.f) <- next + 1;
+      take_forward env m fwd;
+      match m.held.(fwd.f) with
+      | h :: rest when h.snf = next + 1 ->
+        m.held.(fwd.f) <- rest;
+        m.n_held <- m.n_held - 1;
+        process_forward env m h
+      | _ -> ()
+    end
   end
 
 let apply m (q : quad) =
@@ -603,7 +643,7 @@ let start_op env m ticket =
       m.bcast_sns <- sn :: m.bcast_sns;
       Metrics.incr (metrics env) "scd.broadcasts";
       emit env
-        (Event.Scd_broadcast { sd = m.index; sn; payload = Scd_wire.payload_label payload });
+        (Event.Scd_broadcast { sd = m.index; sn; payload = Scd_wire.payload_kind payload });
       echo m { Scd_wire.sd = m.index; sn; f = m.index; snf = sn; payload }
     end
 

@@ -76,6 +76,10 @@ val broadcast_sns : member -> int list
 (** FORWARD frames waiting in the per-peer send queues. *)
 val retry_depth : member -> int
 
+(** FORWARDs received ahead of their forwarder's next clock stamp, held
+    until the gap fills (FIFO per forwarder). *)
+val held_forwards : member -> int
+
 (** {1 Clients} *)
 
 type t

@@ -8,6 +8,26 @@ module Network = Soda_core.Network
 module Kernel = Soda_core.Kernel
 module Sodal = Soda_runtime.Sodal
 
+(* Every qcheck property starts from one seed: [QCHECK_SEED] when it is
+   set (the nightly jobs set one per seed band), else
+   [default_qcheck_seed], so a run without it draws the same cases every
+   time and its result is a function of the code. 1984 is the year of
+   the SODA paper. *)
+let default_qcheck_seed = 1984
+
+let qcheck_seed =
+  lazy
+    (let seed =
+       Option.value ~default:default_qcheck_seed
+         (Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt)
+     in
+     Printf.printf "qcheck random seed: %d\n%!" seed;
+     seed)
+
+(* [QCheck_alcotest.to_alcotest] from that seed: each property gets a
+   fresh state made from it, as qcheck's own default does. *)
+let qcheck t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| Lazy.force qcheck_seed |]) t
+
 let bytes_of_string = Bytes.of_string
 let string_of_bytes b = Bytes.to_string b
 

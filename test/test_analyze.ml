@@ -14,37 +14,34 @@ let ev ?ctx time_us mid kind = { Event.time_us; mid; kind; ctx }
 
 (* ---- string escaping ------------------------------------------------------ *)
 
+(* No event field is free text any more, so escaping is the JSON
+   printer's alone: a string with every byte it escapes prints on one
+   line with no raw control byte and reads back unchanged. The parser
+   refuses a broadcast payload that names no payload. *)
 let test_jsonl_escaping_round_trip () =
   let nasty = "q\"uote b\\ack\nnl\ttab\rcr ctrl\x01\x1f end" in
-  let events =
-    [ ev 5 0 (Event.Scd_broadcast { sd = 1; sn = 2; payload = nasty });
-      ev 6 0 (Event.Scd_broadcast { sd = 2; sn = 3; payload = String.uppercase_ascii nasty }) ]
-  in
-  let jsonl = Export.jsonl events in
-  (* escapes keep it one object per line *)
-  Alcotest.(check int) "two lines" 2
-    (List.length (String.split_on_char '\n' (String.trim jsonl)));
-  (match Analyze.events_of_string jsonl with
-   | [ a; b ] ->
-     (match a.Event.kind with
-      | Event.Scd_broadcast { payload; _ } ->
-        Alcotest.(check string) "payload round-trips" nasty payload
-      | _ -> Alcotest.fail "expected a broadcast");
-     (match b.Event.kind with
-      | Event.Scd_broadcast { payload; _ } ->
-        Alcotest.(check string) "second payload round-trips" (String.uppercase_ascii nasty)
-          payload
-      | _ -> Alcotest.fail "expected a second broadcast")
-   | l -> Alcotest.fail (Printf.sprintf "expected 2 events, got %d" (List.length l)));
-  (* the chrome exporter must escape the same strings (its [message]
-     rendering embeds them in event names) *)
-  let chrome = Export.chrome events in
+  let line = Soda_obs.Json.to_string (Soda_obs.Json.Obj [ ("s", Soda_obs.Json.Str nasty) ]) in
   String.iteri
     (fun i c ->
-      if Char.code c < 0x20 && c <> '\n' then
-        Alcotest.failf "raw control byte %#x at offset %d in chrome export" (Char.code c)
-          i)
-    chrome
+      if Char.code c < 0x20 then
+        Alcotest.failf "raw control byte %#x at offset %d" (Char.code c) i)
+    line;
+  Alcotest.(check bool) "string round-trips" true
+    (Soda_obs.Json.of_string line = Soda_obs.Json.Obj [ ("s", Soda_obs.Json.Str nasty) ]);
+  let broadcast payload =
+    Printf.sprintf {|{"t":5,"mid":0,"ev":"scd-broadcast","sd":1,"sn":2,"payload":%S}|} payload
+  in
+  List.iter
+    (fun p ->
+      match Analyze.events_of_string (broadcast (Event.scd_payload_name p)) with
+      | [ { Event.kind = Event.Scd_broadcast { payload; _ }; _ } ] ->
+        Alcotest.(check string) "payload parses" (Event.scd_payload_name p)
+          (Event.scd_payload_name payload)
+      | _ -> Alcotest.fail "expected one broadcast")
+    Event.scd_payloads;
+  match Analyze.events_of_string (broadcast "w r1=4") with
+  | exception Analyze.Parse_error _ -> ()
+  | _ -> Alcotest.fail "an unknown payload parsed"
 
 (* ---- exact parser inverse over every event kind --------------------------- *)
 
@@ -92,7 +89,7 @@ let all_kinds_events =
     ev 26 6 (Store_retry { op = Op_cas; phase = Query; key = 2; attempt = 1 });
     ev 27 6
       (Store_complete { op = Op_read; key = 2; ok = false; rounds = 4; elapsed_us = 99 });
-    ev 28 3 (Scd_broadcast { sd = 3; sn = 9; payload = "w r1=4" });
+    ev 28 3 (Scd_broadcast { sd = 3; sn = 9; payload = Payload_write });
     ev 29 3 (Scd_deliver { size = 2; pending = 5 });
     ev 30 3 (Scd_op { op = Scd_write; origin = 3; oseq = 1; ok = true; elapsed_us = 812 });
     ev 30 3 (Scd_op { op = Scd_snapshot; origin = 3; oseq = 2; ok = false; elapsed_us = 9 });
@@ -327,7 +324,7 @@ let suites =
         Alcotest.test_case "escaping round-trips" `Quick test_jsonl_escaping_round_trip;
         Alcotest.test_case "every kind round-trips" `Quick test_parse_inverts_export;
         Alcotest.test_case "malformed input raises" `Quick test_parse_errors;
-        QCheck_alcotest.to_alcotest prop_latency_totals;
+        Helpers.qcheck prop_latency_totals;
       ] );
     ( "analyze.causal",
       [

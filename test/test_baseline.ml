@@ -59,7 +59,7 @@ let test_reliability_under_loss () =
   Alcotest.(check int) "all acknowledged" 5 !delivered;
   Alcotest.(check int) "each delivered exactly once" 5 !count;
   Alcotest.(check bool) "retransmissions happened" true
-    (Soda_sim.Stats.counter (Starmod.stats a) "starmod.pkt.retransmitted" > 0)
+    (Soda_obs.Metrics.counter (Starmod.stats a) "starmod.pkt.retransmitted" > 0)
 
 let test_cost_ordering_vs_soda () =
   (* The structural claim of T3: the multiprogrammed kernel's port call is

@@ -904,7 +904,7 @@ let suites =
   [
     ( "chaos",
       [
-        QCheck_alcotest.to_alcotest prop_exactly_once_under_chaos;
+        Helpers.qcheck prop_exactly_once_under_chaos;
         Alcotest.test_case "soak: composite plan over seed band" `Slow
           test_soak_composite_plan;
         Alcotest.test_case "adversary: ack eaten by partition" `Quick

@@ -2,7 +2,6 @@
    booting / killing via reserved patterns. *)
 
 open Helpers
-module Stats = Soda_sim.Stats
 
 let patt = Pattern.well_known 0o42
 

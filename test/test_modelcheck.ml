@@ -383,6 +383,6 @@ let suites =
           test_examples_clean;
         Alcotest.test_case "differential templates span clean and flagged"
           `Quick test_differential_anchors;
-        QCheck_alcotest.to_alcotest prop_differential;
+        Helpers.qcheck prop_differential;
       ] );
   ]

@@ -194,7 +194,7 @@ let test_loss_injection () =
   Nic.send n0 ~dst:1 (b "doomed");
   ignore (Engine.run e);
   Alcotest.(check bool) "frame lost" false !got;
-  Alcotest.(check int) "loss counted" 1 (Soda_sim.Stats.counter (Bus.stats bus) "bus.frames_lost")
+  Alcotest.(check int) "loss counted" 1 (Soda_obs.Metrics.counter (Bus.stats bus) "bus.frames_lost")
 
 let test_corruption_dropped_by_crc () =
   let config = { Bus.default_config with corruption_rate = 1.0 } in
@@ -245,14 +245,14 @@ let test_rate_setter_validation () =
 let test_crc_drops_in_metrics () =
   let config = { Bus.default_config with corruption_rate = 1.0 } in
   let e, bus = setup ~config () in
-  let stats = Soda_sim.Stats.create () in
+  let stats = Soda_obs.Metrics.create () in
   let n1 = Nic.attach ~stats bus ~mid:1 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
   let n0 = Nic.attach bus ~mid:0 ~rx:(fun ~src:_ ~broadcast:_ ~ctx:_ _ -> ()) in
   Nic.send n0 ~dst:1 (b "garbled");
   ignore (Engine.run e);
   Alcotest.(check int) "private counter" 1 (Nic.crc_drops n1);
   Alcotest.(check int) "surfaced in the metrics registry" 1
-    (Soda_sim.Stats.counter stats "nic.crc_drops")
+    (Soda_obs.Metrics.counter stats "nic.crc_drops")
 
 let test_partition_and_heal () =
   let e, bus = setup () in
@@ -264,7 +264,7 @@ let test_partition_and_heal () =
   ignore (Engine.run e);
   Alcotest.(check int) "frame crossing the cut dropped" 0 !got;
   Alcotest.(check int) "partition drop counted" 1
-    (Soda_sim.Stats.counter (Bus.stats bus) "bus.frames_partitioned");
+    (Soda_obs.Metrics.counter (Bus.stats bus) "bus.frames_partitioned");
   Bus.heal bus;
   Nic.send n0 ~dst:1 (b "through");
   ignore (Engine.run e);
@@ -306,7 +306,7 @@ let test_duplicate_next () =
   ignore (Engine.run e);
   Alcotest.(check int) "first frame delivered twice, second once" 3 !got;
   Alcotest.(check int) "duplication counted" 1
-    (Soda_sim.Stats.counter (Bus.stats bus) "bus.frames_duplicated")
+    (Soda_obs.Metrics.counter (Bus.stats bus) "bus.frames_duplicated")
 
 let test_delay_jitter_validation_and_delivery () =
   let e, bus = setup () in
@@ -372,9 +372,9 @@ let suites =
         Alcotest.test_case "roundtrip" `Quick test_crc_roundtrip;
         Alcotest.test_case "detects corruption" `Quick test_crc_detects_corruption;
         Alcotest.test_case "short frame" `Quick test_crc_short_frame;
-        QCheck_alcotest.to_alcotest prop_crc_roundtrip;
-        QCheck_alcotest.to_alcotest prop_crc_detects_single_flip;
-        QCheck_alcotest.to_alcotest prop_crc_matches_bytewise;
+        Helpers.qcheck prop_crc_roundtrip;
+        Helpers.qcheck prop_crc_detects_single_flip;
+        Helpers.qcheck prop_crc_matches_bytewise;
         Alcotest.test_case "every tail length and alignment" `Quick test_crc_every_residue;
         Alcotest.test_case "range checked up front" `Quick test_crc_range_checked;
         Alcotest.test_case "no allocation" `Quick test_crc_allocates_nothing;

@@ -22,6 +22,70 @@ let test_metrics_registry () =
   Alcotest.(check (list string)) "gauge names" [ "g" ] (Metrics.gauge_names m);
   Alcotest.(check (list string)) "histogram names" [ "h" ] (Metrics.histogram_names m)
 
+let test_metrics_counters () =
+  let m = Metrics.create () in
+  Metrics.incr m "a";
+  Metrics.incr m "a";
+  Metrics.add m "b" 5;
+  Alcotest.(check int) "incr" 2 (Metrics.counter m "a");
+  Alcotest.(check int) "add" 5 (Metrics.counter m "b");
+  Alcotest.(check int) "absent counter" 0 (Metrics.counter m "zzz");
+  Alcotest.(check (list string)) "names" [ "a"; "b" ] (Metrics.counter_names m)
+
+(* A slot resolves its cell at its first use: until then the registry
+   exports nothing under its name, and a histogram slot has made no
+   histogram. *)
+let test_metrics_slots () =
+  let m = Metrics.create () in
+  let client = Metrics.counter_slot m "client" and hits = Metrics.counter_slot m "hits" in
+  let lat = Metrics.histogram_slot m "lat" in
+  let exported () = Json.of_string (Export.metrics_json m) in
+  Alcotest.(check bool) "nothing exported before any use" true
+    (exported ()
+     = Json.Obj [ ("counters", Json.Obj []); ("gauges", Json.Obj []); ("histograms", Json.Obj []) ]);
+  Alcotest.(check bool) "no histogram before the first sample" true
+    (Metrics.histogram m "lat" = None);
+  Metrics.bump_by client 700;
+  Metrics.bump_by client 300;
+  Metrics.bump hits;
+  Alcotest.(check (list string)) "used counter slots listed" [ "client"; "hits" ]
+    (Metrics.counter_names m);
+  Alcotest.(check int) "bump_by adds" 1_000 (Metrics.counter m "client");
+  Alcotest.(check int) "bump adds one" 1 (Metrics.counter m "hits");
+  List.iter (Metrics.sample lat) [ 10; 20; 30 ];
+  Alcotest.(check (list string)) "histogram made at the first sample" [ "lat" ]
+    (Metrics.histogram_names m);
+  match Metrics.histogram m "lat" with
+  | None -> Alcotest.fail "expected a histogram"
+  | Some h ->
+    Alcotest.(check (float 0.001)) "mean" 20.0 (Metrics.Histogram.mean h);
+    Alcotest.(check int) "max" 30 (Metrics.Histogram.max_value h);
+    Alcotest.(check int) "p50" 20 (Metrics.Histogram.percentile h 50.0);
+    Alcotest.(check int) "p100" 30 (Metrics.Histogram.percentile h 100.0)
+
+let test_percentile_edges () =
+  let h = Metrics.Histogram.create () in
+  (* empty series *)
+  Alcotest.(check int) "empty p50" 0 (Metrics.Histogram.percentile h 50.0);
+  Alcotest.(check int) "empty count" 0 (Metrics.Histogram.count h);
+  Alcotest.(check int) "empty max" 0 (Metrics.Histogram.max_value h);
+  (* single sample: every percentile is that sample *)
+  Metrics.Histogram.observe h 37;
+  Alcotest.(check int) "single p0" 37 (Metrics.Histogram.percentile h 0.0);
+  Alcotest.(check int) "single p50" 37 (Metrics.Histogram.percentile h 50.0);
+  Alcotest.(check int) "single p100" 37 (Metrics.Histogram.percentile h 100.0);
+  (* out-of-range and NaN percentiles clamp instead of raising *)
+  let h = Metrics.Histogram.create () in
+  List.iter (Metrics.Histogram.observe h) [ 10; 20; 30 ];
+  Alcotest.(check int) "p<0 clamps to min" 10 (Metrics.Histogram.percentile h (-5.0));
+  Alcotest.(check int) "p>100 clamps to max" 30 (Metrics.Histogram.percentile h 200.0);
+  Alcotest.(check int) "NaN clamps to min" 10 (Metrics.Histogram.percentile h Float.nan);
+  (* a negative sample clamps to zero and still counts *)
+  let h = Metrics.Histogram.create () in
+  Metrics.Histogram.observe h (-50);
+  Alcotest.(check int) "negative sample clamps" 0 (Metrics.Histogram.max_value h);
+  Alcotest.(check int) "negative sample counted" 1 (Metrics.Histogram.count h)
+
 let test_histogram_small_values_exact () =
   (* Below 64 the buckets are exact unit buckets: percentiles of small
      integer series must come out exactly. *)
@@ -363,6 +427,9 @@ let suites =
     ( "obs.metrics",
       [
         Alcotest.test_case "registry" `Quick test_metrics_registry;
+        Alcotest.test_case "counters" `Quick test_metrics_counters;
+        Alcotest.test_case "slots absent until used" `Quick test_metrics_slots;
+        Alcotest.test_case "percentile edge cases" `Quick test_percentile_edges;
         Alcotest.test_case "histogram small values exact" `Quick
           test_histogram_small_values_exact;
         Alcotest.test_case "histogram log-scale error bound" `Quick
@@ -385,7 +452,7 @@ let suites =
       ] );
     ( "obs.json",
       [
-        QCheck_alcotest.to_alcotest prop_json_round_trip;
+        Helpers.qcheck prop_json_round_trip;
         Alcotest.test_case "malformed input raises" `Quick test_json_parse_errors;
         Alcotest.test_case "metrics dump parses back" `Quick test_metrics_dump_parses;
       ] );

@@ -11,7 +11,7 @@ module Bus = Soda_net.Bus
 module Nic = Soda_net.Nic
 module Frame = Soda_net.Frame
 module Recorder = Soda_obs.Recorder
-module Stats = Soda_sim.Stats
+module Metrics = Soda_obs.Metrics
 
 let patt = Pattern.well_known 0o655
 let windowed = { Cost.default with Cost.window = 64; maxrequests = 65; aimd = true }
@@ -67,7 +67,7 @@ let test_backlog_not_loss () =
          match Wire.decode payload with
          | Ok { Wire.body = Wire.Request _; _ } when src = 0 ->
            if !arrivals = [] then
-             retx_at_first := Stats.counter (Transport.stats t) "pkt.retransmissions.timer";
+             retx_at_first := Metrics.counter (Transport.stats t) "pkt.retransmissions.timer";
            arrivals := Engine.now engine :: !arrivals
          | Ok _ | Error _ -> ()));
   for _ = 1 to 20 do

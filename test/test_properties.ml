@@ -126,7 +126,7 @@ let prop_determinism =
                    finish := Sodal.now env);
              });
         ignore (Network.run ~until:600_000_000 net);
-        (!finish, Soda_sim.Stats.counter (Bus.stats (Network.bus net)) "bus.frames_sent")
+        (!finish, Soda_obs.Metrics.counter (Bus.stats (Network.bus net)) "bus.frames_sent")
       in
       run_once () = run_once ())
 
@@ -186,11 +186,11 @@ let suites =
   [
     ( "properties",
       [
-        QCheck_alcotest.to_alcotest prop_exactly_once_any_seed;
-        QCheck_alcotest.to_alcotest prop_payload_integrity;
-        QCheck_alcotest.to_alcotest prop_determinism;
-        QCheck_alcotest.to_alcotest prop_mint_unique;
-        QCheck_alcotest.to_alcotest prop_mint_namespace;
-        QCheck_alcotest.to_alcotest prop_cost_intervals;
+        Helpers.qcheck prop_exactly_once_any_seed;
+        Helpers.qcheck prop_payload_integrity;
+        Helpers.qcheck prop_determinism;
+        Helpers.qcheck prop_mint_unique;
+        Helpers.qcheck prop_mint_namespace;
+        Helpers.qcheck prop_cost_intervals;
       ] );
   ]

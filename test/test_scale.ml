@@ -324,15 +324,15 @@ let suites =
   [
     ( "scale.wire",
       [
-        QCheck_alcotest.to_alcotest prop_encode_equals_seed_allocator;
-        QCheck_alcotest.to_alcotest prop_encode_into_at_offset;
-        QCheck_alcotest.to_alcotest prop_decode_sub_in_place;
-        QCheck_alcotest.to_alcotest prop_pooled_frame_seals_and_screens;
+        Helpers.qcheck prop_encode_equals_seed_allocator;
+        Helpers.qcheck prop_encode_into_at_offset;
+        Helpers.qcheck prop_decode_sub_in_place;
+        Helpers.qcheck prop_pooled_frame_seals_and_screens;
       ] );
     ( "scale.pool",
       [
         Alcotest.test_case "reuse after release" `Quick test_pool_reuse;
-        QCheck_alcotest.to_alcotest prop_pool_never_aliases_live;
+        Helpers.qcheck prop_pool_never_aliases_live;
       ] );
     ( "scale.bus",
       [
@@ -342,10 +342,10 @@ let suites =
           (check_diff ~script_seed:23 ~n_mids:64 ~ops:80);
         Alcotest.test_case "differential: 512 stations" `Quick
           (check_diff ~script_seed:37 ~n_mids:512 ~ops:48);
-        QCheck_alcotest.to_alcotest prop_bus_differential;
+        Helpers.qcheck prop_bus_differential;
       ] );
     ( "scale.heap",
-      [ QCheck_alcotest.to_alcotest prop_heap_soa_accessors ] );
+      [ Helpers.qcheck prop_heap_soa_accessors ] );
     ( "scale.replay",
       [ Alcotest.test_case "open-loop N=64 deterministic replay" `Quick test_replay_n64 ] );
   ]

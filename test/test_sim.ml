@@ -1,7 +1,6 @@
 module Heap = Soda_sim.Heap
 module Rng = Soda_sim.Rng
 module Engine = Soda_sim.Engine
-module Stats = Soda_sim.Stats
 module Delay_line = Soda_sim.Delay_line
 
 (* ---- heap ---------------------------------------------------------------- *)
@@ -528,78 +527,6 @@ let test_engine_negative_delay () =
   Alcotest.check_raises "negative delay" (Invalid_argument "Engine.schedule: negative delay")
     (fun () -> Engine.schedule e ~delay:(-1) (fun () -> ()))
 
-(* ---- stats -------------------------------------------------------------------- *)
-
-let test_stats_counters () =
-  let s = Stats.create () in
-  Stats.incr s "a";
-  Stats.incr s "a";
-  Stats.add s "b" 5;
-  Alcotest.(check int) "incr" 2 (Stats.counter s "a");
-  Alcotest.(check int) "add" 5 (Stats.counter s "b");
-  Alcotest.(check int) "absent counter" 0 (Stats.counter s "zzz");
-  Alcotest.(check (list string)) "names" [ "a"; "b" ] (Stats.counter_names s)
-
-let test_stats_times_and_samples () =
-  let s = Stats.create () in
-  Stats.add_time s "proto" 1500;
-  Stats.add_time s "proto" 500;
-  Alcotest.(check (float 0.001)) "ms" 2.0 (Stats.time_ms s "proto");
-  (* A time slot resolves its entry at the first charge: one never charged
-     is absent from the printed bag. *)
-  let listed name =
-    List.exists
-      (fun line -> String.starts_with ~prefix:(name ^ ":") line)
-      (String.split_on_char '\n' (Format.asprintf "%a" Stats.pp s))
-  in
-  let slot = Stats.time_slot s "client" in
-  Alcotest.(check bool) "uncharged slot absent" false (listed "client");
-  Stats.charge slot 700;
-  Stats.charge slot 300;
-  Alcotest.(check bool) "charged slot listed" true (listed "client");
-  Alcotest.(check (float 0.001)) "slot ms" 1.0 (Stats.time_ms s "client");
-  Stats.sample s "lat" 10;
-  Stats.sample s "lat" 20;
-  Stats.sample s "lat" 30;
-  Alcotest.(check (float 0.001)) "mean" 20.0 (Stats.mean_us s "lat");
-  Alcotest.(check int) "max" 30 (Stats.max_us s "lat");
-  Alcotest.(check int) "p50" 20 (Stats.percentile_us s "lat" 50.0);
-  Alcotest.(check int) "p100" 30 (Stats.percentile_us s "lat" 100.0)
-
-let test_stats_percentile_edges () =
-  let s = Stats.create () in
-  (* empty series *)
-  Alcotest.(check int) "empty p50" 0 (Stats.percentile_us s "none" 50.0);
-  Alcotest.(check int) "empty count" 0 (Stats.count s "none");
-  Alcotest.(check int) "empty max" 0 (Stats.max_us s "none");
-  (* single sample: every percentile is that sample *)
-  Stats.sample s "one" 37;
-  Alcotest.(check int) "single p0" 37 (Stats.percentile_us s "one" 0.0);
-  Alcotest.(check int) "single p50" 37 (Stats.percentile_us s "one" 50.0);
-  Alcotest.(check int) "single p100" 37 (Stats.percentile_us s "one" 100.0);
-  (* out-of-range and NaN percentiles clamp instead of raising *)
-  Stats.sample s "lat" 10;
-  Stats.sample s "lat" 20;
-  Stats.sample s "lat" 30;
-  Alcotest.(check int) "p<0 clamps to min" 10 (Stats.percentile_us s "lat" (-5.0));
-  Alcotest.(check int) "p>100 clamps to max" 30 (Stats.percentile_us s "lat" 200.0);
-  Alcotest.(check int) "NaN clamps to min" 10 (Stats.percentile_us s "lat" Float.nan);
-  (* negative samples clamp to zero rather than corrupting buckets *)
-  Stats.sample s "neg" (-50);
-  Alcotest.(check int) "negative sample clamps" 0 (Stats.max_us s "neg");
-  Alcotest.(check int) "negative sample counted" 1 (Stats.count s "neg")
-
-let test_stats_registry_backing () =
-  let s = Stats.create () in
-  Stats.incr s "pkt";
-  Stats.sample s "lat" 99;
-  let m = Stats.registry s in
-  Alcotest.(check int) "counter visible in registry" 1
-    (Soda_obs.Metrics.counter m "pkt");
-  match Stats.histogram s "lat" with
-  | Some h -> Alcotest.(check int) "histogram shared" 1 (Soda_obs.Metrics.Histogram.count h)
-  | None -> Alcotest.fail "expected histogram"
-
 let test_engine_counters () =
   let e = Engine.create () in
   let cancelled = Engine.timer e (fun () -> ()) in
@@ -830,16 +757,16 @@ let suites =
         Alcotest.test_case "ordering with ties" `Quick test_heap_ordering;
         Alcotest.test_case "empty heap" `Quick test_heap_empty;
         Alcotest.test_case "popped values released" `Quick test_heap_releases_popped;
-        QCheck_alcotest.to_alcotest prop_heap_sorted;
-        QCheck_alcotest.to_alcotest prop_heap_preserves_multiset;
-        QCheck_alcotest.to_alcotest prop_heap_matches_reference;
+        Helpers.qcheck prop_heap_sorted;
+        Helpers.qcheck prop_heap_preserves_multiset;
+        Helpers.qcheck prop_heap_matches_reference;
         Alcotest.test_case "steady state allocates nothing" `Quick
           test_steady_state_allocates_nothing;
       ] );
     ( "sim.ring",
       [
-        QCheck_alcotest.to_alcotest prop_ring_fifo;
-        QCheck_alcotest.to_alcotest prop_per_entry_delays;
+        Helpers.qcheck prop_ring_fifo;
+        Helpers.qcheck prop_per_entry_delays;
         Alcotest.test_case "release and steady state" `Quick test_ring_steady_state;
       ] );
     ( "sim.rng",
@@ -849,7 +776,7 @@ let suites =
         Alcotest.test_case "int bounds" `Quick test_rng_bounds;
         Alcotest.test_case "split independence" `Quick test_rng_split_independent;
         Alcotest.test_case "uniformity" `Quick test_rng_uniformity;
-        QCheck_alcotest.to_alcotest prop_rng_chance_extremes;
+        Helpers.qcheck prop_rng_chance_extremes;
         Alcotest.test_case "int draws allocate nothing" `Quick test_rng_int_draws;
       ] );
     ( "sim.engine",
@@ -865,16 +792,9 @@ let suites =
         Alcotest.test_case "lifetime counters" `Quick test_engine_counters;
         Alcotest.test_case "re-arm and reserved ids" `Quick test_engine_rearm;
         Alcotest.test_case "disarming a fired timer" `Quick test_engine_disarm_fired;
-        QCheck_alcotest.to_alcotest prop_engine_matches_reference;
+        Helpers.qcheck prop_engine_matches_reference;
         Alcotest.test_case "profiling counters" `Quick test_engine_profiling;
         Alcotest.test_case "per-tag words and runs" `Quick test_engine_tag_costs;
         Alcotest.test_case "run-level words cover the tags" `Quick test_engine_run_words;
-      ] );
-    ( "sim.stats",
-      [
-        Alcotest.test_case "counters" `Quick test_stats_counters;
-        Alcotest.test_case "times and samples" `Quick test_stats_times_and_samples;
-        Alcotest.test_case "percentile edge cases" `Quick test_stats_percentile_edges;
-        Alcotest.test_case "metrics registry backing" `Quick test_stats_registry_backing;
       ] );
   ]

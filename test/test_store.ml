@@ -21,7 +21,6 @@ module Nameserver = Soda_facilities.Nameserver
 module Tag = Soda_store.Tag
 module Store = Soda_store.Store
 module Harness = Soda_store.Harness
-module Stats = Soda_sim.Stats
 module Metrics = Soda_obs.Metrics
 module Recorder = Soda_obs.Recorder
 
@@ -257,7 +256,7 @@ let test_query_asks_majority () =
   Alcotest.(check bool) "read of an unwritten key" true (!result = Some (Ok None));
   let delivered =
     List.fold_left
-      (fun acc kernel -> acc + Stats.counter (Kernel.stats kernel) "req.delivered")
+      (fun acc kernel -> acc + Metrics.counter (Kernel.stats kernel) "req.delivered")
       0 kernels
   in
   Alcotest.(check int) "query REQUESTs delivered" 3 delivered
@@ -314,7 +313,7 @@ let test_concurrent_writers_no_busy () =
       Alcotest.(check int)
         (Printf.sprintf "replica %d BUSY NACKs" mid)
         0
-        (Stats.counter (Kernel.stats kernel) "req.busy_nacked"))
+        (Metrics.counter (Kernel.stats kernel) "req.busy_nacked"))
     kernels
 
 (* ---- switchboard registration and rebind ------------------------------- *)
@@ -562,7 +561,7 @@ let suites =
       [
         Alcotest.test_case "checker accepts valid histories" `Quick test_checker_accepts_valid;
         Alcotest.test_case "checker rejects violations" `Quick test_checker_rejects_invalid;
-        QCheck_alcotest.to_alcotest (prop_linearizable ~n:3);
-        QCheck_alcotest.to_alcotest (prop_linearizable ~n:5);
+        Helpers.qcheck (prop_linearizable ~n:3);
+        Helpers.qcheck (prop_linearizable ~n:5);
       ] );
   ]

@@ -3,7 +3,7 @@
    crash detection, Delta-t record lifecycle. *)
 
 open Helpers
-module Stats = Soda_sim.Stats
+module Metrics = Soda_obs.Metrics
 module Bus = Soda_net.Bus
 module Event = Soda_obs.Event
 module Recorder = Soda_obs.Recorder
@@ -45,7 +45,7 @@ let test_reliable_under_loss () =
     !results;
   let stats = Kernel.stats (List.nth kernels 1) in
   Alcotest.(check bool) "retransmissions happened" true
-    (Stats.counter stats "pkt.retransmissions" > 0)
+    (Metrics.counter stats "pkt.retransmissions" > 0)
 
 let test_exactly_once_under_loss () =
   (* Despite loss-induced retransmissions, each request is delivered to the
@@ -140,8 +140,8 @@ let test_busy_nacks_non_pipelined () =
   run ~horizon:600.0 net;
   Alcotest.(check bool) "completed" true !done_;
   let stats = Kernel.stats (List.nth kernels 0) in
-  Alcotest.(check bool) "busy nacks occurred" true (Stats.counter stats "req.busy_nacked" > 0);
-  Alcotest.(check int) "nothing buffered" 0 (Stats.counter stats "req.buffered")
+  Alcotest.(check bool) "busy nacks occurred" true (Metrics.counter stats "req.busy_nacked" > 0);
+  Alcotest.(check int) "nothing buffered" 0 (Metrics.counter stats "req.buffered")
 
 let test_pipelined_buffering () =
   let net, kernels = make_net ~seed:9 2 in
@@ -152,7 +152,7 @@ let test_pipelined_buffering () =
   run ~horizon:600.0 net;
   Alcotest.(check bool) "completed" true !done_;
   let stats = Kernel.stats (List.nth kernels 0) in
-  Alcotest.(check bool) "input buffer used" true (Stats.counter stats "req.buffered" > 0)
+  Alcotest.(check bool) "input buffer used" true (Metrics.counter stats "req.buffered" > 0)
 
 (* A REQUEST held in the pipelined input buffer has already been acked.
    When the handler unadvertises before taking it, the server answers
@@ -305,7 +305,7 @@ let cancel_busy_request ~on_wire () =
              Sodal.on_completion_of env second (fun _ -> cancelled_completed := true);
              let stats = Kernel.stats (List.nth kernels 1) in
              if not on_wire then
-               while Stats.counter stats "req.busy_received" = 0 do
+               while Metrics.counter stats "req.busy_received" = 0 do
                  Sodal.compute env 100
                done;
              let before = records k1 second in
@@ -429,7 +429,7 @@ let test_cancel_buffered () =
   send_request s ~seq:1 102;
   Alcotest.(check (list int)) "the first REQUEST reached the handler" [ 101 ] !(s.delivered);
   Alcotest.(check int) "the second waits in the input buffer" 1
-    (Stats.counter (Transport.stats s.server) "req.buffered");
+    (Metrics.counter (Transport.stats s.server) "req.buffered");
   send_cancel s ~seq:0 102;
   Alcotest.(check (list bool)) "CANCEL granted" [ true ] (cancel_replies s 102);
   free_handler s;
@@ -451,7 +451,7 @@ let test_cancel_repeated () =
   send_cancel s ~seq:0 101;
   Alcotest.(check (list bool)) "both CANCELs granted" [ true; true ] (cancel_replies s 101);
   Alcotest.(check int) "two grants counted" 2
-    (Stats.counter (Transport.stats s.server) "cancel.granted");
+    (Metrics.counter (Transport.stats s.server) "cancel.granted");
   let outcome = ref None in
   Transport.accept s.server ~requester_mid:1 ~requester_tid:101 ~arg:0 ~get_capacity:0
     ~data_out:Bytes.empty ~on_done:(fun o -> outcome := Some o);
@@ -527,7 +527,7 @@ let test_cancel_after_accept () =
   run ~horizon:5.0 net;
   Alcotest.(check (option bool)) "CANCEL refused" (Some false) !cancel_ok;
   Alcotest.(check int) "refused by the server" 1
-    (Stats.counter (Kernel.stats (List.nth kernels 0)) "cancel.refused");
+    (Metrics.counter (Kernel.stats (List.nth kernels 0)) "cancel.refused");
   Alcotest.(check bool) "the request completed normally" true
     (!completion = Some (Sodal.Comp_ok, 5))
 
@@ -549,7 +549,7 @@ let test_double_accept () =
              done;
              let asker = Option.get !asker in
              let accepts_sent () =
-               Stats.counter (Kernel.stats (List.nth kernels 0)) "pkt.sent.ACCEPT"
+               Metrics.counter (Kernel.stats (List.nth kernels 0)) "pkt.sent.ACCEPT"
              in
              let first = Sodal.accept_signal env asker ~arg:1 in
              let sent = accepts_sent () in
@@ -701,7 +701,7 @@ let test_resent_put_data_times_out () =
        | Wire.Put_data { tid = 8; data } -> Some (Bytes.to_string data)
        | _ -> None)));
   Alcotest.(check int) "counted once" 1
-    (Stats.counter (Transport.stats r.client) "req.data_resend")
+    (Metrics.counter (Transport.stats r.client) "req.data_resend")
 
 (* A CANCEL of a delivered request goes to the server; when the server
    never answers it, the CANCEL times out: the request completes
@@ -782,8 +782,9 @@ let test_discover_completes_span () =
   Alcotest.(check bool) "the span's context is forgotten" true
     (Transport.causal_ctx r.client ~tid:11 = None);
   Alcotest.(check (pair int int)) "one latency sample, the window" (1, Cost.default.Cost.discover_window_us)
-    (Stats.count (Transport.stats r.client) "req.latency_us",
-     Stats.max_us (Transport.stats r.client) "req.latency_us")
+    (match Metrics.histogram (Transport.stats r.client) "req.latency_us" with
+     | Some h -> (Metrics.Histogram.count h, Metrics.Histogram.max_value h)
+     | None -> (0, 0))
 
 (* ---- crash semantics --------------------------------------------------------------- *)
 
@@ -1039,7 +1040,7 @@ let test_get_accept_ack_hold () =
      Alcotest.(check int) "accept_get returns 1,999 us before the grace-window time"
        (12_469 - 1_999) ret
    | None -> Alcotest.fail "accept_get never returned");
-  match Stats.histogram (Kernel.stats (List.nth kernels 0)) "accept.ack_wait_us" with
+  match Metrics.histogram (Kernel.stats (List.nth kernels 0)) "accept.ack_wait_us" with
   | Some h ->
     let module H = Soda_obs.Metrics.Histogram in
     Alcotest.(check int) "one data-bearing ACCEPT acked" 1 (H.count h);
@@ -1064,7 +1065,7 @@ let test_get_stream_two_packets ~words () =
              ignore (Sodal.accept_current_get env ~arg:0 ~data:(Bytes.make bytes 'g')));
        });
   let both name =
-    List.fold_left (fun acc k -> acc + Stats.counter (Kernel.stats k) name) 0 kernels
+    List.fold_left (fun acc k -> acc + Metrics.counter (Kernel.stats k) name) 0 kernels
   in
   (* packets sent and standalone acks, read at the last completion: the
      last ACCEPT's ack has no next REQUEST to ride *)

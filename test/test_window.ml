@@ -13,7 +13,7 @@ open Window_run
 module Cost = Soda_base.Cost_model
 module Event = Soda_obs.Event
 module Recorder = Soda_obs.Recorder
-module Stats = Soda_sim.Stats
+module Metrics = Soda_obs.Metrics
 module Fault_plan = Soda_fault.Fault_plan
 module Injector = Soda_fault.Injector
 module Stream = Soda_facilities.Stream
@@ -105,7 +105,10 @@ let window_events_bounded ~window events =
       | _ -> true)
     events
 
-let max_occupancy kernel = Stats.max_us (Kernel.stats kernel) "net.window_occupancy"
+let max_occupancy kernel =
+  match Metrics.histogram (Kernel.stats kernel) "net.window_occupancy" with
+  | Some h -> Metrics.Histogram.max_value h
+  | None -> 0
 
 let payload = String.init 1_200 (fun i -> Char.chr ((i * 7 mod 94) + 33))
 
@@ -617,7 +620,7 @@ let test_long_busy_hold_nacks () =
   Alcotest.(check bool) "no request died of the hold" true
     (List.for_all (fun s -> s = Sodal.Comp_ok) !statuses);
   Alcotest.(check bool) "the hold was converted to a BUSY nack" true
-    (Stats.counter (Kernel.stats server) "req.held_nacked" >= 1)
+    (Metrics.counter (Kernel.stats server) "req.held_nacked" >= 1)
 
 (* ---- a CANCEL inside a W>1 send window -------------------------------------- *)
 
@@ -921,7 +924,7 @@ module Window = Soda_proto.Send_window
 let bare_window ~window =
   let engine = Engine.create ~seed:5 () in
   let cost = { Cost.default with Cost.window; aimd = false } in
-  let stats = Stats.create () in
+  let stats = Metrics.create () in
   let env =
     {
       Window.engine;
@@ -1043,7 +1046,7 @@ type logged = {
 let logged_node () =
   let clock = Engine.create ~seed:9 () in
   let cost = { Cost.default with Cost.window = 8; aimd = true } in
-  let stats = Stats.create () in
+  let stats = Metrics.create () in
   let log = ref [] and sent = ref [] and cur = ref None in
   let stamp what =
     log :=
@@ -1226,7 +1229,7 @@ module Rx = Soda_proto.Recv_window
    peer 1: a REQUEST or an ACCEPT for [tid] at sequence number [seq]. *)
 let bare_rx ~window =
   let cost = { Cost.default with Cost.window } in
-  let stats = Stats.create () in
+  let stats = Metrics.create () in
   (Rx.create (Rx.shared stats cost), stats, Cost.seq_space cost)
 
 let rx_pkt ?(run = false) ~seq body =
@@ -1345,7 +1348,7 @@ let test_rx_stale_stash ~window () =
     Alcotest.(check bool) "a copy is not stashed again" true
       (Rx.stash w (rx_req ~seq:2 61) = Rx.Already_stashed);
     Alcotest.(check bool) "another message replaces it" true (Rx.stash w y = Rx.Replaced_stale);
-    Alcotest.(check int) "one stale replaced" 1 (Stats.counter stats "pkt.window_stale_replaced");
+    Alcotest.(check int) "one stale replaced" 1 (Metrics.counter stats "pkt.window_stale_replaced");
     rx_consume w (rx_req ~seq:1 63);
     Alcotest.(check bool) "the live message is the head" true (Rx.head w == y)
   end
@@ -1365,7 +1368,7 @@ let test_rx_run_flush ~window () =
   Alcotest.(check bool) "the run start stays the head" true (Rx.head w == run);
   Alcotest.(check int) "flushes counted"
     (if stale = [] then 0 else 1)
-    (Stats.counter stats "pkt.window_stale_flushed")
+    (Metrics.counter stats "pkt.window_stale_flushed")
 
 (* A held REQUEST counts its swallowed retransmissions; at the limit it
    is consumed, and its BUSY replays to later copies. *)
@@ -1384,8 +1387,8 @@ let test_rx_held_limit ~window () =
     Alcotest.(check bool) "below the limit" false (Rx.held_retry w h)
   done;
   Alcotest.(check bool) "at the limit" true (Rx.held_retry w h);
-  Alcotest.(check int) "held_nacked" 1 (Stats.counter stats "req.held_nacked");
-  Alcotest.(check int) "busy_deferred" 2 (Stats.counter stats "req.busy_deferred");
+  Alcotest.(check int) "held_nacked" 1 (Metrics.counter stats "req.held_nacked");
+  Alcotest.(check int) "busy_deferred" 2 (Metrics.counter stats "req.busy_deferred");
   rx_consume w h;
   Rx.respond w h (Wire.Busy { tid = 91 });
   Rx.release w;
@@ -1418,7 +1421,7 @@ let test_rx_held_displaced ~window () =
   let other = rx_acc ~seq:1 112 in
   check_cls "the other message is in order" Rx.In_order w other;
   Alcotest.(check bool) "displaces the held one" true (Rx.consume w ~resync:false other);
-  Alcotest.(check int) "counted as stale" 1 (Stats.counter stats "pkt.window_stale_replaced");
+  Alcotest.(check int) "counted as stale" 1 (Metrics.counter stats "pkt.window_stale_replaced");
   Alcotest.(check bool) "nothing stashed" false (Rx.active w);
   for i = 2 to space do
     rx_consume w (rx_acc ~seq:(i mod space) (120 + i))
@@ -1444,13 +1447,13 @@ let suites =
         Alcotest.test_case "cost-model window clamps" `Quick test_window_clamps;
         Alcotest.test_case "sequence space sizing" `Quick test_seq_space;
         Alcotest.test_case "client window helper" `Quick test_client_window;
-        QCheck_alcotest.to_alcotest prop_modular_roundtrip;
+        Helpers.qcheck prop_modular_roundtrip;
         Alcotest.test_case "wide window pipelines" `Quick test_window_pipelines;
         Alcotest.test_case "reordered arrivals parked and released" `Quick
           test_window_reorders_parked;
-        QCheck_alcotest.to_alcotest prop_window_invariants;
+        Helpers.qcheck prop_window_invariants;
         Alcotest.test_case "AIMD and RTO unit laws" `Quick test_aimd_laws;
-        QCheck_alcotest.to_alcotest prop_rtt_converges;
+        Helpers.qcheck prop_rtt_converges;
         Alcotest.test_case "W=64 cwnd/rtt events bounded" `Quick test_cwnd_events_bounded;
         Alcotest.test_case "W=64 data wait behind a receive gap" `Quick
           test_data_wait_behind_gap;

@@ -345,7 +345,7 @@ let prop_bus_corruption_decode_total =
       Bus.send bus ~src:0 ~dst:(Frame.To 1) (Wire.encode pkt);
       ignore (Engine.run engine);
       !decoded
-      && Soda_sim.Stats.counter (Bus.stats bus) "bus.frames_corrupted" = 1)
+      && Soda_obs.Metrics.counter (Bus.stats bus) "bus.frames_corrupted" = 1)
 
 let suites =
   [
@@ -357,12 +357,12 @@ let suites =
         Alcotest.test_case "wide sequence numbers" `Quick test_wide_seq_roundtrip;
         Alcotest.test_case "garbage rejected" `Quick test_decode_garbage;
         Alcotest.test_case "data accounting" `Quick test_data_bytes;
-        QCheck_alcotest.to_alcotest prop_wire_roundtrip;
-        QCheck_alcotest.to_alcotest prop_decode_sub_contract;
-        QCheck_alcotest.to_alcotest prop_encoders_agree;
-        QCheck_alcotest.to_alcotest prop_kinds_agree;
-        QCheck_alcotest.to_alcotest prop_decode_never_crashes;
-        QCheck_alcotest.to_alcotest prop_mutation_never_crashes;
-        QCheck_alcotest.to_alcotest prop_bus_corruption_decode_total;
+        Helpers.qcheck prop_wire_roundtrip;
+        Helpers.qcheck prop_decode_sub_contract;
+        Helpers.qcheck prop_encoders_agree;
+        Helpers.qcheck prop_kinds_agree;
+        Helpers.qcheck prop_decode_never_crashes;
+        Helpers.qcheck prop_mutation_never_crashes;
+        Helpers.qcheck prop_bus_corruption_decode_total;
       ] );
   ]

@@ -1,7 +1,7 @@
 (* Codec for SCD-broadcast FORWARD frames. These bytes travel, one or
    more frames per transfer, as the opaque put-payload of ordinary
    REQUEST packets, so the layout is private to lib/scd; it still gets
-   the same defensive decoding as Wire so a corrupted or truncated frame
+   the same defensive checking as Wire so a corrupted or truncated frame
    is rejected, never misread. *)
 
 type payload =
@@ -63,48 +63,66 @@ let encode fwd =
   | Sync -> ());
   b
 
+(* ---- batches, read in place --------------------------------------------- *)
+
 (* A batch is frames back to back with no count field: each entry's
-   length follows from its tag. A bad entry anywhere rejects the whole
-   buffer, so a receiver never acts on part of a corrupted transfer. *)
-let decode b =
+   length follows from its tag. [check] walks the whole buffer before a
+   receiver reads any entry, so a bad entry anywhere rejects all of it
+   and a receiver never acts on part of a corrupted transfer. Its errors
+   are constants: checking allocates nothing. *)
+
+let i32 b o = Int32.to_int (Bytes.get_int32_be b o)
+
+(* payload length per tag; -1 for an unknown tag *)
+let payload_len tag = if tag = 0 || tag = 1 then 16 else if tag = 2 then 0 else -1
+
+let check b =
   let len = Bytes.length b in
-  let rec entries o acc =
-    if o = len then Ok (List.rev acc)
+  let rec entries o =
+    if o = len then Ok ()
     else if len - o < header_size then Error "scd frame: truncated header"
-    else begin
-      let tag = Char.code (Bytes.get b o) in
-      let sd = Bytes.get_uint16_be b (o + 1) in
-      let sn = Int32.to_int (Bytes.get_int32_be b (o + 3)) in
-      let f = Bytes.get_uint16_be b (o + 7) in
-      let snf = Int32.to_int (Bytes.get_int32_be b (o + 9)) in
-      let p = o + header_size in
-      let with_payload need k =
-        if len - p < need then Error "scd frame: truncated payload"
-        else entries (p + need) ({ sd; sn; f; snf; payload = k () } :: acc)
-      in
-      match tag with
-      | 0 ->
-        with_payload 16 (fun () ->
-            Write
-              {
-                reg = Bytes.get_uint16_be b p;
-                value = Int64.to_int (Bytes.get_int64_be b (p + 2));
-                date = Int32.to_int (Bytes.get_int32_be b (p + 10));
-                writer = Bytes.get_uint16_be b (p + 14);
-              })
-      | 1 ->
-        with_payload 16 (fun () ->
-            Incr
-              {
-                delta = Int64.to_int (Bytes.get_int64_be b p);
-                origin = Int32.to_int (Bytes.get_int32_be b (p + 8));
-                oseq = Int32.to_int (Bytes.get_int32_be b (p + 12));
-              })
-      | 2 -> with_payload 0 (fun () -> Sync)
-      | n -> Error (Printf.sprintf "scd frame: unknown tag %d" n)
-    end
+    else
+      let need = payload_len (Char.code (Bytes.get b o)) in
+      if need < 0 then Error "scd frame: unknown tag"
+      else if len - o - header_size < need then Error "scd frame: truncated payload"
+      else entries (o + header_size + need)
   in
-  if len = 0 then Error "scd frame: empty batch" else entries 0 []
+  if len = 0 then Error "scd frame: empty batch" else entries 0
+
+let next b o = o + header_size + payload_len (Char.code (Bytes.get b o))
+let sd b o = Bytes.get_uint16_be b (o + 1)
+let sn b o = i32 b (o + 3)
+let f b o = Bytes.get_uint16_be b (o + 7)
+let snf b o = i32 b (o + 9)
+
+let kind b o : Soda_obs.Event.scd_payload =
+  match Char.code (Bytes.get b o) with 0 -> Payload_write | 1 -> Payload_incr | _ -> Payload_sync
+
+let reg b o = Bytes.get_uint16_be b (o + 13)
+let value b o = Int64.to_int (Bytes.get_int64_be b (o + 15))
+let date b o = i32 b (o + 23)
+let writer b o = Bytes.get_uint16_be b (o + 27)
+let delta b o = Int64.to_int (Bytes.get_int64_be b (o + 13))
+let origin b o = i32 b (o + 21)
+let oseq b o = i32 b (o + 25)
+
+let forward b o =
+  let payload =
+    match kind b o with
+    | Payload_write ->
+      Write { reg = reg b o; value = value b o; date = date b o; writer = writer b o }
+    | Payload_incr -> Incr { delta = delta b o; origin = origin b o; oseq = oseq b o }
+    | Payload_sync -> Sync
+  in
+  { sd = sd b o; sn = sn b o; f = f b o; snf = snf b o; payload }
+
+let restamp b o ~f ~snf =
+  check_u16 "f" f;
+  check_i32 "snf" snf;
+  let e = Bytes.sub b o (next b o - o) in
+  Bytes.set_uint16_be e 7 f;
+  Bytes.set_int32_be e 9 (Int32.of_int snf);
+  e
 
 let payload_kind : payload -> Soda_obs.Event.scd_payload = function
   | Write _ -> Payload_write

@@ -30,11 +30,51 @@ type forward = { sd : int; sn : int; f : int; snf : int; payload : payload }
 val encoded_size : forward -> int
 val encode : forward -> bytes
 
-(** [decode b] reads a batch: the plain concatenation of one or more
-    [encode]d frames, as one transfer carries them (a one-entry batch is
-    byte-identical to [encode]). Entries come back in order. An empty
-    buffer, a truncated entry or an unknown tag rejects the whole buffer. *)
-val decode : bytes -> (forward list, string) result
+(** {2 Batches, read in place}
+
+    A batch is the plain concatenation of one or more [encode]d frames,
+    as one transfer carries them (a one-entry batch is byte-identical to
+    [encode]). A receiver [check]s the whole batch, then reads its
+    entries where they lie: entry offsets run from 0, each [next] of the
+    one before, up to the batch's length. *)
+
+(** [check b] accepts a well-formed batch. An empty buffer, a truncated
+    entry or an unknown tag anywhere rejects the whole buffer. It
+    allocates nothing. *)
+val check : bytes -> (unit, string) result
+
+(** The readers below take a [check]ed batch and an entry's offset. *)
+
+(** Offset of the entry after this one. *)
+val next : bytes -> int -> int
+
+val sd : bytes -> int -> int
+val sn : bytes -> int -> int
+val f : bytes -> int -> int
+val snf : bytes -> int -> int
+val kind : bytes -> int -> Soda_obs.Event.scd_payload
+
+(** Fields of a [Write] entry (its [writer] is read by [forward] only). *)
+
+val reg : bytes -> int -> int
+val value : bytes -> int -> int
+val date : bytes -> int -> int
+
+(** Fields of an [Incr] entry. *)
+
+val delta : bytes -> int -> int
+val origin : bytes -> int -> int
+val oseq : bytes -> int -> int
+
+(** The entry as a record, for printing and tests; a member keeps
+    frames, not records. *)
+val forward : bytes -> int -> forward
+
+(** [restamp b o ~f ~snf] is a fresh one-entry frame: the entry at [o]
+    forwarded by [f] at its clock [snf] (the same message, header and
+    payload). *)
+val restamp : bytes -> int -> f:int -> snf:int -> bytes
+
 val payload_kind : payload -> Soda_obs.Event.scd_payload
 val pp : Format.formatter -> forward -> unit
 val equal : forward -> forward -> bool

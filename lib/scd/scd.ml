@@ -32,12 +32,13 @@ let cluster_pattern ~cluster =
 let recorder env = Kernel.recorder (Sodal.kernel env)
 let metrics env = Recorder.metrics (recorder env)
 
+let tracing env = Recorder.tracing (recorder env)
+
+(* Callers test [tracing] first, so an untraced run builds no event. *)
 let emit env kind =
-  let r = recorder env in
-  if Recorder.tracing r then
-    Recorder.emit r
-      ?ctx:(Kernel.causal_parent (Sodal.kernel env))
-      ~time_us:(Sodal.now env) ~mid:(Sodal.my_mid env) kind
+  Recorder.emit (recorder env)
+    ?ctx:(Kernel.causal_parent (Sodal.kernel env))
+    ~time_us:(Sodal.now env) ~mid:(Sodal.my_mid env) kind
 
 (* ---- operation codec ---------------------------------------------------- *)
 
@@ -104,32 +105,49 @@ let decode_int_result b = Int64.to_int (Bytes.get_int64_be b 0)
 
 (* ---- member ------------------------------------------------------------- *)
 
-(* One outgoing FORWARD frame; [of_attempts] counts the transfers that
-   carried it, so a frame is dropped after [retry_cap] crash verdicts. *)
-type out_frame = { of_frame : bytes; mutable of_attempts : int }
+module Itbl = Hashtbl.Make (Int)
 
-(* The per-peer send channel: a FIFO of FORWARD frames with at most one
-   transfer (a prefix of the FIFO) in flight, in either direction. After
-   a failed transfer the channel is [ch_retrying] until one gets through,
-   and waits out a backoff deadline before each retry. *)
+(* A message identity (sd, sn) or an increment's (origin, oseq) as one
+   int: [sd] fits u16 and [sn] i32 by the wire layout, and an origin is a
+   machine id, far below 2^30. *)
+let key hi lo = (hi lsl 32) lor (lo land 0xFFFF_FFFF)
+let key_hi k = k asr 32
+let key_lo k = ((k land 0xFFFF_FFFF) lxor 0x8000_0000) - 0x8000_0000
+
+(* The per-peer send channel: a cursor into the member's out-log (see the
+   echo path below) with at most one transfer in flight, in either
+   direction, carrying the first [ch_claimed] frames from [ch_head].
+   [ch_tries.(j)] counts the transfers that carried frame [ch_head + j]
+   (0 past the frames tried): each transfer carries a prefix, so the
+   counts never rise along the log. After a failed transfer the channel
+   is [ch_retrying] until one gets through, and waits out a backoff
+   deadline before each retry. *)
 type channel = {
   ch_mid : int;
-  ch_q : out_frame Queue.t;
+  ch_server : Types.server_signature;
+  mutable ch_head : int;
+  mutable ch_claimed : int;
+  mutable ch_tries : int array;
   mutable ch_in_flight : bool;
   mutable ch_retrying : bool;
   mutable ch_ready_at : int;
 }
 
-(* A buffered quadruplet: one application message plus the clock vector
-   built from peer FORWARDs ([infinity_clock] = not heard yet) and the
-   number of its entries already heard. *)
+(* A buffered quadruplet: one application message, our own FORWARD of
+   it (the payload is read from it in place when the message is
+   applied), the clock vector built from peer FORWARDs ([infinity_clock]
+   = not heard yet), the number of its entries already heard, and its
+   slot in the member's [bufq]. *)
 type quad = {
   q_sd : int;
   q_sn : int;
-  q_payload : Scd_wire.payload;
+  q_frame : bytes;
   q_cl : int array;
   mutable q_known : int;
+  mutable q_slot : int;
 }
+
+let no_quad = { q_sd = 0; q_sn = 0; q_frame = Bytes.empty; q_cl = [||]; q_known = 0; q_slot = -1 }
 
 (* A client operation this member proxies: created at submit (ticket
    handed out in the accept's reply argument), broadcast by the task,
@@ -148,7 +166,7 @@ type pending = {
      for single-round operations. *)
   mutable p_phase : int;
   mutable p_date : int;  (* write timestamp date, fixed at broadcast *)
-  mutable p_msg : (int * int) option;
+  mutable p_sn : int;  (* sn of the round's own message; -1 before it is sent *)
   mutable p_result : bytes option;
   mutable p_waiter : Types.requester_signature option;  (* parked collect GET *)
   p_start_us : int;
@@ -162,45 +180,63 @@ type member = {
   regs : int;
   mutable clock : int;  (* sn of the next FORWARD this member sends *)
   (* Per forwarder: the stamp of its next FORWARD to process, and the
-     ones that arrived ahead of it, in stamp order (see [process_forward]) *)
+     frames that arrived ahead of it, in stamp order (see [process_forward]) *)
   next_snf : int array;
-  held : Scd_wire.forward list array;
+  held : bytes list array;
   mutable n_held : int;
-  buffer : (int * int, quad) Hashtbl.t;
-  delivered : (int * int, unit) Hashtbl.t;
-  (* snapshot object *)
+  (* buffered quads by message key, and as an array: slots [0, nbuf) of
+     [bufq]; [scan] is [try_deliver]'s work array *)
+  buffer : quad Itbl.t;
+  mutable bufq : quad array;
+  mutable nbuf : int;
+  mutable scan : quad array;
+  delivered : unit Itbl.t;
+  (* snapshot object: per register its value and timestamp
+     (date, sd, sn), compared lexicographically *)
   reg_v : int array;
-  reg_ts : (int * int * int) array;  (* (date, sd, sn), lexicographic *)
+  reg_date : int array;
+  reg_sd : int array;
+  reg_sn : int array;
   (* counter *)
   mutable counter : int;
-  applied_incrs : (int * int, unit) Hashtbl.t;  (* (origin, oseq) *)
-  (* proxied client operations *)
+  applied_incrs : unit Itbl.t;  (* by (origin, oseq) key *)
+  (* proxied client operations, by ticket and by own message key *)
   mutable next_ticket : int;
-  ops : (int, pending) Hashtbl.t;
-  by_msg : (int * int, pending) Hashtbl.t;
-  (* work queues filled by the handler, drained by the task *)
-  inbox : Scd_wire.forward Queue.t;
+  ops : pending Itbl.t;
+  by_msg : pending Itbl.t;
+  (* work queues filled by the handler, drained by the task: checked
+     FORWARD batches, and tickets *)
+  inbox : bytes Queue.t;
   op_inbox : int Queue.t;
   mutable candidates : int;  (* buffered quads with a majority of known clocks *)
-  (* per-peer outgoing FORWARD channels (see the echo path below) *)
+  (* the out-log: frame [i] at slot [i land (cap - 1)] of [out] for
+     [out_lo <= i < out_hi], with the number of channels whose head has
+     not passed it in [out_left] *)
+  mutable out : bytes array;
+  mutable out_left : int array;
+  mutable out_lo : int;
+  mutable out_hi : int;
   chans : channel array;
   mutable pump_cursor : int;
   mutable slot_busy : bool;  (* our one transfer in flight to a healthy peer *)
   mutable reply : bytes;  (* that transfer's get buffer: the peer's backlog for us *)
   mutable rng : Rng.t;  (* retry jitter; split from the engine at each boot *)
-  mutable delivery_log : (int * int) list list;  (* newest first *)
+  mutable delivery_log : int array list;  (* message keys per set, newest first *)
   mutable nbroadcasts : int;
   mutable bcast_sns : int list;  (* sn of every broadcast we initiated *)
 }
+
+let out_capacity = 16
 
 let member ~cluster ~index ~mids ~regs =
   let n = List.length mids in
   if n = 0 then invalid_arg "Scd.member: empty cluster";
   if index < 0 || index >= n then invalid_arg "Scd.member: index out of range";
   if regs < 1 then invalid_arg "Scd.member: need at least one register";
+  let cluster_pat = cluster_pattern ~cluster in
   {
     member_pat = member_pattern ~cluster ~index;
-    cluster_pat = cluster_pattern ~cluster;
+    cluster_pat;
     index;
     n;
     regs;
@@ -208,23 +244,33 @@ let member ~cluster ~index ~mids ~regs =
     next_snf = Array.make n 0;
     held = Array.make n [];
     n_held = 0;
-    buffer = Hashtbl.create 32;
+    buffer = Itbl.create 32;
+    bufq = Array.make 32 no_quad;
+    nbuf = 0;
+    scan = [||];
     candidates = 0;
-    delivered = Hashtbl.create 64;
+    delivered = Itbl.create 64;
     reg_v = Array.make regs 0;
-    reg_ts = Array.make regs (0, -1, -1);
+    reg_date = Array.make regs 0;
+    reg_sd = Array.make regs (-1);
+    reg_sn = Array.make regs (-1);
     counter = 0;
-    applied_incrs = Hashtbl.create 32;
+    applied_incrs = Itbl.create 32;
     next_ticket = 1;
-    ops = Hashtbl.create 16;
-    by_msg = Hashtbl.create 16;
+    ops = Itbl.create 16;
+    by_msg = Itbl.create 16;
     inbox = Queue.create ();
     op_inbox = Queue.create ();
+    out = Array.make out_capacity Bytes.empty;
+    out_left = Array.make out_capacity 0;
+    out_lo = 0;
+    out_hi = 0;
     chans =
       Array.of_list
         (List.filteri (fun i _ -> i <> index) mids
         |> List.map (fun mid ->
-               { ch_mid = mid; ch_q = Queue.create (); ch_in_flight = false;
+               { ch_mid = mid; ch_server = Sodal.server ~mid ~pattern:cluster_pat; ch_head = 0;
+                 ch_claimed = 0; ch_tries = [||]; ch_in_flight = false;
                  ch_retrying = false; ch_ready_at = 0 }));
     pump_cursor = 0;
     slot_busy = false;
@@ -235,12 +281,16 @@ let member ~cluster ~index ~mids ~regs =
     bcast_sns = [];
   }
 
-let deliveries m = List.rev m.delivery_log
-let registers m = Array.init m.regs (fun r -> (m.reg_v.(r), m.reg_ts.(r)))
+let deliveries m =
+  List.rev_map (fun ids -> Array.fold_right (fun k l -> (key_hi k, key_lo k) :: l) ids []) m.delivery_log
+
+let registers m =
+  Array.init m.regs (fun r -> (m.reg_v.(r), (m.reg_date.(r), m.reg_sd.(r), m.reg_sn.(r))))
+
 let counter_value m = m.counter
 let broadcasts_made m = m.nbroadcasts
 let broadcast_sns m = List.rev m.bcast_sns
-let retry_depth m = Array.fold_left (fun acc ch -> acc + Queue.length ch.ch_q) 0 m.chans
+let retry_depth m = Array.fold_left (fun acc ch -> acc + m.out_hi - ch.ch_head) 0 m.chans
 let held_forwards m = m.n_held
 
 let majority m = (m.n / 2) + 1
@@ -248,11 +298,14 @@ let majority m = (m.n / 2) + 1
 (* ---- echo path ---------------------------------------------------------- *)
 
 (* The delivery condition reasons about per-sender clocks, so the FORWARD
-   stream from one member to one peer must stay FIFO. Every send therefore
-   goes through the peer's channel: [echo] only enqueues, and a transfer
-   carries the longest FIFO prefix of the queue that fits the kernel's
-   buffer ([max_data_bytes]). A channel has at most one transfer in flight
-   and pops its prefix only once the transfer is known delivered.
+   stream from one member to one peer must stay FIFO. Every FORWARD a
+   member sends is appended once to its out-log, and each peer's channel
+   is a cursor into that log: [echo] only appends, and a transfer
+   carries the longest run of frames from the channel's head that fits
+   the kernel's buffer ([max_data_bytes]). A channel has at most one
+   transfer in flight and moves its head past the run only once the
+   transfer is known delivered; the log lets go of a frame once every
+   head is past it.
 
    Transfers are clocked by completions, not timers. A member keeps one
    transfer in flight to a healthy peer (the slot): [pump] launches the
@@ -271,89 +324,125 @@ let majority m = (m.n / 2) + 1
 let retry_cap = 25
 let retry_spacing_us = 200_000
 
-let echo m (fwd : Scd_wire.forward) =
-  let frame = Scd_wire.encode fwd in
-  Array.iter (fun ch -> Queue.add { of_frame = frame; of_attempts = 0 } ch.ch_q) m.chans
+let out_slot m i = i land (Array.length m.out - 1)
 
-(* Take the longest FIFO prefix of [ch]'s queue that fits [room] bytes
-   into one transfer: the channel is in flight from here until [settle].
-   Returns the prefix length and its frames, concatenated. *)
-let claim ch ~room =
+let echo m frame =
+  let peers = Array.length m.chans in
+  if peers > 0 then begin
+    let cap = Array.length m.out in
+    if m.out_hi - m.out_lo = cap then begin
+      let out = Array.make (2 * cap) Bytes.empty and left = Array.make (2 * cap) 0 in
+      for i = m.out_lo to m.out_hi - 1 do
+        out.(i land ((2 * cap) - 1)) <- m.out.(i land (cap - 1));
+        left.(i land ((2 * cap) - 1)) <- m.out_left.(i land (cap - 1))
+      done;
+      m.out <- out;
+      m.out_left <- left
+    end;
+    let s = out_slot m m.out_hi in
+    m.out.(s) <- frame;
+    m.out_left.(s) <- peers;
+    m.out_hi <- m.out_hi + 1
+  end
+
+(* [ch] is done with its first [k] frames, delivered or dropped: its head
+   moves past them, and the log lets go of the frames every head is
+   past. *)
+let advance m ch k =
+  for i = ch.ch_head to ch.ch_head + k - 1 do
+    let s = out_slot m i in
+    m.out_left.(s) <- m.out_left.(s) - 1
+  done;
+  ch.ch_head <- ch.ch_head + k;
+  let tries = Array.length ch.ch_tries in
+  Array.blit ch.ch_tries k ch.ch_tries 0 (tries - k);
+  Array.fill ch.ch_tries (tries - k) k 0;
+  while m.out_lo < m.out_hi && m.out_left.(out_slot m m.out_lo) = 0 do
+    m.out.(out_slot m m.out_lo) <- Bytes.empty;
+    m.out_lo <- m.out_lo + 1
+  done
+
+(* Take the longest run of [ch]'s frames that fits [room] bytes into one
+   transfer: the channel is in flight from here until [settle]. Returns
+   the frames, concatenated. *)
+let claim m ch ~room =
   let k = ref 0 and size = ref 0 in
-  (try
-     Queue.iter
-       (fun f ->
-         let s = !size + Bytes.length f.of_frame in
-         if s > room then raise_notrace Exit;
-         incr k;
-         size := s)
-       ch.ch_q
-   with Exit -> ());
+  while
+    ch.ch_head + !k < m.out_hi
+    && !size + Bytes.length m.out.(out_slot m (ch.ch_head + !k)) <= room
+  do
+    size := !size + Bytes.length m.out.(out_slot m (ch.ch_head + !k));
+    incr k
+  done;
   let batch = Bytes.create !size in
-  let i = ref 0 and off = ref 0 in
-  (try
-     Queue.iter
-       (fun f ->
-         if !i = !k then raise_notrace Exit;
-         Bytes.blit f.of_frame 0 batch !off (Bytes.length f.of_frame);
-         off := !off + Bytes.length f.of_frame;
-         incr i)
-       ch.ch_q
-   with Exit -> ());
+  let off = ref 0 in
+  for i = ch.ch_head to ch.ch_head + !k - 1 do
+    let frame = m.out.(out_slot m i) in
+    Bytes.blit frame 0 batch !off (Bytes.length frame);
+    off := !off + Bytes.length frame
+  done;
+  ch.ch_claimed <- !k;
   ch.ch_in_flight <- true;
-  (!k, batch)
+  batch
 
-(* The claimed prefix went out: the counters count FORWARD messages, not
+(* The claimed run went out: the counters count FORWARD messages, not
    transfers. *)
-let count_sent env ch k =
-  let i = ref 0 and retried = ref 0 in
-  (try
-     Queue.iter
-       (fun f ->
-         if !i = k then raise_notrace Exit;
-         f.of_attempts <- f.of_attempts + 1;
-         if f.of_attempts > 1 then incr retried;
-         incr i)
-       ch.ch_q
-   with Exit -> ());
+let count_sent env ch =
+  let k = ch.ch_claimed in
+  if Array.length ch.ch_tries < k then begin
+    let tries = Array.make (max k (2 * Array.length ch.ch_tries)) 0 in
+    Array.blit ch.ch_tries 0 tries 0 (Array.length ch.ch_tries);
+    ch.ch_tries <- tries
+  end;
+  let retried = ref 0 in
+  for j = 0 to k - 1 do
+    let t = ch.ch_tries.(j) + 1 in
+    ch.ch_tries.(j) <- t;
+    if t > 1 then incr retried
+  done;
   Metrics.add (metrics env) "scd.forwards" k;
   if !retried > 0 then Metrics.add (metrics env) "scd.retry_frames" !retried
 
-(* The one end of a transfer, in either direction: a delivered prefix is
-   popped; a failed one stays queued (frames behind the head may have had
-   fewer attempts) and the channel backs off. *)
-let settle env m ch k ~delivered =
+(* The one end of a transfer, in either direction: a delivered run is
+   passed; a failed one stays (frames behind the head may have had fewer
+   attempts), but for the frames at the head that reached [retry_cap],
+   and the channel backs off. *)
+let settle env m ch ~delivered =
   ch.ch_in_flight <- false;
   if delivered then begin
-    for _ = 1 to k do
-      ignore (Queue.pop ch.ch_q)
-    done;
+    advance m ch ch.ch_claimed;
     ch.ch_retrying <- false
   end
   else begin
-    while (not (Queue.is_empty ch.ch_q)) && (Queue.peek ch.ch_q).of_attempts >= retry_cap do
-      ignore (Queue.pop ch.ch_q);
-      Metrics.incr (metrics env) "scd.retry_dropped"
+    let dropped = ref 0 in
+    while !dropped < Array.length ch.ch_tries && ch.ch_tries.(!dropped) >= retry_cap do
+      incr dropped
     done;
+    if !dropped > 0 then begin
+      advance m ch !dropped;
+      Metrics.add (metrics env) "scd.retry_dropped" !dropped
+    end;
     ch.ch_retrying <- true;
     ch.ch_ready_at <- Sodal.now env + retry_spacing_us + Rng.int m.rng (retry_spacing_us / 2)
   end
 
+(* A batch is checked whole where it arrives and read in place by the
+   task. *)
 let take_batch env m batch =
-  match Scd_wire.decode batch with
-  | Ok fwds -> List.iter (fun fwd -> Queue.add fwd m.inbox) fwds
+  match Scd_wire.check batch with
+  | Ok () -> Queue.add batch m.inbox
   | Error _ -> Metrics.incr (metrics env) "scd.bad_frame"
 
 let launchable m ~now ch =
   (not ch.ch_in_flight)
-  && (not (Queue.is_empty ch.ch_q))
+  && ch.ch_head < m.out_hi
   && if ch.ch_retrying then now >= ch.ch_ready_at else not m.slot_busy
 
-(* Launch [ch]'s prefix; false when the kernel has no request slot left
+(* Launch [ch]'s run; false when the kernel has no request slot left
    (a completion will free one and wake the task). *)
 let launch env m ch =
   let room = (Kernel.cost (Sodal.kernel env)).Cost.max_data_bytes in
-  let k, batch = claim ch ~room in
+  let batch = claim m ch ~room in
   let healthy = not ch.ch_retrying in
   if healthy then begin
     m.slot_busy <- true;
@@ -361,55 +450,51 @@ let launch env m ch =
   end;
   (* the slot's transfers share one reply buffer; a retry gets its own *)
   let into = if healthy then m.reply else Bytes.create room in
-  let server = Sodal.server ~mid:ch.ch_mid ~pattern:m.cluster_pat in
-  match Sodal.exchange env server ~arg:0 batch ~into with
+  match Sodal.exchange env ch.ch_server ~arg:0 batch ~into with
   | exception Sodal.Too_many_requests ->
     ch.ch_in_flight <- false;
     if healthy then m.slot_busy <- false;
     false
   | tid ->
-    count_sent env ch k;
+    count_sent env ch;
     Sodal.on_completion_of env tid (fun c ->
         if healthy then m.slot_busy <- false;
         match c.Sodal.status with
         | Sodal.Comp_ok | Sodal.Comp_rejected ->
-          settle env m ch k ~delivered:true;
+          settle env m ch ~delivered:true;
           if c.Sodal.get_transferred > 0 then
             take_batch env m (Bytes.sub into 0 c.Sodal.get_transferred)
-        | Sodal.Comp_crashed | Sodal.Comp_unadvertised -> settle env m ch k ~delivered:false);
+        | Sodal.Comp_crashed | Sodal.Comp_unadvertised -> settle env m ch ~delivered:false);
     true
 
-let rec pump env m =
+(* The next launchable channel, round robin from [pump_cursor]; -1 when
+   none is. *)
+let rec next_launch m ~now i =
   let len = Array.length m.chans in
-  let now = Sodal.now env in
-  let rec next i =
-    if i = len then None
-    else
-      let j = (m.pump_cursor + i) mod len in
-      if launchable m ~now m.chans.(j) then begin
-        m.pump_cursor <- (j + 1) mod len;
-        Some m.chans.(j)
-      end
-      else next (i + 1)
-  in
-  match next 0 with
-  | Some ch -> if launch env m ch then pump env m
-  | None -> ()
+  if i = len then -1
+  else
+    let j = (m.pump_cursor + i) mod len in
+    if launchable m ~now m.chans.(j) then begin
+      m.pump_cursor <- (j + 1) mod len;
+      j
+    end
+    else next_launch m ~now (i + 1)
+
+let rec pump env m =
+  let j = next_launch m ~now:(Sodal.now env) 0 in
+  if j >= 0 && launch env m m.chans.(j) then pump env m
 
 (* Sleep until handler activity: a completion frees the slot and wakes
    us, and so do arriving FORWARDs and operations. Only a channel waiting
    out a retry backoff needs a timer. *)
 let sleep env m =
-  let now = Sodal.now env in
-  let wake =
-    Array.fold_left
-      (fun t ch ->
-        if ch.ch_retrying && (not ch.ch_in_flight) && not (Queue.is_empty ch.ch_q) then
-          min t ch.ch_ready_at
-        else t)
-      max_int m.chans
-  in
-  if wake = max_int || wake <= now then Sodal.idle env else Sodal.idle_for env (wake - now)
+  let now = Sodal.now env and wake = ref max_int in
+  for i = 0 to Array.length m.chans - 1 do
+    let ch = m.chans.(i) in
+    if ch.ch_retrying && (not ch.ch_in_flight) && ch.ch_head < m.out_hi then
+      wake := min !wake ch.ch_ready_at
+  done;
+  if !wake = max_int || !wake <= now then Sodal.idle env else Sodal.idle_for env (!wake - now)
 
 (* ---- the SCD algorithm -------------------------------------------------- *)
 
@@ -423,96 +508,137 @@ let set_clock m q x v =
   end;
   q.q_cl.(x) <- min q.q_cl.(x) v
 
-let fresh_quad m ~sd ~sn payload =
-  { q_sd = sd; q_sn = sn; q_payload = payload; q_cl = Array.make m.n infinity_clock;
-    q_known = 0 }
+let fresh_quad m ~sd ~sn frame =
+  { q_sd = sd; q_sn = sn; q_frame = frame; q_cl = Array.make m.n infinity_clock; q_known = 0;
+    q_slot = -1 }
+
+let buffer_quad m q =
+  Itbl.replace m.buffer (key q.q_sd q.q_sn) q;
+  if m.nbuf = Array.length m.bufq then begin
+    let bufq = Array.make (2 * m.nbuf) no_quad in
+    Array.blit m.bufq 0 bufq 0 m.nbuf;
+    m.bufq <- bufq
+  end;
+  q.q_slot <- m.nbuf;
+  m.bufq.(m.nbuf) <- q;
+  m.nbuf <- m.nbuf + 1
+
+let unbuffer_quad m q =
+  Itbl.remove m.buffer (key q.q_sd q.q_sn);
+  let last = m.bufq.(m.nbuf - 1) in
+  m.bufq.(q.q_slot) <- last;
+  last.q_slot <- q.q_slot;
+  m.nbuf <- m.nbuf - 1;
+  m.bufq.(m.nbuf) <- no_quad
 
 (* First sight of a message: buffer it with a fresh clock vector and echo
    our own FORWARD. Later sights, from other forwarders, only lower their
    clock entries. *)
-let take_forward env m (fwd : Scd_wire.forward) =
-  let key = (fwd.sd, fwd.sn) in
-  if Hashtbl.mem m.delivered key then Metrics.incr (metrics env) "scd.stale_forward"
+let take_forward env m b o =
+  let k = key (Scd_wire.sd b o) (Scd_wire.sn b o) in
+  if Itbl.mem m.delivered k then Metrics.incr (metrics env) "scd.stale_forward"
   else
-    match Hashtbl.find_opt m.buffer key with
-    | Some q -> set_clock m q fwd.f fwd.snf
-    | None ->
-      let q = fresh_quad m ~sd:fwd.sd ~sn:fwd.sn fwd.payload in
-      set_clock m q fwd.f fwd.snf;
-      Hashtbl.replace m.buffer key q;
+    match Itbl.find m.buffer k with
+    | q -> set_clock m q (Scd_wire.f b o) (Scd_wire.snf b o)
+    | exception Not_found ->
       let snf = m.clock in
       m.clock <- m.clock + 1;
+      let q =
+        fresh_quad m ~sd:(Scd_wire.sd b o) ~sn:(Scd_wire.sn b o)
+          (Scd_wire.restamp b o ~f:m.index ~snf)
+      in
+      set_clock m q (Scd_wire.f b o) (Scd_wire.snf b o);
+      buffer_quad m q;
       set_clock m q m.index snf;
-      echo m { fwd with f = m.index; snf }
+      echo m q.q_frame
 
-(* A FORWARD that arrived ahead of its forwarder's next stamp waits in
-   stamp order; a second copy of a held one is a repeat. *)
-let hold m (fwd : Scd_wire.forward) =
-  let l = m.held.(fwd.f) in
-  if not (List.exists (fun (h : Scd_wire.forward) -> h.snf = fwd.snf) l) then begin
-    m.held.(fwd.f) <- List.merge (fun (a : Scd_wire.forward) b -> compare a.snf b.snf) [ fwd ] l;
+(* A FORWARD that arrived ahead of its forwarder's next stamp waits, as a
+   frame of its own, in stamp order; a second copy of a held one is a
+   repeat. *)
+let rec holds snf = function [] -> false | h :: rest -> Scd_wire.snf h 0 = snf || holds snf rest
+
+let rec insert_held frame snf = function
+  | h :: rest when Scd_wire.snf h 0 < snf -> h :: insert_held frame snf rest
+  | l -> frame :: l
+
+let hold m b o =
+  let f = Scd_wire.f b o and snf = Scd_wire.snf b o in
+  if not (holds snf m.held.(f)) then begin
+    m.held.(f) <- insert_held (Scd_wire.restamp b o ~f ~snf) snf m.held.(f);
     m.n_held <- m.n_held + 1
   end
 
 (* The clock reasoning needs each forwarder's stamps in the order it made
-   them. A forwarder stamps 0, 1, 2, ... and queues every FORWARD on
+   them. A forwarder stamps 0, 1, 2, ... and sends every FORWARD on
    every channel, so the stream from it carries each stamp exactly once,
    in a row, whichever path (its transfer or its reply to ours) brings
    each batch. So FIFO is enforced here, where the paths meet: a stamp
    below the next one is a repeat (a retried or duplicated transfer) and
    is dropped, one above it is held until the gap fills, and the next
    one is taken, then the held ones that follow it. The in-order path
-   reads one array slot and allocates nothing. *)
-let rec process_forward env m (fwd : Scd_wire.forward) =
-  if fwd.sd < 0 || fwd.sd >= m.n || fwd.f < 0 || fwd.f >= m.n then
-    Metrics.incr (metrics env) "scd.bad_frame"
+   reads the entry where it lies and allocates nothing unless the
+   message is new. *)
+let rec process_forward env m b o =
+  let f = Scd_wire.f b o in
+  if Scd_wire.sd b o >= m.n || f >= m.n then Metrics.incr (metrics env) "scd.bad_frame"
   else begin
-    let next = m.next_snf.(fwd.f) in
-    if fwd.snf > next then hold m fwd
-    else if fwd.snf = next then begin
-      m.next_snf.(fwd.f) <- next + 1;
-      take_forward env m fwd;
-      match m.held.(fwd.f) with
-      | h :: rest when h.snf = next + 1 ->
-        m.held.(fwd.f) <- rest;
+    let snf = Scd_wire.snf b o and next = m.next_snf.(f) in
+    if snf > next then hold m b o
+    else if snf = next then begin
+      m.next_snf.(f) <- next + 1;
+      take_forward env m b o;
+      match m.held.(f) with
+      | h :: rest when Scd_wire.snf h 0 = next + 1 ->
+        m.held.(f) <- rest;
         m.n_held <- m.n_held - 1;
-        process_forward env m h
+        process_forward env m h 0
       | _ -> ()
     end
   end
 
-let apply m (q : quad) =
-  match q.q_payload with
-  | Scd_wire.Write { reg; value; date; writer = _ } ->
-    if reg >= 0 && reg < m.regs then begin
-      (* max-wins on (date, sd, sn): commutative, so the order of applies
-         inside one delivered set does not matter *)
-      let ts = (date, q.q_sd, q.q_sn) in
-      if ts > m.reg_ts.(reg) then begin
-        m.reg_ts.(reg) <- ts;
-        m.reg_v.(reg) <- value
-      end
+let process_batch env m b =
+  let o = ref 0 in
+  while !o < Bytes.length b do
+    process_forward env m b !o;
+    o := Scd_wire.next b !o
+  done
+
+let apply m q =
+  let b = q.q_frame in
+  match Scd_wire.kind b 0 with
+  | Event.Payload_write ->
+    let reg = Scd_wire.reg b 0 and date = Scd_wire.date b 0 in
+    (* max-wins on (date, sd, sn): commutative, so the order of applies
+       inside one delivered set does not matter *)
+    if
+      reg < m.regs
+      && (date > m.reg_date.(reg)
+         || date = m.reg_date.(reg)
+            && (q.q_sd > m.reg_sd.(reg) || (q.q_sd = m.reg_sd.(reg) && q.q_sn > m.reg_sn.(reg))))
+    then begin
+      m.reg_date.(reg) <- date;
+      m.reg_sd.(reg) <- q.q_sd;
+      m.reg_sn.(reg) <- q.q_sn;
+      m.reg_v.(reg) <- Scd_wire.value b 0
     end
-  | Scd_wire.Incr { delta; origin; oseq } ->
-    if not (Hashtbl.mem m.applied_incrs (origin, oseq)) then begin
-      Hashtbl.replace m.applied_incrs (origin, oseq) ();
-      m.counter <- m.counter + delta
+  | Event.Payload_incr ->
+    let k = key (Scd_wire.origin b 0) (Scd_wire.oseq b 0) in
+    if not (Itbl.mem m.applied_incrs k) then begin
+      Itbl.replace m.applied_incrs k ();
+      m.counter <- m.counter + Scd_wire.delta b 0
     end
-  | Scd_wire.Sync -> ()
+  | Event.Payload_sync -> ()
 
 let result_of_op m (p : pending) =
-  if p.p_kind = op_write then
-    let sd, sn = match p.p_msg with Some (sd, sn) -> (sd, sn) | None -> (m.index, -1) in
-    encode_write_result ~date:p.p_date ~sd ~sn
+  if p.p_kind = op_write then encode_write_result ~date:p.p_date ~sd:m.index ~sn:p.p_sn
   else if p.p_kind = op_snapshot then begin
     let b = Bytes.create (m.regs * reg_entry_size) in
     for r = 0 to m.regs - 1 do
-      let date, sd, sn = m.reg_ts.(r) in
       let off = r * reg_entry_size in
       Bytes.set_int64_be b off (Int64.of_int m.reg_v.(r));
-      Bytes.set_int32_be b (off + 8) (Int32.of_int date);
-      Bytes.set_int32_be b (off + 12) (Int32.of_int sd);
-      Bytes.set_int32_be b (off + 16) (Int32.of_int sn)
+      Bytes.set_int32_be b (off + 8) (Int32.of_int m.reg_date.(r));
+      Bytes.set_int32_be b (off + 12) (Int32.of_int m.reg_sd.(r));
+      Bytes.set_int32_be b (off + 16) (Int32.of_int m.reg_sn.(r))
     done;
     b
   end
@@ -520,112 +646,151 @@ let result_of_op m (p : pending) =
   else encode_int_result 0
 
 let drop_op m (p : pending) =
-  Hashtbl.remove m.ops p.p_ticket;
-  match p.p_msg with Some key -> Hashtbl.remove m.by_msg key | None -> ()
+  Itbl.remove m.ops p.p_ticket;
+  if p.p_sn >= 0 then Itbl.remove m.by_msg (key m.index p.p_sn)
 
 (* The operation's message was delivered (or an increment was recognised
    as already applied): compute the reply from the just-updated local
    state and complete a parked collect GET if one is waiting. *)
 let complete_op env m (p : pending) =
-  p.p_result <- Some (result_of_op m p);
+  let data = result_of_op m p in
+  p.p_result <- Some data;
   let ms = metrics env in
   Metrics.incr ms "scd.ops";
   Metrics.observe ms "scd.op.us" (Sodal.now env - p.p_start_us);
-  emit env
-    (Event.Scd_op
-       { op = op_event p.p_kind; origin = p.p_origin; oseq = p.p_oseq; ok = true;
-         elapsed_us = Sodal.now env - p.p_start_us });
-  match (p.p_waiter, p.p_result) with
-  | Some asker, Some data -> (
+  if tracing env then
+    emit env
+      (Event.Scd_op
+         { op = op_event p.p_kind; origin = p.p_origin; oseq = p.p_oseq; ok = true;
+           elapsed_us = Sodal.now env - p.p_start_us });
+  match p.p_waiter with
+  | Some asker -> (
     p.p_waiter <- None;
     match Sodal.accept_get env asker ~arg:0 ~data with
     | Types.Accept_success -> drop_op m p
     | Types.Accept_cancelled | Types.Accept_crashed ->
       (* asker died; keep the result for a failover re-collect *)
       ())
-  | _ -> ()
+  | None -> ()
 
-let deliver_set env m quads =
-  let quads =
-    List.sort (fun a b -> compare (a.q_sd, a.q_sn) (b.q_sd, b.q_sn)) quads
-  in
-  let ids = List.map (fun q -> (q.q_sd, q.q_sn)) quads in
-  m.candidates <- m.candidates - List.length quads;
-  List.iter
-    (fun q ->
-      Hashtbl.remove m.buffer (q.q_sd, q.q_sn);
-      Hashtbl.replace m.delivered (q.q_sd, q.q_sn) ();
-      apply m q)
-    quads;
+let before q q' = q.q_sd < q'.q_sd || (q.q_sd = q'.q_sd && q.q_sn < q'.q_sn)
+
+(* Deliver the set [m.scan.(0 .. k-1)], sorted by message identity (an
+   insertion sort in place: sets are small). *)
+let deliver_set env m k =
+  let s = m.scan in
+  for i = 1 to k - 1 do
+    let q = s.(i) in
+    let j = ref i in
+    while !j > 0 && before q s.(!j - 1) do
+      s.(!j) <- s.(!j - 1);
+      decr j
+    done;
+    s.(!j) <- q
+  done;
+  let ids = Array.make k 0 in
+  m.candidates <- m.candidates - k;
+  for i = 0 to k - 1 do
+    let q = s.(i) in
+    ids.(i) <- key q.q_sd q.q_sn;
+    unbuffer_quad m q;
+    Itbl.replace m.delivered ids.(i) ();
+    apply m q
+  done;
   m.delivery_log <- ids :: m.delivery_log;
   let ms = metrics env in
   Metrics.incr ms "scd.deliveries";
-  Metrics.observe ms "scd.set_size" (List.length ids);
-  emit env (Event.Scd_deliver { size = List.length ids; pending = Hashtbl.length m.buffer });
+  Metrics.observe ms "scd.set_size" k;
+  if tracing env then emit env (Event.Scd_deliver { size = k; pending = m.nbuf });
   (* complete operations whose own message is in this set (after every
      apply, so a snapshot/read sees the whole set's effect) *)
-  List.iter
-    (fun key ->
-      match Hashtbl.find_opt m.by_msg key with
-      | Some p when p.p_result = None ->
-        if p.p_kind = op_write && p.p_phase = 1 then begin
-          (* sync round done: the proxy is now up to date; run the write
-             round with a provably fresh date *)
-          p.p_phase <- 2;
-          Hashtbl.remove m.by_msg key;
-          p.p_msg <- None;
-          Queue.add p.p_ticket m.op_inbox
-        end
-        else complete_op env m p
-      | _ -> ())
-    ids
+  for i = 0 to k - 1 do
+    match Itbl.find m.by_msg ids.(i) with
+    | p when p.p_result = None ->
+      if p.p_kind = op_write && p.p_phase = 1 then begin
+        (* sync round done: the proxy is now up to date; run the write
+           round with a provably fresh date *)
+        p.p_phase <- 2;
+        Itbl.remove m.by_msg ids.(i);
+        p.p_sn <- -1;
+        Queue.add p.p_ticket m.op_inbox
+      end
+      else complete_op env m p
+    | _ -> ()
+    | exception Not_found -> ()
+  done
+
+(* [q < q'] iff a majority of clock entries are strictly smaller;
+   unknown entries (infinity on both sides) never count. *)
+let prec m q q' =
+  let c = ref 0 in
+  for x = 0 to m.n - 1 do
+    if q.q_cl.(x) < q'.q_cl.(x) then incr c
+  done;
+  !c >= majority m
+
+(* Some quad of [m.scan.(j .. upto-1)] is not provably after [q]. *)
+let rec blocked m q j upto = j < upto && ((not (prec m q m.scan.(j))) || blocked m q (j + 1) upto)
 
 (* Delivery condition: a buffered message whose clock is known for a
    majority is a candidate; a candidate q must wait while some buffered
-   non-candidate q' is not provably after it (it might still have to join
-   q's set or precede it). [q < q'] iff a majority of clock entries are
-   strictly smaller; unknown entries (infinity on both sides) never count.
-   With no candidate at all nothing can be delivered. *)
+   message outside the set is not provably after it (it might still have
+   to join q's set or precede it). The set is the greatest such: the
+   scan copies the buffer into [m.scan], candidates first, and moves a
+   blocked candidate behind the set until none is left, which reaches
+   the same set in any order. With no candidate at all nothing can be
+   delivered. *)
 let rec try_deliver env m =
   if m.candidates > 0 then begin
-    let maj = majority m in
-    let prec q q' =
-      let c = ref 0 in
-      for x = 0 to m.n - 1 do
-        if q.q_cl.(x) < q'.q_cl.(x) then incr c
-      done;
-      !c >= maj
-    in
-    let rec ready cands rest =
-      match List.partition (fun q -> List.exists (fun q' -> not (prec q q')) rest) cands with
-      | [], cands -> cands
-      | blocked, cands -> ready cands (blocked @ rest)
-    in
-    let all = Hashtbl.fold (fun _ q acc -> q :: acc) m.buffer [] in
-    let cands, rest = List.partition (fun q -> q.q_known >= maj) all in
-    match ready cands rest with
-    | [] -> ()
-    | set ->
-      deliver_set env m set;
-      try_deliver env m
+    let total = m.nbuf and maj = majority m in
+    if Array.length m.scan < total then m.scan <- Array.make (Array.length m.bufq) no_quad;
+    let s = m.scan in
+    let set = ref 0 in
+    for i = 0 to total - 1 do
+      let q = m.bufq.(i) in
+      if q.q_known >= maj then begin
+        s.(i) <- s.(!set);
+        s.(!set) <- q;
+        incr set
+      end
+      else s.(i) <- q
+    done;
+    let moved = ref true in
+    while !moved do
+      moved := false;
+      let i = ref 0 in
+      while !i < !set do
+        let q = s.(!i) in
+        if blocked m q !set total then begin
+          decr set;
+          s.(!i) <- s.(!set);
+          s.(!set) <- q;
+          moved := true
+        end
+        else incr i
+      done
+    done;
+    if !set > 0 then deliver_set env m !set;
+    Array.fill s 0 total no_quad;
+    if !set > 0 then try_deliver env m
   end
 
 (* ---- proxied operations ------------------------------------------------- *)
 
 let start_op env m ticket =
-  match Hashtbl.find_opt m.ops ticket with
-  | None -> ()
-  | Some p ->
-    if p.p_kind = op_incr && Hashtbl.mem m.applied_incrs (p.p_origin, p.p_oseq) then
+  match Itbl.find m.ops ticket with
+  | exception Not_found -> ()
+  | p ->
+    if p.p_kind = op_incr && Itbl.mem m.applied_incrs (key p.p_origin p.p_oseq) then
       (* failover retry of an increment that already went through: ack
          without broadcasting a second application *)
       complete_op env m p
     else begin
       let payload =
         if p.p_kind = op_write && p.p_phase = 2 then begin
-          let date, _, _ = m.reg_ts.(p.p_a) in
-          p.p_date <- date + 1;
-          Scd_wire.Write { reg = p.p_a; value = p.p_b; date = date + 1; writer = m.index }
+          let date = m.reg_date.(p.p_a) + 1 in
+          p.p_date <- date;
+          Scd_wire.Write { reg = p.p_a; value = p.p_b; date; writer = m.index }
         end
         else if p.p_kind = op_incr then
           Scd_wire.Incr { delta = p.p_a; origin = p.p_origin; oseq = p.p_oseq }
@@ -633,18 +798,21 @@ let start_op env m ticket =
       in
       let sn = m.clock in
       m.clock <- m.clock + 1;
-      let key = (m.index, sn) in
-      let q = fresh_quad m ~sd:m.index ~sn payload in
+      let q =
+        fresh_quad m ~sd:m.index ~sn
+          (Scd_wire.encode { Scd_wire.sd = m.index; sn; f = m.index; snf = sn; payload })
+      in
       set_clock m q m.index sn;
-      Hashtbl.replace m.buffer key q;
-      p.p_msg <- Some key;
-      Hashtbl.replace m.by_msg key p;
+      buffer_quad m q;
+      p.p_sn <- sn;
+      Itbl.replace m.by_msg (key m.index sn) p;
       m.nbroadcasts <- m.nbroadcasts + 1;
       m.bcast_sns <- sn :: m.bcast_sns;
       Metrics.incr (metrics env) "scd.broadcasts";
-      emit env
-        (Event.Scd_broadcast { sd = m.index; sn; payload = Scd_wire.payload_kind payload });
-      echo m { Scd_wire.sd = m.index; sn; f = m.index; snf = sn; payload }
+      if tracing env then
+        emit env
+          (Event.Scd_broadcast { sd = m.index; sn; payload = Scd_wire.payload_kind payload });
+      echo m q.q_frame
     end
 
 (* ---- spec --------------------------------------------------------------- *)
@@ -652,39 +820,40 @@ let start_op env m ticket =
 let valid_op m kind a = kind >= op_write && kind <= op_cread
                         && (kind <> op_write || (a >= 0 && a < m.regs))
 
+(* Our idle channel to [mid] with a backlog; -1 when there is none. *)
+let rec idle_channel m mid i =
+  if i = Array.length m.chans then -1
+  else
+    let ch = m.chans.(i) in
+    if ch.ch_mid = mid && (not ch.ch_in_flight) && ch.ch_head < m.out_hi then i
+    else idle_channel m mid (i + 1)
+
 let handle_request m env info =
   if Pattern.equal info.Sodal.pattern m.cluster_pat then
     (* peer FORWARDs: accept in the handler (bounded) so a peer's transfer
        never waits on our task; the task drains the inbox. A transfer is
-       a prefix of the peer's FIFO channel, so in-order entries keep the
+       a run of the peer's FIFO channel, so in-order entries keep the
        channel FIFO. The reply carries our idle channel's backlog for
-       that peer, popped only once our kernel knows it arrived. *)
+       that peer, passed only once our kernel knows it arrived. *)
     if info.Sodal.put_size > 0 then begin
       let into = Bytes.create info.Sodal.put_size in
       let back =
-        if info.Sodal.get_size = 0 then None
-        else
-          Array.find_opt
-            (fun ch ->
-              ch.ch_mid = info.Sodal.asker.Types.rq_mid
-              && (not ch.ch_in_flight)
-              && not (Queue.is_empty ch.ch_q))
-            m.chans
+        if info.Sodal.get_size = 0 then -1
+        else idle_channel m info.Sodal.asker.Types.rq_mid 0
       in
-      let k, data =
-        match back with
-        | Some ch ->
-          let k, data = claim ch ~room:info.Sodal.get_size in
-          count_sent env ch k;
-          (k, data)
-        | None -> (0, Bytes.empty)
+      let data =
+        if back < 0 then Bytes.empty
+        else begin
+          let ch = m.chans.(back) in
+          let data = claim m ch ~room:info.Sodal.get_size in
+          count_sent env ch;
+          data
+        end
       in
       let status, got = Sodal.accept_current_exchange env ~arg:0 ~into ~data in
-      Option.iter
-        (fun ch -> settle env m ch k ~delivered:(status = Types.Accept_success))
-        back;
+      if back >= 0 then settle env m m.chans.(back) ~delivered:(status = Types.Accept_success);
       (* Put data that arrived is kept even when the accept then fails:
-         the peer may have had our reply and popped its prefix, and if it
+         the peer may have had our reply and passed its run, and if it
          did not, its retry only repeats FORWARDs we already hold. *)
       if got > 0 then
         take_batch env m (if got = Bytes.length into then into else Bytes.sub into 0 got)
@@ -704,9 +873,9 @@ let handle_request m env info =
         let p =
           { p_ticket = ticket; p_kind = kind; p_origin = origin; p_oseq = oseq; p_a = a;
             p_b = b; p_phase = (if kind = op_write then 1 else 0); p_date = 0;
-            p_msg = None; p_result = None; p_waiter = None; p_start_us = Sodal.now env }
+            p_sn = -1; p_result = None; p_waiter = None; p_start_us = Sodal.now env }
         in
-        Hashtbl.replace m.ops ticket p;
+        Itbl.replace m.ops ticket p;
         Queue.add ticket m.op_inbox
       | Some _ | None -> Metrics.incr (metrics env) "scd.bad_op")
     | Types.Accept_success | Types.Accept_cancelled | Types.Accept_crashed -> ()
@@ -714,15 +883,15 @@ let handle_request m env info =
   else if info.Sodal.get_size > 0 && info.Sodal.put_size = 0 then begin
     (* collect: answer now if the operation is done, else park the asker
        until its message is scd-delivered *)
-    match Hashtbl.find_opt m.ops info.Sodal.arg with
-    | Some p -> (
+    match Itbl.find m.ops info.Sodal.arg with
+    | p -> (
       match p.p_result with
       | Some data -> (
         match Sodal.accept_current_get env ~arg:0 ~data with
         | Types.Accept_success -> drop_op m p
         | Types.Accept_cancelled | Types.Accept_crashed -> ())
       | None -> p.p_waiter <- Some info.Sodal.asker)
-    | None -> Sodal.reject env
+    | exception Not_found -> Sodal.reject env
   end
   else Sodal.reject env
 
@@ -735,7 +904,7 @@ let member_task m env =
     let worked = ref false in
     while not (Queue.is_empty m.inbox) do
       worked := true;
-      process_forward env m (Queue.pop m.inbox)
+      process_batch env m (Queue.pop m.inbox)
     done;
     while not (Queue.is_empty m.op_inbox) do
       worked := true;
@@ -831,10 +1000,11 @@ let do_op env t ~kind ~a ~b ~get_size =
     let fail_over () =
       if k >= t.attempts then begin
         Metrics.incr (metrics env) "scd.unreachable";
-        emit env
-          (Event.Scd_op
-             { op = op_event kind; origin = t.origin; oseq; ok = false;
-               elapsed_us = Sodal.now env - t0 });
+        if tracing env then
+          emit env
+            (Event.Scd_op
+               { op = op_event kind; origin = t.origin; oseq; ok = false;
+                 elapsed_us = Sodal.now env - t0 });
         Error Unreachable
       end
       else begin

@@ -15,12 +15,14 @@
     once a majority of clocks are known, and the clock vectors decide
     which buffered messages must go into the same delivered set. FORWARD
     frames are {!Soda_proto.Scd_wire} payloads sent peer-to-peer over
-    per-peer FIFO channels: each member keeps one outgoing queue per
-    peer with at most one transfer in flight, carrying the longest queue
-    prefix that fits one buffer, so a peer sees a member's clock stamps
-    in order. A member keeps one transfer in flight to a healthy peer and
-    launches the next on the previous one's completion, so the quadratic
-    FORWARD storm keeps at most n transfers to healthy peers in flight.
+    per-peer FIFO channels: each member appends every FORWARD it makes
+    once to its out-log, and each peer's channel is a cursor into that
+    log with at most one transfer in flight, carrying the longest run of
+    frames from the cursor that fits one buffer, so a peer sees a
+    member's clock stamps in order. A member keeps one transfer in
+    flight to a healthy peer and launches the next on the previous one's
+    completion, so the quadratic FORWARD storm keeps at most n transfers
+    to healthy peers in flight.
     Each transfer is an EXCHANGE whose reply carries the peer's backlog
     for us. See [docs/BROADCAST.md].
 
@@ -73,12 +75,31 @@ val broadcasts_made : member -> int
     validity checker. *)
 val broadcast_sns : member -> int list
 
-(** FORWARD frames waiting in the per-peer send queues. *)
+(** FORWARD frames not yet delivered, summed over the peer channels. *)
 val retry_depth : member -> int
 
 (** FORWARDs received ahead of their forwarder's next clock stamp, held
     until the gap fills (FIFO per forwarder). *)
 val held_forwards : member -> int
+
+(** {2 Hot path}
+
+    The member's per-FORWARD steps, as its task runs them. They take the
+    [env] of whatever process calls them, so a test can drive a member
+    that is not attached and count what each step allocates. *)
+
+(** [process_batch env m b] takes a {!Soda_proto.Scd_wire.check}ed batch:
+    each entry in order, FIFO per forwarder, a first sight buffered and
+    echoed. *)
+val process_batch : Sodal.env -> member -> bytes -> unit
+
+(** [echo m frame] appends one of our FORWARDs to the member's out-log,
+    from which every peer's channel sends it. *)
+val echo : member -> bytes -> unit
+
+(** [try_deliver env m] delivers every set the buffered clock vectors
+    allow, then stops. *)
+val try_deliver : Sodal.env -> member -> unit
 
 (** {1 Clients} *)
 

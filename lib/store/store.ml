@@ -207,15 +207,16 @@ type error = No_quorum
 
 let recorder env = Kernel.recorder (Sodal.kernel env)
 
+let tracing env = Recorder.tracing (recorder env)
+
 (* Store events are stamped with the ambient operation span (set by
    [with_op_ctx] below), tying phase/retry/complete events into the same
-   causal tree as the quorum fan-out they describe. *)
+   causal tree as the quorum fan-out they describe. Callers test
+   [tracing] first, so an untraced run builds no event. *)
 let emit env kind =
-  let r = recorder env in
-  if Recorder.tracing r then
-    Recorder.emit r
-      ?ctx:(Kernel.causal_parent (Sodal.kernel env))
-      ~time_us:(Sodal.now env) ~mid:(Sodal.my_mid env) kind
+  Recorder.emit (recorder env)
+    ?ctx:(Kernel.causal_parent (Sodal.kernel env))
+    ~time_us:(Sodal.now env) ~mid:(Sodal.my_mid env) kind
 
 (* One causal root per client-visible store operation: every REQUEST the
    op traps — quorum fan-out, backoff retries, failover re-sends — minted
@@ -412,9 +413,10 @@ let phase env h ~op ~phase ~key ~launch ~decode =
     let acks, acked, unadvertised = round env h ~phase ~launch ~decode in
     incr h.rounds;
     Metrics.Histogram.observe h.round_acks acked;
-    emit env
-      (Event.Store_phase
-         { op; phase; key; acks = acked; quorum = h.q; elapsed_us = Sodal.now env - t0 });
+    if tracing env then
+      emit env
+        (Event.Store_phase
+           { op; phase; key; acks = acked; quorum = h.q; elapsed_us = Sodal.now env - t0 });
     if acked >= h.q then Ok acks
     else if k >= attempts then begin
       incr h.no_quorum;
@@ -422,7 +424,7 @@ let phase env h ~op ~phase ~key ~launch ~decode =
     end
     else begin
       incr h.retries;
-      emit env (Event.Store_retry { op; phase; key; attempt = k });
+      if tracing env then emit env (Event.Store_retry { op; phase; key; attempt = k });
       (match h.resolve with
        | Some resolve ->
          List.iter
@@ -474,9 +476,10 @@ let max_of_acks acks =
 let finish env ~op ~metric ~key ~t0 ~rounds result =
   let elapsed = Sodal.now env - t0 in
   Metrics.observe (metrics env) metric elapsed;
-  emit env
-    (Event.Store_complete
-       { op; key; ok = Result.is_ok result; rounds; elapsed_us = elapsed });
+  if tracing env then
+    emit env
+      (Event.Store_complete
+         { op; key; ok = Result.is_ok result; rounds; elapsed_us = elapsed });
   result
 
 let read env h ~key =

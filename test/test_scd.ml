@@ -35,7 +35,19 @@ let seed_base = env_int "SODA_SCD_SEED" 0
 
 (* ---- wire codec -------------------------------------------------------- *)
 
-(* One encoded frame is also a one-entry batch: it decodes to itself. *)
+(* A batch read through the in-place reader, as a list. *)
+let read_batch b =
+  match Scd_wire.check b with
+  | Error e -> Error e
+  | Ok () ->
+    let rec entries o acc =
+      if o = Bytes.length b then Ok (List.rev acc)
+      else entries (Scd_wire.next b o) (Scd_wire.forward b o :: acc)
+    in
+    entries 0 []
+
+(* One encoded frame is also a one-entry batch: it reads back as itself,
+   and restamped it is the same message from another forwarder. *)
 let test_wire_roundtrip () =
   let frames =
     [
@@ -52,13 +64,19 @@ let test_wire_roundtrip () =
       Alcotest.(check int)
         "encoded_size" (Bytes.length wire)
         (Scd_wire.encoded_size fwd);
-      match Scd_wire.decode wire with
-      | Ok [ fwd' ] ->
-        Alcotest.(check bool)
-          (Format.asprintf "%a" Scd_wire.pp fwd)
-          true (Scd_wire.equal fwd fwd')
-      | Ok l -> Alcotest.failf "decoded %d entries" (List.length l)
-      | Error e -> Alcotest.failf "decode failed: %s" e)
+      (match read_batch wire with
+       | Ok [ fwd' ] ->
+         Alcotest.(check bool)
+           (Format.asprintf "%a" Scd_wire.pp fwd)
+           true (Scd_wire.equal fwd fwd')
+       | Ok l -> Alcotest.failf "read %d entries" (List.length l)
+       | Error e -> Alcotest.failf "check failed: %s" e);
+      let two = Bytes.cat wire wire in
+      let again = Scd_wire.restamp two (Bytes.length wire) ~f:4 ~snf:77 in
+      Alcotest.(check bool)
+        (Format.asprintf "restamped %a" Scd_wire.pp fwd)
+        true
+        (Scd_wire.equal { fwd with f = 4; snf = 77 } (Scd_wire.forward again 0)))
     frames
 
 let gen_forward =
@@ -84,8 +102,8 @@ let batch fwds = Bytes.concat Bytes.empty (List.map Scd_wire.encode fwds)
 
 let test_wire_rejects_garbage () =
   let reject label b =
-    match Scd_wire.decode b with
-    | Ok _ -> Alcotest.failf "%s decoded" label
+    match Scd_wire.check b with
+    | Ok () -> Alcotest.failf "%s passed the check" label
     | Error _ -> ()
   in
   reject "empty" Bytes.empty;
@@ -118,9 +136,9 @@ let prop_wire_batch_roundtrip =
          String.concat "; " (List.map (Format.asprintf "%a" Scd_wire.pp) fwds))
        QCheck.Gen.(list_size (int_range 1 40) gen_forward))
     (fun fwds ->
-      match Scd_wire.decode (batch fwds) with
+      match read_batch (batch fwds) with
       | Ok fwds' -> List.equal Scd_wire.equal fwds fwds'
-      | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e)
+      | Error e -> QCheck.Test.fail_reportf "check failed: %s" e)
 
 (* ---- healthy cluster ---------------------------------------------------- *)
 
@@ -408,7 +426,7 @@ let test_exchange_drains_both_directions () =
   let fwd sn = { Scd_wire.sd = 1; sn; f = 1; snf = sn; payload = Scd_wire.Sync } in
   let batch_of sns = Bytes.concat Bytes.empty (List.map (fun sn -> Scd_wire.encode (fwd sn)) sns) in
   let decode b =
-    match Scd_wire.decode b with
+    match read_batch b with
     | Ok fwds -> List.map (fun (f : Scd_wire.forward) -> (f.sd, f.sn, f.f, f.snf)) fwds
     | Error e -> Alcotest.failf "member 0 sent garbage: %s" e
   in
@@ -559,6 +577,151 @@ let test_pinned_burst_64369 =
 let test_pinned_burst_69055 =
   pinned_burst ~seed:69055 ~ops:6 ~think_us:250_000 ~at_us:605978 ~rate:0.35
     ~duration_us:293996
+
+(* ---- delivery digest ---------------------------------------------------- *)
+
+(* What a member does, as an MD5 over every member's delivered sets,
+   broadcast sns, send backlog and held FORWARDs, then every scd.*
+   counter. A change to how a member stores, scans or sends must leave
+   it unchanged: the digests were recorded before the member's hot path
+   was reworked to allocate only what it keeps. *)
+let delivery_digest (r : Harness.result) =
+  let b = Buffer.create 4096 in
+  Array.iteri
+    (fun i m ->
+      Printf.bprintf b "member %d:" i;
+      List.iter
+        (fun set ->
+          Buffer.add_string b " {";
+          List.iter (fun (sd, sn) -> Printf.bprintf b " %d.%d" sd sn) set;
+          Buffer.add_string b " }")
+        (Scd.deliveries m);
+      Buffer.add_string b "\n sns:";
+      List.iter (Printf.bprintf b " %d") (Scd.broadcast_sns m);
+      Printf.bprintf b "\n backlog %d held %d\n" (Scd.retry_depth m) (Scd.held_forwards m))
+    r.members;
+  let metrics = Recorder.metrics (Network.recorder r.net) in
+  List.iter
+    (fun name ->
+      if String.starts_with ~prefix:"scd." name then
+        Printf.bprintf b "%s=%d\n" name (Metrics.counter metrics name))
+    (List.sort compare (Metrics.counter_names metrics));
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_delivery_digest () =
+  let healthy = Harness.run ~n:8 ~clients:4 ~ops:10 ~regs:4 ~seed:88 () in
+  Alcotest.(check int) "fault-free: all clients finished" healthy.clients_total
+    healthy.clients_done;
+  let plan =
+    [
+      { Fault_plan.at_us = 150_000;
+        action = Fault_plan.Loss_burst { rate = 0.2; duration_us = 400_000 } };
+      { Fault_plan.at_us = 300_000; action = Fault_plan.Partition ([ 1 ], [ 0; 2; 3; 4; 5; 6; 7 ]) };
+      { Fault_plan.at_us = 1_400_000; action = Fault_plan.Heal };
+    ]
+  in
+  let lossy = Harness.run ~n:5 ~clients:3 ~ops:8 ~regs:2 ~think_us:0 ~seed:92 ~plan () in
+  let metrics = Recorder.metrics (Network.recorder lossy.net) in
+  Alcotest.(check bool) "lossy: some FORWARDs were retried" true
+    (Metrics.counter metrics "scd.retry_frames" > 0);
+  Alcotest.(check string) "fault-free n=8" "b03289ed0668230934c0ea40d6a3f886" (delivery_digest healthy);
+  Alcotest.(check string) "loss burst and partition, n=5"
+    "4a286b9f36c44074790b0182d2c8eef7" (delivery_digest lossy)
+
+(* ---- allocation ----------------------------------------------------------- *)
+
+(* The member's hot-path steps, run from the task of a process on a
+   one-node network against a member that is not attached: [f] gets the
+   task's env, and its result is read once the network is quiescent. *)
+let in_task f =
+  let net, kernels = make_net ~seed:90 1 in
+  let result = ref None in
+  ignore
+    (Sodal.attach (List.hd kernels)
+       { Sodal.default_spec with task = (fun env -> result := Some (f env)) });
+  run net;
+  match !result with Some r -> r | None -> Alcotest.fail "the task did not finish"
+
+let sync_frame ~sd ~sn ~f ~snf =
+  Scd_wire.encode { Scd_wire.sd; sn; f; snf; payload = Scd_wire.Sync }
+
+let words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* Member 0 of five has seen message 1.0 from forwarder 1; forwarder 2
+   then sends it 1,000 times with stamps 0, 1, 2, ... (each in order,
+   each for a buffered message). Reading them in place, finding the
+   quad and lowering a clock entry allocate nothing. *)
+let test_in_order_forward_allocates_nothing () =
+  let m = Scd.member ~cluster:"a" ~index:0 ~mids:[ 0; 1; 2; 3; 4 ] ~regs:1 in
+  let batch =
+    Bytes.concat Bytes.empty
+      (List.init 1_000 (fun snf -> sync_frame ~sd:1 ~sn:0 ~f:2 ~snf))
+  in
+  let w =
+    in_task (fun env ->
+        Scd.process_batch env m (sync_frame ~sd:1 ~sn:0 ~f:1 ~snf:0);
+        words (fun () -> Scd.process_batch env m batch))
+  in
+  Alcotest.(check int) "no FORWARD held" 0 (Scd.held_forwards m);
+  Alcotest.(check bool)
+    (Printf.sprintf "1,000 in-order FORWARDs allocate nothing (%.0f words)" w)
+    true (w < 16.0)
+
+(* Member 0 of five buffers message 3.0 (heard from forwarder 3 and
+   itself) and 1.0 (heard from forwarders 1 and 2 and itself: a
+   candidate), then four more messages from forwarder 4. Message 3.0 is
+   not provably after 1.0, so nothing can be delivered: 1,000 scans
+   find that without allocating. *)
+let test_idle_scan_allocates_nothing () =
+  let m = Scd.member ~cluster:"a" ~index:0 ~mids:[ 0; 1; 2; 3; 4 ] ~regs:1 in
+  let w =
+    in_task (fun env ->
+        List.iter
+          (fun frame -> Scd.process_batch env m frame)
+          ([ sync_frame ~sd:3 ~sn:0 ~f:3 ~snf:0;
+             sync_frame ~sd:1 ~sn:0 ~f:1 ~snf:0;
+             sync_frame ~sd:1 ~sn:0 ~f:2 ~snf:0 ]
+          @ List.init 4 (fun sn -> sync_frame ~sd:4 ~sn ~f:4 ~snf:sn));
+        Scd.try_deliver env m;
+        words (fun () ->
+            for _ = 1 to 1_000 do
+              Scd.try_deliver env m
+            done))
+  in
+  Alcotest.(check int) "nothing delivered" 0 (List.length (Scd.deliveries m));
+  Alcotest.(check bool)
+    (Printf.sprintf "1,000 scans that deliver nothing allocate nothing (%.0f words)" w)
+    true (w < 16.0)
+
+(* An echo appends its frame to one out-log that every peer channel
+   reads, so what it allocates beyond the frame is the log's amortised
+   growth, the same for 3 peers as for 255. *)
+let test_echo_allocates_its_frame () =
+  let extra n =
+    let m = Scd.member ~cluster:"a" ~index:0 ~mids:(List.init n Fun.id) ~regs:1 in
+    let frames () =
+      for sn = 0 to 999 do
+        ignore (Sys.opaque_identity (sync_frame ~sd:0 ~sn ~f:0 ~snf:sn))
+      done
+    in
+    let echoes () =
+      for sn = 0 to 999 do
+        Scd.echo m (sync_frame ~sd:0 ~sn ~f:0 ~snf:sn)
+      done
+    in
+    let w = words echoes -. words frames in
+    Alcotest.(check int) (Printf.sprintf "n=%d: 1,000 frames per peer queued" n)
+      (1_000 * (n - 1)) (Scd.retry_depth m);
+    w
+  in
+  let small = extra 4 and large = extra 256 in
+  Alcotest.(check bool)
+    (Printf.sprintf "beyond its frame, an echo allocates at most 5 words (%.1f)" (small /. 1000.))
+    true (small <= 5_000.);
+  Alcotest.(check (float 0.5)) "the same at n=256 as at n=4" small large
 
 (* ---- properties under random fault plans -------------------------------- *)
 
@@ -760,6 +923,16 @@ let suites =
           test_pinned_partition_heal_82049;
         Alcotest.test_case "pinned: loss burst, seed 64369" `Quick test_pinned_burst_64369;
         Alcotest.test_case "pinned: loss burst, seed 69055" `Quick test_pinned_burst_69055;
+        Alcotest.test_case "delivery digest" `Quick test_delivery_digest;
+      ] );
+    ( "scd.alloc",
+      [
+        Alcotest.test_case "an in-order FORWARD for a buffered message allocates nothing" `Quick
+          test_in_order_forward_allocates_nothing;
+        Alcotest.test_case "a scan that delivers nothing allocates nothing" `Quick
+          test_idle_scan_allocates_nothing;
+        Alcotest.test_case "echo allocates only its frame, whatever n is" `Quick
+          test_echo_allocates_its_frame;
       ] );
     ( "scd.prop",
       [

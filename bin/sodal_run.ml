@@ -152,6 +152,13 @@ let run_scd ~seed ~seconds ~trace ~metrics ~metrics_json ~fault_plan ~n ~clients
       r.Harness.clients_done r.Harness.clients_total
       (List.length r.Harness.history)
       ok failed;
+    (* a FORWARD still queued or held ahead of a gap at the end *)
+    Array.iteri
+      (fun i m ->
+        let backlog = Soda_scd.Scd.retry_depth m and held = Soda_scd.Scd.held_forwards m in
+        if backlog > 0 || held > 0 then
+          Printf.printf "-- scd: member %d holds %d FORWARD(s), backlog %d\n" i held backlog)
+      r.Harness.members;
     let report name = function
       | Ok () ->
         Printf.printf "-- scd: %s OK\n" name;

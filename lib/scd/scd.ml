@@ -117,20 +117,20 @@ let key_lo k = ((k land 0xFFFF_FFFF) lxor 0x8000_0000) - 0x8000_0000
 (* The per-peer send channel: a cursor into the member's out-log (see the
    echo path below) with at most one transfer in flight, in either
    direction, carrying the first [ch_claimed] frames from [ch_head].
-   [ch_tries.(j)] counts the transfers that carried frame [ch_head + j]
-   (0 past the frames tried): each transfer carries a prefix, so the
-   counts never rise along the log. After a failed transfer the channel
-   is [ch_retrying] until one gets through, and waits out a backoff
-   deadline before each retry. *)
+   Each transfer carries a prefix, so the frames some transfer has
+   carried are those below [ch_carried]. After a failed transfer the
+   channel is [ch_retrying] until one gets through, waits out a backoff
+   deadline before each retry, and gets its replies in [ch_reply]. *)
 type channel = {
   ch_mid : int;
   ch_server : Types.server_signature;
   mutable ch_head : int;
   mutable ch_claimed : int;
-  mutable ch_tries : int array;
+  mutable ch_carried : int;
   mutable ch_in_flight : bool;
   mutable ch_retrying : bool;
   mutable ch_ready_at : int;
+  mutable ch_reply : bytes;
 }
 
 (* A buffered quadruplet: one application message, our own FORWARD of
@@ -222,7 +222,6 @@ type member = {
   mutable reply : bytes;  (* that transfer's get buffer: the peer's backlog for us *)
   mutable rng : Rng.t;  (* retry jitter; split from the engine at each boot *)
   mutable delivery_log : int array list;  (* message keys per set, newest first *)
-  mutable nbroadcasts : int;
   mutable bcast_sns : int list;  (* sn of every broadcast we initiated *)
 }
 
@@ -270,14 +269,13 @@ let member ~cluster ~index ~mids ~regs =
         (List.filteri (fun i _ -> i <> index) mids
         |> List.map (fun mid ->
                { ch_mid = mid; ch_server = Sodal.server ~mid ~pattern:cluster_pat; ch_head = 0;
-                 ch_claimed = 0; ch_tries = [||]; ch_in_flight = false;
-                 ch_retrying = false; ch_ready_at = 0 }));
+                 ch_claimed = 0; ch_carried = 0; ch_in_flight = false;
+                 ch_retrying = false; ch_ready_at = 0; ch_reply = Bytes.empty }));
     pump_cursor = 0;
     slot_busy = false;
     reply = Bytes.empty;
     rng = Rng.create ~seed:index;
     delivery_log = [];
-    nbroadcasts = 0;
     bcast_sns = [];
   }
 
@@ -288,7 +286,6 @@ let registers m =
   Array.init m.regs (fun r -> (m.reg_v.(r), (m.reg_date.(r), m.reg_sd.(r), m.reg_sn.(r))))
 
 let counter_value m = m.counter
-let broadcasts_made m = m.nbroadcasts
 let broadcast_sns m = List.rev m.bcast_sns
 let retry_depth m = Array.fold_left (fun acc ch -> acc + m.out_hi - ch.ch_head) 0 m.chans
 let held_forwards m = m.n_held
@@ -317,11 +314,13 @@ let majority m = (m.n / 2) + 1
    for the reply), so one transfer can drain both directions.
 
    A crash verdict backs the channel off 200-300 ms (the transport does
-   not retry after a verdict) and drops a FORWARD after [retry_cap]
-   verdicts. A channel that is retrying launches outside the slot, so a
-   crashed or partitioned peer never stalls the others. *)
+   not retry after a verdict), and the channel retries until a transfer
+   gets through: it never gives a FORWARD up. The clock reasoning
+   assumes reliable channels, and a receiver takes each forwarder's
+   stamps in order, so one FORWARD lost would hold every later one from
+   its forwarder for good. A channel that is retrying launches outside
+   the slot, so a crashed or partitioned peer never stalls the others. *)
 
-let retry_cap = 25
 let retry_spacing_us = 200_000
 
 let out_slot m i = i land (Array.length m.out - 1)
@@ -345,18 +344,14 @@ let echo m frame =
     m.out_hi <- m.out_hi + 1
   end
 
-(* [ch] is done with its first [k] frames, delivered or dropped: its head
-   moves past them, and the log lets go of the frames every head is
-   past. *)
-let advance m ch k =
-  for i = ch.ch_head to ch.ch_head + k - 1 do
+(* [ch]'s claimed run was delivered: its head moves past it, and the log
+   lets go of the frames every head is past. *)
+let advance m ch =
+  for i = ch.ch_head to ch.ch_head + ch.ch_claimed - 1 do
     let s = out_slot m i in
     m.out_left.(s) <- m.out_left.(s) - 1
   done;
-  ch.ch_head <- ch.ch_head + k;
-  let tries = Array.length ch.ch_tries in
-  Array.blit ch.ch_tries k ch.ch_tries 0 (tries - k);
-  Array.fill ch.ch_tries (tries - k) k 0;
+  ch.ch_head <- ch.ch_head + ch.ch_claimed;
   while m.out_lo < m.out_hi && m.out_left.(out_slot m m.out_lo) = 0 do
     m.out.(out_slot m m.out_lo) <- Bytes.empty;
     m.out_lo <- m.out_lo + 1
@@ -386,42 +381,25 @@ let claim m ch ~room =
   batch
 
 (* The claimed run went out: the counters count FORWARD messages, not
-   transfers. *)
+   transfers, and a frame some transfer carried before is a retry. *)
 let count_sent env ch =
   let k = ch.ch_claimed in
-  if Array.length ch.ch_tries < k then begin
-    let tries = Array.make (max k (2 * Array.length ch.ch_tries)) 0 in
-    Array.blit ch.ch_tries 0 tries 0 (Array.length ch.ch_tries);
-    ch.ch_tries <- tries
-  end;
-  let retried = ref 0 in
-  for j = 0 to k - 1 do
-    let t = ch.ch_tries.(j) + 1 in
-    ch.ch_tries.(j) <- t;
-    if t > 1 then incr retried
-  done;
+  let retried = min k (ch.ch_carried - ch.ch_head) in
+  ch.ch_carried <- max ch.ch_carried (ch.ch_head + k);
   Metrics.add (metrics env) "scd.forwards" k;
-  if !retried > 0 then Metrics.add (metrics env) "scd.retry_frames" !retried
+  if retried > 0 then Metrics.add (metrics env) "scd.retry_frames" retried
 
 (* The one end of a transfer, in either direction: a delivered run is
-   passed; a failed one stays (frames behind the head may have had fewer
-   attempts), but for the frames at the head that reached [retry_cap],
+   passed and the channel lets its retry buffer go; a failed one stays,
    and the channel backs off. *)
 let settle env m ch ~delivered =
   ch.ch_in_flight <- false;
   if delivered then begin
-    advance m ch ch.ch_claimed;
-    ch.ch_retrying <- false
+    advance m ch;
+    ch.ch_retrying <- false;
+    ch.ch_reply <- Bytes.empty
   end
   else begin
-    let dropped = ref 0 in
-    while !dropped < Array.length ch.ch_tries && ch.ch_tries.(!dropped) >= retry_cap do
-      incr dropped
-    done;
-    if !dropped > 0 then begin
-      advance m ch !dropped;
-      Metrics.add (metrics env) "scd.retry_dropped" !dropped
-    end;
     ch.ch_retrying <- true;
     ch.ch_ready_at <- Sodal.now env + retry_spacing_us + Rng.int m.rng (retry_spacing_us / 2)
   end
@@ -444,12 +422,14 @@ let launch env m ch =
   let room = (Kernel.cost (Sodal.kernel env)).Cost.max_data_bytes in
   let batch = claim m ch ~room in
   let healthy = not ch.ch_retrying in
+  (* the slot's transfers share one reply buffer; a retrying channel
+     keeps its own until a transfer gets through *)
   if healthy then begin
     m.slot_busy <- true;
     if Bytes.length m.reply <> room then m.reply <- Bytes.create room
-  end;
-  (* the slot's transfers share one reply buffer; a retry gets its own *)
-  let into = if healthy then m.reply else Bytes.create room in
+  end
+  else if Bytes.length ch.ch_reply <> room then ch.ch_reply <- Bytes.create room;
+  let into = if healthy then m.reply else ch.ch_reply in
   match Sodal.exchange env ch.ch_server ~arg:0 batch ~into with
   | exception Sodal.Too_many_requests ->
     ch.ch_in_flight <- false;
@@ -806,7 +786,6 @@ let start_op env m ticket =
       buffer_quad m q;
       p.p_sn <- sn;
       Itbl.replace m.by_msg (key m.index sn) p;
-      m.nbroadcasts <- m.nbroadcasts + 1;
       m.bcast_sns <- sn :: m.bcast_sns;
       Metrics.incr (metrics env) "scd.broadcasts";
       if tracing env then

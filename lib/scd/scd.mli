@@ -67,9 +67,6 @@ val registers : member -> (int * (int * int * int)) array
 
 val counter_value : member -> int
 
-(** Number of scd-broadcasts this member initiated (as a proxy). *)
-val broadcasts_made : member -> int
-
 (** Sequence numbers of the broadcasts this member initiated — with the
     member index these are the valid message identities, used by the
     validity checker. *)

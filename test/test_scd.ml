@@ -212,7 +212,7 @@ let test_quadratic_message_cost () =
         ignore (Scd.snapshot env h))
   in
   let broadcasts =
-    Array.fold_left (fun acc m -> acc + Scd.broadcasts_made m) 0 members
+    Array.fold_left (fun acc m -> acc + List.length (Scd.broadcast_sns m)) 0 members
   in
   let metrics = Soda_obs.Recorder.metrics (Network.recorder net) in
   Alcotest.(check bool) "some broadcasts happened" true (broadcasts > 0);
@@ -313,6 +313,10 @@ let assert_safe ?(liveness = true) (r : Harness.result) =
   | Error m ->
     Alcotest.failf "%s\n%s" m (Format.asprintf "%a" Harness.pp_history r.history)
 
+(* FORWARDs held ahead of a gap, summed over the members. *)
+let total_held (r : Harness.result) =
+  Array.fold_left (fun acc m -> acc + Scd.held_forwards m) 0 r.members
+
 let test_survives_minority_crash () =
   let plan = [ { Fault_plan.at_us = 400_000; action = Fault_plan.Crash 0 } ] in
   assert_safe
@@ -354,30 +358,91 @@ let test_backlog_batched_after_heal () =
   let transfers =
     Metrics.counter (Kernel.stats (Network.node r.net ~mid:2)) "req.delivered"
   in
-  Alcotest.(check int) "nothing dropped" 0 (Metrics.counter metrics "scd.retry_dropped");
+  Alcotest.(check int) "no FORWARD held at the end" 0 (total_held r);
   Alcotest.(check bool)
     (Printf.sprintf "%d transfers carry the %d FORWARDs to member 2" transfers
        (2 * broadcasts))
     true
     (transfers > 0 && transfers < 2 * broadcasts)
 
-(* Member 2 is down for good: every FORWARD queued for it is dropped
-   after [retry_cap] crash verdicts, and a dropped batch counts each of
-   its entries, so the drops total the FORWARDs addressed to it. *)
-let test_dropped_batch_counts_entries () =
+(* Member 2 is down from the start while one client (proxied by member
+   0) runs six operations. *)
+let member_2_down ~horizon_us =
   let plan = [ { Fault_plan.at_us = 0; action = Fault_plan.Crash 2 } ] in
-  let r =
-    Harness.run ~n:3 ~clients:1 ~ops:6 ~regs:2 ~think_us:0 ~seed:(seed_base + 71) ~plan ()
-  in
+  Harness.run ~n:3 ~clients:1 ~ops:6 ~regs:2 ~think_us:0 ~seed:71 ~plan ~horizon_us ()
+
+(* Member 2 is down for good. Members 0 and 1 each make one FORWARD per
+   message, and their channels to member 2 keep every one of them, however
+   many transfers fail: by 29 s each FORWARD to member 2 has been retried
+   25 times on average, where a channel used to give a FORWARD up after
+   25 crash verdicts. The channels between the live members drain. *)
+let test_down_member_keeps_backlog () =
+  let r = member_2_down ~horizon_us:29_000_000 in
   assert_safe r;
-  let metrics = Soda_obs.Recorder.metrics (Network.recorder r.net) in
+  let metrics = Recorder.metrics (Network.recorder r.net) in
   let broadcasts = Metrics.counter metrics "scd.broadcasts" in
   Alcotest.(check bool) "some broadcasts happened" true (broadcasts > 0);
-  Alcotest.(check int) "every FORWARD to member 2 dropped once" (2 * broadcasts)
-    (Metrics.counter metrics "scd.retry_dropped");
+  Alcotest.(check bool)
+    (Printf.sprintf "%d retried FORWARDs: 25 per FORWARD to member 2"
+       (Metrics.counter metrics "scd.retry_frames"))
+    true
+    (Metrics.counter metrics "scd.retry_frames" >= 25 * 2 * broadcasts);
   Array.iteri
-    (fun i m -> if i < 2 then Alcotest.(check int) "queues drained" 0 (Scd.retry_depth m))
-    r.members
+    (fun i m ->
+      if i < 2 then
+        Alcotest.(check int)
+          (Printf.sprintf "member %d's channel to member 2 holds every FORWARD it made" i)
+          broadcasts (Scd.retry_depth m))
+    r.members;
+  Alcotest.(check int) "no FORWARD held" 0 (total_held r)
+
+(* Words allocated straight in the major heap while [f] runs: blocks too
+   large for the minor heap, such as a transfer's 4,096-byte reply
+   buffer. *)
+let direct_major_words f =
+  Gc.minor ();
+  let _, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  Gc.minor ();
+  let _, promoted1, major1 = Gc.counters () in
+  (r, major1 -. promoted1 -. (major0 -. promoted0))
+
+(* A retrying channel gets its replies in one buffer of its own: fifteen
+   more seconds of retries to a dead member, dozens of transfers, cost
+   less than one more reply buffer. *)
+let test_retry_reuses_reply_buffer () =
+  let short, short_words = direct_major_words (fun () -> member_2_down ~horizon_us:5_000_000) in
+  let long, long_words = direct_major_words (fun () -> member_2_down ~horizon_us:20_000_000) in
+  let retries (r : Harness.result) =
+    Metrics.counter (Recorder.metrics (Network.recorder r.net)) "scd.retry_frames"
+  in
+  Alcotest.(check bool) "the longer run retried more" true (retries long > retries short);
+  let buffer_words = float_of_int (1 + (Cost.default.Cost.max_data_bytes / (Sys.word_size / 8))) in
+  Alcotest.(check bool)
+    (Printf.sprintf "the longer run allocated %.0f more major words (a reply buffer is %.0f)"
+       (long_words -. short_words) buffer_words)
+    true
+    (long_words -. short_words < buffer_words)
+
+(* Member 2 is down for 40 s, well past the 25 crash verdicts after which
+   a channel used to give a FORWARD up, while one client runs twenty
+   operations at a 4 s mean interarrival. State survives the reboot, and
+   the live members' channels still hold every FORWARD for it, so it
+   catches up in stamp order: the run converges with nothing held. *)
+let test_pinned_outage_40s () =
+  let plan =
+    [
+      { Fault_plan.at_us = 0; action = Fault_plan.Crash 2 };
+      { Fault_plan.at_us = 40_000_000; action = Fault_plan.Reboot 2 };
+    ]
+  in
+  let r =
+    Harness.run ~n:3 ~clients:1 ~ops:20 ~mean_interarrival_us:4_000_000 ~seed:5 ~plan
+      ~horizon_us:85_000_000 ()
+  in
+  assert_safe r;
+  (match Harness.check_convergence r with Ok () -> () | Error m -> Alcotest.fail m);
+  Alcotest.(check int) "no FORWARD held at the end" 0 (total_held r)
 
 let test_duplication_is_idempotent () =
   let plan =
@@ -568,8 +633,7 @@ let pinned_burst ~seed ~ops ~think_us ~at_us ~rate ~duration_us () =
   let r = Harness.run ~n:3 ~clients:3 ~ops ~regs:2 ~think_us ~seed ~plan () in
   Alcotest.(check int) "all clients finished" r.clients_total r.clients_done;
   assert_safe ~liveness:false r;
-  Alcotest.(check int) "no FORWARD held at the end" 0
-    (Array.fold_left (fun acc m -> acc + Scd.held_forwards m) 0 r.members)
+  Alcotest.(check int) "no FORWARD held at the end" 0 (total_held r)
 
 let test_pinned_burst_64369 =
   pinned_burst ~seed:64369 ~ops:8 ~think_us:0 ~at_us:5834 ~rate:0.31 ~duration_us:163726
@@ -873,17 +937,14 @@ let prop_scd ~n =
          | Ok () -> ()
          | Error msg ->
            QCheck.Test.fail_reportf "%s:@.%a" msg Harness.pp_history r.history);
-        (* A FORWARD dropped by the retry cap leaves a gap that holds every
-           later one from its forwarder for good, and so does a batch one
-           end of a transfer popped while the other never took it. Runs
-           whose transport let the two ends disagree are exempt from the
-           held count until it no longer does. *)
-        let held = Array.fold_left (fun acc m -> acc + Scd.held_forwards m) 0 r.members in
-        let dropped =
-          Metrics.counter (Recorder.metrics (Network.recorder r.net)) "scd.retry_dropped"
-        in
-        if dropped <> 0 || (held <> 0 && disagreements r = 0) then
-          QCheck.Test.fail_reportf "%d FORWARD(s) held and %d dropped at the end" held dropped
+        (* A batch one end of a transfer popped while the other never took
+           it leaves a gap that holds every later FORWARD from its
+           forwarder for good. Runs whose transport let the two ends
+           disagree are exempt from the held count until it no longer
+           does. *)
+        let held = total_held r in
+        if held <> 0 && disagreements r = 0 then
+          QCheck.Test.fail_reportf "%d FORWARD(s) held at the end" held
       end;
       true)
 
@@ -906,8 +967,8 @@ let suites =
           test_partition_heals_and_converges;
         Alcotest.test_case "backlog reaches a healed member in batches" `Quick
           test_backlog_batched_after_heal;
-        Alcotest.test_case "a dropped batch counts each entry" `Quick
-          test_dropped_batch_counts_entries;
+        Alcotest.test_case "a member down for good keeps its backlog" `Quick
+          test_down_member_keeps_backlog;
         Alcotest.test_case "frame duplication is idempotent" `Quick
           test_duplication_is_idempotent;
         Alcotest.test_case "loss burst keeps safety" `Quick test_loss_burst_safety;
@@ -917,6 +978,10 @@ let suites =
           test_partition_does_not_stall_other_channels;
         Alcotest.test_case "pump: launches follow completions" `Quick
           test_launches_follow_completions;
+        Alcotest.test_case "pump: a retrying channel reuses one reply buffer" `Quick
+          test_retry_reuses_reply_buffer;
+        Alcotest.test_case "pinned: member 2 down 40 s, then rebooted" `Quick
+          test_pinned_outage_40s;
         Alcotest.test_case "pinned: partition {0} then heal, seed 68403" `Quick
           test_pinned_partition_heal_68403;
         Alcotest.test_case "pinned: partition {0} then heal, seed 82049" `Quick

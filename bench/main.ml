@@ -103,10 +103,8 @@ let t2s () =
 
 (* ---- TRACE: Chrome trace_event exports of the T1 workloads ------------------------ *)
 
-(* Bench artifacts (Chrome traces, BENCH_pr*.json records) land in
-   _bench_out/ instead of the working directory; the directory is
-   gitignored, so a run never rewrites the committed BENCH_pr*.json
-   snapshots. *)
+(* TRACE's Chrome traces land in _bench_out/ (git-ignored) instead of the
+   working directory. *)
 let bench_out file =
   let dir = "_bench_out" in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
@@ -121,25 +119,39 @@ let fixed digits x =
   let k = 10.0 ** float_of_int digits in
   Json.Float (Float.round (x *. k) /. k)
 
-let rounded x = Json.Int (Float.to_int (Float.round x))
+(* One measured figure of a row: its name, its unit and its value. *)
+let count name unit_ n = (name, unit_, Json.Int n)
+let figure digits name unit_ x = (name, unit_, fixed digits x)
 
 (* A gate is its name in the record, its verdict and what it checks. *)
 type gate = string * bool * string
 
-(* Write [fields] and the gates' verdicts as one JSON object to
-   _bench_out/[file], print every gate, and exit 1 if any failed. CI runs
-   the gated sections on every push and uploads the records. *)
-let report file fields (gates : gate list) =
-  let path = bench_out file in
+(* Write a gated section's record over the committed [file] in the working
+   directory, print every gate, and exit 1 if any failed. Each row is its
+   config and [metrics: {name: {value, unit}}], one row per line, then the
+   gates' verdicts. A record holds only figures that repeat exactly for one
+   binary and seed (virtual time, counts, the engine's event counts and heap
+   high-water), so any drift from the committed file is a behaviour change
+   and shows in [git diff]; wall-clock and GC figures go to stdout only. *)
+let report file ~section rows (gates : gate list) =
+  let row (config, metrics) =
+    let metric (name, unit_, value) =
+      (name, Json.(Obj [ ("value", value); ("unit", Str unit_) ]))
+    in
+    Json.(to_string (Obj [ ("config", Obj config); ("metrics", Obj (List.map metric metrics)) ]))
+  in
   let verdicts = List.map (fun (name, ok, _) -> (name, Json.Bool ok)) gates in
-  let oc = open_out path in
-  output_string oc (Json.to_string (Json.Obj (fields @ [ ("gates", Json.Obj verdicts) ])));
-  output_char oc '\n';
+  let oc = open_out file in
+  Printf.fprintf oc "{\"section\":%s,\"rows\":[\n%s\n],\"gates\":%s}\n"
+    (Json.to_string (Str section))
+    (String.concat ",\n" (List.map row rows))
+    (Json.to_string (Obj verdicts));
   close_out oc;
-  Printf.printf "\n    wrote %s\n" path;
+  Printf.printf "\n    wrote %s\n" file;
   List.iter
     (fun (_, ok, what) ->
-      Printf.printf "    %s: %s\n" (if ok then "gate OK" else "GATE FAILED") what)
+      if ok then Printf.printf "    gate OK: %s\n" what
+      else Printf.eprintf "    GATE FAILED: %s\n" what)
     gates;
   if not (List.for_all (fun (_, ok, _) -> ok) gates) then exit 1
 
@@ -147,29 +159,18 @@ let report file fields (gates : gate list) =
 let per_event (c : Soda_sim.Engine.tag_cost) total =
   float_of_int total /. float_of_int (max 1 c.fired)
 
-(* The engine's profiling counters after a run, shared by PROFILE and
-   SCALE. *)
-let engine_fields engine ~virtual_us =
+(* The engine's exact counts after a run, shared by PROFILE and SCALE:
+   events fired, the heap high-water, arms per tag and callbacks fired per
+   tag. *)
+let engine_metrics engine ~virtual_us =
   let module Engine = Soda_sim.Engine in
-  let fired = (Engine.counters engine).Engine.fired in
-  let minor, promoted, major = Engine.gc_words engine in
-  Json.
-    [ ("fired", Int fired); ("virtual_us", Int virtual_us);
-      ("wall_us", rounded (Engine.wall_seconds engine *. 1e6));
-      ("events_per_sec", rounded (Engine.events_per_sec engine));
-      ("heap_highwater", Int (Engine.heap_highwater engine)); ("gc_minor_words", rounded minor);
-      ("gc_promoted_words", rounded promoted); ("gc_major_words", rounded major);
-      ("gc_words_per_event", fixed 1 (if fired = 0 then 0.0 else minor /. float_of_int fired));
-      ("tags", Obj (List.map (fun (tag, n) -> (tag, Int n)) (Engine.tag_counts engine)));
-      ( "tag_costs",
-        Obj
-          (List.map
-             (fun (c : Engine.tag_cost) ->
-               ( c.tag,
-                 Obj
-                   [ ("fired", Int c.fired); ("words_per_event", fixed 1 (per_event c c.words));
-                     ("ns_per_event", rounded (per_event c c.ns)) ] ))
-             (Engine.tag_costs engine)) ) ]
+  [ count "fired" "events" (Engine.counters engine).Engine.fired;
+    count "virtual_us" "us" virtual_us;
+    count "heap_highwater" "events" (Engine.heap_highwater engine) ]
+  @ List.map (fun (tag, n) -> count ("arms." ^ tag) "arms" n) (Engine.tag_counts engine)
+  @ List.map
+      (fun (c : Engine.tag_cost) -> count ("fired." ^ c.tag) "callbacks" c.fired)
+      (Engine.tag_costs engine)
 
 (* Events/sec is a wall-clock ratio: zero means the clock did not advance. *)
 let events_measured engines =
@@ -314,6 +315,38 @@ let a5 () =
         r.W.per_op_ms)
     [ ("associative (§3.4)", true); ("256-slot overwrite (§5.4)", false) ]
 
+(* Virtual microseconds for mid 1 to send a [block]-byte block over
+   Stream.send, in [chunk]-byte chunks, to a sink on mid 0. A6 and WINDOW
+   run it. *)
+let stream_elapsed_us ~seed ~cost ~block ~chunk =
+  let module Pattern = Soda_base.Pattern in
+  let module Network = Soda_core.Network in
+  let module Sodal = Soda_runtime.Sodal in
+  let module Stream = Soda_facilities.Stream in
+  let patt = Pattern.well_known 0o644 in
+  let net = Network.create ~seed ~cost () in
+  let k0 = Network.add_node net ~mid:0 in
+  let k1 = Network.add_node net ~mid:1 in
+  ignore (Sodal.attach k0 (Stream.sink ~pattern:patt ~on_block:(fun _ ~src:_ _ -> ()) ()));
+  let elapsed = ref 0 in
+  ignore
+    (Sodal.attach k1
+       {
+         Sodal.default_spec with
+         task =
+           (fun env ->
+             let t0 = Sodal.now env in
+             (match
+                Stream.send env (Sodal.server ~mid:0 ~pattern:patt) ~chunk_bytes:chunk
+                  (Bytes.create block)
+              with
+              | Ok () -> elapsed := Sodal.now env - t0
+              | Error _ -> failwith "stream failed");
+             Sodal.serve env);
+       });
+  ignore (Network.run ~until:600_000_000 net);
+  !elapsed
+
 let a6 () =
   hr "A6. Ablation: client-level multipacket streaming (§6.17.4 chunk size)";
   Printf.printf
@@ -321,47 +354,22 @@ let a6 () =
   Printf.printf "    %-12s %10s %14s\n" "chunk bytes" "total ms" "goodput KB/s";
   List.iter
     (fun chunk ->
-      let module Pattern = Soda_base.Pattern in
-      let module Network = Soda_core.Network in
-      let module Sodal = Soda_runtime.Sodal in
-      let module Stream = Soda_facilities.Stream in
-      let patt = Pattern.well_known 0o644 in
-      let net = Network.create ~seed:31 () in
-      let k0 = Network.add_node net ~mid:0 in
-      let k1 = Network.add_node net ~mid:1 in
-      ignore (Sodal.attach k0 (Stream.sink ~pattern:patt ~on_block:(fun _ ~src:_ _ -> ()) ()));
-      let elapsed = ref 0 in
-      ignore
-        (Sodal.attach k1
-           {
-             Sodal.default_spec with
-             task =
-               (fun env ->
-                 let t0 = Sodal.now env in
-                 (match
-                    Stream.send env (Sodal.server ~mid:0 ~pattern:patt) ~chunk_bytes:chunk
-                      (Bytes.create 20_480)
-                  with
-                  | Ok () -> elapsed := Sodal.now env - t0
-                  | Error _ -> failwith "stream failed");
-                 Sodal.serve env);
-           });
-      ignore (Network.run ~until:600_000_000 net);
-      let ms = float_of_int !elapsed /. 1000.0 in
+      let us = stream_elapsed_us ~seed:31 ~cost:Cost.default ~block:20_480 ~chunk in
+      let ms = float_of_int us /. 1000.0 in
       Printf.printf "    %-12d %10.1f %14.1f\n" chunk ms (20_480.0 /. 1024.0 /. (ms /. 1000.0)))
     [ 256; 512; 1024; 2048; 4096 ]
 
 (* ---- WINDOW: sliding-window sweep + regression gate --------------------------------- *)
 
 (* Sweep the transport window W over the chunked STREAM workload and the
-   steady-state SIGNAL stream, write _bench_out/BENCH_pr5.json,
-   and enforce the two PR-5 regression gates:
+   steady-state SIGNAL stream, write BENCH_pr5.json, and enforce two
+   regression gates:
      - the W=1 SIGNAL figure must not regress the seed's T2S wall-clock
        per SIGNAL (the window machinery must leave stop-and-wait alone);
      - W=8 stream goodput at zero loss must be >= 2x the W=1 figure
        (the window must actually pipeline the wire).
-   CI runs this section on every push (see .github/workflows/ci.yml); a
-   violated gate exits nonzero. *)
+   `dune runtest` runs this section and diffs its record against the
+   committed one (test/dune); a violated gate exits nonzero. *)
 
 (* Seed figure: T2S "wall-clock per SIGNAL" of the stop-and-wait repo,
    measured in deterministic virtual time, so any drift is a real
@@ -379,35 +387,9 @@ let window_cost w =
    REQUEST/ACCEPT transaction, so per-transaction latency dominates the
    line rate and the window has room to pipeline. *)
 let window_stream_goodput ~window =
-  let module Pattern = Soda_base.Pattern in
-  let module Network = Soda_core.Network in
-  let module Sodal = Soda_runtime.Sodal in
-  let module Stream = Soda_facilities.Stream in
-  let patt = Pattern.well_known 0o644 in
-  let block = 8_192 and chunk = 100 in
-  let net = Network.create ~seed:37 ~cost:(window_cost window) () in
-  let k0 = Network.add_node net ~mid:0 in
-  let k1 = Network.add_node net ~mid:1 in
-  ignore
-    (Sodal.attach k0 (Stream.sink ~pattern:patt ~on_block:(fun _ ~src:_ _ -> ()) ()));
-  let elapsed = ref 0 in
-  ignore
-    (Sodal.attach k1
-       {
-         Sodal.default_spec with
-         task =
-           (fun env ->
-             let t0 = Sodal.now env in
-             (match
-                Stream.send env (Sodal.server ~mid:0 ~pattern:patt) ~chunk_bytes:chunk
-                  (Bytes.create block)
-              with
-              | Ok () -> elapsed := Sodal.now env - t0
-              | Error _ -> failwith "window stream failed");
-             Sodal.serve env);
-       });
-  ignore (Network.run ~until:600_000_000 net);
-  let ms = float_of_int !elapsed /. 1000.0 in
+  let block = 8_192 in
+  let us = stream_elapsed_us ~seed:37 ~cost:(window_cost window) ~block ~chunk:100 in
+  let ms = float_of_int us /. 1000.0 in
   (ms, float_of_int block /. 1024.0 /. (ms /. 1000.0))
 
 let window_section () =
@@ -431,14 +413,12 @@ let window_section () =
   let _, _, goodput1, signal1, _ = find 1 in
   let _, _, goodput8, _, _ = find 8 in
   let row (w, stream_ms, goodput, signal_ms, pkts) =
-    Json.(
-      Obj
-        [ ("window", Int w); ("stream_ms", fixed 1 stream_ms);
-          ("stream_goodput_kbs", fixed 1 goodput); ("signal_ms_per_op", fixed 2 signal_ms);
-          ("packets_per_signal", fixed 2 pkts) ])
+    ( [ ("window", Json.Int w) ],
+      [ figure 1 "stream_ms" "ms" stream_ms; figure 1 "stream_goodput_kbs" "KB/s" goodput;
+        figure 2 "signal_ms_per_op" "ms" signal_ms;
+        figure 2 "packets_per_signal" "packets/op" pkts ] )
   in
-  report "BENCH_pr5.json"
-    Json.[ ("seed_t2s_ms", fixed 2 seed_t2s_ms); ("window_sweep", Arr (List.map row rows)) ]
+  report "BENCH_pr5.json" ~section:"WINDOW" (List.map row rows)
     [ ( "w1_t2s_no_regression",
         signal1 <= seed_t2s_ms *. t2s_tolerance,
         Printf.sprintf "W=1 SIGNAL %.2f ms/op within seed T2S %.2f ms (+%.0f%% cap)" signal1
@@ -592,22 +572,19 @@ let incast_section () =
   in
   Printf.printf "\n  adaptive timer-retransmit ratio at 16 clients, seed 73: %.1f%%\n"
     (100.0 *. adaptive16.retx_ratio);
-  let point r =
-    Json.(
-      Obj
-        [ ("goodput_ops_s", fixed 1 r.goodput); ("failed", Int r.failed);
-          ("op_p50_ms", fixed 1 r.p50_ms); ("op_p99_ms", fixed 1 r.p99_ms);
-          ("retx_timer_ratio", fixed 4 r.retx_ratio) ])
+  let row (seed, clients, mode, r) =
+    ( Json.
+        [ ("seed", Int seed); ("clients", Int clients); ("ops_per_client", Int incast_ops);
+          ("transport", Str mode) ],
+      [ figure 1 "goodput_ops_s" "ops/s" r.goodput; count "failed" "ops" r.failed;
+        figure 1 "op_p50_ms" "ms" r.p50_ms; figure 1 "op_p99_ms" "ms" r.p99_ms;
+        figure 4 "retx_timer_ratio" "ratio" r.retx_ratio ] )
   in
-  let row (seed, clients, s, a) =
-    Json.(
-      Obj
-        [ ("seed", Int seed); ("clients", Int clients);
-          ("op_p99_bound_ms", rounded (incast_p99_bound_ms clients)); ("static", point s);
-          ("adaptive", point a) ])
-  in
-  report "BENCH_pr10.json"
-    Json.[ ("ops_per_client", Int incast_ops); ("incast", Arr (List.map row rows)) ]
+  report "BENCH_pr10.json" ~section:"INCAST"
+    (List.concat_map
+       (fun (seed, clients, s, a) ->
+         [ row (seed, clients, "static", s); row (seed, clients, "adaptive", a) ])
+       rows)
     [ ( "no_failed_signals",
         all (fun (_, _, s, a) -> s.failed = 0 && a.failed = 0),
         "no SIGNAL fails in either configuration at any point" );
@@ -693,10 +670,11 @@ let store_section () =
    transfer carries a member's whole backlog for one peer (up to the
    kernel's buffer) and brings back the peer's backlog for it, so bus
    frames per operation are far fewer.
-   Writes a machine-readable _bench_out/BENCH_pr8.json.
+   Writes BENCH_pr8.json.
 
-   Regression gates (CI runs this section on every push), all on virtual
-   time, hence exact per seed:
+   Regression gates (CI runs this section on every push and diffs its
+   record against the committed one), all on virtual time, hence exact per
+   seed:
    - the n=8 and n=64 rows spend exactly n(n-1) FORWARD messages per
      broadcast (a duplicated, leaked or retried FORWARD breaks it), and
      no request at n=64 completes CRASHED on a "not alive" probe reply
@@ -786,6 +764,7 @@ let scd_section () =
     \     is n(n-1) FORWARD messages per scd-broadcast)\n\n";
   Printf.printf "    %-4s %5s %7s %9s %8s %7s %8s %11s %8s %9s\n" "n" "ops" "bcasts" "forwards"
     "fwd/bc" "n(n-1)" "fwd/op" "frames/op" "ops/sec" "lat ms";
+  let configs = [ (8, 3, 8, 120_000); (64, 2, 5, 2_000_000); (256, 2, 2, 2_000_000) ] in
   let rows =
     List.map
       (fun (n, clients, ops, mean) ->
@@ -795,7 +774,7 @@ let scd_section () =
           (float_of_int r.forwards /. float_of_int (max r.broadcasts 1))
           (bound n) (per_op r r.forwards) (per_op r r.bus_frames) r.ops_per_sec r.lat_ms;
         r)
-      [ (8, 3, 8, 120_000); (64, 2, 5, 2_000_000); (256, 2, 2, 2_000_000) ]
+      configs
   in
   let row n = List.find (fun r -> r.n = n) rows in
   let r64 = row 64 and r256 = row 256 in
@@ -822,24 +801,18 @@ let scd_section () =
         Printf.sprintf "n=256 completed %d of 4 operations" r256.completed );
     ]
   in
-  let record r =
-    Json.(
-      Obj
-        [ ("n", Int r.n); ("client_ops", Int r.completed); ("broadcasts", Int r.broadcasts);
-          ("forwards", Int r.forwards); ("bound", Int (bound r.n));
-          ("forwards_per_op", fixed 1 (per_op r r.forwards));
-          ("frames_per_op", fixed 1 (per_op r r.bus_frames));
-          ("goodput_ops_s", fixed 3 r.ops_per_sec); ("mean_latency_ms", fixed 1 r.lat_ms) ])
+  let record ((n, clients, ops, mean), r) =
+    ( Json.
+        [ ("n", Int n); ("clients", Int clients); ("ops_per_client", Int ops);
+          ("mean_interarrival_us", Int mean) ],
+      [ count "client_ops" "ops" r.completed; count "broadcasts" "msgs" r.broadcasts;
+        count "forwards" "msgs" r.forwards; count "probe_lost" "verdicts" r.probe_lost;
+        figure 1 "forwards_per_op" "msgs/op" (per_op r r.forwards);
+        figure 1 "frames_per_op" "frames/op" (per_op r r.bus_frames);
+        figure 3 "goodput_ops_s" "ops/s" r.ops_per_sec;
+        figure 1 "mean_latency_ms" "ms" r.lat_ms ] )
   in
-  report "BENCH_pr8.json"
-    Json.
-      [ ("analytic_forwards_per_broadcast", Str "n*(n-1)"); ("margin", fixed 2 scd_margin);
-        ( "n64_baseline",
-          Obj
-            [ ("frames_per_op", fixed 1 scd_n64_frames_per_op);
-              ("goodput_ops_s", fixed 3 scd_n64_ops_per_sec) ] );
-        ("scd", Arr (List.map record rows)) ]
-    gates
+  report "BENCH_pr8.json" ~section:"SCD" (List.map record (List.combine configs rows)) gates
 
 (* ---- PROFILE: engine hot-path profiling --------------------------------------------- *)
 
@@ -849,7 +822,8 @@ let scd_section () =
    rate and heap depth scale with N. Reports the engine's always-on
    profiling counters (wall-clock events/sec, heap high-water, callbacks
    by source tag) plus the opt-in GC allocation deltas, and writes the
-   machine-readable _bench_out/BENCH_pr6.json. *)
+   exact ones to BENCH_pr6.json, which `dune runtest` diffs against the
+   committed record (test/dune): a hot-path refactor must not move them. *)
 
 let profile_ring ~nodes ~ops =
   let module Pattern = Soda_base.Pattern in
@@ -932,10 +906,10 @@ let profile_section () =
         (Engine.tag_costs engine))
     rows;
   let row (nodes, engine, virtual_us) =
-    Json.Obj (("nodes", Json.Int nodes) :: engine_fields engine ~virtual_us)
+    ( Json.[ ("nodes", Int nodes); ("ops_per_node", Int ops) ],
+      engine_metrics engine ~virtual_us )
   in
-  report "BENCH_pr6.json"
-    Json.[ ("signal_ring_ops_per_node", Int ops); ("profile", Arr (List.map row rows)) ]
+  report "BENCH_pr6.json" ~section:"PROFILE" (List.map row rows)
     [ events_measured (List.map (fun (_, engine, _) -> engine) rows) ]
 
 (* ---- SCALE: open-loop Zipf workload at thousands of nodes --------------------------- *)
@@ -946,8 +920,8 @@ let profile_section () =
    count scales with N so big runs stay long enough to measure
    (N=4096 -> 1,048,576 root requests). Node counts come from
    SODA_SCALE_NODES (comma-separated; default "8,64" for CI — the
-   512/4096 points run in the nightly). Results land in
-   _bench_out/BENCH_pr7.json.
+   512/4096 points run in the nightly). Results land in BENCH_pr7.json,
+   which CI diffs against the committed record.
 
    Regression gates: events/sec must be measurable at every N, and when
    both 8 and 64 run, N=64 throughput must hold >= 65% of N=8 (the seed's
@@ -1018,17 +992,11 @@ let scale_section () =
         nodes r.O.issued r.O.completed r.O.failed r.O.gathers (Pool.reuses pool)
         (Pool.acquires pool))
     rows;
-  let baseline_pr6_n64 = 432088.0 in
   let ev_s nodes =
     List.find_map
       (fun (n, _, r) ->
         if n = nodes then Some (Engine.events_per_sec (Network.engine r.O.net)) else None)
       rows
-  in
-  let speedup =
-    match ev_s 64 with
-    | Some v64 -> [ ("n64_speedup_vs_pr6", fixed 2 (v64 /. baseline_pr6_n64)) ]
-    | None -> []
   in
   let ratio_gate =
     match ev_s 8, ev_s 64 with
@@ -1040,17 +1008,15 @@ let scale_section () =
     | _ -> []
   in
   let row (nodes, requests, r) =
-    Json.Obj
-      (List.map
-         (fun (k, v) -> (k, Json.Int v))
-         [ ("nodes", nodes); ("requests", requests); ("offered", r.O.offered);
-           ("issued", r.O.issued); ("completed", r.O.completed); ("failed", r.O.failed);
-           ("shed", r.O.shed); ("gathers", r.O.gathers) ]
-      @ engine_fields (Network.engine r.O.net) ~virtual_us:r.O.virtual_us)
+    ( Json.[ ("nodes", Int nodes); ("requests", Int requests) ],
+      List.map
+        (fun (name, n) -> count name "requests" n)
+        [ ("offered", r.O.offered); ("issued", r.O.issued); ("completed", r.O.completed);
+          ("failed", r.O.failed); ("shed", r.O.shed) ]
+      @ (count "gathers" "gathers" r.O.gathers
+         :: engine_metrics (Network.engine r.O.net) ~virtual_us:r.O.virtual_us) )
   in
-  report "BENCH_pr7.json"
-    ((("baseline_pr6_n64_events_per_sec", rounded baseline_pr6_n64) :: speedup)
-     @ [ ("scale", Json.Arr (List.map row rows)) ])
+  report "BENCH_pr7.json" ~section:"SCALE" (List.map row rows)
     (events_measured (List.map (fun (_, _, r) -> Network.engine r.O.net) rows) :: ratio_gate)
 
 (* ---- FAULT: a workload under a scripted fault plan ---------------------------------- *)

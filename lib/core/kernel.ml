@@ -24,6 +24,13 @@ type boot_state =
 
 type pending_request = { pr_get_buffer : bytes }
 
+(* The advertisement table, in the representation the cost model
+   selects: an associative table, or the 256-slot table of §5.4. A node
+   allocates only the one its mode uses. *)
+type pattern_table =
+  | Assoc of (int, Pattern.t) Hashtbl.t  (* pattern int -> pattern *)
+  | Slots of Pattern.t option array
+
 type t = {
   engine : Engine.t;
   recorder : Recorder.t;
@@ -32,9 +39,7 @@ type t = {
   transport : Transport.t;
   nic : Nic.t;
   mutable mint : Pattern.Mint.t;
-  (* advertisement table: both representations kept in sync with config *)
-  assoc_table : (int, Pattern.t) Hashtbl.t;  (* pattern int -> pattern *)
-  slot_table : Pattern.t option array;  (* 256-slot table of §5.4 *)
+  patterns : pattern_table;
   mutable boot_kinds : int list;
   mutable kill_pattern : Pattern.t;
   mutable boot : boot_state;
@@ -110,30 +115,30 @@ let handler_event_ctx t = function
 (* ---- advertisement table ------------------------------------------------- *)
 
 let advertise_raw t pattern =
-  if t.cost.Cost.associative_patterns then
-    Hashtbl.replace t.assoc_table (Pattern.to_int pattern) pattern
-  else t.slot_table.(Pattern.slot pattern) <- Some pattern
+  match t.patterns with
+  | Assoc table -> Hashtbl.replace table (Pattern.to_int pattern) pattern
+  | Slots slots -> slots.(Pattern.slot pattern) <- Some pattern
 
 let unadvertise_raw t pattern =
-  if t.cost.Cost.associative_patterns then
-    Hashtbl.remove t.assoc_table (Pattern.to_int pattern)
-  else begin
-    match t.slot_table.(Pattern.slot pattern) with
-    | Some p when Pattern.equal p pattern -> t.slot_table.(Pattern.slot pattern) <- None
-    | Some _ | None -> ()
-  end
+  match t.patterns with
+  | Assoc table -> Hashtbl.remove table (Pattern.to_int pattern)
+  | Slots slots -> (
+    match slots.(Pattern.slot pattern) with
+    | Some p when Pattern.equal p pattern -> slots.(Pattern.slot pattern) <- None
+    | Some _ | None -> ())
 
 let advertised_raw t pattern =
-  if t.cost.Cost.associative_patterns then
-    Hashtbl.mem t.assoc_table (Pattern.to_int pattern)
-  else
-    match t.slot_table.(Pattern.slot pattern) with
+  match t.patterns with
+  | Assoc table -> Hashtbl.mem table (Pattern.to_int pattern)
+  | Slots slots -> (
+    match slots.(Pattern.slot pattern) with
     | Some p -> Pattern.equal p pattern
-    | None -> false
+    | None -> false)
 
 let clear_advertisements t =
-  Hashtbl.reset t.assoc_table;
-  Array.fill t.slot_table 0 (Array.length t.slot_table) None
+  match t.patterns with
+  | Assoc table -> Hashtbl.reset table
+  | Slots slots -> Array.fill slots 0 (Array.length slots) None
 
 (* ---- reserved patterns ---------------------------------------------------- *)
 
@@ -476,8 +481,9 @@ let create ~engine ~bus ~recorder ~cost ~mid ~boot_kinds =
       transport;
       nic;
       mint = Pattern.Mint.create ~serial:(mid land 0xFF) ~boot_clock:0;
-      assoc_table = Hashtbl.create 32;
-      slot_table = Array.make 256 None;
+      patterns =
+        (if cost.Cost.associative_patterns then Assoc (Hashtbl.create 32)
+         else Slots (Array.make 256 None));
       boot_kinds;
       kill_pattern = Pattern.kill_pattern;
       boot = No_client;

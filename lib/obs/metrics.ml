@@ -8,27 +8,36 @@
 let linear_max = 64
 let sub_buckets = 32
 
-(* Octaves cover bit lengths 7..63 on 64-bit ints. *)
-let bucket_count = linear_max + ((63 - 6) * sub_buckets)
+(* OCaml ints have 63 bits, so a non-negative sample has a bit length of
+   at most 62: octaves cover bit lengths 7..62. *)
+let bucket_count = linear_max + ((62 - 6) * sub_buckets)
 
+(* A histogram stores only the span of bucket indices its samples have
+   reached: [counts.(i)] is bucket [lo + i]. It starts with no storage and
+   grows by doubling towards each sample that falls outside, so a
+   histogram whose samples stay within one octave holds a few dozen
+   words, not all [bucket_count]. *)
 type histogram = {
   mutable h_count : int;
   mutable h_sum : int;
   mutable h_min : int;
   mutable h_max : int;
-  buckets : int array;
+  mutable lo : int;
+  mutable counts : int array;
 }
 
 let bit_length v =
   let rec go v acc = if v = 0 then acc else go (v lsr 1) (acc + 1) in
   go v 0
 
+(* [base / sub_buckets] is exact ([base] ≥ 64), and dividing by it cannot
+   wrap the way [(v - base) * sub_buckets] does for bit lengths ≥ 59. *)
 let bucket_index v =
   if v < linear_max then v
   else begin
     let k = bit_length v in
     let base = 1 lsl (k - 1) in
-    let sub = (v - base) * sub_buckets / base in
+    let sub = (v - base) / (base / sub_buckets) in
     linear_max + ((k - 7) * sub_buckets) + sub
   end
 
@@ -40,15 +49,28 @@ let bucket_upper idx =
     let octave = (idx - linear_max) / sub_buckets in
     let sub = (idx - linear_max) mod sub_buckets in
     let base = 1 lsl (octave + 6) in
-    base + ((sub + 1) * base / sub_buckets) - 1
+    base + ((sub + 1) * (base / sub_buckets)) - 1
   end
 
 module Histogram = struct
   type t = histogram
 
   let create () =
-    { h_count = 0; h_sum = 0; h_min = max_int; h_max = min_int;
-      buckets = Array.make bucket_count 0 }
+    { h_count = 0; h_sum = 0; h_min = max_int; h_max = min_int; lo = 0; counts = [||] }
+
+  (* Widen the span to take [idx]: at least double it, towards [idx],
+     within [0, bucket_count). *)
+  let grow h idx =
+    let len = Array.length h.counts in
+    let first = if len = 0 then idx else min h.lo idx in
+    let last = if len = 0 then idx else max (h.lo + len - 1) idx in
+    let size = min bucket_count (max (last - first + 1) (2 * len)) in
+    let lo = if idx < h.lo then last + 1 - size else first in
+    let lo = max 0 (min lo (bucket_count - size)) in
+    let counts = Array.make size 0 in
+    if len > 0 then Array.blit h.counts 0 counts (h.lo - lo) len;
+    h.lo <- lo;
+    h.counts <- counts
 
   let observe h v =
     let v = max 0 v in
@@ -57,7 +79,12 @@ module Histogram = struct
     if v < h.h_min then h.h_min <- v;
     if v > h.h_max then h.h_max <- v;
     let idx = bucket_index v in
-    h.buckets.(idx) <- h.buckets.(idx) + 1
+    let i = idx - h.lo in
+    (* [i] is in [0, length) exactly when neither [i] nor [length - 1 - i]
+       is negative: one test. *)
+    if i lor (Array.length h.counts - 1 - i) < 0 then grow h idx;
+    let i = idx - h.lo in
+    h.counts.(i) <- h.counts.(i) + 1
 
   let count h = h.h_count
   let sum h = h.h_sum
@@ -76,12 +103,14 @@ module Histogram = struct
       else begin
         let rank = int_of_float (ceil (p /. 100.0 *. float_of_int h.h_count)) in
         let rank = max 1 (min h.h_count rank) in
-        let rec walk idx cum =
-          if idx >= bucket_count then max_value h
+        (* Buckets outside the span are empty: walk the span only. *)
+        let n = Array.length h.counts in
+        let rec walk i cum =
+          if i >= n then max_value h
           else begin
-            let cum = cum + h.buckets.(idx) in
-            if cum >= rank then min (max (bucket_upper idx) h.h_min) h.h_max
-            else walk (idx + 1) cum
+            let cum = cum + h.counts.(i) in
+            if cum >= rank then min (max (bucket_upper (h.lo + i)) h.h_min) h.h_max
+            else walk (i + 1) cum
           end
         in
         walk 0 0
@@ -126,8 +155,7 @@ let counter t name =
    never touches stays absent from its exports. *)
 let no_ref = ref 0
 
-let no_histogram =
-  { h_count = 0; h_sum = 0; h_min = max_int; h_max = min_int; buckets = [||] }
+let no_histogram = Histogram.create ()
 
 type counter_slot = { c_metrics : t; c_name : string; mutable c_ref : int ref }
 

@@ -6,8 +6,10 @@
 
     Histograms store exact unit buckets for values below 64 and 32
     sub-buckets per power-of-two octave above (≤ ~3% relative error on
-    percentiles), with exact count/sum/min/max: memory is O(buckets),
-    not O(samples). *)
+    percentiles), with exact count/sum/min/max. A histogram holds only
+    the span of buckets its samples have reached (none before the first
+    sample; at most 64 words for samples within one octave), not all
+    1,856 and not O(samples). *)
 
 type t
 type histogram
@@ -29,7 +31,7 @@ val counter_cell : t -> string -> int ref
 (** Slots: a name bound once, its cell resolved at the first bump or
     sample. A slot that is never used adds nothing to the registry, so
     it exports exactly what the string-keyed call would have, and a
-    histogram (1,888 words) exists only where something is sampled. *)
+    histogram record exists only where something is sampled. *)
 
 type counter_slot
 

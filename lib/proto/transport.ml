@@ -1074,24 +1074,29 @@ let attach_nic t =
 
 (* ---- creation ----------------------------------------------------------- *)
 
+(* The per-kind counter names, indexed by [Wire.kind] - 1: built once per
+   process, and shared as keys by every node's registry. *)
+let kind_names prefix =
+  Array.of_list (List.map (fun p -> prefix ^ Event.pkt_name p) Event.pkts)
+
+let sent_names = kind_names "pkt.sent."
+let recv_names = kind_names "pkt.recv."
+
 let create ~engine ~bus ~mid ~cost ~recorder =
   (* One medium, one window: receive-side classification derives its
      sequence arithmetic from the LOCAL window, which is only sound if
      every station agrees. *)
   Bus.claim_seq_window bus ~window:(Cost.transport_window cost);
   let stats = Metrics.create () in
-  let by_kind prefix =
-    Array.of_list
-      (List.map (fun p -> Metrics.counter_cell stats (prefix ^ Event.pkt_name p)) Event.pkts)
-  in
+  let by_kind names = Array.map (Metrics.counter_cell stats) names in
   let hot =
     {
       c_sent_total = Metrics.counter_cell stats "pkt.sent.total";
       c_recv_total = Metrics.counter_cell stats "pkt.recv.total";
       c_standalone_acks = Metrics.counter_cell stats "pkt.standalone_acks";
       c_duplicates = Metrics.counter_cell stats "pkt.duplicates";
-      sent_by_kind = by_kind "pkt.sent.";
-      recv_by_kind = by_kind "pkt.recv.";
+      sent_by_kind = by_kind sent_names;
+      recv_by_kind = by_kind recv_names;
       t_transmission = Metrics.counter_cell stats (Cost.label Cost.Transmission);
       t_protocol = Metrics.counter_cell stats (Cost.label Cost.Protocol);
       t_conn_timer = Metrics.counter_cell stats (Cost.label Cost.Conn_timer);

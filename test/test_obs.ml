@@ -124,6 +124,145 @@ let test_histogram_negative_clamps () =
   Alcotest.(check int) "clamped to 0" 0 (Metrics.Histogram.max_value h);
   Alcotest.(check int) "count" 1 (Metrics.Histogram.count h)
 
+(* Samples of bit length ≥ 59 wrapped the sub-bucket product and fell
+   into the top octave's first sub-bucket, so every percentile read about
+   2^61 + 2^56. Each must land within one sub-bucket (1/32) of itself. *)
+let test_histogram_huge_samples () =
+  let h = Metrics.Histogram.create () in
+  let three_2_60 = 3 * (1 lsl 60) in
+  List.iter (Metrics.Histogram.observe h) [ (1 lsl 61) + 1; three_2_60; max_int ];
+  let within what target p =
+    let got = Metrics.Histogram.percentile h p in
+    Alcotest.(check bool)
+      (Printf.sprintf "p%g within 1/32 of %s (got %d)" p what got)
+      true
+      (abs (got - target) <= target / 32)
+  in
+  within "2^61" (1 lsl 61) 33.0;
+  within "3*2^60" three_2_60 50.0;
+  within "3*2^60" three_2_60 66.6;
+  within "max_int" max_int 99.0;
+  Alcotest.(check int) "p100 is the max" max_int (Metrics.Histogram.percentile h 100.0)
+
+(* The reference keeps every bucket and takes the sub-bucket in its
+   multiplication form, exact below 2^57: a histogram that keeps only the
+   span its samples reach must read the same for every sample drawn. *)
+module Ref_histogram = struct
+  let bucket_count = 64 + ((62 - 6) * 32)
+
+  let bucket_index v =
+    if v < 64 then v
+    else begin
+      let k = ref 0 in
+      while v lsr !k > 0 do
+        incr k
+      done;
+      let base = 1 lsl (!k - 1) in
+      64 + ((!k - 7) * 32) + ((v - base) * 32 / base)
+    end
+
+  let bucket_upper idx =
+    if idx < 64 then idx
+    else begin
+      let base = 1 lsl (((idx - 64) / 32) + 6) in
+      base + (((idx - 64) mod 32) + 1) * base / 32 - 1
+    end
+
+  type t = { mutable samples : int list; buckets : int array }
+
+  let create () = { samples = []; buckets = Array.make bucket_count 0 }
+
+  let observe h v =
+    let v = max 0 v in
+    h.samples <- v :: h.samples;
+    let i = bucket_index v in
+    h.buckets.(i) <- h.buckets.(i) + 1
+
+  let count h = List.length h.samples
+  let sum h = List.fold_left ( + ) 0 h.samples
+  let min_value h = List.fold_left min max_int h.samples
+  let max_value h = List.fold_left max 0 h.samples
+
+  let percentile h p =
+    let n = count h in
+    if n = 0 then 0
+    else if p <= 0.0 then min_value h
+    else if p >= 100.0 then max_value h
+    else begin
+      let rank = max 1 (min n (int_of_float (ceil (p /. 100.0 *. float_of_int n)))) in
+      let rec walk i cum =
+        let cum = cum + h.buckets.(i) in
+        if cum >= rank then min (max (bucket_upper i) (min_value h)) (max_value h)
+        else walk (i + 1) cum
+      in
+      walk 0 0
+    end
+end
+
+(* Sample lists that make the span grow both ways: 0, negatives (clamped
+   to 0), small exact values, single octaves up to 2^40, and runs sorted
+   down then up. *)
+let prop_histogram_matches_full_buckets =
+  let open QCheck.Gen in
+  let octave = int_range 7 41 >>= fun k -> int_range (1 lsl (k - 1)) ((1 lsl k) - 1) in
+  let sample =
+    frequency
+      [ (1, return 0); (1, int_range (-1_000) (-1)); (3, int_range 1 63); (4, octave) ]
+  in
+  let one_octave =
+    int_range 7 41 >>= fun k -> list_size (int_range 1 100) (int_range (1 lsl (k - 1)) ((1 lsl k) - 1))
+  in
+  let down_then_up =
+    map2
+      (fun a b -> List.sort (fun x y -> compare y x) a @ List.sort compare b)
+      (list_size (int_range 0 60) sample)
+      (list_size (int_range 0 60) sample)
+  in
+  let samples =
+    frequency
+      [ (3, list_size (int_range 0 200) sample); (1, one_octave); (2, down_then_up) ]
+  in
+  let ps = [ 0.0; 0.1; 1.0; 50.0; 90.0; 99.0; 99.9; 100.0 ] in
+  QCheck.Test.make ~name:"histogram reads as one that keeps every bucket" ~count:500
+    (QCheck.make ~print:QCheck.Print.(list int) samples)
+    (fun samples ->
+      let h = Metrics.Histogram.create () and r = Ref_histogram.create () in
+      List.iter
+        (fun v ->
+          Metrics.Histogram.observe h v;
+          Ref_histogram.observe r v)
+        samples;
+      let n = Ref_histogram.count r in
+      Metrics.Histogram.count h = n
+      && Metrics.Histogram.sum h = Ref_histogram.sum r
+      && Metrics.Histogram.min_value h = (if n = 0 then 0 else Ref_histogram.min_value r)
+      && Metrics.Histogram.max_value h = Ref_histogram.max_value r
+      && Metrics.Histogram.mean h
+         = (if n = 0 then 0.0 else float_of_int (Ref_histogram.sum r) /. float_of_int n)
+      && List.for_all
+           (fun p -> Metrics.Histogram.percentile h p = Ref_histogram.percentile r p)
+           ps)
+
+(* A histogram holds the buckets its samples reach and nothing more: none
+   before the first sample, and a span of at most twice one octave's 32
+   buckets when every sample falls in one octave. *)
+let test_histogram_memory () =
+  let empty = Metrics.Histogram.create () in
+  (* Everything but the record and its bucket array's header. *)
+  let bucket_words h = Obj.reachable_words (Obj.repr h) - (1 + Obj.size (Obj.repr empty)) - 1 in
+  Alcotest.(check int) "an empty histogram holds no bucket" 0 (bucket_words empty);
+  let h = Metrics.Histogram.create () in
+  (* The middle of the octave first, then down to its bottom and up to its
+     top: growth in both directions. *)
+  List.iter (Metrics.Histogram.observe h) [ 1536; 1200; 1024; 1800; 2047 ];
+  for v = 1024 to 2047 do
+    Metrics.Histogram.observe h v
+  done;
+  let buckets = bucket_words h in
+  Alcotest.(check bool)
+    (Printf.sprintf "one octave holds at most 64 bucket words (holds %d)" buckets)
+    true (buckets <= 2 * 32)
+
 (* ---- recorder ------------------------------------------------------------ *)
 
 let test_recorder_enable_disable () =
@@ -436,6 +575,10 @@ let suites =
           test_histogram_large_values_bounded_error;
         Alcotest.test_case "histogram clamps negatives" `Quick
           test_histogram_negative_clamps;
+        Alcotest.test_case "histogram huge samples" `Quick test_histogram_huge_samples;
+        Helpers.qcheck prop_histogram_matches_full_buckets;
+        Alcotest.test_case "histogram holds only the buckets it reaches" `Quick
+          test_histogram_memory;
       ] );
     ( "obs.recorder",
       [ Alcotest.test_case "enable/disable" `Quick test_recorder_enable_disable ] );

@@ -320,6 +320,31 @@ let test_replay_n64 () =
   Alcotest.(check (list (pair string int))) "tag breakdown identical" tags_a tags_b;
   Alcotest.(check bool) "full result identical" true (res_a = res_b)
 
+(* ---- memory: a node keeps only what it uses ------------------------------ *)
+
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+(* A fresh node (kernel, transport, NIC, no client) retains 934 words
+   with the network's shared engine and bus spread over its 64 nodes.
+   The bound leaves 5% headroom: the smallest waste it must catch, the
+   bus's two histograms made with every bucket at creation, costs 59
+   words a node (6%). A 256-slot pattern table made in associative mode
+   costs 257, the 26 per-kind counter names built per node about 80. *)
+let fresh_node_words = 980
+
+let test_fresh_network_memory () =
+  let before = live_words () in
+  let net = Helpers.make_net 64 in
+  let per_node = (live_words () - before) / 64 in
+  ignore (Sys.opaque_identity net);
+  Alcotest.(check bool)
+    (Printf.sprintf "a fresh node retains at most %d words (retains %d)" fresh_node_words
+       per_node)
+    true
+    (per_node <= fresh_node_words)
+
 let suites =
   [
     ( "scale.wire",
@@ -348,4 +373,6 @@ let suites =
       [ Helpers.qcheck prop_heap_soa_accessors ] );
     ( "scale.replay",
       [ Alcotest.test_case "open-loop N=64 deterministic replay" `Quick test_replay_n64 ] );
+    ( "scale.memory",
+      [ Alcotest.test_case "a fresh 64-node network" `Quick test_fresh_network_memory ] );
   ]

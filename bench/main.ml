@@ -687,6 +687,9 @@ let store_section () =
    - the n=256 row (2 clients x 2 ops) completes every operation. Its
      FORWARDs per broadcast are reported, not gated: a few transfers
      there still draw crash verdicts and are retried.
+   Each row also records [retakes_refused], the REQUEST copies a server
+   acked without taking twice (a record that expired under a late
+   retransmission); the committed record pins it.
    The safety checkers also run on every row; a violation fails the
    section outright, as does any failed client operation. *)
 
@@ -701,6 +704,7 @@ type scd_row = {
   forwards : int;
   bus_frames : int;
   probe_lost : int;
+  retakes_refused : int;
   ops_per_sec : float;
   lat_ms : float;
 }
@@ -718,6 +722,13 @@ let scd_row ~n ~clients ~ops ~mean_interarrival_us =
    | Ok () -> ()
    | Error m -> Printf.printf "    SCD SAFETY VIOLATION (n=%d): %s\n" n m; exit 1);
   let m = Recorder.metrics (Network.recorder r.Harness.net) in
+  let sum_nodes name =
+    List.fold_left
+      (fun acc mid ->
+        acc + Metrics.counter (Soda_core.Kernel.stats (Network.node r.Harness.net ~mid)) name)
+      0
+      (List.init (n + clients) Fun.id)
+  in
   let completed = List.length r.Harness.history in
   let span_us =
     List.fold_left
@@ -744,13 +755,8 @@ let scd_row ~n ~clients ~ops ~mean_interarrival_us =
     broadcasts = Metrics.counter m "scd.broadcasts";
     forwards = Metrics.counter m "scd.forwards";
     bus_frames = Metrics.counter (Soda_net.Bus.stats (Network.bus r.Harness.net)) "bus.frames_sent";
-    probe_lost =
-      List.fold_left
-        (fun acc mid ->
-          acc
-          + Metrics.counter (Soda_core.Kernel.stats (Network.node r.Harness.net ~mid)) "probe.lost")
-        0
-        (List.init (n + clients) Fun.id);
+    probe_lost = sum_nodes "probe.lost";
+    retakes_refused = sum_nodes "req.retake_refused";
     ops_per_sec = float_of_int completed /. (float_of_int span_us /. 1e6);
     lat_ms = float_of_int lat_sum /. float_of_int (max lat_n 1) /. 1000.0;
   }
@@ -807,6 +813,7 @@ let scd_section () =
           ("mean_interarrival_us", Int mean) ],
       [ count "client_ops" "ops" r.completed; count "broadcasts" "msgs" r.broadcasts;
         count "forwards" "msgs" r.forwards; count "probe_lost" "verdicts" r.probe_lost;
+        count "retakes_refused" "copies" r.retakes_refused;
         figure 1 "forwards_per_op" "msgs/op" (per_op r r.forwards);
         figure 1 "frames_per_op" "frames/op" (per_op r r.bus_frames);
         figure 3 "goodput_ops_s" "ops/s" r.ops_per_sec;

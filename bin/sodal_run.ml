@@ -159,6 +159,17 @@ let run_scd ~seed ~seconds ~trace ~metrics ~metrics_json ~fault_plan ~n ~clients
         if backlog > 0 || held > 0 then
           Printf.printf "-- scd: member %d holds %d FORWARD(s), backlog %d\n" i held backlog)
       r.Harness.members;
+    (* a stamp a member never took: a gap at the end of a forwarder's
+       stream leaves nothing held behind it and no backlog *)
+    Array.iteri
+      (fun i m ->
+        Array.iteri
+          (fun j peer ->
+            let lacks = Soda_scd.Scd.clock peer - Soda_scd.Scd.next_stamp m j in
+            if j <> i && lacks > 0 then
+              Printf.printf "-- scd: member %d lacks %d stamp(s) of member %d\n" i lacks j)
+          r.Harness.members)
+      r.Harness.members;
     let report name = function
       | Ok () ->
         Printf.printf "-- scd: %s OK\n" name;

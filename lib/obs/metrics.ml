@@ -19,7 +19,8 @@ let bucket_count = linear_max + ((62 - 6) * sub_buckets)
    words, not all [bucket_count]. *)
 type histogram = {
   mutable h_count : int;
-  mutable h_sum : int;
+  mutable h_sum : int;  (* the total's low 62 bits *)
+  mutable h_carry : int;  (* and its carries: the total is h_carry·2^62 + h_sum *)
   mutable h_min : int;
   mutable h_max : int;
   mutable lo : int;
@@ -56,7 +57,8 @@ module Histogram = struct
   type t = histogram
 
   let create () =
-    { h_count = 0; h_sum = 0; h_min = max_int; h_max = min_int; lo = 0; counts = [||] }
+    { h_count = 0; h_sum = 0; h_carry = 0; h_min = max_int; h_max = min_int; lo = 0;
+      counts = [||] }
 
   (* Widen the span to take [idx]: at least double it, towards [idx],
      within [0, bucket_count). *)
@@ -75,7 +77,11 @@ module Histogram = struct
   let observe h v =
     let v = max 0 v in
     h.h_count <- h.h_count + 1;
-    h.h_sum <- h.h_sum + v;
+    (* Both terms are below 2^62, so their sum wraps at most once, into
+       the sign bit: carry it out. *)
+    let s = h.h_sum + v in
+    h.h_carry <- h.h_carry + (s lsr 62);
+    h.h_sum <- s land max_int;
     if v < h.h_min then h.h_min <- v;
     if v > h.h_max then h.h_max <- v;
     let idx = bucket_index v in
@@ -87,12 +93,19 @@ module Histogram = struct
     h.counts.(i) <- h.counts.(i) + 1
 
   let count h = h.h_count
-  let sum h = h.h_sum
+  let sum h = if h.h_carry = 0 then h.h_sum else max_int
   let min_value h = if h.h_count = 0 then 0 else h.h_min
   let max_value h = if h.h_count = 0 then 0 else h.h_max
 
+  (* From the exact total, clamped against the rounding of a total past
+     2^53, so that min ≤ mean ≤ max. *)
   let mean h =
-    if h.h_count = 0 then 0.0 else float_of_int h.h_sum /. float_of_int h.h_count
+    if h.h_count = 0 then 0.0
+    else begin
+      let total = Float.ldexp (float_of_int h.h_carry) 62 +. float_of_int h.h_sum in
+      let m = total /. float_of_int h.h_count in
+      Float.min (float_of_int h.h_max) (Float.max (float_of_int h.h_min) m)
+    end
 
   let percentile h p =
     if h.h_count = 0 then 0

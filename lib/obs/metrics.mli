@@ -6,7 +6,9 @@
 
     Histograms store exact unit buckets for values below 64 and 32
     sub-buckets per power-of-two octave above (≤ ~3% relative error on
-    percentiles), with exact count/sum/min/max. A histogram holds only
+    percentiles), with exact count/min/max and an exact total: [sum]
+    reads it, saturating at [max_int] when it does not fit an int, and
+    [mean] divides it, so min ≤ mean ≤ max. A histogram holds only
     the span of buckets its samples have reached (none before the first
     sample; at most 64 words for samples within one octave), not all
     1,856 and not O(samples). *)
@@ -70,7 +72,10 @@ module Histogram : sig
   val create : unit -> t
   val observe : t -> int -> unit
   val count : t -> int
+
+  (** The total; [max_int] when it does not fit. *)
   val sum : t -> int
+
   val min_value : t -> int
   val max_value : t -> int
   val mean : t -> float

@@ -31,12 +31,17 @@ let none =
 
 (* Keyed by (requester, tid): 16 + 48 bits on the wire, one more than an
    int holds, so a record is its own key, compared field by field. A
-   lookup fills the table's one [probe] record instead of building one. *)
+   lookup fills the table's one [probe] record instead of building one.
+   The hash is a multiply and a fold, with no call into the runtime: every
+   REQUEST offered to the kernel looks its key up first. *)
 module Tbl = Hashtbl.Make (struct
   type t = txn
 
   let equal a b = a.src = b.src && a.tid = b.tid
-  let hash k = Hashtbl.hash ((k.src lsl 48) lxor k.tid)
+
+  let hash k =
+    let h = ((k.src lsl 48) lxor k.tid) * 0x9E3779B97F4A7C1 in
+    h lxor (h lsr 32)
 end)
 
 type t = { txns : txn Tbl.t; probe : txn; mutable buffered : txn }
@@ -49,18 +54,25 @@ let find t ~src ~tid =
   t.probe.tid <- tid;
   match Tbl.find t.txns t.probe with txn -> txn | exception Not_found -> none
 
+(* [mem], not [find]: a miss, the usual answer, raises nothing. *)
+let holds t ~src ~tid =
+  t.probe.src <- src;
+  t.probe.tid <- tid;
+  Tbl.mem t.txns t.probe
+
 let add t ~src ~tid ~pattern ~arg ~put_size ~get_size ~data ~retry ~buffered =
+  if holds t ~src ~tid then invalid_arg "Server_txn.add: a second take";
   let data = if retry || put_size = 0 then Bytes.empty else data in
   let txn = make ~src ~tid ~pattern ~arg ~put_size ~get_size ~data Delivered in
   if buffered then t.buffered <- txn;
-  Tbl.replace t.txns txn txn
+  Tbl.add t.txns txn txn
 
 let buffered t = t.buffered
 let free_buffer t = t.buffered <- none
 
 let withdraw_buffered t =
   let txn = t.buffered in
-  if txn.state = Delivered && find t ~src:txn.src ~tid:txn.tid == txn then Tbl.remove t.txns txn;
+  if txn.state = Delivered then Tbl.remove t.txns txn;
   free_buffer t
 
 type cancel = Cancelled_now | Gone | Refused

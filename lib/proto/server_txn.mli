@@ -1,6 +1,8 @@
 (** The server half of SODA transactions (§3.3.2): one record per
-    REQUEST the kernel took, keyed by (requester mid, tid), from the take
-    until one record lifetime after the transaction ends.
+    REQUEST the kernel took, from the take until one record lifetime
+    after the transaction ends. Its requester signature, (requester mid,
+    tid), is its only identity: the key it is found by, and never taken
+    twice while its record is held.
 
     A REQUEST is handed to the handler at once, or waits in the node's
     one pipelined input buffer (§5.2.3) until the handler frees up; the
@@ -66,28 +68,32 @@ val none : txn
 
 val find : t -> src:int -> tid:int -> txn
 
+(** A record of (src, tid) is held, in whatever state: (requester, tid)
+    names one transaction, so a second take of it is refused. A copy of
+    the REQUEST that reaches the kernel again (a retransmission read as
+    new once the connection record expired) is asked this first. *)
+val holds : t -> src:int -> tid:int -> bool
+
 (** [add t ~src ~tid ... ~buffered] records a REQUEST the kernel took:
     handed to the handler, or with [buffered] into the input buffer,
     which must be free. [data] is the REQUEST's put data, kept unless it
-    is a [retry]. Replaces any record of the same (src, tid): a sender
-    that reused the tid's sequence number brings a second copy. *)
+    is a [retry]. A second take of a held (src, tid) raises
+    [Invalid_argument]: ask [holds] first. *)
 val add :
   t -> src:int -> tid:int -> pattern:Soda_base.Pattern.t -> arg:int -> put_size:int ->
   get_size:int -> data:bytes -> retry:bool -> buffered:bool -> unit
 
 (** The transaction in the input buffer, or [none] when it is free. It
     stays there, in whatever state, until [free_buffer], [withdraw_buffered]
-    or a granted [cancel]: an ACCEPT of it (by a signature from an earlier
-    copy) does not take it out, and the handler is offered it all the
-    same. *)
+    or a granted [cancel]: an ACCEPT of it does not take it out, and the
+    handler is offered it all the same. *)
 val buffered : t -> txn
 
 (** The handler took the buffered transaction: the buffer is free. *)
 val free_buffer : t -> unit
 
 (** The buffered transaction's pattern is no longer advertised: it is
-    forgotten, unless it was accepted or its record replaced meanwhile,
-    and the buffer is free. *)
+    forgotten, unless it was accepted meanwhile, and the buffer is free. *)
 val withdraw_buffered : t -> unit
 
 type cancel =

@@ -103,8 +103,10 @@ type t = {
      replays are dropped *)
   discover_line : (Cli.discovery, unit) Delay_line.t;
   answer_line : (int, bool) Delay_line.t;
-  (* the outcome of every REQUEST send, made once *)
+  (* the outcome of every REQUEST send and of every ACCEPT of a record,
+     made once *)
   request_sent : int -> int -> Window.outcome -> unit;
+  accept_sent : int -> int -> Window.outcome -> unit;
   (* Causal identity per live transaction: the requester registers the
      minted context at trap time, the server adopts a child span at
      first sight of a context-carrying packet. Keyed by tid (globally
@@ -144,6 +146,7 @@ and hot_cells = {
   t_retrans_timer : int ref;
   req_submitted : Metrics.counter_slot;
   req_delivered : Metrics.counter_slot;
+  retake_refused : Metrics.counter_slot;
   req_latency_us : Metrics.histogram_slot;
   no_sync_dropped : Metrics.counter_slot;
   records_created : Metrics.counter_slot;
@@ -621,8 +624,10 @@ let accept_blind t ~requester_mid ~requester_tid ~arg ~on_done =
       | Out_timeout -> on_done (Acc_crashed Bytes.empty)
       | Out_cancel_reply _ -> ())
 
-(* How the ACCEPT's own send ended. *)
-let accept_sent t (txn : Srv.txn) (outcome : Window.outcome) =
+(* How the ACCEPT's own send ended. Its record is found by its key: it
+   is held until the send is resolved, and never replaced. *)
+let accept_sent t peer tid (outcome : Window.outcome) =
+  let txn = Srv.find t.srv ~src:peer ~tid in
   match outcome with
   | Out_acked ->
     accept_resolved t txn;
@@ -636,16 +641,13 @@ let accept_sent t (txn : Srv.txn) (outcome : Window.outcome) =
   | Out_cancel_reply _ -> ()
 
 (* The put data has reached the client: an ACCEPT waiting for it goes
-   out. Its outcome keeps the record, not a lookup: a second copy of the
-   REQUEST may have put a newer record under the same (requester, tid)
-   meanwhile. *)
+   out. *)
 let srv_copied t =
   let l = t.srv_copy_line in
   let txn = Delay_line.head_a l and send = Delay_line.head_n l = 1 and body = Delay_line.head_b l in
   Delay_line.next l Delay_line.always;
   if send then
-    send_reliable t ~peer:txn.src ~kind:K_accept ~tid:txn.tid body
-      ~on_done:(fun _ _ outcome -> accept_sent t txn outcome);
+    send_reliable t ~peer:txn.src ~kind:K_accept ~tid:txn.tid body ~on_done:t.accept_sent;
   accept_check_done t txn
 
 let accept t ~requester_mid ~requester_tid ~arg ~get_capacity ~data_out ~on_done =
@@ -854,10 +856,17 @@ let busy_nack t conn pkt ~resync tid =
 (* Offer an in-order REQUEST to the kernel; false when it is held (windowed
    pipelined kernels only): the slot stays unconsumed and the packet stays
    stashed at the head of the receive window, data intact, until the input
-   buffer frees. *)
+   buffer frees. A copy of a transaction we still hold a record of (its
+   connection record expired and a late retransmission started a new one)
+   is not offered: it is consumed and acked, and the transaction goes on
+   as it was. *)
 let offer_request t conn pkt ~resync =
   let src = pkt.Wire.src in
   match pkt.Wire.body with
+  | Wire.Request { tid; _ } when Srv.holds t.srv ~src ~tid ->
+    consume_in_order t conn ~resync pkt;
+    Metrics.bump t.hot.retake_refused;
+    true
   | Wire.Request { tid; pattern; arg; put_size; get_size; data; retry } ->
     (match (callbacks t).deliver_request ~src ~tid ~pattern ~arg ~put_size ~get_size with
      | `Unadvertised ->
@@ -1103,6 +1112,7 @@ let create ~engine ~bus ~mid ~cost ~recorder =
       t_retrans_timer = Metrics.counter_cell stats (Cost.label Cost.Retrans_timer);
       req_submitted = Metrics.counter_slot stats "req.submitted";
       req_delivered = Metrics.counter_slot stats "req.delivered";
+      retake_refused = Metrics.counter_slot stats "req.retake_refused";
       req_latency_us = Metrics.histogram_slot stats "req.latency_us";
       no_sync_dropped = Metrics.counter_slot stats "pkt.no_sync_dropped";
       records_created = Metrics.counter_slot stats "deltat.records_created";
@@ -1157,6 +1167,7 @@ let create ~engine ~bus ~mid ~cost ~recorder =
       discover_line = line ~delay:cost.Cost.discover_window_us ~fill_a:Cli.no_discovery ~fill_b:();
       answer_line = line ~delay:0 ~fill_a:0 ~fill_b:false;
       request_sent = (fun peer tid outcome -> request_sent t peer tid outcome);
+      accept_sent = (fun peer tid outcome -> accept_sent t peer tid outcome);
       tid_causal = Hashtbl.create 16;
       hot;
     }

@@ -82,7 +82,11 @@ type callbacks = {
     get_size:int ->
     delivery_decision;
       (** Consulted when a REQUEST could be handed to the client. On
-          [`Deliver] the kernel must schedule the handler invocation. *)
+          [`Deliver] the kernel must schedule the handler invocation.
+          Never consulted for a (src, tid) the server still holds a
+          record of: a second copy is acked and counted
+          ([req.retake_refused]), so each transaction reaches the kernel
+          at most once per incarnation. *)
   complete_request : tid:int -> completion -> unit;
       (** A request issued from this node finished. *)
   advertised : Soda_base.Pattern.t -> bool;  (** DISCOVER screening *)
@@ -124,10 +128,12 @@ val submit_request :
     collection window. *)
 val submit_discover : t -> tid:int -> pattern:Soda_base.Pattern.t -> max_mids:int -> unit
 
-(** Server side: complete a request. [get_capacity] is the server's
-    receive-buffer size for the requester's put data; [data_out] is the
-    data sent back (truncated to the requester's get buffer). [on_done]
-    fires when the data exchange is complete (bounded time). *)
+(** Server side: complete a request, named by its requester signature
+    (the one transaction of that (mid, tid), or none: a blind ACCEPT).
+    [get_capacity] is the server's receive-buffer size for the
+    requester's put data; [data_out] is the data sent back (truncated to
+    the requester's get buffer). [on_done] fires when the data exchange
+    is complete (bounded time). *)
 val accept :
   t -> requester_mid:int -> requester_tid:int -> arg:int ->
   get_capacity:int -> data_out:bytes -> on_done:(accept_outcome -> unit) -> unit

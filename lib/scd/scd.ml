@@ -289,6 +289,8 @@ let counter_value m = m.counter
 let broadcast_sns m = List.rev m.bcast_sns
 let retry_depth m = Array.fold_left (fun acc ch -> acc + m.out_hi - ch.ch_head) 0 m.chans
 let held_forwards m = m.n_held
+let next_stamp m j = m.next_snf.(j)
+let clock m = m.clock
 
 let majority m = (m.n / 2) + 1
 

@@ -79,6 +79,15 @@ val retry_depth : member -> int
     until the gap fills (FIFO per forwarder). *)
 val held_forwards : member -> int
 
+(** [next_stamp m j]: the clock stamp of forwarder [j]'s next FORWARD
+    that [m] takes; it has taken every stamp of [j] below it. *)
+val next_stamp : member -> int -> int
+
+(** The member's own clock: the stamp its next FORWARD carries. Every
+    stamp below it was sent, so a peer [i] with [next_stamp i j < clock
+    j] lacks [clock j - next_stamp i j] of [j]'s stamps. *)
+val clock : member -> int
+
 (** {2 Hot path}
 
     The member's per-FORWARD steps, as its task runs them. They take the

@@ -144,6 +144,23 @@ let test_histogram_huge_samples () =
   within "max_int" max_int 99.0;
   Alcotest.(check int) "p100 is the max" max_int (Metrics.Histogram.percentile h 100.0)
 
+(* The same three samples total 9·2^60, past [max_int]: the total is kept
+   exactly, [sum] saturates, and the mean is the exact 3·2^60, between
+   the histogram's own min and max. *)
+let test_histogram_total_past_max_int () =
+  let h = Metrics.Histogram.create () in
+  let three_2_60 = 3 * (1 lsl 60) in
+  List.iter (Metrics.Histogram.observe h) [ (1 lsl 61) + 1; three_2_60; max_int ];
+  Alcotest.(check int) "sum saturates" max_int (Metrics.Histogram.sum h);
+  let mean = Metrics.Histogram.mean h in
+  Alcotest.(check (float 0.0)) "mean of the exact total" (float_of_int three_2_60) mean;
+  Alcotest.(check bool) "min <= mean <= max" true
+    (float_of_int (Metrics.Histogram.min_value h) <= mean
+    && mean <= float_of_int (Metrics.Histogram.max_value h));
+  let small = Metrics.Histogram.create () in
+  List.iter (Metrics.Histogram.observe small) [ 3; 4; 1_000_000 ];
+  Alcotest.(check int) "a total that fits is exact" 1_000_007 (Metrics.Histogram.sum small)
+
 (* The reference keeps every bucket and takes the sub-bucket in its
    multiplication form, exact below 2^57: a histogram that keeps only the
    span its samples reach must read the same for every sample drawn. *)
@@ -576,6 +593,8 @@ let suites =
         Alcotest.test_case "histogram clamps negatives" `Quick
           test_histogram_negative_clamps;
         Alcotest.test_case "histogram huge samples" `Quick test_histogram_huge_samples;
+        Alcotest.test_case "histogram total past max_int" `Quick
+          test_histogram_total_past_max_int;
         Helpers.qcheck prop_histogram_matches_full_buckets;
         Alcotest.test_case "histogram holds only the buckets it reaches" `Quick
           test_histogram_memory;

@@ -903,6 +903,48 @@ let disagreements (r : Harness.result) =
          | Event.Rejected | Event.Unadvertised | Event.Discovered -> false)
        !completions)
 
+(* Transactions a server handed to its kernel more than once, from the
+   run's trace: (server, requester, tid) keys with two [Deliver]s. No
+   fault plan here reboots a node, so each server is one incarnation and
+   every key must be delivered at most once. *)
+let double_takes (r : Harness.result) =
+  let seen = Hashtbl.create 256 and twice = ref 0 in
+  List.iter
+    (fun (e : Event.t) ->
+      match e.kind with
+      | Event.Deliver { tid; src; _ } ->
+        let key = (e.mid, src, tid) in
+        if Hashtbl.mem seen key then incr twice else Hashtbl.replace seen key ()
+      | _ -> ())
+    (Recorder.events (Network.recorder r.net));
+  !twice
+
+(* Pinned scd.prop case: members 0 and 1 are cut off from the rest and
+   the cut heals. A member's connection record for a peer expired while
+   a transaction from that peer was still held, and a late retransmission
+   of its REQUEST then arrived as new: the server's kernel took it a
+   second time. The copy is now acked and counted instead. *)
+let test_pinned_second_take_25321 () =
+  let plan =
+    [
+      { Fault_plan.at_us = 144_097;
+        action = Fault_plan.Partition ([ 0; 1 ], [ 2; 3; 4; 5; 6; 7 ]) };
+      { Fault_plan.at_us = 665_669; action = Fault_plan.Heal };
+    ]
+  in
+  let r =
+    Harness.run ~n:5 ~clients:3 ~ops:8 ~regs:2 ~think_us:25_000 ~seed:25321 ~plan ~trace:true ()
+  in
+  assert_safe r;
+  Alcotest.(check int) "no REQUEST delivered to a kernel twice" 0 (double_takes r);
+  let refused =
+    List.fold_left
+      (fun acc mid ->
+        acc + Metrics.counter (Kernel.stats (Network.node r.net ~mid)) "req.retake_refused")
+      0 (List.init 8 Fun.id)
+  in
+  Alcotest.(check bool) "the copy was refused" true (refused > 0)
+
 let prop_scd ~n =
   QCheck.Test.make
     ~name:
@@ -917,6 +959,9 @@ let prop_scd ~n =
       if r.clients_done <> r.clients_total then
         QCheck.Test.fail_reportf "hang: %d/%d clients finished" r.clients_done
           r.clients_total;
+      (match double_takes r with
+       | 0 -> ()
+       | k -> QCheck.Test.fail_reportf "%d REQUEST(s) delivered to a kernel twice" k);
       if liveness_guaranteed s then
         List.iter
           (fun (o : Harness.op) ->
@@ -988,6 +1033,8 @@ let suites =
           test_pinned_partition_heal_82049;
         Alcotest.test_case "pinned: loss burst, seed 64369" `Quick test_pinned_burst_64369;
         Alcotest.test_case "pinned: loss burst, seed 69055" `Quick test_pinned_burst_69055;
+        Alcotest.test_case "pinned: a late REQUEST copy, seed 25321" `Quick
+          test_pinned_second_take_25321;
         Alcotest.test_case "delivery digest" `Quick test_delivery_digest;
       ] );
     ( "scd.alloc",

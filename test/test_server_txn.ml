@@ -47,10 +47,15 @@ let test_table () =
   let b = add s ~src:2 42 in
   Alcotest.(check bool) "both requesters kept apart" true
     (Srv.find s ~src:1 ~tid:42 == a && Srv.find s ~src:2 ~tid:42 == b);
-  let a' = add s ~src:1 42 in
-  Alcotest.(check bool) "a second copy replaces the record" true
-    (a' != a && Srv.find s ~src:1 ~tid:42 == a');
+  Alcotest.(check bool) "its key is held" true (Srv.holds s ~src:1 ~tid:42);
+  Alcotest.check_raises "a second take is refused"
+    (Invalid_argument "Server_txn.add: a second take") (fun () -> ignore (add s ~src:1 42));
+  Alcotest.(check bool) "and the first record stays" true (Srv.find s ~src:1 ~tid:42 == a);
+  ignore (accept a);
+  (Srv.finish a) Srv.Acc_cancelled;
+  Alcotest.(check bool) "in any state" true (Srv.holds s ~src:1 ~tid:42);
   Srv.remove s a;
+  Alcotest.(check bool) "until it is removed" false (Srv.holds s ~src:1 ~tid:42);
   Alcotest.(check bool) "removing compares by (requester, tid)" true
     (Srv.find s ~src:1 ~tid:42 == Srv.none && Srv.find s ~src:2 ~tid:42 == b);
   Srv.reset s;
@@ -82,12 +87,7 @@ let test_withdraw () =
   Alcotest.(check bool) "and stays in the buffer" true (Srv.buffered s == b);
   Srv.withdraw_buffered s;
   Alcotest.(check bool) "an accepted one is kept" true
-    (Srv.find s ~src:1 ~tid:2 == b && Srv.buffered s == Srv.none);
-  ignore (add s ~buffered:true ~src:1 3);
-  let c' = add s ~src:1 3 in
-  Srv.withdraw_buffered s;
-  Alcotest.(check bool) "so is the record that replaced it" true
-    (Srv.find s ~src:1 ~tid:3 == c' && Srv.buffered s == Srv.none)
+    (Srv.find s ~src:1 ~tid:2 == b && Srv.buffered s == Srv.none)
 
 let test_cancel () =
   let s = Srv.create () in

@@ -388,12 +388,12 @@ let scripted () =
   { engine; server; peer; busy; delivered; heard }
 
 (* The station sends one packet and the server has 10 ms to act on it. *)
-let send s ~reliable ~seq ~ack body =
-  Nic.send s.peer ~dst:0 (Wire.encode { Wire.src = 1; reliable; seq; ack; run = false; body });
+let send ?(run = false) s ~reliable ~seq ~ack body =
+  Nic.send s.peer ~dst:0 (Wire.encode { Wire.src = 1; reliable; seq; ack; run; body });
   ignore (Engine.run_for s.engine ~duration:10_000)
 
-let send_request s ~seq tid =
-  send s ~reliable:true ~seq ~ack:None
+let send_request ?run s ~seq tid =
+  send ?run s ~reliable:true ~seq ~ack:None
     (Wire.Request
        { tid; pattern = patt; arg = 0; put_size = 0; get_size = 0; data = Bytes.empty;
          retry = false })
@@ -440,6 +440,43 @@ let test_cancel_buffered () =
   Alcotest.(check bool) "the freed buffer takes the next REQUEST, no BUSY" false (heard_busy s);
   free_handler s;
   Alcotest.(check (list int)) "which the handler gets next" [ 103; 101 ] !(s.delivered)
+
+(* A copy of a REQUEST whose transaction the server still holds is not
+   taken again. The server's connection record for the requester expires
+   while txn 101 waits, handed to the handler and not accepted; the same
+   REQUEST then comes again, run-flagged as a requester's retransmission
+   after its own record expired would be (a fresh record drops an
+   unflagged body as No_sync). It is consumed and acked, counted, and
+   the handler, freed, is never offered it: the transaction reaches the
+   kernel once and its ACCEPT reports once. *)
+let test_second_take_refused () =
+  let s = scripted () in
+  send_request s ~seq:0 101;
+  Alcotest.(check (list int)) "the REQUEST reached the handler" [ 101 ] !(s.delivered);
+  ignore (Engine.run_for s.engine ~duration:(Cost.record_expiry_us Cost.default + 10_000));
+  Alcotest.(check int) "the connection record expired" 1
+    (Metrics.counter (Transport.stats s.server) "deltat.records_expired");
+  s.heard := [];
+  send_request ~run:true s ~seq:0 101;
+  free_handler s;
+  Alcotest.(check (list int)) "the copy never reaches the handler" [ 101 ] !(s.delivered);
+  Alcotest.(check bool) "the copy is acked" true
+    (List.exists (fun p -> p.Wire.ack = Some 0) !(s.heard));
+  Alcotest.(check int) "one second take refused" 1
+    (Metrics.counter (Transport.stats s.server) "req.retake_refused");
+  let reports = ref 0 in
+  Transport.accept s.server ~requester_mid:1 ~requester_tid:101 ~arg:0 ~get_capacity:0
+    ~data_out:Bytes.empty ~on_done:(fun _ -> incr reports);
+  ignore (Engine.run_for s.engine ~duration:10_000);
+  let seq =
+    List.find_map
+      (fun p ->
+        match p.Wire.body with Wire.Accept { tid = 101; _ } -> Some p.Wire.seq | _ -> None)
+      !(s.heard)
+  in
+  Alcotest.(check bool) "the ACCEPT went out" true (seq <> None);
+  send s ~reliable:false ~seq:0 ~ack:seq Wire.Ack;
+  Alcotest.(check int) "and reports once" 1 !reports
 
 (* A second CANCEL of a cancelled transaction (a new message, not a
    duplicate) is granted again; the transaction stays cancelled, so an
@@ -1431,6 +1468,7 @@ let suites =
         Alcotest.test_case "cancel after the accept" `Quick test_cancel_after_accept;
         Alcotest.test_case "second accept of one request" `Quick test_double_accept;
         Alcotest.test_case "acked blind accept" `Quick test_blind_accept_acked;
+        Alcotest.test_case "second take refused" `Quick test_second_take_refused;
       ] );
     ( "transport.client",
       [

@@ -689,7 +689,10 @@ let store_section () =
      there still draw crash verdicts and are retried.
    Each row also records [retakes_refused], the REQUEST copies a server
    acked without taking twice (a record that expired under a late
-   retransmission); the committed record pins it.
+   retransmission), and [stamps_missing], the FORWARD stamps members lack
+   of each other's at the end (a gap at the end of a forwarder's stream,
+   which no later FORWARD reveals); the committed record pins both, and
+   the n=8 and n=64 rows must miss no stamp.
    The safety checkers also run on every row; a violation fails the
    section outright, as does any failed client operation. *)
 
@@ -705,6 +708,7 @@ type scd_row = {
   bus_frames : int;
   probe_lost : int;
   retakes_refused : int;
+  stamps_missing : int;
   ops_per_sec : float;
   lat_ms : float;
 }
@@ -757,6 +761,7 @@ let scd_row ~n ~clients ~ops ~mean_interarrival_us =
     bus_frames = Metrics.counter (Soda_net.Bus.stats (Network.bus r.Harness.net)) "bus.frames_sent";
     probe_lost = sum_nodes "probe.lost";
     retakes_refused = sum_nodes "req.retake_refused";
+    stamps_missing = Harness.stamps_missing r;
     ops_per_sec = float_of_int completed /. (float_of_int span_us /. 1e6);
     lat_ms = float_of_int lat_sum /. float_of_int (max lat_n 1) /. 1000.0;
   }
@@ -790,6 +795,9 @@ let scd_section () =
       ( "quadratic_forwards",
         List.for_all (fun r -> r.n > 64 || r.forwards = r.broadcasts * bound r.n) rows,
         "n=8 and n=64 spend exactly n(n-1) FORWARD messages per broadcast" );
+      ( "no_stamp_missing",
+        List.for_all (fun r -> r.n > 64 || r.stamps_missing = 0) rows,
+        "n=8 and n=64 members took every stamp of every peer" );
       ( "n64_no_false_probe_verdicts",
         r64.probe_lost = 0,
         Printf.sprintf "n=64 requests completed CRASHED by a \"not alive\" probe: %d"
@@ -814,6 +822,7 @@ let scd_section () =
       [ count "client_ops" "ops" r.completed; count "broadcasts" "msgs" r.broadcasts;
         count "forwards" "msgs" r.forwards; count "probe_lost" "verdicts" r.probe_lost;
         count "retakes_refused" "copies" r.retakes_refused;
+        count "stamps_missing" "stamps" r.stamps_missing;
         figure 1 "forwards_per_op" "msgs/op" (per_op r r.forwards);
         figure 1 "frames_per_op" "frames/op" (per_op r r.bus_frames);
         figure 3 "goodput_ops_s" "ops/s" r.ops_per_sec;

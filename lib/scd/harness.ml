@@ -300,7 +300,7 @@ let check_objects r =
             end
             else begin
               if not (List.mem (reg, v) issued_writes) then
-                fail "c%d#%d snapshot: reg %d holds %d, never written there" op.client
+                fail "c%d#%d snapshot: reg %d reads %d, never written there" op.client
                   op.index reg v;
               match Hashtbl.find_opt by_ts ts with
               | Some (reg', v') when reg' <> reg || v' <> v ->
@@ -408,6 +408,17 @@ let check_convergence r =
       r.members;
     Ok ()
   with Violation msg -> Error msg
+
+let stamps_missing ?(live = fun _ -> true) r =
+  let lack = ref 0 in
+  Array.iteri
+    (fun i m ->
+      Array.iteri
+        (fun j peer ->
+          if i <> j && live i && live j then lack := !lack + Scd.clock peer - Scd.next_stamp m j)
+        r.members)
+    r.members;
+  !lack
 
 let pp_history ppf history =
   let pp_ts ppf (d, sd, sn) = Format.fprintf ppf "(%d,%d,%d)" d sd sn in

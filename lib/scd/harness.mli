@@ -89,4 +89,10 @@ val check_objects : result -> (unit, string) Stdlib.result
     with no crashed members (liveness). *)
 val check_convergence : result -> (unit, string) Stdlib.result
 
+(** Stamps the members lack of each other's FORWARDs: the sum, over
+    members [i <> j] both admitted by [live] (default: all), of
+    [Scd.clock j - Scd.next_stamp i j]. A run whose receivers closed
+    every gap reads 0. *)
+val stamps_missing : ?live:(int -> bool) -> result -> int
+
 val pp_history : Format.formatter -> op list -> unit

@@ -114,17 +114,20 @@ let key hi lo = (hi lsl 32) lor (lo land 0xFFFF_FFFF)
 let key_hi k = k asr 32
 let key_lo k = ((k land 0xFFFF_FFFF) lxor 0x8000_0000) - 0x8000_0000
 
-(* The per-peer send channel: a cursor into the member's out-log (see the
-   echo path below) with at most one transfer in flight, in either
-   direction, carrying the first [ch_claimed] frames from [ch_head].
-   Each transfer carries a prefix, so the frames some transfer has
-   carried are those below [ch_carried]. After a failed transfer the
-   channel is [ch_retrying] until one gets through, waits out a backoff
-   deadline before each retry, and gets its replies in [ch_reply]. *)
+(* The send channel to member [ch_peer]: a cursor into the out-log (see
+   the echo path below), acknowledged below [ch_acked], with at most one
+   transfer in flight, in either direction, carrying the first
+   [ch_claimed] frames from [ch_head]; those below [ch_carried] some
+   transfer carried. After a failed transfer it is [ch_retrying] until
+   one gets through, backing off to [ch_ready_at], with replies in
+   [ch_reply]. [ch_gap_sent]: the gap report our last launch carried. *)
 type channel = {
   ch_mid : int;
+  ch_peer : int;
   ch_server : Types.server_signature;
   mutable ch_head : int;
+  mutable ch_acked : int;
+  mutable ch_gap_sent : int;
   mutable ch_claimed : int;
   mutable ch_carried : int;
   mutable ch_in_flight : bool;
@@ -179,11 +182,11 @@ type member = {
   n : int;
   regs : int;
   mutable clock : int;  (* sn of the next FORWARD this member sends *)
-  (* Per forwarder: the stamp of its next FORWARD to process, and the
-     frames that arrived ahead of it, in stamp order (see [process_forward]) *)
+  (* Per forwarder: the stamp of its next FORWARD to take, and where one
+     ahead of it was last dropped: the gap mark is set while they are
+     equal (see [process_forward]) *)
   next_snf : int array;
-  held : bytes list array;
-  mutable n_held : int;
+  gap_at : int array;
   (* buffered quads by message key, and as an array: slots [0, nbuf) of
      [bufq]; [scan] is [try_deliver]'s work array *)
   buffer : quad Itbl.t;
@@ -209,9 +212,9 @@ type member = {
   inbox : bytes Queue.t;
   op_inbox : int Queue.t;
   mutable candidates : int;  (* buffered quads with a majority of known clocks *)
-  (* the out-log: frame [i] at slot [i land (cap - 1)] of [out] for
-     [out_lo <= i < out_hi], with the number of channels whose head has
-     not passed it in [out_left] *)
+  (* the out-log: frame [i] (stamp [i]) at slot [i land (cap - 1)] of
+     [out] for [out_lo <= i < out_hi], with the number of peers that
+     have not acknowledged it in [out_left] *)
   mutable out : bytes array;
   mutable out_left : int array;
   mutable out_lo : int;
@@ -241,8 +244,7 @@ let member ~cluster ~index ~mids ~regs =
     regs;
     clock = 0;
     next_snf = Array.make n 0;
-    held = Array.make n [];
-    n_held = 0;
+    gap_at = Array.make n (-1);
     buffer = Itbl.create 32;
     bufq = Array.make 32 no_quad;
     nbuf = 0;
@@ -265,12 +267,12 @@ let member ~cluster ~index ~mids ~regs =
     out_lo = 0;
     out_hi = 0;
     chans =
-      Array.of_list
-        (List.filteri (fun i _ -> i <> index) mids
-        |> List.map (fun mid ->
-               { ch_mid = mid; ch_server = Sodal.server ~mid ~pattern:cluster_pat; ch_head = 0;
-                 ch_claimed = 0; ch_carried = 0; ch_in_flight = false;
-                 ch_retrying = false; ch_ready_at = 0; ch_reply = Bytes.empty }));
+      Array.init (n - 1) (fun k ->
+          let peer = if k < index then k else k + 1 in
+          let mid = List.nth mids peer in
+          { ch_mid = mid; ch_peer = peer; ch_server = Sodal.server ~mid ~pattern:cluster_pat;
+            ch_head = 0; ch_acked = 0; ch_gap_sent = 0; ch_claimed = 0; ch_carried = 0;
+            ch_in_flight = false; ch_retrying = false; ch_ready_at = 0; ch_reply = Bytes.empty });
     pump_cursor = 0;
     slot_busy = false;
     reply = Bytes.empty;
@@ -288,8 +290,8 @@ let registers m =
 let counter_value m = m.counter
 let broadcast_sns m = List.rev m.bcast_sns
 let retry_depth m = Array.fold_left (fun acc ch -> acc + m.out_hi - ch.ch_head) 0 m.chans
-let held_forwards m = m.n_held
 let next_stamp m j = m.next_snf.(j)
+let gap m j = m.gap_at.(j) = m.next_snf.(j)
 let clock m = m.clock
 
 let majority m = (m.n / 2) + 1
@@ -298,13 +300,21 @@ let majority m = (m.n / 2) + 1
 
 (* The delivery condition reasons about per-sender clocks, so the FORWARD
    stream from one member to one peer must stay FIFO. Every FORWARD a
-   member sends is appended once to its out-log, and each peer's channel
-   is a cursor into that log: [echo] only appends, and a transfer
-   carries the longest run of frames from the channel's head that fits
-   the kernel's buffer ([max_data_bytes]). A channel has at most one
-   transfer in flight and moves its head past the run only once the
-   transfer is known delivered; the log lets go of a frame once every
-   head is past it.
+   member sends is appended once to its out-log, at the index of its own
+   stamp, and each peer's channel is a cursor into that log: [echo] only
+   appends, and a transfer carries the longest run of frames from the
+   channel's head that fits the kernel's buffer ([max_data_bytes]). A
+   channel has at most one transfer in flight and moves its head past
+   the run once the transfer completes OK.
+
+   Both ends of a transfer report their [cursor] in the one-word
+   argument (§3.3.2) of the EXCHANGE and of its ACCEPT. A report
+   acknowledges the frames below it; the log lets go of a frame every
+   peer acknowledged. A gap report sends an idle channel back to the
+   cursor (go-back-N); a plain one never does, as it lags the batches
+   still in the peer's kernel and inbox. Nor can a report confirm the
+   batch it answers: the handler passes its reply argument before it
+   reads the put data.
 
    Transfers are clocked by completions, not timers. A member keeps one
    transfer in flight to a healthy peer (the slot): [pump] launches the
@@ -312,16 +322,15 @@ let majority m = (m.n / 2) + 1
    previous transfer's completion, so a batch is whatever queued
    meanwhile and the bus carries at most one such transfer per member.
    Each launch is an EXCHANGE: it puts our prefix and gets back whatever
-   the peer's idle channel to us holds (the peer's handler claims it
-   for the reply), so one transfer can drain both directions.
+   the peer's idle channel to us has queued (the peer's handler claims it
+   for the reply), so one transfer can drain both directions. A gap with
+   nothing to carry its report launches one with an empty put (a poll).
 
    A crash verdict backs the channel off 200-300 ms (the transport does
    not retry after a verdict), and the channel retries until a transfer
-   gets through: it never gives a FORWARD up. The clock reasoning
-   assumes reliable channels, and a receiver takes each forwarder's
-   stamps in order, so one FORWARD lost would hold every later one from
-   its forwarder for good. A channel that is retrying launches outside
-   the slot, so a crashed or partitioned peer never stalls the others. *)
+   gets through: it never gives a FORWARD up. A channel that is retrying
+   launches outside the slot, so a crashed or partitioned peer never
+   stalls the others. *)
 
 let retry_spacing_us = 200_000
 
@@ -346,18 +355,27 @@ let echo m frame =
     m.out_hi <- m.out_hi + 1
   end
 
-(* [ch]'s claimed run was delivered: its head moves past it, and the log
-   lets go of the frames every head is past. *)
-let advance m ch =
-  for i = ch.ch_head to ch.ch_head + ch.ch_claimed - 1 do
-    let s = out_slot m i in
-    m.out_left.(s) <- m.out_left.(s) - 1
+(* What [m] reports to forwarder [j]: the stamp it takes next, or
+   [-1 - stamp] while it has a gap. *)
+let cursor m j = if gap m j then -1 - m.next_snf.(j) else m.next_snf.(j)
+
+(* [ch]'s peer reported [r]; it acks no frame past [ch_head], which a
+   report off the wire, or ahead of our completion, may pass. *)
+let heard env m ch r =
+  let c = if r < 0 then -1 - r else r in
+  while ch.ch_acked < min c ch.ch_head do
+    let s = out_slot m ch.ch_acked in
+    m.out_left.(s) <- m.out_left.(s) - 1;
+    ch.ch_acked <- ch.ch_acked + 1
   done;
-  ch.ch_head <- ch.ch_head + ch.ch_claimed;
   while m.out_lo < m.out_hi && m.out_left.(out_slot m m.out_lo) = 0 do
     m.out.(out_slot m m.out_lo) <- Bytes.empty;
     m.out_lo <- m.out_lo + 1
-  done
+  done;
+  if r < 0 && c = ch.ch_acked && c < ch.ch_head && not ch.ch_in_flight then begin
+    ch.ch_head <- c;
+    Metrics.incr (metrics env) "scd.rewinds"
+  end
 
 (* Take the longest run of [ch]'s frames that fits [room] bytes into one
    transfer: the channel is in flight from here until [settle]. Returns
@@ -393,16 +411,17 @@ let count_sent env ch =
 
 (* The one end of a transfer, in either direction: a delivered run is
    passed and the channel lets its retry buffer go; a failed one stays,
-   and the channel backs off. *)
+   the channel backs off, and its gap report may be lost. *)
 let settle env m ch ~delivered =
   ch.ch_in_flight <- false;
   if delivered then begin
-    advance m ch;
+    ch.ch_head <- ch.ch_head + ch.ch_claimed;
     ch.ch_retrying <- false;
     ch.ch_reply <- Bytes.empty
   end
   else begin
     ch.ch_retrying <- true;
+    ch.ch_gap_sent <- 0;
     ch.ch_ready_at <- Sodal.now env + retry_spacing_us + Rng.int m.rng (retry_spacing_us / 2)
   end
 
@@ -413,9 +432,13 @@ let take_batch env m batch =
   | Ok () -> Queue.add batch m.inbox
   | Error _ -> Metrics.incr (metrics env) "scd.bad_frame"
 
+(* [ch] has frames to send, or a gap to report that no launch carried. *)
+let has_work m ch =
+  ch.ch_head < m.out_hi || (gap m ch.ch_peer && cursor m ch.ch_peer <> ch.ch_gap_sent)
+
 let launchable m ~now ch =
   (not ch.ch_in_flight)
-  && ch.ch_head < m.out_hi
+  && has_work m ch
   && if ch.ch_retrying then now >= ch.ch_ready_at else not m.slot_busy
 
 (* Launch [ch]'s run; false when the kernel has no request slot left
@@ -432,18 +455,23 @@ let launch env m ch =
   end
   else if Bytes.length ch.ch_reply <> room then ch.ch_reply <- Bytes.create room;
   let into = if healthy then m.reply else ch.ch_reply in
-  match Sodal.exchange env ch.ch_server ~arg:0 batch ~into with
+  let report = cursor m ch.ch_peer in
+  match Sodal.exchange env ch.ch_server ~arg:report batch ~into with
   | exception Sodal.Too_many_requests ->
     ch.ch_in_flight <- false;
     if healthy then m.slot_busy <- false;
     false
   | tid ->
     count_sent env ch;
+    if report < 0 then ch.ch_gap_sent <- report;
+    if ch.ch_claimed = 0 then Metrics.incr (metrics env) "scd.gap_polls";
     Sodal.on_completion_of env tid (fun c ->
         if healthy then m.slot_busy <- false;
         match c.Sodal.status with
         | Sodal.Comp_ok | Sodal.Comp_rejected ->
+          (* a gap report in the reply reads as a rejection *)
           settle env m ch ~delivered:true;
+          heard env m ch c.Sodal.reply_arg;
           if c.Sodal.get_transferred > 0 then
             take_batch env m (Bytes.sub into 0 c.Sodal.get_transferred)
         | Sodal.Comp_crashed | Sodal.Comp_unadvertised -> settle env m ch ~delivered:false);
@@ -473,7 +501,7 @@ let sleep env m =
   let now = Sodal.now env and wake = ref max_int in
   for i = 0 to Array.length m.chans - 1 do
     let ch = m.chans.(i) in
-    if ch.ch_retrying && (not ch.ch_in_flight) && ch.ch_head < m.out_hi then
+    if ch.ch_retrying && (not ch.ch_in_flight) && has_work m ch then
       wake := min !wake ch.ch_ready_at
   done;
   if !wake = max_int || !wake <= now then Sodal.idle env else Sodal.idle_for env (!wake - now)
@@ -534,47 +562,26 @@ let take_forward env m b o =
       set_clock m q m.index snf;
       echo m q.q_frame
 
-(* A FORWARD that arrived ahead of its forwarder's next stamp waits, as a
-   frame of its own, in stamp order; a second copy of a held one is a
-   repeat. *)
-let rec holds snf = function [] -> false | h :: rest -> Scd_wire.snf h 0 = snf || holds snf rest
-
-let rec insert_held frame snf = function
-  | h :: rest when Scd_wire.snf h 0 < snf -> h :: insert_held frame snf rest
-  | l -> frame :: l
-
-let hold m b o =
-  let f = Scd_wire.f b o and snf = Scd_wire.snf b o in
-  if not (holds snf m.held.(f)) then begin
-    m.held.(f) <- insert_held (Scd_wire.restamp b o ~f ~snf) snf m.held.(f);
-    m.n_held <- m.n_held + 1
-  end
-
 (* The clock reasoning needs each forwarder's stamps in the order it made
-   them. A forwarder stamps 0, 1, 2, ... and sends every FORWARD on
-   every channel, so the stream from it carries each stamp exactly once,
-   in a row, whichever path (its transfer or its reply to ours) brings
-   each batch. So FIFO is enforced here, where the paths meet: a stamp
-   below the next one is a repeat (a retried or duplicated transfer) and
-   is dropped, one above it is held until the gap fills, and the next
-   one is taken, then the held ones that follow it. The in-order path
-   reads the entry where it lies and allocates nothing unless the
+   them, and a forwarder stamps 0, 1, 2, ... on every channel, whichever
+   path (its transfer or its reply to ours) brings each batch. So FIFO
+   is enforced here, where the paths meet, keeping nothing out of order:
+   the next stamp is taken and clears the gap mark, one below it is a
+   repeat, and one above it is dropped and sets the mark. The in-order
+   path reads the entry where it lies and allocates nothing unless the
    message is new. *)
-let rec process_forward env m b o =
+let process_forward env m b o =
   let f = Scd_wire.f b o in
   if Scd_wire.sd b o >= m.n || f >= m.n then Metrics.incr (metrics env) "scd.bad_frame"
   else begin
     let snf = Scd_wire.snf b o and next = m.next_snf.(f) in
-    if snf > next then hold m b o
-    else if snf = next then begin
+    if snf = next then begin
       m.next_snf.(f) <- next + 1;
-      take_forward env m b o;
-      match m.held.(f) with
-      | h :: rest when Scd_wire.snf h 0 = next + 1 ->
-        m.held.(f) <- rest;
-        m.n_held <- m.n_held - 1;
-        process_forward env m h 0
-      | _ -> ()
+      take_forward env m b o
+    end
+    else if snf > next then begin
+      m.gap_at.(f) <- next;
+      Metrics.incr (metrics env) "scd.gaps"
     end
   end
 
@@ -801,45 +808,39 @@ let start_op env m ticket =
 let valid_op m kind a = kind >= op_write && kind <= op_cread
                         && (kind <> op_write || (a >= 0 && a < m.regs))
 
-(* Our idle channel to [mid] with a backlog; -1 when there is none. *)
-let rec idle_channel m mid i =
+(* Our channel to [mid]; -1 when [mid] is no member. *)
+let rec channel_to m mid i =
   if i = Array.length m.chans then -1
-  else
-    let ch = m.chans.(i) in
-    if ch.ch_mid = mid && (not ch.ch_in_flight) && ch.ch_head < m.out_hi then i
-    else idle_channel m mid (i + 1)
+  else if m.chans.(i).ch_mid = mid then i
+  else channel_to m mid (i + 1)
 
 let handle_request m env info =
-  if Pattern.equal info.Sodal.pattern m.cluster_pat then
-    (* peer FORWARDs: accept in the handler (bounded) so a peer's transfer
-       never waits on our task; the task drains the inbox. A transfer is
-       a run of the peer's FIFO channel, so in-order entries keep the
-       channel FIFO. The reply carries our idle channel's backlog for
-       that peer, passed only once our kernel knows it arrived. *)
-    if info.Sodal.put_size > 0 then begin
+  if Pattern.equal info.Sodal.pattern m.cluster_pat then begin
+    (* peer FORWARDs or a poll: accept in the handler (bounded) so a
+       peer's transfer never waits on our task; the task drains the
+       inbox. The peer's report may rewind our channel to it, whose
+       idle backlog the reply carries, passed only once our kernel knows
+       it arrived. *)
+    let i = channel_to m info.Sodal.asker.Types.rq_mid 0 in
+    if i < 0 || info.Sodal.put_size + info.Sodal.get_size = 0 then Sodal.reject env
+    else begin
+      let ch = m.chans.(i) in
+      heard env m ch info.Sodal.arg;
       let into = Bytes.create info.Sodal.put_size in
-      let back =
-        if info.Sodal.get_size = 0 then -1
-        else idle_channel m info.Sodal.asker.Types.rq_mid 0
+      let back = info.Sodal.get_size > 0 && (not ch.ch_in_flight) && ch.ch_head < m.out_hi in
+      let data = if back then claim m ch ~room:info.Sodal.get_size else Bytes.empty in
+      if back then count_sent env ch;
+      let status, got =
+        Sodal.accept_current_exchange env ~arg:(cursor m ch.ch_peer) ~into ~data
       in
-      let data =
-        if back < 0 then Bytes.empty
-        else begin
-          let ch = m.chans.(back) in
-          let data = claim m ch ~room:info.Sodal.get_size in
-          count_sent env ch;
-          data
-        end
-      in
-      let status, got = Sodal.accept_current_exchange env ~arg:0 ~into ~data in
-      if back >= 0 then settle env m m.chans.(back) ~delivered:(status = Types.Accept_success);
+      if back then settle env m ch ~delivered:(status = Types.Accept_success);
       (* Put data that arrived is kept even when the accept then fails:
          the peer may have had our reply and passed its run, and if it
-         did not, its retry only repeats FORWARDs we already hold. *)
+         did not, its retry only repeats FORWARDs we already took. *)
       if got > 0 then
         take_batch env m (if got = Bytes.length into then into else Bytes.sub into 0 got)
     end
-    else Sodal.reject env
+  end
   else if info.Sodal.put_size = op_request_size && info.Sodal.get_size = 0 then begin
     (* submit: hand out a ticket in the accept's reply argument; the task
        broadcasts the operation *)
@@ -913,6 +914,7 @@ let member_spec m =
         Array.iter
           (fun ch ->
             ch.ch_in_flight <- false;
+            ch.ch_gap_sent <- 0;
             ch.ch_retrying <- false;
             ch.ch_ready_at <- 0)
           m.chans;

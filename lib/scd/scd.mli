@@ -14,17 +14,13 @@
     every peer stamped with its local clock; a message becomes deliverable
     once a majority of clocks are known, and the clock vectors decide
     which buffered messages must go into the same delivered set. FORWARD
-    frames are {!Soda_proto.Scd_wire} payloads sent peer-to-peer over
-    per-peer FIFO channels: each member appends every FORWARD it makes
-    once to its out-log, and each peer's channel is a cursor into that
-    log with at most one transfer in flight, carrying the longest run of
-    frames from the cursor that fits one buffer, so a peer sees a
-    member's clock stamps in order. A member keeps one transfer in
-    flight to a healthy peer and launches the next on the previous one's
-    completion, so the quadratic FORWARD storm keeps at most n transfers
-    to healthy peers in flight.
-    Each transfer is an EXCHANGE whose reply carries the peer's backlog
-    for us. See [docs/BROADCAST.md].
+    frames are {!Soda_proto.Scd_wire} payloads: each member appends every
+    FORWARD it makes to its out-log, and each peer's channel sends runs
+    of that log in EXCHANGEs, one in flight, whose replies carry the
+    peer's backlog for us. A receiver takes only each forwarder's next
+    stamp, and the channels go back to the cursor it reports (go-back-N),
+    so a peer sees a member's clock stamps in order. See
+    [docs/BROADCAST.md].
 
     Members expose the two derived objects to clients over a two-phase
     ticket protocol: a PUT of the encoded operation is accepted
@@ -75,17 +71,19 @@ val broadcast_sns : member -> int list
 (** FORWARD frames not yet delivered, summed over the peer channels. *)
 val retry_depth : member -> int
 
-(** FORWARDs received ahead of their forwarder's next clock stamp, held
-    until the gap fills (FIFO per forwarder). *)
-val held_forwards : member -> int
-
 (** [next_stamp m j]: the clock stamp of forwarder [j]'s next FORWARD
-    that [m] takes; it has taken every stamp of [j] below it. *)
+    that [m] takes; it has taken every stamp of [j] below it and no
+    other. [m]'s cursor for [j]: the argument of every EXCHANGE or ACCEPT
+    [m] sends [j] reports it, as [-1 - next_stamp m j] while [gap m j]. *)
 val next_stamp : member -> int -> int
 
-(** The member's own clock: the stamp its next FORWARD carries. Every
-    stamp below it was sent, so a peer [i] with [next_stamp i j < clock
-    j] lacks [clock j - next_stamp i j] of [j]'s stamps. *)
+(** [gap m j]: [m] dropped a FORWARD of [j] ahead of [next_stamp m j]
+    and has not taken that stamp since. *)
+val gap : member -> int -> bool
+
+(** The member's own clock: the stamp (and out-log index) of its next
+    FORWARD. Every stamp below it was sent, so a peer [i] with
+    [next_stamp i j < clock j] lacks [clock j - next_stamp i j] of them. *)
 val clock : member -> int
 
 (** {2 Hot path}
@@ -95,8 +93,8 @@ val clock : member -> int
     that is not attached and count what each step allocates. *)
 
 (** [process_batch env m b] takes a {!Soda_proto.Scd_wire.check}ed batch:
-    each entry in order, FIFO per forwarder, a first sight buffered and
-    echoed. *)
+    each entry in order, only a forwarder's next stamp taken, a first
+    sight buffered and echoed. *)
 val process_batch : Sodal.env -> member -> bytes -> unit
 
 (** [echo m frame] appends one of our FORWARDs to the member's out-log,

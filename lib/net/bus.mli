@@ -29,9 +29,10 @@ val engine : t -> Soda_sim.Engine.t
 val stats : t -> Soda_obs.Metrics.t
 
 (** The medium's shared frame-buffer pool. Hot-path senders acquire
-    exactly-sized buffers here, seal them ({!Crc16.seal}) and hand them to
-    {!send_wire}; the bus releases each buffer after the frame's final
-    delivery event. See docs/PERFORMANCE.md for the ownership rules. *)
+    buffers here, seal them ({!Crc16.seal}) and hand them to {!transmit}.
+    The bus releases a frame that reaches no station, and a broadcast
+    frame after its sweep; a delivered unicast frame's buffer belongs to
+    its receiver. See docs/PERFORMANCE.md for the ownership rules. *)
 val pool : t -> Pool.t
 
 (** Current configuration (fault-rate setters mutate it in place). *)
@@ -74,8 +75,8 @@ val heal : t -> unit
 val partitioned : t -> bool
 
 (** [duplicate_next ?count t] arranges for the next [count] (default 1)
-    frames entering the medium to be delivered twice; the copy trails the
-    original like a stale retransmission.
+    frames entering the medium to be delivered twice; the copy, with
+    bytes of its own, trails the original like a stale retransmission.
     @raise Invalid_argument on negative [count]. *)
 val duplicate_next : ?count:int -> t -> unit
 
@@ -97,26 +98,27 @@ val backlog_us : t -> int
 (** [attach t ~mid ~rx] registers a station. [rx] receives every frame
     whose destination matches [mid] (or broadcast), after loss and
     corruption have been applied; CRC checking is the receiver's job.
-    A given [mid] may be attached only once.
+    A unicast frame's buffer is [rx]'s once delivered (it may release it
+    to {!pool}); a broadcast frame's is not, and [rx] must keep no view
+    of it. A given [mid] may be attached only once.
     @raise Invalid_argument on duplicate [mid]. *)
 val attach : t -> mid:int -> rx:(Frame.t -> unit) -> unit
 
 val detach : t -> mid:int -> unit
 
-(** [send t ?ctx ~src ~dst payload] queues [payload] (CRC trailer added
-    here) for transmission. Delivery happens after queueing +
+(** [send t ?ctx ~src ~dst payload] copies [payload] into a pooled
+    frame, seals it and queues it for transmission. Delivery happens after queueing +
     transmission + propagation delay. Frames from one source to one
     destination are delivered in order (the medium is serial). [ctx]
     rides the frame as out-of-band causal metadata (it survives
     duplication and jitter but is not part of the wire bytes). *)
 val send : t -> ?ctx:Soda_obs.Causal.ctx -> src:int -> dst:Frame.dst -> bytes -> unit
 
-(** [send_wire t ?ctx ~src ~dst wire] is {!send} for a pre-sealed frame:
-    [wire] already carries its CRC trailer ({!Crc16.seal}) and its
-    ownership transfers to the bus, which releases it into {!pool} after
-    the frame's last delivery event. The sender must not touch [wire]
-    after this call. Identical timing, fault handling and statistics to
-    {!send} (payload size is [Bytes.length wire - 2]).
-    @raise Invalid_argument if [wire] is shorter than the 2-byte trailer. *)
-val send_wire :
-  t -> ?ctx:Soda_obs.Causal.ctx -> src:int -> dst:Frame.dst -> bytes -> unit
+(** [transmit t frame] is {!send} for a sealed frame: [frame.wire]
+    carries its CRC trailer ({!Crc16.seal}) at [frame.len - 2] and comes
+    from {!pool}; its ownership transfers to the bus. The sender must not
+    touch it after this call. Identical timing, fault handling and
+    statistics to {!send} (payload size is [frame.len - 2]).
+    @raise Invalid_argument if [frame.len] is shorter than the 2-byte
+    trailer or longer than the buffer. *)
+val transmit : t -> Frame.t -> unit

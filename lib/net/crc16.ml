@@ -66,8 +66,8 @@ let seal wire ~len =
   Bytes.set wire len (Char.chr (crc lsr 8));
   Bytes.set wire (len + 1) (Char.chr (crc land 0xFF))
 
-let payload_len wire =
-  let total = Bytes.length wire in
+let screen wire ~len:total =
+  if total > Bytes.length wire then invalid_arg "Crc16.screen: frame longer than its buffer";
   if total < 2 then -1
   else begin
     let len = total - 2 in
@@ -77,6 +77,8 @@ let payload_len wire =
     in
     if expected = stored then len else -1
   end
+
+let payload_len wire = screen wire ~len:(Bytes.length wire)
 
 let check wire =
   match payload_len wire with

@@ -26,9 +26,15 @@ val check : bytes -> bytes option
 
 (** [seal wire ~len] computes the CRC of [wire.[0 .. len-1]] and writes
     the 2-byte big-endian trailer in place at [len]; the zero-copy
-    equivalent of [append] for pooled buffers of exactly [len + 2] bytes.
+    equivalent of [append] for pooled buffers of at least [len + 2] bytes.
     @raise Invalid_argument when the buffer lacks room for the trailer. *)
 val seal : bytes -> len:int -> unit
+
+(** [screen wire ~len] is {!payload_len} for the frame occupying
+    [wire.[0 .. len-1]] (trailer included): a pooled buffer may be larger
+    than its frame.
+    @raise Invalid_argument when [len] runs past the buffer. *)
+val screen : bytes -> len:int -> int
 
 (** [payload_len wire] verifies the trailer in place and returns the
     payload length, or [-1] on CRC mismatch (no option allocation; this

@@ -22,9 +22,12 @@ val attach :
 
 (** Zero-copy variant of {!attach}: [rx] receives the frame's wire buffer
     and the verified payload length instead of a [Bytes.sub] copy — the
-    payload is [wire.[0 .. len-1]]. The buffer belongs to the bus (it may
-    be a pooled buffer recycled after this delivery), so [rx] must finish
-    reading before returning and must not retain [wire]. *)
+    payload is [wire.[0 .. len-1]]. A unicast frame's buffer is [rx]'s:
+    it may keep views of it, and releases it to {!Bus.pool} once it keeps
+    none (one never released costs only an allocation). A broadcast
+    frame's buffer stays the bus's, which recycles it after this
+    delivery: [rx] must finish reading before returning and keep no view
+    of it. *)
 val attach_view :
   ?stats:Soda_obs.Metrics.t ->
   Bus.t ->
@@ -46,13 +49,6 @@ val send : t -> ?ctx:Soda_obs.Causal.ctx -> dst:int -> bytes -> unit
 
 (** [broadcast t ?ctx payload] transmits to every station. *)
 val broadcast : t -> ?ctx:Soda_obs.Causal.ctx -> bytes -> unit
-
-(** [send_wire t ?ctx ~dst wire] transmits a pre-sealed frame ([wire]
-    carries its CRC trailer already); ownership transfers to the bus —
-    see {!Bus.send_wire}. *)
-val send_wire : t -> ?ctx:Soda_obs.Causal.ctx -> dst:int -> bytes -> unit
-
-val broadcast_wire : t -> ?ctx:Soda_obs.Causal.ctx -> bytes -> unit
 
 (** Frames dropped by this NIC due to CRC failure. *)
 val crc_drops : t -> int

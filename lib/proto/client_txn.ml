@@ -12,7 +12,7 @@ type req = {
   mutable on_cancel : bool -> unit;
   mutable arg : int;
   mutable put_transferred : int;
-  mutable get_data : bytes;
+  mutable get_data : Wire.view;
 }
 
 type discovery = { d_tid : int; max_mids : int; mutable mids : int list (* latest first *) }
@@ -24,7 +24,7 @@ let no_cancel (_ : bool) = ()
 
 let make ~tid ~dst ~put ~get_size ~now state =
   { tid; dst; put; get_size; submit_us = now; state; probe_id = -1; unanswered = 0;
-    on_cancel = no_cancel; arg = 0; put_transferred = 0; get_data = Bytes.empty }
+    on_cancel = no_cancel; arg = 0; put_transferred = 0; get_data = Wire.no_data }
 
 let none = make ~tid:(-1) ~dst:(-1) ~put:Bytes.empty ~get_size:0 ~now:0 Done
 let create () = { reqs = Hashtbl.create 16; discoveries = [] }
@@ -49,9 +49,14 @@ let accept req ~src ~arg ~put_transferred ~data =
   else begin
     req.arg <- arg;
     req.put_transferred <- put_transferred;
-    req.get_data <- Wire.truncate data req.get_size;
+    req.get_data <- Wire.view_prefix data req.get_size;
     Taken
   end
+
+let drop_data req =
+  let data = req.get_data in
+  req.get_data <- Wire.no_data;
+  data
 
 let await_cancel req on_done = req.on_cancel <- on_done
 

@@ -36,7 +36,7 @@ type req = private {
           [no_cancel] when none *)
   mutable arg : int;  (** the ACCEPT's result, once one arrived *)
   mutable put_transferred : int;
-  mutable get_data : bytes;  (** cut to [get_size] *)
+  mutable get_data : Wire.view;  (** a view into the ACCEPT's frame, cut to [get_size] *)
 }
 
 (** A node's outbound requests and DISCOVERs. *)
@@ -75,7 +75,11 @@ type accept =
   | Foreign  (** it came from a server other than the addressed one (§3.3.2 rule 6) *)
   | Taken  (** its result is in the record: [arg], [put_transferred], [get_data] *)
 
-val accept : req -> src:int -> arg:int -> put_transferred:int -> data:bytes -> accept
+val accept : req -> src:int -> arg:int -> put_transferred:int -> data:Wire.view -> accept
+
+(** [drop_data req] empties [get_data] and returns what it held: the
+    completion has copied it out, so its frame can go back. *)
+val drop_data : req -> Wire.view
 
 (** The CANCEL answer of a request without one waiting. *)
 val no_cancel : bool -> unit

@@ -38,10 +38,10 @@ type t = {
 (* What a connection needs only once it stashes a packet (never at window
    1) or stores a response (rare): made then, until then [no_extra]. *)
 and extra = {
-  pkts : Wire.t array;  (* the stashed packet, or [none]; [none] behind the window *)
+  pkts : Wire.rx array;  (* the stashed packet, or [none]; [none] behind the window *)
   resps : Wire.body array;  (* behind the window: the response to replay; [Wire.Ack] = none *)
   mutable stashed : int;  (* slots of [pkts] that are not [none] *)
-  mutable held : Wire.t;
+  mutable held : Wire.rx;
       (* the REQUEST last held at the head, or [none]: not [none] exactly
          while the connection waits for input-buffer capacity *)
   mutable retries : int;  (* retransmissions of [held] swallowed *)

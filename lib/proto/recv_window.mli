@@ -46,9 +46,9 @@ val create : shared -> t
 val nobody : shared -> t
 
 (** No packet: what [head] returns when nothing is in order. *)
-val none : Wire.t
+val none : Wire.rx
 
-val classify : t -> Wire.t -> cls
+val classify : t -> Wire.rx -> cls
 
 (** The next number to consume; -1 before the first consume (take any). *)
 val base : t -> int
@@ -62,20 +62,20 @@ val cum_ack : t -> int
     [resync] (a [Resync] packet) first forgets every stash and record:
     the sender's numbering restarted. True when a stashed packet of
     another message held the number: it is dropped, as [stash] drops one. *)
-val consume : t -> resync:bool -> Wire.t -> bool
+val consume : t -> resync:bool -> Wire.rx -> bool
 
 (** [respond w pkt body]: [body] answers the consumed [pkt]; a duplicate
     of [pkt] replays it. *)
-val respond : t -> Wire.t -> Wire.body -> unit
+val respond : t -> Wire.rx -> Wire.body -> unit
 
 (** The response to replay for a [Dup]: what [respond] stored, or
     [Wire.Ack] when the consume had no response. *)
-val response : t -> Wire.t -> Wire.body
+val response : t -> Wire.rx -> Wire.body
 
 (** [stash w pkt] parks [pkt], which is [Out_of_order] or a REQUEST held
     at the head. A copy of a stashed message is not stashed again:
     retransmissions carry no data, the first copy may. *)
-val stash : t -> Wire.t -> stashed
+val stash : t -> Wire.rx -> stashed
 
 (** [flush_run_stale w pkt]: [pkt] is a run start being consumed, so its
     sender had nothing else outstanding; every stashed packet other than a
@@ -83,15 +83,15 @@ val stash : t -> Wire.t -> stashed
     launched after the run start that overtook it on the wire: it is
     still unacknowledged, so its retransmission recovers it. Returns how
     many were dropped. *)
-val flush_run_stale : t -> Wire.t -> int
+val flush_run_stale : t -> Wire.rx -> int
 
 (** The stashed packet at the base (before the first consume, the held
     REQUEST), or [none]. *)
-val head : t -> Wire.t
+val head : t -> Wire.rx
 
 (** The stashed head when [pkt] is a copy of it (a retransmission), or
     [none]. *)
-val head_copy : t -> Wire.t -> Wire.t
+val head_copy : t -> Wire.rx -> Wire.rx
 
 (** Something is stashed. *)
 val active : t -> bool
@@ -100,7 +100,7 @@ val active : t -> bool
     node's input buffer is full. A different packet than the one held
     before starts a fresh retry count. True when nothing was held: the
     caller queues the connection for freed input-buffer capacity. *)
-val hold : t -> Wire.t -> bool
+val hold : t -> Wire.rx -> bool
 
 (** The connection left the queue of held connections. *)
 val release : t -> unit
@@ -121,4 +121,4 @@ val reuse : t -> unit
     falls back to the indefinite BUSY-retry path instead of failing
     against a merely long-busy handler, with margin left for a lost nack
     (answered by duplicate replay). *)
-val held_retry : t -> Wire.t -> bool
+val held_retry : t -> Wire.rx -> bool

@@ -1,4 +1,4 @@
-type outcome = Acc_success of bytes | Acc_cancelled | Acc_crashed of bytes
+type outcome = Acc_success of Wire.view | Acc_cancelled | Acc_crashed of Wire.view
 type state = Delivered | Accepting | Completed | Cancelled
 type send = Awaiting_ack | Unacked | Resolved
 
@@ -10,7 +10,7 @@ type txn = {
   put_size : int;
   get_size : int;
   mutable state : state;
-  mutable data : bytes;
+  mutable data : Wire.view;
   mutable put_transferred : int;
   mutable need_data : bool;
   mutable send : send;
@@ -27,7 +27,7 @@ let make ~src ~tid ~pattern ~arg ~put_size ~get_size ~data state =
 
 let none =
   make ~src:(-1) ~tid:(-1) ~pattern:(Soda_base.Pattern.well_known 0) ~arg:0 ~put_size:0
-    ~get_size:0 ~data:Bytes.empty Cancelled
+    ~get_size:0 ~data:Wire.no_data Cancelled
 
 (* Keyed by (requester, tid): 16 + 48 bits on the wire, one more than an
    int holds, so a record is its own key, compared field by field. A
@@ -62,7 +62,7 @@ let holds t ~src ~tid =
 
 let add t ~src ~tid ~pattern ~arg ~put_size ~get_size ~data ~retry ~buffered =
   if holds t ~src ~tid then invalid_arg "Server_txn.add: a second take";
-  let data = if retry || put_size = 0 then Bytes.empty else data in
+  let data = if retry || put_size = 0 then Wire.no_data else data in
   let txn = make ~src ~tid ~pattern ~arg ~put_size ~get_size ~data Delivered in
   if buffered then t.buffered <- txn;
   Tbl.add t.txns txn txn
@@ -82,7 +82,7 @@ let cancel t txn =
   | Delivered ->
     if t.buffered == txn then free_buffer t;
     txn.state <- Cancelled;
-    txn.data <- Bytes.empty;
+    txn.data <- Wire.no_data;
     Cancelled_now
   | Cancelled -> Gone
   | Accepting | Completed -> Refused
@@ -93,8 +93,8 @@ let accept txn ~get_capacity ~sends_data ~on_done =
     let put_transferred = min txn.put_size get_capacity in
     txn.state <- Accepting;
     txn.put_transferred <- put_transferred;
-    txn.need_data <- put_transferred > 0 && Bytes.length txn.data = 0;
-    txn.data <- Wire.truncate txn.data put_transferred;
+    txn.need_data <- put_transferred > 0 && txn.data.len = 0;
+    txn.data <- Wire.view_prefix txn.data put_transferred;
     txn.send <- (if sends_data then Awaiting_ack else Unacked);
     txn.on_done <- on_done;
     true
@@ -102,7 +102,7 @@ let accept txn ~get_capacity ~sends_data ~on_done =
 
 let take_data txn data =
   if txn.state = Accepting && txn.need_data then begin
-    txn.data <- Wire.truncate data txn.put_transferred;
+    txn.data <- Wire.view_prefix data txn.put_transferred;
     txn.need_data <- false;
     true
   end
@@ -113,7 +113,7 @@ let ready txn = txn.state = Accepting && (not txn.need_data) && txn.send <> Awai
 let finish txn =
   let report = txn.on_done in
   txn.state <- Completed;
-  txn.data <- Bytes.empty;
+  txn.data <- Wire.no_data;
   txn.on_done <- no_report;
   report
 

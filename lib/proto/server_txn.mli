@@ -18,9 +18,9 @@
 
 (** How an ACCEPT ended, reported once to its accepter. *)
 type outcome =
-  | Acc_success of bytes  (** the put-direction data received *)
+  | Acc_success of Wire.view  (** the put-direction data received *)
   | Acc_cancelled
-  | Acc_crashed of bytes
+  | Acc_crashed of Wire.view
       (** the requester vanished; the put-direction data that had
           arrived before it did (empty if none) *)
 
@@ -45,7 +45,7 @@ type txn = private {
   put_size : int;
   get_size : int;
   mutable state : state;
-  mutable data : bytes;
+  mutable data : Wire.view;
       (** the REQUEST's put data until the ACCEPT (empty when it came
           without: a retry or nothing to put), then the put data the
           ACCEPT received; empty once the transaction ended *)
@@ -81,7 +81,7 @@ val holds : t -> src:int -> tid:int -> bool
     [Invalid_argument]: ask [holds] first. *)
 val add :
   t -> src:int -> tid:int -> pattern:Soda_base.Pattern.t -> arg:int -> put_size:int ->
-  get_size:int -> data:bytes -> retry:bool -> buffered:bool -> unit
+  get_size:int -> data:Wire.view -> retry:bool -> buffered:bool -> unit
 
 (** The transaction in the input buffer, or [none] when it is free. It
     stays there, in whatever state, until [free_buffer], [withdraw_buffered]
@@ -115,7 +115,7 @@ val accept : txn -> get_capacity:int -> sends_data:bool -> on_done:(outcome -> u
 (** [take_data txn data]: the requester sent the put data again. True
     when the ACCEPT was waiting for it: it is kept, truncated to
     [put_transferred], and the wait is over. *)
-val take_data : txn -> bytes -> bool
+val take_data : txn -> Wire.view -> bool
 
 (** The ACCEPT has everything it waits for: it may end in success. *)
 val ready : txn -> bool

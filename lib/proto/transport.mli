@@ -55,15 +55,20 @@ module Types = Soda_base.Types
 type completion =
   | Comp_accepted of Client_txn.req
       (** the record holds the ACCEPT's result: [arg], [put_transferred]
-          and [get_data] *)
+          and [get_data], a view into the ACCEPT's frame that is valid
+          only until [complete_request] returns: the frame goes back to
+          the pool then *)
   | Comp_unadvertised
   | Comp_crashed
   | Comp_discovered of int list  (** mids that answered a DISCOVER *)
 
+(** An outcome's data is a view into the frame that brought it, valid
+    only during the [on_done] call that reports it: the accepter copies
+    what it keeps, and the frame goes back to the pool on return. *)
 type accept_outcome =
-  | Acc_success of bytes  (** the put-direction data received *)
+  | Acc_success of Wire.view  (** the put-direction data received *)
   | Acc_cancelled
-  | Acc_crashed of bytes
+  | Acc_crashed of Wire.view
       (** the requester vanished; the put-direction data that had
           arrived before it did (empty if none) *)
 
@@ -117,7 +122,9 @@ val mid : t -> int
 val stats : t -> Soda_obs.Metrics.t
 val cost : t -> Soda_base.Cost_model.t
 
-(** Requester side. [put_data] is the put-direction payload (copied in);
+(** Requester side. [put_data] is the put-direction payload, held by
+    reference and read when a REQUEST or put DATA carrying it is encoded,
+    so the caller must leave it alone until completion (§3.3.2 rule 1);
     [get_size] the receive-capacity in bytes. Completion arrives through
     [complete_request]. *)
 val submit_request :
@@ -132,8 +139,8 @@ val submit_discover : t -> tid:int -> pattern:Soda_base.Pattern.t -> max_mids:in
     (the one transaction of that (mid, tid), or none: a blind ACCEPT).
     [get_capacity] is the server's receive-buffer size for the
     requester's put data; [data_out] is the data sent back (truncated to
-    the requester's get buffer). [on_done] fires when the data exchange
-    is complete (bounded time). *)
+    the requester's get buffer), held by reference until [on_done].
+    [on_done] fires when the data exchange is complete (bounded time). *)
 val accept :
   t -> requester_mid:int -> requester_tid:int -> arg:int ->
   get_capacity:int -> data_out:bytes -> on_done:(accept_outcome -> unit) -> unit

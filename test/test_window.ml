@@ -1238,13 +1238,13 @@ let rx_pkt ?(run = false) ~seq body =
 let rx_req ?run ~seq tid =
   rx_pkt ?run ~seq
     (Wire.Request
-       { tid; pattern = patt; arg = 0; put_size = 0; get_size = 0; data = Bytes.empty;
+       { tid; pattern = patt; arg = 0; put_size = 0; get_size = 0; data = Wire.no_data;
          retry = false })
 
 let rx_acc ?run ~seq tid =
   rx_pkt ?run ~seq
     (Wire.Accept
-       { tid; arg = 0; put_transferred = 0; need_put_data = false; data = Bytes.empty })
+       { tid; arg = 0; put_transferred = 0; need_put_data = false; data = Wire.no_data })
 
 let cls_name = function
   | Rx.In_order -> "in-order"

@@ -308,7 +308,9 @@ let majority m = (m.n / 2) + 1
    the run once the transfer completes OK.
 
    Both ends of a transfer report their [cursor] in the one-word
-   argument (§3.3.2) of the EXCHANGE and of its ACCEPT. A report
+   argument (§3.3.2) of the EXCHANGE and of its ACCEPT, with a flag bit
+   above the stamp for a gap, so a report is never read as a rejection.
+   A report
    acknowledges the frames below it; the log lets go of a frame every
    peer acknowledged. A gap report sends an idle channel back to the
    cursor (go-back-N); a plain one never does, as it lags the batches
@@ -355,26 +357,34 @@ let echo m frame =
     m.out_hi <- m.out_hi + 1
   end
 
-(* What [m] reports to forwarder [j]: the stamp it takes next, or
-   [-1 - stamp] while it has a gap. *)
-let cursor m j = if gap m j then -1 - m.next_snf.(j) else m.next_snf.(j)
+(* A report's gap flag: a bit above every stamp, so that a report is
+   never negative and a transfer carrying one completes OK, not
+   rejected (the wire's argument is 32 bits, signed). *)
+let gap_flag = 1 lsl 30
+
+(* What [m] reports to forwarder [j]: the stamp it takes next, flagged
+   while it has a gap. *)
+let cursor m j = if gap m j then gap_flag lor m.next_snf.(j) else m.next_snf.(j)
 
 (* [ch]'s peer reported [r]; it acks no frame past [ch_head], which a
-   report off the wire, or ahead of our completion, may pass. *)
+   report off the wire, or ahead of our completion, may pass. A negative
+   argument is no report. *)
 let heard env m ch r =
-  let c = if r < 0 then -1 - r else r in
-  while ch.ch_acked < min c ch.ch_head do
-    let s = out_slot m ch.ch_acked in
-    m.out_left.(s) <- m.out_left.(s) - 1;
-    ch.ch_acked <- ch.ch_acked + 1
-  done;
-  while m.out_lo < m.out_hi && m.out_left.(out_slot m m.out_lo) = 0 do
-    m.out.(out_slot m m.out_lo) <- Bytes.empty;
-    m.out_lo <- m.out_lo + 1
-  done;
-  if r < 0 && c = ch.ch_acked && c < ch.ch_head && not ch.ch_in_flight then begin
-    ch.ch_head <- c;
-    Metrics.incr (metrics env) "scd.rewinds"
+  if r >= 0 then begin
+    let c = r land (gap_flag - 1) in
+    while ch.ch_acked < min c ch.ch_head do
+      let s = out_slot m ch.ch_acked in
+      m.out_left.(s) <- m.out_left.(s) - 1;
+      ch.ch_acked <- ch.ch_acked + 1
+    done;
+    while m.out_lo < m.out_hi && m.out_left.(out_slot m m.out_lo) = 0 do
+      m.out.(out_slot m m.out_lo) <- Bytes.empty;
+      m.out_lo <- m.out_lo + 1
+    done;
+    if r land gap_flag <> 0 && c = ch.ch_acked && c < ch.ch_head && not ch.ch_in_flight then begin
+      ch.ch_head <- c;
+      Metrics.incr (metrics env) "scd.rewinds"
+    end
   end
 
 (* Take the longest run of [ch]'s frames that fits [room] bytes into one
@@ -463,18 +473,19 @@ let launch env m ch =
     false
   | tid ->
     count_sent env ch;
-    if report < 0 then ch.ch_gap_sent <- report;
+    if report land gap_flag <> 0 then ch.ch_gap_sent <- report;
     if ch.ch_claimed = 0 then Metrics.incr (metrics env) "scd.gap_polls";
     Sodal.on_completion_of env tid (fun c ->
         if healthy then m.slot_busy <- false;
         match c.Sodal.status with
-        | Sodal.Comp_ok | Sodal.Comp_rejected ->
-          (* a gap report in the reply reads as a rejection *)
+        | Sodal.Comp_ok ->
           settle env m ch ~delivered:true;
           heard env m ch c.Sodal.reply_arg;
           if c.Sodal.get_transferred > 0 then
             take_batch env m (Bytes.sub into 0 c.Sodal.get_transferred)
-        | Sodal.Comp_crashed | Sodal.Comp_unadvertised -> settle env m ch ~delivered:false);
+        | Sodal.Comp_rejected | Sodal.Comp_crashed | Sodal.Comp_unadvertised ->
+          (* a peer that refused the transfer took none of it *)
+          settle env m ch ~delivered:false);
     true
 
 (* The next launchable channel, round robin from [pump_cursor]; -1 when

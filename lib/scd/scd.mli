@@ -74,7 +74,8 @@ val retry_depth : member -> int
 (** [next_stamp m j]: the clock stamp of forwarder [j]'s next FORWARD
     that [m] takes; it has taken every stamp of [j] below it and no
     other. [m]'s cursor for [j]: the argument of every EXCHANGE or ACCEPT
-    [m] sends [j] reports it, as [-1 - next_stamp m j] while [gap m j]. *)
+    [m] sends [j] reports it, with a flag bit (2{^30}) above the stamp
+    while [gap m j]. *)
 val next_stamp : member -> int -> int
 
 (** [gap m j]: [m] dropped a FORWARD of [j] ahead of [next_stamp m j]

@@ -58,7 +58,15 @@ val attach_client : t -> parent:int -> client -> unit
     [f ~parent ~image] must return the client hooks. *)
 val set_boot_program : t -> (parent:int -> image:bytes -> client) -> unit
 
-(** {1 The ten primitives} *)
+(** {1 The ten primitives}
+
+    Buffer contract (§3.3.2 rule 1). The kernel keeps no copy of a
+    client buffer: a payload is copied only from the client's buffer
+    into a frame (when the transport encodes it) and from a frame into
+    the client's buffer (the kernel's blit at completion or at the
+    ACCEPT's end). So a requester must leave [put] and [get_buffer]
+    alone until the request completes or is cancelled, and an accepter
+    must leave [put] and [get_buffer] alone until [on_done]. *)
 
 type request_error =
   | Too_many_requests  (** MAXREQUESTS uncompleted requests (§3.3.2) *)
@@ -67,8 +75,9 @@ type request_error =
   | Client_dead
 
 (** [request t ~server ~arg ~put ~get_buffer] — non-blocking REQUEST.
-    [put] is copied out at trap time; the kernel fills [get_buffer] before
-    the completion interrupt. A [Broadcast_mid] target performs DISCOVER:
+    [put] is read in place when the transport encodes it, until
+    completion; the kernel fills [get_buffer] from the ACCEPT's frame
+    before the completion interrupt. A [Broadcast_mid] target performs DISCOVER:
     matching mids are stored in [get_buffer] as big-endian 16-bit words. *)
 val request :
   t ->
@@ -79,7 +88,9 @@ val request :
   (Types.tid, request_error) result
 
 (** [accept t ~requester ~arg ~get_buffer ~put ~on_done] — blocking ACCEPT
-    (bounded time). Requester put-data lands in [get_buffer]; [on_done]
+    (bounded time). Requester put-data lands in [get_buffer], copied
+    from its frame; [put] is sent by reference, read when the ACCEPT is
+    encoded (and again if retransmitted) until [on_done]; [on_done]
     receives the status and the byte count received. *)
 val accept :
   t ->

@@ -94,7 +94,14 @@ val discover : env -> Pattern.t -> Types.server_signature
     broadcast round (possibly none). *)
 val discover_list : env -> Pattern.t -> max:int -> int list
 
-(** {1 Non-blocking REQUEST variants (§4.1.1)} *)
+(** {1 Non-blocking REQUEST variants (§4.1.1)}
+
+    The buffers passed here are the kernel's to read and fill until the
+    request completes or is cancelled (§3.3.2 rule 1): the put data is
+    read in place when the REQUEST is encoded, never copied at the trap,
+    and [into] is filled from the ACCEPT's frame at completion. A task
+    that reuses a buffer for its next request must wait for the
+    completion first ({!Kernel.request}). *)
 
 val signal : env -> Types.server_signature -> arg:int -> Types.tid
 val put : env -> Types.server_signature -> arg:int -> bytes -> Types.tid
@@ -129,7 +136,12 @@ val swallow_completion : env -> Types.tid -> unit
     afterwards). *)
 val on_completion_of : env -> Types.tid -> (completion_info -> unit) -> unit
 
-(** {1 ACCEPT variants (blocking, bounded time)} *)
+(** {1 ACCEPT variants (blocking, bounded time)}
+
+    [data] goes out by reference: the ACCEPT is encoded from it, and
+    re-encoded if retransmitted, until the call returns. [into] is filled
+    from the frame that brought the put data. Neither is touched after
+    the return. *)
 
 val accept_signal : env -> Types.requester_signature -> arg:int -> Types.accept_status
 

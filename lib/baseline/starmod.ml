@@ -3,6 +3,13 @@ module Metrics = Soda_obs.Metrics
 module Bus = Soda_net.Bus
 module Nic = Soda_net.Nic
 
+let k_retransmitted = Metrics.counter_key "starmod.pkt.retransmitted"
+let k_sent = Metrics.counter_key "starmod.pkt.sent"
+let k_bad = Metrics.counter_key "starmod.pkt.bad"
+let k_recv = Metrics.counter_key "starmod.pkt.recv"
+let k_sync_calls = Metrics.counter_key "starmod.sync_calls"
+let k_async_sends = Metrics.counter_key "starmod.async_sends"
+
 type cost = {
   trap_us : int;
   packet_us : int;
@@ -104,7 +111,7 @@ let rec peer node mid =
 and retransmit node dst =
   match (peer node dst).inflight with
   | Some ob ->
-    Metrics.incr node.stats "starmod.pkt.retransmitted";
+    Metrics.count node.stats k_retransmitted;
     transmit node dst ob
   | None -> ()
 
@@ -121,7 +128,7 @@ and pump node dst =
 and transmit node dst ob =
   let p = peer node dst in
   let packet = { ob.ob_packet with seq = p.send_seq } in
-  Metrics.incr node.stats "starmod.pkt.sent";
+  Metrics.count node.stats k_sent;
   let nic = Option.get node.nic in
   (* kernel protocol work, then the wire *)
   Engine.schedule node.engine ~delay:node.cost.packet_us (fun () ->
@@ -139,7 +146,7 @@ let send_packet node ~dst ~kind ~call_id ~port payload ~on_delivered =
   pump node dst
 
 let send_ack node ~dst ~seq =
-  Metrics.incr node.stats "starmod.pkt.sent";
+  Metrics.count node.stats k_sent;
   let nic = Option.get node.nic in
   Engine.schedule node.engine ~delay:node.cost.packet_us (fun () ->
       Nic.send nic ~dst
@@ -171,9 +178,9 @@ let deliver node ~src packet =
 
 let on_rx node ~src payload =
   match decode payload with
-  | None -> Metrics.incr node.stats "starmod.pkt.bad"
+  | None -> Metrics.count node.stats k_bad
   | Some packet ->
-    Metrics.incr node.stats "starmod.pkt.recv";
+    Metrics.count node.stats k_recv;
     Engine.schedule node.engine ~delay:node.cost.packet_us (fun () ->
         match packet.kind with
         | Ack ->
@@ -218,7 +225,7 @@ let sync_call node ~dst ~port payload ~on_reply =
   let call_id = node.next_call in
   node.next_call <- node.next_call + 1;
   Hashtbl.replace node.calls call_id on_reply;
-  Metrics.incr node.stats "starmod.sync_calls";
+  Metrics.count node.stats k_sync_calls;
   (* user->kernel trap + kernel buffering, then queue for the net process *)
   let delay = node.cost.trap_us + node.cost.buffer_copy_us in
   Engine.schedule node.engine ~delay (fun () ->
@@ -227,7 +234,7 @@ let sync_call node ~dst ~port payload ~on_reply =
 let async_send node ~dst ~port payload ~on_done =
   let call_id = node.next_call in
   node.next_call <- node.next_call + 1;
-  Metrics.incr node.stats "starmod.async_sends";
+  Metrics.count node.stats k_async_sends;
   let delay = node.cost.trap_us + node.cost.buffer_copy_us in
   Engine.schedule node.engine ~delay (fun () ->
       send_packet node ~dst ~kind:Msg ~call_id ~port payload ~on_delivered:on_done)

@@ -12,6 +12,9 @@ module Recorder = Soda_obs.Recorder
 module Event = Soda_obs.Event
 module Causal = Soda_obs.Causal
 
+let k_context_switch = Metrics.counter_key (Cost.label Cost.Context_switch)
+let k_protocol = Metrics.counter_key (Cost.label Cost.Protocol)
+
 type client = {
   invoke_handler : Types.handler_event -> unit;
   on_kill : unit -> unit;
@@ -22,8 +25,6 @@ type boot_state =
   | Loading of { parent : int; load_pattern : Pattern.t; image : Buffer.t }
   | Running of { load_pattern : Pattern.t option }
       (** [load_pattern] is retained so the parent can kill us (§3.5.2) *)
-
-type pending_request = { pr_get_buffer : bytes }
 
 (* The advertisement table, in the representation the cost model
    selects: an associative table, or the 256-slot table of §5.4. A node
@@ -50,7 +51,6 @@ type t = {
   mutable hs_open : bool;
   mutable hs_busy : bool;
   completions : Types.handler_event Queue.t;
-  pending : (int, pending_request) Hashtbl.t;  (* tid -> requester bookkeeping *)
   mutable crashed : bool;
   (* A handler invocation waits out one context switch in [invocations]
      (its event); a client's return from an ACCEPT trap waits one beat in
@@ -58,8 +58,6 @@ type t = {
      the client empties both. *)
   invocations : (unit, Types.handler_event) Delay_line.t;
   returns : (Types.accept_status * int -> unit, Types.accept_status) Delay_line.t;
-  context_switch_time : Metrics.counter_slot;
-  protocol_time : Metrics.counter_slot;
   (* Ambient causal parent: a client-visible operation (a store op, a
      multi-request facility call) sets this so every REQUEST trapped
      under it becomes a child span of the operation rather than a fresh
@@ -74,8 +72,6 @@ let stats t = Transport.stats t.transport
 let transport t = t.transport
 let recorder t = t.recorder
 let client_alive t = t.client <> None
-
-let outstanding t = Hashtbl.length t.pending
 
 (* Typed observability events: guarded so a disabled trace costs one branch. *)
 let tracing t = Recorder.tracing t.recorder
@@ -185,7 +181,7 @@ let invoke_client_handler t event =
   | Some _ ->
     t.hs_busy <- true;
     if tracing t then emit_event t ?ctx:(handler_event_ctx t event) Event.Handler_invoke;
-    Metrics.bump_by t.context_switch_time t.cost.Cost.context_switch_us;
+    Metrics.count_by (stats t) k_context_switch t.cost.Cost.context_switch_us;
     ignore (Delay_line.push t.invocations ~fire:handler_invoked t ~n:0 () event)
 
 let rec dispatch_completions t =
@@ -249,7 +245,6 @@ let kill_client t ~readvertise_boot ~drain =
   Delay_line.reset t.invocations;
   Delay_line.reset t.returns;
   Queue.clear t.completions;
-  Hashtbl.reset t.pending;
   clear_advertisements t;
   let reset () =
     Transport.reset t.transport;
@@ -404,18 +399,27 @@ let deliver_request t ~src ~tid ~pattern ~arg ~put_size ~get_size =
   end
   else `Busy
 
+(* Did the current mint issue [tid]? *)
+let minted t tid =
+  let serial = (tid lsr 32) land 0xFF in
+  let counter = tid land 0xFFFFFFFF in
+  serial = t.mid land 0xFF
+  && counter >= Pattern.Mint.boot_floor t.mint
+  && counter < Pattern.Mint.ceiling t.mint
+
+(* A completion reaches only the client that trapped the request. A DIE
+   leaves the transport running through its drain, and what completes
+   there is dropped: while no client is attached, and once a new client
+   has a fresh mint. *)
 let complete_request t ~tid completion =
-  match Hashtbl.find t.pending tid with
-  | exception Not_found -> ()
-  | pr ->
-    Hashtbl.remove t.pending tid;
+  if t.client <> None && minted t tid then begin
     let requester = { Types.rq_mid = t.mid; rq_tid = tid } in
     let event =
       match completion with
-      | Transport.Comp_accepted { arg; put_transferred; get_data; _ } ->
+      | Transport.Comp_accepted { arg; put_transferred; get_data; get; _ } ->
         (* the one copy of the get data on the way in: frame -> client *)
-        let len = min get_data.len (Bytes.length pr.pr_get_buffer) in
-        Bytes.blit get_data.buf get_data.off pr.pr_get_buffer 0 len;
+        let len = get_data.len in
+        Bytes.blit get_data.buf get_data.off get 0 len;
         Types.Request_completion
           { requester; status = Types.Completed; arg; put_transferred; get_transferred = len }
       | Transport.Comp_unadvertised ->
@@ -426,21 +430,22 @@ let complete_request t ~tid completion =
         Types.Request_completion
           { requester; status = Types.Crashed; arg = 0; put_transferred = 0;
             get_transferred = 0 }
-      | Transport.Comp_discovered mids ->
+      | Transport.Comp_discovered { mids; get } ->
         (* DISCOVER is a GET: matching mids land in the get buffer as
            16-bit big-endian words (§3.4.4). *)
-        let capacity = Bytes.length pr.pr_get_buffer / 2 in
+        let capacity = Bytes.length get / 2 in
         let mids = List.filteri (fun i _ -> i < capacity) mids in
         List.iteri
           (fun i m ->
-            Bytes.set pr.pr_get_buffer (2 * i) (Char.chr ((m lsr 8) land 0xFF));
-            Bytes.set pr.pr_get_buffer ((2 * i) + 1) (Char.chr (m land 0xFF)))
+            Bytes.set get (2 * i) (Char.chr ((m lsr 8) land 0xFF));
+            Bytes.set get ((2 * i) + 1) (Char.chr (m land 0xFF)))
           mids;
         Types.Request_completion
           { requester; status = Types.Completed; arg = List.length mids; put_transferred = 0;
             get_transferred = 2 * List.length mids }
     in
     enqueue_completion t event
+  end
 
 (* The return from the ACCEPT trap is not instantaneous: the client is
    unblocked a beat after the data exchange completes, so a request
@@ -455,22 +460,13 @@ let accept_returned t =
   Delay_line.next l Delay_line.always;
   on_done (status, len)
 
-let classify_unknown_tid t tid =
-  let serial = (tid lsr 32) land 0xFF in
-  let counter = tid land 0xFFFFFFFF in
-  if
-    serial = t.mid land 0xFF
-    && counter >= Pattern.Mint.boot_floor t.mint
-    && counter < Pattern.Mint.ceiling t.mint
-  then `Completed
-  else `Stale
+let classify_unknown_tid t tid = if minted t tid then `Completed else `Stale
 
 (* ---- construction ------------------------------------------------------------ *)
 
 let create ~engine ~bus ~recorder ~cost ~mid ~boot_kinds =
   let transport = Transport.create ~engine ~bus ~mid ~cost ~recorder in
   let nic = Transport.attach_nic transport in
-  let stats = Transport.stats transport in
   let t =
     {
       engine;
@@ -491,7 +487,6 @@ let create ~engine ~bus ~recorder ~cost ~mid ~boot_kinds =
       hs_open = false;
       hs_busy = false;
       completions = Queue.create ();
-      pending = Hashtbl.create 16;
       crashed = false;
       invocations =
         Delay_line.create ~tag:"kernel" engine ~delay:cost.Cost.context_switch_us
@@ -499,8 +494,6 @@ let create ~engine ~bus ~recorder ~cost ~mid ~boot_kinds =
       returns =
         Delay_line.create ~tag:"kernel" engine ~delay:accept_return_us ~fill_a:no_return
           ~fill_b:Types.Accept_cancelled;
-      context_switch_time = Metrics.counter_slot stats (Cost.label Cost.Context_switch);
-      protocol_time = Metrics.counter_slot stats (Cost.label Cost.Protocol);
       causal_parent = None;
     }
   in
@@ -551,7 +544,6 @@ let request t ~server ~arg ~put ~get_buffer =
     | Types.Mid dst when dst = t.mid -> Error Request_to_self
     | Types.Mid dst ->
       let tid = Pattern.Mint.fresh_tid t.mint in
-      Hashtbl.replace t.pending tid { pr_get_buffer = get_buffer };
       let ctx = mint_trap_ctx t in
       (match ctx with
        | Some c -> Transport.register_causal t.transport ~tid c
@@ -566,13 +558,12 @@ let request t ~server ~arg ~put ~get_buffer =
          completion (§3.3.2 rule 1). The copy into the output buffer is
          still charged here, at trap time. *)
       let copy_us = Cost.data_copy_us t.cost ~bytes:(Bytes.length put) in
-      Metrics.bump_by t.protocol_time copy_us;
+      Metrics.count_by (stats t) k_protocol copy_us;
       Transport.submit_request t.transport ~dst ~tid ~pattern:server.Types.sv_pattern ~arg
-        ~put_data:put ~get_size:(Bytes.length get_buffer);
+        ~put_data:put ~get_buffer;
       Ok tid
     | Types.Broadcast_mid ->
       let tid = Pattern.Mint.fresh_tid t.mint in
-      Hashtbl.replace t.pending tid { pr_get_buffer = get_buffer };
       let ctx = mint_trap_ctx t in
       (match ctx with
        | Some c -> Transport.register_causal t.transport ~tid c
@@ -583,8 +574,7 @@ let request t ~server ~arg ~put ~get_buffer =
              { tid; dst = Event.broadcast_peer;
                pattern = Pattern.to_int server.Types.sv_pattern; put_size = 0;
                get_size = Bytes.length get_buffer });
-      Transport.submit_discover t.transport ~tid ~pattern:server.Types.sv_pattern
-        ~max_mids:(Bytes.length get_buffer / 2);
+      Transport.submit_discover t.transport ~tid ~pattern:server.Types.sv_pattern ~get_buffer;
       Ok tid
   end
 
@@ -610,10 +600,7 @@ let cancel t ~requester ~on_done =
   let tid = requester.Types.rq_tid in
   if requester.Types.rq_mid <> t.mid then on_done false
   else
-    (* A cancelled request never completes: drop its get buffer now. *)
-    Transport.cancel t.transport ~tid ~on_done:(fun ok ->
-        if ok then Hashtbl.remove t.pending tid;
-        on_done ok)
+    Transport.cancel t.transport ~tid ~on_done
 
 let advertise t pattern =
   if Pattern.is_reserved pattern then Error `Reserved_pattern

@@ -137,9 +137,6 @@ val destroy : t -> unit
     §5.4 reboot quarantine (2 MPL + Delta-t), then rejoin. *)
 val quarantine : t -> unit
 
-(** Number of uncompleted requests issued by this client. *)
-val outstanding : t -> int
-
 (** {1 Causal identity}
 
     All of these are inert (return [None] / store [None]) unless the

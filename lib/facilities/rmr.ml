@@ -6,6 +6,8 @@ module Sodal = Soda_runtime.Sodal
 module Recorder = Soda_obs.Recorder
 module Metrics = Soda_obs.Metrics
 
+let k_lock_attempts = Metrics.counter_key "rmr.lock.attempts"
+
 type error = Out_of_range | Unreachable
 
 let word_bytes = 2
@@ -92,7 +94,7 @@ let lock ?timeserver env server ~addr =
   let rng = Rng.split (Engine.rng (Kernel.engine (Sodal.kernel env))) in
   let metrics = Recorder.metrics (Kernel.recorder (Sodal.kernel env)) in
   let rec go k =
-    Metrics.incr metrics "rmr.lock.attempts";
+    Metrics.count metrics k_lock_attempts;
     match test_and_set env server ~addr 1 with
     | Ok 0 -> Ok ()
     | Ok _ ->

@@ -5,6 +5,17 @@ module Delay_line = Soda_sim.Delay_line
 module Recorder = Soda_obs.Recorder
 module Event = Soda_obs.Event
 
+let k_frames_sent = Metrics.counter_key "bus.frames_sent"
+let k_bytes_sent = Metrics.counter_key "bus.bytes_sent"
+let k_frames_delivered = Metrics.counter_key "bus.frames_delivered"
+let k_medium_busy = Metrics.counter_key "bus.medium_busy"
+let k_frames_partitioned = Metrics.counter_key "bus.frames_partitioned"
+let k_frames_lost = Metrics.counter_key "bus.frames_lost"
+let k_frames_corrupted = Metrics.counter_key "bus.frames_corrupted"
+let k_frames_duplicated = Metrics.counter_key "bus.frames_duplicated"
+let k_frame_bytes = Metrics.histogram_key "bus.frame_bytes"
+let k_queueing_us = Metrics.histogram_key "bus.queueing_us"
+
 type config = {
   bandwidth_bps : int;
   propagation_us : int;
@@ -39,20 +50,6 @@ type t = {
   arrivals : (Frame.t, unit) Delay_line.t;
   fault_rng : Rng.t;
   stats : Metrics.t;
-  (* Backing cells of the per-frame stats, fetched once: a frame costs
-     five accounting updates, and the string-keyed lookups were measurable
-     at thousands of frames per simulated second. *)
-  c_frames_sent : int ref;
-  c_bytes_sent : int ref;
-  c_frames_delivered : int ref;
-  t_medium_busy : int ref;
-  h_frame_bytes : Metrics.histogram;
-  h_queueing_us : Metrics.histogram;
-  (* the fault counters: slots, so a run without faults exports none *)
-  frames_partitioned : Metrics.counter_slot;
-  frames_lost : Metrics.counter_slot;
-  frames_corrupted : Metrics.counter_slot;
-  frames_duplicated : Metrics.counter_slot;
   pool : Pool.t;
   obs : Recorder.t option;
   (* fault-plan state *)
@@ -63,13 +60,20 @@ type t = {
   part_group : (int, int) Hashtbl.t;
   mutable duplicate_pending : int;
   mutable jitter : (int * int) option;  (* (min_us, max_us) extra delivery delay *)
-  mutable seq_window : int option;  (* transport window claimed by the stations *)
+  mutable seq_window : (int * int) option;
+      (* the transport window claimed by the stations, and its sequence space *)
 }
 
 let no_frame = { Frame.src = -1; dst = Frame.Broadcast; wire = Bytes.empty; len = 0; ctx = None }
 
+(* The per-frame counters and histograms are listed from creation; the
+   fault counters only once a fault hits a frame. *)
 let create ?(config = default_config) ?obs engine =
   let stats = Metrics.create () in
+  List.iter (fun k -> Metrics.count_by stats k 0)
+    [ k_frames_sent; k_bytes_sent; k_frames_delivered; k_medium_busy ];
+  Metrics.declare stats k_frame_bytes;
+  Metrics.declare stats k_queueing_us;
   {
     engine;
     config;
@@ -82,16 +86,6 @@ let create ?(config = default_config) ?obs engine =
     arrivals = Delay_line.create ~tag:"bus" engine ~delay:0 ~fill_a:no_frame ~fill_b:();
     fault_rng = Rng.split (Engine.rng engine);
     stats;
-    c_frames_sent = Metrics.counter_cell stats "bus.frames_sent";
-    c_bytes_sent = Metrics.counter_cell stats "bus.bytes_sent";
-    c_frames_delivered = Metrics.counter_cell stats "bus.frames_delivered";
-    t_medium_busy = Metrics.counter_cell stats "bus.medium_busy";
-    h_frame_bytes = Metrics.histogram_cell stats "bus.frame_bytes";
-    h_queueing_us = Metrics.histogram_cell stats "bus.queueing_us";
-    frames_partitioned = Metrics.counter_slot stats "bus.frames_partitioned";
-    frames_lost = Metrics.counter_slot stats "bus.frames_lost";
-    frames_corrupted = Metrics.counter_slot stats "bus.frames_corrupted";
-    frames_duplicated = Metrics.counter_slot stats "bus.frames_duplicated";
     pool = Pool.create ();
     obs;
     partition = None;
@@ -106,23 +100,18 @@ let stats t = t.stats
 let config t = t.config
 let pool t = t.pool
 
-(* Seq-space width implied by a station's transport window; mirrors
-   Cost_model.seq_space's tiers (1-bit / 4-bit / 8-bit encodings). *)
-let seq_space_of_window w = if w <= 1 then 2 else if w <= 8 then 16 else 256
-
-let claim_seq_window t ~window =
+let claim_seq_window t ~window ~space =
   match t.seq_window with
-  | None -> t.seq_window <- Some window
-  | Some w when w = window -> ()
-  | Some w ->
+  | None -> t.seq_window <- Some (window, space)
+  | Some (w, _) when w = window -> ()
+  | Some (w, s) ->
     invalid_arg
       (Printf.sprintf
          "Bus.claim_seq_window: stations disagree on the transport window: the \
           first station claimed window %d (seq space %d), the new station wants \
           window %d (seq space %d). A receiver classifies packets against its \
           own window, so every station on one medium must use the same width"
-         w (seq_space_of_window w) window
-         (seq_space_of_window window))
+         w s window space)
 
 (* Hot call sites test [tracing] BEFORE building the event payload: the
    [Event.t] constructor argument is an allocation, and it was paid on
@@ -244,14 +233,14 @@ let deliver_to t frame mid rx =
      the wire when the cut appears is eaten too — that is exactly the
      "ack eaten by a partition" adversary the chaos suite scripts. *)
   if separated t frame.Frame.src mid then begin
-    Metrics.bump t.frames_partitioned;
+    Metrics.count t.stats k_frames_partitioned;
     if tracing t then
       emit_event t
         (Event.Bus_drop { src = frame.Frame.src; dst = mid; reason = Drop_partitioned });
     false
   end
   else if Rng.chance t.fault_rng t.config.loss_rate then begin
-    Metrics.bump t.frames_lost;
+    Metrics.count t.stats k_frames_lost;
     if tracing t then
       emit_event t (Event.Bus_drop { src = frame.Frame.src; dst = mid; reason = Drop_lost });
     false
@@ -259,7 +248,7 @@ let deliver_to t frame mid rx =
   else begin
     let frame =
       if Rng.chance t.fault_rng t.config.corruption_rate then begin
-        Metrics.bump t.frames_corrupted;
+        Metrics.count t.stats k_frames_corrupted;
         if tracing t then
           emit_event t
             (Event.Bus_drop { src = frame.Frame.src; dst = mid; reason = Drop_corrupted });
@@ -267,7 +256,7 @@ let deliver_to t frame mid rx =
       end
       else frame
     in
-    incr t.c_frames_delivered;
+    Metrics.count t.stats k_frames_delivered;
     rx frame;
     true
   end
@@ -315,11 +304,11 @@ let transmit t (frame : Frame.t) =
   let start = max now t.busy_until in
   let tx = transmission_time_us t ~payload_bytes in
   t.busy_until <- start + tx;
-  incr t.c_frames_sent;
-  t.c_bytes_sent := !(t.c_bytes_sent) + payload_bytes;
-  t.t_medium_busy := !(t.t_medium_busy) + tx;
-  Metrics.Histogram.observe t.h_frame_bytes payload_bytes;
-  Metrics.Histogram.observe t.h_queueing_us (start - now);
+  Metrics.count t.stats k_frames_sent;
+  Metrics.count_by t.stats k_bytes_sent payload_bytes;
+  Metrics.count_by t.stats k_medium_busy tx;
+  Metrics.sample t.stats k_frame_bytes payload_bytes;
+  Metrics.sample t.stats k_queueing_us (start - now);
   if tracing t then
     emit_event t
       (Event.Bus_frame
@@ -342,7 +331,7 @@ let transmit t (frame : Frame.t) =
   ignore (Delay_line.push_after t.arrivals ~delay:arrival ~fire:arrived t ~n:0 frame ());
   if t.duplicate_pending > 0 then begin
     t.duplicate_pending <- t.duplicate_pending - 1;
-    Metrics.bump t.frames_duplicated;
+    Metrics.count t.stats k_frames_duplicated;
     (* The copy trails the original by one transmission time plus a small
        random slack: late enough to look like a stale retransmission. It
        has bytes of its own, so no buffer is delivered twice. *)

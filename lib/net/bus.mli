@@ -43,10 +43,10 @@ val config : t -> config
     window, so stations with different windows — and hence possibly
     different sequence-space widths (2 at window 1, 16 up to window 8,
     256 above) — cannot interoperate. The first claim pins the medium's
-    window.
+    window; [space] is the claimant's sequence space, for the message.
     @raise Invalid_argument when a later claim disagrees; the message
-    names both stations' windows and derived sequence spaces. *)
-val claim_seq_window : t -> window:int -> unit
+    names both stations' windows and sequence spaces. *)
+val claim_seq_window : t -> window:int -> space:int -> unit
 
 (** Set the per-delivery frame-loss probability.
     @raise Invalid_argument unless the rate is within [0, 1]. *)

@@ -1,9 +1,11 @@
 module Metrics = Soda_obs.Metrics
 
+let k_crc_drops = Metrics.counter_key "nic.crc_drops"
+
 type t = {
   bus : Bus.t;
   mid : int;
-  crc_slot : Metrics.counter_slot;
+  stats : Metrics.t option;
   mutable crc_drops : int;
   mutable enabled : bool;
 }
@@ -18,24 +20,15 @@ let release_unicast bus frame =
 (* Shared CRC screen: [deliver frame len] is called with the in-place
    payload length after the trailer verified; a frame dropped here goes
    back to the pool. *)
-(* Where a station without a registry counts: one slot for all of them,
-   which nothing reads, made with the first such station. *)
-let unreported = lazy (Metrics.counter_slot (Metrics.create ()) "nic.crc_drops")
-
 let make ?stats bus ~mid ~deliver =
-  let crc_slot =
-    match stats with
-    | Some s -> Metrics.counter_slot s "nic.crc_drops"
-    | None -> Lazy.force unreported
-  in
-  let t = { bus; mid; crc_slot; crc_drops = 0; enabled = true } in
+  let t = { bus; mid; stats; crc_drops = 0; enabled = true } in
   Bus.attach bus ~mid ~rx:(fun frame ->
       let len = if t.enabled then Crc16.screen frame.Frame.wire ~len:frame.Frame.len else -1 in
       if len >= 0 then deliver frame len
       else begin
         if t.enabled then begin
           t.crc_drops <- t.crc_drops + 1;
-          Metrics.bump t.crc_slot
+          match t.stats with Some s -> Metrics.count s k_crc_drops | None -> ()
         end;
         release_unicast bus frame
       end);

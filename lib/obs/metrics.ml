@@ -131,89 +131,93 @@ module Histogram = struct
     end
 end
 
-type t = {
-  counters : (string, int ref) Hashtbl.t;
-  gauges : (string, int ref) Hashtbl.t;
-  histograms : (string, histogram) Hashtbl.t;
-}
+(* Keys: the names interned so far, one table per kind. A key is its
+   name's rank of interning. *)
+let counters : (string, int) Hashtbl.t = Hashtbl.create 128
+let histograms : (string, int) Hashtbl.t = Hashtbl.create 32
 
-let create () =
-  { counters = Hashtbl.create 32; gauges = Hashtbl.create 8;
-    histograms = Hashtbl.create 8 }
-
-(* Exception-based lookups throughout this module: [Hashtbl.find_opt]
-   allocates a [Some] per hit, and counter bumps sit on the simulator's
-   per-packet hot path (several per packet), so the option garbage was
-   measurable at scale. *)
-let cell table name =
-  match Hashtbl.find table name with
-  | r -> r
+let intern ns name =
+  match Hashtbl.find ns name with
+  | k -> k
   | exception Not_found ->
-    let r = ref 0 in
-    Hashtbl.replace table name r;
-    r
+    let k = Hashtbl.length ns in
+    Hashtbl.replace ns name k;
+    k
 
-let counter_cell t name = cell t.counters name
+let key_of ns name = match Hashtbl.find ns name with k -> k | exception Not_found -> -1
 
-let incr t name = Stdlib.incr (cell t.counters name)
+type counter_key = int
+type histogram_key = int
 
-let add t name n =
-  let r = cell t.counters name in
-  r := !r + n
+let counter_key name = intern counters name
+let histogram_key name = intern histograms name
 
-let counter t name =
-  match Hashtbl.find t.counters name with r -> !r | exception Not_found -> 0
-
-(* Slot cells start as these sentinels, never written: a name the node
-   never touches stays absent from its exports. *)
-let no_ref = ref 0
+(* [counts.(k)] is 0 while [k] was never written and [2v + 1] once its
+   value is [v]: the low bit is the written mark, set by the same store
+   that adds, so a counter written by 0 reads 1 and is listed. [hists.(k)]
+   is [no_histogram] until [k]'s first sample or [declare]. Both arrays
+   start empty, and a write past the end at least doubles one, up to
+   every key interned so far. *)
+type t = {
+  mutable counts : int array;
+  mutable hists : histogram array;
+  mutable gauges : (string * int ref) list;
+}
 
 let no_histogram = Histogram.create ()
 
-type counter_slot = { c_metrics : t; c_name : string; mutable c_ref : int ref }
+let create () = { counts = [||]; hists = [||]; gauges = [] }
 
-let counter_slot t name = { c_metrics = t; c_name = name; c_ref = no_ref }
+let grown a ns k fill =
+  let b = Array.make (min (Hashtbl.length ns) (max (k + 1) (2 * Array.length a))) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
-let resolve s = if s.c_ref == no_ref then s.c_ref <- counter_cell s.c_metrics s.c_name
+let count_by t k n =
+  if k >= Array.length t.counts then t.counts <- grown t.counts counters k 0;
+  Array.unsafe_set t.counts k ((Array.unsafe_get t.counts k + (2 * n)) lor 1)
 
-let bump s =
-  resolve s;
-  Stdlib.incr s.c_ref
+let count t k = count_by t k 1
 
-let bump_by s n =
-  resolve s;
-  s.c_ref := !(s.c_ref) + n
-
-type histogram_slot = { h_metrics : t; h_name : string; mutable h_cell : histogram }
-
-let histogram_slot t name = { h_metrics = t; h_name = name; h_cell = no_histogram }
-
-let set_gauge t name v = cell t.gauges name := v
-
-let gauge t name =
-  match Hashtbl.find t.gauges name with r -> !r | exception Not_found -> 0
-
-let histogram_cell t name =
-  match Hashtbl.find t.histograms name with
-  | h -> h
-  | exception Not_found ->
+let hist t k =
+  if k >= Array.length t.hists then t.hists <- grown t.hists histograms k no_histogram;
+  let h = Array.unsafe_get t.hists k in
+  if h != no_histogram then h
+  else begin
     let h = Histogram.create () in
-    Hashtbl.replace t.histograms name h;
+    Array.unsafe_set t.hists k h;
     h
+  end
 
-let observe t name v = Histogram.observe (histogram_cell t name) v
+let sample t k v = Histogram.observe (hist t k) v
+let declare t k = ignore (hist t k)
 
-let sample s v =
-  if s.h_cell == no_histogram then s.h_cell <- histogram_cell s.h_metrics s.h_name;
-  Histogram.observe s.h_cell v
+let counter t name =
+  let k = key_of counters name in
+  if k < 0 || k >= Array.length t.counts then 0 else t.counts.(k) asr 1
 
-let histogram t name = Hashtbl.find_opt t.histograms name
+let histogram t name =
+  let k = key_of histograms name in
+  if k < 0 || k >= Array.length t.hists || t.hists.(k) == no_histogram then None
+  else Some t.hists.(k)
 
-let names table = Hashtbl.fold (fun name _ acc -> name :: acc) table [] |> List.sort compare
+let set_gauge t name v =
+  match List.assoc name t.gauges with
+  | r -> r := v
+  | exception Not_found -> t.gauges <- (name, ref v) :: t.gauges
 
-let counter_names t = names t.counters
-let gauge_names t = names t.gauges
-let histogram_names t = names t.histograms
+let gauge t name = match List.assoc name t.gauges with r -> !r | exception Not_found -> 0
+
+(* The names of the keys whose slot in [a] is written. *)
+let written a ns blank =
+  Hashtbl.fold
+    (fun name k acc -> if k < Array.length a && a.(k) != blank then name :: acc else acc)
+    ns []
+  |> List.sort compare
+
+let counter_names t = written t.counts counters 0
+let gauge_names t = List.sort compare (List.map fst t.gauges)
+let histogram_names t = written t.hists histograms no_histogram
 
 let pp ppf t =
   List.iter

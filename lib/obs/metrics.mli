@@ -18,53 +18,54 @@ type histogram
 
 val create : unit -> t
 
-(** Counters (monotonic). *)
+(** {2 Keys}
 
-val incr : t -> string -> unit
-val add : t -> string -> int -> unit
+    A counter or histogram is named once per process by an interned
+    key, declared at the top of the module that writes it. Interning is
+    by name: two modules that declare the same name write one counter.
+    Every registry holds its values in arrays indexed by key, so a write
+    hashes nothing and allocates nothing: it is an array store, plus one
+    branch that grows the registry's array when a key lies past its end
+    (the first write of a key a registry has not reached). *)
+
+type counter_key
+type histogram_key
+
+val counter_key : string -> counter_key
+val histogram_key : string -> histogram_key
+
+(** {2 Writes} *)
+
+(** [count t k] adds one to [k]'s counter. *)
+val count : t -> counter_key -> unit
+
+(** [count_by t k n] adds [n]. Adding 0 lists the counter at 0. *)
+val count_by : t -> counter_key -> int -> unit
+
+(** [sample t k v] records [v] (clamped to 0 when negative) in [k]'s
+    histogram, made at its first sample. *)
+val sample : t -> histogram_key -> int -> unit
+
+(** [declare t k] lists [k]'s histogram before its first sample, as
+    [count_by t k 0] lists a counter. *)
+val declare : t -> histogram_key -> unit
+
+(** {2 Listing}
+
+    A key never written in a registry is not listed there: [counter]
+    reads 0, [histogram] [None], and neither the names, [pp] nor
+    {!Export} mention it. A key written once, even by [count_by _ _ 0]
+    or [declare], is listed from then on. *)
+
+(** A counter's value; 0 when never written. *)
 val counter : t -> string -> int
 
-(** [counter_cell t name] is the counter's backing cell (created at zero
-    on first use): hot paths bump the ref directly instead of paying a
-    string hash + table probe per increment. The registry never drops a
-    cell, so one fetched at setup stays attached. *)
-val counter_cell : t -> string -> int ref
+val histogram : t -> string -> histogram option
 
-(** Slots: a name bound once, its cell resolved at the first bump or
-    sample. A slot that is never used adds nothing to the registry, so
-    it exports exactly what the string-keyed call would have, and a
-    histogram record exists only where something is sampled. *)
-
-type counter_slot
-
-val counter_slot : t -> string -> counter_slot
-
-(** [bump s] is [incr t name]. *)
-val bump : counter_slot -> unit
-
-(** [bump_by s n] is [add t name n]. *)
-val bump_by : counter_slot -> int -> unit
-
-type histogram_slot
-
-val histogram_slot : t -> string -> histogram_slot
-
-(** [sample s v] is [observe t name v]. *)
-val sample : histogram_slot -> int -> unit
-
-(** Gauges (set to the latest value). *)
+(** Gauges (set to the latest value), string-keyed: only exports set them. *)
 
 val set_gauge : t -> string -> int -> unit
 val gauge : t -> string -> int
-
-(** Histograms. [observe] clamps negative values to 0. *)
-
-val observe : t -> string -> int -> unit
-val histogram : t -> string -> histogram option
-
-(** The histogram's backing cell (created empty on first use); same
-    hot-path contract as {!counter_cell}. *)
-val histogram_cell : t -> string -> histogram
 
 module Histogram : sig
   type t = histogram

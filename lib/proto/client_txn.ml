@@ -4,7 +4,7 @@ type req = {
   tid : int;
   dst : int;
   put : bytes;
-  get_size : int;
+  get : bytes;
   submit_us : int;
   mutable state : state;
   mutable probe_id : int;
@@ -15,23 +15,23 @@ type req = {
   mutable get_data : Wire.view;
 }
 
-type discovery = { d_tid : int; max_mids : int; mutable mids : int list (* latest first *) }
+type discovery = { d_tid : int; d_get : bytes; mutable mids : int list (* latest first *) }
 
 (* DISCOVERs are few and short-lived: a list beside the table. *)
 type t = { reqs : (int, req) Hashtbl.t; mutable discoveries : discovery list }
 
 let no_cancel (_ : bool) = ()
 
-let make ~tid ~dst ~put ~get_size ~now state =
-  { tid; dst; put; get_size; submit_us = now; state; probe_id = -1; unanswered = 0;
+let make ~tid ~dst ~put ~get ~now state =
+  { tid; dst; put; get; submit_us = now; state; probe_id = -1; unanswered = 0;
     on_cancel = no_cancel; arg = 0; put_transferred = 0; get_data = Wire.no_data }
 
-let none = make ~tid:(-1) ~dst:(-1) ~put:Bytes.empty ~get_size:0 ~now:0 Done
+let none = make ~tid:(-1) ~dst:(-1) ~put:Bytes.empty ~get:Bytes.empty ~now:0 Done
 let create () = { reqs = Hashtbl.create 16; discoveries = [] }
 let find t tid = match Hashtbl.find t.reqs tid with req -> req | exception Not_found -> none
 
-let add t ~tid ~dst ~put ~get_size ~now =
-  let req = make ~tid ~dst ~put ~get_size ~now Sent in
+let add t ~tid ~dst ~put ~get ~now =
+  let req = make ~tid ~dst ~put ~get ~now Sent in
   Hashtbl.replace t.reqs tid req;
   req
 
@@ -49,7 +49,7 @@ let accept req ~src ~arg ~put_transferred ~data =
   else begin
     req.arg <- arg;
     req.put_transferred <- put_transferred;
-    req.get_data <- Wire.view_prefix data req.get_size;
+    req.get_data <- Wire.view_prefix data (Bytes.length req.get);
     Taken
   end
 
@@ -76,22 +76,25 @@ let retire t req =
 
 let set_probe_id req id = req.probe_id <- id
 
-let no_discovery = { d_tid = -1; max_mids = 0; mids = [] }
+let no_discovery = { d_tid = -1; d_get = Bytes.empty; mids = [] }
 
-let discover t ~tid ~max_mids =
-  let d = { d_tid = tid; max_mids; mids = [] } in
+let discover t ~tid ~get =
+  let d = { d_tid = tid; d_get = get; mids = [] } in
   t.discoveries <- d :: t.discoveries;
   d
 
 let discover_reply t ~tid ~src =
   match List.find_opt (fun d -> d.d_tid = tid) t.discoveries with
   | Some d ->
-    if (not (List.mem src d.mids)) && List.length d.mids < d.max_mids then d.mids <- src :: d.mids
+    if (not (List.mem src d.mids)) && List.length d.mids < Bytes.length d.d_get / 2 then
+      d.mids <- src :: d.mids
   | None -> ()
 
 let discovered t d =
   t.discoveries <- List.filter (fun d' -> d' != d) t.discoveries;
   List.rev d.mids
+
+let discovery_get d = d.d_get
 
 let reset t =
   Hashtbl.reset t.reqs;

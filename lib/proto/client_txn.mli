@@ -24,7 +24,9 @@ type req = private {
   tid : int;
   dst : int;
   put : bytes;  (** the put data, kept to be sent again if the ACCEPT asks *)
-  get_size : int;
+  get : bytes;
+      (** the requester's get buffer: the kernel copies the ACCEPT's get
+          data into it at completion *)
   submit_us : int;  (** trap time, for the completion-latency histogram *)
   mutable state : state;
   mutable probe_id : int;  (** the transport's live probe-line entry; -1 = none *)
@@ -36,7 +38,7 @@ type req = private {
           [no_cancel] when none *)
   mutable arg : int;  (** the ACCEPT's result, once one arrived *)
   mutable put_transferred : int;
-  mutable get_data : Wire.view;  (** a view into the ACCEPT's frame, cut to [get_size] *)
+  mutable get_data : Wire.view;  (** a view into the ACCEPT's frame, cut to [get]'s length *)
 }
 
 (** A node's outbound requests and DISCOVERs. *)
@@ -49,9 +51,9 @@ val none : req
 
 val find : t -> int -> req
 
-(** [add t ~tid ~dst ~put ~get_size ~now] records a REQUEST trapped at
+(** [add t ~tid ~dst ~put ~get ~now] records a REQUEST trapped at
     [now]: [Sent]. *)
-val add : t -> tid:int -> dst:int -> put:bytes -> get_size:int -> now:int -> req
+val add : t -> tid:int -> dst:int -> put:bytes -> get:bytes -> now:int -> req
 
 (** Outbound requests and DISCOVERs not yet completed (MAXREQUESTS). *)
 val outstanding : t -> int
@@ -106,9 +108,9 @@ type discovery
 (** Belongs to no collection: it fills an empty slot. *)
 val no_discovery : discovery
 
-(** [discover t ~tid ~max_mids] starts collecting the mids that answer
-    DISCOVER [tid], at most [max_mids] of them. *)
-val discover : t -> tid:int -> max_mids:int -> discovery
+(** [discover t ~tid ~get] starts collecting the mids that answer
+    DISCOVER [tid], at most one per two bytes of [get]. *)
+val discover : t -> tid:int -> get:bytes -> discovery
 
 (** [discover_reply t ~tid ~src]: [src] answered. A mid counts once,
     and a reply after the collection ended changes nothing. *)
@@ -116,6 +118,9 @@ val discover_reply : t -> tid:int -> src:int -> unit
 
 (** The collection ends: the mids that answered, in reply order. *)
 val discovered : t -> discovery -> int list
+
+(** The DISCOVER's get buffer. *)
+val discovery_get : discovery -> bytes
 
 (** Forget every request and DISCOVER. *)
 val reset : t -> unit

@@ -30,7 +30,7 @@ type stashed =
           exhausting its retransmissions and reused it): that one is
           dropped *)
 
-(** Per-node constants and stats slots, shared by the node's windows. *)
+(** Per-node constants and the node's registry, shared by its windows. *)
 type shared
 
 val shared : Soda_obs.Metrics.t -> Soda_base.Cost_model.t -> shared

@@ -7,6 +7,15 @@ module Event = Soda_obs.Event
 module Bus = Soda_net.Bus
 module Cost = Soda_base.Cost_model
 
+let k_window_occupancy = Metrics.histogram_key "net.window_occupancy"
+let k_rtt_us = Metrics.histogram_key "net.rtt_us"
+let k_cwnd = Metrics.histogram_key "net.cwnd"
+let k_ack_wait_us = Metrics.histogram_key "accept.ack_wait_us"
+let k_protocol = Metrics.counter_key (Cost.label Cost.Protocol)
+let k_retransmissions = Metrics.counter_key "pkt.retransmissions"
+let k_retrans_timer_fired = Metrics.counter_key "pkt.retransmissions.timer"
+let k_busy_received = Metrics.counter_key "req.busy_received"
+
 type kind = K_request | K_accept | K_put_data | K_cancel
 
 type outcome = Out_acked | Out_error of Wire.err_code | Out_cancel_reply of bool | Out_timeout
@@ -53,16 +62,10 @@ let ack_hold = { no_msg with seq = -1 }
    [on_done] that re-enters a window of this node walks above them. It
    starts with one entry and doubles when a walk needs more, so a node
    pays for the widest walk it has run, not for W (a W-entry array per
-   node made set-up measurably slower). The stats slots are resolved at
-   their first sample. *)
+   node made set-up measurably slower). *)
 type shared = {
   mutable acked : msg array;
   mutable top : int;
-  window_occupancy : Metrics.histogram_slot;
-  rtt_us : Metrics.histogram_slot;
-  cwnd_pkts : Metrics.histogram_slot;
-  ack_wait_us : Metrics.histogram_slot;
-  t_protocol : int ref;
   mutable lines : lines option;
       (* made at their first use: the lines' filler is a window of no
          peer, and a window needs the node's [env] *)
@@ -127,13 +130,10 @@ and t = {
          clean RTT sample, capped at max_retrans *)
 }
 
+(* The protocol time is listed from the node's creation, at 0. *)
 let shared stats =
-  { acked = [| no_msg |]; top = 0;
-    window_occupancy = Metrics.histogram_slot stats "net.window_occupancy";
-    rtt_us = Metrics.histogram_slot stats "net.rtt_us";
-    cwnd_pkts = Metrics.histogram_slot stats "net.cwnd";
-    ack_wait_us = Metrics.histogram_slot stats "accept.ack_wait_us";
-    t_protocol = Metrics.counter_cell stats (Cost.label Cost.Protocol); lines = None }
+  Metrics.count_by stats k_protocol 0;
+  { acked = [| no_msg |]; top = 0; lines = None }
 
 (* At window 1 the sequence space collapses to {0,1} and every computation
    below reduces to the seed's alternating-bit flip, bit for bit. *)
@@ -183,7 +183,7 @@ let active w = w.in_flight > 0 || not (Queue.is_empty w.queue)
 (* ---- congestion control (AIMD + Jacobson RTT, windowed only) ----------- *)
 
 let cwnd_note w ~reason =
-  Metrics.sample w.env.shared.cwnd_pkts (int_of_float w.cwnd);
+  Metrics.sample w.env.stats k_cwnd (int_of_float w.cwnd);
   if tracing w then
     w.env.event
       (Event.Cwnd_change
@@ -194,7 +194,7 @@ let cwnd_note w ~reason =
 let ack_wait_sample w m =
   match m.body with
   | Wire.Accept { data; _ } when Bytes.length data > 0 && m.sent_at > 0 ->
-    Metrics.sample w.env.shared.ack_wait_us (Engine.now w.env.engine - m.sent_at)
+    Metrics.sample w.env.stats k_ack_wait_us (Engine.now w.env.engine - m.sent_at)
   | _ -> ()
 
 (* Karn's rule: a message that was ever retransmitted (or re-emitted
@@ -212,7 +212,7 @@ let rtt_sample w m =
       w.srtt_us <- srtt;
       w.rttvar_us <- rttvar;
       w.rto_shift <- 0;
-      Metrics.sample w.env.shared.rtt_us sample;
+      Metrics.sample w.env.stats k_rtt_us sample;
       if tracing w then
         w.env.event
           (Event.Rtt_sample
@@ -448,10 +448,10 @@ let rec transmit w m =
   let env = w.env in
   let attempt = m.retries + m.busy in
   if attempt > 0 then begin
-    Metrics.incr env.stats "pkt.retransmissions";
+    Metrics.count env.stats k_retransmissions;
     (* separate the timer-expiry retransmissions (the congestion signal
        AIMD reacts to) from BUSY re-emissions (handler flow control) *)
-    if m.retries > 0 then Metrics.incr env.stats "pkt.retransmissions.timer";
+    if m.retries > 0 then Metrics.count env.stats k_retrans_timer_fired;
     if tracing w then
       env.event (Event.Retransmit { tid = m.tid; peer = w.peer; pkt = Wire.pkt m.body; attempt })
   end;
@@ -463,7 +463,7 @@ let rec transmit w m =
   let copy_us = if bytes > 0 then Cost.data_copy_us env.cost ~bytes else 0 in
   if copy_us = 0 then emit w m body
   else begin
-    env.shared.t_protocol := !(env.shared.t_protocol) + copy_us;
+    Metrics.count_by env.stats k_protocol copy_us;
     (* The imminent emission will carry any owed ack; hold the standalone
        ack back while the output buffer is being filled, and release it
        if the emission is called off. *)
@@ -689,7 +689,7 @@ and start_next w =
       assert (w.slots.(m.seq) == no_msg);
       w.slots.(m.seq) <- m;
       w.in_flight <- w.in_flight + 1;
-      Metrics.sample w.env.shared.window_occupancy w.in_flight;
+      Metrics.sample w.env.stats k_window_occupancy w.in_flight;
       transmit w m
     end
   done
@@ -731,7 +731,7 @@ let busy w ~tid requeue =
   | None -> ()
   | Some m ->
     m.busy <- m.busy + 1;
-    Metrics.incr w.env.stats "req.busy_received";
+    Metrics.count w.env.stats k_busy_received;
     let behind_data = win w = 1 && queued w K_put_data in
     let ready_at = if behind_data then 0 else Engine.now w.env.engine + busy_delay w m in
     reject w m (fun () ->

@@ -25,10 +25,10 @@ type outcome =
   | Out_timeout  (** [max_retrans] retransmissions went unanswered *)
 
 (** Per-node state the windows share among themselves: the ack walk's
-    scratch, the stats slots, and the timed lines (made at their first
-    use). *)
+    scratch and the timed lines (made at their first use). *)
 type shared
 
+(** [shared stats] lists the protocol time in [stats], at 0. *)
 val shared : Soda_obs.Metrics.t -> shared
 
 (** What the windows of one node share with the transport. *)

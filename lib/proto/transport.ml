@@ -18,11 +18,56 @@ module Pattern = Soda_base.Pattern
 module Cost = Soda_base.Cost_model
 module Types = Soda_base.Types
 
+(* What a node counts. The per-kind counters are indexed by [Wire.kind]
+   - 1; the §5.5 times are µs counters named by [Cost.label]. *)
+let kind_keys prefix =
+  Array.of_list (List.map (fun p -> Metrics.counter_key (prefix ^ Event.pkt_name p)) Event.pkts)
+
+let k_sent_by_kind = kind_keys "pkt.sent."
+let k_recv_by_kind = kind_keys "pkt.recv."
+let k_sent_total = Metrics.counter_key "pkt.sent.total"
+let k_recv_total = Metrics.counter_key "pkt.recv.total"
+let k_standalone_acks = Metrics.counter_key "pkt.standalone_acks"
+let k_duplicates = Metrics.counter_key "pkt.duplicates"
+let k_transmission = Metrics.counter_key (Cost.label Cost.Transmission)
+let k_protocol = Metrics.counter_key (Cost.label Cost.Protocol)
+let k_conn_timer = Metrics.counter_key (Cost.label Cost.Conn_timer)
+let k_retrans_timer = Metrics.counter_key (Cost.label Cost.Retrans_timer)
+let k_req_submitted = Metrics.counter_key "req.submitted"
+let k_req_delivered = Metrics.counter_key "req.delivered"
+let k_retake_refused = Metrics.counter_key "req.retake_refused"
+let k_no_sync_dropped = Metrics.counter_key "pkt.no_sync_dropped"
+let k_records_created = Metrics.counter_key "deltat.records_created"
+let k_records_expired = Metrics.counter_key "deltat.records_expired"
+let k_probe_misses = Metrics.counter_key "probe.misses"
+let k_probe_sent = Metrics.counter_key "probe.sent"
+let k_probe_answered = Metrics.counter_key "probe.answered"
+let k_probe_lost = Metrics.counter_key "probe.lost"
+let k_discover_submitted = Metrics.counter_key "discover.submitted"
+let k_discover_duped = Metrics.counter_key "discover.duped"
+let k_discover_matched = Metrics.counter_key "discover.matched"
+let k_data_timeouts = Metrics.counter_key "accept.data_timeouts"
+let k_data_resend = Metrics.counter_key "req.data_resend"
+let k_cancel_granted = Metrics.counter_key "cancel.granted"
+let k_cancel_refused = Metrics.counter_key "cancel.refused"
+let k_busy_nacked = Metrics.counter_key "req.busy_nacked"
+let k_unadvertised = Metrics.counter_key "req.unadvertised"
+let k_buffered = Metrics.counter_key "req.buffered"
+let k_from_buffer = Metrics.counter_key "req.delivered_from_buffer"
+let k_decode_errors = Metrics.counter_key "pkt.decode_errors"
+let k_req_latency_us = Metrics.histogram_key "req.latency_us"
+
+(* listed from a node's creation, at 0 *)
+let k_listed =
+  Array.concat
+    [ [| k_sent_total; k_recv_total; k_standalone_acks; k_duplicates; k_transmission; k_protocol;
+         k_conn_timer; k_retrans_timer |]; k_sent_by_kind; k_recv_by_kind ]
+
 type completion =
   | Comp_accepted of Cli.req
   | Comp_unadvertised
   | Comp_crashed
-  | Comp_discovered of int list
+  | Comp_discovered of { mids : int list; get : bytes }
 
 type accept_outcome = Srv.outcome =
   | Acc_success of Wire.view
@@ -116,7 +161,6 @@ type t = {
      first sight of a context-carrying packet. Keyed by tid (globally
      unique mints), populated only when the recorder runs causal. *)
   tid_causal : (int, Causal.ctx) Hashtbl.t;
-  hot : hot_cells;
 }
 
 (* The connection records' expiries, and the expired records kept for
@@ -128,34 +172,6 @@ and records = {
   expiry_line : (conn, unit) Delay_line.t;
   mutable spares : conn array;  (* expired records in [0, n_spares), [nobody] above *)
   mutable n_spares : int;
-}
-
-(* Backing cells of the per-packet and per-transaction stats, fetched
-   once at [create]: every packet bumps two counters and four §5.5 time
-   counters (µs) on each side, and the string-keyed lookups were a
-   measurable slice of the packet cost at scale. [sent_by_kind]/
-   [recv_by_kind] are indexed by [Wire.kind] - 1. The slots resolve at
-   their first use, so a node that never submits or serves exports no
-   such counter and carries no histogram. *)
-and hot_cells = {
-  c_sent_total : int ref;
-  c_recv_total : int ref;
-  c_standalone_acks : int ref;
-  c_duplicates : int ref;
-  sent_by_kind : int ref array;
-  recv_by_kind : int ref array;
-  t_transmission : int ref;
-  t_protocol : int ref;
-  t_conn_timer : int ref;
-  t_retrans_timer : int ref;
-  req_submitted : Metrics.counter_slot;
-  req_delivered : Metrics.counter_slot;
-  retake_refused : Metrics.counter_slot;
-  req_latency_us : Metrics.histogram_slot;
-  no_sync_dropped : Metrics.counter_slot;
-  records_created : Metrics.counter_slot;
-  records_expired : Metrics.counter_slot;
-  packet_cpu : int;  (* packet_protocol_us + conn_timer_us + retrans_timer_us *)
 }
 
 let mid t = t.mid
@@ -171,15 +187,25 @@ let callbacks t =
    is only built under the guard, so a quiet run allocates nothing. *)
 let tracing t = Recorder.tracing t.recorder
 
+(* Causal registration: the kernel calls [register_causal] at trap time
+   (requester side); the server side adopts a child span on first rx of a
+   context-carrying packet for a tid it has not seen. With causal minting
+   off the table stays empty, and a lookup or a removal is one branch:
+   emptiness is tested, not the recorder's flag, which may change
+   mid-run. *)
+let register_causal t ~tid ctx = Hashtbl.replace t.tid_causal tid ctx
+
+let causal_ctx t ~tid =
+  if Hashtbl.length t.tid_causal = 0 then None else Hashtbl.find_opt t.tid_causal tid
+
+let forget_causal t ~tid =
+  if Hashtbl.length t.tid_causal > 0 then Hashtbl.remove t.tid_causal tid
+
 (* Every event that names a tid is stamped with that transaction's causal
    context (when one is registered): the whole transport instruments
    itself through this one chokepoint. *)
 let event t kind =
-  let ctx =
-    match Event.tid kind with
-    | Some tid -> Hashtbl.find_opt t.tid_causal tid
-    | None -> None
-  in
+  let ctx = match Event.tid kind with Some tid -> causal_ctx t ~tid | None -> None in
   Recorder.emit t.recorder ?ctx ~time_us:(Engine.now t.engine) ~mid:t.mid kind
 
 (* A Delta-t state change: [peer] is -1 and [tid] is [Event.no_tid] when
@@ -187,22 +213,12 @@ let event t kind =
 let mark t ~peer ~tid ~n mark =
   if tracing t then event t (Event.Mark { peer; tid; mark; n })
 
-(* Causal registration: the kernel calls [register_causal] at trap time
-   (requester side); the server side adopts a child span on first rx of a
-   context-carrying packet for a tid it has not seen. *)
-let register_causal t ~tid ctx = Hashtbl.replace t.tid_causal tid ctx
-
-let causal_ctx t ~tid = Hashtbl.find_opt t.tid_causal tid
-
-let forget_causal t ~tid = Hashtbl.remove t.tid_causal tid
-
 (* Charge kernel CPU for one packet event and attribute it (§5.5
    breakdown); the packet waits it out in the tx or rx line. *)
 let charge_packet_cpu t =
-  let h = t.hot in
-  h.t_protocol := !(h.t_protocol) + t.cost.Cost.packet_protocol_us;
-  h.t_conn_timer := !(h.t_conn_timer) + t.cost.Cost.conn_timer_us;
-  h.t_retrans_timer := !(h.t_retrans_timer) + t.cost.Cost.retrans_timer_us
+  Metrics.count_by t.stats k_protocol t.cost.Cost.packet_protocol_us;
+  Metrics.count_by t.stats k_conn_timer t.cost.Cost.conn_timer_us;
+  Metrics.count_by t.stats k_retrans_timer t.cost.Cost.retrans_timer_us
 
 let win t = Cost.transport_window t.cost
 
@@ -265,7 +281,7 @@ let take_record t peer =
    record, so an idle transport keeps none. *)
 let expire t r conn =
   mark t ~peer:conn.peer ~tid:Event.no_tid ~n:0 Event.Record_expired;
-  Metrics.bump t.hot.records_expired;
+  Metrics.count t.stats k_records_expired;
   Hashtbl.remove t.conns conn.peer;
   if Hashtbl.length t.conns = 0 then drop_spares r else spare r conn
 
@@ -301,7 +317,7 @@ let conn_for t peer =
     let c = take_record t peer in
     Hashtbl.replace t.conns peer c;
     mark t ~peer ~tid:Event.no_tid ~n:0 Event.Record_created;
-    Metrics.bump t.hot.records_created;
+    Metrics.count t.stats k_records_created;
     arm_expiry t c;
     c
 
@@ -339,9 +355,9 @@ let emit t ~peer ~reliable ~seq ~run ~ack body =
   let size = Wire.encoded_size pkt in
   charge_packet_cpu t;
   let tx = Bus.transmission_time_us t.bus ~payload_bytes:size in
-  t.hot.t_transmission := !(t.hot.t_transmission) + tx;
-  Stdlib.incr t.hot.c_sent_total;
-  Stdlib.incr t.hot.sent_by_kind.(Wire.kind body - 1);
+  Metrics.count_by t.stats k_transmission tx;
+  Metrics.count t.stats k_sent_total;
+  Metrics.count t.stats k_sent_by_kind.(Wire.kind body - 1);
   if tracing t then
     event t
       (Event.Tx
@@ -367,7 +383,7 @@ let emit t ~peer ~reliable ~seq ~run ~ack body =
      wire bytes are already encoded above and unaffected. *)
   let frame =
     { Frame.src = t.mid; dst = (if peer < 0 then Frame.Broadcast else Frame.To peer); wire;
-      len = size + 2; ctx = Hashtbl.find_opt t.tid_causal (Wire.tid body) }
+      len = size + 2; ctx = causal_ctx t ~tid:(Wire.tid body) }
   in
   ignore (Delay_line.push t.tx_line ~fire:tx_fired t ~n:0 frame ())
 
@@ -407,11 +423,11 @@ let ack_hold t body =
 
 (* The ack owed to [peer] was held its time: it goes alone. *)
 let ack_due t peer =
-  Stdlib.incr t.hot.c_standalone_acks;
+  Metrics.count t.stats k_standalone_acks;
   emit_unsequenced t ~peer Wire.Ack
 
 let replay_response t conn pkt =
-  Stdlib.incr t.hot.c_duplicates;
+  Metrics.count t.stats k_duplicates;
   mark t ~peer:conn.peer ~tid:Event.no_tid ~n:0 Event.Duplicate_replayed;
   if Window.owed_ack conn.tx >= 0 then
     (* Our ack is still within its grace window; quell the retransmission
@@ -445,7 +461,7 @@ type verdict = Accepted | Unadvertised | Crashed
 
 let complete t (req : Cli.req) verdict =
   if retire t req then begin
-    Metrics.sample t.hot.req_latency_us (Engine.now t.engine - req.submit_us);
+    Metrics.sample t.stats k_req_latency_us (Engine.now t.engine - req.submit_us);
     if tracing t then begin
       let status : Event.status =
         match verdict with
@@ -485,9 +501,9 @@ and probe_fired t =
   Cli.set_probe_id req (-1);
   if req.state = Delivered then begin
     let misses = req.unanswered in
-    if misses > 0 then Metrics.incr t.stats "probe.misses";
+    if misses > 0 then Metrics.count t.stats k_probe_misses;
     if Cli.probe req ~limit:t.cost.Cost.probe_miss_limit then begin
-      Metrics.incr t.stats "probe.sent";
+      Metrics.count t.stats k_probe_sent;
       if tracing t then event t (Event.Probe { tid = req.tid; peer = req.dst; misses });
       emit_unsequenced t ~peer:req.dst (Wire.Probe { tid = req.tid });
       arm_probe t req
@@ -528,10 +544,10 @@ let cancel_unsent t conn (req : Cli.req) on_done =
 
 (* ---- requester: submitting --------------------------------------------- *)
 
-let submit_request t ~dst ~tid ~pattern ~arg ~put_data ~get_size =
-  ignore (Cli.add t.reqs ~tid ~dst ~put:put_data ~get_size ~now:(Engine.now t.engine));
-  Metrics.bump t.hot.req_submitted;
-  let put_size = Bytes.length put_data in
+let submit_request t ~dst ~tid ~pattern ~arg ~put_data ~get_buffer =
+  ignore (Cli.add t.reqs ~tid ~dst ~put:put_data ~get:get_buffer ~now:(Engine.now t.engine));
+  Metrics.count t.stats k_req_submitted;
+  let put_size = Bytes.length put_data and get_size = Bytes.length get_buffer in
   let body = Wire.Request { tid; pattern; arg; put_size; get_size; data = put_data; retry = false } in
   send_reliable t ~peer:dst ~kind:K_request ~tid body ~on_done:t.request_sent
 
@@ -551,14 +567,14 @@ let discover_fired t =
   let tid = Delay_line.head_n l and d = Delay_line.head_a l in
   Delay_line.next l Delay_line.always;
   let mids = Cli.discovered t.reqs d in
-  Metrics.sample t.hot.req_latency_us t.cost.Cost.discover_window_us;
+  Metrics.sample t.stats k_req_latency_us t.cost.Cost.discover_window_us;
   if tracing t then event t (Event.Complete { tid; status = Discovered });
-  (callbacks t).complete_request ~tid (Comp_discovered mids);
+  (callbacks t).complete_request ~tid (Comp_discovered { mids; get = Cli.discovery_get d });
   forget_causal t ~tid
 
-let submit_discover t ~tid ~pattern ~max_mids =
-  let d = Cli.discover t.reqs ~tid ~max_mids in
-  Metrics.incr t.stats "discover.submitted";
+let submit_discover t ~tid ~pattern ~get_buffer =
+  let d = Cli.discover t.reqs ~tid ~get:get_buffer in
+  Metrics.count t.stats k_discover_submitted;
   emit_unsequenced t ~peer:(-1) (Wire.Discover { tid; pattern });
   ignore (Delay_line.push t.discover_line ~fire:discover_fired t ~n:tid d ())
 
@@ -616,7 +632,7 @@ let data_fired t =
   Delay_line.next l data_live;
   Srv.set_data_id txn (-1);
   if txn.state = Accepting && txn.need_data && (acked || accept_queued t txn) then begin
-    Metrics.incr t.stats "accept.data_timeouts";
+    Metrics.count t.stats k_data_timeouts;
     mark t ~peer:txn.src ~tid:txn.tid ~n:0 Event.Data_wait_expired;
     accept_finish t txn (Acc_crashed Wire.no_data)
   end
@@ -688,7 +704,7 @@ let accept t ~requester_mid ~requester_tid ~arg ~get_capacity ~data_out ~on_done
          as part of the ACCEPT command; the outbound copy is charged at
          transmit time. *)
       let copy_us = Cost.data_copy_us t.cost ~bytes:txn.data.len in
-      t.hot.t_protocol := !(t.hot.t_protocol) + copy_us;
+      Metrics.count_by t.stats k_protocol copy_us;
       if txn.need_data then await_put_data t txn ~acked:false;
       let body =
         Wire.Accept
@@ -778,12 +794,12 @@ let handle_accept t conn pkt src ~tid ~arg ~put_transferred ~need_put_data data 
     respond_consumed t conn pkt (Wire.Error { tid; code = Wire.Err_cancelled })
   | Taken ->
     let copy_us = Cost.data_copy_us t.cost ~bytes:req.get_data.len in
-    t.hot.t_protocol := !(t.hot.t_protocol) + copy_us;
+    Metrics.count_by t.stats k_protocol copy_us;
     if need_put_data then begin
       (* The put data was wasted on a busy transmission and must be
          re-sent; the data exchange -- and hence the requester's
          completion -- is only over once the server acknowledges it. *)
-      Metrics.incr t.stats "req.data_resend";
+      Metrics.count t.stats k_data_resend;
       send_reliable t ~peer:src ~kind:K_put_data ~tid
         (Wire.Put_data { tid; data = Wire.truncate req.put put_transferred })
         ~on_done:(fun _ _ outcome ->
@@ -799,7 +815,7 @@ let handle_put_data t conn ~tid data =
   if Srv.take_data txn data then begin
     stop_data_wait t txn;
     let copy_us = Cost.data_copy_us t.cost ~bytes:txn.data.len in
-    t.hot.t_protocol := !(t.hot.t_protocol) + copy_us;
+    Metrics.count_by t.stats k_protocol copy_us;
     ignore (Delay_line.push_after t.srv_copy_line ~delay:copy_us ~fire:srv_copied t ~n:0 txn Wire.Ack)
   end
   else release t data
@@ -816,7 +832,7 @@ let handle_cancel_request t conn pkt ~tid =
     | Gone -> true
     | Refused -> false
   in
-  if ok then Metrics.incr t.stats "cancel.granted" else Metrics.incr t.stats "cancel.refused";
+  if ok then Metrics.count t.stats k_cancel_granted else Metrics.count t.stats k_cancel_refused;
   respond_consumed t conn pkt (Wire.Cancel_reply { tid; ok })
 
 (* Consume an in-order ACCEPT, DATA or CANCEL and owe its ack. *)
@@ -835,13 +851,13 @@ let handle_consumed t conn pkt =
 
 let handle_probe t conn tid =
   let alive = (Srv.find t.srv ~src:conn.peer ~tid).state <> Cancelled in
-  Metrics.incr t.stats "probe.answered";
+  Metrics.count t.stats k_probe_answered;
   emit_unsequenced t ~peer:conn.peer (Wire.Probe_reply { tid; alive })
 
 let handle_probe_reply t tid alive =
   let req = Cli.find t.reqs tid in
   if Cli.probe_answered req && not alive then begin
-    Metrics.incr t.stats "probe.lost";
+    Metrics.count t.stats k_probe_lost;
     mark t ~peer:req.dst ~tid ~n:0 Event.Probe_lost;
     complete t req Crashed
   end
@@ -858,12 +874,12 @@ let answer t ~delay src tid reply =
 
 let handle_discover t src tid pattern =
   if Hashtbl.mem t.seen_discovers (src, tid) then
-    Metrics.incr t.stats "discover.duped"
+    Metrics.count t.stats k_discover_duped
   else begin
     Hashtbl.replace t.seen_discovers (src, tid) ();
     answer t ~delay:t.lifetime src tid false;
     if (callbacks t).advertised pattern then begin
-      Metrics.incr t.stats "discover.matched";
+      Metrics.count t.stats k_discover_matched;
       answer t ~delay:(t.cost.Cost.discover_stagger_us * (t.mid + 1)) src tid true
     end
   end
@@ -881,7 +897,7 @@ let reject_request t conn pkt ~resync body =
 
 (* The refused REQUEST's put data is wasted: an ACCEPT asks for it again. *)
 let busy_nack t conn pkt ~resync tid =
-  Metrics.incr t.stats "req.busy_nacked";
+  Metrics.count t.stats k_busy_nacked;
   if tracing t then event t (Event.Busy_nack { tid; peer = conn.peer });
   reject_request t conn pkt ~resync (Wire.Busy { tid });
   drop t pkt
@@ -898,20 +914,20 @@ let offer_request t conn pkt ~resync =
   match pkt.Wire.body with
   | Wire.Request { tid; _ } when Srv.holds t.srv ~src ~tid ->
     consume_in_order t conn ~resync pkt;
-    Metrics.bump t.hot.retake_refused;
+    Metrics.count t.stats k_retake_refused;
     drop t pkt;
     true
   | Wire.Request { tid; pattern; arg; put_size; get_size; data; retry } ->
     (match (callbacks t).deliver_request ~src ~tid ~pattern ~arg ~put_size ~get_size with
      | `Unadvertised ->
-       Metrics.incr t.stats "req.unadvertised";
+       Metrics.count t.stats k_unadvertised;
        reject_request t conn pkt ~resync (Wire.Error { tid; code = Wire.Err_unadvertised });
        drop t pkt;
        true
      | `Deliver ->
        consume_in_order t conn ~resync pkt;
        Srv.add t.srv ~src ~tid ~pattern ~arg ~put_size ~get_size ~data ~retry ~buffered:false;
-       Metrics.bump t.hot.req_delivered;
+       Metrics.count t.stats k_req_delivered;
        if tracing t then
          event t
            (Event.Deliver
@@ -922,7 +938,7 @@ let offer_request t conn pkt ~resync =
        if t.cost.Cost.pipelined && Srv.buffered t.srv == Srv.none then begin
          consume_in_order t conn ~resync pkt;
          Srv.add t.srv ~src ~tid ~pattern ~arg ~put_size ~get_size ~data ~retry ~buffered:true;
-         Metrics.incr t.stats "req.buffered";
+         Metrics.count t.stats k_buffered;
          true
        end
        else if win t > 1 && t.cost.Cost.pipelined && not resync then begin
@@ -982,8 +998,8 @@ let flush_buffered t =
     match (callbacks t).deliver_request ~src ~tid ~pattern ~arg ~put_size ~get_size with
     | `Deliver ->
       Srv.free_buffer t.srv;
-      Metrics.bump t.hot.req_delivered;
-      Metrics.incr t.stats "req.delivered_from_buffer";
+      Metrics.count t.stats k_req_delivered;
+      Metrics.count t.stats k_from_buffer;
       if tracing t then
         event t
           (Event.Deliver
@@ -1001,8 +1017,8 @@ let flush_buffered t =
 
 let process_packet t ~ctx ~bytes pkt =
   let src = pkt.Wire.src in
-  Stdlib.incr t.hot.c_recv_total;
-  Stdlib.incr t.hot.recv_by_kind.(Wire.kind pkt.Wire.body - 1);
+  Metrics.count t.stats k_recv_total;
+  Metrics.count t.stats k_recv_by_kind.(Wire.kind pkt.Wire.body - 1);
   (* Causal adoption: the first context-carrying packet for an unknown tid
      makes this node a child of the sender's span. Registered before the
      Rx event below so even the first receive is attributed; duplicates
@@ -1059,7 +1075,7 @@ let process_packet t ~ctx ~bytes pkt =
     (* No record and not a run start: the piggybacked ack above was still
        honoured, but the body waits for the flagged retransmission. *)
     drop t pkt;
-    Metrics.bump t.hot.no_sync_dropped;
+    Metrics.count t.stats k_no_sync_dropped;
     mark t ~peer:conn.peer ~tid:Event.no_tid ~n:0 Event.No_sync_drop
   | Wire.Request _, (In_order | Resync) ->
     let held = Rx.head_copy conn.rx pkt in
@@ -1126,7 +1142,7 @@ let attach_nic t =
           charge_packet_cpu t;
           ignore (Delay_line.push t.rx_line ~fire:rx_fired t ~n:len pkt ctx)
         | Ok _ | Error _ ->
-          Metrics.incr t.stats "pkt.decode_errors";
+          Metrics.count t.stats k_decode_errors;
           if not broadcast then Pool.release pool wire)
   in
   t.nic <- Some nic;
@@ -1134,46 +1150,17 @@ let attach_nic t =
 
 (* ---- creation ----------------------------------------------------------- *)
 
-(* The per-kind counter names, indexed by [Wire.kind] - 1: built once per
-   process, and shared as keys by every node's registry. *)
-let kind_names prefix =
-  Array.of_list (List.map (fun p -> prefix ^ Event.pkt_name p) Event.pkts)
-
-let sent_names = kind_names "pkt.sent."
-let recv_names = kind_names "pkt.recv."
-
 let no_frame = { Frame.src = -1; dst = Frame.Broadcast; wire = Bytes.empty; len = 0; ctx = None }
 
 let create ~engine ~bus ~mid ~cost ~recorder =
   (* One medium, one window: receive-side classification derives its
      sequence arithmetic from the LOCAL window, which is only sound if
      every station agrees. *)
-  Bus.claim_seq_window bus ~window:(Cost.transport_window cost);
+  Bus.claim_seq_window bus ~window:(Cost.transport_window cost) ~space:(Cost.seq_space cost);
   let stats = Metrics.create () in
-  let by_kind names = Array.map (Metrics.counter_cell stats) names in
-  let hot =
-    {
-      c_sent_total = Metrics.counter_cell stats "pkt.sent.total";
-      c_recv_total = Metrics.counter_cell stats "pkt.recv.total";
-      c_standalone_acks = Metrics.counter_cell stats "pkt.standalone_acks";
-      c_duplicates = Metrics.counter_cell stats "pkt.duplicates";
-      sent_by_kind = by_kind sent_names;
-      recv_by_kind = by_kind recv_names;
-      t_transmission = Metrics.counter_cell stats (Cost.label Cost.Transmission);
-      t_protocol = Metrics.counter_cell stats (Cost.label Cost.Protocol);
-      t_conn_timer = Metrics.counter_cell stats (Cost.label Cost.Conn_timer);
-      t_retrans_timer = Metrics.counter_cell stats (Cost.label Cost.Retrans_timer);
-      req_submitted = Metrics.counter_slot stats "req.submitted";
-      req_delivered = Metrics.counter_slot stats "req.delivered";
-      retake_refused = Metrics.counter_slot stats "req.retake_refused";
-      req_latency_us = Metrics.histogram_slot stats "req.latency_us";
-      no_sync_dropped = Metrics.counter_slot stats "pkt.no_sync_dropped";
-      records_created = Metrics.counter_slot stats "deltat.records_created";
-      records_expired = Metrics.counter_slot stats "deltat.records_expired";
-      packet_cpu =
-        cost.Cost.packet_protocol_us + cost.Cost.conn_timer_us
-        + cost.Cost.retrans_timer_us;
-    }
+  Array.iter (fun k -> Metrics.count_by stats k 0) k_listed;
+  let packet_cpu =
+    cost.Cost.packet_protocol_us + cost.Cost.conn_timer_us + cost.Cost.retrans_timer_us
   in
   let lifetime = Cost.record_expiry_us cost in
   let rng = Rng.split (Engine.rng engine) in
@@ -1210,8 +1197,8 @@ let create ~engine ~bus ~mid ~cost ~recorder =
           ack_due = (fun peer -> ack_due t peer);
           shared = Window.shared stats;
         };
-      tx_line = line ~delay:hot.packet_cpu ~fill_a:no_frame ~fill_b:();
-      rx_line = line ~delay:hot.packet_cpu ~fill_a:Rx.none ~fill_b:None;
+      tx_line = line ~delay:packet_cpu ~fill_a:no_frame ~fill_b:();
+      rx_line = line ~delay:packet_cpu ~fill_a:Rx.none ~fill_b:None;
       probe_line = line ~delay:cost.Cost.probe_interval_us ~fill_a:Cli.none ~fill_b:();
       gc_line = line ~delay:lifetime ~fill_a:Srv.none ~fill_b:();
       data_line = line ~delay:lifetime ~fill_a:Srv.none ~fill_b:();
@@ -1222,7 +1209,6 @@ let create ~engine ~bus ~mid ~cost ~recorder =
       request_sent = (fun peer tid outcome -> request_sent t peer tid outcome);
       accept_sent = (fun peer tid outcome -> accept_sent t peer tid outcome);
       tid_causal = Hashtbl.create 16;
-      hot;
     }
   in
   t

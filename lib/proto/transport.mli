@@ -60,7 +60,8 @@ type completion =
           the pool then *)
   | Comp_unadvertised
   | Comp_crashed
-  | Comp_discovered of int list  (** mids that answered a DISCOVER *)
+  | Comp_discovered of { mids : int list; get : bytes }
+      (** the mids that answered a DISCOVER, and its get buffer *)
 
 (** An outcome's data is a view into the frame that brought it, valid
     only during the [on_done] call that reports it: the accepter copies
@@ -125,15 +126,18 @@ val cost : t -> Soda_base.Cost_model.t
 (** Requester side. [put_data] is the put-direction payload, held by
     reference and read when a REQUEST or put DATA carrying it is encoded,
     so the caller must leave it alone until completion (§3.3.2 rule 1);
-    [get_size] the receive-capacity in bytes. Completion arrives through
-    [complete_request]. *)
+    [get_buffer] receives the get data, and its length is the
+    receive-capacity in bytes. The request's record holds it, and
+    [complete_request] hands the record over. *)
 val submit_request :
   t -> dst:int -> tid:int -> pattern:Soda_base.Pattern.t -> arg:int ->
-  put_data:bytes -> get_size:int -> unit
+  put_data:bytes -> get_buffer:bytes -> unit
 
 (** Broadcast DISCOVER; completes with [Comp_discovered] after the
-    collection window. *)
-val submit_discover : t -> tid:int -> pattern:Soda_base.Pattern.t -> max_mids:int -> unit
+    collection window, with at most one mid per two bytes of
+    [get_buffer]. *)
+val submit_discover :
+  t -> tid:int -> pattern:Soda_base.Pattern.t -> get_buffer:bytes -> unit
 
 (** Server side: complete a request, named by its requester signature
     (the one transaction of that (mid, tid), or none: a blind ACCEPT).

@@ -5,6 +5,8 @@ module Types = Soda_base.Types
 module Cost = Soda_base.Cost_model
 module Kernel = Soda_core.Kernel
 
+let k_client_overhead = Metrics.counter_key (Cost.label Cost.Client_overhead)
+
 exception Sodal_error of string
 exception Too_many_requests
 
@@ -41,7 +43,7 @@ type env = {
      the last to idle on top: [n_idle] deep, [idlers] its top. *)
   mutable idlers : fiber;
   mutable n_idle : int;
-  overhead : Metrics.counter_slot;  (* client overhead, §5.5 *)
+  stats : Metrics.t;  (* the kernel's: client overhead, §5.5 *)
 }
 
 and fiber_context = Task_context | Handler_context
@@ -156,7 +158,7 @@ let sleep env us =
    pool management, §5.2.1); the caller runs the primitive on the other
    side of the trap. *)
 let trap env us =
-  Metrics.bump_by env.overhead us;
+  Metrics.count_by env.stats k_client_overhead us;
   sleep env us
 
 let idle_park env fb =
@@ -253,7 +255,7 @@ let runs fb body exit =
   fb.run <- Fiber.runner fb.slot ~on_exit:(fun () -> exit fb) (fun () -> body fb)
 
 let handler_entry env =
-  Metrics.bump_by env.overhead env.cost.Cost.handler_client_us;
+  Metrics.count_by env.stats k_client_overhead env.cost.Cost.handler_client_us;
   compute env env.cost.Cost.handler_client_us
 
 (* One handler invocation, read from [fb.event]: Booting runs the
@@ -338,7 +340,7 @@ let make_client kernel spec =
       running = task;
       idlers = task;
       n_idle = 0;
-      overhead = Metrics.counter_slot (Kernel.stats kernel) (Cost.label Cost.Client_overhead);
+      stats = Kernel.stats kernel;
     }
   and task =
     { owner = env; ctx = Task_context; slot = Fiber.slot (); run = ignore; event = no_event;

@@ -10,6 +10,24 @@ module Recorder = Soda_obs.Recorder
 module Metrics = Soda_obs.Metrics
 module Event = Soda_obs.Event
 
+let k_rewinds = Metrics.counter_key "scd.rewinds"
+let k_bad_frame = Metrics.counter_key "scd.bad_frame"
+let k_gap_polls = Metrics.counter_key "scd.gap_polls"
+let k_stale_forward = Metrics.counter_key "scd.stale_forward"
+let k_gaps = Metrics.counter_key "scd.gaps"
+let k_ops = Metrics.counter_key "scd.ops"
+let k_deliveries = Metrics.counter_key "scd.deliveries"
+let k_broadcasts = Metrics.counter_key "scd.broadcasts"
+let k_bad_op = Metrics.counter_key "scd.bad_op"
+let k_unreachable = Metrics.counter_key "scd.unreachable"
+let k_failovers = Metrics.counter_key "scd.failovers"
+let k_client_ops = Metrics.counter_key "scd.client_ops"
+let k_recollects = Metrics.counter_key "scd.recollects"
+let k_forwards = Metrics.counter_key "scd.forwards"
+let k_retry_frames = Metrics.counter_key "scd.retry_frames"
+let k_op_us = Metrics.histogram_key "scd.op.us"
+let k_set_size = Metrics.histogram_key "scd.set_size"
+
 let infinity_clock = max_int
 
 (* ---- patterns ----------------------------------------------------------- *)
@@ -383,7 +401,7 @@ let heard env m ch r =
     done;
     if r land gap_flag <> 0 && c = ch.ch_acked && c < ch.ch_head && not ch.ch_in_flight then begin
       ch.ch_head <- c;
-      Metrics.incr (metrics env) "scd.rewinds"
+      Metrics.count (metrics env) k_rewinds
     end
   end
 
@@ -416,8 +434,8 @@ let count_sent env ch =
   let k = ch.ch_claimed in
   let retried = min k (ch.ch_carried - ch.ch_head) in
   ch.ch_carried <- max ch.ch_carried (ch.ch_head + k);
-  Metrics.add (metrics env) "scd.forwards" k;
-  if retried > 0 then Metrics.add (metrics env) "scd.retry_frames" retried
+  Metrics.count_by (metrics env) k_forwards k;
+  if retried > 0 then Metrics.count_by (metrics env) k_retry_frames retried
 
 (* The one end of a transfer, in either direction: a delivered run is
    passed and the channel lets its retry buffer go; a failed one stays,
@@ -440,7 +458,7 @@ let settle env m ch ~delivered =
 let take_batch env m batch =
   match Scd_wire.check batch with
   | Ok () -> Queue.add batch m.inbox
-  | Error _ -> Metrics.incr (metrics env) "scd.bad_frame"
+  | Error _ -> Metrics.count (metrics env) k_bad_frame
 
 (* [ch] has frames to send, or a gap to report that no launch carried. *)
 let has_work m ch =
@@ -474,7 +492,7 @@ let launch env m ch =
   | tid ->
     count_sent env ch;
     if report land gap_flag <> 0 then ch.ch_gap_sent <- report;
-    if ch.ch_claimed = 0 then Metrics.incr (metrics env) "scd.gap_polls";
+    if ch.ch_claimed = 0 then Metrics.count (metrics env) k_gap_polls;
     Sodal.on_completion_of env tid (fun c ->
         if healthy then m.slot_busy <- false;
         match c.Sodal.status with
@@ -557,7 +575,7 @@ let unbuffer_quad m q =
    clock entries. *)
 let take_forward env m b o =
   let k = key (Scd_wire.sd b o) (Scd_wire.sn b o) in
-  if Itbl.mem m.delivered k then Metrics.incr (metrics env) "scd.stale_forward"
+  if Itbl.mem m.delivered k then Metrics.count (metrics env) k_stale_forward
   else
     match Itbl.find m.buffer k with
     | q -> set_clock m q (Scd_wire.f b o) (Scd_wire.snf b o)
@@ -583,7 +601,7 @@ let take_forward env m b o =
    message is new. *)
 let process_forward env m b o =
   let f = Scd_wire.f b o in
-  if Scd_wire.sd b o >= m.n || f >= m.n then Metrics.incr (metrics env) "scd.bad_frame"
+  if Scd_wire.sd b o >= m.n || f >= m.n then Metrics.count (metrics env) k_bad_frame
   else begin
     let snf = Scd_wire.snf b o and next = m.next_snf.(f) in
     if snf = next then begin
@@ -592,7 +610,7 @@ let process_forward env m b o =
     end
     else if snf > next then begin
       m.gap_at.(f) <- next;
-      Metrics.incr (metrics env) "scd.gaps"
+      Metrics.count (metrics env) k_gaps
     end
   end
 
@@ -656,8 +674,8 @@ let complete_op env m (p : pending) =
   let data = result_of_op m p in
   p.p_result <- Some data;
   let ms = metrics env in
-  Metrics.incr ms "scd.ops";
-  Metrics.observe ms "scd.op.us" (Sodal.now env - p.p_start_us);
+  Metrics.count ms k_ops;
+  Metrics.sample ms k_op_us (Sodal.now env - p.p_start_us);
   if tracing env then
     emit env
       (Event.Scd_op
@@ -699,8 +717,8 @@ let deliver_set env m k =
   done;
   m.delivery_log <- ids :: m.delivery_log;
   let ms = metrics env in
-  Metrics.incr ms "scd.deliveries";
-  Metrics.observe ms "scd.set_size" k;
+  Metrics.count ms k_deliveries;
+  Metrics.sample ms k_set_size k;
   if tracing env then emit env (Event.Scd_deliver { size = k; pending = m.nbuf });
   (* complete operations whose own message is in this set (after every
      apply, so a snapshot/read sees the whole set's effect) *)
@@ -807,7 +825,7 @@ let start_op env m ticket =
       p.p_sn <- sn;
       Itbl.replace m.by_msg (key m.index sn) p;
       m.bcast_sns <- sn :: m.bcast_sns;
-      Metrics.incr (metrics env) "scd.broadcasts";
+      Metrics.count (metrics env) k_broadcasts;
       if tracing env then
         emit env
           (Event.Scd_broadcast { sd = m.index; sn; payload = Scd_wire.payload_kind payload });
@@ -870,7 +888,7 @@ let handle_request m env info =
         in
         Itbl.replace m.ops ticket p;
         Queue.add ticket m.op_inbox
-      | Some _ | None -> Metrics.incr (metrics env) "scd.bad_op")
+      | Some _ | None -> Metrics.count (metrics env) k_bad_op)
     | Types.Accept_success | Types.Accept_cancelled | Types.Accept_crashed -> ()
   end
   else if info.Sodal.get_size > 0 && info.Sodal.put_size = 0 then begin
@@ -993,7 +1011,7 @@ let do_op env t ~kind ~a ~b ~get_size =
     let sv = t.members.(t.cur) in
     let fail_over () =
       if k >= t.attempts then begin
-        Metrics.incr (metrics env) "scd.unreachable";
+        Metrics.count (metrics env) k_unreachable;
         if tracing env then
           emit env
             (Event.Scd_op
@@ -1002,7 +1020,7 @@ let do_op env t ~kind ~a ~b ~get_size =
         Error Unreachable
       end
       else begin
-        Metrics.incr (metrics env) "scd.failovers";
+        Metrics.count (metrics env) k_failovers;
         t.cur <- (t.cur + 1) mod t.n;
         Sodal.compute env (backoff (k - 1));
         attempt (k + 1)
@@ -1017,7 +1035,7 @@ let do_op env t ~kind ~a ~b ~get_size =
         let g = Sodal.b_get env sv ~arg:ticket ~into in
         match g.Sodal.status with
         | Sodal.Comp_ok when g.Sodal.get_transferred = get_size ->
-          Metrics.incr (metrics env) "scd.client_ops";
+          Metrics.count (metrics env) k_client_ops;
           Ok into
         | Sodal.Comp_crashed when j < t.attempts ->
           (* A collect parked past the transport's Delta-t draws a crash
@@ -1027,7 +1045,7 @@ let do_op env t ~kind ~a ~b ~get_size =
              keeps the result when a parked asker's transaction aborts —
              and only fail over to a fresh submit when the ticket is
              really gone (rejected) or the retries run out. *)
-          Metrics.incr (metrics env) "scd.recollects";
+          Metrics.count (metrics env) k_recollects;
           Sodal.compute env (backoff 0);
           collect (j + 1)
         | Sodal.Comp_ok | Sodal.Comp_rejected | Sodal.Comp_crashed

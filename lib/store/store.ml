@@ -9,6 +9,16 @@ module Recorder = Soda_obs.Recorder
 module Metrics = Soda_obs.Metrics
 module Event = Soda_obs.Event
 
+let k_rounds = Metrics.counter_key "store.rounds"
+let k_retries = Metrics.counter_key "store.retries"
+let k_skipped = Metrics.counter_key "store.skipped"
+let k_no_quorum = Metrics.counter_key "store.no_quorum"
+let k_hedged = Metrics.counter_key "store.hedged"
+let k_round_acks = Metrics.histogram_key "store.round.acks"
+let k_read_us = Metrics.histogram_key "store.read.us"
+let k_write_us = Metrics.histogram_key "store.write.us"
+let k_cas_us = Metrics.histogram_key "store.cas.us"
+
 (* ---- replica ----------------------------------------------------------- *)
 
 type replica = {
@@ -185,13 +195,7 @@ type t = {
      in the order they acked, then the rest in their earlier order
      (initially [0..n-1]). Rounds launch in this order. *)
   order : int array;
-  (* counter cells, resolved once per handle *)
-  rounds : int ref;
-  retries : int ref;
-  skipped : int ref;
-  no_quorum : int ref;
-  hedged : int ref;
-  round_acks : Metrics.histogram;
+  stats : Metrics.t;  (* the recorder's *)
 }
 
 (* Client retry policy: values up to [max_value] bytes, [attempts] quorum
@@ -236,7 +240,12 @@ let metrics env = Recorder.metrics (recorder env)
 let make_handle env ~cluster ~replicas ~resolve =
   let n = Array.length replicas in
   if n = 0 then invalid_arg "Store.handle: no replicas";
-  let m = metrics env in
+  let stats = metrics env in
+  (* the round counters and histogram are listed from the first handle *)
+  List.iter
+    (fun k -> Metrics.count_by stats k 0)
+    [ k_rounds; k_retries; k_skipped; k_no_quorum; k_hedged ];
+  Metrics.declare stats k_round_acks;
   {
     cluster;
     n;
@@ -246,12 +255,7 @@ let make_handle env ~cluster ~replicas ~resolve =
     rng = Rng.split (Engine.rng (Kernel.engine (Sodal.kernel env)));
     in_flight = Array.make n false;
     order = Array.init n Fun.id;
-    rounds = Metrics.counter_cell m "store.rounds";
-    retries = Metrics.counter_cell m "store.retries";
-    skipped = Metrics.counter_cell m "store.skipped";
-    no_quorum = Metrics.counter_cell m "store.no_quorum";
-    hedged = Metrics.counter_cell m "store.hedged";
-    round_acks = Metrics.histogram_cell m "store.round.acks";
+    stats;
   }
 
 let handle env ~cluster ~mids =
@@ -357,7 +361,7 @@ let round env h ~phase ~launch ~decode =
     let i = h.order.(!cursor) in
     incr cursor;
     if h.in_flight.(i) then begin
-      incr h.skipped;
+      Metrics.count h.stats k_skipped;
       launch_next ()
     end
     else begin
@@ -395,7 +399,7 @@ let round env h ~phase ~launch ~decode =
        if now < deadline then Sodal.idle_for env (deadline - now)
        else begin
          incr want;
-         if launch_next () then incr h.hedged
+         if launch_next () then Metrics.count h.stats k_hedged
        end
      end
      else Sodal.idle env);
@@ -411,19 +415,19 @@ let phase env h ~op ~phase ~key ~launch ~decode =
   let rec attempt k =
     let t0 = Sodal.now env in
     let acks, acked, unadvertised = round env h ~phase ~launch ~decode in
-    incr h.rounds;
-    Metrics.Histogram.observe h.round_acks acked;
+    Metrics.count h.stats k_rounds;
+    Metrics.sample h.stats k_round_acks acked;
     if tracing env then
       emit env
         (Event.Store_phase
            { op; phase; key; acks = acked; quorum = h.q; elapsed_us = Sodal.now env - t0 });
     if acked >= h.q then Ok acks
     else if k >= attempts then begin
-      incr h.no_quorum;
+      Metrics.count h.stats k_no_quorum;
       Error No_quorum
     end
     else begin
-      incr h.retries;
+      Metrics.count h.stats k_retries;
       if tracing env then emit env (Event.Store_retry { op; phase; key; attempt = k });
       (match h.resolve with
        | Some resolve ->
@@ -471,11 +475,10 @@ let max_of_acks acks =
       if Tag.compare tag best_tag > 0 then (tag, v) else (best_tag, best_v))
     (Tag.zero, None) acks
 
-(* [metric] is the op's latency histogram, named once per call site
-   rather than formatted per operation. *)
+(* [metric] is the op's latency histogram. *)
 let finish env ~op ~metric ~key ~t0 ~rounds result =
   let elapsed = Sodal.now env - t0 in
-  Metrics.observe (metrics env) metric elapsed;
+  Metrics.sample (metrics env) metric elapsed;
   if tracing env then
     emit env
       (Event.Store_complete
@@ -485,7 +488,7 @@ let finish env ~op ~metric ~key ~t0 ~rounds result =
 let read env h ~key =
   with_op_ctx env @@ fun () ->
   let finish =
-    finish env ~op:Event.Op_read ~metric:"store.read.us" ~key ~t0:(Sodal.now env)
+    finish env ~op:Event.Op_read ~metric:k_read_us ~key ~t0:(Sodal.now env)
   in
   match query_phase env h ~op:Event.Op_read ~key with
   | Error No_quorum -> finish ~rounds:1 (Error No_quorum)
@@ -520,7 +523,7 @@ let write env h ~key value =
   check_value "write" value;
   with_op_ctx env @@ fun () ->
   let finish =
-    finish env ~op:Event.Op_write ~metric:"store.write.us" ~key ~t0:(Sodal.now env)
+    finish env ~op:Event.Op_write ~metric:k_write_us ~key ~t0:(Sodal.now env)
   in
   match query_phase env h ~op:Event.Op_write ~key with
   | Error No_quorum -> finish ~rounds:1 (Error No_quorum)
@@ -535,7 +538,7 @@ let cas env h ~key ~expect value =
   check_value "cas" value;
   with_op_ctx env @@ fun () ->
   let finish =
-    finish env ~op:Event.Op_cas ~metric:"store.cas.us" ~key ~t0:(Sodal.now env)
+    finish env ~op:Event.Op_cas ~metric:k_cas_us ~key ~t0:(Sodal.now env)
   in
   match query_phase env h ~op:Event.Op_cas ~key with
   | Error No_quorum -> finish ~rounds:1 (Error No_quorum)

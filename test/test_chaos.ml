@@ -630,7 +630,7 @@ let run_karn ~ack_first =
      indistinguishable from the estimator's never-sent sentinel. *)
   Engine.schedule engine ~delay:1000 (fun () ->
       Transport.submit_request sender ~dst:1 ~tid:9001 ~pattern:patt ~arg:7
-        ~put_data:Bytes.empty ~get_size:0);
+        ~put_data:Bytes.empty ~get_buffer:Bytes.empty);
   (* The delta-t record (and the estimator riding on it) expires after
      ~150 ms of silence, so snapshot the estimate while the record is
      still live rather than after the full run. *)

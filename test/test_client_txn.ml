@@ -7,7 +7,7 @@ module Cli = Soda_proto.Client_txn
 (* REQUEST [tid] to mid [dst], putting [put] and able to receive
    [get_size] bytes, trapped at [now]. *)
 let add ?(dst = 0) ?(put = "") ?(get_size = 0) ?(now = 0) c tid =
-  Cli.add c ~tid ~dst ~put:(Bytes.of_string put) ~get_size ~now
+  Cli.add c ~tid ~dst ~put:(Bytes.of_string put) ~get:(Bytes.create get_size) ~now
 
 let state =
   Alcotest.testable
@@ -107,8 +107,8 @@ let test_cancel () =
 
 let test_discover () =
   let c = Cli.create () in
-  let d = Cli.discover c ~tid:9 ~max_mids:2 in
-  ignore (Cli.discover c ~tid:10 ~max_mids:4);
+  let d = Cli.discover c ~tid:9 ~get:(Bytes.create 4) in
+  ignore (Cli.discover c ~tid:10 ~get:(Bytes.create 8));
   Alcotest.(check int) "DISCOVERs are outstanding" 2 (Cli.outstanding c);
   List.iter (fun src -> Cli.discover_reply c ~tid:9 ~src) [ 4; 4; 1; 6 ];
   Cli.discover_reply c ~tid:11 ~src:2;

@@ -461,6 +461,60 @@ let test_die_drops_waiting_invocation () =
   Alcotest.(check int) "the dead client is never invoked" 0 !dead;
   Alcotest.(check int) "the new client is invoked once" 1 !fresh
 
+(* A DIE drops every completion that reaches the kernel during its drain,
+   while the transport still runs: the dead client's request is accepted
+   and completes there, but reaches neither a client attached during the
+   drain nor one attached after it. *)
+let check_die_drops_drained_completion ~attach_in_drain () =
+  let net, kernels = make_net 2 in
+  let server = List.nth kernels 0 and k = List.nth kernels 1 in
+  Kernel.attach_client server ~parent:0
+    { Kernel.invoke_handler =
+        (function
+          | Types.Booting _ ->
+            ignore (Kernel.advertise server patt);
+            Kernel.endhandler server
+          | Types.Request_arrival { requester; _ } ->
+            Kernel.accept server ~requester ~arg:7 ~get_buffer:Bytes.empty
+              ~put:(Bytes.of_string "ok") ~on_done:ignore;
+            Kernel.endhandler server
+          | _ -> Kernel.endhandler server);
+      on_kill = ignore };
+  let client completions =
+    { Kernel.invoke_handler =
+        (fun event ->
+          (match event with
+           | Types.Request_completion { requester; _ } ->
+             completions := requester.Types.rq_tid :: !completions
+           | _ -> ());
+          Kernel.endhandler k);
+      on_kill = ignore }
+  in
+  let dead = ref [] and fresh = ref [] in
+  Kernel.attach_client k ~parent:0 (client dead);
+  ignore (Network.run ~until:10_000 net);
+  let tid =
+    match
+      Kernel.request k ~server:{ Types.sv_mid = Types.Mid 0; sv_pattern = patt } ~arg:0
+        ~put:Bytes.empty ~get_buffer:(Bytes.create 4)
+    with
+    | Ok tid -> tid
+    | Error _ -> Alcotest.fail "the request was refused"
+  in
+  Kernel.die k;
+  if attach_in_drain then Kernel.attach_client k ~parent:0 (client fresh);
+  let drain_us = (2 * Cost.default.Cost.ack_grace_us) + Cost.default.Cost.retrans_interval_us in
+  ignore (Network.run ~until:(10_000 + drain_us - 1) net);
+  Alcotest.(check int) "the request completed in the transport during the drain" 0
+    (Soda_proto.Transport.outstanding_requests (Kernel.transport k));
+  if not attach_in_drain then begin
+    ignore (Network.run ~until:(10_000 + drain_us + 1_000) net);
+    Kernel.attach_client k ~parent:0 (client fresh)
+  end;
+  run ~horizon:5.0 net;
+  Alcotest.(check (list int)) "the dead client is never told" [] !dead;
+  Alcotest.(check bool) "nor is the next one" false (List.mem tid !fresh)
+
 let suites =
   [
     ( "kernel.patterns",
@@ -494,6 +548,10 @@ let suites =
         Alcotest.test_case "system pattern privilege" `Quick test_system_pattern_privilege;
         Alcotest.test_case "DIE drops a waiting handler invocation" `Quick
           test_die_drops_waiting_invocation;
+        Alcotest.test_case "DIE drops a completion in its drain" `Quick
+          (check_die_drops_drained_completion ~attach_in_drain:true);
+        Alcotest.test_case "DIE drops it for a client after the drain" `Quick
+          (check_die_drops_drained_completion ~attach_in_drain:false);
       ] );
     ( "kernel.reboot",
       [

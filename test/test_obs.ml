@@ -8,13 +8,24 @@ module Analyze = Soda_obs.Analyze
 
 (* ---- metrics ------------------------------------------------------------- *)
 
+(* The keys the metrics tests write, named once as a layer would. *)
+let k_c = Metrics.counter_key "c"
+let k_a = Metrics.counter_key "a"
+let k_b = Metrics.counter_key "b"
+let k_h = Metrics.histogram_key "h"
+let k_client = Metrics.counter_key "client"
+let k_hits = Metrics.counter_key "hits"
+let k_idle = Metrics.counter_key "idle"
+let k_lat = Metrics.histogram_key "lat"
+let k_quiet = Metrics.histogram_key "quiet"
+
 let test_metrics_registry () =
   let m = Metrics.create () in
-  Metrics.incr m "c";
-  Metrics.add m "c" 4;
+  Metrics.count m k_c;
+  Metrics.count_by m k_c 4;
   Metrics.set_gauge m "g" 17;
   Metrics.set_gauge m "g" 9;
-  Metrics.observe m "h" 5;
+  Metrics.sample m k_h 5;
   Alcotest.(check int) "counter" 5 (Metrics.counter m "c");
   Alcotest.(check int) "gauge keeps latest" 9 (Metrics.gauge m "g");
   Alcotest.(check bool) "histogram exists" true (Metrics.histogram m "h" <> None);
@@ -24,37 +35,50 @@ let test_metrics_registry () =
 
 let test_metrics_counters () =
   let m = Metrics.create () in
-  Metrics.incr m "a";
-  Metrics.incr m "a";
-  Metrics.add m "b" 5;
-  Alcotest.(check int) "incr" 2 (Metrics.counter m "a");
-  Alcotest.(check int) "add" 5 (Metrics.counter m "b");
+  Metrics.count m k_a;
+  Metrics.count m k_a;
+  Metrics.count_by m k_b 5;
+  Alcotest.(check int) "count" 2 (Metrics.counter m "a");
+  Alcotest.(check int) "count_by" 5 (Metrics.counter m "b");
   Alcotest.(check int) "absent counter" 0 (Metrics.counter m "zzz");
   Alcotest.(check (list string)) "names" [ "a"; "b" ] (Metrics.counter_names m)
 
-(* A slot resolves its cell at its first use: until then the registry
-   exports nothing under its name, and a histogram slot has made no
-   histogram. *)
-let test_metrics_slots () =
+(* A key exists in every registry, but a registry lists only the keys
+   written in it: until then it exports nothing under the name, and no
+   histogram is made before the first sample. A counter written by 0
+   and a declared histogram are listed. *)
+let test_metrics_keys_listed_when_written () =
   let m = Metrics.create () in
-  let client = Metrics.counter_slot m "client" and hits = Metrics.counter_slot m "hits" in
-  let lat = Metrics.histogram_slot m "lat" in
   let exported () = Json.of_string (Export.metrics_json m) in
   Alcotest.(check bool) "nothing exported before any use" true
     (exported ()
      = Json.Obj [ ("counters", Json.Obj []); ("gauges", Json.Obj []); ("histograms", Json.Obj []) ]);
   Alcotest.(check bool) "no histogram before the first sample" true
     (Metrics.histogram m "lat" = None);
-  Metrics.bump_by client 700;
-  Metrics.bump_by client 300;
-  Metrics.bump hits;
-  Alcotest.(check (list string)) "used counter slots listed" [ "client"; "hits" ]
+  Metrics.count_by m k_client 700;
+  Metrics.count_by m k_client 300;
+  Metrics.count m k_hits;
+  Alcotest.(check (list string)) "written counters listed" [ "client"; "hits" ]
     (Metrics.counter_names m);
-  Alcotest.(check int) "bump_by adds" 1_000 (Metrics.counter m "client");
-  Alcotest.(check int) "bump adds one" 1 (Metrics.counter m "hits");
-  List.iter (Metrics.sample lat) [ 10; 20; 30 ];
+  Alcotest.(check int) "count_by adds" 1_000 (Metrics.counter m "client");
+  Alcotest.(check int) "count adds one" 1 (Metrics.counter m "hits");
+  Metrics.count_by m k_idle 0;
+  Alcotest.(check (list string)) "a counter written by 0 is listed" [ "client"; "hits"; "idle" ]
+    (Metrics.counter_names m);
+  (match exported () with
+   | Json.Obj fields ->
+     Alcotest.(check bool) "and exported at 0" true
+       (List.assoc "counters" fields
+        = Json.Obj [ ("client", Json.Int 1_000); ("hits", Json.Int 1); ("idle", Json.Int 0) ])
+   | _ -> Alcotest.fail "expected an object");
+  List.iter (Metrics.sample m k_lat) [ 10; 20; 30 ];
   Alcotest.(check (list string)) "histogram made at the first sample" [ "lat" ]
     (Metrics.histogram_names m);
+  Metrics.declare m k_quiet;
+  Alcotest.(check (list string)) "a declared histogram is listed" [ "lat"; "quiet" ]
+    (Metrics.histogram_names m);
+  Alcotest.(check (option int)) "with no samples" (Some 0)
+    (Option.map Metrics.Histogram.count (Metrics.histogram m "quiet"));
   match Metrics.histogram m "lat" with
   | None -> Alcotest.fail "expected a histogram"
   | Some h ->
@@ -544,15 +568,168 @@ let test_json_parse_errors () =
       | _ -> Alcotest.failf "expected Parse_error on %S" text)
     [ ""; "{"; "[1,]"; "{\"a\" 1}"; "nul"; "null"; "1 2"; "\"\\x\""; "\"\\u12\""; "-" ]
 
+(* A string-keyed reference for the keyed registry: a counter by name,
+   listed once written (by 0 too), and a histogram by name, listed from
+   its first sample or declaration. *)
+module Ref_registry = struct
+  type t = { counts : (string, int) Hashtbl.t; hists : (string, Ref_histogram.t) Hashtbl.t }
+
+  let create () = { counts = Hashtbl.create 8; hists = Hashtbl.create 8 }
+
+  let count_by r name n =
+    Hashtbl.replace r.counts name (n + Option.value ~default:0 (Hashtbl.find_opt r.counts name))
+
+  let hist r name =
+    match Hashtbl.find_opt r.hists name with
+    | Some h -> h
+    | None ->
+      let h = Ref_histogram.create () in
+      Hashtbl.replace r.hists name h;
+      h
+
+  let sorted tbl f =
+    Hashtbl.fold (fun name v acc -> (name, f v) :: acc) tbl [] |> List.sort compare
+
+  (* What [Export.metrics_json] should read for this registry. *)
+  let json r =
+    let histogram h =
+      let n = Ref_histogram.count h in
+      let p q = Json.Int (Ref_histogram.percentile h q) in
+      Json.Obj
+        [ ("count", Json.Int n); ("sum", Json.Int (Ref_histogram.sum h));
+          ("min", Json.Int (if n = 0 then 0 else Ref_histogram.min_value h));
+          ("max", Json.Int (Ref_histogram.max_value h));
+          ( "mean",
+            Json.Float
+              (if n = 0 then 0.0 else float_of_int (Ref_histogram.sum h) /. float_of_int n) );
+          ("p50", p 50.0); ("p90", p 90.0); ("p95", p 95.0); ("p99", p 99.0) ]
+    in
+    Json.Obj
+      [ ("counters", Json.Obj (sorted r.counts (fun v -> Json.Int v))); ("gauges", Json.Obj []);
+        ("histograms", Json.Obj (sorted r.hists histogram)) ]
+end
+
+(* Writes over two registries: counts, counts by 0 or more, samples and
+   declarations on a few keys, and keys made after the registries. *)
+type metrics_op =
+  | Count of int * int  (* registry, counter *)
+  | Count_by of int * int * int
+  | Sample of int * int * int  (* registry, histogram, value *)
+  | Declare of int * int
+  | Late_count of int * int  (* registry, amount: on a key made now *)
+  | Late_sample of int * int
+
+let prop_counters = Array.init 4 (Printf.sprintf "prop.c%d")
+let prop_histograms = Array.init 3 (Printf.sprintf "prop.h%d")
+let prop_counter_keys = Array.map Metrics.counter_key prop_counters
+let prop_histogram_keys = Array.map Metrics.histogram_key prop_histograms
+
+(* made, never written *)
+let _ = Metrics.counter_key "prop.never.c"
+let _ = Metrics.histogram_key "prop.never.h"
+
+let late = ref 0
+
+let late_name prefix =
+  incr late;
+  Printf.sprintf "prop.late.%s%d" prefix !late
+
+let print_metrics_op = function
+  | Count (r, c) -> Printf.sprintf "Count (%d, %d)" r c
+  | Count_by (r, c, n) -> Printf.sprintf "Count_by (%d, %d, %d)" r c n
+  | Sample (r, h, v) -> Printf.sprintf "Sample (%d, %d, %d)" r h v
+  | Declare (r, h) -> Printf.sprintf "Declare (%d, %d)" r h
+  | Late_count (r, n) -> Printf.sprintf "Late_count (%d, %d)" r n
+  | Late_sample (r, v) -> Printf.sprintf "Late_sample (%d, %d)" r v
+
+let prop_keyed_registry_matches_reference =
+  let open QCheck.Gen in
+  let reg = int_bound 1 and c = int_bound 3 and h = int_bound 2 in
+  let amount = frequency [ (2, return 0); (3, int_range 1 1_000); (1, int_range (-50) (-1)) ] in
+  let value = frequency [ (1, return 0); (3, int_range 1 63); (2, int_range 64 1_000_000) ] in
+  let op =
+    frequency
+      [ (4, map2 (fun r c -> Count (r, c)) reg c);
+        (3, map3 (fun r c n -> Count_by (r, c, n)) reg c amount);
+        (4, map3 (fun r h v -> Sample (r, h, v)) reg h value);
+        (1, map2 (fun r h -> Declare (r, h)) reg h);
+        (1, map2 (fun r n -> Late_count (r, n)) reg amount);
+        (1, map2 (fun r v -> Late_sample (r, v)) reg value) ]
+  in
+  QCheck.Test.make ~name:"keyed registry reads and exports as a string-keyed one" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print_metrics_op) (list_size (int_range 0 60) op))
+    (fun ops ->
+      let regs = [| Metrics.create (); Metrics.create () |] in
+      let refs = [| Ref_registry.create (); Ref_registry.create () |] in
+      List.iter
+        (function
+          | Count (r, c) ->
+            Metrics.count regs.(r) prop_counter_keys.(c);
+            Ref_registry.count_by refs.(r) prop_counters.(c) 1
+          | Count_by (r, c, n) ->
+            Metrics.count_by regs.(r) prop_counter_keys.(c) n;
+            Ref_registry.count_by refs.(r) prop_counters.(c) n
+          | Sample (r, h, v) ->
+            Metrics.sample regs.(r) prop_histogram_keys.(h) v;
+            Ref_histogram.observe (Ref_registry.hist refs.(r) prop_histograms.(h)) v
+          | Declare (r, h) ->
+            Metrics.declare regs.(r) prop_histogram_keys.(h);
+            ignore (Ref_registry.hist refs.(r) prop_histograms.(h))
+          | Late_count (r, n) ->
+            let name = late_name "c" in
+            Metrics.count_by regs.(r) (Metrics.counter_key name) n;
+            Ref_registry.count_by refs.(r) name n
+          | Late_sample (r, v) ->
+            let name = late_name "h" in
+            Metrics.sample regs.(r) (Metrics.histogram_key name) v;
+            Ref_histogram.observe (Ref_registry.hist refs.(r) name) v)
+        ops;
+      Array.for_all2
+        (fun m (r : Ref_registry.t) ->
+          let names tbl = List.map fst (Ref_registry.sorted tbl Fun.id) in
+          Json.of_string (Export.metrics_json m) = Ref_registry.json r
+          && Metrics.counter_names m = names r.counts
+          && Metrics.histogram_names m = names r.hists
+          && Array.for_all
+               (fun name ->
+                 Metrics.counter m name
+                 = Option.value ~default:0 (Hashtbl.find_opt r.counts name))
+               (Array.append prop_counters [| "prop.never.c" |])
+          && Metrics.histogram m "prop.never.h" = None)
+        regs refs)
+
+(* A write to a key the registry has seen is an array store: 1,000 of
+   them allocate nothing. *)
+let test_metrics_writes_allocate_nothing () =
+  let m = Metrics.create () in
+  Metrics.count m k_a;
+  Metrics.count m k_b;
+  Metrics.count m k_idle;
+  Metrics.sample m k_lat 7;
+  let before = Gc.minor_words () in
+  for i = 1 to 250 do
+    Metrics.count m k_a;
+    Metrics.count_by m k_b i;
+    Metrics.count_by m k_idle 0;
+    Metrics.sample m k_lat 7
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "minor words over 1,000 writes" 0.0 words;
+  Alcotest.(check int) "and they counted" 251 (Metrics.counter m "a");
+  Alcotest.(check int) "by their amounts" (1 + (250 * 251 / 2)) (Metrics.counter m "b")
+
+let k_pkt_sent = Metrics.counter_key "pkt.sent"
+let k_weird = Metrics.counter_key "weird \"name\""
+
 (* The metrics dump reads back to the registry it was made from. *)
 let test_metrics_dump_parses () =
   let m = Metrics.create () in
-  Metrics.add m "pkt.sent" 12;
-  Metrics.incr m "weird \"name\"";
+  Metrics.count_by m k_pkt_sent 12;
+  Metrics.count m k_weird;
   Metrics.set_gauge m "depth" 4;
-  List.iter (Metrics.observe m "lat") [ 5; 9; 200 ];
+  List.iter (Metrics.sample m k_lat) [ 5; 9; 200 ];
   let other = Metrics.create () in
-  Metrics.incr other "c";
+  Metrics.count other k_c;
   let dump = Export.metrics_sections_json [ ("node.0", m); ("bus", other) ] in
   let get path v =
     List.fold_left
@@ -584,7 +761,11 @@ let suites =
       [
         Alcotest.test_case "registry" `Quick test_metrics_registry;
         Alcotest.test_case "counters" `Quick test_metrics_counters;
-        Alcotest.test_case "slots absent until used" `Quick test_metrics_slots;
+        Alcotest.test_case "keys absent until written" `Quick
+          test_metrics_keys_listed_when_written;
+        Helpers.qcheck prop_keyed_registry_matches_reference;
+        Alcotest.test_case "writes to known keys allocate nothing" `Quick
+          test_metrics_writes_allocate_nothing;
         Alcotest.test_case "percentile edge cases" `Quick test_percentile_edges;
         Alcotest.test_case "histogram small values exact" `Quick
           test_histogram_small_values_exact;

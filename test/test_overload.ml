@@ -50,7 +50,8 @@ let ack ~src ~seq =
   Wire.encode { Wire.src; reliable = false; seq = 0; ack = Some seq; run = false; body = Wire.Ack }
 
 let submit t ~tid =
-  Transport.submit_request t ~dst:1 ~tid ~pattern:patt ~arg:0 ~put_data:Bytes.empty ~get_size:0
+  Transport.submit_request t ~dst:1 ~tid ~pattern:patt ~arg:0 ~put_data:Bytes.empty
+    ~get_buffer:Bytes.empty
 
 (* Rule 1. Another station queues 20 large frames (about 160 ms of line
    time) just before our REQUEST, far more than its RTO. The first copy

@@ -364,13 +364,15 @@ let live_words () =
   Gc.full_major ();
   (Gc.stat ()).Gc.live_words
 
-(* A fresh node (kernel, transport, NIC, no client) retains 934 words
-   with the network's shared engine and bus spread over its 64 nodes.
+(* A fresh node (kernel, transport, NIC, no client) retains 606 words
+   with the network's shared engine and bus spread over its 64 nodes;
+   its metrics registry is 92 of them, an array indexed by counter key.
    The bound leaves 5% headroom: the smallest waste it must catch, the
    bus's two histograms made with every bucket at creation, costs 59
-   words a node (6%). A 256-slot pattern table made in associative mode
-   costs 257, the 26 per-kind counter names built per node about 80. *)
-let fresh_node_words = 980
+   words a node (10%). A 256-slot pattern table made in associative
+   mode costs 257, and a string-keyed registry, a hash table of named
+   cells, about 294 more. *)
+let fresh_node_words = 636
 
 let test_fresh_network_memory () =
   let before = live_words () in

@@ -470,7 +470,7 @@ let test_data_wait_accept_queued () =
            | Ok { Wire.body = Wire.Accept _; _ } -> incr accepts_seen
            | Ok _ | Error _ -> ()));
   Transport.submit_request node ~dst:1 ~tid:500 ~pattern:patt ~arg:0
-    ~put_data:(Bytes.make 64 'x') ~get_size:0;
+    ~put_data:(Bytes.make 64 'x') ~get_buffer:Bytes.empty;
   Engine.schedule engine ~delay:3_000 (fun () ->
       send
         (Wire.encode
@@ -539,7 +539,7 @@ let test_record_outlives_queued_accept () =
              replies := (tid, alive) :: !replies
            | Ok _ | Error _ -> ()));
   Transport.submit_request node ~dst:1 ~tid:500 ~pattern:patt ~arg:0
-    ~put_data:(Bytes.make 64 'x') ~get_size:0;
+    ~put_data:(Bytes.make 64 'x') ~get_buffer:Bytes.empty;
   send ~delay:3_000
     (Wire.encode
        (pkt ~reliable:true
@@ -653,7 +653,7 @@ let cancel_in_window ~busy () =
   ignore (Transport.attach_nic t);
   let submit tid =
     Transport.submit_request t ~dst:1 ~tid ~pattern:patt ~arg:0 ~put_data:Bytes.empty
-      ~get_size:0
+      ~get_buffer:Bytes.empty
   in
   let last = if busy then 5 else 4 in
   (* first copies, by tid: REQUESTs as positive tids, the CANCEL as -1 *)
@@ -771,7 +771,7 @@ let test_refused_slot_cleared_on_cancel_reply () =
   ignore (Transport.attach_nic t);
   let submit tid =
     Transport.submit_request t ~dst:1 ~tid ~pattern:patt ~arg:0 ~put_data:Bytes.empty
-      ~get_size:0
+      ~get_buffer:Bytes.empty
   in
   (* first copies' slots, by tid: REQUESTs as positive tids, the CANCEL as -1 *)
   let seen = Hashtbl.create 8 and reply_at = ref max_int and peer = ref None in
@@ -852,7 +852,7 @@ let test_refused_last_slot_relaunches_fresh () =
   ignore (Transport.attach_nic t);
   let submit tid =
     Transport.submit_request t ~dst:1 ~tid ~pattern:patt ~arg:0 ~put_data:Bytes.empty
-      ~get_size:0
+      ~get_buffer:Bytes.empty
   in
   (* first copies' slots, by tid: REQUESTs as positive tids, the CANCEL
      as -1; every slot REQUEST 3 arrived on; the slots the peer consumed,
